@@ -9,20 +9,17 @@ Example:
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bdtw.cli import _parse_range
 from bdtw.corpus import all_graphs
 from bdtw.game import minimum_placements
 from bdtw.graphs import closure
 from bdtw.monotonize import check_branching_depth_bound, monotonize_pipeline
 from bdtw.pre_tree import is_exact_edge, ptd_depth, ptd_width
 from bdtw.tree_decomp import td_depth, td_width, validate_td
-
-
-def parse_range(text):
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
 
 
 def main():
@@ -38,7 +35,7 @@ def main():
     width_slack_total = depth_recovered = 0
     for gi, g in enumerate(all_graphs(args.max_n)):
         gc = closure(g)
-        for k in parse_range(args.k):
+        for k in _parse_range(args.k):
             cost = minimum_placements(gc, k, False, 8)
             if cost is None:
                 continue

@@ -73,6 +73,7 @@ from .game import (
     minimum_placements,
     replay_cop_strategy,
     solve,
+    variant_costs,
     winners_agree,
 )
 from .strategy_tree import (
@@ -82,7 +83,6 @@ from .strategy_tree import (
     check_self_loop_cones,
     depth_iff_winning,
     fuzz_nonmonotone,
-    mark_branching,
 )
 from .monotonize import (
     ExtensionChoice,

@@ -23,7 +23,6 @@ from .game import (
     GameConfig,
     Strategy,
     _Solver,
-    _vmask,
     format_round,
     initial_parts,
     is_capture_mask,
@@ -32,8 +31,9 @@ from .game import (
     GamePosition,
     minimum_placements,
     solve,
+    variant_costs,
 )
-from .graphs import Graph, closure, read_graph
+from .graphs import Graph, bitmask, closure, read_graph
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .strategy_tree import read_strategy_tree
@@ -65,7 +65,7 @@ def cmd_decide(args) -> int:
         result = monotonize_pipeline(
             g, args.k, args.q,
             monotone_solver=not args.via_nonmonotone,
-            verify=args.verify, budget=budget, seed=args.seed,
+            verify=args.verify, budget=budget,
         )
         member = result.member
         if member and args.certificate:
@@ -159,33 +159,27 @@ def cmd_verify(args) -> int:
 
 
 def _parse_range(text: str) -> range:
-    if "-" in text:
-        lo, _, hi = text.partition("-")
-        return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    """A value 'a' or a range 'a-b' of positive integers, nonempty."""
+    lo, dash, hi = text.partition("-")
+    values = range(int(lo), int(hi if dash else lo) + 1)
+    if not values or values.start < 1:
+        raise ValueError(f"{text!r} is not a nonempty range of positive integers")
+    return values
 
 
 def _equivalence_worker(item):
     name, n, edges, k, q_max, budget = item
-    g = Graph(n, edges)
-    gc = closure(g)
-    answers = {}
-    for label, host in (("plain", g), ("closure", gc)):
-        for monotone in (False, True):
-            cost = minimum_placements(host, k, monotone, q_max, budget)
-            answers[(label, monotone)] = cost
-    rows = []
-    for q in range(1, q_max + 1):
-        wins = {key: c is not None and c <= q for key, c in answers.items()}
-        agree = len(set(wins.values())) == 1
-        rows.append((name, k, q, agree))
-    return rows
+    costs = variant_costs(Graph(n, edges), k, q_max, budget)
+    return [
+        (name, k, q, len({c is not None and c <= q for c in costs}) == 1)
+        for q in range(1, q_max + 1)
+    ]
 
 
 def cmd_equivalence(args) -> int:
     instances = []
     for spec_text in args.corpus:
-        spec = parse_corpus_spec(spec_text, args.seed)
+        spec = parse_corpus_spec(spec_text)
         instances.extend(spec.instances())
     ks = _parse_range(args.k)
     qs = _parse_range(args.q)
@@ -283,10 +277,10 @@ def cmd_play(args) -> int:
                 emit("session ended")
                 break
         else:
-            x_mask = _vmask(cops)
+            x_mask = bitmask(cops)
             best = None
             for m in moves:
-                m_mask = _vmask(m)
+                m_mask = bitmask(m)
                 worst = 0
                 winning = True
                 for q_mask in solver._resp(x_mask, part, m_mask):
@@ -305,7 +299,7 @@ def cmd_play(args) -> int:
         used += 1
         round_no += 1
         responses = legal_robber_responses(g, GamePosition(cops, part, used - 1), new_cops)
-        live = [p for p in responses if not is_capture_mask(g, _vmask(new_cops), p)]
+        live = [p for p in responses if not is_capture_mask(g, bitmask(new_cops), p)]
         if args.side == "robber":
             if not live:
                 cops = new_cops
@@ -319,8 +313,8 @@ def cmd_play(args) -> int:
             idx = _read_index(stdin, emit, len(live))
             cops, part = new_cops, live[idx]
         else:
-            choice = _choose_robber_response(solver, cfg.q, _vmask(cops), part, used - 1,
-                                             _vmask(new_cops))
+            choice = _choose_robber_response(solver, cfg.q, bitmask(cops), part, used - 1,
+                                             bitmask(new_cops))
             if choice is None:
                 cops = new_cops
                 part = responses[0]
@@ -394,7 +388,6 @@ def main(argv=None) -> int:
                    help="certify through the non-monotone solver plus exactification")
     p.add_argument("--verify", action="store_true", help="re-check every construction step")
     p.add_argument("--format", choices=["td", "ptd"], default="td")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_decide)
 
@@ -427,7 +420,6 @@ def main(argv=None) -> int:
     p.add_argument("--k", required=True, help="value or range, e.g. 1-3")
     p.add_argument("--q", required=True, help="value or range, e.g. 1-5")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_equivalence)
 
@@ -438,7 +430,6 @@ def main(argv=None) -> int:
     p.add_argument("--as", dest="side", choices=["robber", "cop"], required=True)
     p.add_argument("--closure", action="store_true")
     p.add_argument("--log", metavar="FILE")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_play)
 

@@ -81,7 +81,6 @@ class CorpusSpec:
 
     family: str
     params: tuple
-    seed: int = 0
 
     def instances(self) -> list[tuple[str, Graph]]:
         fam, params = self.family, self.params
@@ -113,27 +112,27 @@ class CorpusSpec:
         return out
 
 
-def parse_corpus_spec(text: str, seed: int = 0) -> CorpusSpec:
+def parse_corpus_spec(text: str) -> CorpusSpec:
     if ":" not in text:
         if text in NAMED:
-            return CorpusSpec("named", (text,), seed)
+            return CorpusSpec("named", (text,))
         raise ValueError(f"corpus spec {text!r} needs 'family:params' or a graph name")
     family, _, arg = text.partition(":")
     family = family.strip()
     arg = arg.strip()
     if family == "all-graphs":
-        return CorpusSpec(family, (int(arg),), seed)
+        return CorpusSpec(family, (int(arg),))
     if family == "named":
-        return CorpusSpec(family, tuple(s.strip() for s in arg.split(",")), seed)
+        return CorpusSpec(family, tuple(s.strip() for s in arg.split(",")))
     if family == "grids":
         dims = []
         for chunk in arg.split(","):
             r, _, c = chunk.partition("x")
             dims.append((int(r), int(c)))
-        return CorpusSpec(family, (tuple(dims),), seed)
+        return CorpusSpec(family, (tuple(dims),))
     if family in ("paths", "cycles", "stars", "complete"):
         if "-" in arg:
             lo, _, hi = arg.partition("-")
-            return CorpusSpec(family, (int(lo), int(hi)), seed)
-        return CorpusSpec(family, (int(arg), int(arg)), seed)
+            return CorpusSpec(family, (int(lo), int(hi)))
+        return CorpusSpec(family, (int(arg), int(arg)))
     raise ValueError(f"unknown corpus family {family!r}")

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, part_table
+from .graphs import Graph, bit_indices, bitmask, closure, part_table
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -63,22 +62,6 @@ class Strategy:
         return len(self.moves)
 
 
-def _vmask(vs: Iterable[int]) -> int:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return mask
-
-
-def _vset(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
-
-
 def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
     """Edge mask of the part under x_mask containing the nonempty part p_mask."""
     e = (p_mask & -p_mask).bit_length() - 1
@@ -105,34 +88,38 @@ def _macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> 
     return sorted(out)
 
 
-def _responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
-    """Nonempty parts under new_mask reachable from the robber part."""
-    mid = x_mask & new_mask
-    pm = _part_of(g, mid, p_mask)
-    table = part_table(g, new_mask)
-    return tuple(q for q in table.masks if q and q & ~pm == 0)
+def _responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
+    """Nonempty parts under new_mask inside the robber's removal-stage part
+    (the part under the kept cops x & new), in part_table order."""
+    return tuple(q for q in part_table(g, new_mask).masks if q and q & ~stage_part == 0)
 
 
 def legal_cop_moves(g: Graph, cfg: GameConfig, pos: GamePosition) -> list[frozenset[int]]:
     """All cop sets reachable by one macro-move, or [] once placements run out."""
     if pos.placements_used >= cfg.q:
         return []
-    x_mask = _vmask(pos.cops)
-    return [_vset(m) for m in _macro_moves(g, cfg.k, cfg.monotone, x_mask, pos.robber)]
+    moves = _macro_moves(g, cfg.k, cfg.monotone, bitmask(pos.cops), pos.robber)
+    return [frozenset(bit_indices(m)) for m in moves]
 
 
 def legal_robber_responses(g: Graph, pos: GamePosition, new_cops: frozenset[int]) -> list[int]:
     """Part masks under the new cop set the robber may occupy next."""
-    return list(_responses(g, _vmask(pos.cops), pos.robber, _vmask(new_cops)))
+    new_mask = bitmask(new_cops)
+    stage_part = _part_of(g, bitmask(pos.cops) & new_mask, pos.robber)
+    return list(_responses(g, new_mask, stage_part))
 
 
-def is_capture(g: Graph, cops: frozenset[int], robber: int) -> bool:
+def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
     """Whether the robber part is a single edge with all endpoints under cops."""
     if robber == 0 or robber & (robber - 1):
         return False
-    e = robber.bit_length() - 1
-    u, v = g.endpoints(e)
-    return u in cops and v in cops
+    u, v = g.endpoints(robber.bit_length() - 1)
+    return bool(cops_mask >> u & 1) and bool(cops_mask >> v & 1)
+
+
+def is_capture(g: Graph, cops: frozenset[int], robber: int) -> bool:
+    """is_capture_mask for a cop set given as vertices."""
+    return is_capture_mask(g, bitmask(cops), robber)
 
 
 def initial_parts(g: Graph) -> list[int]:
@@ -165,15 +152,11 @@ class _Solver:
         return cached
 
     def _resp(self, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
-        mid = x_mask & new_mask
-        pm = _part_of(self.g, mid, p_mask)
+        pm = _part_of(self.g, x_mask & new_mask, p_mask)
         key = (new_mask, pm)
         cached = self._resp_cache.get(key)
         if cached is None:
-            table = part_table(self.g, new_mask)
-            cached = self._resp_cache[key] = tuple(
-                q for q in table.masks if q and q & ~pm == 0
-            )
+            cached = self._resp_cache[key] = _responses(self.g, new_mask, pm)
         return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
@@ -242,7 +225,7 @@ class _Solver:
         just-removed cop shrinks the cop set while spending a placement and
         can never be part of a minimum-cost line.
         """
-        xs = sorted(_vset(x_mask))
+        xs = bit_indices(x_mask)
         subsets = sorted(
             itertools.chain.from_iterable(
                 itertools.combinations(xs, r) for r in range(len(xs) + 1)
@@ -250,7 +233,7 @@ class _Solver:
         )
         out = []
         for rem in subsets:
-            mid = x_mask & ~_vmask(rem)
+            mid = x_mask & ~bitmask(rem)
             if mid.bit_count() >= self.k:
                 continue
             if self.monotone and _part_of(self.g, mid, p_mask) != p_mask:
@@ -272,7 +255,7 @@ class _Solver:
         stack = [(0, p) for p in sorted(initial_parts(self.g), reverse=True)]
         while stack:
             x_mask, p_mask = stack.pop()
-            key = (_vset(x_mask), p_mask)
+            key = (frozenset(bit_indices(x_mask)), p_mask)
             if key in sigma.moves:
                 continue
             c = self.cost(x_mask, p_mask, q)
@@ -290,17 +273,10 @@ class _Solver:
             if chosen is None:
                 raise StrategyError("no move realizes the computed cost")
             new_mask, comp = chosen
-            sigma.moves[key] = _vset(new_mask)
+            sigma.moves[key] = frozenset(bit_indices(new_mask))
             for qm in sorted(comp, reverse=True):
                 stack.append((new_mask, qm))
         return sigma
-
-
-def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
-    if robber == 0 or robber & (robber - 1):
-        return False
-    u, v = g.endpoints(robber.bit_length() - 1)
-    return bool(cops_mask >> u & 1) and bool(cops_mask >> v & 1)
 
 
 class RobberStrategy:
@@ -320,8 +296,8 @@ class RobberStrategy:
                 new_cops: frozenset[int]) -> int:
         """A surviving part after the given cop move."""
         s = self._solver
-        x_mask = _vmask(cops)
-        new_mask = _vmask(new_cops)
+        x_mask = bitmask(cops)
+        new_mask = bitmask(new_cops)
         left = self.q - placements_used - 1
         for q_mask in s._resp(x_mask, robber, new_mask):
             if is_capture_mask(s.g, new_mask, q_mask):
@@ -336,7 +312,6 @@ class SolveResult:
     winner: str  # "cop" | "robber"
     strategy: Strategy | RobberStrategy | None
     position_count: int
-    values: dict[tuple[frozenset[int], int], tuple[int, int | None]]
 
 
 def solve(g: Graph, cfg: GameConfig, budget: int | None = None) -> SolveResult:
@@ -344,38 +319,40 @@ def solve(g: Graph, cfg: GameConfig, budget: int | None = None) -> SolveResult:
     solver = _Solver(g, cfg.k, cfg.monotone, budget)
     starts = initial_parts(g)
     if not starts:
-        return SolveResult("cop", Strategy(), 0, {})
+        return SolveResult("cop", Strategy(), 0)
     cop_wins = solver.game_cost(cfg.q) is not None
     if cop_wins:
         strategy: Strategy | RobberStrategy = solver.extract_cop_strategy(cfg.q)
     else:
         strategy = RobberStrategy(solver, cfg.q)
-    values = {
-        (_vset(x), p): (entry[0], entry[1])
-        for (x, p), entry in solver.bounds.items()
-    }
-    return SolveResult(
-        "cop" if cop_wins else "robber", strategy, len(solver.bounds), values
-    )
+    return SolveResult("cop" if cop_wins else "robber", strategy, len(solver.bounds))
 
 
 def minimum_placements(g: Graph, k: int, monotone: bool, cap: int,
                        budget: int | None = None) -> int | None:
     """Fewest placements with which k cops win, or None if more than cap."""
+    if k < 1 or cap < 1:
+        raise ValueError("k and the placement cap must be at least 1")
     return _Solver(g, k, monotone, budget).game_cost(cap)
 
 
-def winners_agree(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
-    """Whether all four game variants (monotone or not, on g or its closure)
-    report the same winner."""
-    from .graphs import closure
+def variant_costs(g: Graph, k: int, cap: int,
+                  budget: int | None = None) -> tuple[int | None, ...]:
+    """minimum_placements for the four game variants, in the order plain
+    non-monotone, plain monotone, closure non-monotone, closure monotone.
 
-    answers = []
-    for host in (g, closure(g)):
-        for monotone in (False, True):
-            res = minimum_placements(host, k, monotone, q, budget)
-            answers.append(res is not None and res <= q)
-    return len(set(answers)) == 1
+    The variants agree on the winner of the q-game for every q <= cap
+    exactly when these four costs are equal."""
+    return tuple(
+        minimum_placements(host, k, monotone, cap, budget)
+        for host in (g, closure(g))
+        for monotone in (False, True)
+    )
+
+
+def winners_agree(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
+    """Whether all four game variants report the same winner of the q-game."""
+    return len({c is None for c in variant_costs(g, k, q, budget)}) == 1
 
 
 @dataclass
@@ -399,20 +376,20 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig,
         key = (x_mask, p_mask, used)
         if key in memo:
             return memo[key], None
-        cops = _vset(x_mask)
+        cops = frozenset(bit_indices(x_mask))
         if used >= cfg.q:
             return None, tuple(trail + [("survived", cops, p_mask)])
         try:
             new_cops = sigma.next_cops(cops, p_mask)
         except StrategyError:
             return None, tuple(trail + [("undefined", cops, p_mask)])
-        new_mask = _vmask(new_cops)
+        new_mask = bitmask(new_cops)
         if validate_moves and new_mask not in _macro_moves(g, cfg.k, cfg.monotone, x_mask, p_mask):
             raise StrategyError(
                 f"illegal move {sorted(new_cops)} from cops={sorted(cops)} part={p_mask:#x}"
             )
         worst = used + 1
-        for q_mask in _responses(g, x_mask, p_mask, new_mask):
+        for q_mask in _responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask)):
             step = ("move", cops, p_mask, new_cops, q_mask)
             if is_capture_mask(g, new_mask, q_mask):
                 continue

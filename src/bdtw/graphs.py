@@ -90,12 +90,7 @@ class Graph:
         return self.edge_mask(self.edge_id(u, v) for u, v in pairs)
 
     def edge_ids(self, mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return bit_indices(mask)
 
     def edge_pairs(self, mask: int) -> tuple[tuple[int, int], ...]:
         return tuple(self.edges[e] for e in self.edge_ids(mask))
@@ -113,6 +108,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)!r})"
+
+
+def bitmask(items: Iterable[int]) -> int:
+    """The int bitmask with bit i set for each i in items."""
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def closure(g: Graph) -> Graph:
@@ -252,13 +265,6 @@ class _PartTable:
         self.kinds: tuple[str, ...] = kinds
 
 
-def _vertex_mask(vs: Iterable[int]) -> int:
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
-    return mask
-
-
 def part_table(g: Graph, x_mask: int) -> _PartTable:
     """Parts of g relative to the cop set given as a vertex bitmask.
 
@@ -330,7 +336,7 @@ def edge_component_graph(g: Graph, x: Iterable[int]) -> EdgeComponentGraph:
     for v in cops:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} not in graph")
-    table = part_table(g, _vertex_mask(cops))
+    table = part_table(g, bitmask(cops))
     parts = tuple(
         Part(kind, verts, mask)
         for kind, verts, mask in zip(table.kinds, table.vertex_sets, table.masks)
@@ -342,7 +348,7 @@ def robber_component(g: Graph, x: Iterable[int], e: int) -> int:
     """Edge mask of the part containing edge e relative to cop set x."""
     if not 0 <= e < g.m:
         raise ValueError(f"edge id {e} out of range")
-    table = part_table(g, _vertex_mask(x))
+    table = part_table(g, bitmask(x))
     return table.masks[table.of_edge[e]]
 
 
@@ -373,18 +379,21 @@ def read_graph(inp: IO[str]) -> Graph:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise FormatError(f"line {lineno}: repeated header")
-            if len(parts) != 4 or parts[1] != "tw":
-                raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
-            n, m = int(parts[2]), int(parts[3])
-            continue
-        if n is None:
-            raise FormatError(f"line {lineno}: edge before header")
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            if parts[0] == "p":
+                if n is not None:
+                    raise FormatError(f"line {lineno}: repeated header")
+                if len(parts) != 4 or parts[1] != "tw":
+                    raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
+                n, m = int(parts[2]), int(parts[3])
+                continue
+            if n is None:
+                raise FormatError(f"line {lineno}: edge before header")
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected 'u v'")
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError(f"line {lineno}: vertex out of range")
         edges.append((u - 1, v - 1))

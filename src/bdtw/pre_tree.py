@@ -383,7 +383,8 @@ def dumps_ptd(ptd: PreTreeDecomposition) -> str:
 
 
 def _parse_ptd_lines(inp: IO[str]):
-    """Split a ptd-style file into (host graph, node/cone records, extras)."""
+    """Split a ptd-style file into the host graph and its tagged records
+    (tag, tokens, line number)."""
     import io
 
     graph_lines: list[str] = []
@@ -401,25 +402,29 @@ def _parse_ptd_lines(inp: IO[str]):
     return host, records
 
 
-def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
-    host, records = _parse_ptd_lines(inp)
+def _ptd_from_records(host: Graph, records) -> PreTreeDecomposition:
+    """The validated decomposition given by the `n`/`g` records over host;
+    records with other tags are left to the caller."""
     nodes: dict[int, tuple[int, frozenset[int]]] = {}
     cones: dict[tuple[int, int], int] = {}
     for tag, parts, lineno in records:
+        if tag not in ("n", "g"):
+            continue
+        if parts[3:4] != [":"]:
+            raise FormatError(f"line {lineno}: expected '{tag} <id> <id> : <ids...>'")
+        try:
+            a, b = int(parts[1]), int(parts[2])
+            ids = [int(x) for x in parts[4:]]
+            if tag == "g":
+                cones[(a, b)] = host.edge_mask(ids)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         if tag == "n":
-            try:
-                sep = parts.index(":")
-            except ValueError:
-                raise FormatError(f"line {lineno}: node record missing ':'")
-            nid, par = int(parts[1]), int(parts[2])
-            nodes[nid] = (par, frozenset(int(v) for v in parts[sep + 1:]))
-        elif tag == "g":
-            try:
-                sep = parts.index(":")
-            except ValueError:
-                raise FormatError(f"line {lineno}: cone record missing ':'")
-            s, t = int(parts[1]), int(parts[2])
-            cones[(s, t)] = host.edge_mask(int(e) for e in parts[sep + 1:])
+            if a in nodes:
+                raise FormatError(f"line {lineno}: duplicate node {a}")
+            if any(not 0 <= v < host.n for v in ids):
+                raise FormatError(f"line {lineno}: bag vertex outside 0..{host.n - 1}")
+            nodes[a] = (b, frozenset(ids))
     if set(nodes) != set(range(len(nodes))):
         raise FormatError("node ids must be dense 0..N-1")
     parent = [nodes[t][0] for t in range(len(nodes))]
@@ -433,6 +438,10 @@ def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
     if not report.ok:
         raise FormatError(f"file parses but violates the axioms:\n{report}")
     return ptd
+
+
+def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
+    return _ptd_from_records(*_parse_ptd_lines(inp))
 
 
 def loads_ptd(text: str) -> PreTreeDecomposition:

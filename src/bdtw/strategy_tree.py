@@ -15,18 +15,24 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import StrategyError
+from .errors import FormatError, StrategyError
 from .game import (
     GameConfig,
     Strategy,
     _macro_moves,
     _part_of,
-    _vmask,
+    _responses,
     is_capture_mask,
     replay_cop_strategy,
 )
-from .graphs import Graph, is_closure, part_table, vertices_of_mask
-from .pre_tree import PreTreeDecomposition, is_exact_edge, write_ptd, _parse_ptd_lines
+from .graphs import Graph, bitmask, is_closure, part_table, vertices_of_mask
+from .pre_tree import (
+    PreTreeDecomposition,
+    _parse_ptd_lines,
+    _ptd_from_records,
+    is_exact_edge,
+    write_ptd,
+)
 from .tree_decomp import RootedTree
 
 
@@ -104,7 +110,8 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
     while queue:
         t, s, in_cone, used = queue.popleft()
         cops_prev = bags[s]
-        if is_capture_mask(g, _vmask(cops_prev), in_cone):
+        x_mask = bitmask(cops_prev)
+        if is_capture_mask(g, x_mask, in_cone):
             u, v = g.endpoints(in_cone.bit_length() - 1)
             bags[t] = frozenset((u, v))
             cones[(t, s)] = full & ~in_cone
@@ -115,8 +122,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
                 f"escaping play: {play_to(t)}"
             )
         new_cops = sigma.next_cops(cops_prev, in_cone)
-        x_mask = _vmask(cops_prev)
-        new_mask = _vmask(new_cops)
+        new_mask = bitmask(new_cops)
         if new_mask not in _macro_moves(g, cfg.k, False, x_mask, in_cone):
             raise StrategyError(
                 f"strategy plays illegal move {sorted(new_cops)} at cops="
@@ -146,20 +152,10 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
     return StrategyTree(ptd, frozenset(branching), move_log, sigma)
 
 
-def mark_branching(st: StrategyTree) -> frozenset[int]:
-    """Nodes whose creating move placed a cop touching the robber's part."""
-    out = set()
-    tree = st.ptd.tree
-    for t, move in st.move_log.items():
-        in_cone = st.ptd.cone(tree.parent[t], t)
-        if move.placed in vertices_of_mask(st.host, in_cone):
-            out.add(t)
-    return frozenset(out)
-
-
 def structural_branching(st: StrategyTree) -> frozenset[int]:
     """Nodes with a child whose cone is a single self-loop; coincides with
-    mark_branching on replay-built trees.
+    the branching set that build records (moves placing a cop on a vertex
+    of the robber's part).
 
     A loop vv becomes a lone child cone only when the move at the node
     placed v while the robber could reach vv, which is exactly a placement
@@ -190,7 +186,7 @@ def move_is_monotone(st: StrategyTree, t: int) -> bool:
     s = tree.parent[t]
     move = st.move_log[t]
     in_cone = st.ptd.cone(s, t)
-    mid = _vmask(st.ptd.bags[s]) & ~_vmask(move.removed)
+    mid = bitmask(st.ptd.bags[s]) & ~bitmask(move.removed)
     return _part_of(st.host, mid, in_cone) == in_cone
 
 
@@ -279,8 +275,7 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
                 continue
             if len(target - cops) != 1:
                 continue  # detours assume a fresh-placement move to resume
-            x_mask = _vmask(cops)
-            table = part_table(g, x_mask)
+            table = part_table(g, bitmask(cops))
             idx = table.of_edge[(part & -part).bit_length() - 1]
             if table.singles[idx]:
                 continue
@@ -299,9 +294,11 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
         key, target, w, _inc = preferred[rng.randrange(len(preferred))]
         cops, part = key
         detour_cops = cops | {w}
+        detour_mask = bitmask(detour_cops)
+        # The detour removes no cop, so part itself is the removal-stage part.
         responses = [
-            q for q in part_table(g, _vmask(detour_cops)).masks
-            if q and q & ~part == 0 and not is_capture_mask(g, _vmask(detour_cops), q)
+            q for q in _responses(g, detour_mask, part)
+            if not is_capture_mask(g, detour_mask, q)
         ]
         if any((detour_cops, q) in moves for q in responses):
             continue
@@ -354,34 +351,22 @@ def dumps_strategy_tree(st: StrategyTree) -> str:
 
 
 def read_strategy_tree(inp) -> StrategyTree:
-    import io
-
-    from .errors import FormatError
-    from .pre_tree import loads_ptd
-
     host, records = _parse_ptd_lines(inp)
-    ptd_lines = []
     branching: set[int] = set()
     move_log: dict[int, Move] = {}
     for tag, parts, lineno in records:
-        if tag == "B":
-            branching.add(int(parts[1]))
-        elif tag == "m":
-            t = int(parts[1])
-            try:
+        try:
+            if tag == "B":
+                branching.add(int(parts[1]))
+            elif tag == "m":
+                if "place" not in parts:
+                    raise FormatError(f"line {lineno}: move record missing 'place'")
                 pi = parts.index("place")
-            except ValueError:
-                raise FormatError(f"line {lineno}: move record missing 'place'")
-            placed = int(parts[pi + 1])
-            removed = tuple(
-                int(v) for v in parts[3:pi] if v != "remove"
-            )
-            move_log[t] = Move(removed, placed)
-        else:
-            ptd_lines.append(" ".join(parts))
-    from .graphs import dumps_graph
-
-    ptd = loads_ptd(dumps_graph(host) + "\n".join(ptd_lines) + "\n")
+                removed = tuple(int(v) for v in parts[3:pi] if v != "remove")
+                move_log[int(parts[1])] = Move(removed, int(parts[pi + 1]))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+    ptd = _ptd_from_records(host, records)
     return StrategyTree(ptd, frozenset(branching), move_log, None)
 
 

@@ -281,38 +281,49 @@ def dumps_td(td: TreeDecomposition) -> str:
 
 
 def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
-    n_bags = None
+    n_bags = width_plus_one = root_id = None
     bags: dict[int, frozenset[int]] = {}
     links: list[tuple[int, int]] = []
-    root_id = None
     for lineno, raw in enumerate(inp, 1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         parts = line.split()
-        if parts[0] == "s":
-            if len(parts) != 5 or parts[1] != "td":
-                raise FormatError(f"line {lineno}: expected 's td <bags> <w+1> <n>'")
-            n_bags = int(parts[2])
-            if int(parts[4]) != host.n:
-                raise FormatError(
-                    f"line {lineno}: decomposition is for {parts[4]} vertices, host has {host.n}"
-                )
-        elif parts[0] == "b":
-            bid = int(parts[1]) - 1
-            bags[bid] = frozenset(int(v) - 1 for v in parts[2:])
-        elif parts[0] == "r":
-            root_id = int(parts[1]) - 1
-        else:
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: expected a tree edge '<id> <id>'")
-            links.append((int(parts[0]) - 1, int(parts[1]) - 1))
+        try:
+            if parts[0] == "s":
+                if len(parts) != 5 or parts[1] != "td":
+                    raise FormatError(f"line {lineno}: expected 's td <bags> <w+1> <n>'")
+                n_bags, width_plus_one = int(parts[2]), int(parts[3])
+                if int(parts[4]) != host.n:
+                    raise FormatError(
+                        f"line {lineno}: decomposition is for {parts[4]} vertices, host has {host.n}"
+                    )
+            elif parts[0] == "b":
+                bid = int(parts[1]) - 1
+                if bid in bags:
+                    raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
+                bags[bid] = frozenset(int(v) - 1 for v in parts[2:])
+            elif parts[0] == "r":
+                root_id = int(parts[1]) - 1
+            else:
+                if len(parts) != 2:
+                    raise FormatError(f"line {lineno}: expected a tree edge '<id> <id>'")
+                links.append((int(parts[0]) - 1, int(parts[1]) - 1))
+        except (ValueError, IndexError) as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
     if n_bags is None:
         raise FormatError("missing 's td' header")
-    if set(bags) != set(range(n_bags)):
-        raise FormatError("bag ids must be 1..<#bags>")
+    if n_bags < 1 or set(bags) != set(range(n_bags)):
+        raise FormatError("bag ids must be 1..<#bags>, with at least one bag")
+    largest = max((len(b) for b in bags.values()), default=0)
+    if width_plus_one != largest:
+        raise FormatError(f"header declares bag size {width_plus_one}, largest bag has {largest}")
+    if len(links) != n_bags - 1:
+        raise FormatError(f"{n_bags} bags need {n_bags - 1} tree edges, found {len(links)}")
     if root_id is None:
         root_id = 0
+    if not 0 <= root_id < n_bags:
+        raise FormatError(f"root bag {root_id + 1} is not in 1..{n_bags}")
     adj: dict[int, list[int]] = {t: [] for t in range(n_bags)}
     for a, b in links:
         if not (0 <= a < n_bags and 0 <= b < n_bags):

@@ -97,13 +97,16 @@ class TestVerifyCmd:
         cert = tmp_path / "out.td"
         g = graph_file("P3")
         main(["decide", g, "--k", "2", "--q", "2", "--certificate", str(cert)])
-        # Drop a vertex from one bag: T1 or T2 must trip.
+        # Drop a vertex from one bag: T1 or T2 must trip.  One bag only, so
+        # the header's largest bag size stays true and the file still parses.
         lines = cert.read_text().splitlines()
         mangled = []
+        dropped = False
         for line in lines:
-            if line.startswith("b") and line.count(" ") >= 2:
+            if not dropped and line.startswith("b") and line.count(" ") >= 2:
                 parts = line.split()
                 mangled.append(" ".join(parts[:-1]))
+                dropped = True
             else:
                 mangled.append(line)
         cert.write_text("\n".join(mangled) + "\n")
@@ -131,6 +134,21 @@ class TestEquivalenceCmd:
         rc = main(["equivalence", "--corpus", "paths:4-3", "--k", "1-2", "--q", "1-2"])
         assert rc == 0
         assert "instances: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "K3", "--k", "0", "--q", "3"],
+    ["decide", "K3", "--k", "-1", "--q", "3"],
+    ["equivalence", "--corpus", "all-graphs:3", "--k", "0", "--q", "1-2"],
+    ["equivalence", "--corpus", "all-graphs:3", "--k", "3-1", "--q", "1-2"],
+    ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "0"],
+], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0"])
+def test_invalid_game_parameters_exit_two(argv, graph_file, capsys):
+    argv = [graph_file(a) if a == "K3" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
 
 
 class TestPlayCmd:

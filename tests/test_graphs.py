@@ -216,3 +216,9 @@ class TestPaceFormat:
     def test_rejects_bad_vertex(self):
         with pytest.raises(FormatError):
             loads_graph("p tw 2 1\n1 3\n")
+
+    @pytest.mark.parametrize("text", ["p tw 2 x\n", "p tw 2 1\n1 y\n"],
+                             ids=["header", "edge"])
+    def test_rejects_non_integer_token(self, text):
+        with pytest.raises(FormatError):
+            loads_graph(text)

@@ -264,3 +264,15 @@ class TestSerialization:
         text = dumps_ptd(e1_ptd).replace("n 0 0 :", "n 0 0 : 1")
         with pytest.raises(FormatError):
             loads_ptd(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("n 1 0 : 0", "n 1 0 : 0 99"),  # bag vertex outside the host
+        ("n 1 0 : 0", "n 1 0 : x"),  # non-integer token
+        ("g 0 1 : 0 1 2", "g 0 1 : 0 1 2 7"),  # edge id outside the host
+        ("n 1 0 : 0", "n 1 0 : 0\nn 1 0 : 0"),  # repeated node id
+    ], ids=["bag-vertex", "non-integer", "edge-id", "repeated-node"])
+    def test_reader_rejects_bad_records(self, e1_ptd, old, new):
+        text = dumps_ptd(e1_ptd)
+        assert old in text
+        with pytest.raises(FormatError):
+            loads_ptd(text.replace(old, new))

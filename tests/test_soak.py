@@ -32,7 +32,6 @@ from bdtw.strategy_tree import (
     check_monotone_exact,
     check_self_loop_cones,
     depth_iff_winning,
-    mark_branching,
     structural_branching,
 )
 from bdtw.tree_decomp import (
@@ -81,7 +80,7 @@ def test_pipeline_soak():
         st = r.strategy_tree
         assert check_monotone_exact(st)
         assert check_self_loop_cones(st)
-        assert mark_branching(st) == structural_branching(st)
+        assert st.branching == structural_branching(st)
         assert depth_iff_winning(st, GameConfig(k, r.placements_bound))
         pipelines += 1
     assert pipelines >= 150

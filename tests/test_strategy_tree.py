@@ -1,7 +1,7 @@
 import pytest
 
 from bdtw.corpus import all_graphs, named_graph
-from bdtw.errors import StrategyError
+from bdtw.errors import FormatError, StrategyError
 from bdtw.game import GameConfig, Strategy, replay_cop_strategy, solve
 from bdtw.graphs import Graph, closure
 from bdtw.pre_tree import is_exact_edge, ptd_depth, ptd_width, validate_ptd
@@ -15,7 +15,6 @@ from bdtw.strategy_tree import (
     dumps_strategy_tree,
     fuzz_nonmonotone,
     loads_strategy_tree,
-    mark_branching,
     structural_branching,
 )
 
@@ -102,7 +101,6 @@ class TestBuild:
 class TestBranching:
     def test_e1_marks(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        assert mark_branching(st) == frozenset({1, 2})
         assert st.branching == frozenset({1, 2})
 
     def test_root_children_branch(self):
@@ -115,7 +113,7 @@ class TestBranching:
         for name, k, q in CORPUS:
             for fuzz in (0, 1):
                 st, _, _ = solved_tree(named_graph(name), k, q, fuzz=fuzz, seed=11)
-                assert mark_branching(st) == structural_branching(st)
+                assert st.branching == structural_branching(st)
 
     def test_k3_all_placements_branch(self):
         st, _, _ = solved_tree(named_graph("K3"), 3, 3)
@@ -131,7 +129,7 @@ class TestBranching:
         gc = closure(g)
         res = solve(gc, GameConfig(4, 4))
         st = build(gc, res.strategy, GameConfig(4, 4))
-        marked = mark_branching(st)
+        marked = st.branching
         assert marked == structural_branching(st)
         assert st.ptd.tree.root not in marked
         loop_nodes = [
@@ -238,6 +236,17 @@ class TestSerialization:
         assert back.branching == st.branching
         assert back.move_log == st.move_log
         assert back.strategy is None
+
+    @pytest.mark.parametrize("old, new", [
+        ("n 1 0 : 0", "n 1 0 : 0 99"),  # bag vertex outside the host
+        ("B 1", "B x"),  # non-integer token
+    ], ids=["bag-vertex", "non-integer"])
+    def test_reader_rejects_bad_records(self, old, new):
+        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
+        text = dumps_strategy_tree(st)
+        assert old in text
+        with pytest.raises(FormatError):
+            loads_strategy_tree(text.replace(old, new))
 
     def test_move_lines_format(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)

@@ -170,3 +170,23 @@ class TestTdFormat:
         text = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n"
         with pytest.raises(FormatError):
             loads_td(text, p3)
+
+    P3_TD = "s td 3 2 3\nb 1 2\nb 2 1 2\nb 3 2 3\n1 2\n1 3\n"
+
+    def test_reference_text_parses(self, p3):
+        assert validate_td(loads_td(self.P3_TD + "r 2\n", p3)).ok
+
+    @pytest.mark.parametrize("text", [
+        P3_TD + "r 0\n",  # root id below range
+        P3_TD + "r 4\n",  # root id above range
+        "s td 3 2 3\nb 1 2\nb 2 1 2\nb 3 2 3\n1 2\n2 3\n3 1\n",  # cyclic links
+        P3_TD + "b 1 2\n",  # repeated bag id
+        P3_TD.replace("s td 3 2 3", "s td 3 3 3"),  # <w+1> is not the largest bag
+        P3_TD.replace("b 3 2 3", "b 3 2 x"),  # non-integer token
+        P3_TD.replace("s td 3 2 3", "s td three 2 3"),  # non-integer header
+        P3_TD + "r\n",  # root line without an id
+    ], ids=["root-0", "root-4", "cycle", "repeated-bag", "width-header",
+            "non-integer-bag", "non-integer-header", "root-missing-id"])
+    def test_rejects_malformed(self, p3, text):
+        with pytest.raises(FormatError):
+            loads_td(text, p3)
