@@ -39,16 +39,23 @@ def main():
             cost = minimum_placements(gc, k, False, 8)
             if cost is None:
                 continue
-            for seed in range(args.seeds):
+            for s in range(args.seeds):
+                seed = gi * 1000 + s
                 r = monotonize_pipeline(
-                    g, k, cost, fuzz_slack=args.slack,
-                    seed=gi * 1000 + seed, verify=True,
+                    g, k, cost, fuzz_slack=args.slack, seed=seed, verify=True,
                 )
                 runs += 1
-                assert validate_td(r.td).ok
-                assert td_width(r.td) <= k - 1
-                assert td_depth(r.td) <= r.placements_bound
-                assert check_branching_depth_bound(r.exact_ptd, r.strategy_tree)
+                checks = {
+                    "valid": validate_td(r.td).ok,
+                    "width": td_width(r.td) <= k - 1,
+                    "depth": td_depth(r.td) <= r.placements_bound,
+                    "branching bound": check_branching_depth_bound(r.exact_ptd, r.strategy_tree),
+                }
+                failed = [name for name, ok in checks.items() if not ok]
+                if failed:
+                    print(f"FAILED {', '.join(failed)}: n={g.n} edges={list(g.edges)} "
+                          f"k={k} q={cost} slack={args.slack} seed={seed}", file=sys.stderr)
+                    return 1
                 st = r.strategy_tree
                 if r.fuzz_injected:
                     injected_runs += 1

@@ -89,7 +89,6 @@ from .monotonize import (
     PipelineResult,
     StepState,
     apply_step,
-    bfs_order,
     check_branching_depth_bound,
     choose_extensions,
     monotonize_pipeline,

@@ -337,7 +337,7 @@ def _read_index(stdin, emit, n: int) -> int:
     while True:
         raw = stdin.readline()
         if not raw:
-            raise EOFError("input ended mid-session")
+            raise BdtwError("input ended mid-session")
         token = raw.strip()
         if token.isdigit() and int(token) < n:
             return int(token)
@@ -349,7 +349,7 @@ def _read_cop_move(stdin, emit, cops, moves) -> frozenset[int] | None:
     while True:
         raw = stdin.readline()
         if not raw:
-            raise EOFError("input ended mid-session")
+            raise BdtwError("input ended mid-session")
         tokens = raw.split()
         if not tokens:
             continue
@@ -438,6 +438,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (BdtwError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must never read as a "no" answer (exit 1)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

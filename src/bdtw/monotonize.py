@@ -9,11 +9,13 @@ edges with both endpoints in the processed region plus its neighbors are
 exact; after the last step the whole decomposition is exact, with width and
 depth no larger than the input's.
 
-verify_step re-checks, per step, everything the correctness argument
-relies on: the axioms, exactness of the processed region, that unprocessed
-nodes' child cones only shrink, per-node bag sizes, per-path depth sums,
-three vertex-tracking claims, and the exchange inequality at the greatest
-common ancestor.
+Between steps the object need not describe a strategy, but it stays a
+pre-tree decomposition: apply_step checks the axioms on every state it
+changes.  verify_step re-checks, per step, the rest of what the correctness
+argument relies on: exactness of the processed region, that unprocessed
+nodes' child cones only shrink, locality and balance of the cone changes,
+per-node bag sizes, per-path depth sums, three vertex-tracking claims, and
+the exchange inequality at the greatest common ancestor.
 """
 
 from __future__ import annotations
@@ -23,18 +25,20 @@ from typing import Callable, Iterator
 
 from .errors import BudgetExceededError, ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
-from .graphs import Graph, boundary, closure
+from .graphs import Graph, closure
 from .pre_tree import (
     PreTreeDecomposition,
+    _path_sum,
     is_exact,
     is_exact_edge,
+    local_boundary,
     ptd_depth,
     ptd_width,
     to_tree_decomposition,
     validate_ptd,
 )
 from .strategy_tree import StrategyTree, build, fuzz_nonmonotone
-from .tree_decomp import RootedTree, TreeDecomposition, validate_td
+from .tree_decomp import TreeDecomposition, validate_td
 from .validation import Report
 
 DEFAULT_FREE_EDGE_CAP = 20
@@ -42,24 +46,18 @@ DEFAULT_FREE_EDGE_CAP = 20
 
 @dataclass
 class StepState:
-    """The decomposition after a prefix of the construction's steps."""
+    """The decomposition after a prefix of the construction's steps, and
+    the nodes processed so far (in order)."""
 
-    tree: RootedTree
-    host: Graph
-    index: int
-    beta: tuple[frozenset[int], ...]
-    gamma: dict[tuple[int, int], int]
+    ptd: PreTreeDecomposition
     processed: tuple[int, ...]
 
     def scope(self) -> set[int]:
         """Processed nodes plus their tree neighbors."""
         out = set(self.processed)
         for t in self.processed:
-            out.update(self.tree.neighbors(t))
+            out.update(self.ptd.tree.neighbors(t))
         return out
-
-    def as_ptd(self) -> PreTreeDecomposition:
-        return PreTreeDecomposition(self.tree, self.host, self.beta, dict(self.gamma))
 
 
 @dataclass
@@ -74,31 +72,6 @@ class ExtensionChoice:
     boundary_size: int
 
 
-def bfs_order(st: StrategyTree | PreTreeDecomposition) -> list[int]:
-    """Level order with ties by node id; the root comes first."""
-    ptd = st.ptd if isinstance(st, StrategyTree) else st
-    return ptd.tree.bfs_nodes()
-
-
-def initial_state(ptd: PreTreeDecomposition) -> StepState:
-    return StepState(ptd.tree, ptd.host, 0, tuple(ptd.bags), dict(ptd.cones), ())
-
-
-def _blocks_at(state: StepState, t: int) -> list[int]:
-    tree = state.tree
-    if t != tree.root and not tree.children[t]:
-        up = state.gamma[(t, tree.parent[t])]
-        return [up, state.host.full_mask & ~up]
-    return [state.gamma[(t, u)] for u in tree.neighbors(t)]
-
-
-def _delta(state: StepState, t: int) -> frozenset[int]:
-    out: set[int] = set()
-    for b in _blocks_at(state, t):
-        out |= boundary(state.host, b)
-    return frozenset(out)
-
-
 def choose_extensions(state: StepState, node: int,
                       free_edge_cap: int = DEFAULT_FREE_EDGE_CAP) -> ExtensionChoice:
     """Optimal assignment of free edges to the node's child cones.
@@ -110,13 +83,12 @@ def choose_extensions(state: StepState, node: int,
     assignment vector.  The search is exhaustive (with pruning by the
     boundary forced so far), so a cap bounds the free-edge count.
     """
-    g = state.host
-    tree = state.tree
+    g = state.ptd.host
+    tree = state.ptd.tree
+    cones = state.ptd.cones
     children = tree.children[node]
     full = g.full_mask
-    m_free = [
-        full & ~(state.gamma[(node, c)] | state.gamma[(c, node)]) for c in children
-    ]
+    m_free = [full & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
     free_union = 0
     for m in m_free:
         free_union |= m
@@ -128,7 +100,7 @@ def choose_extensions(state: StepState, node: int,
 
     neighbors = tree.neighbors(node)
     child_block_index = {c: neighbors.index(c) for c in children}
-    blocks0 = [state.gamma[(node, u)] for u in neighbors]
+    blocks0 = [cones[(node, u)] for u in neighbors]
     block_of_edge: dict[int, int] = {}
     for bi, b in enumerate(blocks0):
         for e in g.edge_ids(b):
@@ -136,35 +108,6 @@ def choose_extensions(state: StepState, node: int,
     options = [
         [None] + [j for j, m in enumerate(m_free) if m >> e & 1] for e in free_edges
     ]
-
-    def boundary_count(blocks: list[int]) -> int:
-        count = 0
-        for v in g.vertices:
-            inc = g.incident_mask(v)
-            hit = 0
-            for b in blocks:
-                if inc & b:
-                    hit += 1
-                    if hit == 2:
-                        count += 1
-                        break
-        return count
-
-    best: list = [None, None, None]  # boundary, |F|, assignment tuple
-
-    def evaluate(assign: list[int | None]) -> tuple[int, int]:
-        blocks = list(blocks0)
-        moved = 0
-        for e, j in zip(free_edges, assign):
-            if j is None:
-                continue
-            moved += 1
-            bit = 1 << e
-            src = block_of_edge.get(e)
-            if src is not None:
-                blocks[src] &= ~bit
-            blocks[child_block_index[children[j]]] |= bit
-        return boundary_count(blocks), moved
 
     def forced_boundary(assign: list[int | None], depth: int) -> int:
         # Vertices already split between two decided blocks stay boundary
@@ -198,18 +141,17 @@ def choose_extensions(state: StepState, node: int,
         return count
 
     assign: list[int | None] = [None] * len(free_edges)
+    best: tuple[int, int] | None = None  # (boundary, moved) of best_assign
+    best_assign: tuple[int | None, ...] = ()
 
     def search(depth: int, moved: int) -> None:
-        if best[0] is not None:
-            forced = forced_boundary(assign, depth)
-            if forced > best[0] or (forced == best[0] and moved > best[1]):
-                return
+        nonlocal best, best_assign
         if depth == len(free_edges):
-            b_size, n_moved = evaluate(assign)
-            key = (b_size, n_moved)
-            if best[0] is None or key < (best[0], best[1]):
-                best[0], best[1] = key
-                best[2] = tuple(assign)
+            key = (forced_boundary(assign, depth), moved)
+            if best is None or key < best:
+                best, best_assign = key, tuple(assign)
+            return
+        if best is not None and (forced_boundary(assign, depth), moved) > best:
             return
         for j in options[depth]:
             assign[depth] = j
@@ -217,9 +159,8 @@ def choose_extensions(state: StepState, node: int,
         assign[depth] = None
 
     search(0, 0)
-    chosen = best[2]
     f_masks = [0] * len(children)
-    for e, j in zip(free_edges, chosen):
+    for e, j in zip(free_edges, best_assign):
         if j is not None:
             f_masks[j] |= 1 << e
     f_union = 0
@@ -233,29 +174,27 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     """Process one node: reassign free edges below it and push the change
     through the processed region.  Leaf nodes are identity steps.
 
-    The result is axiom-checked; a violation is an internal error.
+    Every state this changes is checked against the axioms, whether or
+    not the run verifies its steps; a violation is an internal error.
     """
-    tree = state.tree
-    g = state.host
+    ptd = state.ptd
+    tree = ptd.tree
     processed = state.processed + (node,)
     if not tree.children[node]:
-        new_state = StepState(tree, g, state.index + 1, state.beta, dict(state.gamma), processed)
-        return new_state
+        return StepState(ptd, processed)
     if choice is None:
         raise ValueError("internal nodes need an extension choice")
 
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
-    scope = set(processed)
-    for t in processed:
-        scope.update(tree.neighbors(t))
+    scope = StepState(ptd, processed).scope()
 
-    gamma = dict(state.gamma)
+    gamma = dict(ptd.cones)
     for p in sorted(scope):
         for c in tree.children[p]:
-            down = state.gamma[(p, c)]
-            up = state.gamma[(c, p)]
+            down = ptd.cones[(p, c)]
+            up = ptd.cones[(c, p)]
             if p == node:
                 fj = f_by_child[c]
                 gamma[(p, c)] = (down & ~f) | fj
@@ -274,31 +213,33 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
                 if c in scope:
                     gamma[(c, p)] = up | f
 
-    interim = StepState(tree, g, state.index + 1, state.beta, gamma, processed)
+    interim = PreTreeDecomposition(tree, ptd.host, ptd.bags, gamma)
     beta = tuple(
-        _delta(interim, t) if t in scope else state.beta[t] for t in tree.nodes
+        local_boundary(interim, t) if t in scope else ptd.bags[t] for t in tree.nodes
     )
-    new_state = StepState(tree, g, state.index + 1, beta, gamma, processed)
-    report = validate_ptd(new_state.as_ptd())
+    new_ptd = PreTreeDecomposition(tree, ptd.host, beta, gamma)
+    report = validate_ptd(new_ptd)
     if not report.ok:
         raise ConsistencyError(
             f"axiom violated after processing node {node}:\n{report}"
         )
-    return new_state
+    return StepState(new_ptd, processed)
 
 
 def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) -> Report:
-    """Re-check every per-step property the width/depth argument relies on."""
+    """Re-check every per-step property the width/depth argument relies on.
+
+    The axioms are not re-checked here: apply_step validates every state it
+    changes, with or without verification, and leaf steps change nothing.
+    """
     report = Report()
-    tree = next_state.tree
+    ptd_prev, ptd_next = prev.ptd, next_state.ptd
+    tree = ptd_next.tree
     node = next_state.processed[-1]
     scope_prev = prev.scope()
     scope_next = next_state.scope()
-    beta0 = original.ptd.bags
-    gamma0 = original.ptd.cones
-
-    ptd_next = next_state.as_ptd()
-    report.merge(validate_ptd(ptd_next))
+    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
+    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
 
     for p, c in tree.edges():
         if p in scope_next and c in scope_next:
@@ -311,17 +252,17 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
         if x in processed:
             continue
         for c in tree.children[x]:
-            extra = next_state.gamma[(x, c)] & ~gamma0[(x, c)]
+            extra = gamma_next[(x, c)] & ~gamma0[(x, c)]
             if extra:
                 report.add(
                     "only-remove", f"edge {x}-{c}",
-                    f"unprocessed parent's cone gained edges {next_state.host.edge_ids(extra)}",
+                    f"unprocessed parent's cone gained edges {ptd_next.host.edge_ids(extra)}",
                 )
 
     node_children = set(tree.children[node])
     for p, c in tree.edges():
-        down_was, down_now = prev.gamma[(p, c)], next_state.gamma[(p, c)]
-        up_was, up_now = prev.gamma[(c, p)], next_state.gamma[(c, p)]
+        down_was, down_now = gamma_prev[(p, c)], gamma_next[(p, c)]
+        up_was, up_now = gamma_prev[(c, p)], gamma_next[(c, p)]
         if p not in scope_next and c not in scope_next:
             if down_was != down_now or up_was != up_now:
                 report.add("locality", f"edge {p}-{c}",
@@ -336,49 +277,41 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
                            "cone transfer between directions is unbalanced")
 
     for t in tree.nodes:
-        if len(next_state.beta[t]) > len(prev.beta[t]):
+        if len(beta_next[t]) > len(beta_prev[t]):
             report.add("width", f"node {t}",
-                       f"bag grew from {sorted(prev.beta[t])} to {sorted(next_state.beta[t])}")
+                       f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
     wid0 = ptd_width(original.ptd)
     if ptd_width(ptd_next) > wid0:
         report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {wid0}")
 
-    def path_sum(beta, t) -> int:
-        total = 0
-        for s in tree.path_from_root(t):
-            if s != tree.root:
-                total += len(beta[s] - beta[tree.parent[s]])
-        return total
-
     for t in sorted(scope_next):
-        if path_sum(next_state.beta, t) > path_sum(beta0, t):
-            report.add("depth", f"node {t}",
-                       f"path sum {path_sum(next_state.beta, t)} exceeds original "
-                       f"{path_sum(beta0, t)}")
+        now, was = _path_sum(ptd_next, t), _path_sum(original.ptd, t)
+        if now > was:
+            report.add("depth", f"node {t}", f"path sum {now} exceeds original {was}")
 
     children = tree.children[node]
     for c in children:
-        new_here = next_state.beta[c] - next_state.beta[node]
+        new_here = beta_next[c] - beta_next[node]
         orig_here = beta0[c] - beta0[node]
         if not new_here <= orig_here:
             report.add("claim-child-new", f"node {c}",
                        f"{sorted(new_here - orig_here)} newly placed here but not originally")
 
     for t in sorted(scope_prev):
-        gained = next_state.beta[t] - prev.beta[t]
+        gained = beta_next[t] - beta_prev[t]
         if gained:
             for t_star in tree.path_between(t, node):
-                missing = gained - next_state.beta[t_star]
+                missing = gained - beta_next[t_star]
                 if missing:
                     report.add(
                         "claim-gained-on-path", f"node {t}",
                         f"vertices {sorted(missing)} gained at {t} but absent at {t_star}",
                     )
-        lost = prev.beta[t] - next_state.beta[t]
+        lost = beta_prev[t] - beta_next[t]
         if lost:
             for t_star in sorted(scope_prev):
                 if t in tree.path_between(t_star, node):
-                    still = lost & next_state.beta[t_star]
+                    still = lost & beta_next[t_star]
                     if still:
                         report.add(
                             "claim-lost-behind", f"node {t}",
@@ -389,11 +322,11 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
         union_prev: set[int] = set()
         union_next: set[int] = set()
         for s in tree.path_from_root(t):
-            union_prev |= prev.beta[s]
-            union_next |= next_state.beta[s]
+            union_prev |= beta_prev[s]
+            union_next |= beta_next[s]
         u_new = union_next - union_prev
         t_star = tree.gca(t, node)
-        w_gone = prev.beta[t_star] - next_state.beta[t_star]
+        w_gone = beta_prev[t_star] - beta_next[t_star]
         if len(u_new) > len(w_gone):
             report.add(
                 "exchange", f"node {t}",
@@ -406,8 +339,8 @@ def iterate_steps(st: StrategyTree,
                   free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
                   ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice | None]]:
     """Yield (node, state before, state after, choice) for every step."""
-    state = initial_state(st.ptd)
-    for node in bfs_order(st):
+    state = StepState(st.ptd, ())
+    for node in st.ptd.tree.bfs_nodes():
         choice = None
         if st.ptd.tree.children[node]:
             choice = choose_extensions(state, node, free_edge_cap)
@@ -425,22 +358,20 @@ def run(st: StrategyTree, verify: bool = False,
     not exceed the input's.  With verify=True every step is re-checked and
     a non-empty report raises ConsistencyError.
     """
-    final = None
+    result = st.ptd
     g = st.ptd.host
     for node, before, after, choice in iterate_steps(st, free_edge_cap):
         if verify:
             report = verify_step(before, after, st)
             if not report.ok:
-                raise ConsistencyError(f"step {after.index} at node {node}:\n{report}")
+                raise ConsistencyError(f"step {len(after.processed)} at node {node}:\n{report}")
         if trace is not None:
             fs = "{" + ";".join(str(list(g.edge_ids(m))) for m in choice.f) + "}" if choice else "{}"
-            ptd_now = after.as_ptd()
             trace(
-                f"step {after.index} node {node} F={fs} "
-                f"width={ptd_width(ptd_now)} depth={ptd_depth(ptd_now)}"
+                f"step {len(after.processed)} node {node} F={fs} "
+                f"width={ptd_width(after.ptd)} depth={ptd_depth(after.ptd)}"
             )
-        final = after
-    result = final.as_ptd() if final is not None else st.ptd
+        result = after.ptd
     if not is_exact(result):
         raise ConsistencyError("construction finished but the result is not exact")
     if ptd_width(result) > ptd_width(st.ptd) or ptd_depth(result) > ptd_depth(st.ptd):

@@ -144,19 +144,18 @@ def ptd_width(ptd: PreTreeDecomposition) -> int:
     return max(len(b) for b in ptd.bags) - 1
 
 
+def _path_sum(ptd: PreTreeDecomposition, t: int) -> int:
+    """The telescoping bag-difference sum on the root path of t."""
+    tree = ptd.tree
+    return sum(
+        len(ptd.bags[s] - ptd.bags[tree.parent[s]])
+        for s in tree.path_from_root(t) if s != tree.root
+    )
+
+
 def ptd_depth(ptd: PreTreeDecomposition) -> int:
     """Max over all nodes of the telescoping bag-difference sum on its root path."""
-    tree = ptd.tree
-    if tree.size == 0:
-        return 0
-    best = 0
-    for t in tree.nodes:
-        total = 0
-        for s in tree.path_from_root(t):
-            if s != tree.root:
-                total += len(ptd.bags[s] - ptd.bags[tree.parent[s]])
-        best = max(best, total)
-    return best
+    return max((_path_sum(ptd, t) for t in ptd.tree.nodes), default=0)
 
 
 def _require_exact_prefix(ptd: PreTreeDecomposition, subtree: Iterable[int]) -> set[int]:

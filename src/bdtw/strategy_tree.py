@@ -352,21 +352,32 @@ def dumps_strategy_tree(st: StrategyTree) -> str:
 
 def read_strategy_tree(inp) -> StrategyTree:
     host, records = _parse_ptd_lines(inp)
+    ptd = _ptd_from_records(host, records)
     branching: set[int] = set()
     move_log: dict[int, Move] = {}
     for tag, parts, lineno in records:
+        if tag not in ("B", "m"):
+            continue
         try:
-            if tag == "B":
-                branching.add(int(parts[1]))
-            elif tag == "m":
+            t = int(parts[1])
+            if tag == "m":
                 if "place" not in parts:
                     raise FormatError(f"line {lineno}: move record missing 'place'")
                 pi = parts.index("place")
                 removed = tuple(int(v) for v in parts[3:pi] if v != "remove")
-                move_log[int(parts[1])] = Move(removed, int(parts[pi + 1]))
+                move = Move(removed, int(parts[pi + 1]))
         except (ValueError, IndexError) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-    ptd = _ptd_from_records(host, records)
+        if t not in ptd.tree.nodes:
+            raise FormatError(f"line {lineno}: node {t} is not in the tree")
+        if tag == "B":
+            branching.add(t)
+            continue
+        if t in move_log:
+            raise FormatError(f"line {lineno}: second move record for node {t}")
+        if any(v not in host.vertices for v in (*move.removed, move.placed)):
+            raise FormatError(f"line {lineno}: move vertex outside 0..{host.n - 1}")
+        move_log[t] = move
     return StrategyTree(ptd, frozenset(branching), move_log, None)
 
 

@@ -26,9 +26,6 @@ class Report:
     def add(self, rule: str, where: str, detail: str) -> None:
         self.violations.append(Violation(rule, where, detail))
 
-    def merge(self, other: "Report") -> None:
-        self.violations.extend(other.violations)
-
     def __str__(self) -> str:
         if self.ok:
             return "ok"

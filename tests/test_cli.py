@@ -151,7 +151,27 @@ def test_invalid_game_parameters_exit_two(argv, graph_file, capsys):
     assert err.startswith("error:")
 
 
+def test_internal_error_exits_two(graph_file, monkeypatch, capsys):
+    # An unexpected exception must not leak a traceback or pass for the
+    # negative answer (exit 1).
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bdtw.cli.cmd_decide", crash)
+    assert main(["decide", graph_file("K3"), "--k", "3", "--q", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 class TestPlayCmd:
+    @pytest.mark.parametrize("side", ["robber", "cop"])
+    def test_input_ending_exits_two(self, side, graph_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc = main(["play", graph_file("P3"), "--k", "2", "--q", "2", "--as", side])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: input ended mid-session\n"
+
     def test_scripted_capture_as_cop(self, graph_file, tmp_path, monkeypatch, capsys):
         log = str(tmp_path / "session.log")
         monkeypatch.setattr("sys.stdin", io.StringIO("place 0\nplace 1\n"))

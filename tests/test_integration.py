@@ -4,6 +4,7 @@ points, and environment configuration."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from bdtw.corpus import named_graph
 from bdtw.game import GameConfig, solve
@@ -104,6 +105,16 @@ class TestProcessLevel:
         # The --budget flag overrides the variable's default.
         proc = run(["--budget", "100000"], BDTW_BUDGET="3")
         assert proc.returncode == 0
+
+    def test_fuzz_campaign_script(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_fuzz.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--max-n", "3", "--k", "1-3",
+             "--slack", "2", "--seeds", "1"],
+            cwd=tmp_path, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "pipeline runs" in proc.stdout
 
     def test_equivalence_parallel_jobs(self, capsys):
         from bdtw.cli import main

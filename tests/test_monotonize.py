@@ -3,21 +3,22 @@ import itertools
 import pytest
 
 from bdtw.corpus import named_graph
-from bdtw.errors import BudgetExceededError
+from bdtw.errors import BudgetExceededError, ConsistencyError
 from bdtw.game import GameConfig, solve
 from bdtw.graphs import Graph, boundary, closure
 from bdtw.monotonize import (
+    ExtensionChoice,
+    StepState,
     apply_step,
-    bfs_order,
     check_branching_depth_bound,
     choose_extensions,
-    initial_state,
     iterate_steps,
     monotonize_pipeline,
     run,
     verify_step,
 )
 from bdtw.pre_tree import (
+    PreTreeDecomposition,
     is_exact,
     is_exact_edge,
     local_boundary,
@@ -33,14 +34,15 @@ from test_strategy_tree import solved_tree
 def assignment_oracle(state, node):
     """Brute-force optimum over all free-edge assignments: minimum boundary,
     then fewest moved edges.  Returns (boundary, moved)."""
-    g = state.host
-    tree = state.tree
+    g = state.ptd.host
+    tree = state.ptd.tree
+    cones = state.ptd.cones
     children = tree.children[node]
     full = g.full_mask
-    m_free = [full & ~(state.gamma[(node, c)] | state.gamma[(c, node)]) for c in children]
+    m_free = [full & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
     free = sorted(g.edge_ids(sum_masks(m_free)))
     neighbors = tree.neighbors(node)
-    blocks0 = [state.gamma[(node, u)] for u in neighbors]
+    blocks0 = [cones[(node, u)] for u in neighbors]
     child_pos = {c: neighbors.index(c) for c in children}
     best = None
     option_lists = [
@@ -76,17 +78,17 @@ class TestBfsOrder:
     def test_single_node(self):
         g = closure(Graph(1, []))
         st, _, _ = solved_tree(Graph(1, []), 1, 1)
-        assert bfs_order(st)[0] == 0
+        assert st.ptd.tree.bfs_nodes()[0] == 0
 
     def test_level_order_with_ties(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        assert bfs_order(st) == [0, 1, 2, 3, 4, 5]
+        assert st.ptd.tree.bfs_nodes() == [0, 1, 2, 3, 4, 5]
 
 
 class TestChooseExtensions:
     def test_no_free_edges_forced_empty(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        state = initial_state(st.ptd)
+        state = StepState(st.ptd, ())
         choice = choose_extensions(state, 0)
         assert choice.f_union == 0
 
@@ -96,16 +98,16 @@ class TestChooseExtensions:
         g = closure(named_graph("P3"))
         res = solve(g, GameConfig(2, 2, monotone=True))
         st = build(g, res.strategy, GameConfig(2, 2))
-        state = initial_state(st.ptd)
-        for node in bfs_order(st):
+        state = StepState(st.ptd, ())
+        for node in st.ptd.tree.bfs_nodes():
             if st.ptd.tree.children[node]:
                 assert choose_extensions(state, node).f_union == 0
 
     def test_matches_oracle_on_fuzzed_trees(self):
         for name, k, q, seed in [("E1", 2, 2, 5), ("P3", 2, 2, 5), ("K3", 3, 3, 1)]:
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=1, seed=seed)
-            state = initial_state(st.ptd)
-            for node in bfs_order(st):
+            state = StepState(st.ptd, ())
+            for node in st.ptd.tree.bfs_nodes():
                 if not st.ptd.tree.children[node]:
                     choice = None
                 else:
@@ -138,7 +140,7 @@ class TestChooseExtensions:
         ptd = PreTreeDecomposition(tree, e1c, bags, cones)
         assert validate_ptd(ptd).ok
         st = StrategyTree(ptd, frozenset(), {})
-        state = initial_state(ptd)
+        state = StepState(ptd, ())
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
         assert choice.f_union == 0
@@ -149,19 +151,19 @@ class TestChooseExtensions:
 
     def test_nonexact_node_boundary_within_bag(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2, fuzz=1, seed=3)
-        state = initial_state(st.ptd)
-        for node in bfs_order(st):
+        state = StepState(st.ptd, ())
+        for node in st.ptd.tree.bfs_nodes():
             if not st.ptd.tree.children[node]:
                 state = apply_step(state, node, None)
                 continue
             choice = choose_extensions(state, node)
-            assert choice.boundary_size <= len(state.beta[node])
+            assert choice.boundary_size <= len(state.ptd.bags[node])
             state = apply_step(state, node, choice)
 
     def test_free_edge_cap(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
-        state = initial_state(st.ptd)
-        order = bfs_order(st)
+        state = StepState(st.ptd, ())
+        order = st.ptd.tree.bfs_nodes()
         state = apply_step(state, order[0], choose_extensions(state, order[0]))
         with pytest.raises(BudgetExceededError):
             choose_extensions(state, order[1], free_edge_cap=0)
@@ -173,23 +175,39 @@ class TestApplySteps:
         states = list(iterate_steps(st))
         for node, before, after, choice in states:
             if not st.ptd.tree.children[node]:
-                assert after.beta == before.beta
-                assert after.gamma == before.gamma
+                assert after.ptd.bags == before.ptd.bags
+                assert after.ptd.cones == before.ptd.cones
 
     def test_root_step_normalizes_only(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2)
         node, before, after, choice = next(iter(iterate_steps(st)))
         assert node == st.ptd.tree.root
         assert choice.f_union == 0
-        assert after.gamma == before.gamma
-        assert after.beta[node] == frozenset()
+        assert after.ptd.cones == before.ptd.cones
+        assert after.ptd.bags[node] == frozenset()
 
     def test_children_edges_exact_after_step(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
         for node, before, after, choice in iterate_steps(st):
-            ptd = after.as_ptd()
+            ptd = after.ptd
             for c in st.ptd.tree.children[node]:
                 assert is_exact_edge(ptd, node, c)
+
+    def test_axiom_violation_raises(self):
+        # A leftover complement that overlaps the child's down-cone makes
+        # the two opposite cones of that tree edge share edges (PT4).
+        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
+        tree = st.ptd.tree
+        state = StepState(st.ptd, ())
+        state = apply_step(state, tree.root, choose_extensions(state, tree.root))
+        node = next(t for t in tree.bfs_nodes() if t != tree.root and tree.children[t])
+        children = tuple(tree.children[node])
+        down = state.ptd.cones[(node, children[0])]
+        assert down
+        bad = ExtensionChoice(children, (0,) * len(children), 0,
+                              (down,) + (0,) * (len(children) - 1), 0)
+        with pytest.raises(ConsistencyError, match=r"\[PT4\]"):
+            apply_step(state, node, bad)
 
 
 class TestVerifyStep:
@@ -200,6 +218,23 @@ class TestVerifyStep:
                 report = verify_step(before, after, st)
                 assert report.ok, f"{name}, node {node}: {report}"
 
+    def test_reports_grown_bag_and_change_outside_scope(self):
+        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
+        _node, before, after, _choice = next(iter(iterate_steps(st)))
+        assert verify_step(before, after, st).ok
+        ptd = after.ptd
+        scope = after.scope()
+        p, c = next((p, c) for p, c in ptd.tree.edges() if p not in scope and c not in scope)
+        t = next(t for t in ptd.tree.nodes if len(before.ptd.bags[t]) < ptd.host.n)
+        bags = list(ptd.bags)
+        bags[t] = frozenset(ptd.host.vertices)
+        cones = dict(ptd.cones)
+        cones[(p, c)] ^= 1
+        tampered = StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones),
+                             after.processed)
+        rules = {v.rule for v in verify_step(before, tampered, st).violations}
+        assert {"width", "locality"} <= rules
+
 
 class TestRun:
     def test_exact_output_with_preserved_bounds(self):
@@ -209,6 +244,35 @@ class TestRun:
             assert is_exact(exact)
             assert ptd_width(exact) <= ptd_width(st.ptd)
             assert ptd_depth(exact) <= ptd_depth(st.ptd)
+
+    def test_trace_lines(self):
+        from bdtw.strategy_tree import StrategyTree
+        from bdtw.tree_decomp import RootedTree
+
+        # Relabel the non-root nodes in reverse so that level order differs
+        # from id order.
+        fuzzed, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
+        old = fuzzed.ptd
+        size = old.tree.size
+        new = [0] + [size - t for t in range(1, size)]
+        parent = [0] * size
+        bags = [frozenset()] * size
+        for t in old.tree.nodes:
+            parent[new[t]] = new[old.tree.parent[t]]
+            bags[new[t]] = old.bags[t]
+        cones = {(new[s], new[t]): m for (s, t), m in old.cones.items()}
+        ptd = PreTreeDecomposition(RootedTree(parent), old.host, tuple(bags), cones)
+        st = StrategyTree(ptd, frozenset(), {})
+        assert st.ptd.tree.bfs_nodes() != sorted(st.ptd.tree.nodes)
+        lines = []
+        exact = run(st, verify=True, trace=lines.append)
+        order = st.ptd.tree.bfs_nodes()
+        assert len(lines) == len(order) == st.ptd.tree.size
+        steps = iterate_steps(st)
+        for i, (line, node, (_n, _b, after, _c)) in enumerate(zip(lines, order, steps), 1):
+            assert line.startswith(f"step {i} node {node} F={{")
+            assert line.endswith(f" width={ptd_width(after.ptd)} depth={ptd_depth(after.ptd)}")
+        assert lines[-1].endswith(f" width={ptd_width(exact)} depth={ptd_depth(exact)}")
 
     def test_already_exact_input_only_normalizes(self):
         g = closure(named_graph("P3"))

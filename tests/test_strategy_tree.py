@@ -240,7 +240,12 @@ class TestSerialization:
     @pytest.mark.parametrize("old, new", [
         ("n 1 0 : 0", "n 1 0 : 0 99"),  # bag vertex outside the host
         ("B 1", "B x"),  # non-integer token
-    ], ids=["bag-vertex", "non-integer"])
+        ("B 1", "B 99"),  # branching mark on a node outside the tree
+        ("m 1 : place 0", "m 1 : place 5"),  # placed vertex outside the host
+        ("m 1 : place 0", "m 1 : remove 7 place 0"),  # removed vertex outside the host
+        ("m 1 : place 0", "m 1 : place 0\nm 1 : place 1"),  # second move for one node
+    ], ids=["bag-vertex", "non-integer", "node-outside-tree", "placed-vertex",
+            "removed-vertex", "repeated-move"])
     def test_reader_rejects_bad_records(self, old, new):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
         text = dumps_strategy_tree(st)
