@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 
@@ -25,7 +26,6 @@ from .game import (
     _Solver,
     format_round,
     initial_parts,
-    is_capture_mask,
     legal_cop_moves,
     legal_robber_responses,
     GamePosition,
@@ -33,7 +33,7 @@ from .game import (
     solve,
     variant_costs,
 )
-from .graphs import Graph, bitmask, closure, read_graph
+from .graphs import Graph, bit_indices, bitmask, closure, read_graph
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .strategy_tree import read_strategy_tree
@@ -215,30 +215,13 @@ def cmd_equivalence(args) -> int:
     return 1 if disagreements else 0
 
 
-def _choose_robber_response(solver: _Solver, q: int, x_mask: int, part: int,
-                            used: int, new_mask: int) -> int | None:
-    """Best surviving part, else the part postponing capture the longest."""
-    best = None
-    g = solver.g
-    for q_mask in solver._resp(x_mask, part, new_mask):
-        if is_capture_mask(g, new_mask, q_mask):
-            continue
-        left = q - used - 1
-        cost = solver.cost(new_mask, q_mask, left) if left > 0 else None
-        if left <= 0 or cost is None:
-            return q_mask
-        if best is None or cost > best[0]:
-            best = (cost, q_mask)
-    return best[1] if best else None
-
-
 def cmd_play(args) -> int:
     g = _load_graph(args.graph)
     if args.closure:
         g = closure(g)
     cfg = GameConfig(args.k, args.q)
     solver = _Solver(g, cfg.k, cfg.monotone, _default_budget(args))
-    stdin = args._stdin if hasattr(args, "_stdin") else sys.stdin
+    stdin = sys.stdin
     log_lines: list[str] = []
 
     def emit(line: str) -> None:
@@ -256,73 +239,45 @@ def cmd_play(args) -> int:
             emit(f"  [{i}] {g.format_edges(p)}")
         part = starts[_read_index(stdin, emit, len(starts))]
     else:
-        part = max(starts, key=lambda p: (solver.cost(0, p, cfg.q) is None,
-                                          solver.cost(0, p, cfg.q) or 0, p))
+        part = solver.robber_move(0, starts, cfg.q)
         emit(f"robber starts in {g.format_edges(part)}")
 
     cops: frozenset[int] = frozenset()
     used = 0
-    round_no = 0
     while True:
-        emit(format_round(g, round_no, cops, used, part))
+        emit(format_round(g, used, cops, used, part))
         if used >= cfg.q:
             emit("placements exhausted: robber wins")
             break
-        pos = GamePosition(cops, part, used)
-        moves = legal_cop_moves(g, cfg, pos)
+        x_mask = bitmask(cops)
         if args.side == "cop":
             emit("your move: 'place <v> [remove <v...>]' or 'quit'")
-            new_cops = _read_cop_move(stdin, emit, cops, moves)
+            new_cops = _read_cop_move(stdin, emit, cops,
+                                      legal_cop_moves(g, cfg, GamePosition(cops, part, used)))
             if new_cops is None:
                 emit("session ended")
                 break
+            new_mask = bitmask(new_cops)
         else:
-            x_mask = bitmask(cops)
-            best = None
-            for m in moves:
-                m_mask = bitmask(m)
-                worst = 0
-                winning = True
-                for q_mask in solver._resp(x_mask, part, m_mask):
-                    if is_capture_mask(g, m_mask, q_mask):
-                        continue
-                    c = solver.cost(m_mask, q_mask, cfg.q - used - 1)
-                    if c is None:
-                        winning = False
-                        break
-                    worst = max(worst, c)
-                key = (not winning, worst, tuple(sorted(m)))
-                if best is None or key < best[0]:
-                    best = (key, m)
-            new_cops = best[1]
+            new_mask = solver.cop_move(x_mask, part, cfg.q - used)
+            new_cops = frozenset(bit_indices(new_mask))
             emit(f"cops move to {_fmt_set(new_cops)}")
-        used += 1
-        round_no += 1
-        responses = legal_robber_responses(g, GamePosition(cops, part, used - 1), new_cops)
-        live = [p for p in responses if not is_capture_mask(g, bitmask(new_cops), p)]
+        live = solver._live(x_mask, part, new_mask)
+        if not live:
+            part = legal_robber_responses(g, GamePosition(cops, part, used), new_cops)[0]
+            emit(format_round(g, used + 1, new_cops, used + 1, part))
+            emit("captured: cops win")
+            break
         if args.side == "robber":
-            if not live:
-                cops = new_cops
-                part = responses[0]
-                emit(format_round(g, round_no, cops, used, part))
-                emit("captured: cops win")
-                break
             emit("choose your part:")
             for i, p in enumerate(live):
                 emit(f"  [{i}] {g.format_edges(p)}")
-            idx = _read_index(stdin, emit, len(live))
-            cops, part = new_cops, live[idx]
+            part = live[_read_index(stdin, emit, len(live))]
         else:
-            choice = _choose_robber_response(solver, cfg.q, bitmask(cops), part, used - 1,
-                                             bitmask(new_cops))
-            if choice is None:
-                cops = new_cops
-                part = responses[0]
-                emit(format_round(g, round_no, cops, used, part))
-                emit("captured: cops win")
-                break
-            cops, part = new_cops, choice
+            part = solver.robber_move(new_mask, live, cfg.q - used - 1)
             emit(f"robber moves to {g.format_edges(part)}")
+        cops = new_cops
+        used += 1
     return _write_log(args, log_lines)
 
 
@@ -355,17 +310,12 @@ def _read_cop_move(stdin, emit, cops, moves) -> frozenset[int] | None:
             continue
         if tokens[0] == "quit":
             return None
-        try:
-            place_at = tokens.index("place")
-            v = int(tokens[place_at + 1])
-            removed = set()
-            if "remove" in tokens:
-                rem_at = tokens.index("remove")
-                removed = {int(t) for t in tokens[rem_at + 1:] if t.isdigit()}
-            candidate = frozenset((set(cops) - removed) | {v})
-        except (ValueError, IndexError):
+        move = re.fullmatch(r"place ([0-9]+)(?: remove((?: [0-9]+)+))?", " ".join(tokens))
+        if move is None:
             emit("could not parse; use 'place <v> [remove <v...>]'")
             continue
+        removed = {int(t) for t in (move[2] or "").split()}
+        candidate = frozenset((set(cops) - removed) | {int(move[1])})
         if candidate in legal:
             return candidate
         emit("illegal move, try again")

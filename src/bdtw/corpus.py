@@ -131,8 +131,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             dims.append((int(r), int(c)))
         return CorpusSpec(family, (tuple(dims),))
     if family in ("paths", "cycles", "stars", "complete"):
-        if "-" in arg:
-            lo, _, hi = arg.partition("-")
-            return CorpusSpec(family, (int(lo), int(hi)))
-        return CorpusSpec(family, (int(arg), int(arg)))
+        lo, dash, hi = arg.partition("-")
+        lo, hi = int(lo), int(hi if dash else lo)
+        if lo > hi:
+            raise ValueError(f"corpus range {arg!r} is empty")
+        return CorpusSpec(family, (lo, hi))
     raise ValueError(f"unknown corpus family {family!r}")

@@ -17,7 +17,7 @@ a cap.  All iteration orders are canonical; results are deterministic.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
@@ -159,6 +159,11 @@ class _Solver:
             cached = self._resp_cache[key] = _responses(self.g, new_mask, pm)
         return cached
 
+    def _live(self, x_mask: int, p_mask: int, new_mask: int) -> list[int]:
+        """The robber's responses to the move x -> new that are not captures."""
+        return [q for q in self._resp(x_mask, p_mask, new_mask)
+                if not is_capture_mask(self.g, new_mask, q)]
+
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
         """Whether the cops capture from (x, part) using at most b placements."""
         if b <= 0:
@@ -178,6 +183,8 @@ class _Solver:
         for new_mask in self._moves(x_mask, p_mask):
             ok = True
             for q_mask in self._resp(x_mask, p_mask, new_mask):
+                # Skipped here, not filtered into the cache: the loop mostly
+                # stops at the first lost response, so eager filtering is slower.
                 if is_capture_mask(g, new_mask, q_mask):
                     continue
                 if not self.win(new_mask, q_mask, b - 1):
@@ -218,39 +225,39 @@ class _Solver:
             worst = max(worst, c)
         return worst
 
-    def _candidates(self, x_mask: int, p_mask: int) -> list[tuple[tuple[int, ...], int, int]]:
-        """(removal tuple, placement, new mask) triples in tie-break order.
+    def cop_move(self, x_mask: int, p_mask: int, left: int) -> int:
+        """The canonical cop move with `left` placements to go.
 
-        Only fresh placements are enumerated: a macro-move that re-places a
-        just-removed cop shrinks the cop set while spending a placement and
-        can never be part of a minimum-cost line.
+        Candidates are the moves that place a fresh vertex, in lexicographic
+        (removal set, placed vertex) order: re-placing a just-removed cop
+        shrinks the cop set while spending a placement and is never part of
+        a minimum-cost line.  The first candidate after which every response
+        is won with one placement fewer than the position's cost is chosen;
+        if the position is lost within `left`, the first candidate.
         """
-        xs = bit_indices(x_mask)
-        subsets = sorted(
-            itertools.chain.from_iterable(
-                itertools.combinations(xs, r) for r in range(len(xs) + 1)
-            )
-        )
-        out = []
-        for rem in subsets:
-            mid = x_mask & ~bitmask(rem)
-            if mid.bit_count() >= self.k:
-                continue
-            if self.monotone and _part_of(self.g, mid, p_mask) != p_mask:
-                continue
-            for v in range(self.g.n):
-                bit = 1 << v
-                if x_mask & bit or mid & bit:
-                    continue
-                out.append((rem, v, mid | bit))
-        return out
+        fresh = sorted((m for m in self._moves(x_mask, p_mask) if m & ~x_mask),
+                       key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
+        c = self.cost(x_mask, p_mask, left)
+        if c is None:
+            return fresh[0]
+        for new_mask in fresh:
+            if all(self.cost(new_mask, qm, c - 1) is not None
+                   for qm in self._live(x_mask, p_mask, new_mask)):
+                return new_mask
+        raise StrategyError("no move realizes the computed cost")
+
+    def robber_move(self, x_mask: int, parts: Sequence[int], left: int) -> int | None:
+        """The canonical robber choice among the uncaptured parts under cop
+        set x_mask: the first that survives `left` placements, else the first
+        that postpones capture longest; None if there is none."""
+        for p_mask in parts:
+            if not self.win(x_mask, p_mask, left):
+                return p_mask
+        return max(parts, key=lambda p: self.cost(x_mask, p, left), default=None)
 
     def extract_cop_strategy(self, q: int) -> Strategy:
-        """Canonical positional strategy from all robber-reachable positions.
-
-        At each position the move minimizing the worst response cost is
-        chosen, ties broken by lexicographic (removal set, placed vertex).
-        """
+        """Canonical positional strategy from all robber-reachable positions:
+        cop_move at every position, with the whole budget q to go."""
         sigma = Strategy()
         stack = [(0, p) for p in sorted(initial_parts(self.g), reverse=True)]
         while stack:
@@ -258,53 +265,39 @@ class _Solver:
             key = (frozenset(bit_indices(x_mask)), p_mask)
             if key in sigma.moves:
                 continue
-            c = self.cost(x_mask, p_mask, q)
-            if c is None:
+            if self.cost(x_mask, p_mask, q) is None:
                 raise StrategyError("position is not winnable within the placement bound")
-            chosen = None
-            for rem, v, new_mask in self._candidates(x_mask, p_mask):
-                responses = self._resp(x_mask, p_mask, new_mask)
-                comp = [
-                    qm for qm in responses if not is_capture_mask(self.g, new_mask, qm)
-                ]
-                if all(self.cost(new_mask, qm, c - 1) is not None for qm in comp):
-                    chosen = (new_mask, comp)
-                    break
-            if chosen is None:
-                raise StrategyError("no move realizes the computed cost")
-            new_mask, comp = chosen
+            new_mask = self.cop_move(x_mask, p_mask, q)
             sigma.moves[key] = frozenset(bit_indices(new_mask))
-            for qm in sorted(comp, reverse=True):
+            for qm in sorted(self._live(x_mask, p_mask, new_mask), reverse=True):
                 stack.append((new_mask, qm))
         return sigma
 
 
 class RobberStrategy:
-    """A robber certificate backed by the solver's position values."""
+    """A robber certificate: the solver's robber_move, which must survive."""
 
     def __init__(self, solver: _Solver, q: int):
         self._solver = solver
         self.q = q
 
     def initial_choice(self) -> int:
-        for p_mask in initial_parts(self._solver.g):
-            if self._solver.cost(0, p_mask, self.q) is None:
-                return p_mask
-        raise StrategyError("cop player wins; there is no robber certificate")
+        s = self._solver
+        p_mask = s.robber_move(0, initial_parts(s.g), self.q)
+        if p_mask is None or s.win(0, p_mask, self.q):
+            raise StrategyError("cop player wins; there is no robber certificate")
+        return p_mask
 
     def respond(self, cops: frozenset[int], robber: int, placements_used: int,
                 new_cops: frozenset[int]) -> int:
         """A surviving part after the given cop move."""
         s = self._solver
-        x_mask = bitmask(cops)
         new_mask = bitmask(new_cops)
         left = self.q - placements_used - 1
-        for q_mask in s._resp(x_mask, robber, new_mask):
-            if is_capture_mask(s.g, new_mask, q_mask):
-                continue
-            if left == 0 or not s.win(new_mask, q_mask, left):
-                return q_mask
-        raise StrategyError("no surviving response; position was already lost")
+        q_mask = s.robber_move(new_mask, s._live(bitmask(cops), robber, new_mask), left)
+        if q_mask is None or s.win(new_mask, q_mask, left):
+            raise StrategyError("no surviving response; position was already lost")
+        return q_mask
 
 
 @dataclass

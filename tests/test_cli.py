@@ -1,9 +1,11 @@
 import io
+import re
 
 import pytest
 
 from bdtw.cli import main
-from bdtw.graphs import dumps_graph
+from bdtw.game import GameConfig, solve
+from bdtw.graphs import Graph, dumps_graph
 from bdtw.corpus import named_graph
 
 
@@ -130,11 +132,6 @@ class TestEquivalenceCmd:
         rc = main(["equivalence", "--corpus", "named:E1,K3", "--k", "2-3", "--q", "1-3"])
         assert rc == 0
 
-    def test_empty_corpus(self, capsys):
-        rc = main(["equivalence", "--corpus", "paths:4-3", "--k", "1-2", "--q", "1-2"])
-        assert rc == 0
-        assert "instances: 0" in capsys.readouterr().out
-
 
 @pytest.mark.parametrize("argv", [
     ["decide", "K3", "--k", "0", "--q", "3"],
@@ -142,7 +139,9 @@ class TestEquivalenceCmd:
     ["equivalence", "--corpus", "all-graphs:3", "--k", "0", "--q", "1-2"],
     ["equivalence", "--corpus", "all-graphs:3", "--k", "3-1", "--q", "1-2"],
     ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "0"],
-], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0"])
+    ["equivalence", "--corpus", "paths:4-3", "--k", "1-2", "--q", "1-2"],
+], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
+        "equivalence-corpus4-3"])
 def test_invalid_game_parameters_exit_two(argv, graph_file, capsys):
     argv = [graph_file(a) if a == "K3" else a for a in argv]
     assert main(argv) == 2
@@ -196,11 +195,50 @@ class TestPlayCmd:
         assert rc == 0
         assert "session ended" in capsys.readouterr().out
 
-    def test_illegal_move_reprompts(self, graph_file, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("place 9\nplace 0\nplace 1\n"))
+    @pytest.mark.parametrize("bad, message", [
+        ("place 9", "illegal move"),
+        ("place 1 remove x", "could not parse"),
+        ("place 0 1", "could not parse"),
+    ], ids=["unknown-vertex", "stray-remove-token", "stray-place-token"])
+    def test_illegal_move_reprompts(self, bad, message, graph_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{bad}\nplace 0\nplace 1\n"))
         rc = main(["play", graph_file("E1"), "--k", "2", "--q", "2",
                    "--as", "cop", "--closure"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "could not parse" in out or "illegal move" in out
+        assert message in out
+        assert "cops {0}" in out
         assert "captured" in out
+
+    def test_computer_cop_plays_the_certificate(self, tmp_path, monkeypatch, capsys):
+        # A cop win on which a cop ranking of its own, not the certificate's
+        # rule, picks a different (also winning) move.
+        g = Graph(6, [(0, 1), (0, 2), (2, 3), (2, 4), (2, 5), (3, 5)])
+        path = tmp_path / "g.gr"
+        path.write_text(dumps_graph(g))
+        monkeypatch.setattr("sys.stdin", io.StringIO("0\n" * 10))
+        rc = main(["play", str(path), "--k", "4", "--q", "3", "--as", "robber"])
+        assert rc == 0
+        sigma = solve(g, GameConfig(4, 3)).strategy
+        lines = capsys.readouterr().out.splitlines()
+        moves = 0
+        for here, nxt in zip(lines, lines[1:]):
+            if nxt.startswith("cops move to "):
+                cops, part = re.fullmatch(
+                    r"round \d+: cops \{(.*)\} j=\d+ robber-part \{(.*)\}", here).groups()
+                position = (frozenset(int(v) for v in cops.split(",") if v),
+                            sum(1 << int(e) for e in part.split(",")))
+                chosen = ",".join(str(v) for v in sorted(sigma.moves[position]))
+                assert nxt == f"cops move to {{{chosen}}}"
+                moves += 1
+        assert moves >= 2
+        assert lines[-1] == "captured: cops win"
+
+    def test_computer_robber_survives_k3(self, graph_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("place 0\nplace 1\nplace 2 remove 0\n"))
+        rc = main(["play", graph_file("K3"), "--k", "2", "--q", "3",
+                   "--as", "cop", "--closure"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "robber moves to" in out
+        assert out.splitlines()[-1] == "placements exhausted: robber wins"

@@ -8,6 +8,7 @@ from bdtw.game import (
     GamePosition,
     RobberStrategy,
     Strategy,
+    _Solver,
     initial_parts,
     is_capture,
     legal_cop_moves,
@@ -152,6 +153,18 @@ class TestStrategies:
 
         start = robber.initial_choice()
         walk(frozenset(), start, 0)
+
+    def test_robber_certificate_refuses_a_cop_win(self, e1c):
+        robber = RobberStrategy(_Solver(e1c, 2, False), 2)
+        with pytest.raises(StrategyError):
+            robber.initial_choice()
+
+    def test_robber_certificate_refuses_a_lost_reply(self, e1c):
+        # After the cops place 0, the robber's only part is won with one
+        # more placement (on 1), so no reply survives.
+        robber = RobberStrategy(_Solver(e1c, 2, False), 2)
+        with pytest.raises(StrategyError):
+            robber.respond(frozenset(), e1c.full_mask, 0, frozenset({0}))
 
     def test_strategy_undefined_raises(self, e1c):
         with pytest.raises(StrategyError):

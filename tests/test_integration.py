@@ -1,6 +1,7 @@
 """Cross-cutting checks: degenerate hosts, determinism, process-level entry
 points, and environment configuration."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -63,6 +64,29 @@ class TestDeterminism:
                 )
             )
         assert outs[0] == outs[1]
+
+    # Member cases whose strategy trees, exact PTDs and TDs are hashed below:
+    # (graph, k, q, monotone_solver, fuzz_slack, seed).
+    GOLDEN_CASES = [
+        (name, k, q, monotone, 0, 0)
+        for name, k, q in [("E1", 2, 2), ("P4", 2, 3), ("C4", 3, 3), ("K3", 3, 3),
+                           ("GRID2x3", 3, 4), ("K2,3", 3, 3)]
+        for monotone in (True, False)
+    ] + [("C4", 3, 3, False, 2, 13)]
+    GOLDEN_DIGEST = "a3bde253e45f46b5a47bf59006118758014afcb15318f36d92d1461e70d422f2"
+
+    def test_certificates_match_recorded_digest(self):
+        # Certificates are part of the interface: a refactor of the solver,
+        # the tree builder or exactification must leave them byte-identical.
+        digest = hashlib.sha256()
+        for name, k, q, monotone, slack, seed in self.GOLDEN_CASES:
+            r = monotonize_pipeline(named_graph(name), k, q, monotone_solver=monotone,
+                                    fuzz_slack=slack, seed=seed)
+            assert r.member, (name, k, q, monotone)
+            for text in (dumps_strategy_tree(r.strategy_tree), dumps_ptd(r.exact_ptd),
+                         dumps_td(r.td)):
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.GOLDEN_DIGEST
 
     def test_solver_strategy_is_reproducible(self):
         gc = closure(named_graph("GRID2x3"))
