@@ -294,7 +294,7 @@ def _read_index(stdin, emit, n: int) -> int:
         if not raw:
             raise BdtwError("input ended mid-session")
         token = raw.strip()
-        if token.isdigit() and int(token) < n:
+        if re.fullmatch("[0-9]+", token) and int(token) < n:
             return int(token)
         emit(f"enter a number in 0..{n - 1}")
 

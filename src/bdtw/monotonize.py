@@ -10,29 +10,37 @@ exact; after the last step the whole decomposition is exact, with width and
 depth no larger than the input's.
 
 Between steps the object need not describe a strategy, but it stays a
-pre-tree decomposition: apply_step checks the axioms on every state it
-changes.  verify_step re-checks, per step, the rest of what the correctness
-argument relies on: exactness of the processed region, that unprocessed
-nodes' child cones only shrink, locality and balance of the cone changes,
-per-node bag sizes, per-path depth sums, three vertex-tracking claims, and
-the exchange inequality at the greatest common ancestor.
+pre-tree decomposition.  iterate_steps (and so run) checks the input
+against the axioms in full once, before the first step; apply_step then
+checks every state it changes against the state it came from, only where
+cones or bags differ (validate_ptd with `since`).  verify_step re-checks,
+per step, the rest of what the correctness argument relies on: exactness
+of the processed region, that unprocessed nodes' child cones only shrink,
+locality and balance of the cone changes, per-node bag sizes, per-path
+depth sums, three vertex-tracking claims, and the exchange inequality at
+the greatest common ancestor.  Locality, balance, per-node width, the
+claims and exchange look only at changed cones and bags; exactness,
+only-remove, global width and depth scan the tree.  An unchanged cone or
+bag cannot break a rule the previous state kept, so each change-local
+check reports what a full scan would, and a step costs what it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
 from .graphs import Graph, closure
 from .pre_tree import (
     PreTreeDecomposition,
-    _path_sum,
+    _path_sums,
     is_exact,
     is_exact_edge,
     local_boundary,
     ptd_depth,
+    ptd_diff,
     ptd_width,
     to_tree_decomposition,
     validate_ptd,
@@ -54,9 +62,11 @@ class StepState:
 
     def scope(self) -> set[int]:
         """Processed nodes plus their tree neighbors."""
+        tree = self.ptd.tree
         out = set(self.processed)
         for t in self.processed:
-            out.update(self.ptd.tree.neighbors(t))
+            out.update(tree.children[t])
+            out.add(tree.parent[t])
         return out
 
 
@@ -174,7 +184,11 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     """Process one node: reassign free edges below it and push the change
     through the processed region.  Leaf nodes are identity steps.
 
-    Every state this changes is checked against the axioms, whether or
+    `state` must satisfy the axioms, and its bags in scope must be their
+    local boundaries, as in every state iterate_steps yields.  Only bags
+    that newly enter the scope or sit at a node with a changed cone are
+    recomputed.  Every state this changes is checked against the axioms
+    where it differs from `state` (validate_ptd with `since`), whether or
     not the run verifies its steps; a violation is an internal error.
     """
     ptd = state.ptd
@@ -188,6 +202,7 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
+    scope_was = state.scope()
     scope = StepState(ptd, processed).scope()
 
     gamma = dict(ptd.cones)
@@ -213,12 +228,17 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
                 if c in scope:
                     gamma[(c, p)] = up | f
 
+    # A bag already in scope is its local boundary; it changes only when a
+    # cone out of its node does.
     interim = PreTreeDecomposition(tree, ptd.host, ptd.bags, gamma)
+    moved = {s for s, _t in ptd_diff(interim, ptd)[0]}
     beta = tuple(
-        local_boundary(interim, t) if t in scope else ptd.bags[t] for t in tree.nodes
+        local_boundary(interim, t) if t in scope and (t in moved or t not in scope_was)
+        else ptd.bags[t]
+        for t in tree.nodes
     )
     new_ptd = PreTreeDecomposition(tree, ptd.host, beta, gamma)
-    report = validate_ptd(new_ptd)
+    report = validate_ptd(new_ptd, since=ptd)
     if not report.ok:
         raise ConsistencyError(
             f"axiom violated after processing node {node}:\n{report}"
@@ -226,8 +246,19 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     return StepState(new_ptd, processed)
 
 
-def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) -> Report:
+def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, *,
+                width0: int | None = None, sums0: Sequence[int] | None = None) -> Report:
     """Re-check every per-step property the width/depth argument relies on.
+
+    `width0` and `sums0` are the original's width and per-node path sums
+    (`pre_tree._path_sums`); run passes them once computed, otherwise they
+    are computed here.  Exactness of the processed region, only-remove,
+    global width and depth scan the whole tree.  Locality and balance look
+    only at tree edges with a changed cone, per-node width and the two
+    vertex-tracking claims on the region only at changed bags, and the
+    exchange inequality only at nodes whose root-path bag union grew: an
+    unchanged cone or bag cannot violate them, so the report is the one a
+    scan of every edge and node gives.
 
     The axioms are not re-checked here: apply_step validates every state it
     changes, with or without verification, and leaf steps change nothing.
@@ -240,6 +271,13 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
     scope_next = next_state.scope()
     beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
     gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
+    if width0 is None:
+        width0 = ptd_width(original.ptd)
+    if sums0 is None:
+        sums0 = _path_sums(original.ptd)
+    changed_keys, changed_bags = ptd_diff(ptd_next, ptd_prev)
+    # Tree edges with a changed cone, by their child end.
+    changed_edges = sorted({t if tree.parent[t] == s else s for s, t in changed_keys})
 
     for p, c in tree.edges():
         if p in scope_next and c in scope_next:
@@ -260,13 +298,13 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
                 )
 
     node_children = set(tree.children[node])
-    for p, c in tree.edges():
+    for c in changed_edges:
+        p = tree.parent[c]
         down_was, down_now = gamma_prev[(p, c)], gamma_next[(p, c)]
         up_was, up_now = gamma_prev[(c, p)], gamma_next[(c, p)]
         if p not in scope_next and c not in scope_next:
-            if down_was != down_now or up_was != up_now:
-                report.add("locality", f"edge {p}-{c}",
-                           "cone changed outside the processed region")
+            report.add("locality", f"edge {p}-{c}",
+                       "cone changed outside the processed region")
         if (p in scope_next and c in scope_next
                 and p not in node_children and c not in node_children):
             # Away from the processed node's child edges, one direction
@@ -276,18 +314,17 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
                 report.add("balance", f"edge {p}-{c}",
                            "cone transfer between directions is unbalanced")
 
-    for t in tree.nodes:
+    for t in changed_bags:
         if len(beta_next[t]) > len(beta_prev[t]):
             report.add("width", f"node {t}",
                        f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
-    wid0 = ptd_width(original.ptd)
-    if ptd_width(ptd_next) > wid0:
-        report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {wid0}")
+    if ptd_width(ptd_next) > width0:
+        report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {width0}")
 
+    sums_next = _path_sums(ptd_next)
     for t in sorted(scope_next):
-        now, was = _path_sum(ptd_next, t), _path_sum(original.ptd, t)
-        if now > was:
-            report.add("depth", f"node {t}", f"path sum {now} exceeds original {was}")
+        if sums_next[t] > sums0[t]:
+            report.add("depth", f"node {t}", f"path sum {sums_next[t]} exceeds original {sums0[t]}")
 
     children = tree.children[node]
     for c in children:
@@ -297,7 +334,9 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
             report.add("claim-child-new", f"node {c}",
                        f"{sorted(new_here - orig_here)} newly placed here but not originally")
 
-    for t in sorted(scope_prev):
+    for t in changed_bags:
+        if t not in scope_prev:
+            continue
         gained = beta_next[t] - beta_prev[t]
         if gained:
             for t_star in tree.path_between(t, node):
@@ -318,13 +357,19 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
                             f"vertices {sorted(still)} lost at {t} but present at {t_star}",
                         )
 
+    # Root-path bag unions before and after the step, top-down.
+    unions: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())] * tree.size
+    for t in tree.bfs_nodes():
+        if t == tree.root:
+            unions[t] = (beta_prev[t], beta_next[t])
+        else:
+            was, now = unions[tree.parent[t]]
+            unions[t] = (was | beta_prev[t], now | beta_next[t])
     for t in sorted(scope_prev):
-        union_prev: set[int] = set()
-        union_next: set[int] = set()
-        for s in tree.path_from_root(t):
-            union_prev |= beta_prev[s]
-            union_next |= beta_next[s]
-        u_new = union_next - union_prev
+        was, now = unions[t]
+        u_new = now - was
+        if not u_new:
+            continue
         t_star = tree.gca(t, node)
         w_gone = beta_prev[t_star] - beta_next[t_star]
         if len(u_new) > len(w_gone):
@@ -338,7 +383,15 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree) 
 def iterate_steps(st: StrategyTree,
                   free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
                   ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice | None]]:
-    """Yield (node, state before, state after, choice) for every step."""
+    """Yield (node, state before, state after, choice) for every step.
+
+    The input is checked against the axioms in full once, before the first
+    step; every later state is checked by apply_step against the state it
+    came from.
+    """
+    report = validate_ptd(st.ptd)
+    if not report.ok:
+        raise ConsistencyError(f"strategy tree violates the axioms:\n{report}")
     state = StepState(st.ptd, ())
     for node in st.ptd.tree.bfs_nodes():
         choice = None
@@ -360,9 +413,10 @@ def run(st: StrategyTree, verify: bool = False,
     """
     result = st.ptd
     g = st.ptd.host
+    width0, sums0 = ptd_width(st.ptd), _path_sums(st.ptd)
     for node, before, after, choice in iterate_steps(st, free_edge_cap):
         if verify:
-            report = verify_step(before, after, st)
+            report = verify_step(before, after, st, width0=width0, sums0=sums0)
             if not report.ok:
                 raise ConsistencyError(f"step {len(after.processed)} at node {node}:\n{report}")
         if trace is not None:
@@ -374,7 +428,7 @@ def run(st: StrategyTree, verify: bool = False,
         result = after.ptd
     if not is_exact(result):
         raise ConsistencyError("construction finished but the result is not exact")
-    if ptd_width(result) > ptd_width(st.ptd) or ptd_depth(result) > ptd_depth(st.ptd):
+    if ptd_width(result) > width0 or ptd_depth(result) > max(sums0, default=0):
         raise ConsistencyError("construction enlarged width or depth")
     return result
 
@@ -383,13 +437,8 @@ def check_branching_depth_bound(result: PreTreeDecomposition, st: StrategyTree) 
     """Final depth is at most the maximum number of branching nodes on any
     root-to-leaf path of the original tree."""
     tree = st.ptd.tree
-    if tree.size == 0:
-        return ptd_depth(result) == 0
-    bound = 0
-    for leaf in tree.leaves():
-        count = sum(1 for t in tree.path_from_root(leaf) if t in st.branching)
-        bound = max(bound, count)
-    return ptd_depth(result) <= bound
+    counts = tree.path_totals([int(t in st.branching) for t in tree.nodes])
+    return ptd_depth(result) <= max(counts, default=0)
 
 
 @dataclass

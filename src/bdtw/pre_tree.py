@@ -72,7 +72,30 @@ def local_boundary(ptd: PreTreeDecomposition, t: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def validate_ptd(ptd: PreTreeDecomposition) -> Report:
+def ptd_diff(ptd: PreTreeDecomposition,
+             since: PreTreeDecomposition) -> tuple[set[tuple[int, int]], list[int]]:
+    """The cone keys whose masks differ and the nodes whose bags differ
+    between two decompositions on the same tree."""
+    keys = {key for key, _mask in ptd.cones.items() ^ since.cones.items()}
+    bags = [t for t in ptd.tree.nodes
+            if ptd.bags[t] is not since.bags[t] and ptd.bags[t] != since.bags[t]]
+    return keys, bags
+
+
+def validate_ptd(ptd: PreTreeDecomposition,
+                 since: PreTreeDecomposition | None = None) -> Report:
+    """Check the axioms PT1-PT4.
+
+    Without `since` every node and edge is checked.  Given `since`, a
+    decomposition on the same tree and host that satisfies the axioms, only
+    the checks whose inputs differ from it are made.  The touched nodes are
+    the ends of every cone that differs and the nodes whose bag differs:
+    PT1 is checked when the root is touched, PT2 and PT3 at touched nodes,
+    PT4 on tree edges with a cone that differs.  An unchanged input cannot
+    violate what `since` satisfies, so the report is the one the full check
+    gives.  That `since` satisfies the axioms is not checked here; the
+    caller keeps it.
+    """
     report = Report()
     tree, g = ptd.tree, ptd.host
     if tree.size == 0:
@@ -81,26 +104,38 @@ def validate_ptd(ptd: PreTreeDecomposition) -> Report:
         return report
 
     root = tree.root
-    if ptd.bags[root]:
-        report.add("PT1", f"node {root}", f"root bag {sorted(ptd.bags[root])} is non-empty")
-    comps = connected_components(g)
-    comp_masks = component_edge_masks(g)
-    child_cones = [ptd.cone(root, c) for c in tree.children[root]]
-    for comp, mask in zip(comps, comp_masks):
-        if mask not in child_cones:
-            report.add(
-                "PT1",
-                f"component {sorted(comp)}",
-                "no root child whose cone is exactly this component's edges",
-            )
+    if since is None:
+        nodes: Iterable[int] = tree.nodes
+        edges = tree.edges()
+    else:
+        if since.tree.parent != tree.parent or since.host != g:
+            raise ValueError("since must be a decomposition on the same tree and host")
+        changed, changed_bags = ptd_diff(ptd, since)
+        nodes = sorted({t for key in changed for t in key}.union(changed_bags))
+        edges = [(tree.parent[c], c) for c in nodes if c != root
+                 and ((tree.parent[c], c) in changed or (c, tree.parent[c]) in changed)]
 
-    for t in tree.nodes:
+    if since is None or root in nodes:
+        if ptd.bags[root]:
+            report.add("PT1", f"node {root}", f"root bag {sorted(ptd.bags[root])} is non-empty")
+        comps = connected_components(g)
+        comp_masks = component_edge_masks(g)
+        child_cones = [ptd.cone(root, c) for c in tree.children[root]]
+        for comp, mask in zip(comps, comp_masks):
+            if mask not in child_cones:
+                report.add(
+                    "PT1",
+                    f"component {sorted(comp)}",
+                    "no root child whose cone is exactly this component's edges",
+                )
+
+    for t in nodes:
         if t != root and not tree.children[t]:
             up = ptd.cone(tree.parent[t], t)
             if bin(up).count("1") > 1:
                 report.add("PT2", f"leaf {t}", f"cone from parent has {bin(up).count('1')} edges")
 
-    for t in tree.nodes:
+    for t in nodes:
         blocks = local_blocks(ptd, t)
         union = 0
         overlap = 0
@@ -121,7 +156,7 @@ def validate_ptd(ptd: PreTreeDecomposition) -> Report:
                     f"bag {sorted(ptd.bags[t])} misses boundary vertices {sorted(delta - ptd.bags[t])}",
                 )
 
-    for p, c in tree.edges():
+    for p, c in edges:
         both = ptd.cone(p, c) & ptd.cone(c, p)
         if both:
             report.add("PT4", f"edge {p}-{c}", f"opposite cones share edges {g.edge_ids(both)}")
@@ -144,18 +179,17 @@ def ptd_width(ptd: PreTreeDecomposition) -> int:
     return max(len(b) for b in ptd.bags) - 1
 
 
-def _path_sum(ptd: PreTreeDecomposition, t: int) -> int:
-    """The telescoping bag-difference sum on the root path of t."""
-    tree = ptd.tree
-    return sum(
-        len(ptd.bags[s] - ptd.bags[tree.parent[s]])
-        for s in tree.path_from_root(t) if s != tree.root
+def _path_sums(ptd: PreTreeDecomposition) -> list[int]:
+    """Per node, the telescoping bag-difference sum on its root path."""
+    tree, bags = ptd.tree, ptd.bags
+    return tree.path_totals(
+        [0 if t == tree.root else len(bags[t] - bags[tree.parent[t]]) for t in tree.nodes]
     )
 
 
 def ptd_depth(ptd: PreTreeDecomposition) -> int:
     """Max over all nodes of the telescoping bag-difference sum on its root path."""
-    return max((_path_sum(ptd, t) for t in ptd.tree.nodes), default=0)
+    return max(_path_sums(ptd), default=0)
 
 
 def _require_exact_prefix(ptd: PreTreeDecomposition, subtree: Iterable[int]) -> set[int]:

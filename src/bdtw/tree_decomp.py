@@ -18,7 +18,7 @@ from .validation import Report
 class RootedTree:
     """A rooted tree over dense node ids; the root is its own parent."""
 
-    __slots__ = ("parent", "root", "children", "depth")
+    __slots__ = ("parent", "root", "children", "depth", "_level_order")
 
     def __init__(self, parent: Sequence[int]):
         parent = tuple(parent)
@@ -29,6 +29,7 @@ class RootedTree:
             self.root = -1
             self.children = ()
             self.depth = ()
+            self._level_order = ()
             return
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
@@ -52,6 +53,7 @@ class RootedTree:
         self.root = roots[0]
         self.children = tuple(tuple(sorted(cs)) for cs in children)
         self.depth = tuple(depth)
+        self._level_order = tuple(sorted(order, key=lambda t: (depth[t], t)))
 
     @property
     def size(self) -> int:
@@ -86,6 +88,14 @@ class RootedTree:
             t = self.parent[t]
         return tuple(reversed(path))
 
+    def path_totals(self, weights: Sequence[int]) -> list[int]:
+        """Per node, the sum of the weights on its root path (one top-down
+        pass)."""
+        totals = [0] * self.size
+        for t in self._level_order:
+            totals[t] = weights[t] if t == self.root else totals[self.parent[t]] + weights[t]
+        return totals
+
     def is_ancestor(self, a: int, b: int) -> bool:
         """Whether a lies on the path from the root to b (a == b included)."""
         while self.depth[b] > self.depth[a]:
@@ -119,15 +129,7 @@ class RootedTree:
 
     def bfs_nodes(self) -> list[int]:
         """Level order from the root; ties within a level by node id."""
-        if self.root < 0:
-            return []
-        by_level: dict[int, list[int]] = {}
-        for t in self.nodes:
-            by_level.setdefault(self.depth[t], []).append(t)
-        out = []
-        for level in sorted(by_level):
-            out.extend(sorted(by_level[level]))
-        return out
+        return list(self._level_order)
 
     def induced_connected(self, nodes: Iterable[int]) -> bool:
         """Whether the node set induces a connected subtree."""

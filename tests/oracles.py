@@ -3,14 +3,27 @@
 Everything here works from first principles on tiny inputs and stays
 deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
-plain recursive minimax without memoization.
+plain recursive minimax without memoization.  The exactification checks at
+the end are the exception: they reuse the library's blocks and boundaries
+but scan every node and edge, where the library looks only at what a step
+changed.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from bdtw.graphs import Graph
+from bdtw.graphs import Graph, component_edge_masks, connected_components
+from bdtw.monotonize import StepState
+from bdtw.pre_tree import (
+    PreTreeDecomposition,
+    is_exact_edge,
+    local_blocks,
+    local_boundary,
+    ptd_width,
+)
+from bdtw.strategy_tree import StrategyTree
+from bdtw.validation import Report
 
 
 def boundary_oracle(g: Graph, edge_ids: set[int]) -> set[int]:
@@ -167,3 +180,180 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
     if not starts:
         return True
     return all(cop_to_move(frozenset(), p, 0) for p in sorted(starts, key=sorted))
+
+
+# ---------------------------------------------------------------------------
+# Full-scan exactification checks.  The library checks each step only where
+# it changed the decomposition; these scan every node and edge, as the
+# checks did before they were made change-local, and serve as the reference
+# they must agree with.
+
+def _path_sum_oracle(ptd: PreTreeDecomposition, t: int) -> int:
+    """The telescoping bag-difference sum on the root path of t."""
+    tree = ptd.tree
+    return sum(
+        len(ptd.bags[s] - ptd.bags[tree.parent[s]])
+        for s in tree.path_from_root(t) if s != tree.root
+    )
+
+
+def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:
+    """Every axiom at every node and edge."""
+    report = Report()
+    tree, g = ptd.tree, ptd.host
+    if tree.size == 0:
+        if g.n:
+            report.add("PT1", "tree", "empty tree for a non-empty host")
+        return report
+
+    root = tree.root
+    if ptd.bags[root]:
+        report.add("PT1", f"node {root}", f"root bag {sorted(ptd.bags[root])} is non-empty")
+    comps = connected_components(g)
+    comp_masks = component_edge_masks(g)
+    child_cones = [ptd.cone(root, c) for c in tree.children[root]]
+    for comp, mask in zip(comps, comp_masks):
+        if mask not in child_cones:
+            report.add(
+                "PT1",
+                f"component {sorted(comp)}",
+                "no root child whose cone is exactly this component's edges",
+            )
+
+    for t in tree.nodes:
+        if t != root and not tree.children[t]:
+            up = ptd.cone(tree.parent[t], t)
+            if bin(up).count("1") > 1:
+                report.add("PT2", f"leaf {t}", f"cone from parent has {bin(up).count('1')} edges")
+
+    for t in tree.nodes:
+        blocks = local_blocks(ptd, t)
+        union = 0
+        overlap = 0
+        for b in blocks:
+            overlap |= union & b
+            union |= b
+        if overlap:
+            report.add("PT3", f"node {t}", f"blocks overlap on edges {g.edge_ids(overlap)}")
+        if union != g.full_mask:
+            missing = g.full_mask & ~union
+            report.add("PT3", f"node {t}", f"blocks miss edges {g.edge_ids(missing)}")
+        if overlap == 0 and union == g.full_mask:
+            delta = local_boundary(ptd, t)
+            if not delta <= ptd.bags[t]:
+                report.add(
+                    "PT3",
+                    f"node {t}",
+                    f"bag {sorted(ptd.bags[t])} misses boundary vertices {sorted(delta - ptd.bags[t])}",
+                )
+
+    for p, c in tree.edges():
+        both = ptd.cone(p, c) & ptd.cone(c, p)
+        if both:
+            report.add("PT4", f"edge {p}-{c}", f"opposite cones share edges {g.edge_ids(both)}")
+    return report
+
+
+def verify_step_oracle(prev: StepState, next_state: StepState, original: StrategyTree) -> Report:
+    """Every per-step property at every edge and node of the tree."""
+    report = Report()
+    ptd_prev, ptd_next = prev.ptd, next_state.ptd
+    tree = ptd_next.tree
+    node = next_state.processed[-1]
+    scope_prev = prev.scope()
+    scope_next = next_state.scope()
+    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
+    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
+
+    for p, c in tree.edges():
+        if p in scope_next and c in scope_next:
+            if not is_exact_edge(ptd_next, p, c):
+                report.add("exactness", f"edge {p}-{c}",
+                           "processed-region edge is not exact")
+
+    processed = set(next_state.processed)
+    for x in tree.nodes:
+        if x in processed:
+            continue
+        for c in tree.children[x]:
+            extra = gamma_next[(x, c)] & ~gamma0[(x, c)]
+            if extra:
+                report.add(
+                    "only-remove", f"edge {x}-{c}",
+                    f"unprocessed parent's cone gained edges {ptd_next.host.edge_ids(extra)}",
+                )
+
+    node_children = set(tree.children[node])
+    for p, c in tree.edges():
+        down_was, down_now = gamma_prev[(p, c)], gamma_next[(p, c)]
+        up_was, up_now = gamma_prev[(c, p)], gamma_next[(c, p)]
+        if p not in scope_next and c not in scope_next:
+            if down_was != down_now or up_was != up_now:
+                report.add("locality", f"edge {p}-{c}",
+                           "cone changed outside the processed region")
+        if (p in scope_next and c in scope_next
+                and p not in node_children and c not in node_children):
+            # Away from the processed node's child edges, one direction
+            # gains exactly what the other loses.
+            if down_now & ~down_was != up_was & ~up_now or \
+                    up_now & ~up_was != down_was & ~down_now:
+                report.add("balance", f"edge {p}-{c}",
+                           "cone transfer between directions is unbalanced")
+
+    for t in tree.nodes:
+        if len(beta_next[t]) > len(beta_prev[t]):
+            report.add("width", f"node {t}",
+                       f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
+    wid0 = ptd_width(original.ptd)
+    if ptd_width(ptd_next) > wid0:
+        report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {wid0}")
+
+    for t in sorted(scope_next):
+        now, was = _path_sum_oracle(ptd_next, t), _path_sum_oracle(original.ptd, t)
+        if now > was:
+            report.add("depth", f"node {t}", f"path sum {now} exceeds original {was}")
+
+    children = tree.children[node]
+    for c in children:
+        new_here = beta_next[c] - beta_next[node]
+        orig_here = beta0[c] - beta0[node]
+        if not new_here <= orig_here:
+            report.add("claim-child-new", f"node {c}",
+                       f"{sorted(new_here - orig_here)} newly placed here but not originally")
+
+    for t in sorted(scope_prev):
+        gained = beta_next[t] - beta_prev[t]
+        if gained:
+            for t_star in tree.path_between(t, node):
+                missing = gained - beta_next[t_star]
+                if missing:
+                    report.add(
+                        "claim-gained-on-path", f"node {t}",
+                        f"vertices {sorted(missing)} gained at {t} but absent at {t_star}",
+                    )
+        lost = beta_prev[t] - beta_next[t]
+        if lost:
+            for t_star in sorted(scope_prev):
+                if t in tree.path_between(t_star, node):
+                    still = lost & beta_next[t_star]
+                    if still:
+                        report.add(
+                            "claim-lost-behind", f"node {t}",
+                            f"vertices {sorted(still)} lost at {t} but present at {t_star}",
+                        )
+
+    for t in sorted(scope_prev):
+        union_prev: set[int] = set()
+        union_next: set[int] = set()
+        for s in tree.path_from_root(t):
+            union_prev |= beta_prev[s]
+            union_next |= beta_next[s]
+        u_new = union_next - union_prev
+        t_star = tree.gca(t, node)
+        w_gone = beta_prev[t_star] - beta_next[t_star]
+        if len(u_new) > len(w_gone):
+            report.add(
+                "exchange", f"node {t}",
+                f"|U|={len(u_new)} exceeds |W|={len(w_gone)} at ancestor {t_star}",
+            )
+    return report

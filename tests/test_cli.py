@@ -210,6 +210,19 @@ class TestPlayCmd:
         assert "cops {0}" in out
         assert "captured" in out
 
+    # Unicode digits pass str.isdigit; int() rejects the first and reads
+    # the second as 0.  Only ASCII digits are an index.
+    @pytest.mark.parametrize("bad", ["\u00b2", "\u0660"],
+                             ids=["superscript-two", "arabic-indic-zero"])
+    def test_bad_index_reprompts(self, bad, graph_file, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{bad}\n" + "0\n" * 10))
+        rc = main(["play", graph_file("K3"), "--k", "2", "--q", "3",
+                   "--as", "robber", "--closure"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "enter a number in 0..0" in out
+        assert "robber wins" in out
+
     def test_computer_cop_plays_the_certificate(self, tmp_path, monkeypatch, capsys):
         # A cop win on which a cop ranking of its own, not the certificate's
         # rule, picks a different (also winning) move.

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from bdtw.pre_tree import (
 )
 from bdtw.strategy_tree import build
 from bdtw.tree_decomp import td_depth, td_width, validate_td
+from oracles import validate_ptd_oracle, verify_step_oracle
 from test_strategy_tree import solved_tree
 
 
@@ -236,6 +238,89 @@ class TestVerifyStep:
         assert {"width", "locality"} <= rules
 
 
+def tampered(state, bags=(), cones=()):
+    """The state with vertex v toggled in bag t for each (t, v) and edge e
+    toggled in the cone at key for each (key, e)."""
+    ptd = state.ptd
+    new_bags = list(ptd.bags)
+    for t, v in bags:
+        new_bags[t] = new_bags[t] ^ {v}
+    new_cones = dict(ptd.cones)
+    for key, e in cones:
+        new_cones[key] ^= 1 << e
+    return StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(new_bags), new_cones),
+                     state.processed)
+
+
+def single_tampers(state):
+    """Every state one bag vertex or one cone edge away from state."""
+    ptd = state.ptd
+    for t in ptd.tree.nodes:
+        for v in ptd.host.vertices:
+            yield tampered(state, bags=[(t, v)])
+    for key in sorted(ptd.cones):
+        for e in range(ptd.host.m):
+            yield tampered(state, cones=[(key, e)])
+
+
+def change_local_and_full(before, after, st):
+    """(change-local, full-scan) violation lists of the step checks and of
+    the axioms for the step before -> after."""
+    return (
+        (verify_step(before, after, st).violations, validate_ptd(after.ptd, since=before.ptd).violations),
+        (verify_step_oracle(before, after, st).violations, validate_ptd_oracle(after.ptd).violations),
+    )
+
+
+class TestChangeLocalChecks:
+    """verify_step and validate_ptd(since=...) look only at what a step
+    changed; on any next state they must report what a full scan reports."""
+
+    @pytest.mark.parametrize("name, k, q, seed", [
+        ("E1", 2, 2, 3), ("P3", 2, 2, 5), ("P4", 2, 3, 1),
+        ("K3", 3, 3, 1), ("C4", 3, 3, 2), ("GRID2x3", 3, 4, 1),
+    ])
+    @pytest.mark.parametrize("slack", range(5))
+    def test_match_full_scan_on_fuzzed_runs(self, name, k, q, seed, slack):
+        st, _, _ = solved_tree(named_graph(name), k, q, fuzz=slack, seed=seed)
+        rng = random.Random(f"{name}:{slack}")
+        host, tree = st.ptd.host, st.ptd.tree
+        keys = sorted(st.ptd.cones)
+        for node, before, after, _choice in iterate_steps(st):
+            got, want = change_local_and_full(before, after, st)
+            assert got == want == ([], [])
+            for _ in range(6):
+                bags = [(rng.choice(tree.nodes), rng.choice(host.vertices))
+                        for _ in range(rng.randrange(2))]
+                cones = [(rng.choice(keys), rng.randrange(host.m))
+                         for _ in range(rng.randrange(1, 3))]
+                next_state = tampered(after, bags, cones)
+                got, want = change_local_and_full(before, next_state, st)
+                assert got == want, f"node {node}, bags {bags}, cones {cones}"
+
+    def test_match_full_scan_on_every_single_tamper(self):
+        st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
+        for _node, before, after, _choice in iterate_steps(st):
+            for next_state in single_tampers(after):
+                got, want = change_local_and_full(before, next_state, st)
+                assert got == want
+
+    @pytest.mark.parametrize("rule", [
+        "exactness", "only-remove", "locality", "balance", "width", "depth",
+        "PT1", "PT2", "PT3", "PT4",
+    ])
+    def test_tampered_next_state_reports_rule(self, rule):
+        st, _, _ = solved_tree(named_graph("C4"), 3, 3, fuzz=2, seed=2)
+        for _node, before, after, _choice in iterate_steps(st):
+            for next_state in single_tampers(after):
+                got, want = change_local_and_full(before, next_state, st)
+                if any(v.rule == rule for v in want[0] + want[1]):
+                    assert got == want
+                    assert any(v.rule == rule for v in got[0] + got[1])
+                    return
+        pytest.fail(f"no single tamper violates {rule}")
+
+
 class TestRun:
     def test_exact_output_with_preserved_bounds(self):
         for name, k, q, seed in [("E1", 2, 2, 3), ("P4", 2, 3, 1), ("K3", 3, 3, 1)]:
@@ -244,6 +329,24 @@ class TestRun:
             assert is_exact(exact)
             assert ptd_width(exact) <= ptd_width(st.ptd)
             assert ptd_depth(exact) <= ptd_depth(st.ptd)
+
+    def test_rejects_invalid_input_tree(self):
+        # A bag deep in the tree misses a boundary vertex.  The steps
+        # recompute that bag before they reach it and check only what they
+        # change, so only the full check of the input finds it.
+        from bdtw.strategy_tree import StrategyTree
+
+        st, _, _ = solved_tree(named_graph("P4"), 2, 3, fuzz=1, seed=1)
+        ptd = st.ptd
+        t = max((t for t in ptd.tree.nodes if ptd.bags[t]), key=lambda t: ptd.tree.depth[t])
+        assert ptd.tree.depth[t] >= 2
+        bags = list(ptd.bags)
+        bags[t] = frozenset(sorted(bags[t])[1:])
+        bad = StrategyTree(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), ptd.cones),
+                           st.branching, st.move_log)
+        assert [v.rule for v in validate_ptd(bad.ptd).violations] == ["PT3"]
+        with pytest.raises(ConsistencyError, match=r"\[PT3\] at node " + str(t)):
+            run(bad)
 
     def test_trace_lines(self):
         from bdtw.strategy_tree import StrategyTree
