@@ -15,17 +15,13 @@ from .errors import (
     StrategyError,
 )
 from .graphs import (
-    EdgeComponentGraph,
     Graph,
-    Part,
     boundary,
     closure,
     connected_components,
-    edge_component_graph,
     incident_edges,
     loads_graph,
     read_graph,
-    robber_component,
     write_graph,
 )
 from .partitions import (

@@ -43,10 +43,20 @@ BUDGET_ENV = "BDTW_BUDGET"
 
 
 def _default_budget(args) -> int | None:
+    """--budget, else BDTW_BUDGET, else None (the solver's default)."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return None
+        try:
+            budget, source = int(env), BUDGET_ENV
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
+    if budget < 1:
+        raise ValueError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _load_graph(path: str) -> Graph:
@@ -177,6 +187,8 @@ def _equivalence_worker(item):
 
 
 def cmd_equivalence(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instances = []
     for spec_text in args.corpus:
         spec = parse_corpus_spec(spec_text)
@@ -191,10 +203,11 @@ def cmd_equivalence(args) -> int:
         for k in ks
     ]
     start = time.monotonic()
-    if args.jobs > 1:
+    workers = min(args.jobs, len(items))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             all_rows = pool.map(_equivalence_worker, items)
     else:
         all_rows = [_equivalence_worker(item) for item in items]

@@ -13,6 +13,13 @@ at its removal stage.
 The solver computes, per (cop set, part), the interval of placement budgets
 for which the position is known lost/won, so one run answers every q up to
 a cap.  All iteration orders are canonical; results are deterministic.
+
+Lookups are paid once.  The host graph caches its part table per cop set
+(graphs.part_table) and, next to it, the robber's capture-free responses
+per (new cop set, removal-stage part); the solvers of every variant on one
+host share both.  Each solver caches, per position, its successor list:
+the pairs (new cop set, those responses) in search order, built at the
+position's first expansion and replayed at every later one.
 """
 
 from __future__ import annotations
@@ -64,24 +71,26 @@ class Strategy:
 
 def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
     """Edge mask of the part under x_mask containing the nonempty part p_mask."""
-    e = (p_mask & -p_mask).bit_length() - 1
-    table = part_table(g, x_mask)
-    return table.masks[table.of_edge[e]]
+    table = g._part_cache.get(x_mask)
+    if table is None:
+        table = part_table(g, x_mask)
+    return table.part_of[(p_mask & -p_mask).bit_length() - 1]
 
 
 def _macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> list[int]:
     """Distinct legal follow-up cop sets, ascending as bitmasks."""
     out: set[int] = set()
-    n = g.n
+    everyone = (1 << g.n) - 1
     r = x_mask
     while True:
         mid = x_mask & ~r
         if mid.bit_count() < k:
             if not monotone or _part_of(g, mid, p_mask) == p_mask:
-                for v in range(n):
-                    bit = 1 << v
-                    if not mid & bit:
-                        out.add(mid | bit)
+                free = everyone & ~mid
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    out.add(mid | bit)
         if r == 0:
             break
         r = (r - 1) & x_mask
@@ -122,13 +131,32 @@ def is_capture(g: Graph, cops: frozenset[int], robber: int) -> bool:
     return is_capture_mask(g, bitmask(cops), robber)
 
 
+def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
+    """_responses without the captures, from the host's response table."""
+    key = (new_mask, stage_part)
+    cached = g._resp_cache.get(key)
+    if cached is None:
+        cached = g._resp_cache[key] = tuple(
+            q for q in _responses(g, new_mask, stage_part)
+            if not is_capture_mask(g, new_mask, q)
+        )
+    return cached
+
+
 def initial_parts(g: Graph) -> list[int]:
     """Edge masks of the components the robber may start in (nonempty only)."""
     return [m for m in part_table(g, 0).masks if m]
 
 
 class _Solver:
-    """Exhaustive solver for one (graph, k, variant) combination."""
+    """Exhaustive solver for one (graph, k, variant) combination.
+
+    Each position pays for its moves and the robber's answers once: its
+    first expansion builds its successor list, the pairs (new cop set,
+    capture-free responses) in search order, and later expansions replay
+    it.  The responses come from the host graph's response table, which
+    every solver on that host shares.
+    """
 
     def __init__(self, g: Graph, k: int, monotone: bool, budget: int | None = None):
         self.g = g
@@ -139,7 +167,7 @@ class _Solver:
         # (cops, part) -> [largest budget known lost, smallest budget known won]
         self.bounds: dict[tuple[int, int], list] = {}
         self._moves_cache: dict[tuple[int, int], list[int]] = {}
-        self._resp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
 
     def _moves(self, x_mask: int, p_mask: int) -> list[int]:
         key = (x_mask, p_mask if self.monotone else -1)
@@ -147,50 +175,77 @@ class _Solver:
         if cached is None:
             moves = _macro_moves(self.g, self.k, self.monotone, x_mask, p_mask)
             # Pure placements first: they make progress toward capture.
-            moves.sort(key=lambda m: (m & x_mask != x_mask, m))
-            cached = self._moves_cache[key] = moves
+            cached = self._moves_cache[key] = (
+                [m for m in moves if m & x_mask == x_mask]
+                + [m for m in moves if m & x_mask != x_mask]
+            )
         return cached
 
-    def _resp(self, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
-        pm = _part_of(self.g, x_mask & new_mask, p_mask)
-        key = (new_mask, pm)
-        cached = self._resp_cache.get(key)
-        if cached is None:
-            cached = self._resp_cache[key] = _responses(self.g, new_mask, pm)
-        return cached
-
-    def _live(self, x_mask: int, p_mask: int, new_mask: int) -> list[int]:
+    def _live(self, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
         """The robber's responses to the move x -> new that are not captures."""
-        return [q for q in self._resp(x_mask, p_mask, new_mask)
-                if not is_capture_mask(self.g, new_mask, q)]
+        g = self.g
+        return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
+
+    def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(new cop set, _live responses) for every move, in _moves order."""
+        key = (x_mask, p_mask)
+        cached = self._succ_cache.get(key)
+        if cached is None:
+            g = self.g
+            table = g._resp_cache
+            stage: dict[int, int] = {}  # kept cops -> removal-stage part
+            cached = self._succ_cache[key] = []
+            for m in self._moves(x_mask, p_mask):
+                mid = x_mask & m
+                pm = stage.get(mid)
+                if pm is None:
+                    pm = stage[mid] = _part_of(g, mid, p_mask)
+                live = table.get((m, pm))
+                if live is None:
+                    live = _live_responses(g, m, pm)
+                cached.append((m, live))
+        return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
         """Whether the cops capture from (x, part) using at most b placements."""
         if b <= 0:
             return False
-        entry = self.bounds.setdefault((x_mask, p_mask), [0, None])
-        if b <= entry[0]:
+        key = (x_mask, p_mask)
+        entry = self.bounds.get(key)
+        if entry is None:
+            entry = self.bounds[key] = [0, None]
+        elif b <= entry[0]:
             return False
-        if entry[1] is not None and b >= entry[1]:
+        elif entry[1] is not None and b >= entry[1]:
             return True
+        return self._expand(x_mask, p_mask, entry, b)
+
+    def _expand(self, x_mask: int, p_mask: int, entry: list, b: int) -> bool:
+        """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
         if self.expansions > self.budget:
             raise BudgetExceededError(
                 f"solver expanded {self.expansions} positions (budget {self.budget})"
             )
-        g = self.g
+        bounds = self.bounds
+        c = b - 1
         result = False
-        for new_mask in self._moves(x_mask, p_mask):
-            ok = True
-            for q_mask in self._resp(x_mask, p_mask, new_mask):
-                # Skipped here, not filtered into the cache: the loop mostly
-                # stops at the first lost response, so eager filtering is slower.
-                if is_capture_mask(g, new_mask, q_mask):
-                    continue
-                if not self.win(new_mask, q_mask, b - 1):
-                    ok = False
+        for new_mask, live in self._successors(x_mask, p_mask):
+            if live and c <= 0:
+                continue
+            # The memo test of win, inlined: a child decided by its bounds
+            # costs no call.
+            for q_mask in live:
+                child = bounds.get((new_mask, q_mask))
+                if child is None:
+                    child = bounds[(new_mask, q_mask)] = [0, None]
+                elif c <= child[0]:
                     break
-            if ok:
+                elif child[1] is not None and c >= child[1]:
+                    continue
+                if not self._expand(new_mask, q_mask, child, c):
+                    break
+            else:
                 result = True
                 break
         if result:
@@ -382,10 +437,8 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig,
                 f"illegal move {sorted(new_cops)} from cops={sorted(cops)} part={p_mask:#x}"
             )
         worst = used + 1
-        for q_mask in _responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask)):
+        for q_mask in _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask)):
             step = ("move", cops, p_mask, new_cops, q_mask)
-            if is_capture_mask(g, new_mask, q_mask):
-                continue
             sub, witness = walk(new_mask, q_mask, used + 1, trail + [step])
             if sub is None:
                 return None, witness

@@ -9,7 +9,6 @@ precomputed at construction, so Graph values are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .errors import FormatError
@@ -18,7 +17,8 @@ from .errors import FormatError
 class Graph:
     """An undirected graph, simple apart from self-loops."""
 
-    __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj", "_part_cache")
+    __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj", "_adj_mask",
+                 "_part_cache", "_resp_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -47,7 +47,12 @@ class Graph:
                 adj[v].append(u)
         self._inc = tuple(inc)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj_mask = tuple(bitmask(a) for a in adj)
         self._part_cache: dict[int, _PartTable] = {}
+        # (new cop set, removal-stage part) -> the robber's capture-free
+        # responses; filled by the game solver, shared by every solver on
+        # this host.
+        self._resp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     @property
     def vertices(self) -> range:
@@ -220,136 +225,82 @@ def is_connected_set(g: Graph, u: Iterable[int]) -> bool:
     return seen == us
 
 
-@dataclass(frozen=True)
-class Part:
-    """One part of an edge component graph.
-
-    kind "edge": a single edge with both endpoints under cops.
-    kind "component": a cop-free component C together with its edges into the
-    cop set; vertices holds V(C) plus the neighboring cop vertices.
-    Edge masks refer to host edge ids, i.e. the natural bijection onto host
-    edges is applied once and for all.
-    """
-
-    kind: str
-    vertices: frozenset[int]
-    edge_mask: int
-
-
-class EdgeComponentGraph:
-    """The parts of a graph relative to a cop set, indexed by host edge id."""
-
-    __slots__ = ("host", "cop_set", "parts", "part_of_edge")
-
-    def __init__(self, host: Graph, cop_set: frozenset[int], parts: tuple[Part, ...],
-                 part_of_edge: tuple[int, ...]):
-        self.host = host
-        self.cop_set = cop_set
-        self.parts = parts
-        self.part_of_edge = part_of_edge
-
-    def part_containing(self, e: int) -> Part:
-        return self.parts[self.part_of_edge[e]]
-
-
 class _PartTable:
-    """Cached, mask-level view of the parts for one cop set."""
+    """Cached, mask-level view of the parts for one cop set.
 
-    __slots__ = ("masks", "singles", "of_edge", "vertex_sets", "kinds")
+    Parts are ordered by their lowest edge id; edgeless parts (bare cop-free
+    vertices) come last, by vertex.  of_edge maps an edge id to its part's
+    index and part_of to its part's edge mask."""
 
-    def __init__(self, masks, singles, of_edge, vertex_sets, kinds):
+    __slots__ = ("masks", "singles", "of_edge", "part_of", "vertex_sets", "kinds")
+
+    def __init__(self, masks, singles, of_edge, part_of, vertex_sets, kinds):
         self.masks: tuple[int, ...] = masks
         self.singles: tuple[bool, ...] = singles
         self.of_edge: tuple[int, ...] = of_edge
+        self.part_of: tuple[int, ...] = part_of
         self.vertex_sets: tuple[frozenset[int], ...] = vertex_sets
         self.kinds: tuple[str, ...] = kinds
 
 
 def part_table(g: Graph, x_mask: int) -> _PartTable:
-    """Parts of g relative to the cop set given as a vertex bitmask.
+    """Parts of g relative to the cop set given as a vertex bitmask: one
+    single-edge part per edge with both endpoints under cops, and one part
+    per cop-free component C holding the edges with an endpoint in C, with
+    V(C) plus the neighboring cop vertices as its vertices.
 
     Results are cached on the graph; tables are immutable once built.
     """
     cached = g._part_cache.get(x_mask)
     if cached is not None:
         return cached
+    inc, adj = g._inc, g._adj_mask
+    m = g.m
+    free = ((1 << g.n) - 1) & ~x_mask
+    # (order key, edge mask, single, vertices, kind); the key is the lowest
+    # edge id, or m + vertex for an edgeless part.
+    records: list[tuple[int, int, bool, frozenset[int], str]] = []
+    outside = 0
+    rest = free
+    while rest:
+        start = rest & -rest
+        comp = frontier = start
+        edges = verts = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            edges |= inc[v]
+            verts |= adj[v]
+            grow = verts & free & ~comp
+            comp |= grow
+            frontier |= grow
+        rest &= ~comp
+        outside |= edges
+        key = (edges & -edges).bit_length() - 1 if edges else m + start.bit_length() - 1
+        records.append((key, edges, False, frozenset(bit_indices(comp | verts)), "component"))
+    inside = g.full_mask & ~outside
+    while inside:
+        low = inside & -inside
+        inside ^= low
+        e = low.bit_length() - 1
+        records.append((e, low, True, frozenset(g.edges[e]), "edge"))
+    records.sort()
 
-    records: list[tuple[str, frozenset[int], int]] = []
-    # Single-edge parts: edges with both endpoints under cops.
-    for eid, (u, v) in enumerate(g.edges):
-        if x_mask >> u & 1 and x_mask >> v & 1:
-            records.append(("edge", frozenset((u, v)), 1 << eid))
-    # Component parts: cop-free components with their edges toward the cops.
-    comp_of = [-1] * g.n
-    comps: list[list[int]] = []
-    for start in g.vertices:
-        if x_mask >> start & 1 or comp_of[start] >= 0:
-            continue
-        cid = len(comps)
-        comp_of[start] = cid
-        verts = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if not x_mask >> w & 1 and comp_of[w] < 0:
-                    comp_of[w] = cid
-                    verts.append(w)
-                    stack.append(w)
-        comps.append(verts)
-    comp_masks = [0] * len(comps)
-    comp_verts = [set(vs) for vs in comps]
-    for eid, (u, v) in enumerate(g.edges):
-        if x_mask >> u & 1 and x_mask >> v & 1:
-            continue
-        cid = comp_of[v] if x_mask >> u & 1 else comp_of[u]
-        comp_masks[cid] |= 1 << eid
-        comp_verts[cid].add(u)
-        comp_verts[cid].add(v)
-    for cid in range(len(comps)):
-        records.append(("component", frozenset(comp_verts[cid]), comp_masks[cid]))
-
-    def order_key(rec):
-        kind, verts, mask = rec
-        if mask:
-            return (0, (mask & -mask).bit_length())
-        return (1, min(verts))
-
-    records.sort(key=order_key)
-    masks = tuple(mask for _, _, mask in records)
-    singles = tuple(kind == "edge" for kind, _, _ in records)
-    vertex_sets = tuple(verts for _, verts, _ in records)
-    kinds = tuple(kind for kind, _, _ in records)
-    of_edge = [-1] * g.m
-    for idx, mask in enumerate(masks):
-        for e in g.edge_ids(mask):
+    of_edge = [-1] * m
+    part_of = [0] * m
+    for idx, rec in enumerate(records):
+        mask = bits = rec[1]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            e = low.bit_length() - 1
             of_edge[e] = idx
-    table = _PartTable(masks, singles, tuple(of_edge), vertex_sets, kinds)
+            part_of[e] = mask
+    _, masks, singles, vertex_sets, kinds = zip(*records) if records else ((),) * 5
+    table = _PartTable(masks, singles, tuple(of_edge), tuple(part_of), vertex_sets, kinds)
     g._part_cache[x_mask] = table
     return table
-
-
-def edge_component_graph(g: Graph, x: Iterable[int]) -> EdgeComponentGraph:
-    """Decompose g into single-edge parts inside the cop set x and one part
-    per cop-free component; every host edge lands in exactly one part."""
-    cops = frozenset(x)
-    for v in cops:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} not in graph")
-    table = part_table(g, bitmask(cops))
-    parts = tuple(
-        Part(kind, verts, mask)
-        for kind, verts, mask in zip(table.kinds, table.vertex_sets, table.masks)
-    )
-    return EdgeComponentGraph(g, cops, parts, table.of_edge)
-
-
-def robber_component(g: Graph, x: Iterable[int], e: int) -> int:
-    """Edge mask of the part containing edge e relative to cop set x."""
-    if not 0 <= e < g.m:
-        raise ValueError(f"edge id {e} out of range")
-    table = part_table(g, bitmask(x))
-    return table.masks[table.of_edge[e]]
 
 
 # ---------------------------------------------------------------------------

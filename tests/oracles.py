@@ -124,6 +124,63 @@ def parts_oracle(g: Graph, cops: frozenset[int]) -> list[frozenset[int]]:
     return parts
 
 
+def part_table_oracle(g: Graph, x_mask: int) -> tuple:
+    """The part table of the cop set x_mask as (masks, singles, of_edge,
+    vertex_sets, kinds), built by the vertex-list search that part_table
+    used before it worked on bitmasks, kept as written then."""
+    records: list[tuple[str, frozenset[int], int]] = []
+    # Single-edge parts: edges with both endpoints under cops.
+    for eid, (u, v) in enumerate(g.edges):
+        if x_mask >> u & 1 and x_mask >> v & 1:
+            records.append(("edge", frozenset((u, v)), 1 << eid))
+    # Component parts: cop-free components with their edges toward the cops.
+    comp_of = [-1] * g.n
+    comps: list[list[int]] = []
+    for start in g.vertices:
+        if x_mask >> start & 1 or comp_of[start] >= 0:
+            continue
+        cid = len(comps)
+        comp_of[start] = cid
+        verts = [start]
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in g.neighbors(u):
+                if not x_mask >> w & 1 and comp_of[w] < 0:
+                    comp_of[w] = cid
+                    verts.append(w)
+                    stack.append(w)
+        comps.append(verts)
+    comp_masks = [0] * len(comps)
+    comp_verts = [set(vs) for vs in comps]
+    for eid, (u, v) in enumerate(g.edges):
+        if x_mask >> u & 1 and x_mask >> v & 1:
+            continue
+        cid = comp_of[v] if x_mask >> u & 1 else comp_of[u]
+        comp_masks[cid] |= 1 << eid
+        comp_verts[cid].add(u)
+        comp_verts[cid].add(v)
+    for cid in range(len(comps)):
+        records.append(("component", frozenset(comp_verts[cid]), comp_masks[cid]))
+
+    def order_key(rec):
+        kind, verts, mask = rec
+        if mask:
+            return (0, (mask & -mask).bit_length())
+        return (1, min(verts))
+
+    records.sort(key=order_key)
+    masks = tuple(mask for _, _, mask in records)
+    singles = tuple(kind == "edge" for kind, _, _ in records)
+    vertex_sets = tuple(verts for _, verts, _ in records)
+    kinds = tuple(kind for kind, _, _ in records)
+    of_edge = [-1] * g.m
+    for idx, mask in enumerate(masks):
+        for e in g.edge_ids(mask):
+            of_edge[e] = idx
+    return masks, singles, tuple(of_edge), vertex_sets, kinds
+
+
 def part_containing_oracle(g: Graph, cops: frozenset[int], edges: frozenset[int]) -> frozenset[int]:
     for p in parts_oracle(g, cops):
         if edges & p:

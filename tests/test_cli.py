@@ -132,6 +132,36 @@ class TestEquivalenceCmd:
         rc = main(["equivalence", "--corpus", "named:E1,K3", "--k", "2-3", "--q", "1-3"])
         assert rc == 0
 
+    def test_workers_capped_at_items(self, monkeypatch, capsys):
+        import multiprocessing
+
+        requested = []
+
+        class RecordingPool:
+            """Runs the work in this process and records the worker count."""
+
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        argv = ["equivalence", "--corpus", "named:E1,K3", "--k", "2", "--q", "1-3"]
+        assert main(argv + ["--jobs", "64"]) == 0
+        assert requested == [2]
+        assert "disagreements: 0" in capsys.readouterr().out
+        # One item needs no pool at all.
+        assert main(["equivalence", "--corpus", "named:E1", "--k", "2", "--q", "1-3",
+                     "--jobs", "64"]) == 0
+        assert requested == [2]
+
 
 @pytest.mark.parametrize("argv", [
     ["decide", "K3", "--k", "0", "--q", "3"],
@@ -140,14 +170,36 @@ class TestEquivalenceCmd:
     ["equivalence", "--corpus", "all-graphs:3", "--k", "3-1", "--q", "1-2"],
     ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "0"],
     ["equivalence", "--corpus", "paths:4-3", "--k", "1-2", "--q", "1-2"],
+    ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "0"],
+    ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "-2"],
+    ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--budget", "0"],
+    ["decide", "K3", "--k", "3", "--q", "3", "--budget", "0"],
+    ["solve", "E0", "--k", "1", "--q", "1", "--budget", "-1"],
+    ["play", "K3", "--k", "3", "--q", "3", "--as", "cop", "--budget", "0"],
 ], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
-        "equivalence-corpus4-3"])
-def test_invalid_game_parameters_exit_two(argv, graph_file, capsys):
-    argv = [graph_file(a) if a == "K3" else a for a in argv]
+        "equivalence-corpus4-3", "equivalence-jobs0", "equivalence-jobs-2",
+        "equivalence-budget0", "decide-budget0", "solve-edgeless-budget-1", "play-budget0"])
+def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
+    edgeless = tmp_path / "E0.gr"
+    edgeless.write_text(dumps_graph(Graph(1, [])))
+    argv = [graph_file(a) if a == "K3" else str(edgeless) if a == "E0" else a for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "BDTW_BUDGET must be at least 1, got 0"),
+    ("-3", "BDTW_BUDGET must be at least 1, got -3"),
+    ("many", "BDTW_BUDGET must be an integer, got 'many'"),
+])
+def test_bad_budget_variable_exits_two(value, message, graph_file, monkeypatch, capsys):
+    monkeypatch.setenv("BDTW_BUDGET", value)
+    assert main(["decide", graph_file("K3"), "--k", "3", "--q", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_internal_error_exits_two(graph_file, monkeypatch, capsys):

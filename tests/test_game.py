@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +20,7 @@ from bdtw.game import (
     solve,
     winners_agree,
 )
-from bdtw.graphs import Graph, closure
+from bdtw.graphs import Graph, bit_indices, bitmask, closure
 from conftest import small_graph_corpus
 from oracles import naive_cop_wins
 from strats import graphs
@@ -228,3 +230,83 @@ class TestSanityValues:
             assert minimum_placements(gc, n, False, n) == n
             for q in range(1, n + 3):
                 assert minimum_placements(gc, n - 1, False, q) is None
+
+
+class TestSolverWork:
+    def test_cached_successors_follow_the_rules(self):
+        # Both variants and every k solve on one host, so the response
+        # table entries built by one solver are read by the others.
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.5])
+            for host in (g, closure(g)):
+                for k in (1, 2, 3):
+                    for monotone in (False, True):
+                        solver = _Solver(host, k, monotone)
+                        solver.game_cost(4)
+                        cfg = GameConfig(k, 4, monotone)
+                        for (x_mask, p_mask), succ in solver._succ_cache.items():
+                            pos = GamePosition(frozenset(bit_indices(x_mask)), p_mask, 0)
+                            moves = solver._moves(x_mask, p_mask)
+                            assert sorted(moves) == sorted(
+                                bitmask(c) for c in legal_cop_moves(host, cfg, pos))
+                            expected = []
+                            for m in moves:
+                                cops = frozenset(bit_indices(m))
+                                expected.append((m, tuple(
+                                    q for q in legal_robber_responses(host, pos, cops)
+                                    if not is_capture(host, cops, q))))
+                            assert succ == expected
+                            checked += 1
+        assert checked > 500
+
+    # (expansions, positions) of _Solver.game_cost(7) per graph, for the
+    # plain graph then its closure, k = 2, 3, 4, non-monotone then
+    # monotone.  Recorded before the solver cached successor lists and
+    # response tables; equal counts mean the search order did not move.
+    GOLDEN_WORK = {
+        "P5": [(24, 18), (23, 18), (19, 15), (19, 15), (19, 15), (19, 15),
+               (24, 18), (23, 18), (19, 15), (19, 15), (19, 15), (19, 15)],
+        "C5": [(87, 16), (87, 16), (31, 21), (31, 21), (31, 21), (31, 21),
+               (87, 16), (87, 16), (31, 21), (31, 21), (31, 21), (31, 21)],
+        "K4": [(61, 11), (61, 11), (77, 15), (77, 15), (21, 12), (21, 12),
+               (61, 11), (61, 11), (77, 15), (77, 15), (21, 12), (21, 12)],
+        "K2,3": [(87, 16), (87, 16), (12, 9), (12, 9), (12, 9), (12, 9),
+                 (87, 16), (87, 16), (12, 9), (12, 9), (12, 9), (12, 9)],
+        "GRID2x3": [(118, 22), (118, 22), (63, 43), (62, 43), (44, 32), (44, 32),
+                    (118, 22), (118, 22), (63, 43), (62, 43), (44, 32), (44, 32)],
+        "G6a": [(118, 22), (118, 22), (198, 42), (198, 42), (53, 36), (53, 36),
+                (118, 22), (118, 22), (198, 42), (198, 42), (53, 36), (53, 36)],
+        "G6b": [(118, 22), (118, 22), (77, 49), (76, 49), (57, 39), (57, 39),
+                (118, 22), (118, 22), (77, 49), (76, 49), (57, 39), (57, 39)],
+        "G6c": [(118, 22), (118, 22), (198, 42), (198, 42), (65, 42), (65, 42),
+                (118, 22), (118, 22), (198, 42), (198, 42), (66, 43), (66, 43)],
+        "G7a": [(160, 35), (160, 35), (31, 26), (31, 26), (31, 26), (31, 26),
+                (160, 35), (160, 35), (33, 28), (33, 28), (33, 28), (33, 28)],
+        "G7b": [(160, 35), (160, 35), (120, 85), (120, 86), (120, 85), (120, 86),
+                (160, 35), (160, 35), (120, 85), (120, 86), (120, 85), (120, 86)],
+    }
+
+    @staticmethod
+    def golden_corpus() -> dict[str, Graph]:
+        corpus = {name: named_graph(name) for name in ("P5", "C5", "K4", "K2,3", "GRID2x3")}
+        rng = random.Random(7)
+        for name, n, p in (("G6a", 6, 0.5), ("G6b", 6, 0.5), ("G6c", 6, 0.5),
+                           ("G7a", 7, 0.4), ("G7b", 7, 0.4)):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            corpus[name] = Graph(n, [e for e in pairs if rng.random() < p])
+        return corpus
+
+    def test_search_work_is_pinned(self):
+        for name, g in self.golden_corpus().items():
+            work = []
+            for host in (g, closure(g)):
+                for k in (2, 3, 4):
+                    for monotone in (False, True):
+                        solver = _Solver(host, k, monotone)
+                        solver.game_cost(7)
+                        work.append((solver.expansions, len(solver.bounds)))
+            assert work == self.GOLDEN_WORK[name], name

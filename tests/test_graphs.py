@@ -1,4 +1,6 @@
 import io
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,18 +8,18 @@ from hypothesis import given, settings
 from bdtw.errors import FormatError
 from bdtw.graphs import (
     Graph,
+    bitmask,
     boundary,
     closure,
     connected_components,
     dumps_graph,
-    edge_component_graph,
     incident_edges,
     loads_graph,
+    part_table,
     read_graph,
-    robber_component,
 )
 from conftest import small_graph_corpus
-from oracles import boundary_oracle
+from oracles import boundary_oracle, part_table_oracle
 from strats import graphs, graphs_with_cop_sets, graphs_with_edge_sets
 
 
@@ -110,79 +112,81 @@ class TestBoundary:
         assert boundary(g, mask) == boundary(g, g.full_mask & ~mask)
 
 
+def part_of(g, cops, e):
+    """Edge mask of the part holding edge e relative to the cop set."""
+    return part_table(g, bitmask(cops)).part_of[e]
+
+
 class TestEdgeComponentGraph:
     def test_p3_closure_center_cop(self, p3c):
         # Hand evaluation: cop on b splits the path into the two end pockets
         # plus the single-edge part bb.
-        ecg = edge_component_graph(p3c, {1})
-        masks = [p.edge_mask for p in ecg.parts]
-        assert masks == [
+        table = part_table(p3c, bitmask({1}))
+        assert list(table.masks) == [
             p3c.mask_of([(0, 1), (0, 0)]),
             p3c.mask_of([(1, 2), (2, 2)]),
             p3c.mask_of([(1, 1)]),
         ]
-        assert [p.kind for p in ecg.parts] == ["component", "component", "edge"]
+        assert list(table.kinds) == ["component", "component", "edge"]
 
     def test_no_cops_gives_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        ecg = edge_component_graph(g, set())
-        assert [p.edge_mask for p in ecg.parts] == [0b01, 0b10]
+        assert list(part_table(g, 0).masks) == [0b01, 0b10]
 
     def test_k3_two_cops(self, k3):
         # K3 edges: ab=0, ac=1, bc=2.  Cops on a,b: ab is its own part, the
         # c-pocket carries both remaining edges.
-        ecg = edge_component_graph(k3, {0, 1})
-        assert [p.edge_mask for p in ecg.parts] == [0b001, 0b110]
-        assert ecg.parts[1].vertices == frozenset({0, 1, 2})
+        table = part_table(k3, bitmask({0, 1}))
+        assert list(table.masks) == [0b001, 0b110]
+        assert table.vertex_sets[1] == frozenset({0, 1, 2})
 
     def test_parts_partition_edges_exhaustive(self):
-        import itertools
-
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
             for size in range(g.n + 1):
                 for cops in itertools.combinations(g.vertices, size):
-                    ecg = edge_component_graph(g, cops)
+                    table = part_table(g, bitmask(cops))
                     union = 0
-                    for p in ecg.parts:
-                        assert union & p.edge_mask == 0
-                        union |= p.edge_mask
+                    for mask in table.masks:
+                        assert union & mask == 0
+                        union |= mask
                     assert union == g.full_mask
                     for e in range(g.m):
-                        assert ecg.part_containing(e).edge_mask >> e & 1
+                        assert table.masks[table.of_edge[e]] >> e & 1
 
     @given(graphs_with_cop_sets())
     def test_single_edge_parts_inside_cops(self, gc):
         g, cops = gc
-        for part in edge_component_graph(g, cops).parts:
+        table = part_table(g, bitmask(cops))
+        for kind, mask in zip(table.kinds, table.masks):
             u, v = None, None
-            if part.kind == "edge":
-                (e,) = g.edge_ids(part.edge_mask)
+            if kind == "edge":
+                (e,) = g.edge_ids(mask)
                 u, v = g.endpoints(e)
                 assert u in cops and v in cops
             else:
-                for e in g.edge_ids(part.edge_mask):
+                for e in g.edge_ids(mask):
                     u, v = g.endpoints(e)
                     assert u not in cops or v not in cops
 
 
 class TestRobberComponent:
     def test_p3_closure(self, p3c):
-        assert robber_component(p3c, {1}, 0) == p3c.mask_of([(0, 1), (0, 0)])
+        assert part_of(p3c, {1}, 0) == p3c.mask_of([(0, 1), (0, 0)])
 
     def test_no_cops_whole_component(self, p3):
-        assert robber_component(p3, set(), 1) == p3.full_mask
+        assert part_of(p3, set(), 1) == p3.full_mask
 
     def test_captured_single_edge(self, e1c):
-        assert robber_component(e1c, {0, 1}, 0) == e1c.mask_of([(0, 1)])
+        assert part_of(e1c, {0, 1}, 0) == e1c.mask_of([(0, 1)])
 
     @given(graphs_with_cop_sets())
     def test_membership_and_consistency(self, gc):
         g, cops = gc
         for e in range(g.m):
-            part = robber_component(g, cops, e)
+            part = part_of(g, cops, e)
             assert part >> e & 1
             for e2 in g.edge_ids(part):
-                assert robber_component(g, cops, e2) == part
+                assert part_of(g, cops, e2) == part
 
     @given(graphs_with_cop_sets())
     @settings(max_examples=50)
@@ -191,9 +195,42 @@ class TestRobberComponent:
         for extra in range(g.n):
             bigger = cops | {extra}
             for e in range(g.m):
-                finer = robber_component(g, bigger, e)
-                coarser = robber_component(g, cops, e)
+                finer = part_of(g, bigger, e)
+                coarser = part_of(g, cops, e)
                 assert finer & ~coarser == 0
+
+
+def _random_graphs(count: int, seed: int) -> list[Graph]:
+    """Graphs on 0..8 vertices, half with loops; the edges of one vertex
+    are dropped in every third graph, so isolated vertices occur."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = i % 9
+        loops = i % 2 == 1
+        p = rng.uniform(0.1, 0.7)
+        edges = [(u, v) for u in range(n) for v in range(u, n)
+                 if (u != v or loops) and rng.random() < p]
+        if n and i % 3 == 0:
+            bare = rng.randrange(n)
+            edges = [e for e in edges if bare not in e]
+        out.append(Graph(n, edges))
+    return out
+
+
+class TestPartTable:
+    def test_matches_bfs_oracle(self):
+        for g in _random_graphs(200, seed=11):
+            for x_mask in range(1 << g.n):
+                table = part_table(g, x_mask)
+                fields = (table.masks, table.singles, table.of_edge,
+                          table.vertex_sets, table.kinds)
+                assert fields == part_table_oracle(g, x_mask), (g, x_mask)
+                for e in range(g.m):
+                    assert table.part_of[e] == table.masks[table.of_edge[e]]
+
+    def test_cached_per_cop_set(self, p3c):
+        assert part_table(p3c, 0b010) is part_table(p3c, 0b010)
 
 
 class TestPaceFormat:
