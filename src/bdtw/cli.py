@@ -69,6 +69,11 @@ def _fmt_set(vs) -> str:
 
 
 def cmd_decide(args) -> int:
+    if args.verify and not (args.certificate or args.via_nonmonotone):
+        raise ValueError("--verify needs --certificate or --via-nonmonotone, "
+                         "which build the decomposition it checks")
+    if args.format and not args.certificate:
+        raise ValueError("--format needs --certificate")
     g = _load_graph(args.graph)
     budget = _default_budget(args)
     if args.certificate or args.via_nonmonotone:
@@ -350,7 +355,7 @@ def main(argv=None) -> int:
     p.add_argument("--via-nonmonotone", action="store_true",
                    help="certify through the non-monotone solver plus exactification")
     p.add_argument("--verify", action="store_true", help="re-check every construction step")
-    p.add_argument("--format", choices=["td", "ptd"], default="td")
+    p.add_argument("--format", choices=["td", "ptd"], help="certificate format (default td)")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_decide)
 

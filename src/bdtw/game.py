@@ -132,13 +132,14 @@ def is_capture(g: Graph, cops: frozenset[int], robber: int) -> bool:
 
 
 def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
-    """_responses without the captures, from the host's response table."""
+    """_responses without the captures, from the host's response table: the
+    component parts under new_mask inside stage_part, since the other parts
+    are the single edges under cops."""
     key = (new_mask, stage_part)
     cached = g._resp_cache.get(key)
     if cached is None:
         cached = g._resp_cache[key] = tuple(
-            q for q in _responses(g, new_mask, stage_part)
-            if not is_capture_mask(g, new_mask, q)
+            q for q in part_table(g, new_mask).components if q & ~stage_part == 0
         )
     return cached
 
@@ -192,18 +193,45 @@ class _Solver:
         cached = self._succ_cache.get(key)
         if cached is None:
             g = self.g
+            inc = g._inc
             table = g._resp_cache
-            stage: dict[int, int] = {}  # kept cops -> removal-stage part
-            cached = self._succ_cache[key] = []
-            for m in self._moves(x_mask, p_mask):
-                mid = x_mask & m
-                pm = stage.get(mid)
-                if pm is None:
-                    pm = stage[mid] = _part_of(g, mid, p_mask)
-                live = table.get((m, pm))
-                if live is None:
-                    live = _live_responses(g, m, pm)
-                cached.append((m, live))
+            outside = ((1 << g.n) - 1) & ~x_mask
+            placements: list[tuple[int, tuple[int, ...]]] = []
+            rest: dict[int, tuple[int, ...]] = {}
+            mid = x_mask
+            while True:
+                if mid.bit_count() < self.k:
+                    pm = p_mask if mid == x_mask else _part_of(g, mid, p_mask)
+                    if not self.monotone or pm == p_mask:
+                        out = placements if mid == x_mask else None
+                        free = outside
+                        while free:
+                            bit = free & -free
+                            free ^= bit
+                            m = mid | bit
+                            if inc[bit.bit_length() - 1] & pm:
+                                live = table.get((m, pm))
+                                if live is None:
+                                    live = _live_responses(g, m, pm)
+                            else:
+                                live = (pm,)
+                            if out is None:
+                                rest[m] = live
+                            else:
+                                out.append((m, live))
+                        back = x_mask & ~mid
+                        while back:
+                            bit = back & -back
+                            back ^= bit
+                            m = mid | bit
+                            if m not in rest:
+                                rest[m] = (_part_of(g, m, p_mask),)
+                if mid == 0:
+                    break
+                mid = (mid - 1) & x_mask
+            if x_mask in rest:
+                placements.insert(0, (x_mask, rest.pop(x_mask)))
+            cached = self._succ_cache[key] = placements + sorted(rest.items())
         return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:

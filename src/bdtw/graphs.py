@@ -228,26 +228,25 @@ def is_connected_set(g: Graph, u: Iterable[int]) -> bool:
 class _PartTable:
     """Cached, mask-level view of the parts for one cop set.
 
-    Parts are ordered by their lowest edge id; edgeless parts (bare cop-free
-    vertices) come last, by vertex.  of_edge maps an edge id to its part's
-    index and part_of to its part's edge mask."""
+    masks lists every part by its lowest edge id, then the edgeless parts
+    (bare cop-free vertices) as 0, one per vertex; part_of maps an edge id
+    to its part's edge mask; components lists the cop-free components' edge
+    masks in masks order, without the edgeless ones.  The remaining parts
+    are the single edges with both endpoints under cops, i.e. the captures.
+    """
 
-    __slots__ = ("masks", "singles", "of_edge", "part_of", "vertex_sets", "kinds")
+    __slots__ = ("masks", "part_of", "components")
 
-    def __init__(self, masks, singles, of_edge, part_of, vertex_sets, kinds):
+    def __init__(self, masks, part_of, components):
         self.masks: tuple[int, ...] = masks
-        self.singles: tuple[bool, ...] = singles
-        self.of_edge: tuple[int, ...] = of_edge
         self.part_of: tuple[int, ...] = part_of
-        self.vertex_sets: tuple[frozenset[int], ...] = vertex_sets
-        self.kinds: tuple[str, ...] = kinds
+        self.components: tuple[int, ...] = components
 
 
 def part_table(g: Graph, x_mask: int) -> _PartTable:
     """Parts of g relative to the cop set given as a vertex bitmask: one
     single-edge part per edge with both endpoints under cops, and one part
-    per cop-free component C holding the edges with an endpoint in C, with
-    V(C) plus the neighboring cop vertices as its vertices.
+    per cop-free component C holding the edges with an endpoint in C.
 
     Results are cached on the graph; tables are immutable once built.
     """
@@ -255,50 +254,45 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
     if cached is not None:
         return cached
     inc, adj = g._inc, g._adj_mask
-    m = g.m
     free = ((1 << g.n) - 1) & ~x_mask
-    # (order key, edge mask, single, vertices, kind); the key is the lowest
-    # edge id, or m + vertex for an edgeless part.
-    records: list[tuple[int, int, bool, frozenset[int], str]] = []
+    components: list[int] = []
+    bare = 0
     outside = 0
     rest = free
     while rest:
-        start = rest & -rest
-        comp = frontier = start
-        edges = verts = 0
+        comp = frontier = rest & -rest
+        edges = 0
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             v = low.bit_length() - 1
             edges |= inc[v]
-            verts |= adj[v]
-            grow = verts & free & ~comp
+            grow = adj[v] & free & ~comp
             comp |= grow
             frontier |= grow
         rest &= ~comp
-        outside |= edges
-        key = (edges & -edges).bit_length() - 1 if edges else m + start.bit_length() - 1
-        records.append((key, edges, False, frozenset(bit_indices(comp | verts)), "component"))
+        if edges:
+            components.append(edges)
+            outside |= edges
+        else:
+            bare += 1
+    components.sort(key=lambda mask: mask & -mask)
+    singles = []
     inside = g.full_mask & ~outside
     while inside:
         low = inside & -inside
         inside ^= low
-        e = low.bit_length() - 1
-        records.append((e, low, True, frozenset(g.edges[e]), "edge"))
-    records.sort()
+        singles.append(low)
+    masks = sorted(components + singles, key=lambda mask: mask & -mask)
 
-    of_edge = [-1] * m
-    part_of = [0] * m
-    for idx, rec in enumerate(records):
-        mask = bits = rec[1]
+    part_of = [0] * g.m
+    for mask in masks:
+        bits = mask
         while bits:
             low = bits & -bits
             bits ^= low
-            e = low.bit_length() - 1
-            of_edge[e] = idx
-            part_of[e] = mask
-    _, masks, singles, vertex_sets, kinds = zip(*records) if records else ((),) * 5
-    table = _PartTable(masks, singles, tuple(of_edge), tuple(part_of), vertex_sets, kinds)
+            part_of[low.bit_length() - 1] = mask
+    table = _PartTable(tuple(masks) + (0,) * bare, tuple(part_of), tuple(components))
     g._part_cache[x_mask] = table
     return table
 

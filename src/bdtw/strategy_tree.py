@@ -20,8 +20,8 @@ from .game import (
     GameConfig,
     Strategy,
     _macro_moves,
+    _live_responses,
     _part_of,
-    _responses,
     is_capture_mask,
     replay_cop_strategy,
 )
@@ -275,11 +275,9 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
                 continue
             if len(target - cops) != 1:
                 continue  # detours assume a fresh-placement move to resume
-            table = part_table(g, bitmask(cops))
-            idx = table.of_edge[(part & -part).bit_length() - 1]
-            if table.singles[idx]:
+            if is_capture_mask(g, bitmask(cops), part):
                 continue
-            free = sorted(table.vertex_sets[idx] - cops - (target - cops))
+            free = sorted(vertices_of_mask(g, part) - cops - (target - cops))
             incident = [
                 w for w in free
                 if any(u not in cops and u != w for u in _part_neighbors(g, part, w))
@@ -296,10 +294,7 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
         detour_cops = cops | {w}
         detour_mask = bitmask(detour_cops)
         # The detour removes no cop, so part itself is the removal-stage part.
-        responses = [
-            q for q in _responses(g, detour_mask, part)
-            if not is_capture_mask(g, detour_mask, q)
-        ]
+        responses = _live_responses(g, detour_mask, part)
         if any((detour_cops, q) in moves for q in responses):
             continue
         moves[key] = detour_cops

@@ -3,16 +3,19 @@
 Everything here works from first principles on tiny inputs and stays
 deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
-plain recursive minimax without memoization.  The exactification checks at
-the end are the exception: they reuse the library's blocks and boundaries
-but scan every node and edge, where the library looks only at what a step
-changed.
+plain recursive minimax without memoization.  Two kinds of oracle are the
+exception.  The full-move game oracle reuses the library's statement of the
+rules (_macro_moves and _responses) and searches every legal move, where
+the solver leaves out the re-placements.  The exactification checks at the
+end reuse the library's blocks and boundaries but scan every node and edge,
+where the library looks only at what a step changed.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from bdtw.game import _macro_moves, _part_of, _responses, initial_parts, is_capture_mask
 from bdtw.graphs import Graph, component_edge_masks, connected_components
 from bdtw.monotonize import StepState
 from bdtw.pre_tree import (
@@ -237,6 +240,32 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
     if not starts:
         return True
     return all(cop_to_move(frozenset(), p, 0) for p in sorted(starts, key=sorted))
+
+
+def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int | None:
+    """Fewest placements with which k cops win, or None if more than cap,
+    by a memoised minimax over every move of _macro_moves (re-placements
+    and the pass included) and the robber's _responses minus captures."""
+    memo: dict[tuple[int, int, int], bool] = {}
+
+    def win(x_mask: int, p_mask: int, b: int) -> bool:
+        if b <= 0:
+            return False
+        key = (x_mask, p_mask, b)
+        if key not in memo:
+            memo[key] = any(
+                all(win(m, q, b - 1)
+                    for q in _responses(g, m, _part_of(g, x_mask & m, p_mask))
+                    if not is_capture_mask(g, m, q))
+                for m in _macro_moves(g, k, monotone, x_mask, p_mask)
+            )
+        return memo[key]
+
+    starts = initial_parts(g)
+    for b in range(cap + 1):
+        if all(win(0, p, b) for p in starts):
+            return b
+    return None
 
 
 # ---------------------------------------------------------------------------

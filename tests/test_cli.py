@@ -47,6 +47,13 @@ class TestDecide:
         assert rc == 0
         assert main(["verify", cert, "--graph", g]) == 0
 
+    def test_verify_without_certificate_via_nonmonotone(self, graph_file, capsys):
+        # The non-monotone route builds a decomposition even without a
+        # certificate file, so --verify has something to check there.
+        assert main(["decide", graph_file("K3"), "--k", "3", "--q", "3",
+                     "--via-nonmonotone", "--verify"]) == 0
+        assert capsys.readouterr().out == "IN T^3_3\n"
+
     def test_ptd_certificate_format(self, graph_file, tmp_path):
         cert = str(tmp_path / "out.ptd")
         g = graph_file("E1")
@@ -174,11 +181,16 @@ class TestEquivalenceCmd:
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "-2"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--budget", "0"],
     ["decide", "K3", "--k", "3", "--q", "3", "--budget", "0"],
+    ["decide", "K3", "--k", "2", "--q", "3", "--verify"],
+    ["decide", "K3", "--k", "3", "--q", "3", "--format", "ptd"],
+    ["decide", "K3", "--k", "3", "--q", "3", "--format", "td", "--via-nonmonotone"],
     ["solve", "E0", "--k", "1", "--q", "1", "--budget", "-1"],
     ["play", "K3", "--k", "3", "--q", "3", "--as", "cop", "--budget", "0"],
 ], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
         "equivalence-corpus4-3", "equivalence-jobs0", "equivalence-jobs-2",
-        "equivalence-budget0", "decide-budget0", "solve-edgeless-budget-1", "play-budget0"])
+        "equivalence-budget0", "decide-budget0", "decide-verify-alone",
+        "decide-format-alone", "decide-format-without-certificate",
+        "solve-edgeless-budget-1", "play-budget0"])
 def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
     edgeless = tmp_path / "E0.gr"
     edgeless.write_text(dumps_graph(Graph(1, [])))

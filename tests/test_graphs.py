@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from bdtw.errors import FormatError
+from bdtw.game import is_capture_mask
 from bdtw.graphs import (
     Graph,
     bitmask,
@@ -17,6 +18,7 @@ from bdtw.graphs import (
     loads_graph,
     part_table,
     read_graph,
+    vertices_of_mask,
 )
 from conftest import small_graph_corpus
 from oracles import boundary_oracle, part_table_oracle
@@ -127,7 +129,7 @@ class TestEdgeComponentGraph:
             p3c.mask_of([(1, 2), (2, 2)]),
             p3c.mask_of([(1, 1)]),
         ]
-        assert list(table.kinds) == ["component", "component", "edge"]
+        assert table.components == table.masks[:2]
 
     def test_no_cops_gives_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -138,7 +140,8 @@ class TestEdgeComponentGraph:
         # c-pocket carries both remaining edges.
         table = part_table(k3, bitmask({0, 1}))
         assert list(table.masks) == [0b001, 0b110]
-        assert table.vertex_sets[1] == frozenset({0, 1, 2})
+        assert table.components == (0b110,)
+        assert vertices_of_mask(k3, table.masks[1]) == frozenset({0, 1, 2})
 
     def test_parts_partition_edges_exhaustive(self):
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
@@ -151,15 +154,15 @@ class TestEdgeComponentGraph:
                         union |= mask
                     assert union == g.full_mask
                     for e in range(g.m):
-                        assert table.masks[table.of_edge[e]] >> e & 1
+                        assert table.part_of[e] in table.masks
+                        assert table.part_of[e] >> e & 1
 
     @given(graphs_with_cop_sets())
     def test_single_edge_parts_inside_cops(self, gc):
         g, cops = gc
         table = part_table(g, bitmask(cops))
-        for kind, mask in zip(table.kinds, table.masks):
-            u, v = None, None
-            if kind == "edge":
+        for mask in table.masks:
+            if mask and mask not in table.components:
                 (e,) = g.edge_ids(mask)
                 u, v = g.endpoints(e)
                 assert u in cops and v in cops
@@ -223,11 +226,15 @@ class TestPartTable:
         for g in _random_graphs(200, seed=11):
             for x_mask in range(1 << g.n):
                 table = part_table(g, x_mask)
-                fields = (table.masks, table.singles, table.of_edge,
-                          table.vertex_sets, table.kinds)
-                assert fields == part_table_oracle(g, x_mask), (g, x_mask)
-                for e in range(g.m):
-                    assert table.part_of[e] == table.masks[table.of_edge[e]]
+                masks, singles, of_edge, vertex_sets, kinds = part_table_oracle(g, x_mask)
+                assert table.masks == masks, (g, x_mask)
+                assert table.part_of == tuple(masks[i] for i in of_edge), (g, x_mask)
+                assert table.components == tuple(
+                    mask for mask, kind in zip(masks, kinds) if kind == "component" and mask)
+                for mask, single, verts, kind in zip(masks, singles, vertex_sets, kinds):
+                    if mask:
+                        assert vertices_of_mask(g, mask) == verts, (g, x_mask, mask)
+                        assert is_capture_mask(g, x_mask, mask) == single == (kind == "edge")
 
     def test_cached_per_cop_set(self, p3c):
         assert part_table(p3c, 0b010) is part_table(p3c, 0b010)
