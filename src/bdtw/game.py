@@ -8,7 +8,17 @@ not in X \\ R, which increments the placement counter.  Pure removals are
 not offered as turns: they can never capture and any removal folds into the
 next placement, which keeps the search well-founded on the counter.  In the
 monotone variant a macro-move is legal only if the robber part does not grow
-at its removal stage.
+at its removal stage.  _macro_moves is the one statement of these rules.
+
+The solver searches only the fresh moves, those that place v outside X.  A
+re-placement, a move from (X, p) to some m inside X (the pass m = X
+included), is never needed for the minimum:
+- its single reply is s = part_of(m, p), which contains p;
+- from (X, p) the cops can copy any strategy from (m, s), because more kept
+  cops only shrink each removal-stage part; monotone legality carries over,
+  since in the monotone variant s = p;
+- so cost(X, p) <= cost(m, s), while the re-placement spends a placement to
+  reach (m, s).
 
 The solver computes, per (cop set, part), the interval of placement budgets
 for which the position is known lost/won, so one run answers every q up to
@@ -19,7 +29,8 @@ Lookups are paid once.  The host graph caches its part table per cop set
 per (new cop set, removal-stage part); the solvers of every variant on one
 host share both.  Each solver caches, per position, its successor list:
 the pairs (new cop set, those responses) in search order, built at the
-position's first expansion and replayed at every later one.
+position's first expansion from one removal-stage part per kept-cop set
+and replayed at every later one.
 """
 
 from __future__ import annotations
@@ -154,9 +165,9 @@ class _Solver:
 
     Each position pays for its moves and the robber's answers once: its
     first expansion builds its successor list, the pairs (new cop set,
-    capture-free responses) in search order, and later expansions replay
-    it.  The responses come from the host graph's response table, which
-    every solver on that host shares.
+    capture-free responses) for every fresh move in search order, and later
+    expansions replay it.  The responses come from the host graph's
+    response table, which every solver on that host shares.
     """
 
     def __init__(self, g: Graph, k: int, monotone: bool, budget: int | None = None):
@@ -167,20 +178,8 @@ class _Solver:
         self.expansions = 0
         # (cops, part) -> [largest budget known lost, smallest budget known won]
         self.bounds: dict[tuple[int, int], list] = {}
-        self._moves_cache: dict[tuple[int, int], list[int]] = {}
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-
-    def _moves(self, x_mask: int, p_mask: int) -> list[int]:
-        key = (x_mask, p_mask if self.monotone else -1)
-        cached = self._moves_cache.get(key)
-        if cached is None:
-            moves = _macro_moves(self.g, self.k, self.monotone, x_mask, p_mask)
-            # Pure placements first: they make progress toward capture.
-            cached = self._moves_cache[key] = (
-                [m for m in moves if m & x_mask == x_mask]
-                + [m for m in moves if m & x_mask != x_mask]
-            )
-        return cached
+        self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
 
     def _live(self, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
         """The robber's responses to the move x -> new that are not captures."""
@@ -188,50 +187,33 @@ class _Solver:
         return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
 
     def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(new cop set, _live responses) for every move, in _moves order."""
+        """(new cop set, _live responses) for every fresh move: kept-cop sets
+        from x downward as bitmasks, each with its placed vertices ascending."""
         key = (x_mask, p_mask)
         cached = self._succ_cache.get(key)
         if cached is None:
             g = self.g
-            inc = g._inc
             table = g._resp_cache
-            outside = ((1 << g.n) - 1) & ~x_mask
-            placements: list[tuple[int, tuple[int, ...]]] = []
-            rest: dict[int, tuple[int, ...]] = {}
+            fresh = [(bit, inc) for bit, inc in self._vertices if not bit & x_mask]
+            cached = self._succ_cache[key] = []
             mid = x_mask
             while True:
                 if mid.bit_count() < self.k:
                     pm = p_mask if mid == x_mask else _part_of(g, mid, p_mask)
                     if not self.monotone or pm == p_mask:
-                        out = placements if mid == x_mask else None
-                        free = outside
-                        while free:
-                            bit = free & -free
-                            free ^= bit
+                        for bit, inc in fresh:
                             m = mid | bit
-                            if inc[bit.bit_length() - 1] & pm:
+                            if inc & pm:
                                 live = table.get((m, pm))
                                 if live is None:
                                     live = _live_responses(g, m, pm)
+                                cached.append((m, live))
                             else:
-                                live = (pm,)
-                            if out is None:
-                                rest[m] = live
-                            else:
-                                out.append((m, live))
-                        back = x_mask & ~mid
-                        while back:
-                            bit = back & -back
-                            back ^= bit
-                            m = mid | bit
-                            if m not in rest:
-                                rest[m] = (_part_of(g, m, p_mask),)
+                                # Placing off the stage part leaves it whole.
+                                cached.append((m, (pm,)))
                 if mid == 0:
                     break
                 mid = (mid - 1) & x_mask
-            if x_mask in rest:
-                placements.insert(0, (x_mask, rest.pop(x_mask)))
-            cached = self._succ_cache[key] = placements + sorted(rest.items())
         return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
@@ -311,21 +293,21 @@ class _Solver:
     def cop_move(self, x_mask: int, p_mask: int, left: int) -> int:
         """The canonical cop move with `left` placements to go.
 
-        Candidates are the moves that place a fresh vertex, in lexicographic
-        (removal set, placed vertex) order: re-placing a just-removed cop
-        shrinks the cop set while spending a placement and is never part of
-        a minimum-cost line.  The first candidate after which every response
-        is won with one placement fewer than the position's cost is chosen;
-        if the position is lost within `left`, the first candidate.
+        Candidates are the moves the solver searches, the fresh placements
+        of the successor list, in lexicographic (removal set, placed vertex)
+        order; a re-placement inside x only spends a placement to reach a
+        position the cops can already copy (see the module docstring).  The
+        first candidate after which every response is won with one placement
+        fewer than the position's cost is chosen; if the position is lost
+        within `left`, the first candidate.
         """
-        fresh = sorted((m for m in self._moves(x_mask, p_mask) if m & ~x_mask),
-                       key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
+        succ = sorted(self._successors(x_mask, p_mask),
+                      key=lambda e: (bit_indices(x_mask & ~e[0]), e[0] & ~x_mask))
         c = self.cost(x_mask, p_mask, left)
         if c is None:
-            return fresh[0]
-        for new_mask in fresh:
-            if all(self.cost(new_mask, qm, c - 1) is not None
-                   for qm in self._live(x_mask, p_mask, new_mask)):
+            return succ[0][0]
+        for new_mask, live in succ:
+            if all(self.cost(new_mask, qm, c - 1) is not None for qm in live):
                 return new_mask
         raise StrategyError("no move realizes the computed cost")
 

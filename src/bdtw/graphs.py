@@ -228,11 +228,10 @@ def is_connected_set(g: Graph, u: Iterable[int]) -> bool:
 class _PartTable:
     """Cached, mask-level view of the parts for one cop set.
 
-    masks lists every part by its lowest edge id, then the edgeless parts
-    (bare cop-free vertices) as 0, one per vertex; part_of maps an edge id
-    to its part's edge mask; components lists the cop-free components' edge
-    masks in masks order, without the edgeless ones.  The remaining parts
-    are the single edges with both endpoints under cops, i.e. the captures.
+    masks lists the parts' edge masks by lowest edge id, then a 0 for each
+    edgeless part (a bare cop-free vertex); part_of maps an edge id to its
+    part's mask; components lists the nonempty cop-free components' parts in
+    masks order.  The other parts, single edges under cops, are the captures.
     """
 
     __slots__ = ("masks", "part_of", "components")
@@ -277,12 +276,7 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
         else:
             bare += 1
     components.sort(key=lambda mask: mask & -mask)
-    singles = []
-    inside = g.full_mask & ~outside
-    while inside:
-        low = inside & -inside
-        inside ^= low
-        singles.append(low)
+    singles = [1 << e for e in bit_indices(g.full_mask & ~outside)]
     masks = sorted(components + singles, key=lambda mask: mask & -mask)
 
     part_of = [0] * g.m
