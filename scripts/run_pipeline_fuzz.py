@@ -22,12 +22,25 @@ from bdtw.pre_tree import is_exact_edge, ptd_depth, ptd_width
 from bdtw.tree_decomp import td_depth, td_width, validate_td
 
 
+def _int_at_least(low):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--max-n", type=int, default=4)
+    ap.add_argument("--max-n", type=_int_at_least(1), default=4)
     ap.add_argument("--k", default="1-4")
-    ap.add_argument("--slack", type=int, default=2)
-    ap.add_argument("--seeds", type=int, default=2)
+    ap.add_argument("--slack", type=_int_at_least(0), default=2)
+    ap.add_argument("--seeds", type=_int_at_least(1), default=2)
     args = ap.parse_args()
 
     start = time.monotonic()

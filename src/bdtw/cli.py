@@ -89,6 +89,9 @@ def cmd_decide(args) -> int:
                     write_ptd(result.exact_ptd, f)
                 else:
                     write_td(result.td, f)
+        elif args.certificate:
+            print(f"no certificate written to {args.certificate}: the graph is not a member",
+                  file=sys.stderr)
     else:
         cost = minimum_placements(closure(g), args.k, False, args.q, budget)
         member = cost is not None
@@ -112,6 +115,8 @@ def cmd_solve(args) -> int:
                 part_ids = ",".join(str(e) for e in g.edge_ids(part))
                 f.write(f"({_fmt_set(cops)} | {{{part_ids}}}) -> {_fmt_set(nxt)}\n")
         print(f"strategy dump written to {args.strategy_out}")
+    elif args.strategy_out:
+        print(f"no strategy written to {args.strategy_out}: the robber wins", file=sys.stderr)
     return 0
 
 

@@ -20,9 +20,30 @@ included), is never needed for the minimum:
 - so cost(X, p) <= cost(m, s), while the re-placement spends a placement to
   reach (m, s).
 
+In the non-monotone variant the solver also leaves out the fresh moves that
+keep fewer cops than there is room for: it walks only the kept-cop sets
+mid of X with |mid| = min(|X|, k - 1).  A larger kept set is never worse
+(the copy argument of graph searching):
+- for mid inside mid' inside X, each live reply to mid' + v lies inside a
+  live reply to mid + v, and a capture stays a capture under more cops;
+- the cops at (Y, p') with Y containing X and p' inside p can copy any
+  strategy from (X, p): their first move goes to exactly the shadow's next
+  cop set, whose stage part is the same, since part_of(mid2, p') =
+  part_of(mid2, p) for every mid2 inside X.
+The monotone variant walks every kept-cop set with |mid| < k: there a
+removal that leaves the shadow's part p whole may grow the copier's smaller
+part p', which makes it illegal, so the argument does not carry over.
+
 The solver computes, per (cop set, part), the interval of placement budgets
 for which the position is known lost/won, so one run answers every q up to
 a cap.  All iteration orders are canonical; results are deterministic.
+
+A host keeps, per k, the bounds table of its latest non-monotone solver,
+and a monotone solver with that k starts from its losses.  This is sound:
+monotone strategies are non-monotone ones, against the same replies, so a
+non-monotone loss is a monotone loss.  Wins are not inherited, so each
+monotone win is still proved by the monotone search, and a sweep that
+compares the variants still tests their equivalence.
 
 Lookups are paid once.  The host graph caches its part table per cop set
 (graphs.part_table) and, next to it, the robber's capture-free responses
@@ -165,9 +186,16 @@ class _Solver:
 
     Each position pays for its moves and the robber's answers once: its
     first expansion builds its successor list, the pairs (new cop set,
-    capture-free responses) for every fresh move in search order, and later
-    expansions replay it.  The responses come from the host graph's
+    capture-free responses) for every searched move in search order, and
+    later expansions replay it.  The searched moves are the fresh ones, and
+    in the non-monotone variant only those that keep min(|x|, k - 1) cops
+    (see the module docstring).  The responses come from the host graph's
     response table, which every solver on that host shares.
+
+    bounds holds one entry per position the solver has a bound for: those
+    it searched and, in the monotone variant, the losses it inherited from
+    the host's latest non-monotone solver with the same k.  Its length is
+    the position count that solve reports.
     """
 
     def __init__(self, g: Graph, k: int, monotone: bool, budget: int | None = None):
@@ -177,7 +205,15 @@ class _Solver:
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.expansions = 0
         # (cops, part) -> [largest budget known lost, smallest budget known won]
-        self.bounds: dict[tuple[int, int], list] = {}
+        self.bounds: dict[tuple[int, int], list]
+        if monotone:
+            # Every monotone strategy is a non-monotone one against the same
+            # replies, so a non-monotone loss is a monotone loss.  Only the
+            # losses carry over; each monotone win is proved afresh.
+            lost = g._lost.get(k, {})
+            self.bounds = {key: [e[0], None] for key, e in lost.items() if e[0] > 0}
+        else:
+            self.bounds = g._lost[k] = {}
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
 
@@ -186,9 +222,28 @@ class _Solver:
         g = self.g
         return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
 
+    def _kept_sets(self, x_mask: int) -> Sequence[int]:
+        """The kept-cop sets the search walks from cop set x, descending as
+        bitmasks: in the monotone variant every mid inside x with |mid| < k;
+        in the non-monotone variant only those with |mid| = min(|x|, k - 1),
+        since keeping fewer cops is dominated (see the module docstring)."""
+        if not self.monotone:
+            if x_mask.bit_count() < self.k:
+                return (x_mask,)
+            # Dropping the lowest cop first gives the largest set first.
+            return [x_mask ^ bit for bit, _ in self._vertices if bit & x_mask]
+        out = []
+        mid = x_mask
+        while True:
+            if mid.bit_count() < self.k:
+                out.append(mid)
+            if mid == 0:
+                return out
+            mid = (mid - 1) & x_mask
+
     def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(new cop set, _live responses) for every fresh move: kept-cop sets
-        from x downward as bitmasks, each with its placed vertices ascending."""
+        """(new cop set, _live responses) for every searched move: the kept-cop
+        sets of _kept_sets, each with its fresh placed vertices ascending."""
         key = (x_mask, p_mask)
         cached = self._succ_cache.get(key)
         if cached is None:
@@ -196,24 +251,20 @@ class _Solver:
             table = g._resp_cache
             fresh = [(bit, inc) for bit, inc in self._vertices if not bit & x_mask]
             cached = self._succ_cache[key] = []
-            mid = x_mask
-            while True:
-                if mid.bit_count() < self.k:
-                    pm = p_mask if mid == x_mask else _part_of(g, mid, p_mask)
-                    if not self.monotone or pm == p_mask:
-                        for bit, inc in fresh:
-                            m = mid | bit
-                            if inc & pm:
-                                live = table.get((m, pm))
-                                if live is None:
-                                    live = _live_responses(g, m, pm)
-                                cached.append((m, live))
-                            else:
-                                # Placing off the stage part leaves it whole.
-                                cached.append((m, (pm,)))
-                if mid == 0:
-                    break
-                mid = (mid - 1) & x_mask
+            for mid in self._kept_sets(x_mask):
+                pm = p_mask if mid == x_mask else _part_of(g, mid, p_mask)
+                if self.monotone and pm != p_mask:
+                    continue
+                for bit, inc in fresh:
+                    m = mid | bit
+                    if inc & pm:
+                        live = table.get((m, pm))
+                        if live is None:
+                            live = _live_responses(g, m, pm)
+                        cached.append((m, live))
+                    else:
+                        # Placing off the stage part leaves it whole.
+                        cached.append((m, (pm,)))
         return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
@@ -299,7 +350,10 @@ class _Solver:
         position the cops can already copy (see the module docstring).  The
         first candidate after which every response is won with one placement
         fewer than the position's cost is chosen; if the position is lost
-        within `left`, the first candidate.
+        within `left`, the first candidate.  In the non-monotone variant
+        the choice is the same as over all fresh moves: if removing R works,
+        so does removing the prefix of R that keeps min(|x|, k - 1) cops,
+        and that prefix sorts first.
         """
         succ = sorted(self._successors(x_mask, p_mask),
                       key=lambda e: (bit_indices(x_mask & ~e[0]), e[0] & ~x_mask))
@@ -400,7 +454,9 @@ def variant_costs(g: Graph, k: int, cap: int,
     non-monotone, plain monotone, closure non-monotone, closure monotone.
 
     The variants agree on the winner of the q-game for every q <= cap
-    exactly when these four costs are equal."""
+    exactly when these four costs are equal.  Each monotone solve starts
+    from the losses of the non-monotone solve before it on the same host
+    and proves its wins itself."""
     return tuple(
         minimum_placements(host, k, monotone, cap, budget)
         for host in (g, closure(g))

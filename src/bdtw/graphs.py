@@ -18,7 +18,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj", "_adj_mask",
-                 "_part_cache", "_resp_cache")
+                 "_part_cache", "_resp_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -53,6 +53,9 @@ class Graph:
         # responses; filled by the game solver, shared by every solver on
         # this host.
         self._resp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # k -> the bounds table of the latest non-monotone game solver with
+        # k cops on this host; a monotone solver starts from its losses.
+        self._lost: dict[int, dict[tuple[int, int], list]] = {}
 
     @property
     def vertices(self) -> range:

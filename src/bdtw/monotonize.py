@@ -464,7 +464,10 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
     On a robber win the result carries the robber's certificate instead.
     With fuzz_slack > 0 the strategy is perturbed with redundant detours
     first; the decomposition bounds then hold for q + injected placements.
+    A negative fuzz_slack raises ValueError.
     """
+    if fuzz_slack < 0:
+        raise ValueError(f"fuzz slack must be at least 0, got {fuzz_slack}")
     gc = closure(g)
     cfg = GameConfig(k, q, monotone=monotone_solver)
     res = solve(gc, cfg, budget)

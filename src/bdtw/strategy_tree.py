@@ -260,7 +260,10 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
     neighbor there, which makes the follow-up removal grow the part and
     yields a genuinely non-monotone (non-exact) tree edge.  The perturbed
     strategy is replay-verified to win with q + injected placements.
+    Raises ValueError if slack is negative.
     """
+    if slack < 0:
+        raise ValueError(f"fuzz slack must be at least 0, got {slack}")
     rng = random.Random(seed)
     moves = dict(sigma.moves)
     injected = 0

@@ -6,7 +6,8 @@ evaluated literally, partitions are enumerated, and the game oracle is a
 plain recursive minimax without memoization.  Two kinds of oracle are the
 exception.  The full-move game oracle reuses the library's statement of the
 rules (_macro_moves and _responses) and searches every legal move, where
-the solver leaves out the re-placements.  The exactification checks at the
+the solver leaves out the re-placements and, in the non-monotone variant,
+the moves that keep fewer cops than there is room for.  The exactification checks at the
 end reuse the library's blocks and boundaries but scan every node and edge,
 where the library looks only at what a step changed.
 """
@@ -242,10 +243,11 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
     return all(cop_to_move(frozenset(), p, 0) for p in sorted(starts, key=sorted))
 
 
-def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int | None:
-    """Fewest placements with which k cops win, or None if more than cap,
-    by a memoised minimax over every move of _macro_moves (re-placements
-    and the pass included) and the robber's _responses minus captures."""
+def full_move_win(g: Graph, k: int, monotone: bool):
+    """win(x_mask, p_mask, b): whether k cops capture from (x, part) with at
+    most b placements, by a memoised minimax over every move of _macro_moves
+    (re-placements and the pass included) and the robber's _responses minus
+    captures."""
     memo: dict[tuple[int, int, int], bool] = {}
 
     def win(x_mask: int, p_mask: int, b: int) -> bool:
@@ -261,6 +263,19 @@ def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int 
             )
         return memo[key]
 
+    return win
+
+
+def full_move_cost(win, x_mask: int, p_mask: int, cap: int) -> int | None:
+    """Fewest placements with which a full_move_win wins from (x, part), or
+    None if more than cap."""
+    return next((b for b in range(1, cap + 1) if win(x_mask, p_mask, b)), None)
+
+
+def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int | None:
+    """Fewest placements with which k cops win the game, or None if more
+    than cap, by full_move_win."""
+    win = full_move_win(g, k, monotone)
     starts = initial_parts(g)
     for b in range(cap + 1):
         if all(win(0, p, b) for p in starts):

@@ -61,6 +61,24 @@ class TestDecide:
                      "--format", "ptd"]) == 0
         assert main(["verify", cert]) == 0
 
+    def test_nonmember_says_no_certificate_written(self, graph_file, tmp_path, capsys):
+        # An older certificate at the path stays; stderr says it is not
+        # this run's, and stdout is the verdict alone.
+        cert = tmp_path / "out.td"
+        cert.write_text("old\n")
+        assert main(["decide", graph_file("K3"), "--k", "2", "--q", "3",
+                     "--certificate", str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "NOT IN T^2_3\n"
+        assert captured.err == f"no certificate written to {cert}: the graph is not a member\n"
+        assert cert.read_text() == "old\n"
+
+    def test_member_certificate_says_nothing_on_stderr(self, graph_file, tmp_path, capsys):
+        cert = str(tmp_path / "out.td")
+        assert main(["decide", graph_file("P3"), "--k", "2", "--q", "2",
+                     "--certificate", cert]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_empty_graph_member(self, tmp_path):
         path = tmp_path / "empty.gr"
         path.write_text("p tw 0 0\n")
@@ -77,6 +95,18 @@ class TestSolve:
         assert "winner: cop" in out
         text = open(dump).read()
         assert "->" in text and "|" in text
+
+    def test_robber_win_says_no_strategy_written(self, graph_file, tmp_path, capsys):
+        dump = tmp_path / "sigma.txt"
+        assert main(["solve", graph_file("K3"), "--k", "3", "--q", "3",
+                     "--closure", "--strategy-out", str(dump)]) == 0
+        capsys.readouterr()
+        assert main(["solve", graph_file("K3"), "--k", "1", "--q", "3",
+                     "--closure", "--strategy-out", str(dump)]) == 0
+        captured = capsys.readouterr()
+        assert "winner: robber" in captured.out
+        assert "written" not in captured.out
+        assert captured.err == f"no strategy written to {dump}: the robber wins\n"
 
     def test_monotone_flag(self, graph_file, capsys):
         rc = main(["solve", graph_file("K3"), "--k", "2", "--q", "4", "--monotone"])

@@ -13,6 +13,7 @@ from bdtw.game import (
     _Solver,
     initial_parts,
     is_capture,
+    is_capture_mask,
     legal_cop_moves,
     legal_robber_responses,
     minimum_placements,
@@ -20,9 +21,9 @@ from bdtw.game import (
     solve,
     winners_agree,
 )
-from bdtw.graphs import Graph, bit_indices, bitmask, closure
+from bdtw.graphs import Graph, bit_indices, bitmask, closure, part_table
 from conftest import small_graph_corpus
-from oracles import full_move_min_placements, naive_cop_wins
+from oracles import full_move_cost, full_move_min_placements, full_move_win, naive_cop_wins
 from strats import graphs
 
 
@@ -232,13 +233,167 @@ class TestSanityValues:
                 assert minimum_placements(gc, n - 1, False, q) is None
 
 
+def random_host(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    """G(n, 1/2) on a random n in n_lo..n_hi, or its closure, by a coin."""
+    n = rng.randint(n_lo, n_hi)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    return closure(g) if rng.random() < 0.5 else g
+
+
+def submasks(mask: int):
+    """Every submask of mask, descending."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+class TestDominanceCut:
+    def test_more_cops_in_a_smaller_part_never_cost_more(self):
+        # The copy argument behind the non-monotone cut: in the full-move
+        # game, cost(Y, p') <= cost(X, p) whenever Y contains X, |Y| <= k
+        # and p' lies inside p.
+        rng = random.Random(11)
+        compared = 0
+        for _ in range(8):
+            host = random_host(rng, 5, 6)
+            everyone = (1 << host.n) - 1
+            for k in (2, 3, 4):
+                win = full_move_win(host, k, False)
+
+                def live_parts(x_mask):
+                    return [p for p in part_table(host, x_mask).masks
+                            if p and not is_capture_mask(host, x_mask, p)]
+
+                for x_mask in submasks(everyone):
+                    if x_mask.bit_count() > k:
+                        continue
+                    for p_mask in live_parts(x_mask):
+                        cost = full_move_cost(win, x_mask, p_mask, 6)
+                        if cost is None:
+                            continue
+                        for extra in submasks(everyone & ~x_mask):
+                            y_mask = x_mask | extra
+                            if y_mask.bit_count() > k:
+                                continue
+                            for q_mask in live_parts(y_mask):
+                                if q_mask & ~p_mask == 0:
+                                    smaller = full_move_cost(win, y_mask, q_mask, cost)
+                                    assert smaller is not None, (host, k, x_mask, y_mask)
+                                    compared += 1
+        assert compared > 5000
+
+    def test_cop_move_is_first_working_fresh_move(self):
+        # The cut leaves the certificates alone: over the full list of
+        # fresh moves, in cop_move's order, the first move that realizes the
+        # cost (or, at a lost position, the first move) is the one the
+        # non-monotone cop_move picks from its shorter list.
+        rng = random.Random(12)
+        checked = 0
+        for _ in range(8):
+            host = random_host(rng, 4, 6)
+            for k in (2, 3, 4):
+                solver = _Solver(host, k, False)
+                solver.game_cost(5)
+                cfg = GameConfig(k, 5)
+                for x_mask, p_mask in list(solver._succ_cache):
+                    pos = GamePosition(frozenset(bit_indices(x_mask)), p_mask, 0)
+                    full = sorted(
+                        (m for m in map(bitmask, legal_cop_moves(host, cfg, pos))
+                         if m & ~x_mask),
+                        key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
+                    for left in range(1, 6):
+                        c = solver.cost(x_mask, p_mask, left)
+                        want = full[0]
+                        if c is not None:
+                            want = next(
+                                m for m in full
+                                if all(solver.cost(m, q, c - 1) is not None
+                                       for q in solver._live(x_mask, p_mask, m)))
+                        assert solver.cop_move(x_mask, p_mask, left) == want
+                        checked += 1
+        assert checked > 1000
+
+
+class TestInheritedLosses:
+    # A monotone solver starts from the losses of the latest non-monotone
+    # solver with the same k on its host.  Its costs must be those of a
+    # monotone solver on a fresh host, at every position the non-monotone
+    # solver visited, not only at the start.
+
+    @staticmethod
+    def assert_costs_match(host, k, cap):
+        lost = dict(host._lost[k])
+        inherited = _Solver(host, k, True)
+        fresh = _Solver(Graph(host.n, host.edges), k, True)
+        assert inherited.game_cost(cap) == fresh.game_cost(cap)
+        for x_mask, p_mask in lost:
+            assert (inherited.cost(x_mask, p_mask, cap)
+                    == fresh.cost(x_mask, p_mask, cap)), (host, k, x_mask, p_mask)
+        return len(lost)
+
+    def test_after_a_full_solve(self):
+        rng = random.Random(13)
+        positions = 0
+        for _ in range(12):
+            host = random_host(rng, 4, 6)
+            for k in (1, 2, 3, 4):
+                _Solver(host, k, False).game_cost(6)
+                positions += self.assert_costs_match(host, k, 6)
+        assert positions > 500
+
+    def test_after_a_budget_error_or_a_smaller_cap(self):
+        rng = random.Random(14)
+        cut_short = 0
+        for _ in range(8):
+            host = random_host(rng, 5, 6)
+            for k in (2, 3):
+                full = _Solver(Graph(host.n, host.edges), k, False)
+                full.game_cost(6)
+                if full.expansions >= 2:
+                    with pytest.raises(BudgetExceededError):
+                        _Solver(host, k, False, budget=full.expansions // 2).game_cost(6)
+                    self.assert_costs_match(host, k, 6)
+                    cut_short += 1
+                _Solver(host, k, False).game_cost(2)
+                self.assert_costs_match(host, k, 6)
+        assert cut_short > 8
+
+    def test_wins_are_proved_afresh(self):
+        # A non-monotone table that claims wins cheaper than the truth, as
+        # a counterexample to the equivalence would, does not move the
+        # monotone costs: only its losses are read.
+        rng = random.Random(15)
+        positions = 0
+        for _ in range(12):
+            host = random_host(rng, 4, 6)
+            for k in (2, 3, 4):
+                _Solver(host, k, False).game_cost(6)
+                for entry in host._lost[k].values():
+                    entry[1] = entry[0] + 1
+                positions += self.assert_costs_match(host, k, 6)
+        assert positions > 500
+
+    def test_only_losses_are_inherited(self, k3):
+        host = closure(k3)
+        _Solver(host, 3, False).game_cost(5)
+        monotone = _Solver(host, 3, True)
+        assert monotone.bounds
+        assert all(e[0] > 0 and e[1] is None for e in monotone.bounds.values())
+        assert _Solver(host, 2, True).bounds == {}
+
+
 class TestSolverWork:
     def test_cached_successors_follow_the_rules(self):
         # The successors are the fresh legal moves (those that place a
         # vertex outside x), kept-cop sets from x downward and then placed
-        # vertices ascending, each with its capture-free responses.  Both
-        # variants and every k solve on one host, so the response table
-        # entries built by one solver are read by the others.
+        # vertices ascending, each with its capture-free responses.  In the
+        # non-monotone variant only the undominated ones are kept: those
+        # that keep min(|x|, k - 1) cops.  Both variants and every k solve
+        # on one host, so the response table entries built by one solver
+        # are read by the others.
         rng = random.Random(5)
         checked = 0
         for _ in range(10):
@@ -253,8 +408,10 @@ class TestSolverWork:
                         cfg = GameConfig(k, 4, monotone)
                         for (x_mask, p_mask), succ in solver._succ_cache.items():
                             pos = GamePosition(frozenset(bit_indices(x_mask)), p_mask, 0)
+                            kept = min(x_mask.bit_count(), k - 1)
                             fresh = [bitmask(c) for c in legal_cop_moves(host, cfg, pos)
-                                     if bitmask(c) & ~x_mask]
+                                     if bitmask(c) & ~x_mask and (
+                                         monotone or (bitmask(c) & x_mask).bit_count() == kept)]
                             fresh.sort(key=lambda m: (-(m & x_mask), m & ~x_mask))
                             expected = []
                             for m in fresh:
@@ -286,29 +443,49 @@ class TestSolverWork:
 
     # (expansions, positions) of _Solver.game_cost(7) per graph, for the
     # plain graph then its closure, k = 2, 3, 4, non-monotone then
-    # monotone.  Recorded when the search dropped the re-placement moves;
-    # equal counts mean the search order did not move.
+    # monotone on the same host.  The non-monotone counts were recorded
+    # when the search dropped the re-placement moves; the monotone ones
+    # when the monotone solver started inheriting the non-monotone losses,
+    # which it counts as positions.  Equal counts mean the search order did
+    # not move.
     GOLDEN_WORK = {
-        "P5": [(23, 18), (23, 18), (19, 15), (19, 15), (19, 15), (19, 15),
-               (23, 18), (23, 18), (19, 15), (19, 15), (19, 15), (19, 15)],
-        "C5": [(87, 16), (87, 16), (31, 21), (31, 21), (31, 21), (31, 21),
-               (87, 16), (87, 16), (31, 21), (31, 21), (31, 21), (31, 21)],
-        "K4": [(61, 11), (61, 11), (77, 15), (77, 15), (21, 12), (21, 12),
-               (61, 11), (61, 11), (77, 15), (77, 15), (21, 12), (21, 12)],
-        "K2,3": [(87, 16), (87, 16), (12, 9), (12, 9), (12, 9), (12, 9),
-                 (87, 16), (87, 16), (12, 9), (12, 9), (12, 9), (12, 9)],
-        "GRID2x3": [(118, 22), (118, 22), (62, 43), (62, 43), (44, 32), (44, 32),
-                    (118, 22), (118, 22), (62, 43), (62, 43), (44, 32), (44, 32)],
-        "G6a": [(118, 22), (118, 22), (198, 42), (198, 42), (53, 36), (53, 36),
-                (118, 22), (118, 22), (198, 42), (198, 42), (53, 36), (53, 36)],
-        "G6b": [(118, 22), (118, 22), (76, 49), (76, 49), (57, 40), (57, 40),
-                (118, 22), (118, 22), (76, 49), (76, 49), (57, 40), (57, 40)],
-        "G6c": [(118, 22), (118, 22), (198, 42), (198, 42), (65, 42), (65, 42),
-                (118, 22), (118, 22), (198, 42), (198, 42), (66, 43), (66, 43)],
-        "G7a": [(160, 35), (160, 35), (31, 26), (31, 26), (31, 26), (31, 26),
-                (160, 35), (160, 35), (33, 28), (33, 28), (33, 28), (33, 28)],
-        "G7b": [(160, 35), (160, 35), (120, 86), (120, 86), (120, 86), (120, 86),
-                (160, 35), (160, 35), (120, 86), (120, 86), (120, 86), (120, 86)],
+        "P5": [(23, 18), (6, 18), (19, 15), (5, 14), (19, 15), (5, 14),
+               (23, 18), (6, 18), (19, 15), (5, 14), (19, 15), (5, 14)],
+        "C5": [(87, 16), (0, 16), (31, 21), (5, 19), (31, 21), (5, 19),
+               (87, 16), (0, 16), (31, 21), (5, 19), (31, 21), (5, 19)],
+        "K4": [(61, 11), (0, 11), (77, 15), (0, 15), (21, 12), (4, 12),
+               (61, 11), (0, 11), (77, 15), (0, 15), (21, 12), (4, 12)],
+        "K2,3": [(87, 16), (0, 16), (12, 9), (5, 9), (12, 9), (5, 9),
+                 (87, 16), (0, 16), (12, 9), (5, 9), (12, 9), (5, 9)],
+        "GRID2x3": [(118, 22), (0, 22), (62, 43), (7, 41), (44, 32), (6, 30),
+                    (118, 22), (0, 22), (62, 43), (7, 41), (44, 32), (6, 30)],
+        "G6a": [(118, 22), (0, 22), (198, 42), (0, 42), (53, 36), (6, 36),
+                (118, 22), (0, 22), (198, 42), (0, 42), (53, 36), (6, 36)],
+        "G6b": [(118, 22), (0, 22), (76, 49), (6, 46), (57, 40), (7, 38),
+                (118, 22), (0, 22), (76, 49), (6, 46), (57, 40), (7, 38)],
+        "G6c": [(118, 22), (0, 22), (198, 42), (0, 42), (65, 42), (5, 42),
+                (118, 22), (0, 22), (198, 42), (0, 42), (66, 43), (6, 43)],
+        "G7a": [(160, 35), (0, 29), (31, 26), (5, 24), (31, 26), (5, 24),
+                (160, 35), (0, 29), (33, 28), (7, 26), (33, 28), (7, 26)],
+        "G7b": [(160, 35), (0, 29), (120, 86), (8, 68), (120, 86), (8, 68),
+                (160, 35), (0, 29), (120, 86), (8, 68), (120, 86), (8, 68)],
+    }
+
+    # (expansions, positions) of the monotone _Solver.game_cost(7) on a
+    # host no other solver has used, in the GOLDEN_WORK order: the
+    # monotone search on its own, as recorded when the search dropped the
+    # re-placement moves.
+    GOLDEN_FRESH_MONOTONE_WORK = {
+        "P5": [(23, 18), (19, 15), (19, 15), (23, 18), (19, 15), (19, 15)],
+        "C5": [(87, 16), (31, 21), (31, 21), (87, 16), (31, 21), (31, 21)],
+        "K4": [(61, 11), (77, 15), (21, 12), (61, 11), (77, 15), (21, 12)],
+        "K2,3": [(87, 16), (12, 9), (12, 9), (87, 16), (12, 9), (12, 9)],
+        "GRID2x3": [(118, 22), (62, 43), (44, 32), (118, 22), (62, 43), (44, 32)],
+        "G6a": [(118, 22), (198, 42), (53, 36), (118, 22), (198, 42), (53, 36)],
+        "G6b": [(118, 22), (76, 49), (57, 40), (118, 22), (76, 49), (57, 40)],
+        "G6c": [(118, 22), (198, 42), (65, 42), (118, 22), (198, 42), (66, 43)],
+        "G7a": [(160, 35), (31, 26), (31, 26), (160, 35), (33, 28), (33, 28)],
+        "G7b": [(160, 35), (120, 86), (120, 86), (160, 35), (120, 86), (120, 86)],
     }
 
     @staticmethod
@@ -331,3 +508,13 @@ class TestSolverWork:
                         solver.game_cost(7)
                         work.append((solver.expansions, len(solver.bounds)))
             assert work == self.GOLDEN_WORK[name], name
+
+    def test_fresh_monotone_search_work_is_pinned(self):
+        for name, g in self.golden_corpus().items():
+            work = []
+            for host in (g, closure(g)):
+                for k in (2, 3, 4):
+                    solver = _Solver(Graph(host.n, host.edges), k, True)
+                    solver.game_cost(7)
+                    work.append((solver.expansions, len(solver.bounds)))
+            assert work == self.GOLDEN_FRESH_MONOTONE_WORK[name], name

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bdtw.corpus import named_graph
 from bdtw.game import GameConfig, solve
 from bdtw.graphs import Graph, closure, dumps_graph
@@ -139,6 +141,18 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert "pipeline runs" in proc.stdout
+
+    @pytest.mark.parametrize("option, value", [
+        ("--slack", "-1"), ("--seeds", "0"), ("--seeds", "-2"), ("--max-n", "0"),
+        ("--seeds", "two"),
+    ])
+    def test_fuzz_campaign_script_rejects_bad_counts(self, option, value):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_fuzz.py"
+        proc = subprocess.run([sys.executable, str(script), option, value],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert option in proc.stderr
+        assert proc.stdout == ""
 
     def test_equivalence_parallel_jobs(self, capsys):
         from bdtw.cli import main

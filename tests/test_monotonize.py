@@ -450,6 +450,10 @@ class TestPipeline:
         assert r.td is None
         assert r.robber_certificate is not None
 
+    def test_negative_slack_rejected(self, p3):
+        with pytest.raises(ValueError, match="fuzz slack"):
+            monotonize_pipeline(p3, 2, 2, fuzz_slack=-1)
+
     def test_fuzzed_bounds_use_slack(self, p3):
         r = monotonize_pipeline(p3, 2, 2, fuzz_slack=2, seed=5, verify=True)
         assert r.member

@@ -200,6 +200,12 @@ class TestFuzzer:
         assert a.strategy.moves == b.strategy.moves
         assert a.detour_keys == b.detour_keys
 
+    def test_negative_slack_rejected(self):
+        g = closure(named_graph("C4"))
+        sigma = solve(g, GameConfig(3, 3)).strategy
+        with pytest.raises(ValueError, match="fuzz slack"):
+            fuzz_nonmonotone(g, sigma, GameConfig(3, 3), -1)
+
     def test_slack_respected_and_winning(self):
         for name, k, q in CORPUS:
             g = closure(named_graph(name))
