@@ -35,10 +35,19 @@ def _int_at_least(low):
     return parse
 
 
+def _k_range(text):
+    """An argparse type: a value 'a' or a range 'a-b' of positive integers."""
+    try:
+        return _parse_range(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a nonempty range of positive integers: {text!r}") from None
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=_int_at_least(1), default=4)
-    ap.add_argument("--k", default="1-4")
+    ap.add_argument("--k", type=_k_range, default="1-4")
     ap.add_argument("--slack", type=_int_at_least(0), default=2)
     ap.add_argument("--seeds", type=_int_at_least(1), default=2)
     args = ap.parse_args()
@@ -48,7 +57,7 @@ def main():
     width_slack_total = depth_recovered = 0
     for gi, g in enumerate(all_graphs(args.max_n)):
         gc = closure(g)
-        for k in _parse_range(args.k):
+        for k in args.k:
             cost = minimum_placements(gc, k, False, 8)
             if cost is None:
                 continue

@@ -10,7 +10,8 @@ class FormatError(BdtwError):
 
 
 class BudgetExceededError(BdtwError):
-    """A search cap was hit; the caller gets an error, never a wrong answer."""
+    """The game solver's expansion budget ran out; the caller gets an
+    error, never a wrong answer."""
 
 
 class StrategyError(BdtwError):

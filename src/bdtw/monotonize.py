@@ -2,9 +2,12 @@
 
 Nodes are processed in BFS order.  At each internal node the free edges of
 its child tree-edges (edges missing from both cones) are reassigned so that
-the node's local partition has minimum boundary, then the change is pushed
-through the already-processed subtree: cones pointing toward the node gain
-the moved edges, cones pointing away lose them.  After step i all tree
+the node's local partition has minimum boundary.  The boundary counts
+vertices, so the search runs over which vertices may be split, not over
+the free edges, and its cost does not grow with the number of free edges.
+Then the change is pushed through the already-processed subtree: cones
+pointing toward the node gain the moved edges, cones pointing away lose
+them.  After step i all tree
 edges with both endpoints in the processed region plus its neighbors are
 exact; after the last step the whole decomposition is exact, with width and
 depth no larger than the input's.
@@ -27,12 +30,13 @@ check reports what a full scan would, and a step costs what it changes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import BudgetExceededError, ConsistencyError
+from .errors import ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
-from .graphs import Graph, closure
+from .graphs import Graph, bit_indices, bitmask, closure
 from .pre_tree import (
     PreTreeDecomposition,
     _path_sums,
@@ -48,8 +52,6 @@ from .pre_tree import (
 from .strategy_tree import StrategyTree, build, fuzz_nonmonotone
 from .tree_decomp import TreeDecomposition, validate_td
 from .validation import Report
-
-DEFAULT_FREE_EDGE_CAP = 20
 
 
 @dataclass
@@ -82,102 +84,102 @@ class ExtensionChoice:
     boundary_size: int
 
 
-def choose_extensions(state: StepState, node: int,
-                      free_edge_cap: int = DEFAULT_FREE_EDGE_CAP) -> ExtensionChoice:
+def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     """Optimal assignment of free edges to the node's child cones.
 
     An edge is free for a child when neither cone of that tree edge holds
     it; each free edge may move into at most one child for which it is
     free.  Objectives, in order: minimum boundary of the resulting local
     partition, minimum number of moved edges, lexicographically least
-    assignment vector.  The search is exhaustive (with pruning by the
-    boundary forced so far), so a cap bounds the free-edge count.
+    assignment vector (staying before moving, then children ascending).
+
+    The node's blocks (its cones toward its neighbors) partition the edges;
+    a free edge ends in its own block or a child's it is free for, the
+    others are fixed.  A vertex with fixed edges in two blocks is always
+    boundary, one without a free edge never changes.  For each set B of
+    the other, open, vertices, smallest first, the open vertices outside B
+    that free edges join must share one block that all their edges allow.
+    The first size with a feasible B is the minimum boundary; free edges
+    between boundary vertices stay, the others go to their component's
+    block.  The work is bounded by the number of subsets of open vertices,
+    not by the free-edge count.
     """
     g = state.ptd.host
     tree = state.ptd.tree
     cones = state.ptd.cones
     children = tree.children[node]
-    full = g.full_mask
-    m_free = [full & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
-    free_union = 0
-    for m in m_free:
-        free_union |= m
-    free_edges = list(g.edge_ids(free_union))
-    if len(free_edges) > free_edge_cap:
-        raise BudgetExceededError(
-            f"{len(free_edges)} free edges at node {node} exceed the cap {free_edge_cap}"
-        )
-
     neighbors = tree.neighbors(node)
-    child_block_index = {c: neighbors.index(c) for c in children}
-    blocks0 = [cones[(node, u)] for u in neighbors]
-    block_of_edge: dict[int, int] = {}
-    for bi, b in enumerate(blocks0):
-        for e in g.edge_ids(b):
-            block_of_edge[e] = bi
-    options = [
-        [None] + [j for j, m in enumerate(m_free) if m >> e & 1] for e in free_edges
-    ]
+    m_free = [g.full_mask & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
+    free = 0
+    for m in m_free:
+        free |= m
+    free_edges = g.edge_ids(free)
+    # A block is labelled by its index among the neighbors, so child j has
+    # label j + offset; a set of labels is a bitmask.
+    offset = len(neighbors) - len(children)
+    blocks = [cones[(node, u)] for u in neighbors]
+    own = {e: i for i, b in enumerate(blocks) for e in g.edge_ids(b & free)}
+    allowed = {e: 1 << own[e] | bitmask(j + offset for j, m in enumerate(m_free) if m >> e & 1)
+               for e in free_edges}
+    always = 0
+    open_labels: dict[int, int] = {}  # open vertex -> labels all its edges allow
+    joined: dict[int, int] = {}  # open vertex -> vertices its free edges reach
+    for v in g.vertices:
+        inc = g.incident_mask(v)
+        fixed = bitmask(i for i, b in enumerate(blocks) if inc & b & ~free)
+        if fixed & (fixed - 1):
+            always += 1
+        elif inc & free:
+            open_labels[v], joined[v] = fixed or -1, 0
+            for e in g.edge_ids(inc & free):
+                open_labels[v] &= allowed[e]
+                joined[v] |= bitmask(g.endpoints(e))
 
-    def forced_boundary(assign: list[int | None], depth: int) -> int:
-        # Vertices already split between two decided blocks stay boundary
-        # no matter how the remaining free edges are assigned.
-        blocks = list(blocks0)
-        undecided = 0
-        for idx, e in enumerate(free_edges):
-            bit = 1 << e
-            if idx < depth:
-                j = assign[idx]
-                if j is not None:
-                    src = block_of_edge.get(e)
-                    if src is not None:
-                        blocks[src] &= ~bit
-                    blocks[child_block_index[children[j]]] |= bit
-            else:
-                undecided |= bit
-                src = block_of_edge.get(e)
-                if src is not None:
-                    blocks[src] &= ~bit
-        count = 0
-        for v in g.vertices:
-            inc = g.incident_mask(v) & ~undecided
-            hit = 0
-            for b in blocks:
-                if inc & b:
-                    hit += 1
-                    if hit == 2:
-                        count += 1
-                        break
-        return count
+    def components(kept: int) -> list[tuple[int, int]] | None:
+        """(free edges, common labels) of each component that free edges
+        form on the open vertices in `kept`; None if one has no label."""
+        out = []
+        while kept:
+            comp = frontier = kept & -kept
+            labels, edges = -1, 0
+            while frontier:
+                reach = 0
+                for v in bit_indices(frontier):
+                    labels &= open_labels[v]
+                    edges |= g.incident_mask(v) & free
+                    reach |= joined[v]
+                frontier = reach & kept & ~comp
+                comp |= frontier
+            if not labels:
+                return None
+            kept &= ~comp
+            out.append((edges, labels))
+        return out
 
-    assign: list[int | None] = [None] * len(free_edges)
-    best: tuple[int, int] | None = None  # (boundary, moved) of best_assign
-    best_assign: tuple[int | None, ...] = ()
+    def key(vector: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        return sum(j >= 0 for j in vector), vector
 
-    def search(depth: int, moved: int) -> None:
-        nonlocal best, best_assign
-        if depth == len(free_edges):
-            key = (forced_boundary(assign, depth), moved)
-            if best is None or key < best:
-                best, best_assign = key, tuple(assign)
-            return
-        if best is not None and (forced_boundary(assign, depth), moved) > best:
-            return
-        for j in options[depth]:
-            assign[depth] = j
-            search(depth + 1, moved + (j is not None))
-        assign[depth] = None
-
-    search(0, 0)
-    f_masks = [0] * len(children)
-    for e, j in zip(free_edges, best_assign):
-        if j is not None:
+    for size in range(len(open_labels) + 1):
+        feasible = [comps for split in itertools.combinations(open_labels, size)
+                    if (comps := components(bitmask(open_labels) & ~bitmask(split))) is not None]
+        if feasible:
+            break
+    # Components own disjoint free edges, so each picks its least label.
+    vectors = []
+    for comps in feasible:
+        assign = dict.fromkeys(free_edges, -1)
+        for edges, labels in comps:
+            ids = g.edge_ids(edges)
+            assign.update(zip(ids, min((tuple(-1 if own[e] == i else i - offset for e in ids)
+                                        for i in bit_indices(labels)), key=key)))
+        vectors.append(tuple(assign.values()))
+    f_masks, f_union = [0] * len(children), 0
+    for e, j in zip(free_edges, min(vectors, key=key)):
+        if j >= 0:
             f_masks[j] |= 1 << e
-    f_union = 0
-    for m in f_masks:
-        f_union |= m
+            f_union |= 1 << e
     f_star = tuple((m | f_union) & ~fj for m, fj in zip(m_free, f_masks))
-    return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, best[0])
+    return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, always + size)
 
 
 def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> StepState:
@@ -381,7 +383,6 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
 
 
 def iterate_steps(st: StrategyTree,
-                  free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
                   ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice | None]]:
     """Yield (node, state before, state after, choice) for every step.
 
@@ -396,14 +397,13 @@ def iterate_steps(st: StrategyTree,
     for node in st.ptd.tree.bfs_nodes():
         choice = None
         if st.ptd.tree.children[node]:
-            choice = choose_extensions(state, node, free_edge_cap)
+            choice = choose_extensions(state, node)
         after = apply_step(state, node, choice)
         yield node, state, after, choice
         state = after
 
 
 def run(st: StrategyTree, verify: bool = False,
-        free_edge_cap: int = DEFAULT_FREE_EDGE_CAP,
         trace: Callable[[str], None] | None = None) -> PreTreeDecomposition:
     """Exactify a strategy tree.
 
@@ -414,7 +414,7 @@ def run(st: StrategyTree, verify: bool = False,
     result = st.ptd
     g = st.ptd.host
     width0, sums0 = ptd_width(st.ptd), _path_sums(st.ptd)
-    for node, before, after, choice in iterate_steps(st, free_edge_cap):
+    for node, before, after, choice in iterate_steps(st):
         if verify:
             report = verify_step(before, after, st, width0=width0, sums0=sums0)
             if not report.ok:
@@ -456,8 +456,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
                         monotone_solver: bool = False,
                         fuzz_slack: int = 0, seed: int = 0,
                         verify: bool = False,
-                        budget: int | None = None,
-                        free_edge_cap: int = DEFAULT_FREE_EDGE_CAP) -> PipelineResult:
+                        budget: int | None = None) -> PipelineResult:
     """Solve the game on the closure, turn a winning strategy into a tree,
     exactify it, and convert to a tree decomposition of g.
 
@@ -484,7 +483,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
         bound = fz.placements_bound
         injected = fz.injected
     st = build(gc, sigma, GameConfig(k, bound))
-    exact = run(st, verify=verify, free_edge_cap=free_edge_cap)
+    exact = run(st, verify=verify)
     td = to_tree_decomposition(exact, g)
     report = validate_td(td)
     if not report.ok:

@@ -3,13 +3,15 @@
 Everything here works from first principles on tiny inputs and stays
 deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
-plain recursive minimax without memoization.  Two kinds of oracle are the
-exception.  The full-move game oracle reuses the library's statement of the
-rules (_macro_moves and _responses) and searches every legal move, where
+plain recursive minimax without memoization.  Three kinds of oracle are
+the exception.  The full-move game oracle reuses the library's statement of
+the rules (_macro_moves and _responses) and searches every legal move, where
 the solver leaves out the re-placements and, in the non-monotone variant,
-the moves that keep fewer cops than there is room for.  The exactification checks at the
-end reuse the library's blocks and boundaries but scan every node and edge,
-where the library looks only at what a step changed.
+the moves that keep fewer cops than there is room for.  The exactification
+checks reuse the library's blocks and boundaries but scan every node and
+edge, where the library looks only at what a step changed.  The extension
+oracle at the end branches on every free edge, where the library searches
+over which vertices may be split.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 
 from bdtw.game import _macro_moves, _part_of, _responses, initial_parts, is_capture_mask
 from bdtw.graphs import Graph, component_edge_masks, connected_components
-from bdtw.monotonize import StepState
+from bdtw.monotonize import ExtensionChoice, StepState
 from bdtw.pre_tree import (
     PreTreeDecomposition,
     is_exact_edge,
@@ -458,3 +460,101 @@ def verify_step_oracle(prev: StepState, next_state: StepState, original: Strateg
                 f"|U|={len(u_new)} exceeds |W|={len(w_gone)} at ancestor {t_star}",
             )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Free-edge extension search.  The library searches over which vertices may
+# be split; this is the edge-by-edge search it replaced, and the reference
+# its choice must equal.
+
+def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
+    """choose_extensions by branch and bound over the free edges.
+
+    Each free edge in turn stays or moves into one child for which it is
+    free (stay first, then children ascending); a branch is cut when the
+    boundary its decided edges already force, with its moved count, is
+    worse than the best complete assignment.  The first best assignment
+    found is the least in (boundary, moved, assignment vector).  Its cost
+    grows with the free-edge count, not the vertex count.
+    """
+    g = state.ptd.host
+    tree = state.ptd.tree
+    cones = state.ptd.cones
+    children = tree.children[node]
+    full = g.full_mask
+    m_free = [full & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
+    free_union = 0
+    for m in m_free:
+        free_union |= m
+    free_edges = list(g.edge_ids(free_union))
+
+    neighbors = tree.neighbors(node)
+    child_block_index = {c: neighbors.index(c) for c in children}
+    blocks0 = [cones[(node, u)] for u in neighbors]
+    block_of_edge: dict[int, int] = {}
+    for bi, b in enumerate(blocks0):
+        for e in g.edge_ids(b):
+            block_of_edge[e] = bi
+    options = [
+        [None] + [j for j, m in enumerate(m_free) if m >> e & 1] for e in free_edges
+    ]
+
+    def forced_boundary(assign: list[int | None], depth: int) -> int:
+        # Vertices already split between two decided blocks stay boundary
+        # no matter how the remaining free edges are assigned.
+        blocks = list(blocks0)
+        undecided = 0
+        for idx, e in enumerate(free_edges):
+            bit = 1 << e
+            if idx < depth:
+                j = assign[idx]
+                if j is not None:
+                    src = block_of_edge.get(e)
+                    if src is not None:
+                        blocks[src] &= ~bit
+                    blocks[child_block_index[children[j]]] |= bit
+            else:
+                undecided |= bit
+                src = block_of_edge.get(e)
+                if src is not None:
+                    blocks[src] &= ~bit
+        count = 0
+        for v in g.vertices:
+            inc = g.incident_mask(v) & ~undecided
+            hit = 0
+            for b in blocks:
+                if inc & b:
+                    hit += 1
+                    if hit == 2:
+                        count += 1
+                        break
+        return count
+
+    assign: list[int | None] = [None] * len(free_edges)
+    best: tuple[int, int] | None = None  # (boundary, moved) of best_assign
+    best_assign: tuple[int | None, ...] = ()
+
+    def search(depth: int, moved: int) -> None:
+        nonlocal best, best_assign
+        if depth == len(free_edges):
+            key = (forced_boundary(assign, depth), moved)
+            if best is None or key < best:
+                best, best_assign = key, tuple(assign)
+            return
+        if best is not None and (forced_boundary(assign, depth), moved) > best:
+            return
+        for j in options[depth]:
+            assign[depth] = j
+            search(depth + 1, moved + (j is not None))
+        assign[depth] = None
+
+    search(0, 0)
+    f_masks = [0] * len(children)
+    for e, j in zip(free_edges, best_assign):
+        if j is not None:
+            f_masks[j] |= 1 << e
+    f_union = 0
+    for m in f_masks:
+        f_union |= m
+    f_star = tuple((m | f_union) & ~fj for m, fj in zip(m_free, f_masks))
+    return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, best[0])

@@ -144,7 +144,7 @@ class TestProcessLevel:
 
     @pytest.mark.parametrize("option, value", [
         ("--slack", "-1"), ("--seeds", "0"), ("--seeds", "-2"), ("--max-n", "0"),
-        ("--seeds", "two"),
+        ("--seeds", "two"), ("--k", "3-1"), ("--k", "x"), ("--k", "0-2"),
     ])
     def test_fuzz_campaign_script_rejects_bad_counts(self, option, value):
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_fuzz.py"

@@ -5,7 +5,7 @@ import pytest
 
 from bdtw.corpus import named_graph
 from bdtw.errors import BudgetExceededError, ConsistencyError
-from bdtw.game import GameConfig, solve
+from bdtw.game import GameConfig, minimum_placements, solve
 from bdtw.graphs import Graph, boundary, closure
 from bdtw.monotonize import (
     ExtensionChoice,
@@ -29,7 +29,7 @@ from bdtw.pre_tree import (
 )
 from bdtw.strategy_tree import build
 from bdtw.tree_decomp import td_depth, td_width, validate_td
-from oracles import validate_ptd_oracle, verify_step_oracle
+from oracles import extension_oracle, validate_ptd_oracle, verify_step_oracle
 from test_strategy_tree import solved_tree
 
 
@@ -106,17 +106,28 @@ class TestChooseExtensions:
                 assert choose_extensions(state, node).f_union == 0
 
     def test_matches_oracle_on_fuzzed_trees(self):
-        for name, k, q, seed in [("E1", 2, 2, 5), ("P3", 2, 2, 5), ("K3", 3, 3, 1)]:
-            st, _, _ = solved_tree(named_graph(name), k, q, fuzz=1, seed=seed)
+        # Small trees against the brute force as well; 7-9-vertex closures
+        # at slack 0-8 against the edge search only.
+        cases = [(named_graph(name), k, q, 1, seed, True)
+                 for name, k, q, seed in [("E1", 2, 2, 5), ("P3", 2, 2, 5), ("K3", 3, 3, 1)]]
+        rng = random.Random(5)
+        for slack, n in itertools.product(range(9), (7, 8, 9)):
+            g = Graph(n, rng.sample(list(itertools.combinations(range(n), 2)), 2 * n))
+            k, q = next((k, q) for k in (3, 4, 5)
+                        if (q := minimum_placements(closure(g), k, False, 7)))
+            cases.append((g, k, q, slack, slack, False))
+        for g, k, q, slack, seed, brute in cases:
+            st, _, _ = solved_tree(g, k, q, fuzz=slack, seed=seed)
             state = StepState(st.ptd, ())
             for node in st.ptd.tree.bfs_nodes():
                 if not st.ptd.tree.children[node]:
                     choice = None
                 else:
                     choice = choose_extensions(state, node)
-                    want_b, want_moved = assignment_oracle(state, node)
-                    got_moved = bin(choice.f_union).count("1")
-                    assert (choice.boundary_size, got_moved) == (want_b, want_moved)
+                    assert choice == extension_oracle(state, node), (g, k, slack, node)
+                    if brute:
+                        got_moved = bin(choice.f_union).count("1")
+                        assert (choice.boundary_size, got_moved) == assignment_oracle(state, node)
                 state = apply_step(state, node, choice)
 
     def test_stay_beats_moving_on_ties(self, e1c):
@@ -151,6 +162,25 @@ class TestChooseExtensions:
         assert is_exact(exact)
         assert exact.cone(4, 1) == full & ~0b100
 
+    def test_equal_moves_prefer_the_least_assignment_vector(self):
+        # Path u-v-w; at node 1, uv lies in child 2's block and is free for
+        # child 3, vw the other way round.  Either block for all of u, v, w
+        # gives boundary 0 with one move; keeping uv (the first edge) in
+        # place is the lexicographically least assignment.
+        from bdtw.tree_decomp import RootedTree
+
+        g = Graph(3, [(0, 1), (1, 2)])
+        tree = RootedTree([0, 0, 1, 1])
+        cones = {(0, 1): 0b11, (1, 0): 0, (1, 2): 0b01, (2, 1): 0, (1, 3): 0b10, (3, 1): 0}
+        bags = (frozenset(), frozenset({1}), frozenset({0, 1}), frozenset({1, 2}))
+        ptd = PreTreeDecomposition(tree, g, bags, cones)
+        assert validate_ptd(ptd).ok
+        state = StepState(ptd, ())
+        state = apply_step(state, 0, choose_extensions(state, 0))
+        choice = choose_extensions(state, 1)
+        assert (choice.f, choice.boundary_size) == ((0b10, 0), 0)
+        assert choice == extension_oracle(state, 1)
+
     def test_nonexact_node_boundary_within_bag(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2, fuzz=1, seed=3)
         state = StepState(st.ptd, ())
@@ -162,13 +192,25 @@ class TestChooseExtensions:
             assert choice.boundary_size <= len(state.ptd.bags[node])
             state = apply_step(state, node, choice)
 
-    def test_free_edge_cap(self):
-        st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
-        state = StepState(st.ptd, ())
-        order = st.ptd.tree.bfs_nodes()
-        state = apply_step(state, order[0], choose_extensions(state, order[0]))
-        with pytest.raises(BudgetExceededError):
-            choose_extensions(state, order[1], free_edge_cap=0)
+    def test_more_than_twenty_free_edges(self):
+        # Node 7 and four others have 21 free edges.  The pipeline must
+        # complete, and each of their choices must equal the edge search's.
+        g = Graph(9, [(0, 5), (0, 6), (0, 8), (1, 3), (1, 5), (1, 8), (2, 4), (2, 6),
+                      (3, 4), (3, 7), (4, 5), (4, 8), (5, 7)])
+        r = monotonize_pipeline(g, 4, 7, fuzz_slack=8, seed=2, verify=True)
+        assert r.member
+        assert td_width(r.td) <= 3
+        assert td_depth(r.td) <= r.placements_bound
+        st = r.strategy_tree
+        crowded = []
+        for node, before, _after, choice in iterate_steps(st):
+            cones = before.ptd.cones
+            free = sum_masks(st.ptd.host.full_mask & ~(cones[(node, c)] | cones[(c, node)])
+                             for c in st.ptd.tree.children[node])
+            if bin(free).count("1") > 20:
+                crowded.append(node)
+                assert choice == extension_oracle(before, node)
+        assert 7 in crowded
 
 
 class TestApplySteps:

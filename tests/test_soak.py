@@ -86,6 +86,27 @@ def test_pipeline_soak():
     assert pipelines >= 150
 
 
+def test_dense_fuzz_pipeline_soak():
+    # Slack 25 on dense 9-vertex closures puts more than 20 free edges at
+    # some nodes; every pipeline must still complete within its bounds.
+    rng = random.Random(909)
+    pairs = list(itertools.combinations(range(9), 2))
+    pipelines = 0
+    for trial in range(8):
+        g = Graph(9, rng.sample(pairs, rng.randint(12, 20)))
+        k = rng.randint(3, 5)
+        cost = minimum_placements(closure(g), k, False, 7)
+        if cost is None:
+            continue
+        r = monotonize_pipeline(g, k, cost, fuzz_slack=25, seed=trial, verify=True)
+        assert validate_td(r.td).ok
+        assert td_width(r.td) <= k - 1
+        assert td_depth(r.td) <= r.placements_bound
+        assert check_branching_depth_bound(r.exact_ptd, r.strategy_tree)
+        pipelines += 1
+    assert pipelines >= 5
+
+
 def test_robber_certificate_soak():
     rng = random.Random(2025)
     survived = 0
