@@ -19,7 +19,6 @@ from .graphs import (
     boundary,
     closure,
     connected_components,
-    incident_edges,
     loads_graph,
     read_graph,
     write_graph,
@@ -60,17 +59,12 @@ from .pre_tree import (
 )
 from .game import (
     GameConfig,
-    GamePosition,
     SolveResult,
     Strategy,
-    is_capture,
-    legal_cop_moves,
-    legal_robber_responses,
     minimum_placements,
     replay_cop_strategy,
     solve,
     variant_costs,
-    winners_agree,
 )
 from .strategy_tree import (
     StrategyTree,

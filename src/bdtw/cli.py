@@ -12,23 +12,24 @@ errors such as unreadable files or exhausted search budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
 import time
 
 from . import __version__
-from .corpus import parse_corpus_spec
+from .corpus import corpus_instances
 from .errors import BdtwError
 from .game import (
     GameConfig,
     Strategy,
     _Solver,
+    _macro_moves,
+    _part_of,
+    _responses,
     format_round,
     initial_parts,
-    legal_cop_moves,
-    legal_robber_responses,
-    GamePosition,
     minimum_placements,
     solve,
     variant_costs,
@@ -64,8 +65,8 @@ def _load_graph(path: str) -> Graph:
         return read_graph(f)
 
 
-def _fmt_set(vs) -> str:
-    return "{" + ",".join(str(v) for v in sorted(vs)) + "}"
+def _fmt_set(x_mask: int) -> str:
+    return "{" + ",".join(str(v) for v in bit_indices(x_mask)) + "}"
 
 
 def cmd_decide(args) -> int:
@@ -109,11 +110,11 @@ def cmd_solve(args) -> int:
     print(f"positions: {result.position_count}")
     if args.strategy_out and isinstance(result.strategy, Strategy):
         with open(args.strategy_out, "w") as f:
-            for (cops, part), nxt in sorted(
-                result.strategy.moves.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
+            for (x_mask, part), nxt in sorted(
+                result.strategy.moves.items(), key=lambda kv: (bit_indices(kv[0][0]), kv[0][1])
             ):
                 part_ids = ",".join(str(e) for e in g.edge_ids(part))
-                f.write(f"({_fmt_set(cops)} | {{{part_ids}}}) -> {_fmt_set(nxt)}\n")
+                f.write(f"({_fmt_set(x_mask)} | {{{part_ids}}}) -> {_fmt_set(nxt)}\n")
         print(f"strategy dump written to {args.strategy_out}")
     elif args.strategy_out:
         print(f"no strategy written to {args.strategy_out}: the robber wins", file=sys.stderr)
@@ -201,8 +202,7 @@ def cmd_equivalence(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instances = []
     for spec_text in args.corpus:
-        spec = parse_corpus_spec(spec_text)
-        instances.extend(spec.instances())
+        instances.extend(corpus_instances(spec_text))
     ks = _parse_range(args.k)
     qs = _parse_range(args.q)
     q_max = max(qs)
@@ -265,30 +265,27 @@ def cmd_play(args) -> int:
         part = solver.robber_move(0, starts, cfg.q)
         emit(f"robber starts in {g.format_edges(part)}")
 
-    cops: frozenset[int] = frozenset()
+    x_mask = 0
     used = 0
     while True:
-        emit(format_round(g, used, cops, used, part))
+        emit(format_round(g, used, x_mask, used, part))
         if used >= cfg.q:
             emit("placements exhausted: robber wins")
             break
-        x_mask = bitmask(cops)
         if args.side == "cop":
             emit("your move: 'place <v> [remove <v...>]' or 'quit'")
-            new_cops = _read_cop_move(stdin, emit, cops,
-                                      legal_cop_moves(g, cfg, GamePosition(cops, part, used)))
-            if new_cops is None:
+            new_mask = _read_cop_move(stdin, emit, g.n, x_mask,
+                                      _macro_moves(g, cfg.k, cfg.monotone, x_mask, part))
+            if new_mask is None:
                 emit("session ended")
                 break
-            new_mask = bitmask(new_cops)
         else:
             new_mask = solver.cop_move(x_mask, part, cfg.q - used)
-            new_cops = frozenset(bit_indices(new_mask))
-            emit(f"cops move to {_fmt_set(new_cops)}")
+            emit(f"cops move to {_fmt_set(new_mask)}")
         live = solver._live(x_mask, part, new_mask)
         if not live:
-            part = legal_robber_responses(g, GamePosition(cops, part, used), new_cops)[0]
-            emit(format_round(g, used + 1, new_cops, used + 1, part))
+            part = _responses(g, new_mask, _part_of(g, x_mask & new_mask, part))[0]
+            emit(format_round(g, used + 1, new_mask, used + 1, part))
             emit("captured: cops win")
             break
         if args.side == "robber":
@@ -299,7 +296,7 @@ def cmd_play(args) -> int:
         else:
             part = solver.robber_move(new_mask, live, cfg.q - used - 1)
             emit(f"robber moves to {g.format_edges(part)}")
-        cops = new_cops
+        x_mask = new_mask
         used += 1
     return _write_log(args, log_lines)
 
@@ -322,7 +319,10 @@ def _read_index(stdin, emit, n: int) -> int:
         emit(f"enter a number in 0..{n - 1}")
 
 
-def _read_cop_move(stdin, emit, cops, moves) -> frozenset[int] | None:
+def _read_cop_move(stdin, emit, n: int, x_mask: int, moves: list[int]) -> int | None:
+    """The next legal cop set typed as a move from x_mask, or None on 'quit'.
+    Removing a vertex that holds no cop is ignored; placing one outside
+    0..n-1 is illegal."""
     legal = set(moves)
     while True:
         raw = stdin.readline()
@@ -337,78 +337,74 @@ def _read_cop_move(stdin, emit, cops, moves) -> frozenset[int] | None:
         if move is None:
             emit("could not parse; use 'place <v> [remove <v...>]'")
             continue
-        removed = {int(t) for t in (move[2] or "").split()}
-        candidate = frozenset((set(cops) - removed) | {int(move[1])})
+        placed = int(move[1])
+        removed = bitmask(v for v in map(int, (move[2] or "").split()) if v < n)
+        candidate = x_mask & ~removed | 1 << placed if placed < n else None
         if candidate in legal:
             return candidate
         emit("illegal move, try again")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bdtw",
         description="bounded-depth treewidth via the placement-limited cops-and-robber game",
     )
     parser.add_argument("--version", action="version", version=f"bdtw {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("graph")
+    game.add_argument("--k", type=int, required=True)
+    game.add_argument("--q", type=int, required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int)
 
-    p = sub.add_parser("decide", help="decide membership, optionally with a certificate")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("decide", parents=[game, budget],
+                       help="decide membership, optionally with a certificate")
     p.add_argument("--certificate", metavar="FILE")
     p.add_argument("--via-nonmonotone", action="store_true",
                    help="certify through the non-monotone solver plus exactification")
     p.add_argument("--verify", action="store_true", help="re-check every construction step")
     p.add_argument("--format", choices=["td", "ptd"], help="certificate format (default td)")
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("solve", help="solve one game instance")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("solve", parents=[game, budget], help="solve one game instance")
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--closure", action="store_true", help="play on the closure graph")
     p.add_argument("--strategy-out", metavar="FILE")
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("monotonize", help="exactify a strategy-tree file")
     p.add_argument("tree")
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_monotonize)
 
     p = sub.add_parser("verify", help="validate a decomposition artifact")
     p.add_argument("artifact")
     p.add_argument("--graph", metavar="FILE", help="host graph for .td artifacts")
     p.add_argument("--type", choices=["td", "ptd", "st", "auto"], default="auto")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("equivalence", help="check the game variants agree over a corpus")
+    p = sub.add_parser("equivalence", parents=[budget],
+                       help="check the game variants agree over a corpus")
     p.add_argument("--corpus", action="append", required=True,
                    help="e.g. all-graphs:3, paths:2-5, named:K4,C5 (repeatable)")
     p.add_argument("--k", required=True, help="value or range, e.g. 1-3")
     p.add_argument("--q", required=True, help="value or range, e.g. 1-5")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_equivalence)
 
-    p = sub.add_parser("play", help="play one side against the solver")
-    p.add_argument("graph")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p = sub.add_parser("play", parents=[game, budget], help="play one side against the solver")
     p.add_argument("--as", dest="side", choices=["robber", "cop"], required=True)
     p.add_argument("--closure", action="store_true")
     p.add_argument("--log", metavar="FILE")
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_play)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, like the module's other globals, so that the
+        # cached parser does not pin the command functions.
+        return globals()[f"cmd_{args.command}"](args)
     except (BdtwError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

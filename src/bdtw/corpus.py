@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import Callable
 
 from .graphs import Graph
 
@@ -74,66 +74,56 @@ def named_graph(name: str) -> Graph:
         raise ValueError(f"unknown graph name {name!r}; known: {sorted(NAMED)}") from None
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """A parsed corpus description, e.g. 'all-graphs:3', 'paths:2-5',
-    'cycles:3-6', 'stars:3-5', 'complete:2-4', 'grids:2x2-2x3'."""
-
-    family: str
-    params: tuple
-
-    def instances(self) -> list[tuple[str, Graph]]:
-        fam, params = self.family, self.params
-        out: list[tuple[str, Graph]] = []
-        if fam == "all-graphs":
-            (n,) = params
-            for i, g in enumerate(all_graphs(n)):
-                out.append((f"all-graphs-{n}#{i}", g))
-        elif fam == "named":
-            for name in params:
-                out.append((name, named_graph(name)))
-        else:
-            makers = {
-                "paths": path_graph,
-                "cycles": cycle_graph,
-                "stars": star_graph,
-                "complete": complete_graph,
-            }
-            if fam in makers:
-                lo, hi = params
-                for n in range(lo, hi + 1):
-                    out.append((f"{fam}-{n}", makers[fam](n)))
-            elif fam == "grids":
-                (dims,) = params
-                for r, c in dims:
-                    out.append((f"grid-{r}x{c}", grid_graph(r, c)))
-            else:
-                raise ValueError(f"unknown corpus family {fam!r}")
-        return out
+def _sizes(arg: str) -> range:
+    """A size 'n' or a nonempty range 'lo-hi'."""
+    lo, dash, hi = arg.partition("-")
+    sizes = range(int(lo), int(hi if dash else lo) + 1)
+    if not sizes:
+        raise ValueError(f"corpus range {arg!r} is empty")
+    return sizes
 
 
-def parse_corpus_spec(text: str) -> CorpusSpec:
+def _sized(family: str, maker: Callable[[int], Graph]) -> Callable[[str], list[tuple[str, Graph]]]:
+    return lambda arg: [(f"{family}-{n}", maker(n)) for n in _sizes(arg)]
+
+
+def _all_graphs(arg: str) -> list[tuple[str, Graph]]:
+    n = int(arg)
+    return [(f"all-graphs-{n}#{i}", g) for i, g in enumerate(all_graphs(n))]
+
+
+def _grids(arg: str) -> list[tuple[str, Graph]]:
+    out = []
+    for chunk in arg.split(","):
+        r, _, c = chunk.partition("x")
+        r, c = int(r), int(c)
+        out.append((f"grid-{r}x{c}", grid_graph(r, c)))
+    return out
+
+
+# Corpus family -> a function from the spec's argument to (name, graph) pairs.
+FAMILIES: dict[str, Callable[[str], list[tuple[str, Graph]]]] = {
+    "all-graphs": _all_graphs,
+    "named": lambda arg: [(name.strip(), named_graph(name.strip())) for name in arg.split(",")],
+    "paths": _sized("paths", path_graph),
+    "cycles": _sized("cycles", cycle_graph),
+    "stars": _sized("stars", star_graph),
+    "complete": _sized("complete", complete_graph),
+    "grids": _grids,
+}
+
+
+def corpus_instances(text: str) -> list[tuple[str, Graph]]:
+    """The (name, graph) pairs of a corpus spec: 'family:argument', e.g.
+    'all-graphs:3', 'named:K4,C5', 'paths:2-5', 'cycles:3-6', 'stars:3-5',
+    'complete:2-4', 'grids:2x2,2x3', or a bare graph name.  Raises
+    ValueError for an unknown family or graph and for an empty range."""
     if ":" not in text:
         if text in NAMED:
-            return CorpusSpec("named", (text,))
+            return [(text, named_graph(text))]
         raise ValueError(f"corpus spec {text!r} needs 'family:params' or a graph name")
     family, _, arg = text.partition(":")
     family = family.strip()
-    arg = arg.strip()
-    if family == "all-graphs":
-        return CorpusSpec(family, (int(arg),))
-    if family == "named":
-        return CorpusSpec(family, tuple(s.strip() for s in arg.split(",")))
-    if family == "grids":
-        dims = []
-        for chunk in arg.split(","):
-            r, _, c = chunk.partition("x")
-            dims.append((int(r), int(c)))
-        return CorpusSpec(family, (tuple(dims),))
-    if family in ("paths", "cycles", "stars", "complete"):
-        lo, dash, hi = arg.partition("-")
-        lo, hi = int(lo), int(hi if dash else lo)
-        if lo > hi:
-            raise ValueError(f"corpus range {arg!r} is empty")
-        return CorpusSpec(family, (lo, hi))
-    raise ValueError(f"unknown corpus family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown corpus family {family!r}")
+    return FAMILIES[family](arg.strip())

@@ -8,7 +8,9 @@ not in X \\ R, which increments the placement counter.  Pure removals are
 not offered as turns: they can never capture and any removal folds into the
 next placement, which keeps the search well-founded on the counter.  In the
 monotone variant a macro-move is legal only if the robber part does not grow
-at its removal stage.  _macro_moves is the one statement of these rules.
+at its removal stage.  Cop sets are vertex masks and parts edge masks
+throughout; _macro_moves, _responses and is_capture_mask are the one
+statement of these rules, which play, replay and the tests call directly.
 
 The solver searches only the fresh moves, those that place v outside X.  A
 re-placement, a move from (X, p) to some m inside X (the pass m = X
@@ -60,7 +62,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, bit_indices, bitmask, closure, part_table
+from .graphs import Graph, bit_indices, closure, part_table
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -76,25 +78,19 @@ class GameConfig:
             raise ValueError("k and q must be at least 1")
 
 
-@dataclass(frozen=True)
-class GamePosition:
-    cops: frozenset[int]
-    robber: int
-    placements_used: int
-
-
 @dataclass
 class Strategy:
-    """A positional cop strategy: (cop set, robber part mask) -> next cop set."""
+    """A positional cop strategy: (cop set, robber part) -> next cop set,
+    each a mask (vertices for cop sets, edges for parts)."""
 
-    moves: dict[tuple[frozenset[int], int], frozenset[int]] = field(default_factory=dict)
+    moves: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def next_cops(self, cops: frozenset[int], robber: int) -> frozenset[int]:
+    def next_cops(self, x_mask: int, p_mask: int) -> int:
         try:
-            return self.moves[(cops, robber)]
+            return self.moves[(x_mask, p_mask)]
         except KeyError:
             raise StrategyError(
-                f"strategy undefined at cops={sorted(cops)} part={robber:#x}"
+                f"strategy undefined at cops={list(bit_indices(x_mask))} part={p_mask:#x}"
             ) from None
 
     def __len__(self) -> int:
@@ -135,32 +131,12 @@ def _responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
     return tuple(q for q in part_table(g, new_mask).masks if q and q & ~stage_part == 0)
 
 
-def legal_cop_moves(g: Graph, cfg: GameConfig, pos: GamePosition) -> list[frozenset[int]]:
-    """All cop sets reachable by one macro-move, or [] once placements run out."""
-    if pos.placements_used >= cfg.q:
-        return []
-    moves = _macro_moves(g, cfg.k, cfg.monotone, bitmask(pos.cops), pos.robber)
-    return [frozenset(bit_indices(m)) for m in moves]
-
-
-def legal_robber_responses(g: Graph, pos: GamePosition, new_cops: frozenset[int]) -> list[int]:
-    """Part masks under the new cop set the robber may occupy next."""
-    new_mask = bitmask(new_cops)
-    stage_part = _part_of(g, bitmask(pos.cops) & new_mask, pos.robber)
-    return list(_responses(g, new_mask, stage_part))
-
-
 def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
     """Whether the robber part is a single edge with all endpoints under cops."""
     if robber == 0 or robber & (robber - 1):
         return False
     u, v = g.endpoints(robber.bit_length() - 1)
     return bool(cops_mask >> u & 1) and bool(cops_mask >> v & 1)
-
-
-def is_capture(g: Graph, cops: frozenset[int], robber: int) -> bool:
-    """is_capture_mask for a cop set given as vertices."""
-    return is_capture_mask(g, bitmask(cops), robber)
 
 
 def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
@@ -381,13 +357,12 @@ class _Solver:
         stack = [(0, p) for p in sorted(initial_parts(self.g), reverse=True)]
         while stack:
             x_mask, p_mask = stack.pop()
-            key = (frozenset(bit_indices(x_mask)), p_mask)
-            if key in sigma.moves:
+            if (x_mask, p_mask) in sigma.moves:
                 continue
             if self.cost(x_mask, p_mask, q) is None:
                 raise StrategyError("position is not winnable within the placement bound")
             new_mask = self.cop_move(x_mask, p_mask, q)
-            sigma.moves[key] = frozenset(bit_indices(new_mask))
+            sigma.moves[(x_mask, p_mask)] = new_mask
             for qm in sorted(self._live(x_mask, p_mask, new_mask), reverse=True):
                 stack.append((new_mask, qm))
         return sigma
@@ -407,13 +382,11 @@ class RobberStrategy:
             raise StrategyError("cop player wins; there is no robber certificate")
         return p_mask
 
-    def respond(self, cops: frozenset[int], robber: int, placements_used: int,
-                new_cops: frozenset[int]) -> int:
-        """A surviving part after the given cop move."""
+    def respond(self, x_mask: int, p_mask: int, placements_used: int, new_mask: int) -> int:
+        """A surviving part after the cop move from (x_mask, p_mask) to new_mask."""
         s = self._solver
-        new_mask = bitmask(new_cops)
         left = self.q - placements_used - 1
-        q_mask = s.robber_move(new_mask, s._live(bitmask(cops), robber, new_mask), left)
+        q_mask = s.robber_move(new_mask, s._live(x_mask, p_mask, new_mask), left)
         if q_mask is None or s.win(new_mask, q_mask, left):
             raise StrategyError("no surviving response; position was already lost")
         return q_mask
@@ -464,11 +437,6 @@ def variant_costs(g: Graph, k: int, cap: int,
     )
 
 
-def winners_agree(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
-    """Whether all four game variants report the same winner of the q-game."""
-    return len({c is None for c in variant_costs(g, k, q, budget)}) == 1
-
-
 @dataclass
 class ReplayResult:
     wins: bool
@@ -476,12 +444,14 @@ class ReplayResult:
     escape: tuple | None  # a play the strategy fails to win, if any
 
 
-def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig,
-                        validate_moves: bool = True) -> ReplayResult:
+def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig) -> ReplayResult:
     """Play sigma against every robber behavior.
 
     Returns whether every play ends in capture within q placements, the
-    maximum placements any play needed, and an escaping play otherwise.
+    maximum placements any play needed, and an escaping play otherwise:
+    the steps ("start", 0, p), ("move", x, p, new, q) and a last
+    ("survived", x, p) or ("undefined", x, p), with cop sets as masks.
+    Raises StrategyError if sigma plays an illegal move.
     """
     memo: dict[tuple[int, int, int], int | None] = {}
 
@@ -490,21 +460,20 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig,
         key = (x_mask, p_mask, used)
         if key in memo:
             return memo[key], None
-        cops = frozenset(bit_indices(x_mask))
         if used >= cfg.q:
-            return None, tuple(trail + [("survived", cops, p_mask)])
+            return None, tuple(trail + [("survived", x_mask, p_mask)])
         try:
-            new_cops = sigma.next_cops(cops, p_mask)
+            new_mask = sigma.next_cops(x_mask, p_mask)
         except StrategyError:
-            return None, tuple(trail + [("undefined", cops, p_mask)])
-        new_mask = bitmask(new_cops)
-        if validate_moves and new_mask not in _macro_moves(g, cfg.k, cfg.monotone, x_mask, p_mask):
+            return None, tuple(trail + [("undefined", x_mask, p_mask)])
+        if new_mask not in _macro_moves(g, cfg.k, cfg.monotone, x_mask, p_mask):
             raise StrategyError(
-                f"illegal move {sorted(new_cops)} from cops={sorted(cops)} part={p_mask:#x}"
+                f"illegal move {list(bit_indices(new_mask))} from "
+                f"cops={list(bit_indices(x_mask))} part={p_mask:#x}"
             )
         worst = used + 1
         for q_mask in _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask)):
-            step = ("move", cops, p_mask, new_cops, q_mask)
+            step = ("move", x_mask, p_mask, new_mask, q_mask)
             sub, witness = walk(new_mask, q_mask, used + 1, trail + [step])
             if sub is None:
                 return None, witness
@@ -514,14 +483,14 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig,
 
     overall = 0
     for p_mask in initial_parts(g):
-        result, witness = walk(0, p_mask, 0, [("start", frozenset(), p_mask)])
+        result, witness = walk(0, p_mask, 0, [("start", 0, p_mask)])
         if result is None:
             return ReplayResult(False, cfg.q, witness)
         overall = max(overall, result)
     return ReplayResult(True, overall, None)
 
 
-def format_round(g: Graph, i: int, cops: frozenset[int], j: int, robber: int) -> str:
-    cop_str = "{" + ",".join(str(v) for v in sorted(cops)) + "}"
-    part_str = "{" + ",".join(str(e) for e in g.edge_ids(robber)) + "}"
+def format_round(g: Graph, i: int, x_mask: int, j: int, p_mask: int) -> str:
+    cop_str = "{" + ",".join(str(v) for v in bit_indices(x_mask)) + "}"
+    part_str = "{" + ",".join(str(e) for e in g.edge_ids(p_mask)) + "}"
     return f"round {i}: cops {cop_str} j={j} robber-part {part_str}"

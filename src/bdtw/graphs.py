@@ -152,13 +152,6 @@ def is_closure(g: Graph) -> bool:
     return all(g.has_edge(v, v) for v in g.vertices)
 
 
-def incident_edges(g: Graph, v: int) -> int:
-    """Bitmask of edges having v as an endpoint (including a loop at v)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} not in graph")
-    return g.incident_mask(v)
-
-
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by minimum vertex."""
     seen = [False] * g.n

@@ -89,9 +89,12 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
 
     An edge is free for a child when neither cone of that tree edge holds
     it; each free edge may move into at most one child for which it is
-    free.  Objectives, in order: minimum boundary of the resulting local
-    partition, minimum number of moved edges, lexicographically least
-    assignment vector (staying before moving, then children ascending).
+    free and which is not a leaf.  A leaf's cone from the node must stay a
+    single edge (PT2), so a leaf's free edges go to its cone toward the
+    node through f_star.  Objectives, in order: minimum boundary of the
+    resulting local partition, minimum number of moved edges,
+    lexicographically least assignment vector (staying before moving, then
+    children ascending).
 
     The node's blocks (its cones toward its neighbors) partition the edges;
     a free edge ends in its own block or a child's it is free for, the
@@ -119,7 +122,8 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     offset = len(neighbors) - len(children)
     blocks = [cones[(node, u)] for u in neighbors]
     own = {e: i for i, b in enumerate(blocks) for e in g.edge_ids(b & free)}
-    allowed = {e: 1 << own[e] | bitmask(j + offset for j, m in enumerate(m_free) if m >> e & 1)
+    targets = [m if tree.children[c] else 0 for c, m in zip(children, m_free)]
+    allowed = {e: 1 << own[e] | bitmask(j + offset for j, m in enumerate(targets) if m >> e & 1)
                for e in free_edges}
     always = 0
     open_labels: dict[int, int] = {}  # open vertex -> labels all its edges allow

@@ -35,10 +35,6 @@ class EdgePartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def edge_lists(self) -> list[list[int]]:
-        """Debug view: blocks as lists of edge ids."""
-        return [list(self.host.edge_ids(b)) for b in self.blocks]
-
 
 def f_extension(p: EdgePartition, block_index: int, f: int) -> EdgePartition:
     """Move the edges of f into the chosen block and out of every other."""

@@ -47,9 +47,6 @@ class PreTreeDecomposition:
     def cone(self, s: int, t: int) -> int:
         return self.cones[(s, t)]
 
-    def bag(self, t: int) -> frozenset[int]:
-        return self.bags[t]
-
 
 def local_blocks(ptd: PreTreeDecomposition, t: int) -> tuple[int, ...]:
     """Raw local blocks at t: cones toward neighbors (parent first); at a

@@ -25,7 +25,7 @@ from .game import (
     is_capture_mask,
     replay_cop_strategy,
 )
-from .graphs import Graph, bitmask, is_closure, part_table, vertices_of_mask
+from .graphs import Graph, bit_indices, bitmask, is_closure, part_table, vertices_of_mask
 from .pre_tree import (
     PreTreeDecomposition,
     _parse_ptd_lines,
@@ -59,33 +59,31 @@ class StrategyTree:
         return t in self.branching
 
 
-def _move_between(old: frozenset[int], new: frozenset[int]) -> Move:
-    added = new - old
-    if len(added) == 1:
-        return Move(tuple(sorted(old - new)), next(iter(added)))
+def _move_between(old: int, new: int) -> Move:
+    added = new & ~old
+    if added.bit_count() == 1:
+        return Move(bit_indices(old & ~new), added.bit_length() - 1)
     if not added and new:
         # The placement re-used a removed cop; pick the canonical realization.
-        placed = min(new)
-        return Move(tuple(sorted((old - new) | {placed})), placed)
-    raise StrategyError(f"{sorted(old)} -> {sorted(new)} is not a macro-move")
+        placed = (new & -new).bit_length() - 1
+        return Move(bit_indices(old & ~new | 1 << placed), placed)
+    raise StrategyError(
+        f"{list(bit_indices(old))} -> {list(bit_indices(new))} is not a macro-move")
 
 
-def build(g: Graph, sigma: Strategy, cfg: GameConfig,
-          max_placements: int | None = None) -> StrategyTree:
+def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     """Replay sigma from every initial robber component into a tree.
 
     The host must be a closure graph.  Raises if sigma is undefined on a
-    reached position, plays an illegal move, or fails to capture within the
-    placement cutoff (cfg.q unless max_placements overrides it); the error
-    carries the escaping play.
+    reached position, plays an illegal move, or fails to capture within
+    cfg.q placements; the error carries the escaping play.
     """
     if not is_closure(g):
         raise ValueError("strategy trees are built over closure graphs")
-    cutoff = cfg.q if max_placements is None else max_placements
     full = g.full_mask
 
     parent: list[int] = [0]
-    bags: list[frozenset[int]] = [frozenset()]
+    bags: list[int] = [0]  # cop-set masks, one frozenset bag per node at the end
     cones: dict[tuple[int, int], int] = {}
     move_log: dict[int, Move] = {}
     branching: set[int] = set()
@@ -95,41 +93,39 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
         if mask:
             child = len(parent)
             parent.append(0)
-            bags.append(frozenset())
+            bags.append(0)
             cones[(0, child)] = mask
             queue.append((child, 0, mask, 0))
 
-    def play_to(t: int) -> list[tuple[frozenset[int], int]]:
+    def play_to(t: int) -> list[tuple[list[int], int]]:
         steps = []
         while t != 0:
             s = parent[t]
-            steps.append((bags[s], cones[(s, t)]))
+            steps.append((list(bit_indices(bags[s])), cones[(s, t)]))
             t = s
         return list(reversed(steps))
 
     while queue:
         t, s, in_cone, used = queue.popleft()
-        cops_prev = bags[s]
-        x_mask = bitmask(cops_prev)
+        x_mask = bags[s]
         if is_capture_mask(g, x_mask, in_cone):
             u, v = g.endpoints(in_cone.bit_length() - 1)
-            bags[t] = frozenset((u, v))
+            bags[t] = 1 << u | 1 << v
             cones[(t, s)] = full & ~in_cone
             continue
-        if used >= cutoff:
+        if used >= cfg.q:
             raise StrategyError(
-                f"strategy does not capture within {cutoff} placements; "
+                f"strategy does not capture within {cfg.q} placements; "
                 f"escaping play: {play_to(t)}"
             )
-        new_cops = sigma.next_cops(cops_prev, in_cone)
-        new_mask = bitmask(new_cops)
+        new_mask = sigma.next_cops(x_mask, in_cone)
         if new_mask not in _macro_moves(g, cfg.k, False, x_mask, in_cone):
             raise StrategyError(
-                f"strategy plays illegal move {sorted(new_cops)} at cops="
-                f"{sorted(cops_prev)} part={g.format_edges(in_cone)}"
+                f"strategy plays illegal move {list(bit_indices(new_mask))} at cops="
+                f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
-        bags[t] = new_cops
-        move = _move_between(cops_prev, new_cops)
+        bags[t] = new_mask
+        move = _move_between(x_mask, new_mask)
         move_log[t] = move
         if move.placed in vertices_of_mask(g, in_cone):
             branching.add(t)
@@ -138,7 +134,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
             if mask & in_cone:
                 child = len(parent)
                 parent.append(t)
-                bags.append(frozenset())
+                bags.append(0)
                 cones[(t, child)] = mask
                 child_cones.append(mask)
                 queue.append((child, t, mask, used + 1))
@@ -148,7 +144,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig,
         cones[(t, s)] = full & ~union
 
     tree = RootedTree(parent)
-    ptd = PreTreeDecomposition(tree, g, tuple(bags), cones)
+    ptd = PreTreeDecomposition(tree, g, tuple(frozenset(bit_indices(m)) for m in bags), cones)
     return StrategyTree(ptd, frozenset(branching), move_log, sigma)
 
 
@@ -246,7 +242,7 @@ class FuzzResult:
     strategy: Strategy
     placements_bound: int  # the fuzzed strategy wins with this many placements
     injected: int
-    detour_keys: list[tuple[frozenset[int], int]] = field(default_factory=list)
+    detour_keys: list[tuple[int, int]] = field(default_factory=list)
 
 
 def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
@@ -267,42 +263,42 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
     rng = random.Random(seed)
     moves = dict(sigma.moves)
     injected = 0
-    detour_keys: list[tuple[frozenset[int], int]] = []
+    detour_keys: list[tuple[int, int]] = []
 
     for _ in range(slack):
         candidates = []
-        for (cops, part), target in moves.items():
-            if len(cops) >= cfg.k:
+        for (x_mask, part), target in moves.items():
+            if x_mask.bit_count() >= cfg.k:
                 continue
-            if (cops, part) in detour_keys:
+            if (x_mask, part) in detour_keys:
                 continue
-            if len(target - cops) != 1:
+            if (target & ~x_mask).bit_count() != 1:
                 continue  # detours assume a fresh-placement move to resume
-            if is_capture_mask(g, bitmask(cops), part):
+            if is_capture_mask(g, x_mask, part):
                 continue
-            free = sorted(vertices_of_mask(g, part) - cops - (target - cops))
+            taken = x_mask | target
+            free = [w for w in sorted(vertices_of_mask(g, part)) if not taken >> w & 1]
             incident = [
                 w for w in free
-                if any(u not in cops and u != w for u in _part_neighbors(g, part, w))
+                if any(not x_mask >> u & 1 and u != w for u in _part_neighbors(g, part, w))
             ]
             for w in incident or free:
-                candidates.append(((cops, part), target, w, w in incident))
+                candidates.append(((x_mask, part), target, w, w in incident))
         if not candidates:
             break
         # Prefer detours that will force a non-monotone edge.
-        candidates.sort(key=lambda c: (not c[3], sorted(c[0][0]), c[0][1], c[2]))
+        candidates.sort(key=lambda c: (not c[3], bit_indices(c[0][0]), c[0][1], c[2]))
         preferred = [c for c in candidates if c[3]] or candidates
         key, target, w, _inc = preferred[rng.randrange(len(preferred))]
-        cops, part = key
-        detour_cops = cops | {w}
-        detour_mask = bitmask(detour_cops)
+        x_mask, part = key
+        detour = x_mask | 1 << w
         # The detour removes no cop, so part itself is the removal-stage part.
-        responses = _live_responses(g, detour_mask, part)
-        if any((detour_cops, q) in moves for q in responses):
+        responses = _live_responses(g, detour, part)
+        if any((detour, q) in moves for q in responses):
             continue
-        moves[key] = detour_cops
+        moves[key] = detour
         for q in responses:
-            moves[(detour_cops, q)] = target
+            moves[(detour, q)] = target
         injected += 1
         detour_keys.append(key)
 

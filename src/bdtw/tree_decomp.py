@@ -63,9 +63,6 @@ class RootedTree:
     def nodes(self) -> range:
         return range(len(self.parent))
 
-    def is_leaf(self, t: int) -> bool:
-        return not self.children[t]
-
     def leaves(self) -> list[int]:
         return [t for t in self.nodes if not self.children[t]]
 
@@ -157,9 +154,6 @@ class TreeDecomposition:
     def __post_init__(self):
         if len(self.bags) != self.tree.size:
             raise ValueError("one bag per tree node required")
-
-    def bag(self, t: int) -> frozenset[int]:
-        return self.bags[t]
 
 
 def validate_td(td: TreeDecomposition) -> Report:

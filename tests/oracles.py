@@ -5,13 +5,15 @@ deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
 plain recursive minimax without memoization.  Three kinds of oracle are
 the exception.  The full-move game oracle reuses the library's statement of
-the rules (_macro_moves and _responses) and searches every legal move, where
-the solver leaves out the re-placements and, in the non-monotone variant,
-the moves that keep fewer cops than there is room for.  The exactification
+the rules (_macro_moves, _responses and is_capture_mask, on cop-set masks)
+and searches every legal move, where the solver leaves out the
+re-placements and, in the non-monotone variant, the moves that keep fewer
+cops than there is room for.  The exactification
 checks reuse the library's blocks and boundaries but scan every node and
 edge, where the library looks only at what a step changed.  The extension
 oracle at the end branches on every free edge, where the library searches
-over which vertices may be split.
+over which vertices may be split; both offer a free edge to internal
+children only.
 """
 
 from __future__ import annotations
@@ -471,7 +473,7 @@ def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
     """choose_extensions by branch and bound over the free edges.
 
     Each free edge in turn stays or moves into one child for which it is
-    free (stay first, then children ascending); a branch is cut when the
+    free and which is not a leaf (stay first, then children ascending); a branch is cut when the
     boundary its decided edges already force, with its moved count, is
     worse than the best complete assignment.  The first best assignment
     found is the least in (boundary, moved, assignment vector).  Its cost
@@ -496,7 +498,8 @@ def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
         for e in g.edge_ids(b):
             block_of_edge[e] = bi
     options = [
-        [None] + [j for j, m in enumerate(m_free) if m >> e & 1] for e in free_edges
+        [None] + [j for j, m in enumerate(m_free) if m >> e & 1 and tree.children[children[j]]]
+        for e in free_edges
     ]
 
     def forced_boundary(assign: list[int | None], depth: int) -> int:

@@ -5,8 +5,8 @@ import pytest
 
 from bdtw.cli import main
 from bdtw.game import GameConfig, solve
-from bdtw.graphs import Graph, dumps_graph
-from bdtw.corpus import named_graph
+from bdtw.graphs import Graph, bit_indices, dumps_graph
+from bdtw.corpus import corpus_instances, named_graph
 
 
 @pytest.fixture
@@ -169,6 +169,19 @@ class TestEquivalenceCmd:
         rc = main(["equivalence", "--corpus", "named:E1,K3", "--k", "2-3", "--q", "1-3"])
         assert rc == 0
 
+    def test_every_corpus_family(self, capsys):
+        specs = ["all-graphs:2", "named:E1, K3", "paths:2-3", "cycles:3-4", "stars:3",
+                 "complete:2-3", "grids:2x2,1x3", "P4"]
+        names = [name for spec in specs for name, _g in corpus_instances(spec)]
+        assert names == ["all-graphs-2#0", "all-graphs-2#1", "E1", "K3", "paths-2", "paths-3",
+                         "cycles-3", "cycles-4", "stars-3", "complete-2", "complete-3",
+                         "grid-2x2", "grid-1x3", "P4"]
+        argv = ["equivalence", "--k", "2", "--q", "1-2"]
+        for spec in specs:
+            argv += ["--corpus", spec]
+        assert main(argv) == 0
+        assert "instances: 14 " in capsys.readouterr().out
+
     def test_workers_capped_at_items(self, monkeypatch, capsys):
         import multiprocessing
 
@@ -207,6 +220,7 @@ class TestEquivalenceCmd:
     ["equivalence", "--corpus", "all-graphs:3", "--k", "3-1", "--q", "1-2"],
     ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "0"],
     ["equivalence", "--corpus", "paths:4-3", "--k", "1-2", "--q", "1-2"],
+    ["equivalence", "--corpus", "trees:3", "--k", "1", "--q", "1"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "0"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "-2"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--budget", "0"],
@@ -217,7 +231,7 @@ class TestEquivalenceCmd:
     ["solve", "E0", "--k", "1", "--q", "1", "--budget", "-1"],
     ["play", "K3", "--k", "3", "--q", "3", "--as", "cop", "--budget", "0"],
 ], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
-        "equivalence-corpus4-3", "equivalence-jobs0", "equivalence-jobs-2",
+        "equivalence-corpus4-3", "equivalence-unknown-family", "equivalence-jobs0", "equivalence-jobs-2",
         "equivalence-budget0", "decide-budget0", "decide-verify-alone",
         "decide-format-alone", "decide-format-without-certificate",
         "solve-edgeless-budget-1", "play-budget0"])
@@ -242,6 +256,31 @@ def test_bad_budget_variable_exits_two(value, message, graph_file, monkeypatch, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_repeated_calls_give_identical_outputs(graph_file, tmp_path, capsys):
+    # The argument parser is built once per process; no call may see state
+    # an earlier one left behind.
+    g = graph_file("P3")
+    cert = tmp_path / "out.td"
+    calls = [
+        ["decide", g, "--k", "2", "--q", "2", "--certificate", str(cert)],
+        ["solve", g, "--k", "2", "--q", "3", "--closure"],
+        ["decide", g, "--k", "0", "--q", "2"],
+        ["solve", g, "--q", "3"],
+    ]
+
+    def outputs(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejecting the call
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return rc, out, err, cert.read_text() if cert.exists() else None
+
+    first = [outputs(argv) for argv in calls]
+    assert [o[0] for o in first] == [0, 0, 2, 2]
+    assert [outputs(argv) for argv in calls] == first
 
 
 def test_internal_error_exits_two(graph_file, monkeypatch, capsys):
@@ -333,9 +372,9 @@ class TestPlayCmd:
             if nxt.startswith("cops move to "):
                 cops, part = re.fullmatch(
                     r"round \d+: cops \{(.*)\} j=\d+ robber-part \{(.*)\}", here).groups()
-                position = (frozenset(int(v) for v in cops.split(",") if v),
+                position = (sum(1 << int(v) for v in cops.split(",") if v),
                             sum(1 << int(e) for e in part.split(",")))
-                chosen = ",".join(str(v) for v in sorted(sigma.moves[position]))
+                chosen = ",".join(str(v) for v in bit_indices(sigma.moves[position]))
                 assert nxt == f"cops move to {{{chosen}}}"
                 moves += 1
         assert moves >= 2

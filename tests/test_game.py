@@ -7,21 +7,20 @@ from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, StrategyError
 from bdtw.game import (
     GameConfig,
-    GamePosition,
     RobberStrategy,
     Strategy,
     _Solver,
+    _macro_moves,
+    _part_of,
+    _responses,
     initial_parts,
-    is_capture,
     is_capture_mask,
-    legal_cop_moves,
-    legal_robber_responses,
     minimum_placements,
     replay_cop_strategy,
     solve,
-    winners_agree,
+    variant_costs,
 )
-from bdtw.graphs import Graph, bit_indices, bitmask, closure, part_table
+from bdtw.graphs import Graph, bit_indices, closure, part_table
 from conftest import small_graph_corpus
 from oracles import full_move_cost, full_move_min_placements, full_move_win, naive_cop_wins
 from strats import graphs
@@ -29,65 +28,57 @@ from strats import graphs
 
 class TestLegalCopMoves:
     def test_opening_moves(self, e1c):
-        pos = GamePosition(frozenset(), e1c.full_mask, 0)
-        moves = legal_cop_moves(e1c, GameConfig(2, 2), pos)
-        assert moves == [frozenset({0}), frozenset({1})]
-
-    def test_no_moves_when_placements_spent(self, e1c):
-        pos = GamePosition(frozenset({0}), e1c.mask_of([(0, 1), (1, 1)]), 2)
-        assert legal_cop_moves(e1c, GameConfig(2, 2), pos) == []
+        assert _macro_moves(e1c, 2, False, 0, e1c.full_mask) == [0b01, 0b10]
 
     def test_monotone_forbids_releasing_removal(self, p3c):
         part = p3c.mask_of([(0, 1), (0, 0)])
-        pos = GamePosition(frozenset({1}), part, 1)
-        free = legal_cop_moves(p3c, GameConfig(2, 6), pos)
-        mono = legal_cop_moves(p3c, GameConfig(2, 6, monotone=True), pos)
+        free = _macro_moves(p3c, 2, False, 0b010, part)
+        mono = _macro_moves(p3c, 2, True, 0b010, part)
         assert set(mono) <= set(free)
         # Removing the cop on b regrows the part, so any move dropping b is
         # out in monotone mode (except re-placing b itself).
-        assert frozenset({0}) in free
-        assert frozenset({0}) not in mono
-        assert frozenset({0, 1}) in mono
+        assert 0b001 in free
+        assert 0b001 not in mono
+        assert 0b011 in mono
 
     @given(graphs(max_n=4))
     @settings(max_examples=40)
     def test_monotone_subset_of_free(self, g):
         for part in initial_parts(g):
-            pos = GamePosition(frozenset(), part, 0)
-            free = legal_cop_moves(g, GameConfig(2, 3), pos)
-            mono = legal_cop_moves(g, GameConfig(2, 3, monotone=True), pos)
+            free = _macro_moves(g, 2, False, 0, part)
+            mono = _macro_moves(g, 2, True, 0, part)
             assert set(mono) <= set(free)
+
+
+def responses(g, x_mask, p_mask, new_mask):
+    """The robber's parts after the cop move from (x_mask, p_mask) to new_mask."""
+    return _responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
 
 
 class TestLegalRobberResponses:
     def test_split_after_placement(self, e1c):
-        pos = GamePosition(frozenset(), e1c.full_mask, 0)
-        responses = legal_robber_responses(e1c, pos, frozenset({0}))
-        assert sorted(responses) == sorted(
+        assert sorted(responses(e1c, 0, e1c.full_mask, 0b01)) == sorted(
             [e1c.mask_of([(0, 1), (1, 1)]), e1c.mask_of([(0, 0)])]
         )
 
     def test_unchanged_cops_keep_part(self, p3c):
         part = p3c.mask_of([(0, 1), (0, 0)])
-        pos = GamePosition(frozenset({1}), part, 1)
-        assert legal_robber_responses(p3c, pos, frozenset({1})) == [part]
+        assert responses(p3c, 0b010, part, 0b010) == (part,)
 
     def test_capture_only_responses(self, e1c):
         part = e1c.mask_of([(0, 1), (1, 1)])
-        pos = GamePosition(frozenset({0}), part, 1)
-        responses = legal_robber_responses(e1c, pos, frozenset({0, 1}))
-        assert all(is_capture(e1c, frozenset({0, 1}), p) for p in responses)
+        assert all(is_capture_mask(e1c, 0b11, p) for p in responses(e1c, 0b01, part, 0b11))
 
 
 class TestIsCapture:
     def test_edge_under_both_cops(self, e1c):
-        assert is_capture(e1c, frozenset({0, 1}), e1c.mask_of([(0, 1)]))
+        assert is_capture_mask(e1c, 0b11, e1c.mask_of([(0, 1)]))
 
     def test_loop_under_cop(self, e1c):
-        assert is_capture(e1c, frozenset({0}), e1c.mask_of([(0, 0)]))
+        assert is_capture_mask(e1c, 0b01, e1c.mask_of([(0, 0)]))
 
     def test_component_part_is_not(self, e1c):
-        assert not is_capture(e1c, frozenset({1}), e1c.mask_of([(0, 1), (0, 0)]))
+        assert not is_capture_mask(e1c, 0b10, e1c.mask_of([(0, 1), (0, 0)]))
 
 
 class TestSolve:
@@ -144,18 +135,17 @@ class TestStrategies:
         robber = res.strategy
         assert isinstance(robber, RobberStrategy)
 
-        def walk(cops, part, used):
+        def walk(x_mask, part, used):
             """Robber plays the certificate against every cop behavior."""
             if used >= q:
                 return
-            pos = GamePosition(cops, part, used)
-            for new_cops in legal_cop_moves(gc, GameConfig(2, q), pos):
-                choice = robber.respond(cops, part, used, new_cops)
-                assert not is_capture(gc, new_cops, choice)
-                walk(new_cops, choice, used + 1)
+            for new_mask in _macro_moves(gc, 2, False, x_mask, part):
+                choice = robber.respond(x_mask, part, used, new_mask)
+                assert not is_capture_mask(gc, new_mask, choice)
+                walk(new_mask, choice, used + 1)
 
         start = robber.initial_choice()
-        walk(frozenset(), start, 0)
+        walk(0, start, 0)
 
     def test_robber_certificate_refuses_a_cop_win(self, e1c):
         robber = RobberStrategy(_Solver(e1c, 2, False), 2)
@@ -167,26 +157,31 @@ class TestStrategies:
         # more placement (on 1), so no reply survives.
         robber = RobberStrategy(_Solver(e1c, 2, False), 2)
         with pytest.raises(StrategyError):
-            robber.respond(frozenset(), e1c.full_mask, 0, frozenset({0}))
+            robber.respond(0, e1c.full_mask, 0, 0b01)
 
     def test_strategy_undefined_raises(self, e1c):
         with pytest.raises(StrategyError):
-            Strategy().next_cops(frozenset(), e1c.full_mask)
+            Strategy().next_cops(0, e1c.full_mask)
+
+
+def variants_agree(g, k, q):
+    """Whether the four game variants name the same winner of the q-game."""
+    return len({c is None for c in variant_costs(g, k, q)}) == 1
 
 
 class TestWinnersAgree:
     def test_e1(self, e1):
-        assert winners_agree(e1, 2, 2)
-        assert winners_agree(e1, 1, 5)
+        assert variants_agree(e1, 2, 2)
+        assert variants_agree(e1, 1, 5)
 
     def test_k3(self, k3):
-        assert winners_agree(k3, 3, 3)
-        assert winners_agree(k3, 2, 4)
+        assert variants_agree(k3, 3, 3)
+        assert variants_agree(k3, 2, 4)
 
     def test_random_small(self):
         sample = all_graphs(4)[::7]
         for g in sample:
-            assert winners_agree(g, 2, 3)
+            assert variants_agree(g, 2, 3)
 
 
 class TestMonotonicityProperties:
@@ -297,11 +292,9 @@ class TestDominanceCut:
             for k in (2, 3, 4):
                 solver = _Solver(host, k, False)
                 solver.game_cost(5)
-                cfg = GameConfig(k, 5)
                 for x_mask, p_mask in list(solver._succ_cache):
-                    pos = GamePosition(frozenset(bit_indices(x_mask)), p_mask, 0)
                     full = sorted(
-                        (m for m in map(bitmask, legal_cop_moves(host, cfg, pos))
+                        (m for m in _macro_moves(host, k, False, x_mask, p_mask)
                          if m & ~x_mask),
                         key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
                     for left in range(1, 6):
@@ -405,20 +398,16 @@ class TestSolverWork:
                     for monotone in (False, True):
                         solver = _Solver(host, k, monotone)
                         solver.game_cost(4)
-                        cfg = GameConfig(k, 4, monotone)
                         for (x_mask, p_mask), succ in solver._succ_cache.items():
-                            pos = GamePosition(frozenset(bit_indices(x_mask)), p_mask, 0)
                             kept = min(x_mask.bit_count(), k - 1)
-                            fresh = [bitmask(c) for c in legal_cop_moves(host, cfg, pos)
-                                     if bitmask(c) & ~x_mask and (
-                                         monotone or (bitmask(c) & x_mask).bit_count() == kept)]
+                            fresh = [m for m in _macro_moves(host, k, monotone, x_mask, p_mask)
+                                     if m & ~x_mask and (
+                                         monotone or (m & x_mask).bit_count() == kept)]
                             fresh.sort(key=lambda m: (-(m & x_mask), m & ~x_mask))
-                            expected = []
-                            for m in fresh:
-                                cops = frozenset(bit_indices(m))
-                                expected.append((m, tuple(
-                                    q for q in legal_robber_responses(host, pos, cops)
-                                    if not is_capture(host, cops, q))))
+                            expected = [
+                                (m, tuple(q for q in responses(host, x_mask, p_mask, m)
+                                          if not is_capture_mask(host, m, q)))
+                                for m in fresh]
                             assert succ == expected
                             checked += 1
         assert checked > 500

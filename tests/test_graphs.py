@@ -14,7 +14,6 @@ from bdtw.graphs import (
     closure,
     connected_components,
     dumps_graph,
-    incident_edges,
     loads_graph,
     part_table,
     read_graph,
@@ -64,18 +63,18 @@ class TestClosure:
 
 class TestIncidentEdges:
     def test_path_middle(self, p3):
-        assert p3.edge_ids(incident_edges(p3, 1)) == (0, 1)
+        assert p3.edge_ids(p3.incident_mask(1)) == (0, 1)
 
     def test_closure_endpoint(self, p3c):
-        assert p3c.edge_ids(incident_edges(p3c, 0)) == (0, 2)
+        assert p3c.edge_ids(p3c.incident_mask(0)) == (0, 2)
 
     def test_isolated_vertex_empty(self):
         g = Graph(2, [(0, 0)])
-        assert incident_edges(g, 1) == 0
+        assert g.incident_mask(1) == 0
 
     def test_unknown_vertex(self, p3):
-        with pytest.raises(ValueError):
-            incident_edges(p3, 5)
+        with pytest.raises(IndexError):
+            p3.incident_mask(5)
 
 
 class TestConnectedComponents:

@@ -164,9 +164,33 @@ class TestChooseExtensions:
 
     def test_equal_moves_prefer_the_least_assignment_vector(self):
         # Path u-v-w; at node 1, uv lies in child 2's block and is free for
-        # child 3, vw the other way round.  Either block for all of u, v, w
+        # child 3, vw the other way round.  Both children are internal, so
+        # either may take a free edge.  Either block for all of u, v, w
         # gives boundary 0 with one move; keeping uv (the first edge) in
         # place is the lexicographically least assignment.
+        from bdtw.tree_decomp import RootedTree
+
+        g = Graph(3, [(0, 1), (1, 2)])
+        tree = RootedTree([0, 0, 1, 1, 2, 3, 2, 3])
+        cones = {(0, 1): 0b11, (1, 0): 0, (1, 2): 0b01, (2, 1): 0, (1, 3): 0b10, (3, 1): 0,
+                 (2, 4): 0b01, (4, 2): 0b10, (2, 6): 0b10, (6, 2): 0b01,
+                 (3, 5): 0b01, (5, 3): 0b10, (3, 7): 0b10, (7, 3): 0b01}
+        bags = (frozenset(),) + (frozenset({1}),) * 7
+        ptd = PreTreeDecomposition(tree, g, bags, cones)
+        assert validate_ptd(ptd).ok
+        state = StepState(ptd, ())
+        state = apply_step(state, 0, choose_extensions(state, 0))
+        choice = choose_extensions(state, 1)
+        assert (choice.f, choice.boundary_size) == ((0b10, 0), 0)
+        assert choice == extension_oracle(state, 1)
+
+    def test_leaf_child_is_never_a_target(self, tmp_path):
+        # The same node 1 with leaf children: moving vw into leaf 2, which
+        # already holds uv, would give it a two-edge cone (PT2).  The free
+        # edges go up the leaves' cones instead, and the boundary stays
+        # within the input bag.
+        from bdtw.cli import main
+        from bdtw.strategy_tree import StrategyTree, dumps_strategy_tree
         from bdtw.tree_decomp import RootedTree
 
         g = Graph(3, [(0, 1), (1, 2)])
@@ -178,8 +202,16 @@ class TestChooseExtensions:
         state = StepState(ptd, ())
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
-        assert (choice.f, choice.boundary_size) == ((0b10, 0), 0)
+        assert (choice.f, choice.f_star, choice.boundary_size) == ((0, 0), (0b10, 0b01), 1)
         assert choice == extension_oracle(state, 1)
+        st = StrategyTree(ptd, frozenset(), {})
+        exact = run(st, verify=True)
+        assert is_exact(exact)
+        assert ptd_width(exact) <= ptd_width(ptd)
+        assert ptd_depth(exact) <= ptd_depth(ptd)
+        path = tmp_path / "leaf.st"
+        path.write_text(dumps_strategy_tree(st))
+        assert main(["monotonize", str(path), "--verify"]) == 0
 
     def test_nonexact_node_boundary_within_bag(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2, fuzz=1, seed=3)

@@ -12,10 +12,9 @@ import random
 
 from bdtw.game import (
     GameConfig,
-    GamePosition,
     RobberStrategy,
-    is_capture,
-    legal_cop_moves,
+    _macro_moves,
+    is_capture_mask,
     minimum_placements,
     solve,
 )
@@ -122,17 +121,17 @@ def test_robber_certificate_soak():
         assert isinstance(robber, RobberStrategy)
         seen = set()
 
-        def walk(cops, part, used):
-            key = (cops, part, used)
+        def walk(x_mask, part, used):
+            key = (x_mask, part, used)
             if key in seen or used >= q:
                 return
             seen.add(key)
-            for new_cops in legal_cop_moves(g, cfg, GamePosition(cops, part, used)):
-                choice = robber.respond(cops, part, used, new_cops)
-                assert not is_capture(g, new_cops, choice)
-                walk(new_cops, choice, used + 1)
+            for new_mask in _macro_moves(g, k, False, x_mask, part):
+                choice = robber.respond(x_mask, part, used, new_mask)
+                assert not is_capture_mask(g, new_mask, choice)
+                walk(new_mask, choice, used + 1)
 
-        walk(frozenset(), robber.initial_choice(), 0)
+        walk(0, robber.initial_choice(), 0)
         survived += 1
     assert survived >= 40
 

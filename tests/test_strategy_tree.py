@@ -65,7 +65,7 @@ class TestBuild:
         # One looped vertex: the cop places onto it, then the robber is
         # caught; the loop cone hangs below the placement node.
         g = closure(Graph(1, []))
-        sigma = Strategy({(frozenset(), 0b1): frozenset({0})})
+        sigma = Strategy({(0, 0b1): 0b1})
         st = build(g, sigma, GameConfig(1, 1))
         assert st.ptd.tree.parent == (0, 0, 1)
         assert st.ptd.cone(0, 1) == 0b1
