@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fuzz campaign: perturb winning strategies with redundant detours, run the
 exactification with all per-step checks on, and summarize the results.
+The campaign covers every labeled graph on 1..--max-n vertices.
 
 Example:
     python3 scripts/run_pipeline_fuzz.py --max-n 4 --k 1-4 --slack 2 --seeds 3
@@ -55,7 +56,8 @@ def main():
     start = time.monotonic()
     runs = injected_runs = nonexact_edges = 0
     width_slack_total = depth_recovered = 0
-    for gi, g in enumerate(all_graphs(args.max_n)):
+    graphs = [g for n in range(1, args.max_n + 1) for g in all_graphs(n)]
+    for gi, g in enumerate(graphs):
         gc = closure(g)
         for k in args.k:
             cost = minimum_placements(gc, k, False, 8)

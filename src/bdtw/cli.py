@@ -308,14 +308,21 @@ def _write_log(args, lines: list[str]) -> int:
     return 0
 
 
+def _capped(digits: str, n: int) -> int:
+    """The value of a string of ASCII digits, or n if it is n or more; a
+    number too long for int() counts as out of range."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(n)) else n
+
+
 def _read_index(stdin, emit, n: int) -> int:
     while True:
         raw = stdin.readline()
         if not raw:
             raise BdtwError("input ended mid-session")
         token = raw.strip()
-        if re.fullmatch("[0-9]+", token) and int(token) < n:
-            return int(token)
+        if re.fullmatch("[0-9]+", token) and (index := _capped(token, n)) < n:
+            return index
         emit(f"enter a number in 0..{n - 1}")
 
 
@@ -337,8 +344,8 @@ def _read_cop_move(stdin, emit, n: int, x_mask: int, moves: list[int]) -> int | 
         if move is None:
             emit("could not parse; use 'place <v> [remove <v...>]'")
             continue
-        placed = int(move[1])
-        removed = bitmask(v for v in map(int, (move[2] or "").split()) if v < n)
+        placed = _capped(move[1], n)
+        removed = bitmask(v for v in (_capped(t, n) for t in (move[2] or "").split()) if v < n)
         candidate = x_mask & ~removed | 1 << placed if placed < n else None
         if candidate in legal:
             return candidate

@@ -1,10 +1,17 @@
-"""Finite graphs with self-loops and bitmask edge sets.
+"""Finite graphs with self-loops, and bitmask vertex and edge sets.
 
 Vertices are dense integers 0..n-1.  Edges are unordered pairs (u, v) with
 u == v allowed (self-loop); each edge has a stable id equal to its position
-in the edge tuple.  Every edge set in this package is an int bitmask over
-edge ids: bit e is set iff edge e belongs to the set.  All derived data is
-precomputed at construction, so Graph values are immutable and safe to share.
+in the edge tuple.  Every vertex set and every edge set in this package is
+an int bitmask: bit v (or bit e) is set iff vertex v (edge e) belongs to the
+set.  Vertex ids become lists only in the text formats and in messages.
+
+A Graph's vertices and edges are fixed at construction.  It also keeps
+three caches that the game solver fills as it runs: the part tables per cop
+set (`_part_cache`), the robber's responses per (cop set, part)
+(`_resp_cache`) and, per k, the bounds of the latest non-monotone solver
+(`_lost`).  Each holds facts about the graph itself (the bounds per k), so
+no cache changes an answer, and a Graph is safe to share.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from .errors import FormatError
 class Graph:
     """An undirected graph, simple apart from self-loops."""
 
-    __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj", "_adj_mask",
+    __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
                  "_part_cache", "_resp_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -38,16 +45,15 @@ class Graph:
         self.full_mask = (1 << len(norm)) - 1
         self._index = index
         inc = [0] * n
-        adj: list[list[int]] = [[] for _ in range(n)]
+        adj = [0] * n
         for eid, (u, v) in enumerate(self.edges):
             inc[u] |= 1 << eid
             inc[v] |= 1 << eid
             if u != v:
-                adj[u].append(v)
-                adj[v].append(u)
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
         self._inc = tuple(inc)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._adj_mask = tuple(bitmask(a) for a in adj)
+        self._adj_mask = tuple(adj)
         self._part_cache: dict[int, _PartTable] = {}
         # (new cop set, removal-stage part) -> the robber's capture-free
         # responses; filled by the game solver, shared by every solver on
@@ -81,7 +87,7 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors via non-loop edges, ascending."""
-        return self._adj[v]
+        return bit_indices(self._adj_mask[v])
 
     def incident_mask(self, v: int) -> int:
         return self._inc[v]
@@ -152,73 +158,48 @@ def is_closure(g: Graph) -> bool:
     return all(g.has_edge(v, v) for v in g.vertices)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by minimum vertex."""
-    seen = [False] * g.n
-    out: list[frozenset[int]] = []
-    for start in g.vertices:
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(frozenset(comp))
+def _flood(g: Graph, start: int, within: int) -> int:
+    """The vertices of `within` that non-loop edges inside `within` connect
+    to the vertex set `start`."""
+    adj = g._adj_mask
+    reached = frontier = start
+    while frontier:
+        grow = 0
+        for v in bit_indices(frontier):
+            grow |= adj[v]
+        frontier = grow & within & ~reached
+        reached |= frontier
+    return reached
+
+
+def connected_components(g: Graph) -> list[int]:
+    """Vertex masks of the connected components, ordered by lowest vertex."""
+    out = []
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _flood(g, rest & -rest, rest)
+        out.append(comp)
+        rest &= ~comp
     return out
 
 
-def component_edge_masks(g: Graph) -> list[int]:
-    """Edge masks of the connected components, aligned with connected_components."""
-    comps = connected_components(g)
-    where = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
-    masks = [0] * len(comps)
-    for eid, (u, _v) in enumerate(g.edges):
-        masks[where[u]] |= 1 << eid
-    return masks
-
-
-def boundary(g: Graph, x: int) -> frozenset[int]:
+def boundary(g: Graph, x: int) -> int:
     """Vertices incident to at least one edge inside x and one outside x."""
-    rest = g.full_mask & ~x
-    return frozenset(
-        v for v in g.vertices if g._inc[v] & x and g._inc[v] & rest
-    )
+    return vertices_of_mask(g, x) & vertices_of_mask(g, g.full_mask & ~x)
 
 
-def vertices_of_mask(g: Graph, mask: int) -> frozenset[int]:
+def vertices_of_mask(g: Graph, mask: int) -> int:
     """All endpoints of the edges in mask."""
-    out = set()
-    for e in g.edge_ids(mask):
-        u, v = g.edges[e]
-        out.add(u)
-        out.add(v)
-    return frozenset(out)
+    out = 0
+    for v, inc in enumerate(g._inc):
+        if inc & mask:
+            out |= 1 << v
+    return out
 
 
-def is_connected_set(g: Graph, u: Iterable[int]) -> bool:
+def is_connected_set(g: Graph, u: int) -> bool:
     """Whether the vertex set u induces a connected subgraph (loops ignored)."""
-    us = set(u)
-    if not us:
-        return True
-    start = min(us)
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for x in g.neighbors(w):
-            if x in us and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen == us
+    return _flood(g, u & -u, u) == u
 
 
 class _PartTable:

@@ -30,6 +30,7 @@ check reports what a full scan would, and a step costs what it changes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -62,8 +63,10 @@ class StepState:
     ptd: PreTreeDecomposition
     processed: tuple[int, ...]
 
+    @functools.cached_property
     def scope(self) -> set[int]:
-        """Processed nodes plus their tree neighbors."""
+        """Processed nodes plus their tree neighbors, computed once per
+        state."""
         tree = self.ptd.tree
         out = set(self.processed)
         for t in self.processed:
@@ -208,8 +211,8 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
-    scope_was = state.scope()
-    scope = StepState(ptd, processed).scope()
+    scope_was = state.scope
+    scope = StepState(ptd, processed).scope
 
     gamma = dict(ptd.cones)
     for p in sorted(scope):
@@ -273,8 +276,8 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
     tree = ptd_next.tree
     node = next_state.processed[-1]
-    scope_prev = prev.scope()
-    scope_next = next_state.scope()
+    scope_prev = prev.scope
+    scope_next = next_state.scope
     beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
     gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
     if width0 is None:
@@ -321,9 +324,10 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
                            "cone transfer between directions is unbalanced")
 
     for t in changed_bags:
-        if len(beta_next[t]) > len(beta_prev[t]):
+        if beta_next[t].bit_count() > beta_prev[t].bit_count():
             report.add("width", f"node {t}",
-                       f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
+                       f"bag grew from {list(bit_indices(beta_prev[t]))} "
+                       f"to {list(bit_indices(beta_next[t]))}")
     if ptd_width(ptd_next) > width0:
         report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {width0}")
 
@@ -334,25 +338,26 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
 
     children = tree.children[node]
     for c in children:
-        new_here = beta_next[c] - beta_next[node]
-        orig_here = beta0[c] - beta0[node]
-        if not new_here <= orig_here:
+        new_here = beta_next[c] & ~beta_next[node]
+        orig_here = beta0[c] & ~beta0[node]
+        if new_here & ~orig_here:
             report.add("claim-child-new", f"node {c}",
-                       f"{sorted(new_here - orig_here)} newly placed here but not originally")
+                       f"{list(bit_indices(new_here & ~orig_here))} "
+                       "newly placed here but not originally")
 
     for t in changed_bags:
         if t not in scope_prev:
             continue
-        gained = beta_next[t] - beta_prev[t]
+        gained = beta_next[t] & ~beta_prev[t]
         if gained:
             for t_star in tree.path_between(t, node):
-                missing = gained - beta_next[t_star]
+                missing = gained & ~beta_next[t_star]
                 if missing:
                     report.add(
                         "claim-gained-on-path", f"node {t}",
-                        f"vertices {sorted(missing)} gained at {t} but absent at {t_star}",
+                        f"vertices {list(bit_indices(missing))} gained at {t} but absent at {t_star}",
                     )
-        lost = beta_prev[t] - beta_next[t]
+        lost = beta_prev[t] & ~beta_next[t]
         if lost:
             for t_star in sorted(scope_prev):
                 if t in tree.path_between(t_star, node):
@@ -360,11 +365,11 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
                     if still:
                         report.add(
                             "claim-lost-behind", f"node {t}",
-                            f"vertices {sorted(still)} lost at {t} but present at {t_star}",
+                            f"vertices {list(bit_indices(still))} lost at {t} but present at {t_star}",
                         )
 
     # Root-path bag unions before and after the step, top-down.
-    unions: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())] * tree.size
+    unions = [(0, 0)] * tree.size
     for t in tree.bfs_nodes():
         if t == tree.root:
             unions[t] = (beta_prev[t], beta_next[t])
@@ -373,15 +378,15 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
             unions[t] = (was | beta_prev[t], now | beta_next[t])
     for t in sorted(scope_prev):
         was, now = unions[t]
-        u_new = now - was
+        u_new = (now & ~was).bit_count()
         if not u_new:
             continue
         t_star = tree.gca(t, node)
-        w_gone = beta_prev[t_star] - beta_next[t_star]
-        if len(u_new) > len(w_gone):
+        w_gone = (beta_prev[t_star] & ~beta_next[t_star]).bit_count()
+        if u_new > w_gone:
             report.add(
                 "exchange", f"node {t}",
-                f"|U|={len(u_new)} exceeds |W|={len(w_gone)} at ancestor {t_star}",
+                f"|U|={u_new} exceeds |W|={w_gone} at ancestor {t_star}",
             )
     return report
 

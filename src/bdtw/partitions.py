@@ -48,16 +48,16 @@ def f_extension(p: EdgePartition, block_index: int, f: int) -> EdgePartition:
     return EdgePartition(p.host, blocks)
 
 
-def partition_boundary(p: EdgePartition) -> frozenset[int]:
-    """Union of the edge-set boundaries of all blocks."""
-    out: set[int] = set()
+def partition_boundary(p: EdgePartition) -> int:
+    """Union of the edge-set boundaries of all blocks, as a vertex mask."""
+    out = 0
     for b in p.blocks:
         out |= boundary(p.host, b)
-    return frozenset(out)
+    return out
 
 
 def partition_width(p: EdgePartition) -> int:
-    return len(partition_boundary(p))
+    return partition_boundary(p).bit_count()
 
 
 def check_submodularity_instance(

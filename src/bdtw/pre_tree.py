@@ -4,9 +4,9 @@ Each directed tree edge (s, t) carries a cone, an edge set of the host graph
 (the part of the graph "behind" t as seen from s).  The local blocks at a
 node are its cones toward all neighbors, parent first; at a childless
 non-root node the second block is the complement of its cone toward the
-parent.  An edge is exact when its two opposite cones partition the host's
-edges; the whole decomposition is exact when additionally every bag equals
-the boundary of its local blocks.
+parent.  Bags are vertex masks.  An edge is exact when its two opposite
+cones partition the host's edges; the whole decomposition is exact when
+additionally every bag equals the boundary of its local blocks.
 
 Hosts are normally closure graphs (a self-loop at every vertex), which makes
 vertices hideable positions; the validators themselves are host-agnostic.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
-from .graphs import Graph, boundary, closure, component_edge_masks, connected_components, read_graph, write_graph
+from .graphs import Graph, bit_indices, bitmask, boundary, closure, connected_components, read_graph, write_graph
 from .partitions import EdgePartition
 from .tree_decomp import RootedTree, TreeDecomposition, tighten, validate_td
 from .validation import Report
@@ -28,7 +28,7 @@ from .validation import Report
 class PreTreeDecomposition:
     tree: RootedTree
     host: Graph
-    bags: tuple[frozenset[int], ...]
+    bags: tuple[int, ...]
     cones: dict[tuple[int, int], int]
 
     def __post_init__(self):
@@ -62,11 +62,11 @@ def local_partition(ptd: PreTreeDecomposition, t: int) -> EdgePartition:
     return EdgePartition(ptd.host, local_blocks(ptd, t))
 
 
-def local_boundary(ptd: PreTreeDecomposition, t: int) -> frozenset[int]:
-    out: set[int] = set()
+def local_boundary(ptd: PreTreeDecomposition, t: int) -> int:
+    out = 0
     for b in local_blocks(ptd, t):
         out |= boundary(ptd.host, b)
-    return frozenset(out)
+    return out
 
 
 def ptd_diff(ptd: PreTreeDecomposition,
@@ -74,8 +74,7 @@ def ptd_diff(ptd: PreTreeDecomposition,
     """The cone keys whose masks differ and the nodes whose bags differ
     between two decompositions on the same tree."""
     keys = {key for key, _mask in ptd.cones.items() ^ since.cones.items()}
-    bags = [t for t in ptd.tree.nodes
-            if ptd.bags[t] is not since.bags[t] and ptd.bags[t] != since.bags[t]]
+    bags = [t for t in ptd.tree.nodes if ptd.bags[t] != since.bags[t]]
     return keys, bags
 
 
@@ -114,15 +113,17 @@ def validate_ptd(ptd: PreTreeDecomposition,
 
     if since is None or root in nodes:
         if ptd.bags[root]:
-            report.add("PT1", f"node {root}", f"root bag {sorted(ptd.bags[root])} is non-empty")
-        comps = connected_components(g)
-        comp_masks = component_edge_masks(g)
+            report.add("PT1", f"node {root}",
+                       f"root bag {list(bit_indices(ptd.bags[root]))} is non-empty")
         child_cones = [ptd.cone(root, c) for c in tree.children[root]]
-        for comp, mask in zip(comps, comp_masks):
+        for comp in connected_components(g):
+            mask = 0
+            for v in bit_indices(comp):
+                mask |= g.incident_mask(v)
             if mask not in child_cones:
                 report.add(
                     "PT1",
-                    f"component {sorted(comp)}",
+                    f"component {list(bit_indices(comp))}",
                     "no root child whose cone is exactly this component's edges",
                 )
 
@@ -145,12 +146,13 @@ def validate_ptd(ptd: PreTreeDecomposition,
             missing = g.full_mask & ~union
             report.add("PT3", f"node {t}", f"blocks miss edges {g.edge_ids(missing)}")
         if overlap == 0 and union == g.full_mask:
-            delta = local_boundary(ptd, t)
-            if not delta <= ptd.bags[t]:
+            missing = local_boundary(ptd, t) & ~ptd.bags[t]
+            if missing:
                 report.add(
                     "PT3",
                     f"node {t}",
-                    f"bag {sorted(ptd.bags[t])} misses boundary vertices {sorted(delta - ptd.bags[t])}",
+                    f"bag {list(bit_indices(ptd.bags[t]))} misses boundary vertices "
+                    f"{list(bit_indices(missing))}",
                 )
 
     for p, c in edges:
@@ -173,14 +175,15 @@ def is_exact(ptd: PreTreeDecomposition) -> bool:
 def ptd_width(ptd: PreTreeDecomposition) -> int:
     if not ptd.bags:
         return -1
-    return max(len(b) for b in ptd.bags) - 1
+    return max(b.bit_count() for b in ptd.bags) - 1
 
 
 def _path_sums(ptd: PreTreeDecomposition) -> list[int]:
     """Per node, the telescoping bag-difference sum on its root path."""
     tree, bags = ptd.tree, ptd.bags
     return tree.path_totals(
-        [0 if t == tree.root else len(bags[t] - bags[tree.parent[t]]) for t in tree.nodes]
+        [0 if t == tree.root else (bags[t] & ~bags[tree.parent[t]]).bit_count()
+         for t in tree.nodes]
     )
 
 
@@ -238,18 +241,18 @@ def check_exact_subtree_depth(ptd: PreTreeDecomposition, subtree: Iterable[int])
     tree = ptd.tree
     delta = {t: local_boundary(ptd, t) for t in nodes}
     for v in ptd.host.vertices:
-        trace = [t for t in nodes if v in delta[t]]
+        trace = [t for t in nodes if delta[t] >> v & 1]
         if trace and not tree.induced_connected(trace):
             return False
     for t in nodes:
         path = tree.path_from_root(t)
         total = 0
-        union: set[int] = set()
+        union = 0
         for s in path:
             union |= delta[s]
             if s != tree.root:
-                total += len(delta[s] - delta[tree.parent[s]])
-        if total != len(union):
+                total += (delta[s] & ~delta[tree.parent[s]]).bit_count()
+        if total != union.bit_count():
             return False
     return True
 
@@ -302,7 +305,7 @@ def to_tree_decomposition(ptd: PreTreeDecomposition, g: Graph) -> TreeDecomposit
         if t != tree.root and not tree.children[t]:
             v = _isolated_loop_vertex(ptd.host, ptd.cone(tree.parent[t], t))
             if v is not None:
-                bags[t] = frozenset((v,))
+                bags[t] = 1 << v
     return TreeDecomposition(tree, g, tuple(bags))
 
 
@@ -336,11 +339,10 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
         down_into.append(0)
         return nid
 
-    comps = connected_components(g)
-    for comp in comps:
-        comp_sorted = sorted(comp)
-        if len(comp_sorted) == 1 and not g.incident_mask(comp_sorted[0]):
-            v = comp_sorted[0]
+    for comp in connected_components(g):
+        verts = bit_indices(comp)
+        if len(verts) == 1 and not g.incident_mask(verts[0]):
+            v = verts[0]
             leaf = new_node(0)
             down_into[leaf] = 1 << gc.edge_id(v, v)
             continue
@@ -351,20 +353,20 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
         for t in touched:
             par = 0 if t == top else copy_of[td.tree.parent[t]]
             copy_of[t] = new_node(par)
-        for v in comp_sorted:
-            hosts = [t for t in touched if v in td.bags[t]]
+        for v in verts:
+            hosts = [t for t in touched if td.bags[t] >> v & 1]
             t_v = min(hosts, key=lambda t: (td.tree.depth[t], t))
             leaf = new_node(copy_of[t_v])
             down_into[leaf] = 1 << gc.edge_id(v, v)
         for eid, (u, v) in enumerate(g.edges):
-            if u == v or u not in comp:
+            uv = 1 << u | 1 << v
+            if u == v or not comp & uv:
                 continue
-            hosts = [t for t in touched if u in td.bags[t] and v in td.bags[t]]
+            hosts = [t for t in touched if td.bags[t] & uv == uv]
             t_e = min(hosts, key=lambda t: (td.tree.depth[t], t))
             leaf = new_node(copy_of[t_e])
             down_into[leaf] = 1 << eid
 
-    n_nodes = len(parent)
     tree = RootedTree(parent)
     # Accumulate cones bottom-up: the cone into a node is everything attached
     # at or below it.
@@ -378,7 +380,7 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
         cones[(p, c)] = down_into[c]
         cones[(c, p)] = full & ~down_into[c]
 
-    ptd = PreTreeDecomposition(tree, gc, tuple(frozenset() for _ in range(n_nodes)), cones)
+    ptd = PreTreeDecomposition(tree, gc, (0,) * tree.size, cones)
     bags = tuple(local_boundary(ptd, t) for t in tree.nodes)
     return PreTreeDecomposition(tree, gc, bags, cones)
 
@@ -394,7 +396,7 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
 def write_ptd(ptd: PreTreeDecomposition, out: IO[str], extra: Iterable[str] = ()) -> None:
     write_graph(ptd.host, out)
     for t in ptd.tree.nodes:
-        verts = " ".join(str(v) for v in sorted(ptd.bags[t]))
+        verts = " ".join(str(v) for v in bit_indices(ptd.bags[t]))
         par = t if t == ptd.tree.root else ptd.tree.parent[t]
         out.write(f"n {t} {par} :{' ' + verts if verts else ''}\n")
     for (s, t), mask in sorted(ptd.cones.items()):
@@ -435,7 +437,7 @@ def _parse_ptd_lines(inp: IO[str]):
 def _ptd_from_records(host: Graph, records) -> PreTreeDecomposition:
     """The validated decomposition given by the `n`/`g` records over host;
     records with other tags are left to the caller."""
-    nodes: dict[int, tuple[int, frozenset[int]]] = {}
+    nodes: dict[int, tuple[int, int]] = {}
     cones: dict[tuple[int, int], int] = {}
     for tag, parts, lineno in records:
         if tag not in ("n", "g"):
@@ -454,7 +456,7 @@ def _ptd_from_records(host: Graph, records) -> PreTreeDecomposition:
                 raise FormatError(f"line {lineno}: duplicate node {a}")
             if any(not 0 <= v < host.n for v in ids):
                 raise FormatError(f"line {lineno}: bag vertex outside 0..{host.n - 1}")
-            nodes[a] = (b, frozenset(ids))
+            nodes[a] = (b, bitmask(ids))
     if set(nodes) != set(range(len(nodes))):
         raise FormatError("node ids must be dense 0..N-1")
     parent = [nodes[t][0] for t in range(len(nodes))]

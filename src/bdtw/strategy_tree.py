@@ -83,7 +83,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     full = g.full_mask
 
     parent: list[int] = [0]
-    bags: list[int] = [0]  # cop-set masks, one frozenset bag per node at the end
+    bags: list[int] = [0]  # cop-set masks, one bag per node
     cones: dict[tuple[int, int], int] = {}
     move_log: dict[int, Move] = {}
     branching: set[int] = set()
@@ -127,7 +127,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
         bags[t] = new_mask
         move = _move_between(x_mask, new_mask)
         move_log[t] = move
-        if move.placed in vertices_of_mask(g, in_cone):
+        if g.incident_mask(move.placed) & in_cone:
             branching.add(t)
         child_cones = []
         for mask in part_table(g, new_mask).masks:
@@ -144,7 +144,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
         cones[(t, s)] = full & ~union
 
     tree = RootedTree(parent)
-    ptd = PreTreeDecomposition(tree, g, tuple(frozenset(bit_indices(m)) for m in bags), cones)
+    ptd = PreTreeDecomposition(tree, g, tuple(bags), cones)
     return StrategyTree(ptd, frozenset(branching), move_log, sigma)
 
 
@@ -182,7 +182,7 @@ def move_is_monotone(st: StrategyTree, t: int) -> bool:
     s = tree.parent[t]
     move = st.move_log[t]
     in_cone = st.ptd.cone(s, t)
-    mid = bitmask(st.ptd.bags[s]) & ~bitmask(move.removed)
+    mid = st.ptd.bags[s] & ~bitmask(move.removed)
     return _part_of(st.host, mid, in_cone) == in_cone
 
 
@@ -202,7 +202,7 @@ def check_monotone_exact(st: StrategyTree) -> bool:
         if move_is_monotone(st, t) != exact:
             return False
         if not exact:
-            removed = set(st.move_log[t].removed) & st.ptd.bags[s]
+            removed = bitmask(st.move_log[t].removed) & st.ptd.bags[s]
             if not removed:
                 return False
     return True
@@ -217,7 +217,7 @@ def check_self_loop_cones(st: StrategyTree) -> bool:
         if s == tree.root or not tree.children[s]:
             continue
         up = st.ptd.cone(s, tree.parent[s])
-        for v in st.ptd.bags[s]:
+        for v in bit_indices(st.ptd.bags[s]):
             loop = 1 << g.edge_id(v, v)
             if loop & up:
                 continue
@@ -277,11 +277,9 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
             if is_capture_mask(g, x_mask, part):
                 continue
             taken = x_mask | target
-            free = [w for w in sorted(vertices_of_mask(g, part)) if not taken >> w & 1]
-            incident = [
-                w for w in free
-                if any(not x_mask >> u & 1 and u != w for u in _part_neighbors(g, part, w))
-            ]
+            free = bit_indices(vertices_of_mask(g, part) & ~taken)
+            incident = [w for w in free
+                        if vertices_of_mask(g, part & g.incident_mask(w)) & ~x_mask & ~(1 << w)]
             for w in incident or free:
                 candidates.append(((x_mask, part), target, w, w in incident))
         if not candidates:
@@ -308,15 +306,6 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
     if not outcome.wins:
         raise StrategyError("fuzzed strategy unexpectedly fails; this is a bug")
     return FuzzResult(fuzzed, bound, injected, detour_keys)
-
-
-def _part_neighbors(g: Graph, part: int, w: int) -> list[int]:
-    """Endpoints opposite w over the part's edges at w."""
-    out = []
-    for e in g.edge_ids(part & g.incident_mask(w)):
-        u, v = g.endpoints(e)
-        out.append(v if u == w else u)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Rooted trees, tree decompositions, validation, and bag tightening.
 
-Width is the maximum bag size minus one.  Depth is measured at the leaves:
-the largest number of distinct vertices collected in the bags along a
-root-to-leaf path.  A childless root counts as a leaf.
+Bags are vertex masks.  Width is the maximum bag size minus one.  Depth is
+measured at the leaves: the largest number of distinct vertices collected in
+the bags along a root-to-leaf path.  A childless root counts as a leaf.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
-from .graphs import Graph, is_connected_set
+from .graphs import Graph, bit_indices, bitmask, is_connected_set
 from .validation import Report
 
 
@@ -149,7 +149,7 @@ class RootedTree:
 class TreeDecomposition:
     tree: RootedTree
     host: Graph
-    bags: tuple[frozenset[int], ...]
+    bags: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.bags) != self.tree.size:
@@ -160,20 +160,20 @@ def validate_td(td: TreeDecomposition) -> Report:
     """Check vertex/edge coverage and connectivity of every vertex trace."""
     report = Report()
     g = td.host
-    covered = set()
+    covered = 0
     for b in td.bags:
         covered |= b
-        for v in b:
-            if not 0 <= v < g.n:
-                report.add("T1", "bags", f"bag vertex {v} not in host")
+        for v in bit_indices(b & ~((1 << g.n) - 1)):
+            report.add("T1", "bags", f"bag vertex {v} not in host")
     for v in g.vertices:
-        if v not in covered:
+        if not covered >> v & 1:
             report.add("T1", f"vertex {v}", "vertex appears in no bag")
     for u, v in g.edges:
-        if not any(u in b and v in b for b in td.bags):
+        uv = 1 << u | 1 << v
+        if not any(b & uv == uv for b in td.bags):
             report.add("T1", f"edge {u}-{v}", "no bag contains both endpoints")
     for v in g.vertices:
-        trace = [t for t in td.tree.nodes if v in td.bags[t]]
+        trace = [t for t in td.tree.nodes if td.bags[t] >> v & 1]
         if trace and not td.tree.induced_connected(trace):
             report.add("T2", f"vertex {v}", f"trace {trace} is disconnected")
     return report
@@ -182,7 +182,7 @@ def validate_td(td: TreeDecomposition) -> Report:
 def td_width(td: TreeDecomposition) -> int:
     if not td.bags:
         return -1
-    return max(len(b) for b in td.bags) - 1
+    return max(b.bit_count() for b in td.bags) - 1
 
 
 def td_depth(td: TreeDecomposition) -> int:
@@ -191,40 +191,36 @@ def td_depth(td: TreeDecomposition) -> int:
         return 0
     best = 0
     for leaf in td.tree.leaves():
-        seen: set[int] = set()
+        seen = 0
         for t in td.tree.path_from_root(leaf):
             seen |= td.bags[t]
-        best = max(best, len(seen))
+        best = max(best, seen.bit_count())
     return best
 
 
-def check_connected_trace(td: TreeDecomposition, u: Iterable[int]) -> bool:
-    """Whether the nodes whose bags meet u induce a connected subtree.
+def check_connected_trace(td: TreeDecomposition, u: int) -> bool:
+    """Whether the nodes whose bags meet the vertex mask u induce a
+    connected subtree.
 
     Only defined for u connected in the host; holds in every valid
     decomposition, so this doubles as a property check.
     """
-    us = set(u)
-    if not is_connected_set(td.host, us):
+    if not is_connected_set(td.host, u):
         raise NotApplicableError("u must be connected in the host graph")
-    trace = [t for t in td.tree.nodes if us & td.bags[t]]
+    trace = [t for t in td.tree.nodes if u & td.bags[t]]
     return td.tree.induced_connected(trace)
 
 
 def _removal_keeps_valid(td: TreeDecomposition, t: int, v: int) -> bool:
     """Whether dropping v from bag t preserves T1 and T2."""
     g = td.host
-    others = [s for s in td.tree.nodes if s != t and v in td.bags[s]]
+    others = [s for s in td.tree.nodes if s != t and td.bags[s] >> v & 1]
     if not others:
         return False
-    inc = g.incident_mask(v)
-    for e in g.edge_ids(inc):
-        a, b = g.endpoints(e)
+    for e in g.edge_ids(g.incident_mask(v)):
+        ab = bitmask(g.endpoints(e))
         # Coverage must survive without relying on bag t still containing v.
-        ok = any(
-            a in td.bags[s] and b in td.bags[s] and s != t for s in td.tree.nodes
-        )
-        if not ok:
+        if not any(td.bags[s] & ab == ab and s != t for s in td.tree.nodes):
             return False
     return td.tree.induced_connected(others)
 
@@ -235,20 +231,18 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
     Scans (node, vertex) pairs in increasing order and repeats to a fixpoint,
     so the result is deterministic.  Width and depth never increase.
     """
-    bags = [set(b) for b in td.bags]
+    current = td
     changed = True
     while changed:
         changed = False
-        current = TreeDecomposition(td.tree, td.host, tuple(frozenset(b) for b in bags))
         for t in td.tree.nodes:
-            for v in sorted(bags[t]):
+            for v in bit_indices(current.bags[t]):
                 if _removal_keeps_valid(current, t, v):
-                    bags[t].discard(v)
+                    bags = list(current.bags)
+                    bags[t] &= ~(1 << v)
+                    current = TreeDecomposition(td.tree, td.host, tuple(bags))
                     changed = True
-                    current = TreeDecomposition(
-                        td.tree, td.host, tuple(frozenset(b) for b in bags)
-                    )
-    return TreeDecomposition(td.tree, td.host, tuple(frozenset(b) for b in bags))
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +250,11 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
 # vertices are 1-based in files.  The writer adds a `c depth <d>` comment.
 
 def write_td(td: TreeDecomposition, out: IO[str]) -> None:
-    width_plus_one = max((len(b) for b in td.bags), default=0)
+    width_plus_one = max((b.bit_count() for b in td.bags), default=0)
     out.write(f"c depth {td_depth(td)}\n")
     out.write(f"s td {td.tree.size} {width_plus_one} {td.host.n}\n")
     for t in td.tree.nodes:
-        verts = " ".join(str(v + 1) for v in sorted(td.bags[t]))
+        verts = " ".join(str(v + 1) for v in bit_indices(td.bags[t]))
         out.write(f"b {t + 1}{' ' + verts if verts else ''}\n")
     for p, c in td.tree.edges():
         out.write(f"{p + 1} {c + 1}\n")
@@ -278,7 +272,7 @@ def dumps_td(td: TreeDecomposition) -> str:
 
 def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
     n_bags = width_plus_one = root_id = None
-    bags: dict[int, frozenset[int]] = {}
+    bags: dict[int, int] = {}
     links: list[tuple[int, int]] = []
     for lineno, raw in enumerate(inp, 1):
         line = raw.strip()
@@ -298,7 +292,10 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
                 bid = int(parts[1]) - 1
                 if bid in bags:
                     raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
-                bags[bid] = frozenset(int(v) - 1 for v in parts[2:])
+                verts = [int(v) for v in parts[2:]]
+                if any(not 1 <= v <= host.n for v in verts):
+                    raise FormatError(f"line {lineno}: bag vertex outside 1..{host.n}")
+                bags[bid] = bitmask(v - 1 for v in verts)
             elif parts[0] == "r":
                 root_id = int(parts[1]) - 1
             else:
@@ -311,7 +308,7 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
         raise FormatError("missing 's td' header")
     if n_bags < 1 or set(bags) != set(range(n_bags)):
         raise FormatError("bag ids must be 1..<#bags>, with at least one bag")
-    largest = max((len(b) for b in bags.values()), default=0)
+    largest = max((b.bit_count() for b in bags.values()), default=0)
     if width_plus_one != largest:
         raise FormatError(f"header declares bag size {width_plus_one}, largest bag has {largest}")
     if len(links) != n_bags - 1:

@@ -10,18 +10,21 @@ and searches every legal move, where the solver leaves out the
 re-placements and, in the non-monotone variant, the moves that keep fewer
 cops than there is room for.  The exactification
 checks reuse the library's blocks and boundaries but scan every node and
-edge, where the library looks only at what a step changed.  The extension
-oracle at the end branches on every free edge, where the library searches
+edge, where the library looks only at what a step changed, and evaluate
+the bag algebra on Python sets where the library uses vertex masks.  The
+extension oracle branches on every free edge, where the library searches
 over which vertices may be split; both offer a free edge to internal
-children only.
+children only.  The elimination-forest decider at the end decides the
+class without the game at all.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from bdtw.game import _macro_moves, _part_of, _responses, initial_parts, is_capture_mask
-from bdtw.graphs import Graph, component_edge_masks, connected_components
+from bdtw.graphs import Graph, bit_indices
 from bdtw.monotonize import ExtensionChoice, StepState
 from bdtw.pre_tree import (
     PreTreeDecomposition,
@@ -293,11 +296,15 @@ def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int 
 # checks did before they were made change-local, and serve as the reference
 # they must agree with.
 
+def _vertex_sets(masks) -> list[frozenset[int]]:
+    return [frozenset(bit_indices(m)) for m in masks]
+
+
 def _path_sum_oracle(ptd: PreTreeDecomposition, t: int) -> int:
     """The telescoping bag-difference sum on the root path of t."""
-    tree = ptd.tree
+    tree, bags = ptd.tree, _vertex_sets(ptd.bags)
     return sum(
-        len(ptd.bags[s] - ptd.bags[tree.parent[s]])
+        len(bags[s] - bags[tree.parent[s]])
         for s in tree.path_from_root(t) if s != tree.root
     )
 
@@ -312,12 +319,12 @@ def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:
         return report
 
     root = tree.root
-    if ptd.bags[root]:
-        report.add("PT1", f"node {root}", f"root bag {sorted(ptd.bags[root])} is non-empty")
-    comps = connected_components(g)
-    comp_masks = component_edge_masks(g)
+    bags = _vertex_sets(ptd.bags)
+    if bags[root]:
+        report.add("PT1", f"node {root}", f"root bag {sorted(bags[root])} is non-empty")
     child_cones = [ptd.cone(root, c) for c in tree.children[root]]
-    for comp, mask in zip(comps, comp_masks):
+    for comp in _components_without(g, frozenset()):
+        mask = sum(1 << e for e in range(g.m) if set(g.endpoints(e)) & comp)
         if mask not in child_cones:
             report.add(
                 "PT1",
@@ -344,12 +351,12 @@ def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:
             missing = g.full_mask & ~union
             report.add("PT3", f"node {t}", f"blocks miss edges {g.edge_ids(missing)}")
         if overlap == 0 and union == g.full_mask:
-            delta = local_boundary(ptd, t)
-            if not delta <= ptd.bags[t]:
+            delta = frozenset(bit_indices(local_boundary(ptd, t)))
+            if not delta <= bags[t]:
                 report.add(
                     "PT3",
                     f"node {t}",
-                    f"bag {sorted(ptd.bags[t])} misses boundary vertices {sorted(delta - ptd.bags[t])}",
+                    f"bag {sorted(bags[t])} misses boundary vertices {sorted(delta - bags[t])}",
                 )
 
     for p, c in tree.edges():
@@ -365,9 +372,9 @@ def verify_step_oracle(prev: StepState, next_state: StepState, original: Strateg
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
     tree = ptd_next.tree
     node = next_state.processed[-1]
-    scope_prev = prev.scope()
-    scope_next = next_state.scope()
-    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
+    scope_prev = prev.scope
+    scope_next = next_state.scope
+    beta_prev, beta_next, beta0 = (_vertex_sets(p.bags) for p in (ptd_prev, ptd_next, original.ptd))
     gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
 
     for p, c in tree.edges():
@@ -561,3 +568,47 @@ def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
         f_union |= m
     f_star = tuple((m | f_union) & ~fj for m, fj in zip(m_free, f_masks))
     return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, best[0])
+
+
+# ---------------------------------------------------------------------------
+# A game-free decider for T^k_q: the treedepth recursion with a width cap
+# (Nesetril and Ossona de Mendez, Sparsity, 2012).  A connected vertex set C
+# whose neighbourhood N(C) is already placed needs
+#     depth(C) = 1 + min over v in C of max depth(D), D a component of C - v,
+# and v may be chosen only if |N(C)| + 1 <= k.  The bags N(C) + {v} form a
+# tree decomposition of width < k whose root-to-leaf bag unions are the
+# eliminated paths.  Loops are ignored: they change neither N(C) nor the
+# components.
+
+def elimination_depth(g: Graph, k: int) -> int | None:
+    """Least depth of a tree decomposition of g with width below k, by the
+    width-capped elimination-forest recursion on vertex masks; None if no
+    decomposition of width below k exists."""
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in g.vertices]
+
+    def spread(c: int) -> int:
+        out = c
+        for v in range(g.n):
+            if c >> v & 1:
+                out |= adj[v]
+        return out
+
+    def components(c: int) -> list[int]:
+        out = []
+        while c:
+            comp = c & -c
+            while (grown := spread(comp) & c) != comp:
+                comp = grown
+            out.append(comp)
+            c &= ~comp
+        return out
+
+    @functools.cache
+    def depth(c: int) -> float:
+        if (spread(c) & ~c).bit_count() + 1 > k:
+            return float("inf")
+        return 1 + min(max((depth(d) for d in components(c & ~(1 << v))), default=0)
+                       for v in range(g.n) if c >> v & 1)
+
+    best = max((depth(c) for c in components((1 << g.n) - 1)), default=0)
+    return None if best == float("inf") else int(best)

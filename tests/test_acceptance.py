@@ -199,16 +199,16 @@ def test_criterion_5_round_trip(pipeline_runs):
     p3 = named_graph("P3")
     cases.append(("P3-hand", TreeDecomposition(
         RootedTree([0, 0, 0]), p3,
-        (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})),
+        (0b10, 0b11, 0b110),
     )))
     c4 = named_graph("C4")
     cases.append(("C4-hand", TreeDecomposition(
         RootedTree([0, 0]), c4,
-        (frozenset({0, 1, 3}), frozenset({1, 2, 3})),
+        (0b1011, 0b1110),
     )))
     k4 = named_graph("K4")
     cases.append(("K4-hand", TreeDecomposition(
-        RootedTree([0]), k4, (frozenset({0, 1, 2, 3}),),
+        RootedTree([0]), k4, (0b1111,),
     )))
     for name, td in cases:
         assert validate_td(td).ok, name

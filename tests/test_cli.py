@@ -332,7 +332,8 @@ class TestPlayCmd:
         ("place 9", "illegal move"),
         ("place 1 remove x", "could not parse"),
         ("place 0 1", "could not parse"),
-    ], ids=["unknown-vertex", "stray-remove-token", "stray-place-token"])
+        ("place " + "1" * 5000, "illegal move"),  # too long for int()
+    ], ids=["unknown-vertex", "stray-remove-token", "stray-place-token", "5000-digit-vertex"])
     def test_illegal_move_reprompts(self, bad, message, graph_file, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{bad}\nplace 0\nplace 1\n"))
         rc = main(["play", graph_file("E1"), "--k", "2", "--q", "2",
@@ -344,9 +345,10 @@ class TestPlayCmd:
         assert "captured" in out
 
     # Unicode digits pass str.isdigit; int() rejects the first and reads
-    # the second as 0.  Only ASCII digits are an index.
-    @pytest.mark.parametrize("bad", ["\u00b2", "\u0660"],
-                             ids=["superscript-two", "arabic-indic-zero"])
+    # the second as 0.  Only ASCII digits are an index, and one too long
+    # for int() is out of range.
+    @pytest.mark.parametrize("bad", ["\u00b2", "\u0660", "1" * 5000],
+                             ids=["superscript-two", "arabic-indic-zero", "5000-digits"])
     def test_bad_index_reprompts(self, bad, graph_file, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{bad}\n" + "0\n" * 10))
         rc = main(["play", graph_file("K3"), "--k", "2", "--q", "3",

@@ -14,13 +14,19 @@ from bdtw.graphs import (
     closure,
     connected_components,
     dumps_graph,
+    is_connected_set,
     loads_graph,
     part_table,
     read_graph,
     vertices_of_mask,
 )
 from conftest import small_graph_corpus
-from oracles import boundary_oracle, part_table_oracle
+from oracles import (
+    _components_without,
+    boundary_oracle,
+    connected_vertex_subsets,
+    part_table_oracle,
+)
 from strats import graphs, graphs_with_cop_sets, graphs_with_edge_sets
 
 
@@ -79,33 +85,46 @@ class TestIncidentEdges:
 
 class TestConnectedComponents:
     def test_path(self, p3):
-        assert connected_components(p3) == [frozenset({0, 1, 2})]
+        assert connected_components(p3) == [0b111]
 
     def test_two_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert connected_components(g) == [frozenset({0, 1}), frozenset({2, 3})]
+        assert connected_components(g) == [0b0011, 0b1100]
 
     def test_edgeless(self):
         g = Graph(2, [])
-        assert connected_components(g) == [frozenset({0}), frozenset({1})]
+        assert connected_components(g) == [0b01, 0b10]
+
+    @given(graphs())
+    def test_matches_search_oracle(self, g):
+        assert connected_components(g) == [bitmask(c) for c in _components_without(g, frozenset())]
+
+
+class TestIsConnectedSet:
+    def test_matches_search_oracle(self):
+        for g in small_graph_corpus(4) + [closure(x) for x in small_graph_corpus(3)]:
+            connected = {bitmask(u) for u in connected_vertex_subsets(g, g.n)}
+            assert is_connected_set(g, 0)
+            for u in range(1, 1 << g.n):
+                assert is_connected_set(g, u) == (u in connected), (g, u)
 
 
 class TestBoundary:
     def test_path_single_edge(self, p3):
         # Expected value computed by evaluating the definition literally.
         assert boundary_oracle(p3, {0}) == {1}
-        assert boundary(p3, p3.edge_mask([0])) == frozenset({1})
+        assert boundary(p3, p3.edge_mask([0])) == 0b010
 
     def test_empty_set(self, p3):
-        assert boundary(p3, 0) == frozenset()
+        assert boundary(p3, 0) == 0
 
     def test_full_set(self, p3):
-        assert boundary(p3, p3.full_mask) == frozenset()
+        assert boundary(p3, p3.full_mask) == 0
 
     @given(graphs_with_edge_sets())
     def test_matches_oracle(self, gm):
         g, mask = gm
-        assert boundary(g, mask) == frozenset(boundary_oracle(g, set(g.edge_ids(mask))))
+        assert boundary(g, mask) == bitmask(boundary_oracle(g, set(g.edge_ids(mask))))
 
     @given(graphs_with_edge_sets())
     def test_symmetric_in_complement(self, gm):
@@ -140,7 +159,7 @@ class TestEdgeComponentGraph:
         table = part_table(k3, bitmask({0, 1}))
         assert list(table.masks) == [0b001, 0b110]
         assert table.components == (0b110,)
-        assert vertices_of_mask(k3, table.masks[1]) == frozenset({0, 1, 2})
+        assert vertices_of_mask(k3, table.masks[1]) == 0b111
 
     def test_parts_partition_edges_exhaustive(self):
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
@@ -232,7 +251,7 @@ class TestPartTable:
                     mask for mask, kind in zip(masks, kinds) if kind == "component" and mask)
                 for mask, single, verts, kind in zip(masks, singles, vertex_sets, kinds):
                     if mask:
-                        assert vertices_of_mask(g, mask) == verts, (g, x_mask, mask)
+                        assert vertices_of_mask(g, mask) == bitmask(verts), (g, x_mask, mask)
                         assert is_capture_mask(g, x_mask, mask) == single == (kind == "edge")
 
     def test_cached_per_cop_set(self, p3c):

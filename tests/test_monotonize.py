@@ -60,10 +60,10 @@ def assignment_oracle(state, node):
             for i in range(len(blocks)):
                 blocks[i] &= ~(1 << e)
             blocks[child_pos[children[j]]] |= 1 << e
-        delta = set()
+        delta = 0
         for b in blocks:
             delta |= boundary(g, b)
-        key = (len(delta), moved)
+        key = (delta.bit_count(), moved)
         if best is None or key < best:
             best = key
     return best
@@ -147,8 +147,8 @@ class TestChooseExtensions:
             (1, 4): 0b100, (4, 1): 0b001,  # aa is missing from both sides
         }
         bags = (
-            frozenset(), frozenset({0, 1}), frozenset({0, 1}),
-            frozenset({0}), frozenset({0, 1}),
+            0, 0b11, 0b11,
+            0b1, 0b11,
         )
         ptd = PreTreeDecomposition(tree, e1c, bags, cones)
         assert validate_ptd(ptd).ok
@@ -175,7 +175,7 @@ class TestChooseExtensions:
         cones = {(0, 1): 0b11, (1, 0): 0, (1, 2): 0b01, (2, 1): 0, (1, 3): 0b10, (3, 1): 0,
                  (2, 4): 0b01, (4, 2): 0b10, (2, 6): 0b10, (6, 2): 0b01,
                  (3, 5): 0b01, (5, 3): 0b10, (3, 7): 0b10, (7, 3): 0b01}
-        bags = (frozenset(),) + (frozenset({1}),) * 7
+        bags = (0,) + (0b10,) * 7
         ptd = PreTreeDecomposition(tree, g, bags, cones)
         assert validate_ptd(ptd).ok
         state = StepState(ptd, ())
@@ -196,7 +196,7 @@ class TestChooseExtensions:
         g = Graph(3, [(0, 1), (1, 2)])
         tree = RootedTree([0, 0, 1, 1])
         cones = {(0, 1): 0b11, (1, 0): 0, (1, 2): 0b01, (2, 1): 0, (1, 3): 0b10, (3, 1): 0}
-        bags = (frozenset(), frozenset({1}), frozenset({0, 1}), frozenset({1, 2}))
+        bags = (0, 0b10, 0b11, 0b110)
         ptd = PreTreeDecomposition(tree, g, bags, cones)
         assert validate_ptd(ptd).ok
         state = StepState(ptd, ())
@@ -221,7 +221,7 @@ class TestChooseExtensions:
                 state = apply_step(state, node, None)
                 continue
             choice = choose_extensions(state, node)
-            assert choice.boundary_size <= len(state.ptd.bags[node])
+            assert choice.boundary_size <= state.ptd.bags[node].bit_count()
             state = apply_step(state, node, choice)
 
     def test_more_than_twenty_free_edges(self):
@@ -260,7 +260,7 @@ class TestApplySteps:
         assert node == st.ptd.tree.root
         assert choice.f_union == 0
         assert after.ptd.cones == before.ptd.cones
-        assert after.ptd.bags[node] == frozenset()
+        assert after.ptd.bags[node] == 0
 
     def test_children_edges_exact_after_step(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
@@ -299,11 +299,11 @@ class TestVerifyStep:
         _node, before, after, _choice = next(iter(iterate_steps(st)))
         assert verify_step(before, after, st).ok
         ptd = after.ptd
-        scope = after.scope()
+        scope = after.scope
         p, c = next((p, c) for p, c in ptd.tree.edges() if p not in scope and c not in scope)
-        t = next(t for t in ptd.tree.nodes if len(before.ptd.bags[t]) < ptd.host.n)
+        t = next(t for t in ptd.tree.nodes if before.ptd.bags[t].bit_count() < ptd.host.n)
         bags = list(ptd.bags)
-        bags[t] = frozenset(ptd.host.vertices)
+        bags[t] = (1 << ptd.host.n) - 1
         cones = dict(ptd.cones)
         cones[(p, c)] ^= 1
         tampered = StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones),
@@ -318,7 +318,7 @@ def tampered(state, bags=(), cones=()):
     ptd = state.ptd
     new_bags = list(ptd.bags)
     for t, v in bags:
-        new_bags[t] = new_bags[t] ^ {v}
+        new_bags[t] ^= 1 << v
     new_cones = dict(ptd.cones)
     for key, e in cones:
         new_cones[key] ^= 1 << e
@@ -415,7 +415,7 @@ class TestRun:
         t = max((t for t in ptd.tree.nodes if ptd.bags[t]), key=lambda t: ptd.tree.depth[t])
         assert ptd.tree.depth[t] >= 2
         bags = list(ptd.bags)
-        bags[t] = frozenset(sorted(bags[t])[1:])
+        bags[t] &= bags[t] - 1  # drop the lowest vertex
         bad = StrategyTree(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), ptd.cones),
                            st.branching, st.move_log)
         assert [v.rule for v in validate_ptd(bad.ptd).violations] == ["PT3"]
@@ -433,7 +433,7 @@ class TestRun:
         size = old.tree.size
         new = [0] + [size - t for t in range(1, size)]
         parent = [0] * size
-        bags = [frozenset()] * size
+        bags = [0] * size
         for t in old.tree.nodes:
             parent[new[t]] = new[old.tree.parent[t]]
             bags[new[t]] = old.bags[t]
@@ -541,10 +541,10 @@ class TestPipeline:
         r = monotonize_pipeline(g, 2, 2, verify=True)
         assert r.member
         assert validate_td(r.td).ok
-        covered = set()
+        covered = 0
         for b in r.td.bags:
             covered |= b
-        assert covered == set(g.vertices)
+        assert covered == (1 << g.n) - 1
 
     def test_budget_propagates(self, k3):
         with pytest.raises(BudgetExceededError):

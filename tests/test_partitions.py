@@ -84,7 +84,7 @@ class TestFExtension:
 class TestBoundaryAndWidth:
     def test_p3_split(self, p3):
         p = EdgePartition(p3, (0b01, 0b10))
-        assert partition_boundary(p) == frozenset({1})
+        assert partition_boundary(p) == 0b010
         assert partition_width(p) == 1
 
     def test_trivial_partition(self, p3):
@@ -93,7 +93,7 @@ class TestBoundaryAndWidth:
 
     def test_k3_singletons(self, k3):
         p = EdgePartition(k3, (0b001, 0b010, 0b100))
-        assert partition_boundary(p) == frozenset({0, 1, 2})
+        assert partition_boundary(p) == 0b111
         assert partition_width(p) == 3
 
 

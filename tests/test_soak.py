@@ -18,7 +18,7 @@ from bdtw.game import (
     minimum_placements,
     solve,
 )
-from bdtw.graphs import Graph, closure, is_connected_set
+from bdtw.graphs import Graph, bitmask, closure, is_connected_set
 from bdtw.monotonize import check_branching_depth_bound, monotonize_pipeline
 from bdtw.pre_tree import (
     from_tree_decomposition,
@@ -146,22 +146,22 @@ def test_padded_round_trip_soak():
         if cost is None:
             continue
         base = monotonize_pipeline(g, k, cost).td
-        bags = [set(b) for b in base.bags]
+        bags = list(base.bags)
         for _ in range(rng.randint(0, 4)):
             t = rng.randrange(len(bags))
             v = rng.randrange(g.n)
-            holders = [s for s in base.tree.nodes if v in bags[s]]
+            holders = [s for s in base.tree.nodes if bags[s] >> v & 1]
             if holders:
                 for s in base.tree.path_between(holders[0], t):
-                    bags[s].add(v)
+                    bags[s] |= 1 << v
             else:
-                bags[t].add(v)
-        padded = TreeDecomposition(base.tree, g, tuple(frozenset(b) for b in bags))
+                bags[t] |= 1 << v
+        padded = TreeDecomposition(base.tree, g, tuple(bags))
         assert validate_td(padded).ok
         for size in (1, 2, 3):
             for combo in itertools.combinations(range(g.n), size):
-                if is_connected_set(g, combo):
-                    assert check_connected_trace(padded, combo)
+                if is_connected_set(g, bitmask(combo)):
+                    assert check_connected_trace(padded, bitmask(combo))
         ptd = from_tree_decomposition(padded)
         assert is_exact(ptd)
         assert ptd_width(ptd) <= td_width(padded)

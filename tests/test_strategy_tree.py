@@ -48,8 +48,8 @@ class TestBuild:
         ptd = st.ptd
         assert ptd.tree.parent == (0, 0, 1, 1, 2, 2)
         assert ptd.bags == (
-            frozenset(), frozenset({0}), frozenset({0, 1}),
-            frozenset({0}), frozenset({0, 1}), frozenset({1}),
+            0, 0b1, 0b11,
+            0b1, 0b11, 0b10,
         )
         assert ptd.cone(0, 1) == 0b111
         assert ptd.cone(1, 0) == 0
@@ -70,7 +70,7 @@ class TestBuild:
         assert st.ptd.tree.parent == (0, 0, 1)
         assert st.ptd.cone(0, 1) == 0b1
         assert st.ptd.cone(1, 2) == 0b1
-        assert st.ptd.bags[2] == frozenset({0})
+        assert st.ptd.bags[2] == 0b1
         assert validate_ptd(st.ptd).ok
 
     def test_k3_bounds(self):

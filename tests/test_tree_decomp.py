@@ -1,7 +1,7 @@
 import pytest
 
 from bdtw.errors import FormatError, NotApplicableError
-from bdtw.graphs import Graph
+from bdtw.graphs import Graph, bit_indices, bitmask
 from bdtw.tree_decomp import (
     RootedTree,
     TreeDecomposition,
@@ -17,7 +17,7 @@ from oracles import connected_vertex_subsets
 
 
 def td_of(g, parent, bags):
-    return TreeDecomposition(RootedTree(parent), g, tuple(frozenset(b) for b in bags))
+    return TreeDecomposition(RootedTree(parent), g, tuple(bitmask(b) for b in bags))
 
 
 @pytest.fixture
@@ -92,14 +92,14 @@ class TestWidthDepth:
 class TestConnectedTrace:
     def test_single_vertex_is_t2(self, p3_td):
         for v in p3_td.host.vertices:
-            assert check_connected_trace(p3_td, {v})
+            assert check_connected_trace(p3_td, 1 << v)
 
     def test_pair(self, p3_td):
-        assert check_connected_trace(p3_td, {0, 1})
+        assert check_connected_trace(p3_td, 0b011)
 
     def test_requires_connected_set(self, p3_td):
         with pytest.raises(NotApplicableError):
-            check_connected_trace(p3_td, {0, 2})
+            check_connected_trace(p3_td, 0b101)
 
     def test_exhaustive_small(self, p3, k3):
         cases = [
@@ -112,7 +112,7 @@ class TestConnectedTrace:
         for td in cases:
             assert validate_td(td).ok
             for u in connected_vertex_subsets(td.host, 3):
-                assert check_connected_trace(td, u)
+                assert check_connected_trace(td, bitmask(u))
 
 
 class TestTighten:
@@ -123,15 +123,15 @@ class TestTighten:
     def test_drops_spurious_vertex(self, p3):
         td = td_of(p3, [0, 0], [{0, 1, 2}, {1, 2}])
         tight = tighten(td)
-        assert tight.bags == (frozenset({0, 1}), frozenset({1, 2}))
+        assert tight.bags == (0b011, 0b110)
 
     def test_duplicate_bag_shrinks(self, p3):
         td = td_of(p3, [0, 0, 1], [{0, 1}, {0, 1}, {1, 2}])
         tight = tighten(td)
         assert validate_td(tight).ok
         # The redundant root copy empties entirely; the chain keeps coverage.
-        assert tight.bags[0] == frozenset()
-        assert tight.bags[1] == frozenset({0, 1})
+        assert tight.bags[0] == 0
+        assert tight.bags[1] == 0b011
 
     def test_idempotent_and_tight(self, p3, k3):
         for td in [
@@ -145,9 +145,9 @@ class TestTighten:
             assert tighten(tight).bags == tight.bags
             # No single further removal may stay valid.
             for t in tight.tree.nodes:
-                for v in tight.bags[t]:
+                for v in bit_indices(tight.bags[t]):
                     bags = list(tight.bags)
-                    bags[t] = bags[t] - {v}
+                    bags[t] &= ~(1 << v)
                     worse = TreeDecomposition(tight.tree, tight.host, tuple(bags))
                     assert not validate_td(worse).ok
 
@@ -185,8 +185,11 @@ class TestTdFormat:
         P3_TD.replace("b 3 2 3", "b 3 2 x"),  # non-integer token
         P3_TD.replace("s td 3 2 3", "s td three 2 3"),  # non-integer header
         P3_TD + "r\n",  # root line without an id
+        P3_TD.replace("b 3 2 3", "b 3 2 0"),  # bag vertex below 1..n
+        P3_TD.replace("b 3 2 3", "b 3 2 4"),  # bag vertex above 1..n
     ], ids=["root-0", "root-4", "cycle", "repeated-bag", "width-header",
-            "non-integer-bag", "non-integer-header", "root-missing-id"])
+            "non-integer-bag", "non-integer-header", "root-missing-id",
+            "bag-vertex-0", "bag-vertex-n-plus-1"])
     def test_rejects_malformed(self, p3, text):
         with pytest.raises(FormatError):
             loads_td(text, p3)
