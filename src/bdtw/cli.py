@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: decide membership with optional certificate, solve a game,
-exactify a strategy-tree file, verify artifacts, sweep the equivalence of
-the game variants over a corpus, and play interactively against the solver.
+exactify a pre-tree decomposition file, verify artifacts, sweep the
+equivalence of the game variants over a corpus, and play interactively
+against the solver.
 
 Exit codes follow a 0/1/2 contract where a yes/no answer exists: 0 for the
 positive answer (member, valid, all-agree), 1 for the negative one, 2 for
@@ -37,7 +38,6 @@ from .game import (
 from .graphs import Graph, bit_indices, bitmask, closure, read_graph
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
-from .strategy_tree import read_strategy_tree
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
 
 BUDGET_ENV = "BDTW_BUDGET"
@@ -123,9 +123,9 @@ def cmd_solve(args) -> int:
 
 def cmd_monotonize(args) -> int:
     with open(args.tree) as f:
-        st = read_strategy_tree(f)
+        ptd = read_ptd(f)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
-    exact = run(st, verify=args.verify, trace=trace)
+    exact = run(ptd, verify=args.verify, trace=trace)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         write_ptd(exact, out)
@@ -145,11 +145,8 @@ def _sniff_kind(path: str) -> str:
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
-            tag = line.split()[0]
-            if tag == "s":
+            if line.split()[0] == "s":
                 return "td"
-            if tag in ("B", "m"):
-                return "st"
     return "ptd"
 
 
@@ -168,8 +165,7 @@ def cmd_verify(args) -> int:
         extra = f"width={td_width(td)} depth={td_depth(td)}"
     else:
         with open(args.artifact) as f:
-            artifact = read_strategy_tree(f) if kind == "st" else read_ptd(f)
-        ptd = artifact.ptd if kind == "st" else artifact
+            ptd = read_ptd(f)
         report = validate_ptd(ptd)
         extra = f"width={ptd_width(ptd)} depth={ptd_depth(ptd)}"
     if report.ok:
@@ -380,7 +376,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--closure", action="store_true", help="play on the closure graph")
     p.add_argument("--strategy-out", metavar="FILE")
 
-    p = sub.add_parser("monotonize", help="exactify a strategy-tree file")
+    p = sub.add_parser("monotonize", help="exactify a pre-tree decomposition (.ptd) file")
     p.add_argument("tree")
     p.add_argument("-o", "--output", metavar="FILE")
     p.add_argument("--verify", action="store_true")
@@ -389,7 +385,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="validate a decomposition artifact")
     p.add_argument("artifact")
     p.add_argument("--graph", metavar="FILE", help="host graph for .td artifacts")
-    p.add_argument("--type", choices=["td", "ptd", "st", "auto"], default="auto")
+    p.add_argument("--type", choices=["td", "ptd", "auto"], default="auto")
 
     p = sub.add_parser("equivalence", parents=[budget],
                        help="check the game variants agree over a corpus")

@@ -286,7 +286,7 @@ def dumps_graph(g: Graph) -> str:
     return buf.getvalue()
 
 
-def read_graph(inp: IO[str]) -> Graph:
+def read_graph(inp: Iterable[str]) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []

@@ -1,4 +1,5 @@
-"""Breadth-first exactification of a strategy tree.
+"""Breadth-first exactification of a pre-tree decomposition, normally a
+strategy tree's.
 
 Nodes are processed in BFS order.  At each internal node the free edges of
 its child tree-edges (edges missing from both cones) are reassigned so that
@@ -50,7 +51,7 @@ from .pre_tree import (
     to_tree_decomposition,
     validate_ptd,
 )
-from .strategy_tree import StrategyTree, build, fuzz_nonmonotone
+from .strategy_tree import StrategyTree, build, fuzz_nonmonotone, structural_branching
 from .tree_decomp import TreeDecomposition, validate_td
 from .validation import Report
 
@@ -255,7 +256,7 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     return StepState(new_ptd, processed)
 
 
-def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, *,
+def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecomposition, *,
                 width0: int | None = None, sums0: Sequence[int] | None = None) -> Report:
     """Re-check every per-step property the width/depth argument relies on.
 
@@ -278,12 +279,12 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
     node = next_state.processed[-1]
     scope_prev = prev.scope
     scope_next = next_state.scope
-    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.ptd.bags
-    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
+    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.bags
+    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.cones
     if width0 is None:
-        width0 = ptd_width(original.ptd)
+        width0 = ptd_width(original)
     if sums0 is None:
-        sums0 = _path_sums(original.ptd)
+        sums0 = _path_sums(original)
     changed_keys, changed_bags = ptd_diff(ptd_next, ptd_prev)
     # Tree edges with a changed cone, by their child end.
     changed_edges = sorted({t if tree.parent[t] == s else s for s, t in changed_keys})
@@ -391,7 +392,7 @@ def verify_step(prev: StepState, next_state: StepState, original: StrategyTree, 
     return report
 
 
-def iterate_steps(st: StrategyTree,
+def iterate_steps(ptd: PreTreeDecomposition,
                   ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice | None]]:
     """Yield (node, state before, state after, choice) for every step.
 
@@ -399,33 +400,33 @@ def iterate_steps(st: StrategyTree,
     step; every later state is checked by apply_step against the state it
     came from.
     """
-    report = validate_ptd(st.ptd)
+    report = validate_ptd(ptd)
     if not report.ok:
-        raise ConsistencyError(f"strategy tree violates the axioms:\n{report}")
-    state = StepState(st.ptd, ())
-    for node in st.ptd.tree.bfs_nodes():
+        raise ConsistencyError(f"input decomposition violates the axioms:\n{report}")
+    state = StepState(ptd, ())
+    for node in ptd.tree.bfs_nodes():
         choice = None
-        if st.ptd.tree.children[node]:
+        if ptd.tree.children[node]:
             choice = choose_extensions(state, node)
         after = apply_step(state, node, choice)
         yield node, state, after, choice
         state = after
 
 
-def run(st: StrategyTree, verify: bool = False,
+def run(ptd: PreTreeDecomposition, verify: bool = False,
         trace: Callable[[str], None] | None = None) -> PreTreeDecomposition:
-    """Exactify a strategy tree.
+    """Exactify a pre-tree decomposition.
 
     The result is an exact pre-tree decomposition whose width and depth do
     not exceed the input's.  With verify=True every step is re-checked and
     a non-empty report raises ConsistencyError.
     """
-    result = st.ptd
-    g = st.ptd.host
-    width0, sums0 = ptd_width(st.ptd), _path_sums(st.ptd)
-    for node, before, after, choice in iterate_steps(st):
+    result = ptd
+    g = ptd.host
+    width0, sums0 = ptd_width(ptd), _path_sums(ptd)
+    for node, before, after, choice in iterate_steps(ptd):
         if verify:
-            report = verify_step(before, after, st, width0=width0, sums0=sums0)
+            report = verify_step(before, after, ptd, width0=width0, sums0=sums0)
             if not report.ok:
                 raise ConsistencyError(f"step {len(after.processed)} at node {node}:\n{report}")
         if trace is not None:
@@ -446,7 +447,8 @@ def check_branching_depth_bound(result: PreTreeDecomposition, st: StrategyTree) 
     """Final depth is at most the maximum number of branching nodes on any
     root-to-leaf path of the original tree."""
     tree = st.ptd.tree
-    counts = tree.path_totals([int(t in st.branching) for t in tree.nodes])
+    branching = structural_branching(st)
+    counts = tree.path_totals([int(t in branching) for t in tree.nodes])
     return ptd_depth(result) <= max(counts, default=0)
 
 
@@ -492,7 +494,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
         bound = fz.placements_bound
         injected = fz.injected
     st = build(gc, sigma, GameConfig(k, bound))
-    exact = run(st, verify=verify)
+    exact = run(st.ptd, verify=verify)
     td = to_tree_decomposition(exact, g)
     report = validate_td(td)
     if not report.ok:

@@ -393,7 +393,7 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
 # ids; bag vertices refer to host vertices, edge ids to the graph section's
 # edge order.
 
-def write_ptd(ptd: PreTreeDecomposition, out: IO[str], extra: Iterable[str] = ()) -> None:
+def write_ptd(ptd: PreTreeDecomposition, out: IO[str]) -> None:
     write_graph(ptd.host, out)
     for t in ptd.tree.nodes:
         verts = " ".join(str(v) for v in bit_indices(ptd.bags[t]))
@@ -402,8 +402,6 @@ def write_ptd(ptd: PreTreeDecomposition, out: IO[str], extra: Iterable[str] = ()
     for (s, t), mask in sorted(ptd.cones.items()):
         ids = " ".join(str(e) for e in ptd.host.edge_ids(mask))
         out.write(f"g {s} {t} :{' ' + ids if ids else ''}\n")
-    for line in extra:
-        out.write(line.rstrip("\n") + "\n")
 
 
 def dumps_ptd(ptd: PreTreeDecomposition) -> str:
@@ -414,49 +412,47 @@ def dumps_ptd(ptd: PreTreeDecomposition) -> str:
     return buf.getvalue()
 
 
-def _parse_ptd_lines(inp: IO[str]):
-    """Split a ptd-style file into the host graph and its tagged records
-    (tag, tokens, line number)."""
-    import io
-
-    graph_lines: list[str] = []
-    records: list[tuple[str, list[str], int]] = []
+def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
+    """The validated decomposition a `.ptd` file describes.  Errors name
+    the line of the file, in the graph section too; a record with a tag
+    other than `n`, `g` or the graph section's is an error."""
+    graph_lines: list[str] = []  # records blanked, so graph errors keep their line
+    records: list[tuple[list[str], int]] = []
     for lineno, raw in enumerate(inp, 1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        tag = parts[0] if parts else ""
+        if tag in ("n", "g"):
+            records.append((parts, lineno))
+            graph_lines.append("")
             continue
-        tag = line.split()[0]
-        if tag in ("n", "g", "B", "m"):
-            records.append((tag, line.split(), lineno))
-        else:
-            graph_lines.append(line)
-    host = read_graph(io.StringIO("\n".join(graph_lines) + "\n"))
-    return host, records
+        if tag.isalpha() and tag != "p" and not tag.startswith("c"):
+            raise FormatError(f"line {lineno}: unknown record '{tag}'")
+        graph_lines.append(raw)
+    host = read_graph(graph_lines)
 
-
-def _ptd_from_records(host: Graph, records) -> PreTreeDecomposition:
-    """The validated decomposition given by the `n`/`g` records over host;
-    records with other tags are left to the caller."""
     nodes: dict[int, tuple[int, int]] = {}
     cones: dict[tuple[int, int], int] = {}
-    for tag, parts, lineno in records:
-        if tag not in ("n", "g"):
-            continue
+    for parts, lineno in records:
+        tag = parts[0]
         if parts[3:4] != [":"]:
             raise FormatError(f"line {lineno}: expected '{tag} <id> <id> : <ids...>'")
         try:
             a, b = int(parts[1]), int(parts[2])
             ids = [int(x) for x in parts[4:]]
             if tag == "g":
-                cones[(a, b)] = host.edge_mask(ids)
+                cone = host.edge_mask(ids)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        if tag == "n":
-            if a in nodes:
-                raise FormatError(f"line {lineno}: duplicate node {a}")
-            if any(not 0 <= v < host.n for v in ids):
-                raise FormatError(f"line {lineno}: bag vertex outside 0..{host.n - 1}")
-            nodes[a] = (b, bitmask(ids))
+        if tag == "g":
+            if (a, b) in cones:
+                raise FormatError(f"line {lineno}: second cone for tree edge {a}-{b}")
+            cones[(a, b)] = cone
+            continue
+        if a in nodes:
+            raise FormatError(f"line {lineno}: duplicate node {a}")
+        if any(not 0 <= v < host.n for v in ids):
+            raise FormatError(f"line {lineno}: bag vertex outside 0..{host.n - 1}")
+        nodes[a] = (b, bitmask(ids))
     if set(nodes) != set(range(len(nodes))):
         raise FormatError("node ids must be dense 0..N-1")
     parent = [nodes[t][0] for t in range(len(nodes))]
@@ -470,10 +466,6 @@ def _ptd_from_records(host: Graph, records) -> PreTreeDecomposition:
     if not report.ok:
         raise FormatError(f"file parses but violates the axioms:\n{report}")
     return ptd
-
-
-def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
-    return _ptd_from_records(*_parse_ptd_lines(inp))
 
 
 def loads_ptd(text: str) -> PreTreeDecomposition:

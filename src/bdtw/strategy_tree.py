@@ -7,6 +7,11 @@ node is a leaf when its incoming part is a single edge already covered by
 the parent's cops.  Children of t are the parts under bag(t) that meet the
 incoming part; the cone back to the parent is the complement of the child
 cones, so non-monotone moves show up as non-exact tree edges.
+
+The decomposition is the whole record: the move into t is bag(s) ->
+bag(t), its kept cops are bag(s) & bag(t), as in the robber's replies, and
+the branching nodes are read off the cones (structural_branching).  Trees
+are written and read as `.ptd` files.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import FormatError, StrategyError
+from .errors import StrategyError
 from .game import (
     GameConfig,
     Strategy,
@@ -25,50 +30,19 @@ from .game import (
     is_capture_mask,
     replay_cop_strategy,
 )
-from .graphs import Graph, bit_indices, bitmask, is_closure, part_table, vertices_of_mask
-from .pre_tree import (
-    PreTreeDecomposition,
-    _parse_ptd_lines,
-    _ptd_from_records,
-    is_exact_edge,
-    write_ptd,
-)
+from .graphs import Graph, bit_indices, is_closure, part_table, vertices_of_mask
+from .pre_tree import PreTreeDecomposition, is_exact_edge, ptd_depth
 from .tree_decomp import RootedTree
-
-
-@dataclass(frozen=True)
-class Move:
-    """One cop macro-move: remove a set, then place one vertex."""
-
-    removed: tuple[int, ...]
-    placed: int
 
 
 @dataclass
 class StrategyTree:
     ptd: PreTreeDecomposition
-    branching: frozenset[int]
-    move_log: dict[int, Move]
-    strategy: Strategy | None = None
+    strategy: Strategy
 
     @property
     def host(self) -> Graph:
         return self.ptd.host
-
-    def is_branching(self, t: int) -> bool:
-        return t in self.branching
-
-
-def _move_between(old: int, new: int) -> Move:
-    added = new & ~old
-    if added.bit_count() == 1:
-        return Move(bit_indices(old & ~new), added.bit_length() - 1)
-    if not added and new:
-        # The placement re-used a removed cop; pick the canonical realization.
-        placed = (new & -new).bit_length() - 1
-        return Move(bit_indices(old & ~new | 1 << placed), placed)
-    raise StrategyError(
-        f"{list(bit_indices(old))} -> {list(bit_indices(new))} is not a macro-move")
 
 
 def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
@@ -85,8 +59,6 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     parent: list[int] = [0]
     bags: list[int] = [0]  # cop-set masks, one bag per node
     cones: dict[tuple[int, int], int] = {}
-    move_log: dict[int, Move] = {}
-    branching: set[int] = set()
 
     queue: deque[tuple[int, int, int, int]] = deque()  # node, parent, in-cone, used
     for mask in part_table(g, 0).masks:
@@ -125,10 +97,6 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
         bags[t] = new_mask
-        move = _move_between(x_mask, new_mask)
-        move_log[t] = move
-        if g.incident_mask(move.placed) & in_cone:
-            branching.add(t)
         child_cones = []
         for mask in part_table(g, new_mask).masks:
             if mask & in_cone:
@@ -145,13 +113,12 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
 
     tree = RootedTree(parent)
     ptd = PreTreeDecomposition(tree, g, tuple(bags), cones)
-    return StrategyTree(ptd, frozenset(branching), move_log, sigma)
+    return StrategyTree(ptd, sigma)
 
 
 def structural_branching(st: StrategyTree) -> frozenset[int]:
-    """Nodes with a child whose cone is a single self-loop; coincides with
-    the branching set that build records (moves placing a cop on a vertex
-    of the robber's part).
+    """The branching nodes: non-root nodes with a child whose cone is a
+    single self-loop.
 
     A loop vv becomes a lone child cone only when the move at the node
     placed v while the robber could reach vv, which is exactly a placement
@@ -177,23 +144,21 @@ def structural_branching(st: StrategyTree) -> frozenset[int]:
 
 def move_is_monotone(st: StrategyTree, t: int) -> bool:
     """Whether the move creating t kept the robber part from growing at its
-    removal stage."""
-    tree = st.ptd.tree
-    s = tree.parent[t]
-    move = st.move_log[t]
+    removal stage, under the kept cops bag(parent) & bag(t)."""
+    s = st.ptd.tree.parent[t]
     in_cone = st.ptd.cone(s, t)
-    mid = st.ptd.bags[s] & ~bitmask(move.removed)
-    return _part_of(st.host, mid, in_cone) == in_cone
+    return _part_of(st.host, st.ptd.bags[s] & st.ptd.bags[t], in_cone) == in_cone
 
 
 def check_monotone_exact(st: StrategyTree) -> bool:
     """Each tree edge is exact iff its move was monotone, and every
     non-exact edge's removal stage strictly shrinks the cop set.
 
-    A macro-move bundles removals with one fresh placement, so the moved-to
-    bag itself need not shrink across a non-exact edge; the strict shrink
+    A macro-move bundles removals with one placement, so the moved-to bag
+    itself need not shrink across a non-exact edge; the strict shrink
     happens at the removal stage, before the placement."""
     tree = st.ptd.tree
+    bags = st.ptd.bags
     for t in tree.nodes:
         if t == tree.root or not tree.children[t]:
             continue
@@ -201,10 +166,8 @@ def check_monotone_exact(st: StrategyTree) -> bool:
         exact = is_exact_edge(st.ptd, s, t)
         if move_is_monotone(st, t) != exact:
             return False
-        if not exact:
-            removed = bitmask(st.move_log[t].removed) & st.ptd.bags[s]
-            if not removed:
-                return False
+        if not exact and not bags[s] & ~bags[t]:
+            return False
     return True
 
 
@@ -229,10 +192,6 @@ def check_self_loop_cones(st: StrategyTree) -> bool:
 def depth_iff_winning(st: StrategyTree, cfg: GameConfig) -> bool:
     """Whether the tree's depth is at most q exactly when the strategy wins
     the q-placement game."""
-    from .pre_tree import ptd_depth
-
-    if st.strategy is None:
-        raise StrategyError("strategy tree was loaded without its strategy")
     outcome = replay_cop_strategy(st.host, st.strategy, cfg)
     return (ptd_depth(st.ptd) <= cfg.q) == outcome.wins
 
@@ -306,65 +265,3 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
     if not outcome.wins:
         raise StrategyError("fuzzed strategy unexpectedly fails; this is a bug")
     return FuzzResult(fuzzed, bound, injected, detour_keys)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: the pre-tree decomposition format plus `B <node>` branching
-# markers and `m <node> : remove <v...> place <v>` move-log lines.  The
-# strategy itself is not serialized; trees loaded from files carry
-# strategy=None.
-
-def write_strategy_tree(st: StrategyTree, out) -> None:
-    extra = [f"B {t}" for t in sorted(st.branching)]
-    for t in sorted(st.move_log):
-        move = st.move_log[t]
-        removed = " ".join(str(v) for v in move.removed)
-        extra.append(
-            f"m {t} :{(' remove ' + removed) if removed else ''} place {move.placed}"
-        )
-    write_ptd(st.ptd, out, extra)
-
-
-def dumps_strategy_tree(st: StrategyTree) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_strategy_tree(st, buf)
-    return buf.getvalue()
-
-
-def read_strategy_tree(inp) -> StrategyTree:
-    host, records = _parse_ptd_lines(inp)
-    ptd = _ptd_from_records(host, records)
-    branching: set[int] = set()
-    move_log: dict[int, Move] = {}
-    for tag, parts, lineno in records:
-        if tag not in ("B", "m"):
-            continue
-        try:
-            t = int(parts[1])
-            if tag == "m":
-                if "place" not in parts:
-                    raise FormatError(f"line {lineno}: move record missing 'place'")
-                pi = parts.index("place")
-                removed = tuple(int(v) for v in parts[3:pi] if v != "remove")
-                move = Move(removed, int(parts[pi + 1]))
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-        if t not in ptd.tree.nodes:
-            raise FormatError(f"line {lineno}: node {t} is not in the tree")
-        if tag == "B":
-            branching.add(t)
-            continue
-        if t in move_log:
-            raise FormatError(f"line {lineno}: second move record for node {t}")
-        if any(v not in host.vertices for v in (*move.removed, move.placed)):
-            raise FormatError(f"line {lineno}: move vertex outside 0..{host.n - 1}")
-        move_log[t] = move
-    return StrategyTree(ptd, frozenset(branching), move_log, None)
-
-
-def loads_strategy_tree(text: str) -> StrategyTree:
-    import io
-
-    return read_strategy_tree(io.StringIO(text))

@@ -281,6 +281,8 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
         parts = line.split()
         try:
             if parts[0] == "s":
+                if n_bags is not None:
+                    raise FormatError(f"line {lineno}: repeated header")
                 if len(parts) != 5 or parts[1] != "td":
                     raise FormatError(f"line {lineno}: expected 's td <bags> <w+1> <n>'")
                 n_bags, width_plus_one = int(parts[2]), int(parts[3])
@@ -297,6 +299,8 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
                     raise FormatError(f"line {lineno}: bag vertex outside 1..{host.n}")
                 bags[bid] = bitmask(v - 1 for v in verts)
             elif parts[0] == "r":
+                if root_id is not None:
+                    raise FormatError(f"line {lineno}: repeated root line")
                 root_id = int(parts[1]) - 1
             else:
                 if len(parts) != 2:
@@ -306,7 +310,9 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if n_bags is None:
         raise FormatError("missing 's td' header")
-    if n_bags < 1 or set(bags) != set(range(n_bags)):
+    # Bag ids are distinct, so this compares against the header's count
+    # without building anything of that size.
+    if n_bags < 1 or len(bags) != n_bags or any(not 0 <= b < n_bags for b in bags):
         raise FormatError("bag ids must be 1..<#bags>, with at least one bag")
     largest = max((b.bit_count() for b in bags.values()), default=0)
     if width_plus_one != largest:

@@ -14,8 +14,11 @@ edge, where the library looks only at what a step changed, and evaluate
 the bag algebra on Python sets where the library uses vertex masks.  The
 extension oracle branches on every free edge, where the library searches
 over which vertices may be split; both offer a free edge to internal
-children only.  The elimination-forest decider at the end decides the
-class without the game at all.
+children only.  The branching oracle reads a strategy tree's moves off
+its bags: a node branches when the fresh vertex of parent bag -> node bag
+touches the robber's part, where the library looks for a lone self-loop
+child cone.  The elimination-forest decider at the end decides the class
+without the game at all.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from bdtw.pre_tree import (
     local_boundary,
     ptd_width,
 )
-from bdtw.strategy_tree import StrategyTree
 from bdtw.validation import Report
 
 
@@ -366,7 +368,23 @@ def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:
     return report
 
 
-def verify_step_oracle(prev: StepState, next_state: StepState, original: StrategyTree) -> Report:
+def branching_oracle(ptd: PreTreeDecomposition) -> frozenset[int]:
+    """Non-root nodes whose move, parent bag -> node bag, places a fresh
+    cop on an endpoint of an edge in the robber's part (the in-cone)."""
+    tree, bags = ptd.tree, _vertex_sets(ptd.bags)
+    out = set()
+    for t in tree.nodes:
+        if t == tree.root:
+            continue
+        s = tree.parent[t]
+        part = {v for e in ptd.host.edge_ids(ptd.cone(s, t)) for v in ptd.host.endpoints(e)}
+        if (bags[t] - bags[s]) & part:
+            out.add(t)
+    return frozenset(out)
+
+
+def verify_step_oracle(prev: StepState, next_state: StepState,
+                       original: PreTreeDecomposition) -> Report:
     """Every per-step property at every edge and node of the tree."""
     report = Report()
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
@@ -374,8 +392,8 @@ def verify_step_oracle(prev: StepState, next_state: StepState, original: Strateg
     node = next_state.processed[-1]
     scope_prev = prev.scope
     scope_next = next_state.scope
-    beta_prev, beta_next, beta0 = (_vertex_sets(p.bags) for p in (ptd_prev, ptd_next, original.ptd))
-    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.ptd.cones
+    beta_prev, beta_next, beta0 = (_vertex_sets(p.bags) for p in (ptd_prev, ptd_next, original))
+    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.cones
 
     for p, c in tree.edges():
         if p in scope_next and c in scope_next:
@@ -416,12 +434,12 @@ def verify_step_oracle(prev: StepState, next_state: StepState, original: Strateg
         if len(beta_next[t]) > len(beta_prev[t]):
             report.add("width", f"node {t}",
                        f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
-    wid0 = ptd_width(original.ptd)
+    wid0 = ptd_width(original)
     if ptd_width(ptd_next) > wid0:
         report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {wid0}")
 
     for t in sorted(scope_next):
-        now, was = _path_sum_oracle(ptd_next, t), _path_sum_oracle(original.ptd, t)
+        now, was = _path_sum_oracle(ptd_next, t), _path_sum_oracle(original, t)
         if now > was:
             report.add("depth", f"node {t}", f"path sum {now} exceeds original {was}")
 

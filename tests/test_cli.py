@@ -5,7 +5,7 @@ import pytest
 
 from bdtw.cli import main
 from bdtw.game import GameConfig, solve
-from bdtw.graphs import Graph, bit_indices, dumps_graph
+from bdtw.graphs import Graph, bit_indices, closure, dumps_graph
 from bdtw.corpus import corpus_instances, named_graph
 
 
@@ -118,17 +118,35 @@ class TestMonotonizeCmd:
     def test_round_trip_through_files(self, tmp_path, capsys):
         from bdtw.game import GameConfig, solve
         from bdtw.graphs import closure
-        from bdtw.strategy_tree import build, dumps_strategy_tree, fuzz_nonmonotone
+        from bdtw.pre_tree import dumps_ptd
+        from bdtw.strategy_tree import build, fuzz_nonmonotone
 
         g = closure(named_graph("P3"))
         res = solve(g, GameConfig(2, 2))
         fz = fuzz_nonmonotone(g, res.strategy, GameConfig(2, 2), 1, seed=5)
         st = build(g, fz.strategy, GameConfig(2, fz.placements_bound))
-        st_path = tmp_path / "tree.st"
-        st_path.write_text(dumps_strategy_tree(st))
+        tree_path = tmp_path / "tree.ptd"
+        tree_path.write_text(dumps_ptd(st.ptd))
         out_path = str(tmp_path / "exact.ptd")
-        assert main(["monotonize", str(st_path), "--verify", "-o", out_path]) == 0
+        assert main(["monotonize", str(tree_path), "--verify", "-o", out_path]) == 0
         assert main(["verify", out_path]) == 0
+
+    @pytest.mark.parametrize("record", ["B 1", "m 1 : place 0"], ids=["branching-mark", "move"])
+    def test_old_st_record_exits_two(self, tmp_path, capsys, record):
+        from bdtw.pre_tree import dumps_ptd
+        from bdtw.strategy_tree import build
+
+        g = closure(named_graph("E1"))
+        st = build(g, solve(g, GameConfig(2, 2)).strategy, GameConfig(2, 2))
+        text = dumps_ptd(st.ptd)
+        path = tmp_path / "tree.st"
+        path.write_text(text + record + "\n")
+        assert main(["monotonize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line = len(text.splitlines()) + 1
+        assert captured.err.splitlines() == [
+            f"error: line {line}: unknown record '{record.split()[0]}'"]
 
 
 class TestVerifyCmd:

@@ -135,7 +135,6 @@ class TestChooseExtensions:
         # the boundary: the tie-break on moved-edge count must keep it put,
         # and the leftover mechanism alone restores exactness.
         from bdtw.pre_tree import PreTreeDecomposition
-        from bdtw.strategy_tree import StrategyTree
         from bdtw.tree_decomp import RootedTree
 
         full = e1c.full_mask  # edges ab=0, aa=1, bb=2
@@ -152,13 +151,12 @@ class TestChooseExtensions:
         )
         ptd = PreTreeDecomposition(tree, e1c, bags, cones)
         assert validate_ptd(ptd).ok
-        st = StrategyTree(ptd, frozenset(), {})
         state = StepState(ptd, ())
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
         assert choice.f_union == 0
         assert choice.boundary_size == 2
-        exact = run(st)
+        exact = run(ptd)
         assert is_exact(exact)
         assert exact.cone(4, 1) == full & ~0b100
 
@@ -190,7 +188,7 @@ class TestChooseExtensions:
         # edges go up the leaves' cones instead, and the boundary stays
         # within the input bag.
         from bdtw.cli import main
-        from bdtw.strategy_tree import StrategyTree, dumps_strategy_tree
+        from bdtw.pre_tree import dumps_ptd
         from bdtw.tree_decomp import RootedTree
 
         g = Graph(3, [(0, 1), (1, 2)])
@@ -204,13 +202,12 @@ class TestChooseExtensions:
         choice = choose_extensions(state, 1)
         assert (choice.f, choice.f_star, choice.boundary_size) == ((0, 0), (0b10, 0b01), 1)
         assert choice == extension_oracle(state, 1)
-        st = StrategyTree(ptd, frozenset(), {})
-        exact = run(st, verify=True)
+        exact = run(ptd, verify=True)
         assert is_exact(exact)
         assert ptd_width(exact) <= ptd_width(ptd)
         assert ptd_depth(exact) <= ptd_depth(ptd)
-        path = tmp_path / "leaf.st"
-        path.write_text(dumps_strategy_tree(st))
+        path = tmp_path / "leaf.ptd"
+        path.write_text(dumps_ptd(ptd))
         assert main(["monotonize", str(path), "--verify"]) == 0
 
     def test_nonexact_node_boundary_within_bag(self):
@@ -235,7 +232,7 @@ class TestChooseExtensions:
         assert td_depth(r.td) <= r.placements_bound
         st = r.strategy_tree
         crowded = []
-        for node, before, _after, choice in iterate_steps(st):
+        for node, before, _after, choice in iterate_steps(st.ptd):
             cones = before.ptd.cones
             free = sum_masks(st.ptd.host.full_mask & ~(cones[(node, c)] | cones[(c, node)])
                              for c in st.ptd.tree.children[node])
@@ -248,7 +245,7 @@ class TestChooseExtensions:
 class TestApplySteps:
     def test_leaf_step_is_identity(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        states = list(iterate_steps(st))
+        states = list(iterate_steps(st.ptd))
         for node, before, after, choice in states:
             if not st.ptd.tree.children[node]:
                 assert after.ptd.bags == before.ptd.bags
@@ -256,7 +253,7 @@ class TestApplySteps:
 
     def test_root_step_normalizes_only(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2)
-        node, before, after, choice = next(iter(iterate_steps(st)))
+        node, before, after, choice = next(iter(iterate_steps(st.ptd)))
         assert node == st.ptd.tree.root
         assert choice.f_union == 0
         assert after.ptd.cones == before.ptd.cones
@@ -264,7 +261,7 @@ class TestApplySteps:
 
     def test_children_edges_exact_after_step(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
-        for node, before, after, choice in iterate_steps(st):
+        for node, before, after, choice in iterate_steps(st.ptd):
             ptd = after.ptd
             for c in st.ptd.tree.children[node]:
                 assert is_exact_edge(ptd, node, c)
@@ -290,14 +287,14 @@ class TestVerifyStep:
     def test_reports_empty_on_corpus(self):
         for name, k, q, seed in [("E1", 2, 2, 3), ("K3", 3, 3, 1), ("C4", 3, 3, 2)]:
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=2, seed=seed)
-            for node, before, after, _choice in iterate_steps(st):
-                report = verify_step(before, after, st)
+            for node, before, after, _choice in iterate_steps(st.ptd):
+                report = verify_step(before, after, st.ptd)
                 assert report.ok, f"{name}, node {node}: {report}"
 
     def test_reports_grown_bag_and_change_outside_scope(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        _node, before, after, _choice = next(iter(iterate_steps(st)))
-        assert verify_step(before, after, st).ok
+        _node, before, after, _choice = next(iter(iterate_steps(st.ptd)))
+        assert verify_step(before, after, st.ptd).ok
         ptd = after.ptd
         scope = after.scope
         p, c = next((p, c) for p, c in ptd.tree.edges() if p not in scope and c not in scope)
@@ -308,7 +305,7 @@ class TestVerifyStep:
         cones[(p, c)] ^= 1
         tampered = StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones),
                              after.processed)
-        rules = {v.rule for v in verify_step(before, tampered, st).violations}
+        rules = {v.rule for v in verify_step(before, tampered, st.ptd).violations}
         assert {"width", "locality"} <= rules
 
 
@@ -337,12 +334,14 @@ def single_tampers(state):
             yield tampered(state, cones=[(key, e)])
 
 
-def change_local_and_full(before, after, st):
+def change_local_and_full(before, after, original):
     """(change-local, full-scan) violation lists of the step checks and of
-    the axioms for the step before -> after."""
+    the axioms for the step before -> after from the original decomposition."""
     return (
-        (verify_step(before, after, st).violations, validate_ptd(after.ptd, since=before.ptd).violations),
-        (verify_step_oracle(before, after, st).violations, validate_ptd_oracle(after.ptd).violations),
+        (verify_step(before, after, original).violations,
+         validate_ptd(after.ptd, since=before.ptd).violations),
+        (verify_step_oracle(before, after, original).violations,
+         validate_ptd_oracle(after.ptd).violations),
     )
 
 
@@ -360,8 +359,8 @@ class TestChangeLocalChecks:
         rng = random.Random(f"{name}:{slack}")
         host, tree = st.ptd.host, st.ptd.tree
         keys = sorted(st.ptd.cones)
-        for node, before, after, _choice in iterate_steps(st):
-            got, want = change_local_and_full(before, after, st)
+        for node, before, after, _choice in iterate_steps(st.ptd):
+            got, want = change_local_and_full(before, after, st.ptd)
             assert got == want == ([], [])
             for _ in range(6):
                 bags = [(rng.choice(tree.nodes), rng.choice(host.vertices))
@@ -369,14 +368,14 @@ class TestChangeLocalChecks:
                 cones = [(rng.choice(keys), rng.randrange(host.m))
                          for _ in range(rng.randrange(1, 3))]
                 next_state = tampered(after, bags, cones)
-                got, want = change_local_and_full(before, next_state, st)
+                got, want = change_local_and_full(before, next_state, st.ptd)
                 assert got == want, f"node {node}, bags {bags}, cones {cones}"
 
     def test_match_full_scan_on_every_single_tamper(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
-        for _node, before, after, _choice in iterate_steps(st):
+        for _node, before, after, _choice in iterate_steps(st.ptd):
             for next_state in single_tampers(after):
-                got, want = change_local_and_full(before, next_state, st)
+                got, want = change_local_and_full(before, next_state, st.ptd)
                 assert got == want
 
     @pytest.mark.parametrize("rule", [
@@ -385,9 +384,9 @@ class TestChangeLocalChecks:
     ])
     def test_tampered_next_state_reports_rule(self, rule):
         st, _, _ = solved_tree(named_graph("C4"), 3, 3, fuzz=2, seed=2)
-        for _node, before, after, _choice in iterate_steps(st):
+        for _node, before, after, _choice in iterate_steps(st.ptd):
             for next_state in single_tampers(after):
-                got, want = change_local_and_full(before, next_state, st)
+                got, want = change_local_and_full(before, next_state, st.ptd)
                 if any(v.rule == rule for v in want[0] + want[1]):
                     assert got == want
                     assert any(v.rule == rule for v in got[0] + got[1])
@@ -399,7 +398,7 @@ class TestRun:
     def test_exact_output_with_preserved_bounds(self):
         for name, k, q, seed in [("E1", 2, 2, 3), ("P4", 2, 3, 1), ("K3", 3, 3, 1)]:
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=1, seed=seed)
-            exact = run(st, verify=True)
+            exact = run(st.ptd, verify=True)
             assert is_exact(exact)
             assert ptd_width(exact) <= ptd_width(st.ptd)
             assert ptd_depth(exact) <= ptd_depth(st.ptd)
@@ -408,22 +407,18 @@ class TestRun:
         # A bag deep in the tree misses a boundary vertex.  The steps
         # recompute that bag before they reach it and check only what they
         # change, so only the full check of the input finds it.
-        from bdtw.strategy_tree import StrategyTree
-
         st, _, _ = solved_tree(named_graph("P4"), 2, 3, fuzz=1, seed=1)
         ptd = st.ptd
         t = max((t for t in ptd.tree.nodes if ptd.bags[t]), key=lambda t: ptd.tree.depth[t])
         assert ptd.tree.depth[t] >= 2
         bags = list(ptd.bags)
         bags[t] &= bags[t] - 1  # drop the lowest vertex
-        bad = StrategyTree(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), ptd.cones),
-                           st.branching, st.move_log)
-        assert [v.rule for v in validate_ptd(bad.ptd).violations] == ["PT3"]
+        bad = PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), ptd.cones)
+        assert [v.rule for v in validate_ptd(bad).violations] == ["PT3"]
         with pytest.raises(ConsistencyError, match=r"\[PT3\] at node " + str(t)):
             run(bad)
 
     def test_trace_lines(self):
-        from bdtw.strategy_tree import StrategyTree
         from bdtw.tree_decomp import RootedTree
 
         # Relabel the non-root nodes in reverse so that level order differs
@@ -439,13 +434,12 @@ class TestRun:
             bags[new[t]] = old.bags[t]
         cones = {(new[s], new[t]): m for (s, t), m in old.cones.items()}
         ptd = PreTreeDecomposition(RootedTree(parent), old.host, tuple(bags), cones)
-        st = StrategyTree(ptd, frozenset(), {})
-        assert st.ptd.tree.bfs_nodes() != sorted(st.ptd.tree.nodes)
+        assert ptd.tree.bfs_nodes() != sorted(ptd.tree.nodes)
         lines = []
-        exact = run(st, verify=True, trace=lines.append)
-        order = st.ptd.tree.bfs_nodes()
-        assert len(lines) == len(order) == st.ptd.tree.size
-        steps = iterate_steps(st)
+        exact = run(ptd, verify=True, trace=lines.append)
+        order = ptd.tree.bfs_nodes()
+        assert len(lines) == len(order) == ptd.tree.size
+        steps = iterate_steps(ptd)
         for i, (line, node, (_n, _b, after, _c)) in enumerate(zip(lines, order, steps), 1):
             assert line.startswith(f"step {i} node {node} F={{")
             assert line.endswith(f" width={ptd_width(after.ptd)} depth={ptd_depth(after.ptd)}")
@@ -455,7 +449,7 @@ class TestRun:
         g = closure(named_graph("P3"))
         res = solve(g, GameConfig(2, 2, monotone=True))
         st = build(g, res.strategy, GameConfig(2, 2))
-        exact = run(st, verify=True)
+        exact = run(st.ptd, verify=True)
         assert exact.cones == st.ptd.cones
         for t in exact.tree.nodes:
             assert exact.bags[t] == local_boundary(st.ptd, t)
@@ -464,7 +458,7 @@ class TestRun:
         for name, k, q, seed in [("E1", 2, 2, 3), ("P3", 2, 2, 5), ("C4", 3, 3, 2)]:
             for fuzz in (0, 2):
                 st, _, _ = solved_tree(named_graph(name), k, q, fuzz=fuzz, seed=seed)
-                exact = run(st)
+                exact = run(st.ptd)
                 assert check_branching_depth_bound(exact, st)
 
     def test_exact_outputs_satisfy_subtree_observations(self):
@@ -493,7 +487,7 @@ class TestRun:
 
         for name, k, q, seed in [("E1", 2, 2, 3), ("P3", 2, 2, 5), ("K3", 3, 3, 1)]:
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=1, seed=seed)
-            exact = run(st)
+            exact = run(st.ptd)
             subtrees = admissible_subtrees(exact.tree)
             assert len(subtrees) > 2
             for nodes in subtrees:

@@ -265,14 +265,19 @@ class TestSerialization:
         with pytest.raises(FormatError):
             loads_ptd(text)
 
-    @pytest.mark.parametrize("old, new", [
-        ("n 1 0 : 0", "n 1 0 : 0 99"),  # bag vertex outside the host
-        ("n 1 0 : 0", "n 1 0 : x"),  # non-integer token
-        ("g 0 1 : 0 1 2", "g 0 1 : 0 1 2 7"),  # edge id outside the host
-        ("n 1 0 : 0", "n 1 0 : 0\nn 1 0 : 0"),  # repeated node id
-    ], ids=["bag-vertex", "non-integer", "edge-id", "repeated-node"])
-    def test_reader_rejects_bad_records(self, e1_ptd, old, new):
+    @pytest.mark.parametrize("old, new, line", [
+        ("n 1 0 : 0", "n 1 0 : 0 99", 6),  # bag vertex outside the host
+        ("n 1 0 : 0", "n 1 0 : x", 6),  # non-integer token
+        ("g 0 1 : 0 1 2", "g 0 1 : 0 1 2 7", 11),  # edge id outside the host
+        ("n 1 0 : 0", "n 1 0 : 0\nn 1 0 : 0", 7),  # repeated node id
+        ("g 1 0 :", "g 1 0 : 1\ng 1 0 :", 13),  # second cone for one tree edge
+        ("g 5 3 : 0 1", "g 5 3 : 0 1\n2 9", 21),  # graph line after the records
+        ("g 5 3 : 0 1", "g 5 3 : 0 1\nB 1", 21),  # branching mark of the old .st format
+        ("g 5 3 : 0 1", "g 5 3 : 0 1\nm 1 : place 0", 21),  # move line of the old .st format
+    ], ids=["bag-vertex", "non-integer", "edge-id", "repeated-node", "repeated-cone",
+            "late-graph-line", "leftover-branching-mark", "leftover-move"])
+    def test_reader_rejects_bad_records(self, e1_ptd, old, new, line):
         text = dumps_ptd(e1_ptd)
         assert old in text
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"^line {line}:"):
             loads_ptd(text.replace(old, new))

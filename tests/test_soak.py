@@ -41,6 +41,7 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
+from oracles import branching_oracle
 
 
 def random_host(rng, max_n=7, max_m=12, min_n=1):
@@ -79,7 +80,7 @@ def test_pipeline_soak():
         st = r.strategy_tree
         assert check_monotone_exact(st)
         assert check_self_loop_cones(st)
-        assert st.branching == structural_branching(st)
+        assert structural_branching(st) == branching_oracle(st.ptd)
         assert depth_iff_winning(st, GameConfig(k, r.placements_bound))
         pipelines += 1
     assert pipelines >= 150

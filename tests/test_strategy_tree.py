@@ -1,22 +1,43 @@
 import pytest
 
 from bdtw.corpus import all_graphs, named_graph
-from bdtw.errors import FormatError, StrategyError
-from bdtw.game import GameConfig, Strategy, replay_cop_strategy, solve
+from bdtw.errors import StrategyError
+from bdtw.game import GameConfig, Strategy, _part_of, replay_cop_strategy, solve
 from bdtw.graphs import Graph, closure
-from bdtw.pre_tree import is_exact_edge, ptd_depth, ptd_width, validate_ptd
+from bdtw.monotonize import check_branching_depth_bound, run
+from bdtw.pre_tree import (
+    dumps_ptd,
+    is_exact,
+    is_exact_edge,
+    loads_ptd,
+    ptd_depth,
+    ptd_width,
+    validate_ptd,
+)
 from bdtw.strategy_tree import (
     FuzzResult,
-    Move,
+    StrategyTree,
     build,
     check_monotone_exact,
     check_self_loop_cones,
     depth_iff_winning,
-    dumps_strategy_tree,
     fuzz_nonmonotone,
-    loads_strategy_tree,
     structural_branching,
 )
+from oracles import branching_oracle
+
+
+def fresh_vertex(st, t):
+    """The vertex the move into node t places: bag(t) minus its parent's."""
+    placed = st.ptd.bags[t] & ~st.ptd.bags[st.ptd.tree.parent[t]]
+    assert placed.bit_count() == 1
+    return placed.bit_length() - 1
+
+
+def internal_nodes(st):
+    """Non-root nodes with children: the nodes a cop move creates."""
+    tree = st.ptd.tree
+    return {t for t in tree.nodes if t != tree.root and tree.children[t]}
 
 
 def solved_tree(g, k, q, fuzz=0, seed=0):
@@ -101,24 +122,26 @@ class TestBuild:
 class TestBranching:
     def test_e1_marks(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        assert st.branching == frozenset({1, 2})
+        assert structural_branching(st) == frozenset({1, 2})
 
     def test_root_children_branch(self):
         for name, k, q in CORPUS:
             st, _, _ = solved_tree(named_graph(name), k, q)
             for c in st.ptd.tree.children[st.ptd.tree.root]:
-                assert st.is_branching(c)
+                assert c in structural_branching(st)
 
     def test_structural_characterization(self):
+        # A lone self-loop child cone marks exactly the moves whose fresh
+        # vertex touches the robber's part, on solver and fuzzed trees.
         for name, k, q in CORPUS:
-            for fuzz in (0, 1):
+            for fuzz in (0, 1, 2):
                 st, _, _ = solved_tree(named_graph(name), k, q, fuzz=fuzz, seed=11)
-                assert st.branching == structural_branching(st)
+                assert structural_branching(st) == branching_oracle(st.ptd)
 
     def test_k3_all_placements_branch(self):
         st, _, _ = solved_tree(named_graph("K3"), 3, 3)
-        placements = set(st.move_log)
-        assert placements == st.branching
+        placements = internal_nodes(st)
+        assert placements == structural_branching(st)
         assert len(placements) == 3
 
     def test_bare_loop_vertices_still_branch(self):
@@ -129,12 +152,12 @@ class TestBranching:
         gc = closure(g)
         res = solve(gc, GameConfig(4, 4))
         st = build(gc, res.strategy, GameConfig(4, 4))
-        marked = st.branching
-        assert marked == structural_branching(st)
+        marked = structural_branching(st)
+        assert marked == branching_oracle(st.ptd)
         assert st.ptd.tree.root not in marked
         loop_nodes = [
-            t for t, move in st.move_log.items()
-            if gc.incident_mask(move.placed) == 1 << gc.edge_id(move.placed, move.placed)
+            t for t in internal_nodes(st)
+            if gc.incident_mask(v := fresh_vertex(st, t)) == 1 << gc.edge_id(v, v)
         ]
         assert loop_nodes and all(t in marked for t in loop_nodes)
 
@@ -144,8 +167,8 @@ class TestBranching:
         for name, k, q in CORPUS:
             for fuzz in (0, 1):
                 st, gc, _ = solved_tree(named_graph(name), k, q, fuzz=fuzz, seed=2)
-                for t in st.branching:
-                    v = st.move_log[t].placed
+                for t in structural_branching(st):
+                    v = fresh_vertex(st, t)
                     non_isolated = any(
                         u != v
                         for e in gc.edge_ids(gc.incident_mask(v))
@@ -232,49 +255,61 @@ class TestFuzzer:
         assert produced >= 3
 
 
+class TestReplacement:
+    def test_replacement_move_is_read_off_the_bags(self):
+        # On closure(P4) the cops place 1, then 2, then re-place {1,2} ->
+        # {2} with the robber at vertex 3, then place 3.  The re-placement
+        # keeps cop 2 (bag(s) & bag(t)) and leaves the robber's part whole,
+        # so its tree edge is exact and it places no fresh cop: it is no
+        # branching node.
+        g = closure(named_graph("P4"))
+
+        def part(x_mask, v):
+            return _part_of(g, x_mask, 1 << g.edge_id(v, v))
+
+        sigma = Strategy({
+            (0, g.full_mask): 0b0010,
+            (0b0010, part(0b0010, 0)): 0b0011,
+            (0b0010, part(0b0010, 3)): 0b0110,
+            (0b0110, part(0b0110, 3)): 0b0100,
+            (0b0100, part(0b0100, 3)): 0b1100,
+        })
+        cfg = GameConfig(3, 4)
+        assert replay_cop_strategy(g, sigma, cfg).wins
+        st = build(g, sigma, cfg)
+        tree, bags = st.ptd.tree, st.ptd.bags
+        (t,) = [t for t in tree.nodes if bags[t] == 0b0100 and tree.children[t]]
+        assert bags[tree.parent[t]] == 0b0110
+        assert is_exact_edge(st.ptd, tree.parent[t], t)
+        assert check_monotone_exact(st)
+        assert check_self_loop_cones(st)
+        assert t not in structural_branching(st)
+        assert structural_branching(st) == branching_oracle(st.ptd)
+        exact = run(st.ptd, verify=True)
+        assert is_exact(exact)
+        assert ptd_depth(exact) == 3
+        assert check_branching_depth_bound(exact, st)
+
+
 class TestSerialization:
     def test_round_trip(self):
+        # A strategy tree is its decomposition: the .ptd text carries the
+        # bags, the cones, and so the moves and the branching nodes.
         st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
-        text = dumps_strategy_tree(st)
-        back = loads_strategy_tree(text)
+        back = StrategyTree(loads_ptd(dumps_ptd(st.ptd)), st.strategy)
         assert back.ptd.bags == st.ptd.bags
         assert back.ptd.cones == st.ptd.cones
-        assert back.branching == st.branching
-        assert back.move_log == st.move_log
-        assert back.strategy is None
-
-    @pytest.mark.parametrize("old, new", [
-        ("n 1 0 : 0", "n 1 0 : 0 99"),  # bag vertex outside the host
-        ("B 1", "B x"),  # non-integer token
-        ("B 1", "B 99"),  # branching mark on a node outside the tree
-        ("m 1 : place 0", "m 1 : place 5"),  # placed vertex outside the host
-        ("m 1 : place 0", "m 1 : remove 7 place 0"),  # removed vertex outside the host
-        ("m 1 : place 0", "m 1 : place 0\nm 1 : place 1"),  # second move for one node
-    ], ids=["bag-vertex", "non-integer", "node-outside-tree", "placed-vertex",
-            "removed-vertex", "repeated-move"])
-    def test_reader_rejects_bad_records(self, old, new):
-        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        text = dumps_strategy_tree(st)
-        assert old in text
-        with pytest.raises(FormatError):
-            loads_strategy_tree(text.replace(old, new))
-
-    def test_move_lines_format(self):
-        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        text = dumps_strategy_tree(st)
-        assert "m 1 : place 0" in text
-        assert "B 1" in text
-
-    def test_loaded_tree_cannot_replay(self):
-        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        back = loads_strategy_tree(dumps_strategy_tree(st))
-        with pytest.raises(StrategyError):
-            depth_iff_winning(back, GameConfig(2, 2))
+        assert structural_branching(back) == structural_branching(st)
+        assert check_monotone_exact(back)
 
 
 class TestMoveLog:
     def test_moves_recorded(self):
+        # The move into node t is bag(parent) -> bag(t): from no cops the
+        # cops place 0, then 1; the leaves hold the captured edge.
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
-        assert st.move_log[1] == Move((), 0)
-        assert st.move_log[2] == Move((), 1)
-        assert 4 not in st.move_log  # leaves carry no move
+        tree, bags = st.ptd.tree, st.ptd.bags
+        assert [(bags[tree.parent[t]], bags[t]) for t in sorted(internal_nodes(st))] == [
+            (0, 0b1), (0b1, 0b11)]
+        assert [fresh_vertex(st, t) for t in sorted(internal_nodes(st))] == [0, 1]
+        assert not tree.children[4]  # leaves carry no move

@@ -193,3 +193,25 @@ class TestTdFormat:
     def test_rejects_malformed(self, p3, text):
         with pytest.raises(FormatError):
             loads_td(text, p3)
+
+    def test_repeated_lines_name_their_line(self, p3):
+        # A later header or root line would silently win.
+        with pytest.raises(FormatError, match="^line 8: repeated root"):
+            loads_td(self.P3_TD + "r 1\nr 2\n", p3)
+        with pytest.raises(FormatError, match="^line 7: repeated header"):
+            loads_td(self.P3_TD + "s td 3 2 3\n", p3)
+
+    def test_header_bag_count_costs_no_memory(self, p3):
+        # The header's bag count is compared with the bags read before
+        # anything of that size is built.
+        import tracemalloc
+
+        text = "s td 1000000 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="bag ids"):
+                loads_td(text, p3)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
