@@ -1,7 +1,7 @@
 import pytest
 
 from bdtw.corpus import all_graphs, named_graph
-from bdtw.errors import StrategyError
+from bdtw.errors import FormatError, StrategyError
 from bdtw.game import GameConfig, Strategy, _part_of, replay_cop_strategy, solve
 from bdtw.graphs import Graph, closure
 from bdtw.monotonize import check_branching_depth_bound, run
@@ -301,6 +301,25 @@ class TestSerialization:
         assert back.ptd.cones == st.ptd.cones
         assert structural_branching(back) == structural_branching(st)
         assert check_monotone_exact(back)
+
+    # The records a strategy tree is read back from are its node and cone
+    # lines: the move into node t is the step from its parent's bag to
+    # bag(t), so a bad move is a bad bag, and a second move a second record.
+    @pytest.mark.parametrize("old, new, match", [
+        ("n 1 0 : 0", "n 1 0 : 0 99", "^line 6: bag vertex"),  # bag vertex outside the host
+        ("n 1 0 : 0", "n x 0 : 0", "^line 6:"),  # non-integer token
+        ("n 1 0 : 0", "n 1 9 : 0", "parent of 1 out of range"),  # node outside the tree
+        ("n 2 1 : 0 1", "n 2 1 : 0 5", "^line 7: bag vertex"),  # placed vertex outside the host
+        ("n 1 0 : 0", "n 1 0 : 0 7", "^line 6: bag vertex"),  # removed vertex outside the host
+        ("n 1 0 : 0", "n 1 0 : 0\nn 1 0 : 0", "^line 7: duplicate node 1"),  # second move for one node
+    ], ids=["bag-vertex", "non-integer", "node-outside-tree", "placed-vertex",
+            "removed-vertex", "repeated-move"])
+    def test_reader_rejects_bad_records(self, old, new, match):
+        st, _, _ = solved_tree(named_graph("E1"), 2, 2)
+        text = dumps_ptd(st.ptd)
+        assert old in text
+        with pytest.raises(FormatError, match=match):
+            loads_ptd(text.replace(old, new))
 
 
 class TestMoveLog:
