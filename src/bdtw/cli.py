@@ -26,10 +26,9 @@ from .game import (
     GameConfig,
     Strategy,
     _Solver,
-    _macro_moves,
+    _is_move,
     _part_of,
-    _responses,
-    format_round,
+    _replies,
     initial_parts,
     minimum_placements,
     solve,
@@ -67,6 +66,11 @@ def _load_graph(path: str) -> Graph:
 
 def _fmt_set(x_mask: int) -> str:
     return "{" + ",".join(str(v) for v in bit_indices(x_mask)) + "}"
+
+
+def _format_round(g: Graph, i: int, x_mask: int, p_mask: int) -> str:
+    part_str = "{" + ",".join(str(e) for e in g.edge_ids(p_mask)) + "}"
+    return f"round {i}: cops {_fmt_set(x_mask)} j={i} robber-part {part_str}"
 
 
 def cmd_decide(args) -> int:
@@ -151,9 +155,7 @@ def _sniff_kind(path: str) -> str:
 
 
 def cmd_verify(args) -> int:
-    kind = args.type
-    if kind == "auto":
-        kind = _sniff_kind(args.artifact)
+    kind = _sniff_kind(args.artifact)
     if kind == "td":
         if not args.graph:
             print("error: verifying a .td file needs --graph", file=sys.stderr)
@@ -264,24 +266,27 @@ def cmd_play(args) -> int:
     x_mask = 0
     used = 0
     while True:
-        emit(format_round(g, used, x_mask, used, part))
+        emit(_format_round(g, used, x_mask, part))
         if used >= cfg.q:
             emit("placements exhausted: robber wins")
             break
         if args.side == "cop":
             emit("your move: 'place <v> [remove <v...>]' or 'quit'")
-            new_mask = _read_cop_move(stdin, emit, g.n, x_mask,
-                                      _macro_moves(g, cfg.k, cfg.monotone, x_mask, part))
+            new_mask = _read_cop_move(
+                stdin, emit, g.n, x_mask,
+                functools.partial(_is_move, g, cfg.k, cfg.monotone, x_mask, part))
             if new_mask is None:
                 emit("session ended")
                 break
         else:
             new_mask = solver.cop_move(x_mask, part, cfg.q - used)
             emit(f"cops move to {_fmt_set(new_mask)}")
-        live = solver._live(x_mask, part, new_mask)
+        live = _replies(g, x_mask, part, new_mask)
         if not live:
-            part = _responses(g, new_mask, _part_of(g, x_mask & new_mask, part))[0]
-            emit(format_round(g, used + 1, new_mask, used + 1, part))
+            # Every reply is a captured edge; show the lowest one.
+            stage = _part_of(g, x_mask & new_mask, part)
+            part = stage & -stage
+            emit(_format_round(g, used + 1, new_mask, part))
             emit("captured: cops win")
             break
         if args.side == "robber":
@@ -322,11 +327,10 @@ def _read_index(stdin, emit, n: int) -> int:
         emit(f"enter a number in 0..{n - 1}")
 
 
-def _read_cop_move(stdin, emit, n: int, x_mask: int, moves: list[int]) -> int | None:
-    """The next legal cop set typed as a move from x_mask, or None on 'quit'.
-    Removing a vertex that holds no cop is ignored; placing one outside
-    0..n-1 is illegal."""
-    legal = set(moves)
+def _read_cop_move(stdin, emit, n: int, x_mask: int, is_legal) -> int | None:
+    """The next cop set typed as a move from x_mask that is_legal accepts,
+    or None on 'quit'.  Removing a vertex that holds no cop is ignored;
+    placing one outside 0..n-1 is illegal."""
     while True:
         raw = stdin.readline()
         if not raw:
@@ -342,8 +346,9 @@ def _read_cop_move(stdin, emit, n: int, x_mask: int, moves: list[int]) -> int | 
             continue
         placed = _capped(move[1], n)
         removed = bitmask(v for v in (_capped(t, n) for t in (move[2] or "").split()) if v < n)
-        candidate = x_mask & ~removed | 1 << placed if placed < n else None
-        if candidate in legal:
+        # A vertex placed outside 0..n-1 is bit n, which no legal move has.
+        candidate = x_mask & ~removed | 1 << placed
+        if is_legal(candidate):
             return candidate
         emit("illegal move, try again")
 
@@ -385,7 +390,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="validate a decomposition artifact")
     p.add_argument("artifact")
     p.add_argument("--graph", metavar="FILE", help="host graph for .td artifacts")
-    p.add_argument("--type", choices=["td", "ptd", "auto"], default="auto")
 
     p = sub.add_parser("equivalence", parents=[budget],
                        help="check the game variants agree over a corpus")

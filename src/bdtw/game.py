@@ -3,14 +3,14 @@
 A position is (cop set X, robber part, placements used).  The robber part is
 the edge mask of the part of the edge component graph under X that holds the
 robber's edge; two robber edges in the same part are the same position.  A
-cop turn is a macro-move: remove any subset R of X, then place one vertex v
-not in X \\ R, which increments the placement counter.  Pure removals are
-not offered as turns: they can never capture and any removal folds into the
-next placement, which keeps the search well-founded on the counter.  In the
-monotone variant a macro-move is legal only if the robber part does not grow
-at its removal stage.  Cop sets are vertex masks and parts edge masks
-throughout; _macro_moves, _responses and is_capture_mask are the one
-statement of these rules, which play, replay and the tests call directly.
+cop turn moves the cops from X to a nonempty set Y of at most k vertices
+with at most one vertex outside X, and increments the placement counter.
+The kept cops are X & Y: the robber's removal-stage part is its part under
+X & Y, and it answers with any part under Y inside that one.  In the
+monotone variant a move is legal only if the robber's part stays whole
+under X & Y.  Cop sets are vertex masks and parts edge masks throughout;
+_is_move, _replies and is_capture_mask are the one statement of these
+rules, which replay, strategy trees, play and the tests call directly.
 
 The solver searches only the fresh moves, those that place v outside X.  A
 re-placement, a move from (X, p) to some m inside X (the pass m = X
@@ -30,8 +30,9 @@ mid of X with |mid| = min(|X|, k - 1).  A larger kept set is never worse
   live reply to mid + v, and a capture stays a capture under more cops;
 - the cops at (Y, p') with Y containing X and p' inside p can copy any
   strategy from (X, p): their first move goes to exactly the shadow's next
-  cop set, whose stage part is the same, since part_of(mid2, p') =
-  part_of(mid2, p) for every mid2 inside X.
+  cop set N, and their stage part, under the kept cops Y & N, lies inside
+  the shadow's, since part_of(mid2, p') = part_of(mid2, p) for every mid2
+  inside X.
 The monotone variant walks every kept-cop set with |mid| < k: there a
 removal that leaves the shadow's part p whole may grow the copier's smaller
 part p', which makes it illegal, so the argument does not carry over.
@@ -105,30 +106,14 @@ def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
     return table.part_of[(p_mask & -p_mask).bit_length() - 1]
 
 
-def _macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> list[int]:
-    """Distinct legal follow-up cop sets, ascending as bitmasks."""
-    out: set[int] = set()
-    everyone = (1 << g.n) - 1
-    r = x_mask
-    while True:
-        mid = x_mask & ~r
-        if mid.bit_count() < k:
-            if not monotone or _part_of(g, mid, p_mask) == p_mask:
-                free = everyone & ~mid
-                while free:
-                    bit = free & -free
-                    free ^= bit
-                    out.add(mid | bit)
-        if r == 0:
-            break
-        r = (r - 1) & x_mask
-    return sorted(out)
-
-
-def _responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
-    """Nonempty parts under new_mask inside the robber's removal-stage part
-    (the part under the kept cops x & new), in part_table order."""
-    return tuple(q for q in part_table(g, new_mask).masks if q and q & ~stage_part == 0)
+def _is_move(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int,
+             new_mask: int) -> bool:
+    """Whether the cops may move from (x, part) to the cop set new: a
+    nonempty set of at most k host vertices, at most one outside x, whose
+    kept cops x & new, in the monotone variant, leave the part whole."""
+    return (0 < new_mask < 1 << g.n and new_mask.bit_count() <= k
+            and (new_mask & ~x_mask).bit_count() <= 1
+            and (not monotone or _part_of(g, x_mask & new_mask, p_mask) == p_mask))
 
 
 def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
@@ -140,9 +125,9 @@ def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
 
 
 def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
-    """_responses without the captures, from the host's response table: the
-    component parts under new_mask inside stage_part, since the other parts
-    are the single edges under cops."""
+    """The parts under new_mask inside stage_part that are not captures,
+    from the host's response table: its component parts, since the other
+    parts are the single edges under cops."""
     key = (new_mask, stage_part)
     cached = g._resp_cache.get(key)
     if cached is None:
@@ -150,6 +135,13 @@ def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]
             q for q in part_table(g, new_mask).components if q & ~stage_part == 0
         )
     return cached
+
+
+def _replies(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
+    """The robber's replies to the cop move from (x, part) to new that are
+    not captures: the parts under new inside the part under the kept cops
+    x & new."""
+    return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
 
 
 def initial_parts(g: Graph) -> list[int]:
@@ -193,11 +185,6 @@ class _Solver:
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
 
-    def _live(self, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
-        """The robber's responses to the move x -> new that are not captures."""
-        g = self.g
-        return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
-
     def _kept_sets(self, x_mask: int) -> Sequence[int]:
         """The kept-cop sets the search walks from cop set x, descending as
         bitmasks: in the monotone variant every mid inside x with |mid| < k;
@@ -218,7 +205,7 @@ class _Solver:
             mid = (mid - 1) & x_mask
 
     def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(new cop set, _live responses) for every searched move: the kept-cop
+        """(new cop set, _replies) for every searched move: the kept-cop
         sets of _kept_sets, each with its fresh placed vertices ascending."""
         key = (x_mask, p_mask)
         cached = self._succ_cache.get(key)
@@ -363,7 +350,7 @@ class _Solver:
                 raise StrategyError("position is not winnable within the placement bound")
             new_mask = self.cop_move(x_mask, p_mask, q)
             sigma.moves[(x_mask, p_mask)] = new_mask
-            for qm in sorted(self._live(x_mask, p_mask, new_mask), reverse=True):
+            for qm in sorted(_replies(self.g, x_mask, p_mask, new_mask), reverse=True):
                 stack.append((new_mask, qm))
         return sigma
 
@@ -386,7 +373,7 @@ class RobberStrategy:
         """A surviving part after the cop move from (x_mask, p_mask) to new_mask."""
         s = self._solver
         left = self.q - placements_used - 1
-        q_mask = s.robber_move(new_mask, s._live(x_mask, p_mask, new_mask), left)
+        q_mask = s.robber_move(new_mask, _replies(s.g, x_mask, p_mask, new_mask), left)
         if q_mask is None or s.win(new_mask, q_mask, left):
             raise StrategyError("no surviving response; position was already lost")
         return q_mask
@@ -466,13 +453,13 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig) -> ReplayRes
             new_mask = sigma.next_cops(x_mask, p_mask)
         except StrategyError:
             return None, tuple(trail + [("undefined", x_mask, p_mask)])
-        if new_mask not in _macro_moves(g, cfg.k, cfg.monotone, x_mask, p_mask):
+        if not _is_move(g, cfg.k, cfg.monotone, x_mask, p_mask, new_mask):
             raise StrategyError(
                 f"illegal move {list(bit_indices(new_mask))} from "
                 f"cops={list(bit_indices(x_mask))} part={p_mask:#x}"
             )
         worst = used + 1
-        for q_mask in _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask)):
+        for q_mask in _replies(g, x_mask, p_mask, new_mask):
             step = ("move", x_mask, p_mask, new_mask, q_mask)
             sub, witness = walk(new_mask, q_mask, used + 1, trail + [step])
             if sub is None:
@@ -489,8 +476,3 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig) -> ReplayRes
         overall = max(overall, result)
     return ReplayResult(True, overall, None)
 
-
-def format_round(g: Graph, i: int, x_mask: int, j: int, p_mask: int) -> str:
-    cop_str = "{" + ",".join(str(v) for v in bit_indices(x_mask)) + "}"
-    part_str = "{" + ",".join(str(e) for e in g.edge_ids(p_mask)) + "}"
-    return f"round {i}: cops {cop_str} j={j} robber-part {part_str}"

@@ -369,17 +369,9 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
                             f"vertices {list(bit_indices(still))} lost at {t} but present at {t_star}",
                         )
 
-    # Root-path bag unions before and after the step, top-down.
-    unions = [(0, 0)] * tree.size
-    for t in tree.bfs_nodes():
-        if t == tree.root:
-            unions[t] = (beta_prev[t], beta_next[t])
-        else:
-            was, now = unions[tree.parent[t]]
-            unions[t] = (was | beta_prev[t], now | beta_next[t])
+    was, now = tree.path_unions(beta_prev), tree.path_unions(beta_next)
     for t in sorted(scope_prev):
-        was, now = unions[t]
-        u_new = (now & ~was).bit_count()
+        u_new = (now[t] & ~was[t]).bit_count()
         if not u_new:
             continue
         t_star = tree.gca(t, node)

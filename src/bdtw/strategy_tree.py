@@ -24,9 +24,10 @@ from .errors import StrategyError
 from .game import (
     GameConfig,
     Strategy,
-    _macro_moves,
-    _live_responses,
+    _is_move,
     _part_of,
+    _replies,
+    initial_parts,
     is_capture_mask,
     replay_cop_strategy,
 )
@@ -61,13 +62,12 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     cones: dict[tuple[int, int], int] = {}
 
     queue: deque[tuple[int, int, int, int]] = deque()  # node, parent, in-cone, used
-    for mask in part_table(g, 0).masks:
-        if mask:
-            child = len(parent)
-            parent.append(0)
-            bags.append(0)
-            cones[(0, child)] = mask
-            queue.append((child, 0, mask, 0))
+    for mask in initial_parts(g):
+        child = len(parent)
+        parent.append(0)
+        bags.append(0)
+        cones[(0, child)] = mask
+        queue.append((child, 0, mask, 0))
 
     def play_to(t: int) -> list[tuple[list[int], int]]:
         steps = []
@@ -91,7 +91,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"escaping play: {play_to(t)}"
             )
         new_mask = sigma.next_cops(x_mask, in_cone)
-        if new_mask not in _macro_moves(g, cfg.k, False, x_mask, in_cone):
+        if not _is_move(g, cfg.k, False, x_mask, in_cone, new_mask):
             raise StrategyError(
                 f"strategy plays illegal move {list(bit_indices(new_mask))} at cops="
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
@@ -249,8 +249,7 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
         key, target, w, _inc = preferred[rng.randrange(len(preferred))]
         x_mask, part = key
         detour = x_mask | 1 << w
-        # The detour removes no cop, so part itself is the removal-stage part.
-        responses = _live_responses(g, detour, part)
+        responses = _replies(g, x_mask, part, detour)
         if any((detour, q) in moves for q in responses):
             continue
         moves[key] = detour

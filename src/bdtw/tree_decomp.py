@@ -93,6 +93,14 @@ class RootedTree:
             totals[t] = weights[t] if t == self.root else totals[self.parent[t]] + weights[t]
         return totals
 
+    def path_unions(self, masks: Sequence[int]) -> list[int]:
+        """Per node, the union of the masks on its root path (one top-down
+        pass)."""
+        unions = [0] * self.size
+        for t in self._level_order:
+            unions[t] = masks[t] if t == self.root else unions[self.parent[t]] | masks[t]
+        return unions
+
     def is_ancestor(self, a: int, b: int) -> bool:
         """Whether a lies on the path from the root to b (a == b included)."""
         while self.depth[b] > self.depth[a]:
@@ -186,16 +194,8 @@ def td_width(td: TreeDecomposition) -> int:
 
 
 def td_depth(td: TreeDecomposition) -> int:
-    """Max over leaves of the number of distinct vertices on the root path."""
-    if td.tree.size == 0:
-        return 0
-    best = 0
-    for leaf in td.tree.leaves():
-        seen = 0
-        for t in td.tree.path_from_root(leaf):
-            seen |= td.bags[t]
-        best = max(best, seen.bit_count())
-    return best
+    """Max over root paths of the number of distinct vertices on them."""
+    return max((u.bit_count() for u in td.tree.path_unions(td.bags)), default=0)
 
 
 def check_connected_trace(td: TreeDecomposition, u: int) -> bool:

@@ -4,11 +4,13 @@ Everything here works from first principles on tiny inputs and stays
 deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
 plain recursive minimax without memoization.  Three kinds of oracle are
-the exception.  The full-move game oracle reuses the library's statement of
-the rules (_macro_moves, _responses and is_capture_mask, on cop-set masks)
-and searches every legal move, where the solver leaves out the
+the exception.  The full-move game oracle enumerates every legal move
+(macro_moves: remove any cops, place one vertex, and in the monotone
+variant keep the robber's part whole under the kept cops X & Y), where the
+library only tests one move (_is_move) and the solver leaves out the
 re-placements and, in the non-monotone variant, the moves that keep fewer
-cops than there is room for.  The exactification
+cops than there is room for; it reads parts and captures off the library's
+part tables and is_capture_mask.  The exactification
 checks reuse the library's blocks and boundaries but scan every node and
 edge, where the library looks only at what a step changed, and evaluate
 the bag algebra on Python sets where the library uses vertex masks.  The
@@ -26,8 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from bdtw.game import _macro_moves, _part_of, _responses, initial_parts, is_capture_mask
-from bdtw.graphs import Graph, bit_indices
+from bdtw.game import _part_of, initial_parts, is_capture_mask
+from bdtw.graphs import Graph, bit_indices, part_table
 from bdtw.monotonize import ExtensionChoice, StepState
 from bdtw.pre_tree import (
     PreTreeDecomposition,
@@ -223,14 +225,13 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
                 mid = cops - set(removed)
                 if len(mid) >= k:
                     continue
-                if monotone:
-                    if part_containing_oracle(g, frozenset(mid), robber) != robber:
-                        continue
                 for v in g.vertices:
                     if v not in mid:
                         moves.add(frozenset(mid | {v}))
         for new_cops in sorted(moves, key=sorted):
             mid_part = part_containing_oracle(g, cops & new_cops, robber)
+            if monotone and mid_part != robber:
+                continue
             ok = True
             for part in parts_oracle(g, new_cops):
                 if not part <= mid_part:
@@ -252,10 +253,42 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
     return all(cop_to_move(frozenset(), p, 0) for p in sorted(starts, key=sorted))
 
 
+def submasks(mask: int):
+    """Every submask of mask, descending."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> list[int]:
+    """Every legal follow-up cop set, ascending as bitmasks: remove any
+    subset of the cops x, then place one vertex not kept, with at most k
+    cops after; in the monotone variant only the moves whose kept cops
+    x & new leave the robber's part whole."""
+    out = set()
+    for removed in submasks(x_mask):
+        mid = x_mask & ~removed
+        if mid.bit_count() < k:
+            out.update(mid | 1 << v for v in g.vertices if not mid >> v & 1)
+    return sorted(m for m in out
+                  if not monotone or _part_of(g, x_mask & m, p_mask) == p_mask)
+
+
+def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
+    """The robber's parts after the cop move from (x, part) to new, captures
+    included: the nonempty parts under new inside the part under the kept
+    cops x & new, in part-table order."""
+    stage = _part_of(g, x_mask & new_mask, p_mask)
+    return tuple(q for q in part_table(g, new_mask).masks if q and q & ~stage == 0)
+
+
 def full_move_win(g: Graph, k: int, monotone: bool):
     """win(x_mask, p_mask, b): whether k cops capture from (x, part) with at
-    most b placements, by a memoised minimax over every move of _macro_moves
-    (re-placements and the pass included) and the robber's _responses minus
+    most b placements, by a memoised minimax over every move of macro_moves
+    (re-placements and the pass included) and the robber's responses minus
     captures."""
     memo: dict[tuple[int, int, int], bool] = {}
 
@@ -266,9 +299,9 @@ def full_move_win(g: Graph, k: int, monotone: bool):
         if key not in memo:
             memo[key] = any(
                 all(win(m, q, b - 1)
-                    for q in _responses(g, m, _part_of(g, x_mask & m, p_mask))
+                    for q in responses(g, x_mask, p_mask, m)
                     if not is_capture_mask(g, m, q))
-                for m in _macro_moves(g, k, monotone, x_mask, p_mask)
+                for m in macro_moves(g, k, monotone, x_mask, p_mask)
             )
         return memo[key]
 

@@ -10,9 +10,8 @@ from bdtw.game import (
     RobberStrategy,
     Strategy,
     _Solver,
-    _macro_moves,
-    _part_of,
-    _responses,
+    _is_move,
+    _replies,
     initial_parts,
     is_capture_mask,
     minimum_placements,
@@ -22,18 +21,31 @@ from bdtw.game import (
 )
 from bdtw.graphs import Graph, bit_indices, closure, part_table
 from conftest import small_graph_corpus
-from oracles import full_move_cost, full_move_min_placements, full_move_win, naive_cop_wins
+from oracles import (
+    full_move_cost,
+    full_move_min_placements,
+    full_move_win,
+    macro_moves,
+    naive_cop_wins,
+    responses,
+    submasks,
+)
 from strats import graphs
+
+
+def legal_moves(g, k, monotone, x_mask, p_mask):
+    """The cop sets _is_move accepts from (x, part), ascending."""
+    return [m for m in range(1 << g.n) if _is_move(g, k, monotone, x_mask, p_mask, m)]
 
 
 class TestLegalCopMoves:
     def test_opening_moves(self, e1c):
-        assert _macro_moves(e1c, 2, False, 0, e1c.full_mask) == [0b01, 0b10]
+        assert legal_moves(e1c, 2, False, 0, e1c.full_mask) == [0b01, 0b10]
 
     def test_monotone_forbids_releasing_removal(self, p3c):
         part = p3c.mask_of([(0, 1), (0, 0)])
-        free = _macro_moves(p3c, 2, False, 0b010, part)
-        mono = _macro_moves(p3c, 2, True, 0b010, part)
+        free = legal_moves(p3c, 2, False, 0b010, part)
+        mono = legal_moves(p3c, 2, True, 0b010, part)
         assert set(mono) <= set(free)
         # Removing the cop on b regrows the part, so any move dropping b is
         # out in monotone mode (except re-placing b itself).
@@ -45,14 +57,31 @@ class TestLegalCopMoves:
     @settings(max_examples=40)
     def test_monotone_subset_of_free(self, g):
         for part in initial_parts(g):
-            free = _macro_moves(g, 2, False, 0, part)
-            mono = _macro_moves(g, 2, True, 0, part)
+            free = legal_moves(g, 2, False, 0, part)
+            mono = legal_moves(g, 2, True, 0, part)
             assert set(mono) <= set(free)
 
-
-def responses(g, x_mask, p_mask, new_mask):
-    """The robber's parts after the cop move from (x_mask, p_mask) to new_mask."""
-    return _responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
+    def test_matches_the_enumerated_moves(self):
+        # Every graph on at most 4 vertices, plain and closure, k 1-4, every
+        # cop set of at most k vertices, each component part and every mask
+        # with at most one bit beyond the host: _is_move accepts exactly
+        # the moves the reference enumerator lists, in both variants.
+        checked = 0
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                for host in (g, closure(g)):
+                    for k in range(1, 5):
+                        for x_mask in range(1 << n):
+                            if x_mask.bit_count() > k:
+                                continue
+                            for p_mask in part_table(host, x_mask).components:
+                                for monotone in (False, True):
+                                    listed = set(macro_moves(host, k, monotone, x_mask, p_mask))
+                                    for m in range(1 << (n + 1)):
+                                        assert _is_move(host, k, monotone, x_mask, p_mask, m) \
+                                            == (m in listed), (host, k, monotone, x_mask, p_mask, m)
+                                    checked += 1 << (n + 1)
+        assert checked == 509_536
 
 
 class TestLegalRobberResponses:
@@ -139,7 +168,7 @@ class TestStrategies:
             """Robber plays the certificate against every cop behavior."""
             if used >= q:
                 return
-            for new_mask in _macro_moves(gc, 2, False, x_mask, part):
+            for new_mask in macro_moves(gc, 2, False, x_mask, part):
                 choice = robber.respond(x_mask, part, used, new_mask)
                 assert not is_capture_mask(gc, new_mask, choice)
                 walk(new_mask, choice, used + 1)
@@ -235,16 +264,6 @@ def random_host(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     return closure(g) if rng.random() < 0.5 else g
 
 
-def submasks(mask: int):
-    """Every submask of mask, descending."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 class TestDominanceCut:
     def test_more_cops_in_a_smaller_part_never_cost_more(self):
         # The copy argument behind the non-monotone cut: in the full-move
@@ -294,7 +313,7 @@ class TestDominanceCut:
                 solver.game_cost(5)
                 for x_mask, p_mask in list(solver._succ_cache):
                     full = sorted(
-                        (m for m in _macro_moves(host, k, False, x_mask, p_mask)
+                        (m for m in macro_moves(host, k, False, x_mask, p_mask)
                          if m & ~x_mask),
                         key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
                     for left in range(1, 6):
@@ -304,7 +323,7 @@ class TestDominanceCut:
                             want = next(
                                 m for m in full
                                 if all(solver.cost(m, q, c - 1) is not None
-                                       for q in solver._live(x_mask, p_mask, m)))
+                                       for q in _replies(host, x_mask, p_mask, m)))
                         assert solver.cop_move(x_mask, p_mask, left) == want
                         checked += 1
         assert checked > 1000
@@ -400,7 +419,7 @@ class TestSolverWork:
                         solver.game_cost(4)
                         for (x_mask, p_mask), succ in solver._succ_cache.items():
                             kept = min(x_mask.bit_count(), k - 1)
-                            fresh = [m for m in _macro_moves(host, k, monotone, x_mask, p_mask)
+                            fresh = [m for m in macro_moves(host, k, monotone, x_mask, p_mask)
                                      if m & ~x_mask and (
                                          monotone or (m & x_mask).bit_count() == kept)]
                             fresh.sort(key=lambda m: (-(m & x_mask), m & ~x_mask))

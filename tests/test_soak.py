@@ -13,7 +13,6 @@ import random
 from bdtw.game import (
     GameConfig,
     RobberStrategy,
-    _macro_moves,
     is_capture_mask,
     minimum_placements,
     solve,
@@ -41,7 +40,7 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
-from oracles import branching_oracle
+from oracles import branching_oracle, macro_moves
 
 
 def random_host(rng, max_n=7, max_m=12, min_n=1):
@@ -127,7 +126,7 @@ def test_robber_certificate_soak():
             if key in seen or used >= q:
                 return
             seen.add(key)
-            for new_mask in _macro_moves(g, k, False, x_mask, part):
+            for new_mask in macro_moves(g, k, False, x_mask, part):
                 choice = robber.respond(x_mask, part, used, new_mask)
                 assert not is_capture_mask(g, new_mask, choice)
                 walk(new_mask, choice, used + 1)

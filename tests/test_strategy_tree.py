@@ -1,8 +1,15 @@
 import pytest
 
-from bdtw.corpus import all_graphs, named_graph
+from bdtw.corpus import NAMED, all_graphs, named_graph
 from bdtw.errors import FormatError, StrategyError
-from bdtw.game import GameConfig, Strategy, _part_of, replay_cop_strategy, solve
+from bdtw.game import (
+    GameConfig,
+    Strategy,
+    _part_of,
+    minimum_placements,
+    replay_cop_strategy,
+    solve,
+)
 from bdtw.graphs import Graph, closure
 from bdtw.monotonize import check_branching_depth_bound, run
 from bdtw.pre_tree import (
@@ -276,6 +283,9 @@ class TestReplacement:
         })
         cfg = GameConfig(3, 4)
         assert replay_cop_strategy(g, sigma, cfg).wins
+        # The same move is a legal monotone one: its kept cop 2 holds the
+        # robber's part whole.
+        assert replay_cop_strategy(g, sigma, GameConfig(3, 4, monotone=True)).wins
         st = build(g, sigma, cfg)
         tree, bags = st.ptd.tree, st.ptd.bags
         (t,) = [t for t in tree.nodes if bags[t] == 0b0100 and tree.children[t]]
@@ -289,6 +299,36 @@ class TestReplacement:
         assert is_exact(exact)
         assert ptd_depth(exact) == 3
         assert check_branching_depth_bound(exact, st)
+
+
+class TestMonotoneReplay:
+    def test_monotone_strategies_replay_and_detours_do_not(self):
+        # Over the named corpus, closure, k 1-4, q the monotone cost: each
+        # monotone solver strategy replays as a monotone win within q, and
+        # each fuzzed copy with a detour has a non-exact tree edge, whose
+        # move monotone replay must refuse.
+        strategies = detoured = 0
+        for name in NAMED:
+            gc = closure(named_graph(name))
+            for k in range(1, 5):
+                q = minimum_placements(gc, k, True, gc.n)
+                if q is None:
+                    continue
+                sigma = solve(gc, GameConfig(k, q, monotone=True)).strategy
+                outcome = replay_cop_strategy(gc, sigma, GameConfig(k, q, monotone=True))
+                assert outcome.wins and outcome.max_placements <= q, (name, k)
+                strategies += 1
+                for seed in range(3):
+                    fz = fuzz_nonmonotone(gc, sigma, GameConfig(k, q), 2, seed)
+                    if not fz.injected:
+                        continue
+                    ptd = build(gc, fz.strategy, GameConfig(k, fz.placements_bound)).ptd
+                    assert not all(is_exact_edge(ptd, s, t) for s, t in ptd.tree.edges())
+                    with pytest.raises(StrategyError, match="illegal move"):
+                        replay_cop_strategy(gc, fz.strategy,
+                                            GameConfig(k, fz.placements_bound, monotone=True))
+                    detoured += 1
+        assert (strategies, detoured) == (33, 99)
 
 
 class TestSerialization:
