@@ -10,7 +10,8 @@ X & Y, and it answers with any part under Y inside that one.  In the
 monotone variant a move is legal only if the robber's part stays whole
 under X & Y.  Cop sets are vertex masks and parts edge masks throughout;
 _is_move, _replies and is_capture_mask are the one statement of these
-rules, which replay, strategy trees, play and the tests call directly.
+rules, which replay, play and the tests call directly (strategy trees record
+only the replies that meet the robber's part; see strategy_tree).
 
 The solver searches only the fresh moves, those that place v outside X.  A
 re-placement, a move from (X, p) to some m inside X (the pass m = X
@@ -144,9 +145,9 @@ def _replies(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ..
     return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
 
 
-def initial_parts(g: Graph) -> list[int]:
+def initial_parts(g: Graph) -> tuple[int, ...]:
     """Edge masks of the components the robber may start in (nonempty only)."""
-    return [m for m in part_table(g, 0).masks if m]
+    return part_table(g, 0).components
 
 
 class _Solver:
@@ -285,10 +286,6 @@ class _Solver:
         entry = self.bounds.setdefault((x_mask, p_mask), [0, None])
         b = entry[0] + 1
         while b <= cap:
-            if entry[1] is not None and entry[1] <= cap:
-                # Known win at entry[1]; tighten from below.
-                if b >= entry[1]:
-                    return entry[1]
             if self.win(x_mask, p_mask, b):
                 return b
             b = entry[0] + 1

@@ -8,9 +8,9 @@ set.  Vertex ids become lists only in the text formats and in messages.
 
 A Graph's vertices and edges are fixed at construction.  It also keeps
 three caches that the game solver fills as it runs: the part tables per cop
-set (`_part_cache`), the robber's responses per (cop set, part)
-(`_resp_cache`) and, per k, the bounds of the latest non-monotone solver
-(`_lost`).  Each holds facts about the graph itself (the bounds per k), so
+set (`_part_cache`, with the single-edge masks `_units` they start from),
+the robber's responses per (cop set, part) (`_resp_cache`) and, per k, the
+bounds of the latest non-monotone solver (`_lost`).  Each holds facts about the graph itself (the bounds per k), so
 no cache changes an answer, and a Graph is safe to share.
 """
 
@@ -25,7 +25,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_part_cache", "_resp_cache", "_lost")
+                 "_units", "_part_cache", "_resp_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -54,6 +54,9 @@ class Graph:
                 adj[v] |= 1 << u
         self._inc = tuple(inc)
         self._adj_mask = tuple(adj)
+        # Each edge as its own part, the start of every part table; built by
+        # the first one, as its size grows with the square of m.
+        self._units: tuple[int, ...] | None = None
         self._part_cache: dict[int, _PartTable] = {}
         # (new cop set, removal-stage part) -> the robber's capture-free
         # responses; filled by the game solver, shared by every solver on
@@ -203,18 +206,13 @@ def is_connected_set(g: Graph, u: int) -> bool:
 
 
 class _PartTable:
-    """Cached, mask-level view of the parts for one cop set.
-
-    masks lists the parts' edge masks by lowest edge id, then a 0 for each
-    edgeless part (a bare cop-free vertex); part_of maps an edge id to its
-    part's mask; components lists the nonempty cop-free components' parts in
-    masks order.  The other parts, single edges under cops, are the captures.
+    """The parts for one cop set as edge masks: part_of maps each edge id to
+    its part; components lists the cop-free components' parts by lowest edge.
     """
 
-    __slots__ = ("masks", "part_of", "components")
+    __slots__ = ("part_of", "components")
 
-    def __init__(self, masks, part_of, components):
-        self.masks: tuple[int, ...] = masks
+    def __init__(self, part_of, components):
         self.part_of: tuple[int, ...] = part_of
         self.components: tuple[int, ...] = components
 
@@ -231,9 +229,10 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
         return cached
     inc, adj = g._inc, g._adj_mask
     free = ((1 << g.n) - 1) & ~x_mask
+    if g._units is None:
+        g._units = tuple(1 << e for e in range(g.m))
+    part_of = list(g._units)
     components: list[int] = []
-    bare = 0
-    outside = 0
     rest = free
     while rest:
         comp = frontier = rest & -rest
@@ -249,21 +248,13 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
         rest &= ~comp
         if edges:
             components.append(edges)
-            outside |= edges
-        else:
-            bare += 1
+            bits = edges
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                part_of[low.bit_length() - 1] = edges
     components.sort(key=lambda mask: mask & -mask)
-    singles = [1 << e for e in bit_indices(g.full_mask & ~outside)]
-    masks = sorted(components + singles, key=lambda mask: mask & -mask)
-
-    part_of = [0] * g.m
-    for mask in masks:
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            part_of[low.bit_length() - 1] = mask
-    table = _PartTable(tuple(masks) + (0,) * bare, tuple(part_of), tuple(components))
+    table = _PartTable(tuple(part_of), tuple(components))
     g._part_cache[x_mask] = table
     return table
 
@@ -271,6 +262,11 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
 # ---------------------------------------------------------------------------
 # PACE-style text format: `c` comments, `p tw <n> <m>` header, one edge per
 # line as `u v` with 1-based vertices; `v v` encodes a self-loop.
+
+# The largest vertex count a header may declare, checked before a Graph
+# allocates per vertex; far beyond what the exact solver can handle.
+MAX_VERTICES = 1_000_000
+
 
 def write_graph(g: Graph, out: IO[str]) -> None:
     out.write(f"p tw {g.n} {g.m}\n")
@@ -302,6 +298,9 @@ def read_graph(inp: Iterable[str]) -> Graph:
                 if len(parts) != 4 or parts[1] != "tw":
                     raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
                 n, m = int(parts[2]), int(parts[3])
+                if n > MAX_VERTICES:
+                    raise FormatError(
+                        f"line {lineno}: vertex count {n} is above {MAX_VERTICES}")
                 continue
             if n is None:
                 raise FormatError(f"line {lineno}: edge before header")

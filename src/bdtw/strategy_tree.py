@@ -1,12 +1,14 @@
-"""Strategy trees: a cop strategy replayed against all robber behaviors,
-recorded as a pre-tree decomposition.
+"""Strategy trees: a cop strategy played out from every initial robber
+component, recorded as a pre-tree decomposition.
 
 Each non-root node t with parent s stands for: the robber sits in the part
 cone(s, t) under the cop set bag(s), and the cops answer with bag(t).  A
 node is a leaf when its incoming part is a single edge already covered by
 the parent's cops.  Children of t are the parts under bag(t) that meet the
 incoming part; the cone back to the parent is the complement of the child
-cones, so non-monotone moves show up as non-exact tree edges.
+cones, so non-monotone moves show up as non-exact tree edges.  After a
+non-monotone move the robber may also reach a part that meets none of the
+incoming part, so a tree can miss an escape that replay_cop_strategy finds.
 
 The decomposition is the whole record: the move into t is bag(s) ->
 bag(t), its kept cops are bag(s) & bag(t), as in the robber's replies, and
@@ -47,11 +49,12 @@ class StrategyTree:
 
 
 def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
-    """Replay sigma from every initial robber component into a tree.
+    """Play sigma from every initial robber component into a tree.
 
     The host must be a closure graph.  Raises if sigma is undefined on a
-    reached position, plays an illegal move, or fails to capture within
-    cfg.q placements; the error carries the escaping play.
+    recorded position, plays an illegal move there, or leaves a recorded
+    branch uncaptured after cfg.q placements; the error carries that play.
+    A strategy build accepts can still lose (see the module docstring).
     """
     if not is_closure(g):
         raise ValueError("strategy trees are built over closure graphs")
@@ -97,18 +100,16 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
         bags[t] = new_mask
-        child_cones = []
-        for mask in part_table(g, new_mask).masks:
-            if mask & in_cone:
-                child = len(parent)
-                parent.append(t)
-                bags.append(0)
-                cones[(t, child)] = mask
-                child_cones.append(mask)
-                queue.append((child, t, mask, used + 1))
+        part_of = part_table(g, new_mask).part_of
         union = 0
-        for mask in child_cones:
+        for mask in sorted({part_of[e] for e in bit_indices(in_cone)},
+                           key=lambda mask: mask & -mask):
+            child = len(parent)
+            parent.append(t)
+            bags.append(0)
+            cones[(t, child)] = mask
             union |= mask
+            queue.append((child, t, mask, used + 1))
         cones[(t, s)] = full & ~union
 
     tree = RootedTree(parent)
@@ -191,7 +192,8 @@ def check_self_loop_cones(st: StrategyTree) -> bool:
 
 def depth_iff_winning(st: StrategyTree, cfg: GameConfig) -> bool:
     """Whether the tree's depth is at most q exactly when the strategy wins
-    the q-placement game."""
+    the q-placement game; it can be False for a sigma that loses only
+    through a reply the tree does not record (see the module docstring)."""
     outcome = replay_cop_strategy(st.host, st.strategy, cfg)
     return (ptd_depth(st.ptd) <= cfg.q) == outcome.wins
 

@@ -277,12 +277,18 @@ def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> l
                   if not monotone or _part_of(g, x_mask & m, p_mask) == p_mask)
 
 
+def all_parts(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """Every part under the cop set x_mask, captures included, by lowest
+    edge id: the distinct values of the library's part_of."""
+    return tuple(sorted(set(part_table(g, x_mask).part_of), key=lambda m: m & -m))
+
+
 def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
     """The robber's parts after the cop move from (x, part) to new, captures
-    included: the nonempty parts under new inside the part under the kept
-    cops x & new, in part-table order."""
+    included: the parts under new inside the part under the kept cops
+    x & new, by lowest edge id."""
     stage = _part_of(g, x_mask & new_mask, p_mask)
-    return tuple(q for q in part_table(g, new_mask).masks if q and q & ~stage == 0)
+    return tuple(q for q in all_parts(g, new_mask) if q & ~stage == 0)
 
 
 def full_move_win(g: Graph, k: int, monotone: bool):

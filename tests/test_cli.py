@@ -176,6 +176,19 @@ class TestVerifyCmd:
         assert main(["verify", cert]) == 2
 
 
+class TestGraphHeader:
+    @pytest.mark.parametrize("count", ["99999999999999999999", "1000001"])
+    @pytest.mark.parametrize("command", [["decide", "--k", "1", "--q", "1"], ["verify"]],
+                             ids=["decide", "verify"])
+    def test_huge_vertex_count_is_a_format_error(self, tmp_path, capsys, command, count):
+        path = tmp_path / "h.gr"
+        path.write_text(f"p tw {count} 0\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 1: vertex count {count} is above 1000000\n"
+
+
 class TestEquivalenceCmd:
     def test_small_sweep(self, capsys):
         rc = main(["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "1-3"])

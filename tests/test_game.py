@@ -22,6 +22,7 @@ from bdtw.game import (
 from bdtw.graphs import Graph, bit_indices, closure, part_table
 from conftest import small_graph_corpus
 from oracles import (
+    all_parts,
     full_move_cost,
     full_move_min_placements,
     full_move_win,
@@ -278,8 +279,8 @@ class TestDominanceCut:
                 win = full_move_win(host, k, False)
 
                 def live_parts(x_mask):
-                    return [p for p in part_table(host, x_mask).masks
-                            if p and not is_capture_mask(host, x_mask, p)]
+                    return [p for p in all_parts(host, x_mask)
+                            if not is_capture_mask(host, x_mask, p)]
 
                 for x_mask in submasks(everyone):
                     if x_mask.bit_count() > k:

@@ -23,6 +23,7 @@ from bdtw.graphs import (
 from conftest import small_graph_corpus
 from oracles import (
     _components_without,
+    all_parts,
     boundary_oracle,
     connected_vertex_subsets,
     part_table_oracle,
@@ -142,52 +143,58 @@ class TestEdgeComponentGraph:
         # Hand evaluation: cop on b splits the path into the two end pockets
         # plus the single-edge part bb.
         table = part_table(p3c, bitmask({1}))
-        assert list(table.masks) == [
-            p3c.mask_of([(0, 1), (0, 0)]),
-            p3c.mask_of([(1, 2), (2, 2)]),
-            p3c.mask_of([(1, 1)]),
-        ]
-        assert table.components == table.masks[:2]
+        left = p3c.mask_of([(0, 1), (0, 0)])
+        right = p3c.mask_of([(1, 2), (2, 2)])
+        bb = p3c.mask_of([(1, 1)])
+        assert table.components == (left, right)
+        assert table.part_of == (left, right, left, bb, right)
+        assert all_parts(p3c, bitmask({1})) == (left, right, bb)
 
     def test_no_cops_gives_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert list(part_table(g, 0).masks) == [0b01, 0b10]
+        table = part_table(g, 0)
+        assert table.components == (0b01, 0b10)
+        assert table.part_of == (0b01, 0b10)
 
     def test_k3_two_cops(self, k3):
         # K3 edges: ab=0, ac=1, bc=2.  Cops on a,b: ab is its own part, the
         # c-pocket carries both remaining edges.
         table = part_table(k3, bitmask({0, 1}))
-        assert list(table.masks) == [0b001, 0b110]
+        assert table.part_of == (0b001, 0b110, 0b110)
         assert table.components == (0b110,)
-        assert vertices_of_mask(k3, table.masks[1]) == 0b111
+        assert vertices_of_mask(k3, table.components[0]) == 0b111
 
     def test_parts_partition_edges_exhaustive(self):
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
             for size in range(g.n + 1):
                 for cops in itertools.combinations(g.vertices, size):
                     table = part_table(g, bitmask(cops))
+                    parts = all_parts(g, bitmask(cops))
                     union = 0
-                    for mask in table.masks:
+                    for mask in parts:
                         assert union & mask == 0
                         union |= mask
                     assert union == g.full_mask
+                    assert set(table.components) <= set(parts)
                     for e in range(g.m):
-                        assert table.part_of[e] in table.masks
                         assert table.part_of[e] >> e & 1
+                        for e2 in g.edge_ids(table.part_of[e]):
+                            assert table.part_of[e2] == table.part_of[e]
 
     @given(graphs_with_cop_sets())
     def test_single_edge_parts_inside_cops(self, gc):
         g, cops = gc
         table = part_table(g, bitmask(cops))
-        for mask in table.masks:
-            if mask and mask not in table.components:
-                (e,) = g.edge_ids(mask)
+        outside = 0
+        for mask in table.components:
+            outside |= mask
+            for e in g.edge_ids(mask):
                 u, v = g.endpoints(e)
-                assert u in cops and v in cops
-            else:
-                for e in g.edge_ids(mask):
-                    u, v = g.endpoints(e)
-                    assert u not in cops or v not in cops
+                assert u not in cops or v not in cops
+        for e in g.edge_ids(g.full_mask & ~outside):
+            assert table.part_of[e] == 1 << e
+            u, v = g.endpoints(e)
+            assert u in cops and v in cops
 
 
 class TestRobberComponent:
@@ -245,7 +252,7 @@ class TestPartTable:
             for x_mask in range(1 << g.n):
                 table = part_table(g, x_mask)
                 masks, singles, of_edge, vertex_sets, kinds = part_table_oracle(g, x_mask)
-                assert table.masks == masks, (g, x_mask)
+                assert all_parts(g, x_mask) == tuple(mask for mask in masks if mask), (g, x_mask)
                 assert table.part_of == tuple(masks[i] for i in of_edge), (g, x_mask)
                 assert table.components == tuple(
                     mask for mask, kind in zip(masks, kinds) if kind == "component" and mask)
@@ -278,6 +285,21 @@ class TestPaceFormat:
     def test_rejects_bad_vertex(self):
         with pytest.raises(FormatError):
             loads_graph("p tw 2 1\n1 3\n")
+
+    @pytest.mark.parametrize("text", ["p tw 99999999999999999999 0\n", "p tw 1000001 0\n"],
+                             ids=["huge", "above-cap"])
+    def test_header_vertex_count_costs_no_memory(self, text):
+        # A Graph allocates per vertex, so the count is checked first.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="^line 1: vertex count"):
+                loads_graph(text)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("text", ["p tw 2 x\n", "p tw 2 1\n1 y\n"],
                              ids=["header", "edge"])

@@ -19,6 +19,7 @@ from bdtw.pre_tree import (
     loads_ptd,
     ptd_depth,
     ptd_width,
+    to_tree_decomposition,
     validate_ptd,
 )
 from bdtw.strategy_tree import (
@@ -31,6 +32,7 @@ from bdtw.strategy_tree import (
     fuzz_nonmonotone,
     structural_branching,
 )
+from bdtw.tree_decomp import td_depth, td_width, validate_td
 from oracles import branching_oracle
 
 
@@ -299,6 +301,47 @@ class TestReplacement:
         assert is_exact(exact)
         assert ptd_depth(exact) == 3
         assert check_branching_depth_bound(exact, st)
+
+
+class TestUnreplayedReplies:
+    def test_build_records_parts_meeting_the_in_cone_only(self):
+        # Closure of ({0,1,2,3}, {02, 03, 12}), k = 2.  After {2} -> {0}
+        # the kept cops are none, so the robber in {12,11} may also reach
+        # {03,33}, a part that meets none of its edges.  build does not
+        # record that reply, so its tree misses the escape that replay
+        # finds; the decomposition it records still exactifies to a valid
+        # one, which proves itself.
+        g = closure(Graph(4, [(0, 2), (0, 3), (1, 2)]))
+
+        def parts(*pairs):
+            return g.mask_of(pairs)
+
+        sigma = Strategy({
+            (0b0000, g.full_mask): 0b0100,
+            (0b0100, parts((1, 2), (1, 1))): 0b0001,
+            (0b0100, parts((0, 2), (0, 3), (0, 0), (3, 3))): 0b0101,
+            (0b0001, parts((0, 2), (1, 2), (1, 1), (2, 2))): 0b0101,
+            (0b0001, parts((0, 3), (3, 3))): 0b0001,
+            (0b0101, parts((1, 2), (1, 1))): 0b0110,
+            (0b0101, parts((0, 3), (3, 3))): 0b1001,
+        })
+        cfg = GameConfig(2, 4)
+        outcome = replay_cop_strategy(g, sigma, cfg)
+        assert not outcome.wins
+        assert outcome.escape[:3] == (
+            ("start", 0, g.full_mask),
+            ("move", 0b0000, g.full_mask, 0b0100, parts((1, 2), (1, 1))),
+            ("move", 0b0100, parts((1, 2), (1, 1)), 0b0001, parts((0, 3), (3, 3))),
+        )
+        assert outcome.escape[-1][0] == "survived"
+        st = build(g, sigma, cfg)
+        assert len(st.ptd.tree.nodes) == 16
+        assert ptd_depth(st.ptd) == 4
+        assert not depth_iff_winning(st, cfg)
+        td = to_tree_decomposition(run(st.ptd, verify=True), g)
+        assert validate_td(td).ok
+        assert td_width(td) == 1
+        assert td_depth(td) == 3
 
 
 class TestMonotoneReplay:
