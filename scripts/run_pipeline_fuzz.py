@@ -14,8 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bdtw.cli import _parse_range
-from bdtw.corpus import all_graphs
+from bdtw.corpus import all_graphs, parse_range
 from bdtw.game import minimum_placements
 from bdtw.graphs import closure
 from bdtw.monotonize import check_branching_depth_bound, monotonize_pipeline
@@ -38,11 +37,11 @@ def _int_at_least(low):
 
 def _k_range(text):
     """An argparse type: a value 'a' or a range 'a-b' of positive integers."""
+    message = f"not a nonempty range of positive integers: {text!r}"
     try:
-        return _parse_range(text)
+        return parse_range(text, 1, message)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a nonempty range of positive integers: {text!r}") from None
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def main():

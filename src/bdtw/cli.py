@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__
-from .corpus import corpus_instances
+from .corpus import corpus_instances, parse_range
 from .errors import BdtwError
 from .game import (
     GameConfig,
@@ -177,15 +177,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _parse_range(text: str) -> range:
-    """A value 'a' or a range 'a-b' of positive integers, nonempty."""
-    lo, dash, hi = text.partition("-")
-    values = range(int(lo), int(hi if dash else lo) + 1)
-    if not values or values.start < 1:
-        raise ValueError(f"{text!r} is not a nonempty range of positive integers")
-    return values
-
-
 def _equivalence_worker(item):
     name, n, edges, k, q_max, budget = item
     costs = variant_costs(Graph(n, edges), k, q_max, budget)
@@ -201,8 +192,8 @@ def cmd_equivalence(args) -> int:
     instances = []
     for spec_text in args.corpus:
         instances.extend(corpus_instances(spec_text))
-    ks = _parse_range(args.k)
-    qs = _parse_range(args.q)
+    ks, qs = (parse_range(text, 1, f"{text!r} is not a nonempty range of positive integers")
+              for text in (args.k, args.q))
     q_max = max(qs)
     budget = _default_budget(args)
     items = [

@@ -74,17 +74,31 @@ def named_graph(name: str) -> Graph:
         raise ValueError(f"unknown graph name {name!r}; known: {sorted(NAMED)}") from None
 
 
-def _sizes(arg: str) -> range:
-    """A size 'n' or a nonempty range 'lo-hi'."""
-    lo, dash, hi = arg.partition("-")
-    sizes = range(int(lo), int(hi if dash else lo) + 1)
-    if not sizes:
-        raise ValueError(f"corpus range {arg!r} is empty")
-    return sizes
+def parse_range(text: str, low: int, message: str) -> range:
+    """The integers of a value 'a' or a range 'a-b'.  Raises
+    ValueError(message) when the range is empty or starts below `low`."""
+    lo, dash, hi = text.partition("-")
+    values = range(int(lo), int(hi if dash else lo) + 1)
+    if not values or values.start < low:
+        raise ValueError(message)
+    return values
 
 
 def _sized(family: str, maker: Callable[[int], Graph]) -> Callable[[str], list[tuple[str, Graph]]]:
-    return lambda arg: [(f"{family}-{n}", maker(n)) for n in _sizes(arg)]
+    return lambda arg: [(f"{family}-{n}", maker(n))
+                        for n in parse_range(arg, 0, f"corpus range {arg!r} is empty")]
+
+
+def _named(arg: str) -> list[tuple[str, Graph]]:
+    """The graphs of a comma-separated list of names.  A piece joins the
+    name before it when the two make a known name, so K2,3 stays whole."""
+    names: list[str] = []
+    for piece in arg.split(","):
+        if names and f"{names[-1]},{piece.strip()}" in NAMED:
+            names[-1] += f",{piece.strip()}"
+        else:
+            names.append(piece.strip())
+    return [(name, named_graph(name)) for name in names]
 
 
 def _all_graphs(arg: str) -> list[tuple[str, Graph]]:
@@ -104,7 +118,7 @@ def _grids(arg: str) -> list[tuple[str, Graph]]:
 # Corpus family -> a function from the spec's argument to (name, graph) pairs.
 FAMILIES: dict[str, Callable[[str], list[tuple[str, Graph]]]] = {
     "all-graphs": _all_graphs,
-    "named": lambda arg: [(name.strip(), named_graph(name.strip())) for name in arg.split(",")],
+    "named": _named,
     "paths": _sized("paths", path_graph),
     "cycles": _sized("cycles", cycle_graph),
     "stars": _sized("stars", star_graph),
@@ -115,7 +129,7 @@ FAMILIES: dict[str, Callable[[str], list[tuple[str, Graph]]]] = {
 
 def corpus_instances(text: str) -> list[tuple[str, Graph]]:
     """The (name, graph) pairs of a corpus spec: 'family:argument', e.g.
-    'all-graphs:3', 'named:K4,C5', 'paths:2-5', 'cycles:3-6', 'stars:3-5',
+    'all-graphs:3', 'named:K4,K2,3', 'paths:2-5', 'cycles:3-6', 'stars:3-5',
     'complete:2-4', 'grids:2x2,2x3', or a bare graph name.  Raises
     ValueError for an unknown family or graph and for an empty range."""
     if ":" not in text:

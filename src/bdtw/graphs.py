@@ -10,8 +10,9 @@ A Graph's vertices and edges are fixed at construction.  It also keeps
 three caches that the game solver fills as it runs: the part tables per cop
 set (`_part_cache`, with the single-edge masks `_units` they start from),
 the robber's responses per (cop set, part) (`_resp_cache`) and, per k, the
-bounds of the latest non-monotone solver (`_lost`).  Each holds facts about the graph itself (the bounds per k), so
-no cache changes an answer, and a Graph is safe to share.
+bounds of the latest non-monotone solver (`_lost`).  Each holds facts about
+the graph itself (the bounds per k), so no cache changes an answer, and a
+Graph is safe to share.
 """
 
 from __future__ import annotations

@@ -69,28 +69,21 @@ def local_boundary(ptd: PreTreeDecomposition, t: int) -> int:
     return out
 
 
-def ptd_diff(ptd: PreTreeDecomposition,
-             since: PreTreeDecomposition) -> tuple[set[tuple[int, int]], list[int]]:
-    """The cone keys whose masks differ and the nodes whose bags differ
-    between two decompositions on the same tree."""
-    keys = {key for key, _mask in ptd.cones.items() ^ since.cones.items()}
-    bags = [t for t in ptd.tree.nodes if ptd.bags[t] != since.bags[t]]
-    return keys, bags
+# Cone keys and bag nodes in which one decomposition differs from another.
+Change = tuple[frozenset[tuple[int, int]], frozenset[int]]
 
 
-def validate_ptd(ptd: PreTreeDecomposition,
-                 since: PreTreeDecomposition | None = None) -> Report:
+def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Report:
     """Check the axioms PT1-PT4.
 
-    Without `since` every node and edge is checked.  Given `since`, a
-    decomposition on the same tree and host that satisfies the axioms, only
-    the checks whose inputs differ from it are made.  The touched nodes are
-    the ends of every cone that differs and the nodes whose bag differs:
-    PT1 is checked when the root is touched, PT2 and PT3 at touched nodes,
-    PT4 on tree edges with a cone that differs.  An unchanged input cannot
-    violate what `since` satisfies, so the report is the one the full check
-    gives.  That `since` satisfies the axioms is not checked here; the
-    caller keeps it.
+    Without `changed` every node and edge is checked.  Given `changed`, a
+    superset of the change from a decomposition on the same tree and host
+    that satisfies the axioms, only the checks it names inputs of are made:
+    the touched nodes are the ends of its cone keys and its bag nodes; PT1
+    is checked when the root is touched, PT2 and PT3 at touched nodes, PT4
+    on tree edges with a key in it.  An unchanged input cannot violate what
+    the earlier decomposition satisfies, so the report is the one the full
+    check gives.  Neither premise is checked here; the caller keeps them.
     """
     report = Report()
     tree, g = ptd.tree, ptd.host
@@ -100,18 +93,16 @@ def validate_ptd(ptd: PreTreeDecomposition,
         return report
 
     root = tree.root
-    if since is None:
+    if changed is None:
         nodes: Iterable[int] = tree.nodes
         edges = tree.edges()
     else:
-        if since.tree.parent != tree.parent or since.host != g:
-            raise ValueError("since must be a decomposition on the same tree and host")
-        changed, changed_bags = ptd_diff(ptd, since)
-        nodes = sorted({t for key in changed for t in key}.union(changed_bags))
+        keys, bags = changed
+        nodes = sorted({t for key in keys for t in key}.union(bags))
         edges = [(tree.parent[c], c) for c in nodes if c != root
-                 and ((tree.parent[c], c) in changed or (c, tree.parent[c]) in changed)]
+                 and ((tree.parent[c], c) in keys or (c, tree.parent[c]) in keys)]
 
-    if since is None or root in nodes:
+    if changed is None or root in nodes:
         if ptd.bags[root]:
             report.add("PT1", f"node {root}",
                        f"root bag {list(bit_indices(ptd.bags[root]))} is non-empty")

@@ -12,7 +12,8 @@ re-placements and, in the non-monotone variant, the moves that keep fewer
 cops than there is room for; it reads parts and captures off the library's
 part tables and is_capture_mask.  The exactification
 checks reuse the library's blocks and boundaries but scan every node and
-edge, where the library looks only at what a step changed, and evaluate
+edge, where the library looks only at the change a step records (the
+change oracle finds it by comparing every key and bag), and evaluate
 the bag algebra on Python sets where the library uses vertex masks.  The
 extension oracle branches on every free edge, where the library searches
 over which vertices may be split; both offer a free edge to internal
@@ -348,6 +349,16 @@ def _path_sum_oracle(ptd: PreTreeDecomposition, t: int) -> int:
         len(bags[s] - bags[tree.parent[s]])
         for s in tree.path_from_root(t) if s != tree.root
     )
+
+
+def change_oracle(ptd: PreTreeDecomposition,
+                  since: PreTreeDecomposition) -> tuple[set[tuple[int, int]], set[int]]:
+    """The cone keys whose masks differ and the nodes whose bags differ
+    between two decompositions on the same tree, found by comparing every
+    key and node."""
+    keys = {key for key in ptd.cones if ptd.cones[key] != since.cones[key]}
+    bags = {t for t in ptd.tree.nodes if ptd.bags[t] != since.bags[t]}
+    return keys, bags
 
 
 def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:

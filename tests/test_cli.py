@@ -201,17 +201,25 @@ class TestEquivalenceCmd:
         assert rc == 0
 
     def test_every_corpus_family(self, capsys):
-        specs = ["all-graphs:2", "named:E1, K3", "paths:2-3", "cycles:3-4", "stars:3",
-                 "complete:2-3", "grids:2x2,1x3", "P4"]
+        specs = ["all-graphs:2", "named:E1, K3", "named:K2,3", "paths:2-3", "cycles:3-4",
+                 "stars:3", "complete:2-3", "grids:2x2,1x3", "P4"]
         names = [name for spec in specs for name, _g in corpus_instances(spec)]
-        assert names == ["all-graphs-2#0", "all-graphs-2#1", "E1", "K3", "paths-2", "paths-3",
-                         "cycles-3", "cycles-4", "stars-3", "complete-2", "complete-3",
-                         "grid-2x2", "grid-1x3", "P4"]
+        assert names == ["all-graphs-2#0", "all-graphs-2#1", "E1", "K3", "K2,3", "paths-2",
+                         "paths-3", "cycles-3", "cycles-4", "stars-3", "complete-2",
+                         "complete-3", "grid-2x2", "grid-1x3", "P4"]
         argv = ["equivalence", "--k", "2", "--q", "1-2"]
         for spec in specs:
             argv += ["--corpus", spec]
         assert main(argv) == 0
-        assert "instances: 14 " in capsys.readouterr().out
+        assert "instances: 15 " in capsys.readouterr().out
+
+    def test_named_corpus_keeps_names_with_commas(self):
+        # K2 is a name too, yet K2,3 stays whole.
+        assert [name for name, _g in corpus_instances("named:E1,K2,3,C4")] == ["E1", "K2,3", "C4"]
+        assert [name for name, _g in corpus_instances("named:K2, C4")] == ["K2", "C4"]
+        for spec in ["named:E1,K9", "named:K2,4"]:
+            with pytest.raises(ValueError, match="unknown graph name"):
+                corpus_instances(spec)
 
     def test_workers_capped_at_items(self, monkeypatch, capsys):
         import multiprocessing

@@ -29,7 +29,7 @@ from bdtw.pre_tree import (
 )
 from bdtw.strategy_tree import build
 from bdtw.tree_decomp import td_depth, td_width, validate_td
-from oracles import extension_oracle, validate_ptd_oracle, verify_step_oracle
+from oracles import change_oracle, extension_oracle, validate_ptd_oracle, verify_step_oracle
 from test_strategy_tree import solved_tree
 
 
@@ -303,15 +303,18 @@ class TestVerifyStep:
         bags[t] = (1 << ptd.host.n) - 1
         cones = dict(ptd.cones)
         cones[(p, c)] ^= 1
+        keys, changed_bags = after.changed
         tampered = StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones),
-                             after.processed)
+                             after.processed, (keys | {(p, c)}, changed_bags | {t}))
         rules = {v.rule for v in verify_step(before, tampered, st.ptd).violations}
         assert {"width", "locality"} <= rules
 
 
 def tampered(state, bags=(), cones=()):
     """The state with vertex v toggled in bag t for each (t, v) and edge e
-    toggled in the cone at key for each (key, e)."""
+    toggled in the cone at key for each (key, e).  Each toggled node and
+    key joins the state's record of its change; one toggled twice is back
+    where it was, so the record is then a superset of the change."""
     ptd = state.ptd
     new_bags = list(ptd.bags)
     for t, v in bags:
@@ -319,8 +322,10 @@ def tampered(state, bags=(), cones=()):
     new_cones = dict(ptd.cones)
     for key, e in cones:
         new_cones[key] ^= 1 << e
+    keys, changed_bags = state.changed
+    changed = (keys | {key for key, _e in cones}, changed_bags | {t for t, _v in bags})
     return StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(new_bags), new_cones),
-                     state.processed)
+                     state.processed, changed)
 
 
 def single_tampers(state):
@@ -336,18 +341,24 @@ def single_tampers(state):
 
 def change_local_and_full(before, after, original):
     """(change-local, full-scan) violation lists of the step checks and of
-    the axioms for the step before -> after from the original decomposition."""
-    return (
-        (verify_step(before, after, original).violations,
-         validate_ptd(after.ptd, since=before.ptd).violations),
-        (verify_step_oracle(before, after, original).violations,
-         validate_ptd_oracle(after.ptd).violations),
-    )
+    the axioms for the step before -> after from the original decomposition.
+    The change-local checks read after's record of its change; given a
+    record of every key and node instead, they must report the same."""
+    everything = (frozenset(after.ptd.cones), frozenset(after.ptd.tree.nodes))
+    whole = StepState(after.ptd, after.processed, everything)
+    got = (verify_step(before, after, original).violations,
+           validate_ptd(after.ptd, after.changed).violations)
+    assert got == (verify_step(before, whole, original).violations,
+                   validate_ptd(after.ptd, everything).violations)
+    return got, (verify_step_oracle(before, after, original).violations,
+                 validate_ptd_oracle(after.ptd).violations)
 
 
 class TestChangeLocalChecks:
-    """verify_step and validate_ptd(since=...) look only at what a step
-    changed; on any next state they must report what a full scan reports."""
+    """verify_step and validate_ptd(changed) look only at the change a
+    step records.  A real step records exactly what it changed; a tampered
+    state records at least that.  On any such record they must report what
+    a full scan reports."""
 
     @pytest.mark.parametrize("name, k, q, seed", [
         ("E1", 2, 2, 3), ("P3", 2, 2, 5), ("P4", 2, 3, 1),
@@ -360,6 +371,7 @@ class TestChangeLocalChecks:
         host, tree = st.ptd.host, st.ptd.tree
         keys = sorted(st.ptd.cones)
         for node, before, after, _choice in iterate_steps(st.ptd):
+            assert after.changed == change_oracle(after.ptd, before.ptd)
             got, want = change_local_and_full(before, after, st.ptd)
             assert got == want == ([], [])
             for _ in range(6):
