@@ -7,6 +7,10 @@ from typing import Callable
 
 from .graphs import Graph
 
+# Caps far above the solver's scale of about 9 vertices: vertices per corpus
+# graph, and N in all-graphs:N, which builds 2^(N(N-1)/2) graphs.
+MAX_CORPUS_VERTICES, MAX_ALL_GRAPHS_VERTICES = 64, 6
+
 
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -84,9 +88,18 @@ def parse_range(text: str, low: int, message: str) -> range:
     return values
 
 
+def _capped(spec: str, n: int, cap: int = MAX_CORPUS_VERTICES) -> int:
+    if n > cap:
+        raise ValueError(f"corpus spec {spec!r} has a graph above the cap of {cap} vertices")
+    return n
+
+
 def _sized(family: str, maker: Callable[[int], Graph]) -> Callable[[str], list[tuple[str, Graph]]]:
-    return lambda arg: [(f"{family}-{n}", maker(n))
-                        for n in parse_range(arg, 0, f"corpus range {arg!r} is empty")]
+    def instances(arg: str) -> list[tuple[str, Graph]]:
+        sizes = parse_range(arg, 0, f"corpus range {arg!r} is empty")
+        _capped(f"{family}:{arg}", sizes[-1])
+        return [(f"{family}-{n}", maker(n)) for n in sizes]
+    return instances
 
 
 def _named(arg: str) -> list[tuple[str, Graph]]:
@@ -102,17 +115,18 @@ def _named(arg: str) -> list[tuple[str, Graph]]:
 
 
 def _all_graphs(arg: str) -> list[tuple[str, Graph]]:
-    n = int(arg)
+    n = _capped(f"all-graphs:{arg}", int(arg), MAX_ALL_GRAPHS_VERTICES)
     return [(f"all-graphs-{n}#{i}", g) for i, g in enumerate(all_graphs(n))]
 
 
 def _grids(arg: str) -> list[tuple[str, Graph]]:
-    out = []
+    shapes = []
     for chunk in arg.split(","):
         r, _, c = chunk.partition("x")
         r, c = int(r), int(c)
-        out.append((f"grid-{r}x{c}", grid_graph(r, c)))
-    return out
+        _capped(f"grids:{arg}", r * c)
+        shapes.append((r, c))
+    return [(f"grid-{r}x{c}", grid_graph(r, c)) for r, c in shapes]
 
 
 # Corpus family -> a function from the spec's argument to (name, graph) pairs.
@@ -131,7 +145,8 @@ def corpus_instances(text: str) -> list[tuple[str, Graph]]:
     """The (name, graph) pairs of a corpus spec: 'family:argument', e.g.
     'all-graphs:3', 'named:K4,K2,3', 'paths:2-5', 'cycles:3-6', 'stars:3-5',
     'complete:2-4', 'grids:2x2,2x3', or a bare graph name.  Raises
-    ValueError for an unknown family or graph and for an empty range."""
+    ValueError for an unknown family or graph, for an empty range and, before
+    building any graph, for a graph past the size caps above."""
     if ":" not in text:
         if text in NAMED:
             return [(text, named_graph(text))]

@@ -16,7 +16,7 @@ only the replies that meet the robber's part; see strategy_tree).
 The solver searches only the fresh moves, those that place v outside X.  A
 re-placement, a move from (X, p) to some m inside X (the pass m = X
 included), is never needed for the minimum:
-- its single reply is s = part_of(m, p), which contains p;
+- its single reply is s, the part under m that contains p;
 - from (X, p) the cops can copy any strategy from (m, s), because more kept
   cops only shrink each removal-stage part; monotone legality carries over,
   since in the monotone variant s = p;
@@ -32,11 +32,14 @@ mid of X with |mid| = min(|X|, k - 1).  A larger kept set is never worse
 - the cops at (Y, p') with Y containing X and p' inside p can copy any
   strategy from (X, p): their first move goes to exactly the shadow's next
   cop set N, and their stage part, under the kept cops Y & N, lies inside
-  the shadow's, since part_of(mid2, p') = part_of(mid2, p) for every mid2
-  inside X.
-The monotone variant walks every kept-cop set with |mid| < k: there a
-removal that leaves the shadow's part p whole may grow the copier's smaller
-part p', which makes it illegal, so the argument does not carry over.
+  the shadow's, since p' and p lie in one part under every mid2 inside X.
+The monotone variant walks every kept-cop set with |mid| < k that keeps the
+robber's part p whole, since a removal that leaves the shadow's p whole may
+grow the copier's smaller p'.  For a component part p under X, mid inside X
+keeps p whole exactly when it holds graphs.boundary(p), whose vertices are
+all cops: a removed cop joins the robber's component exactly when it has
+an edge in p, and it brings an edge from outside p exactly when it is a
+boundary vertex.
 
 The solver computes, per (cop set, part), the interval of placement budgets
 for which the position is known lost/won, so one run answers every q up to
@@ -64,7 +67,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, bit_indices, closure, part_table
+from .graphs import Graph, bit_indices, boundary, closure, part_table
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -100,11 +103,16 @@ class Strategy:
 
 
 def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
-    """Edge mask of the part under x_mask containing the nonempty part p_mask."""
+    """Edge mask of the part under x_mask containing the nonempty part p_mask:
+    the component part holding p's lowest edge, else that edge (a capture)."""
     table = g._part_cache.get(x_mask)
     if table is None:
         table = part_table(g, x_mask)
-    return table.part_of[(p_mask & -p_mask).bit_length() - 1]
+    low = p_mask & -p_mask
+    for part in table:
+        if part & low:
+            return part
+    return low
 
 
 def _is_move(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int,
@@ -133,7 +141,7 @@ def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]
     cached = g._resp_cache.get(key)
     if cached is None:
         cached = g._resp_cache[key] = tuple(
-            q for q in part_table(g, new_mask).components if q & ~stage_part == 0
+            q for q in part_table(g, new_mask) if q & ~stage_part == 0
         )
     return cached
 
@@ -147,7 +155,7 @@ def _replies(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ..
 
 def initial_parts(g: Graph) -> tuple[int, ...]:
     """Edge masks of the components the robber may start in (nonempty only)."""
-    return part_table(g, 0).components
+    return part_table(g, 0)
 
 
 class _Solver:
@@ -186,24 +194,27 @@ class _Solver:
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
 
-    def _kept_sets(self, x_mask: int) -> Sequence[int]:
-        """The kept-cop sets the search walks from cop set x, descending as
-        bitmasks: in the monotone variant every mid inside x with |mid| < k;
-        in the non-monotone variant only those with |mid| = min(|x|, k - 1),
-        since keeping fewer cops is dominated (see the module docstring)."""
+    def _kept_sets(self, x_mask: int, p_mask: int) -> Sequence[int]:
+        """The kept-cop sets the search walks from (x, part), descending as
+        bitmasks: in the monotone variant the mid inside x with |mid| < k
+        that hold the part's boundary, so keep it whole; in the non-monotone
+        variant those with |mid| = min(|x|, k - 1), since keeping fewer cops
+        is dominated (see the module docstring for both)."""
         if not self.monotone:
             if x_mask.bit_count() < self.k:
                 return (x_mask,)
             # Dropping the lowest cop first gives the largest set first.
             return [x_mask ^ bit for bit, _ in self._vertices if bit & x_mask]
+        keep = boundary(self.g, p_mask)
+        s = rest = x_mask & ~keep
         out = []
-        mid = x_mask
         while True:
+            mid = keep | s
             if mid.bit_count() < self.k:
                 out.append(mid)
-            if mid == 0:
+            if s == 0:
                 return out
-            mid = (mid - 1) & x_mask
+            s = (s - 1) & rest
 
     def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
         """(new cop set, _replies) for every searched move: the kept-cop
@@ -215,10 +226,9 @@ class _Solver:
             table = g._resp_cache
             fresh = [(bit, inc) for bit, inc in self._vertices if not bit & x_mask]
             cached = self._succ_cache[key] = []
-            for mid in self._kept_sets(x_mask):
-                pm = p_mask if mid == x_mask else _part_of(g, mid, p_mask)
-                if self.monotone and pm != p_mask:
-                    continue
+            for mid in self._kept_sets(x_mask, p_mask):
+                pm = (p_mask if self.monotone or mid == x_mask
+                      else _part_of(g, mid, p_mask))
                 for bit, inc in fresh:
                     m = mid | bit
                     if inc & pm:

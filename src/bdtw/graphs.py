@@ -8,15 +8,15 @@ set.  Vertex ids become lists only in the text formats and in messages.
 
 A Graph's vertices and edges are fixed at construction.  It also keeps
 three caches that the game solver fills as it runs: the part tables per cop
-set (`_part_cache`, with the single-edge masks `_units` they start from),
-the robber's responses per (cop set, part) (`_resp_cache`) and, per k, the
-bounds of the latest non-monotone solver (`_lost`).  Each holds facts about
-the graph itself (the bounds per k), so no cache changes an answer, and a
-Graph is safe to share.
+set (`_part_cache`), the robber's responses per (cop set, part)
+(`_resp_cache`) and, per k, the bounds of the latest non-monotone solver
+(`_lost`).  Each holds facts about the graph itself (the bounds per k), so
+no cache changes an answer, and a Graph is safe to share.
 """
 
 from __future__ import annotations
 
+import io
 from typing import IO, Iterable
 
 from .errors import FormatError
@@ -26,7 +26,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_units", "_part_cache", "_resp_cache", "_lost")
+                 "_part_cache", "_resp_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -55,10 +55,7 @@ class Graph:
                 adj[v] |= 1 << u
         self._inc = tuple(inc)
         self._adj_mask = tuple(adj)
-        # Each edge as its own part, the start of every part table; built by
-        # the first one, as its size grows with the square of m.
-        self._units: tuple[int, ...] | None = None
-        self._part_cache: dict[int, _PartTable] = {}
+        self._part_cache: dict[int, tuple[int, ...]] = {}
         # (new cop set, removal-stage part) -> the robber's capture-free
         # responses; filled by the game solver, shared by every solver on
         # this host.
@@ -189,7 +186,12 @@ def connected_components(g: Graph) -> list[int]:
 
 def boundary(g: Graph, x: int) -> int:
     """Vertices incident to at least one edge inside x and one outside x."""
-    return vertices_of_mask(g, x) & vertices_of_mask(g, g.full_mask & ~x)
+    rest = g.full_mask & ~x
+    out = 0
+    for v, inc in enumerate(g._inc):
+        if inc & x and inc & rest:
+            out |= 1 << v
+    return out
 
 
 def vertices_of_mask(g: Graph, mask: int) -> int:
@@ -206,33 +208,19 @@ def is_connected_set(g: Graph, u: int) -> bool:
     return _flood(g, u & -u, u) == u
 
 
-class _PartTable:
-    """The parts for one cop set as edge masks: part_of maps each edge id to
-    its part; components lists the cop-free components' parts by lowest edge.
-    """
+def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """The component parts of g under the cop set given as a vertex
+    bitmask, as edge masks ordered by lowest edge: one per cop-free
+    component C, holding the edges with an endpoint in C.  Every other
+    edge is a part of its own, a single edge under cops (a capture).
 
-    __slots__ = ("part_of", "components")
-
-    def __init__(self, part_of, components):
-        self.part_of: tuple[int, ...] = part_of
-        self.components: tuple[int, ...] = components
-
-
-def part_table(g: Graph, x_mask: int) -> _PartTable:
-    """Parts of g relative to the cop set given as a vertex bitmask: one
-    single-edge part per edge with both endpoints under cops, and one part
-    per cop-free component C holding the edges with an endpoint in C.
-
-    Results are cached on the graph; tables are immutable once built.
+    Results are cached on the graph.
     """
     cached = g._part_cache.get(x_mask)
     if cached is not None:
         return cached
     inc, adj = g._inc, g._adj_mask
     free = ((1 << g.n) - 1) & ~x_mask
-    if g._units is None:
-        g._units = tuple(1 << e for e in range(g.m))
-    part_of = list(g._units)
     components: list[int] = []
     rest = free
     while rest:
@@ -249,14 +237,8 @@ def part_table(g: Graph, x_mask: int) -> _PartTable:
         rest &= ~comp
         if edges:
             components.append(edges)
-            bits = edges
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                part_of[low.bit_length() - 1] = edges
     components.sort(key=lambda mask: mask & -mask)
-    table = _PartTable(tuple(part_of), tuple(components))
-    g._part_cache[x_mask] = table
+    table = g._part_cache[x_mask] = tuple(components)
     return table
 
 
@@ -276,8 +258,6 @@ def write_graph(g: Graph, out: IO[str]) -> None:
 
 
 def dumps_graph(g: Graph) -> str:
-    import io
-
     buf = io.StringIO()
     write_graph(g, buf)
     return buf.getvalue()
@@ -324,6 +304,4 @@ def read_graph(inp: Iterable[str]) -> Graph:
 
 
 def loads_graph(text: str) -> Graph:
-    import io
-
     return read_graph(io.StringIO(text))

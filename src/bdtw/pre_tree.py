@@ -14,6 +14,7 @@ vertices hideable positions; the validators themselves are host-agnostic.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -396,8 +397,6 @@ def write_ptd(ptd: PreTreeDecomposition, out: IO[str]) -> None:
 
 
 def dumps_ptd(ptd: PreTreeDecomposition) -> str:
-    import io
-
     buf = io.StringIO()
     write_ptd(ptd, buf)
     return buf.getvalue()
@@ -460,6 +459,4 @@ def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
 
 
 def loads_ptd(text: str) -> PreTreeDecomposition:
-    import io
-
     return read_ptd(io.StringIO(text))

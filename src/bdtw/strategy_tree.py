@@ -100,10 +100,12 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
         bags[t] = new_mask
-        part_of = part_table(g, new_mask).part_of
+        # The parts under new_mask that meet the in-cone: those components
+        # and, alone, each in-cone edge under cops (disjoint: sum is union).
+        parts = [q for q in part_table(g, new_mask) if q & in_cone]
+        parts += [1 << e for e in bit_indices(in_cone & ~sum(parts))]
         union = 0
-        for mask in sorted({part_of[e] for e in bit_indices(in_cone)},
-                           key=lambda mask: mask & -mask):
+        for mask in sorted(parts, key=lambda mask: mask & -mask):
             child = len(parent)
             parent.append(t)
             bags.append(0)

@@ -7,6 +7,7 @@ the bags along a root-to-leaf path.  A childless root counts as a leaf.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -263,8 +264,6 @@ def write_td(td: TreeDecomposition, out: IO[str]) -> None:
 
 
 def dumps_td(td: TreeDecomposition) -> str:
-    import io
-
     buf = io.StringIO()
     write_td(td, buf)
     return buf.getvalue()
@@ -344,6 +343,4 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
 
 
 def loads_td(text: str, host: Graph) -> TreeDecomposition:
-    import io
-
     return read_td(io.StringIO(text), host)

@@ -53,3 +53,10 @@ def small_graph_corpus(max_n: int = 4) -> list[Graph]:
     for n in range(1, max_n + 1):
         out.extend(all_graphs(n))
     return out
+
+
+def with_loop_sets(graphs: list[Graph]) -> list[Graph]:
+    """Each graph with every set of self-loops added, the graph itself and
+    its closure among them."""
+    return [Graph(g.n, g.edges + tuple((v, v) for v in range(g.n) if loops >> v & 1))
+            for g in graphs for loops in range(1 << g.n)]

@@ -264,6 +264,18 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def monotone_kept_set_cases(g: Graph):
+    """(k, x_mask, p_mask, kept) for every k in 1..n+1, every cop set x of
+    at most k vertices and every component part p under x: kept lists,
+    descending, each mid inside x with |mid| < k under which p stays whole,
+    found by looking the part up."""
+    for x_mask in range(1 << g.n):
+        for p_mask in part_table(g, x_mask):
+            whole = [mid for mid in submasks(x_mask) if _part_of(g, mid, p_mask) == p_mask]
+            for k in range(max(1, x_mask.bit_count()), g.n + 2):
+                yield k, x_mask, p_mask, [mid for mid in whole if mid.bit_count() < k]
+
+
 def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> list[int]:
     """Every legal follow-up cop set, ascending as bitmasks: remove any
     subset of the cops x, then place one vertex not kept, with at most k
@@ -280,8 +292,14 @@ def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> l
 
 def all_parts(g: Graph, x_mask: int) -> tuple[int, ...]:
     """Every part under the cop set x_mask, captures included, by lowest
-    edge id: the distinct values of the library's part_of."""
-    return tuple(sorted(set(part_table(g, x_mask).part_of), key=lambda m: m & -m))
+    edge id: the library's component parts and, on its own, each edge that
+    none of them holds."""
+    components = part_table(g, x_mask)
+    covered = 0
+    for mask in components:
+        covered |= mask
+    singles = tuple(1 << e for e in bit_indices(g.full_mask & ~covered))
+    return tuple(sorted(components + singles, key=lambda m: m & -m))
 
 
 def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:

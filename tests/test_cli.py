@@ -1,5 +1,6 @@
 import io
 import re
+import time
 
 import pytest
 
@@ -220,6 +221,18 @@ class TestEquivalenceCmd:
         for spec in ["named:E1,K9", "named:K2,4"]:
             with pytest.raises(ValueError, match="unknown graph name"):
                 corpus_instances(spec)
+
+    @pytest.mark.parametrize("spec, cap", [
+        ("paths:1-99999999999", 64), ("all-graphs:7", 6), ("grids:100x100", 64)],
+        ids=["paths", "all-graphs", "grids"])
+    def test_corpus_above_cap_exits_two_at_once(self, spec, cap, capsys):
+        # The cap is checked before any graph is built.
+        start = time.perf_counter()
+        assert main(["equivalence", "--corpus", spec, "--k", "1", "--q", "1"]) == 2
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: corpus spec {spec!r} has a graph above the cap of {cap} vertices\n"
 
     def test_workers_capped_at_items(self, monkeypatch, capsys):
         import multiprocessing

@@ -20,13 +20,14 @@ from bdtw.game import (
     variant_costs,
 )
 from bdtw.graphs import Graph, bit_indices, closure, part_table
-from conftest import small_graph_corpus
+from conftest import small_graph_corpus, with_loop_sets
 from oracles import (
     all_parts,
     full_move_cost,
     full_move_min_placements,
     full_move_win,
     macro_moves,
+    monotone_kept_set_cases,
     naive_cop_wins,
     responses,
     submasks,
@@ -75,7 +76,7 @@ class TestLegalCopMoves:
                         for x_mask in range(1 << n):
                             if x_mask.bit_count() > k:
                                 continue
-                            for p_mask in part_table(host, x_mask).components:
+                            for p_mask in part_table(host, x_mask):
                                 for monotone in (False, True):
                                     listed = set(macro_moves(host, k, monotone, x_mask, p_mask))
                                     for m in range(1 << (n + 1)):
@@ -328,6 +329,21 @@ class TestDominanceCut:
                         assert solver.cop_move(x_mask, p_mask, left) == want
                         checked += 1
         assert checked > 1000
+
+
+class TestMonotoneKeptSets:
+    def test_kept_sets_are_those_that_keep_the_part_whole(self):
+        # Every position of every host on at most 4 vertices with every set
+        # of loops: the monotone solver walks exactly the kept sets under
+        # which the part stays whole, in descending order, without looking
+        # a part up.
+        checked = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
+            for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
+                assert solvers[k]._kept_sets(x_mask, p_mask) == kept, (host, k, x_mask, p_mask)
+                checked += 1
+        assert checked == 83_158
 
 
 class TestInheritedLosses:

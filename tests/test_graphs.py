@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from bdtw.errors import FormatError
-from bdtw.game import is_capture_mask
+from bdtw.game import _part_of, is_capture_mask
 from bdtw.graphs import (
     Graph,
     bitmask,
@@ -135,7 +135,12 @@ class TestBoundary:
 
 def part_of(g, cops, e):
     """Edge mask of the part holding edge e relative to the cop set."""
-    return part_table(g, bitmask(cops)).part_of[e]
+    return _part_of(g, bitmask(cops), 1 << e)
+
+
+def edge_parts(g, x_mask):
+    """Each edge's part under the cop set x_mask, by edge id."""
+    return tuple(_part_of(g, x_mask, 1 << e) for e in range(g.m))
 
 
 class TestEdgeComponentGraph:
@@ -146,53 +151,54 @@ class TestEdgeComponentGraph:
         left = p3c.mask_of([(0, 1), (0, 0)])
         right = p3c.mask_of([(1, 2), (2, 2)])
         bb = p3c.mask_of([(1, 1)])
-        assert table.components == (left, right)
-        assert table.part_of == (left, right, left, bb, right)
+        assert table == (left, right)
+        assert edge_parts(p3c, bitmask({1})) == (left, right, left, bb, right)
         assert all_parts(p3c, bitmask({1})) == (left, right, bb)
 
     def test_no_cops_gives_components(self):
         g = Graph(4, [(0, 1), (2, 3)])
         table = part_table(g, 0)
-        assert table.components == (0b01, 0b10)
-        assert table.part_of == (0b01, 0b10)
+        assert table == (0b01, 0b10)
+        assert edge_parts(g, 0) == (0b01, 0b10)
 
     def test_k3_two_cops(self, k3):
         # K3 edges: ab=0, ac=1, bc=2.  Cops on a,b: ab is its own part, the
         # c-pocket carries both remaining edges.
         table = part_table(k3, bitmask({0, 1}))
-        assert table.part_of == (0b001, 0b110, 0b110)
-        assert table.components == (0b110,)
-        assert vertices_of_mask(k3, table.components[0]) == 0b111
+        assert edge_parts(k3, bitmask({0, 1})) == (0b001, 0b110, 0b110)
+        assert table == (0b110,)
+        assert vertices_of_mask(k3, table[0]) == 0b111
 
     def test_parts_partition_edges_exhaustive(self):
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
             for size in range(g.n + 1):
                 for cops in itertools.combinations(g.vertices, size):
                     table = part_table(g, bitmask(cops))
+                    of_edge = edge_parts(g, bitmask(cops))
                     parts = all_parts(g, bitmask(cops))
                     union = 0
                     for mask in parts:
                         assert union & mask == 0
                         union |= mask
                     assert union == g.full_mask
-                    assert set(table.components) <= set(parts)
+                    assert set(table) <= set(parts)
                     for e in range(g.m):
-                        assert table.part_of[e] >> e & 1
-                        for e2 in g.edge_ids(table.part_of[e]):
-                            assert table.part_of[e2] == table.part_of[e]
+                        assert of_edge[e] >> e & 1
+                        for e2 in g.edge_ids(of_edge[e]):
+                            assert of_edge[e2] == of_edge[e]
 
     @given(graphs_with_cop_sets())
     def test_single_edge_parts_inside_cops(self, gc):
         g, cops = gc
         table = part_table(g, bitmask(cops))
         outside = 0
-        for mask in table.components:
+        for mask in table:
             outside |= mask
             for e in g.edge_ids(mask):
                 u, v = g.endpoints(e)
                 assert u not in cops or v not in cops
         for e in g.edge_ids(g.full_mask & ~outside):
-            assert table.part_of[e] == 1 << e
+            assert part_of(g, cops, e) == 1 << e
             u, v = g.endpoints(e)
             assert u in cops and v in cops
 
@@ -253,8 +259,8 @@ class TestPartTable:
                 table = part_table(g, x_mask)
                 masks, singles, of_edge, vertex_sets, kinds = part_table_oracle(g, x_mask)
                 assert all_parts(g, x_mask) == tuple(mask for mask in masks if mask), (g, x_mask)
-                assert table.part_of == tuple(masks[i] for i in of_edge), (g, x_mask)
-                assert table.components == tuple(
+                assert edge_parts(g, x_mask) == tuple(masks[i] for i in of_edge), (g, x_mask)
+                assert table == tuple(
                     mask for mask, kind in zip(masks, kinds) if kind == "component" and mask)
                 for mask, single, verts, kind in zip(masks, singles, vertex_sets, kinds):
                     if mask:

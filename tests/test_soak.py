@@ -10,9 +10,11 @@ seeds fixed and the instance counts modest.
 import itertools
 import random
 
+from bdtw.corpus import all_graphs
 from bdtw.game import (
     GameConfig,
     RobberStrategy,
+    _Solver,
     is_capture_mask,
     minimum_placements,
     solve,
@@ -40,7 +42,7 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
-from oracles import branching_oracle, macro_moves
+from oracles import branching_oracle, macro_moves, monotone_kept_set_cases
 
 
 def random_host(rng, max_n=7, max_m=12, min_n=1):
@@ -175,3 +177,16 @@ def test_padded_round_trip_soak():
         assert td_width(tight) <= td_width(padded)
         rounds += 1
     assert rounds >= 40
+
+
+def test_monotone_kept_sets_soak():
+    # The Tier-1 kept-set check one size up: every graph on 5 vertices and
+    # its closure, every position, k 1-6.
+    checked = 0
+    for g in all_graphs(5):
+        for host in (g, closure(g)):
+            solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
+            for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
+                assert solvers[k]._kept_sets(x_mask, p_mask) == kept, (host, k, x_mask, p_mask)
+                checked += 1
+    assert checked == 405_576
