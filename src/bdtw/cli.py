@@ -34,7 +34,7 @@ from .game import (
     solve,
     variant_costs,
 )
-from .graphs import Graph, bit_indices, bitmask, closure, read_graph
+from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
@@ -59,6 +59,15 @@ def _default_budget(args) -> int | None:
     return budget
 
 
+def _check_cap(flag: str, value: int) -> None:
+    """Reject a --k or --q above MAX_VERTICES, the most vertices a graph
+    may have: width + 1 and depth never exceed the vertex count, so a
+    larger value gives no other answer, while the solver's work grows
+    with q."""
+    if value > MAX_VERTICES:
+        raise ValueError(f"{flag} {value} is above the cap of {MAX_VERTICES}")
+
+
 def _load_graph(path: str) -> Graph:
     with open(path) as f:
         return read_graph(f)
@@ -79,6 +88,7 @@ def cmd_decide(args) -> int:
                          "which build the decomposition it checks")
     if args.format and not args.certificate:
         raise ValueError("--format needs --certificate")
+    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     budget = _default_budget(args)
     if args.certificate or args.via_nonmonotone:
@@ -105,6 +115,7 @@ def cmd_decide(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     if args.closure:
         g = closure(g)
@@ -194,7 +205,9 @@ def cmd_equivalence(args) -> int:
         instances.extend(corpus_instances(spec_text))
     ks, qs = (parse_range(text, 1, f"{text!r} is not a nonempty range of positive integers")
               for text in (args.k, args.q))
-    q_max = max(qs)
+    _check_cap("--k", ks[-1])
+    _check_cap("--q", qs[-1])
+    q_max = qs[-1]
     budget = _default_budget(args)
     items = [
         (name, g.n, g.edges, k, q_max, budget)
@@ -228,6 +241,7 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_play(args) -> int:
+    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     if args.closure:
         g = closure(g)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
-# Caps far above the solver's scale of about 9 vertices: vertices per corpus
-# graph, and N in all-graphs:N, which builds 2^(N(N-1)/2) graphs.
-MAX_CORPUS_VERTICES, MAX_ALL_GRAPHS_VERTICES = 64, 6
+# The cap on N in all-graphs:N, which builds 2^(N(N-1)/2) graphs.  A corpus
+# graph has at most MAX_VERTICES vertices, as a graph file does.
+MAX_ALL_GRAPHS_VERTICES = 6
 
 
 def path_graph(n: int) -> Graph:
@@ -88,7 +88,7 @@ def parse_range(text: str, low: int, message: str) -> range:
     return values
 
 
-def _capped(spec: str, n: int, cap: int = MAX_CORPUS_VERTICES) -> int:
+def _capped(spec: str, n: int, cap: int = MAX_VERTICES) -> int:
     if n > cap:
         raise ValueError(f"corpus spec {spec!r} has a graph above the cap of {cap} vertices")
     return n

@@ -247,8 +247,10 @@ def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
 # line as `u v` with 1-based vertices; `v v` encodes a self-loop.
 
 # The largest vertex count a header may declare, checked before a Graph
-# allocates per vertex; far beyond what the exact solver can handle.
-MAX_VERTICES = 1_000_000
+# allocates per vertex, and of a corpus graph.  It is well above the exact
+# solver's scale of about 9 vertices; a graph of this size with no edges
+# is decided in well under a second and a few MB.
+MAX_VERTICES = 64
 
 
 def write_graph(g: Graph, out: IO[str]) -> None:

@@ -14,23 +14,28 @@ decomposition is exact, with width and depth no larger than the input's.
 
 Between steps the object need not describe a strategy, but it stays a
 pre-tree decomposition.  iterate_steps (and so run) checks the input
-against the axioms in full once, before the first step.  apply_step
-records on each state the cone keys and bags its step changed, read off
-the cones it writes, and checks the axioms only there.  verify_step
-re-checks, per step, the rest of what the correctness argument relies
-on: exactness of the processed region, that unprocessed nodes' child
-cones only shrink, locality and balance of the cone changes, per-node bag
-sizes, per-path depth sums, three vertex-tracking claims, and the
-exchange inequality at the greatest common ancestor.  Locality, balance,
-per-node width and the claims read the recorded change, exchange the
-nodes whose root-path bag union grew; exactness, only-remove, global
-width and depth scan the tree.  An unchanged cone or bag cannot break a
-rule the previous state kept, so given any superset of the true change
-each change-local check reports what a full scan would.
+against the axioms in full once, before the first step.  apply_step writes
+only the cones that differ, into a copy of the cone map made on the first
+write, takes its scope as the previous one plus the node and its children,
+records on the new state the cone keys and bags it changed, and checks the
+axioms only there; it visits every scope node only when edges move.
+verify_step re-checks, per step, the rest of what the correctness argument
+relies on: exactness of the processed region, that unprocessed nodes'
+child cones only shrink, locality and balance of the cone changes,
+per-node and global width, per-path depth sums, three vertex-tracking
+claims, and the exchange inequality at the greatest common ancestor.
+Every one of them reads the recorded change: the changed keys and bags,
+the edges new to the scope, and the scope nodes below a changed bag, whose
+root-path sums and bag unions it updates from the previous state's,
+carried between steps.  An unchanged cone or bag cannot break a rule the
+previous state kept, so given that the previous step passed its checks
+(run(verify=True) stops at the first that fails) and any superset of the
+true change, each check reports what a full scan would.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -67,15 +72,25 @@ class StepState:
     changed: Change = (frozenset(), frozenset())
 
     @functools.cached_property
-    def scope(self) -> set[int]:
-        """Processed nodes plus their tree neighbors, computed once per
-        state."""
+    def scope(self) -> frozenset[int]:
+        """Processed nodes plus their tree neighbors.  apply_step sets it
+        on the state it makes to the previous scope plus the processed node
+        and its children; otherwise it is computed once from `processed`."""
         tree = self.ptd.tree
         out = set(self.processed)
         for t in self.processed:
             out.update(tree.children[t])
             out.add(tree.parent[t])
-        return out
+        return frozenset(out)
+
+    @functools.cached_property
+    def _paths(self) -> tuple[list[int], list[int]]:
+        """Per node, the telescoping path sum (`pre_tree._path_sums`) and
+        the union of the bags on its root path, read only on the scope.
+        verify_step sets them on the state it checks from its predecessor's
+        and the recorded change; otherwise they are computed once from the
+        bags."""
+        return _path_sums(self.ptd), self.ptd.tree.path_unions(self.ptd.bags)
 
 
 @dataclass
@@ -198,55 +213,70 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
 
     `state` must satisfy the axioms, and its bags in scope must be their
     local boundaries, as in every state iterate_steps yields.  The new
-    state records the cone keys and bags that differ from `state`; only
-    bags that newly enter the scope or sit at a node with a changed cone
-    are recomputed.  The axioms are checked at that change (validate_ptd
-    with `changed`), whether or not the run verifies its steps; a
-    violation is an internal error.
+    state's scope is the old one plus the node and its children.  Only
+    the cones that differ are written, into a copy of the cone map made
+    only if one does; with no moved edge only the child cones of the node
+    and of its children can differ, so only those are computed.  The new
+    decomposition skips its own check of every cone key: the keys are the
+    input's by construction.  The new state records the cone keys and
+    bags that differ from `state`; only bags that newly enter the scope or
+    sit at a node with a changed cone are recomputed.  The axioms are
+    checked at that change (validate_ptd with `changed`, which also
+    catches a cone outside the host), whether or not the run verifies its
+    steps; a violation is an internal error.
     """
     ptd = state.ptd
     tree = ptd.tree
     processed = state.processed + (node,)
-    if not tree.children[node]:
-        return StepState(ptd, processed)
+    children = tree.children[node]
+    new = [t for t in (node, *children) if t not in state.scope]
+    scope = state.scope.union(new) if new else state.scope
+    if not children:
+        after = StepState(ptd, processed)
+        after.scope = scope
+        return after
     if choice is None:
         raise ValueError("internal nodes need an extension choice")
 
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
-    scope = StepState(ptd, processed).scope
-
-    gamma = dict(ptd.cones)
-    for p in sorted(scope):
+    toward = set(tree.path_from_root(node))
+    cones = ptd.cones
+    writes = {}
+    for p in scope if f else (node, *children):
         for c in tree.children[p]:
-            down = ptd.cones[(p, c)]
-            up = ptd.cones[(c, p)]
+            down = cones[(p, c)]
+            up = cones[(c, p)]
             if p == node:
-                gamma[(p, c)] = (down & ~f) | f_by_child[c]
-                gamma[(c, p)] = up | f_star_by_child[c]
+                down_now, up_now = (down & ~f) | f_by_child[c], up | f_star_by_child[c]
             elif p in f_by_child:
-                gamma[(p, c)] = down & ~f_star_by_child[p]
-            elif tree.is_ancestor(c, node):
-                gamma[(p, c)] = down | f
-                gamma[(c, p)] = up & ~f
+                down_now, up_now = down & ~f_star_by_child[p], up
+            elif c in toward:
+                down_now, up_now = down | f, up & ~f
             else:
                 # The moved edges leave every block of p's partition other
                 # than the one toward the processed node.  A child outside
                 # the region is not re-balanced itself: only the cone seen
                 # from p changes, its own cones stay put.
-                gamma[(p, c)] = down & ~f
-                if c in scope:
-                    gamma[(c, p)] = up | f
+                down_now, up_now = down & ~f, (up | f) if c in scope else up
+            if down_now != down:
+                writes[(p, c)] = down_now
+            if up_now != up:
+                writes[(c, p)] = up_now
+    gamma = cones
+    if writes:
+        gamma = dict(cones)
+        gamma.update(writes)
 
-    keys = frozenset(key for p in scope for c in tree.children[p] for key in ((p, c), (c, p))
-                     if gamma[key] != ptd.cones[key])
+    keys = frozenset(writes)
     # A bag already in scope is its local boundary; it changes only when a
     # cone out of its node does, and every cone the loop writes has its
     # tail in scope.  The bags are filled in once the cones are in place.
-    new_ptd = PreTreeDecomposition(tree, ptd.host, ptd.bags, gamma)
+    new_ptd = copy.copy(ptd)
+    new_ptd.cones = gamma
     beta = list(ptd.bags)
-    recomputed = {s for s, _t in keys} | (scope - state.scope)
+    recomputed = {s for s, _t in keys}.union(new)
     for t in recomputed:
         beta[t] = local_boundary(new_ptd, t)
     new_ptd.bags = tuple(beta)
@@ -254,23 +284,48 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     report = validate_ptd(new_ptd, changed)
     if not report.ok:
         raise ConsistencyError(f"axiom violated after processing node {node}:\n{report}")
-    return StepState(new_ptd, processed, changed)
+    after = StepState(new_ptd, processed, changed)
+    after.scope = scope
+    return after
 
 
 def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecomposition, *,
                 width0: int | None = None, sums0: Sequence[int] | None = None) -> Report:
-    """Re-check every per-step property the width/depth argument relies on.
+    """Re-check every per-step property the width/depth argument relies on,
+    reading only the step's recorded change.
 
     `width0` and `sums0` are the original's width and per-node path sums
     (`pre_tree._path_sums`); run passes them once computed, otherwise they
-    are computed here.  Exactness of the processed region, only-remove,
-    global width and depth scan the whole tree.  Locality and balance look
-    only at tree edges with a key in `next_state.changed`, per-node width
-    and the two vertex-tracking claims only at its bags, and the exchange
-    inequality only at nodes whose root-path bag union grew.  Each compares
-    old and new masks, and an unchanged cone or bag cannot violate them, so
-    for any superset of the true change the report is the one a scan of
-    every edge and node gives.
+    are computed here.  The checks and what each reads:
+
+    - exactness: tree edges in scope with a key in `next_state.changed`,
+      and the edges that newly enter the scope;
+    - only-remove: changed keys from an unprocessed node to its child;
+    - locality and balance: tree edges with a changed key;
+    - per-node and global width: the changed bags, against `width0`;
+    - depth: the scope nodes whose root path holds a changed bag, and
+      the nodes new to the scope;
+    - the three vertex-tracking claims: the node's children and the
+      changed bags, and for a bag that lost a vertex the previous scope;
+    - exchange: the nodes of the previous scope whose root path holds a
+      changed bag, the only ones whose root-path bag union can grow.
+
+    The root-path sums and unions are carried from state to state (the
+    states' `_paths`): the next state's are the previous state's, updated
+    below the changed bags within the scope and set on `next_state`.  A
+    state that carries none has them computed from its bags.  Nothing that
+    apply_step stored is read besides the decomposition, the scope and the
+    record.
+
+    Premise: `prev` is `original` or a state whose own step passed this
+    check, and `next_state` extends its processed nodes by one in BFS
+    order; run(verify=True) keeps it, since a failing report raises.  So
+    edges of the previous scope are exact, unprocessed nodes' child cones
+    are within the original's, every bag is within `width0` and every path
+    sum in the previous scope within `sums0`, and an unchanged cone or bag
+    cannot break a rule the previous state kept.  Given that, for any
+    superset of the true change the report is the one a scan of every edge
+    and node gives (`tests/oracles.verify_step_oracle`).
 
     The axioms are not re-checked here: apply_step validates every state it
     changes, with or without verification, and leaf steps change nothing.
@@ -278,6 +333,7 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     report = Report()
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
     tree = ptd_next.tree
+    root = tree.root
     node = next_state.processed[-1]
     scope_prev = prev.scope
     scope_next = next_state.scope
@@ -286,29 +342,28 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     width0 = ptd_width(original) if width0 is None else width0
     sums0 = _path_sums(original) if sums0 is None else sums0
     changed_keys, changed_bags = next_state.changed
+    new = [t for t in (node, *tree.children[node]) if t not in scope_prev]
     # Tree edges with a changed cone, by their child end.
-    changed_edges = sorted({t if tree.parent[t] == s else s for s, t in changed_keys})
+    changed_edges = {t if tree.parent[t] == s else s for s, t in changed_keys}
 
-    for p, c in tree.edges():
-        if p in scope_next and c in scope_next:
-            if not is_exact_edge(ptd_next, p, c):
-                report.add("exactness", f"edge {p}-{c}",
-                           "processed-region edge is not exact")
+    for c in sorted(changed_edges.union(t for t in new if t != root)):
+        p = tree.parent[c]
+        if p in scope_next and c in scope_next and not is_exact_edge(ptd_next, p, c):
+            report.add("exactness", f"edge {p}-{c}", "processed-region edge is not exact")
 
-    processed = set(next_state.processed)
-    for x in tree.nodes:
-        if x in processed:
-            continue
-        for c in tree.children[x]:
+    down_keys = sorted((x, c) for x, c in changed_keys if tree.parent[c] == x)
+    if down_keys:
+        processed = set(next_state.processed)
+        for x, c in down_keys:
             extra = gamma_next[(x, c)] & ~gamma0[(x, c)]
-            if extra:
+            if x not in processed and extra:
                 report.add(
                     "only-remove", f"edge {x}-{c}",
                     f"unprocessed parent's cone gained edges {ptd_next.host.edge_ids(extra)}",
                 )
 
     node_children = set(tree.children[node])
-    for c in changed_edges:
+    for c in sorted(changed_edges):
         p = tree.parent[c]
         down_was, down_now = gamma_prev[(p, c)], gamma_next[(p, c)]
         up_was, up_now = gamma_prev[(c, p)], gamma_next[(c, p)]
@@ -330,13 +385,35 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
             report.add("width", f"node {t}",
                        f"bag grew from {list(bit_indices(beta_prev[t]))} "
                        f"to {list(bit_indices(beta_next[t]))}")
-    if ptd_width(ptd_next) > width0:
-        report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {width0}")
+    # Unchanged bags are within width0, so a changed bag above it is the
+    # widest.
+    width = max((beta_next[t].bit_count() for t in changed_bags), default=0) - 1
+    if width > width0:
+        report.add("width", "global", f"width {width} exceeds original {width0}")
 
-    sums_next = _path_sums(ptd_next)
-    for t in sorted(scope_next):
-        if sums_next[t] > sums0[t]:
-            report.add("depth", f"node {t}", f"path sum {sums_next[t]} exceeds original {sums0[t]}")
+    # Path sums and unions differ from prev's only in the scope below a
+    # changed bag and at new scope nodes; the scope is closed upward, so
+    # each is recomputed from its parent's, parents first.
+    was = prev._paths[1]
+    sums, unions = (list(v) for v in prev._paths)
+    below: set[int] = set()
+    for start in sorted(changed_bags.intersection(scope_next).union(new),
+                        key=tree.depth.__getitem__):
+        if start in below:
+            continue
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            below.add(t)
+            p = tree.parent[t]
+            sums[t] = 0 if t == root else sums[p] + (beta_next[t] & ~beta_next[p]).bit_count()
+            unions[t] = beta_next[t] if t == root else unions[p] | beta_next[t]
+            stack.extend(c for c in tree.children[t] if c in scope_next)
+    next_state._paths = sums, unions
+    below_sorted = sorted(below)
+    for t in below_sorted:
+        if sums[t] > sums0[t]:
+            report.add("depth", f"node {t}", f"path sum {sums[t]} exceeds original {sums0[t]}")
 
     for c in tree.children[node]:
         new_here = beta_next[c] & ~beta_next[node]
@@ -369,9 +446,10 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
                             f"vertices {list(bit_indices(still))} lost at {t} but present at {t_star}",
                         )
 
-    was, now = tree.path_unions(beta_prev), tree.path_unions(beta_next)
-    for t in sorted(scope_prev):
-        u_new = (now[t] & ~was[t]).bit_count()
+    for t in below_sorted:
+        if t not in scope_prev:
+            continue
+        u_new = (unions[t] & ~was[t]).bit_count()
         if not u_new:
             continue
         t_star = tree.gca(t, node)

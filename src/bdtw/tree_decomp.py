@@ -102,12 +102,6 @@ class RootedTree:
             unions[t] = masks[t] if t == self.root else unions[self.parent[t]] | masks[t]
         return unions
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """Whether a lies on the path from the root to b (a == b included)."""
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-        return a == b
-
     def gca(self, a: int, b: int) -> int:
         while self.depth[a] > self.depth[b]:
             a = self.parent[a]

@@ -6,7 +6,7 @@ import pytest
 
 from bdtw.cli import main
 from bdtw.game import GameConfig, solve
-from bdtw.graphs import Graph, bit_indices, closure, dumps_graph
+from bdtw.graphs import MAX_VERTICES, Graph, bit_indices, closure, dumps_graph
 from bdtw.corpus import corpus_instances, named_graph
 
 
@@ -187,7 +187,51 @@ class TestGraphHeader:
         assert main([command[0], str(path), *command[1:]]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: line 1: vertex count {count} is above 1000000\n"
+        assert err == f"error: line 1: vertex count {count} is above 64\n"
+
+    def test_largest_header_is_decided_in_bounded_memory(self, tmp_path, capsys):
+        # The reader accepts MAX_VERTICES vertices; with no edges the closure
+        # has one component per vertex.  Measured peak: about 1 MB.
+        import tracemalloc
+
+        path = tmp_path / "e.gr"
+        path.write_text(f"p tw {MAX_VERTICES} 0\n")
+        tracemalloc.start()
+        try:
+            rc = main(["decide", str(path), "--k", "1", "--q", "1"])
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc in (0, 1, 2)
+        assert peak < 8 << 20
+
+
+class TestParameterCaps:
+    @pytest.mark.parametrize("argv", [
+        ["decide", "K3", "--k", "1", "--q", "99999999999"],
+        ["solve", "K3", "--k", "1", "--q", "65"],
+        ["play", "K3", "--k", "1", "--q", "99999999999", "--as", "cop"],
+        ["equivalence", "--corpus", "named:K3", "--k", "1", "--q", "1-99999999999"],
+        ["equivalence", "--corpus", "named:K3", "--k", "1-99999999", "--q", "1"],
+    ], ids=["decide", "solve", "play", "equivalence-q", "equivalence-k"])
+    def test_above_the_cap_exits_2_at_once(self, graph_file, capsys, argv):
+        # The solver tries every budget up to q, so q is capped where no
+        # accepted graph can need more: at its vertex cap.
+        argv = [graph_file(a) if a == "K3" else a for a in argv]
+        start = time.perf_counter()
+        rc = main(argv)
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert re.fullmatch(r"error: --[kq] \d+ is above the cap of 64\n", err)
+        assert elapsed < 0.5
+
+    def test_cap_itself_is_accepted(self, graph_file, capsys):
+        assert main(["decide", graph_file("K3"), "--k", "3", "--q", "64"]) == 0
+        rc = main(["equivalence", "--corpus", "named:K3", "--k", "64", "--q", "63-64"])
+        assert rc == 0
+        assert "grid points: 2 " in capsys.readouterr().out
 
 
 class TestEquivalenceCmd:

@@ -20,6 +20,7 @@ from bdtw.monotonize import (
 )
 from bdtw.pre_tree import (
     PreTreeDecomposition,
+    _path_sums,
     is_exact,
     is_exact_edge,
     local_boundary,
@@ -360,9 +361,12 @@ class TestChangeLocalChecks:
     state records at least that.  On any such record they must report what
     a full scan reports."""
 
+    # C6 at seed 3 and GRID2x3 at seed 2 change bags 3 levels above
+    # descendants in scope (test_runs_change_deep_subtrees).
     @pytest.mark.parametrize("name, k, q, seed", [
         ("E1", 2, 2, 3), ("P3", 2, 2, 5), ("P4", 2, 3, 1),
         ("K3", 3, 3, 1), ("C4", 3, 3, 2), ("GRID2x3", 3, 4, 1),
+        ("C6", 3, 4, 3), ("GRID2x3", 3, 4, 2),
     ])
     @pytest.mark.parametrize("slack", range(5))
     def test_match_full_scan_on_fuzzed_runs(self, name, k, q, seed, slack):
@@ -372,8 +376,14 @@ class TestChangeLocalChecks:
         keys = sorted(st.ptd.cones)
         for node, before, after, _choice in iterate_steps(st.ptd):
             assert after.changed == change_oracle(after.ptd, before.ptd)
+            assert after.scope == StepState(after.ptd, after.processed).scope
             got, want = change_local_and_full(before, after, st.ptd)
             assert got == want == ([], [])
+            # The step left out: the node's child edges enter the scope
+            # unchanged, so only the edges new to the scope can show it.
+            skipped = StepState(before.ptd, after.processed)
+            got, want = change_local_and_full(before, skipped, st.ptd)
+            assert got == want
             for _ in range(6):
                 bags = [(rng.choice(tree.nodes), rng.choice(host.vertices))
                         for _ in range(rng.randrange(2))]
@@ -389,6 +399,47 @@ class TestChangeLocalChecks:
             for next_state in single_tampers(after):
                 got, want = change_local_and_full(before, next_state, st.ptd)
                 assert got == want
+
+    @pytest.mark.parametrize("name, k, q, seed, slack", [
+        ("C6", 3, 4, 3, 3), ("C6", 3, 4, 3, 4), ("GRID2x3", 3, 4, 2, 3), ("GRID2x3", 3, 4, 2, 4),
+    ])
+    def test_runs_change_deep_subtrees(self, name, k, q, seed, slack):
+        # A changed bag with in-scope descendants 3 levels below it: the
+        # carried path sums and unions are updated over that subtree.
+        st, _, _ = solved_tree(named_graph(name), k, q, fuzz=slack, seed=seed)
+        tree = st.ptd.tree
+
+        def levels_in_scope(t, scope):
+            if not any(c in scope for c in tree.children[t]):
+                return 0
+            return 1 + max(levels_in_scope(c, scope) for c in tree.children[t] if c in scope)
+
+        deepest = max(levels_in_scope(t, after.scope)
+                      for _node, _before, after, _choice in iterate_steps(st.ptd)
+                      for t in after.changed[1] if t in after.scope)
+        assert deepest >= 3
+
+    @pytest.mark.parametrize("name, k, q, seed", [
+        ("C4", 3, 3, 2), ("C6", 3, 4, 3), ("GRID2x3", 3, 4, 2),
+    ])
+    def test_carried_values_match_a_fresh_start(self, name, k, q, seed):
+        # verify_step carries each state's root-path sums and unions to the
+        # next; a copy of the previous state carries none and has them
+        # computed from its bags, as do width0 and sums0 when not passed.
+        st, _, _ = solved_tree(named_graph(name), k, q, fuzz=4, seed=seed)
+        rng = random.Random(name)
+        host, tree = st.ptd.host, st.ptd.tree
+        keys = sorted(st.ptd.cones)
+        width0, sums0 = ptd_width(st.ptd), _path_sums(st.ptd)
+        for _node, before, after, _choice in iterate_steps(st.ptd):
+            fresh = StepState(before.ptd, before.processed, before.changed)
+            bags = [(rng.choice(tree.nodes), rng.choice(host.vertices)) for _ in range(2)]
+            for next_state in (tampered(after, bags, [(rng.choice(keys), rng.randrange(host.m))]),
+                               after):
+                carried = verify_step(before, next_state, st.ptd, width0=width0, sums0=sums0)
+                assert carried.violations == verify_step(fresh, next_state, st.ptd).violations
+                assert carried.violations == verify_step_oracle(before, next_state,
+                                                                st.ptd).violations
 
     @pytest.mark.parametrize("rule", [
         "exactness", "only-remove", "locality", "balance", "width", "depth",

@@ -38,8 +38,8 @@ class TestRootedTree:
     def test_paths_and_ancestors(self):
         t = RootedTree([0, 0, 1, 1, 0])
         assert t.path_from_root(3) == (0, 1, 3)
-        assert t.is_ancestor(1, 3)
-        assert not t.is_ancestor(3, 1)
+        assert t.gca(1, 3) == 1
+        assert t.gca(3, 1) == 1
         assert t.gca(2, 3) == 1
         assert t.gca(3, 4) == 0
         assert t.path_between(2, 4) == (2, 1, 0, 4)
