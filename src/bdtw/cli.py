@@ -34,7 +34,7 @@ from .game import (
     solve,
     variant_costs,
 )
-from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph
+from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph, records
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
@@ -156,12 +156,8 @@ def cmd_monotonize(args) -> int:
 
 def _sniff_kind(path: str) -> str:
     with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.split()[0] == "s":
-                return "td"
+        if any(parts[0] == "s" for _, parts in records(f)):
+            return "td"
     return "ptd"
 
 
@@ -169,8 +165,7 @@ def cmd_verify(args) -> int:
     kind = _sniff_kind(args.artifact)
     if kind == "td":
         if not args.graph:
-            print("error: verifying a .td file needs --graph", file=sys.stderr)
-            return 2
+            raise ValueError("verifying a .td file needs --graph")
         host = _load_graph(args.graph)
         with open(args.artifact) as f:
             td = read_td(f, host)
@@ -190,11 +185,7 @@ def cmd_verify(args) -> int:
 
 def _equivalence_worker(item):
     name, n, edges, k, q_max, budget = item
-    costs = variant_costs(Graph(n, edges), k, q_max, budget)
-    return [
-        (name, k, q, len({c is not None and c <= q for c in costs}) == 1)
-        for q in range(1, q_max + 1)
-    ]
+    return name, k, variant_costs(Graph(n, edges), k, q_max, budget)
 
 
 def cmd_equivalence(args) -> int:
@@ -220,20 +211,14 @@ def cmd_equivalence(args) -> int:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            all_rows = pool.map(_equivalence_worker, items)
+            results = pool.map(_equivalence_worker, items)
     else:
-        all_rows = [_equivalence_worker(item) for item in items]
+        results = [_equivalence_worker(item) for item in items]
     elapsed = time.monotonic() - start
-    checked = 0
-    disagreements = []
-    for rows in all_rows:
-        for name, k, q, agree in rows:
-            if q not in qs:
-                continue
-            checked += 1
-            if not agree:
-                disagreements.append((name, k, q))
-    print(f"instances: {len(instances)}  grid points: {checked}  "
+    # The variants agree at q when all or none of them win within q.
+    disagreements = [(name, k, q) for name, k, costs in results for q in qs
+                     if len({c is not None and c <= q for c in costs}) != 1]
+    print(f"instances: {len(instances)}  grid points: {len(results) * len(qs)}  "
           f"disagreements: {len(disagreements)}  elapsed: {elapsed:.1f}s")
     for name, k, q in disagreements:
         print(f"DISAGREE {name} k={k} q={q}")

@@ -10,8 +10,9 @@ X & Y, and it answers with any part under Y inside that one.  In the
 monotone variant a move is legal only if the robber's part stays whole
 under X & Y.  Cop sets are vertex masks and parts edge masks throughout;
 _is_move, _replies and is_capture_mask are the one statement of these
-rules, which replay, play and the tests call directly (strategy trees record
-only the replies that meet the robber's part; see strategy_tree).
+rules, which replay, play, strategy_tree.build and the tests call directly
+(build keeps only the replies that meet the robber's part, its in-cone; see
+strategy_tree).
 
 The solver searches only the fresh moves, those that place v outside X.  A
 re-placement, a move from (X, p) to some m inside X (the pass m = X

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
-from .graphs import Graph, bit_indices, bitmask, boundary, closure, connected_components, read_graph, write_graph
+from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, boundary, closure,
+                     connected_components, records, write_graph)
 from .partitions import EdgePartition
 from .tree_decomp import RootedTree, TreeDecomposition, tighten, validate_td
 from .validation import Report
@@ -122,8 +123,8 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
     for t in nodes:
         if t != root and not tree.children[t]:
             up = ptd.cone(tree.parent[t], t)
-            if bin(up).count("1") > 1:
-                report.add("PT2", f"leaf {t}", f"cone from parent has {bin(up).count('1')} edges")
+            if up.bit_count() > 1:
+                report.add("PT2", f"leaf {t}", f"cone from parent has {up.bit_count()} edges")
 
     for t in nodes:
         blocks = local_blocks(ptd, t)
@@ -268,7 +269,7 @@ def check_exact_path_nesting(ptd: PreTreeDecomposition, path: Sequence[int]) -> 
 def _isolated_loop_vertex(host: Graph, cone_mask: int) -> int | None:
     """The vertex v if cone_mask is exactly one self-loop vv of a vertex whose
     only incident edge is that loop; otherwise None."""
-    if bin(cone_mask).count("1") != 1:
+    if cone_mask.bit_count() != 1:
         return None
     e = cone_mask.bit_length() - 1
     u, v = host.endpoints(e)
@@ -321,22 +322,20 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
     full = gc.full_mask
 
     parent: list[int] = [0]
-    attached: list[int] = [0]  # direct leaf-cone mask per new node
-    down_into: list[int] = [0]  # cone from parent into the node, filled later
+    # Per node, the cone from its parent into it: a leaf's edge, and later
+    # everything at or below the node.
+    down: list[int] = [0]
 
-    def new_node(par: int) -> int:
-        nid = len(parent)
+    def new_node(par: int, mask: int = 0) -> int:
         parent.append(par)
-        attached.append(0)
-        down_into.append(0)
-        return nid
+        down.append(mask)
+        return len(parent) - 1
 
     for comp in connected_components(g):
         verts = bit_indices(comp)
         if len(verts) == 1 and not g.incident_mask(verts[0]):
             v = verts[0]
-            leaf = new_node(0)
-            down_into[leaf] = 1 << gc.edge_id(v, v)
+            new_node(0, 1 << gc.edge_id(v, v))
             continue
         touched = [t for t in td.tree.nodes if td.bags[t] & comp]
         touched.sort(key=lambda t: (td.tree.depth[t], t))
@@ -348,29 +347,24 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
         for v in verts:
             hosts = [t for t in touched if td.bags[t] >> v & 1]
             t_v = min(hosts, key=lambda t: (td.tree.depth[t], t))
-            leaf = new_node(copy_of[t_v])
-            down_into[leaf] = 1 << gc.edge_id(v, v)
+            new_node(copy_of[t_v], 1 << gc.edge_id(v, v))
         for eid, (u, v) in enumerate(g.edges):
             uv = 1 << u | 1 << v
             if u == v or not comp & uv:
                 continue
             hosts = [t for t in touched if td.bags[t] & uv == uv]
             t_e = min(hosts, key=lambda t: (td.tree.depth[t], t))
-            leaf = new_node(copy_of[t_e])
-            down_into[leaf] = 1 << eid
+            new_node(copy_of[t_e], 1 << eid)
 
     tree = RootedTree(parent)
-    # Accumulate cones bottom-up: the cone into a node is everything attached
-    # at or below it.
+    # Deepest first, each node's cone is complete when it joins its parent's.
     for t in sorted(tree.nodes, key=lambda t: -tree.depth[t]):
         if t != tree.root:
-            mask = attached[t] | down_into[t]
-            down_into[t] = mask
-            attached[tree.parent[t]] |= mask
+            down[tree.parent[t]] |= down[t]
     cones: dict[tuple[int, int], int] = {}
     for p, c in tree.edges():
-        cones[(p, c)] = down_into[c]
-        cones[(c, p)] = full & ~down_into[c]
+        cones[(p, c)] = down[c]
+        cones[(c, p)] = full & ~down[c]
 
     ptd = PreTreeDecomposition(tree, gc, (0,) * tree.size, cones)
     bags = tuple(local_boundary(ptd, t) for t in tree.nodes)
@@ -406,23 +400,21 @@ def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
     """The validated decomposition a `.ptd` file describes.  Errors name
     the line of the file, in the graph section too; a record with a tag
     other than `n`, `g` or the graph section's is an error."""
-    graph_lines: list[str] = []  # records blanked, so graph errors keep their line
-    records: list[tuple[list[str], int]] = []
-    for lineno, raw in enumerate(inp, 1):
-        parts = raw.split()
-        tag = parts[0] if parts else ""
+    graph_recs: list[tuple[int, list[str]]] = []
+    tree_recs: list[tuple[int, list[str]]] = []
+    for lineno, parts in records(inp):
+        tag = parts[0]
         if tag in ("n", "g"):
-            records.append((parts, lineno))
-            graph_lines.append("")
-            continue
-        if tag.isalpha() and tag != "p" and not tag.startswith("c"):
+            tree_recs.append((lineno, parts))
+        elif tag.isalpha() and tag != "p":
             raise FormatError(f"line {lineno}: unknown record '{tag}'")
-        graph_lines.append(raw)
-    host = read_graph(graph_lines)
+        else:
+            graph_recs.append((lineno, parts))
+    host = _graph_from_records(graph_recs)
 
     nodes: dict[int, tuple[int, int]] = {}
     cones: dict[tuple[int, int], int] = {}
-    for parts, lineno in records:
+    for lineno, parts in tree_recs:
         tag = parts[0]
         if parts[3:4] != [":"]:
             raise FormatError(f"line {lineno}: expected '{tag} <id> <id> : <ids...>'")

@@ -4,11 +4,13 @@ component, recorded as a pre-tree decomposition.
 Each non-root node t with parent s stands for: the robber sits in the part
 cone(s, t) under the cop set bag(s), and the cops answer with bag(t).  A
 node is a leaf when its incoming part is a single edge already covered by
-the parent's cops.  Children of t are the parts under bag(t) that meet the
-incoming part; the cone back to the parent is the complement of the child
-cones, so non-monotone moves show up as non-exact tree edges.  After a
-non-monotone move the robber may also reach a part that meets none of the
-incoming part, so a tree can miss an escape that replay_cop_strategy finds.
+the parent's cops.  Children of t are the replies (game._replies) to the
+move bag(s) -> bag(t) that meet the incoming part and, alone, each incoming
+edge under cops; the cone back to the parent is the complement of the child
+cones, so non-monotone moves show up as non-exact tree edges.  This in-cone
+filter is the one place a tree differs from the game: after a non-monotone
+move a reply may meet none of the incoming part, so a tree can miss an
+escape that replay_cop_strategy finds.
 
 The decomposition is the whole record: the move into t is bag(s) ->
 bag(t), its kept cops are bag(s) & bag(t), as in the robber's replies, and
@@ -33,7 +35,7 @@ from .game import (
     is_capture_mask,
     replay_cop_strategy,
 )
-from .graphs import Graph, bit_indices, is_closure, part_table, vertices_of_mask
+from .graphs import Graph, bit_indices, is_closure, vertices_of_mask
 from .pre_tree import PreTreeDecomposition, is_exact_edge, ptd_depth
 from .tree_decomp import RootedTree
 
@@ -54,7 +56,8 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     The host must be a closure graph.  Raises if sigma is undefined on a
     recorded position, plays an illegal move there, or leaves a recorded
     branch uncaptured after cfg.q placements; the error carries that play.
-    A strategy build accepts can still lose (see the module docstring).
+    A strategy build accepts can still lose through a reply that its
+    in-cone filter drops (see the module docstring).
     """
     if not is_closure(g):
         raise ValueError("strategy trees are built over closure graphs")
@@ -100,9 +103,9 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
         bags[t] = new_mask
-        # The parts under new_mask that meet the in-cone: those components
-        # and, alone, each in-cone edge under cops (disjoint: sum is union).
-        parts = [q for q in part_table(g, new_mask) if q & in_cone]
+        # The replies that meet the in-cone and, alone, each in-cone edge
+        # under cops (disjoint: sum is union).
+        parts = [r for r in _replies(g, x_mask, in_cone, new_mask) if r & in_cone]
         parts += [1 << e for e in bit_indices(in_cone & ~sum(parts))]
         union = 0
         for mask in sorted(parts, key=lambda mask: mask & -mask):
@@ -195,7 +198,8 @@ def check_self_loop_cones(st: StrategyTree) -> bool:
 def depth_iff_winning(st: StrategyTree, cfg: GameConfig) -> bool:
     """Whether the tree's depth is at most q exactly when the strategy wins
     the q-placement game; it can be False for a sigma that loses only
-    through a reply the tree does not record (see the module docstring)."""
+    through a reply that build's in-cone filter drops (see the module
+    docstring)."""
     outcome = replay_cop_strategy(st.host, st.strategy, cfg)
     return (ptd_depth(st.ptd) <= cfg.q) == outcome.wins
 

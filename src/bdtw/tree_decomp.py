@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
-from .graphs import Graph, bit_indices, bitmask, is_connected_set
+from .graphs import Graph, bit_indices, bitmask, is_connected_set, records
 from .validation import Report
 
 
@@ -267,11 +267,7 @@ def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
     n_bags = width_plus_one = root_id = None
     bags: dict[int, int] = {}
     links: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(inp, 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, parts in records(inp):
         try:
             if parts[0] == "s":
                 if n_bags is not None:

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from bdtw.corpus import path_graph
 from bdtw.errors import FormatError
 from bdtw.game import _part_of, is_capture_mask
 from bdtw.graphs import (
@@ -20,6 +21,8 @@ from bdtw.graphs import (
     read_graph,
     vertices_of_mask,
 )
+from bdtw.pre_tree import dumps_ptd, from_tree_decomposition, loads_ptd
+from bdtw.tree_decomp import dumps_td, loads_td
 from conftest import small_graph_corpus
 from oracles import (
     _components_without,
@@ -312,3 +315,45 @@ class TestPaceFormat:
     def test_rejects_non_integer_token(self, text):
         with pytest.raises(FormatError):
             loads_graph(text)
+
+
+def padded(text: str) -> str:
+    """text with a blank line, a blank line of spaces and three kinds of
+    `c` comment line before each of its lines, so line i moves to 6i."""
+    return "".join(f"\n  \nc note\n  c indented\ncx\n{line}"
+                   for line in text.splitlines(True))
+
+
+class TestRecordSyntax:
+    """One record syntax holds for `.gr`, `.td` and `.ptd` texts: blank
+    lines and `c` comments may stand anywhere, and errors name physical
+    lines."""
+
+    host = closure(path_graph(3))
+    td = loads_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n", path_graph(3))
+
+    def test_padding_reads_the_same(self):
+        assert loads_graph(padded(dumps_graph(self.host))) == self.host
+        td = loads_td(padded(dumps_td(self.td)), self.td.host)
+        assert (td.bags, td.tree.parent) == (self.td.bags, self.td.tree.parent)
+        ptd = from_tree_decomposition(self.td)
+        back = loads_ptd(padded(dumps_ptd(ptd)))
+        assert (back.host, back.bags, back.cones) == (ptd.host, ptd.bags, ptd.cones)
+        assert back.tree.parent == ptd.tree.parent
+
+    @pytest.mark.parametrize("fmt, bad, match", [
+        ("gr", "1 9", "vertex out of range"),
+        ("td", "b 3 9", "bag vertex outside 1..3"),
+        ("ptd", "n 0 0 :", "duplicate node 0"),
+        ("ptd", "9 9", "vertex out of range"),
+    ], ids=["gr", "td", "ptd-node", "ptd-graph-line"])
+    def test_bad_record_names_its_physical_line(self, fmt, bad, match):
+        text, load = {
+            "gr": (dumps_graph(self.host), loads_graph),
+            "td": (dumps_td(self.td), lambda text: loads_td(text, self.td.host)),
+            "ptd": (dumps_ptd(from_tree_decomposition(self.td)), loads_ptd),
+        }[fmt]
+        text = padded(text + bad + "\n")
+        line = text.count("\n")
+        with pytest.raises(FormatError, match=f"^line {line}: {match}"):
+            load(text)

@@ -6,6 +6,7 @@ from bdtw.game import (
     GameConfig,
     Strategy,
     _part_of,
+    _replies,
     minimum_placements,
     replay_cop_strategy,
     solve,
@@ -30,10 +31,11 @@ from bdtw.strategy_tree import (
     check_self_loop_cones,
     depth_iff_winning,
     fuzz_nonmonotone,
+    move_is_monotone,
     structural_branching,
 )
 from bdtw.tree_decomp import td_depth, td_width, validate_td
-from oracles import branching_oracle
+from oracles import all_parts, branching_oracle
 
 
 def fresh_vertex(st, t):
@@ -342,6 +344,37 @@ class TestUnreplayedReplies:
         assert validate_td(td).ok
         assert td_width(td) == 1
         assert td_depth(td) == 3
+
+
+class TestChildrenAreFilteredReplies:
+    def test_children_are_the_replies_meeting_the_in_cone(self):
+        # Every graph with n <= 4, closure, k 1-3, the least winning q,
+        # unfuzzed and with fuzz slack 2.  At each internal node build's
+        # children are the parts under bag(t) that meet the in-cone, and
+        # after a monotone move every reply of the game meets it, so the
+        # filter drops nothing there.
+        nodes = monotone = 0
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                for k in range(1, 4):
+                    q = minimum_placements(closure(g), k, False, n)
+                    if q is None:
+                        continue
+                    for fuzz in (0, 2):
+                        st, gc, _ = solved_tree(g, k, q, fuzz=fuzz)
+                        tree, bags = st.ptd.tree, st.ptd.bags
+                        for t in internal_nodes(st):
+                            s = tree.parent[t]
+                            in_cone = st.ptd.cone(s, t)
+                            children = [st.ptd.cone(t, c) for c in tree.children[t]]
+                            assert children == [
+                                p for p in all_parts(gc, bags[t]) if p & in_cone]
+                            nodes += 1
+                            if move_is_monotone(st, t):
+                                monotone += 1
+                                replies = _replies(gc, bags[s], in_cone, bags[t])
+                                assert all(r & in_cone for r in replies)
+        assert (nodes, monotone) == (1170, 1016)
 
 
 class TestMonotoneReplay:
