@@ -58,8 +58,19 @@ Lookups are paid once.  The host graph caches its part table per cop set
 per (new cop set, removal-stage part); the solvers of every variant on one
 host share both.  Each solver caches, per position, its successor list:
 the pairs (new cop set, those responses) in search order, built at the
-position's first expansion from one removal-stage part per kept-cop set
-and replayed at every later one.
+position's first expansion with at least two placements left from one
+removal-stage part per kept-cop set, and replayed at every later one.
+
+With one placement left a position needs no list.  The cops capture
+exactly when the robber's component has a single free vertex v, which they
+place while keeping every cop on v's neighbours (a removed neighbour
+joins v's component).  v is then an endpoint of p's lowest edge that is
+free with no free neighbour, and a searched move keeps X & adj(v) exactly
+when |X & adj(v)| < k: in the non-monotone variant |X| < k keeps X and
+|X| = k drops a cop off v's neighbours; in the monotone variant
+X & adj(v) holds boundary(p), so it is a kept set the search walks.  The
+bound is not |boundary(p)| < k: a neighbour with all its edges in p is no
+boundary vertex, so dropping it keeps p whole, yet it joins v's component.
 """
 
 from __future__ import annotations
@@ -163,12 +174,14 @@ class _Solver:
     """Exhaustive solver for one (graph, k, variant) combination.
 
     Each position pays for its moves and the robber's answers once: its
-    first expansion builds its successor list, the pairs (new cop set,
-    capture-free responses) for every searched move in search order, and
-    later expansions replay it.  The searched moves are the fresh ones, and
-    in the non-monotone variant only those that keep min(|x|, k - 1) cops
-    (see the module docstring).  The responses come from the host graph's
-    response table, which every solver on that host shares.
+    first expansion with at least two placements left builds its successor
+    list, the pairs (new cop set, capture-free responses) for every
+    searched move in search order, and later expansions replay it.  The
+    searched moves are the fresh ones, and in the non-monotone variant only
+    those that keep min(|x|, k - 1) cops (see the module docstring).  The
+    responses come from the host graph's response table, which every
+    solver on that host shares.  An expansion with one placement left reads
+    no list (_wins_in_one) but counts as an expansion all the same.
 
     bounds holds one entry per position the solver has a bound for: those
     it searched and, in the monotone variant, the losses it inherited from
@@ -256,6 +269,18 @@ class _Solver:
             return True
         return self._expand(x_mask, p_mask, entry, b)
 
+    def _wins_in_one(self, x_mask: int, p_mask: int) -> bool:
+        """Whether one placement captures from (x, part), that is, whether
+        some searched move leaves the robber no live reply, read off three
+        masks: the part's lowest edge, x and the neighbours of the part's
+        lone free vertex (see the module docstring)."""
+        g = self.g
+        adj = g._adj_mask
+        for v in g.edges[(p_mask & -p_mask).bit_length() - 1]:
+            if not x_mask >> v & 1 and not adj[v] & ~x_mask:
+                return (x_mask & adj[v]).bit_count() < self.k
+        return False
+
     def _expand(self, x_mask: int, p_mask: int, entry: list, b: int) -> bool:
         """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
@@ -263,27 +288,28 @@ class _Solver:
             raise BudgetExceededError(
                 f"solver expanded {self.expansions} positions (budget {self.budget})"
             )
-        bounds = self.bounds
-        c = b - 1
-        result = False
-        for new_mask, live in self._successors(x_mask, p_mask):
-            if live and c <= 0:
-                continue
-            # The memo test of win, inlined: a child decided by its bounds
-            # costs no call.
-            for q_mask in live:
-                child = bounds.get((new_mask, q_mask))
-                if child is None:
-                    child = bounds[(new_mask, q_mask)] = [0, None]
-                elif c <= child[0]:
+        if b == 1:
+            result = self._wins_in_one(x_mask, p_mask)
+        else:
+            bounds = self.bounds
+            c = b - 1
+            result = False
+            for new_mask, live in self._successors(x_mask, p_mask):
+                # The memo test of win, inlined: a child decided by its
+                # bounds costs no call.
+                for q_mask in live:
+                    child = bounds.get((new_mask, q_mask))
+                    if child is None:
+                        child = bounds[(new_mask, q_mask)] = [0, None]
+                    elif c <= child[0]:
+                        break
+                    elif child[1] is not None and c >= child[1]:
+                        continue
+                    if not self._expand(new_mask, q_mask, child, c):
+                        break
+                else:
+                    result = True
                     break
-                elif child[1] is not None and c >= child[1]:
-                    continue
-                if not self._expand(new_mask, q_mask, child, c):
-                    break
-            else:
-                result = True
-                break
         if result:
             if entry[1] is None or b < entry[1]:
                 entry[1] = b

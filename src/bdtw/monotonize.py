@@ -311,9 +311,10 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
       changed bag, the only ones whose root-path bag union can grow.
 
     The root-path sums and unions are carried from state to state (the
-    states' `_paths`): the next state's are the previous state's, updated
-    below the changed bags within the scope and set on `next_state`.  A
-    state that carries none has them computed from its bags.  Nothing that
+    states' `_paths`): the next state's are a copy of the previous state's,
+    updated below the changed bags within the scope and at the nodes new to
+    it, or the previous state's own lists when there are none.  A state
+    that carries none has them computed from its bags.  Nothing that
     apply_step stored is read besides the decomposition, the scope and the
     record.
 
@@ -393,12 +394,14 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
 
     # Path sums and unions differ from prev's only in the scope below a
     # changed bag and at new scope nodes; the scope is closed upward, so
-    # each is recomputed from its parent's, parents first.
+    # each is recomputed from its parent's, parents first.  With no such
+    # node the next state shares prev's lists, which no step mutates.
     was = prev._paths[1]
-    sums, unions = (list(v) for v in prev._paths)
+    starts = sorted(changed_bags.intersection(scope_next).union(new),
+                    key=tree.depth.__getitem__)
+    sums, unions = (list(v) for v in prev._paths) if starts else prev._paths
     below: set[int] = set()
-    for start in sorted(changed_bags.intersection(scope_next).union(new),
-                        key=tree.depth.__getitem__):
+    for start in starts:
         if start in below:
             continue
         stack = [start]

@@ -20,8 +20,11 @@ over which vertices may be split; both offer a free edge to internal
 children only.  The branching oracle reads a strategy tree's moves off
 its bags: a node branches when the fresh vertex of parent bag -> node bag
 touches the robber's part, where the library looks for a lone self-loop
-child cone.  The elimination-forest decider at the end decides the class
-without the game at all.
+child cone.  The one-placement cases read the solver's own successor
+lists, which the solver tests pin to macro_moves, to check the three-mask
+rule by which the solver decides a position with one placement left.  The
+elimination-forest decider at the end decides the class without the game
+at all.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from bdtw.game import _part_of, initial_parts, is_capture_mask
+from bdtw.game import _part_of, _Solver, initial_parts, is_capture_mask
 from bdtw.graphs import Graph, bit_indices, part_table
 from bdtw.monotonize import ExtensionChoice, StepState
 from bdtw.pre_tree import (
@@ -308,6 +311,23 @@ def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, .
     x & new, by lowest edge id."""
     stage = _part_of(g, x_mask & new_mask, p_mask)
     return tuple(q for q in all_parts(g, new_mask) if q & ~stage == 0)
+
+
+def one_placement_cases(g: Graph, parts=all_parts):
+    """(k, monotone, x_mask, p_mask, wins) for every k in 1..n+1, both
+    variants, every cop set x of at most k vertices and every part p under
+    x that parts(g, x) lists (by default all, captures included): wins
+    tells whether some searched move leaves the robber no live reply, read
+    off the successor list of a solver on a copy of g."""
+    copy = Graph(g.n, g.edges)
+    for k in range(1, g.n + 2):
+        for monotone in (False, True):
+            solver = _Solver(copy, k, monotone)
+            for x_mask in range(1 << g.n):
+                if x_mask.bit_count() <= k:
+                    for p_mask in parts(copy, x_mask):
+                        yield k, monotone, x_mask, p_mask, any(
+                            not live for _, live in solver._successors(x_mask, p_mask))
 
 
 def full_move_win(g: Graph, k: int, monotone: bool):

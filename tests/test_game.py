@@ -29,6 +29,7 @@ from oracles import (
     macro_moves,
     monotone_kept_set_cases,
     naive_cop_wins,
+    one_placement_cases,
     responses,
     submasks,
 )
@@ -346,6 +347,29 @@ class TestMonotoneKeptSets:
         assert checked == 83_158
 
 
+class TestWinsInOne:
+    def test_one_placement_is_decided_without_successors(self):
+        # Every position of every host on at most 4 vertices with every set
+        # of loops, k 1..n+1, both variants, captures included: win with
+        # one placement left says whether some searched move leaves the
+        # robber no live reply, and builds no successor list.
+        checked = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            solvers = {}
+            for k, monotone, x_mask, p_mask, wins in one_placement_cases(host):
+                solver = solvers.get((k, monotone))
+                if solver is None:
+                    # Each on its own host, so no monotone solver inherits.
+                    solver = solvers[(k, monotone)] = _Solver(
+                        Graph(host.n, host.edges), k, monotone)
+                assert solver.win(x_mask, p_mask, 1) == wins, (host, k, monotone, x_mask, p_mask)
+                checked += 1
+            for solver in solvers.values():
+                assert solver.expansions == len(solver.bounds)
+                assert not solver._succ_cache
+        assert checked == 358_096
+
+
 class TestInheritedLosses:
     # A monotone solver starts from the losses of the latest non-monotone
     # solver with the same k on its host.  Its costs must be those of a
@@ -422,7 +446,9 @@ class TestSolverWork:
         # non-monotone variant only the undominated ones are kept: those
         # that keep min(|x|, k - 1) cops.  Both variants and every k solve
         # on one host, so the response table entries built by one solver
-        # are read by the others.
+        # are read by the others.  The lists are asked for at every
+        # position the solver has a bound for, since a position expanded
+        # only with one placement left builds none.
         rng = random.Random(5)
         checked = 0
         for _ in range(10):
@@ -434,7 +460,8 @@ class TestSolverWork:
                     for monotone in (False, True):
                         solver = _Solver(host, k, monotone)
                         solver.game_cost(4)
-                        for (x_mask, p_mask), succ in solver._succ_cache.items():
+                        for x_mask, p_mask in list(solver.bounds):
+                            succ = solver._successors(x_mask, p_mask)
                             kept = min(x_mask.bit_count(), k - 1)
                             fresh = [m for m in macro_moves(host, k, monotone, x_mask, p_mask)
                                      if m & ~x_mask and (

@@ -441,6 +441,23 @@ class TestChangeLocalChecks:
                 assert carried.violations == verify_step_oracle(before, next_state,
                                                                 st.ptd).violations
 
+    def test_a_step_with_nothing_to_recompute_shares_the_carried_lists(self):
+        # A step that changes no bag in the scope and brings no node into
+        # it leaves every root-path sum and union as it was, so the next
+        # state shares the previous state's lists; any other step gets
+        # lists of its own.
+        shared = copied = 0
+        for name, k, q, seed in [("C4", 3, 3, 2), ("C6", 3, 4, 3), ("GRID2x3", 3, 4, 2)]:
+            st, _, _ = solved_tree(named_graph(name), k, q, fuzz=4, seed=seed)
+            for _node, before, after, _choice in iterate_steps(st.ptd):
+                assert verify_step(before, after, st.ptd).ok
+                idle = not after.changed[1] & after.scope and after.scope == before.scope
+                same = [a is b for a, b in zip(after._paths, before._paths)]
+                assert same == [idle, idle]
+                shared += idle
+                copied += not idle
+        assert shared > 0 and copied > 0
+
     @pytest.mark.parametrize("rule", [
         "exactness", "only-remove", "locality", "balance", "width", "depth",
         "PT1", "PT2", "PT3", "PT4",

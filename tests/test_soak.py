@@ -19,7 +19,7 @@ from bdtw.game import (
     minimum_placements,
     solve,
 )
-from bdtw.graphs import Graph, bitmask, closure, is_connected_set
+from bdtw.graphs import Graph, bitmask, closure, is_connected_set, part_table
 from bdtw.monotonize import check_branching_depth_bound, monotonize_pipeline
 from bdtw.pre_tree import (
     from_tree_decomposition,
@@ -42,7 +42,12 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
-from oracles import branching_oracle, macro_moves, monotone_kept_set_cases
+from oracles import (
+    branching_oracle,
+    macro_moves,
+    monotone_kept_set_cases,
+    one_placement_cases,
+)
 
 
 def random_host(rng, max_n=7, max_m=12, min_n=1):
@@ -190,3 +195,22 @@ def test_monotone_kept_sets_soak():
                 assert solvers[k]._kept_sets(x_mask, p_mask) == kept, (host, k, x_mask, p_mask)
                 checked += 1
     assert checked == 405_576
+
+
+def test_wins_in_one_soak():
+    # The Tier-1 one-placement check one size up: every graph on 5
+    # vertices and its closure, every component position, k 1-6, both
+    # variants.
+    checked = 0
+    for g in all_graphs(5):
+        for host in (g, closure(g)):
+            solvers = {}
+            for k, monotone, x_mask, p_mask, wins in one_placement_cases(host, part_table):
+                solver = solvers.get((k, monotone))
+                if solver is None:
+                    solver = solvers[(k, monotone)] = _Solver(
+                        Graph(host.n, host.edges), k, monotone)
+                assert solver.win(x_mask, p_mask, 1) == wins, (host, k, monotone, x_mask, p_mask)
+                checked += 1
+            assert not any(solver._succ_cache for solver in solvers.values())
+    assert checked == 811_152
