@@ -188,6 +188,14 @@ def _equivalence_worker(item):
     return name, k, variant_costs(Graph(n, edges), k, q_max, budget)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the sweep is CPU-bound, so more
+    workers than these only add processes."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_equivalence(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -206,7 +214,7 @@ def cmd_equivalence(args) -> int:
         for k in ks
     ]
     start = time.monotonic()
-    workers = min(args.jobs, len(items))
+    workers = min(args.jobs, len(items), _usable_cpus())
     if workers > 1:
         import multiprocessing
 

@@ -17,7 +17,7 @@ no cache changes an answer, and a Graph is safe to share.
 from __future__ import annotations
 
 import io
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import FormatError
 
@@ -191,6 +191,20 @@ def boundary(g: Graph, x: int) -> int:
     for v, inc in enumerate(g._inc):
         if inc & x and inc & rest:
             out |= 1 << v
+    return out
+
+
+def blocks_boundary(g: Graph, blocks: Sequence[int]) -> int:
+    """The union of `boundary(g, b)` over the blocks: the vertices with an
+    edge inside and an edge outside some block.  One pass over the
+    vertices, trying the blocks in order until one splits the vertex; the
+    blocks need not be disjoint, non-empty or cover the edges."""
+    out = 0
+    for v, inc in enumerate(g._inc):
+        for b in blocks:
+            if 0 != inc & b != inc:
+                out |= 1 << v
+                break
     return out
 
 

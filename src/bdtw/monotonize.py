@@ -11,6 +11,9 @@ pointing toward the node gain the moved edges, cones pointing away lose
 them.  After step i all tree edges with both endpoints in the processed
 region plus its neighbors are exact; after the last step the whole
 decomposition is exact, with width and depth no larger than the input's.
+A node whose child tree-edges have no free edge has nothing to reassign:
+its choice is empty and costs one pass of the boundary kernel
+(`graphs.blocks_boundary`), and its step moves no edge.
 
 Between steps the object need not describe a strategy, but it stays a
 pre-tree decomposition.  iterate_steps (and so run) checks the input
@@ -43,13 +46,14 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
-from .graphs import Graph, bit_indices, bitmask, closure
+from .graphs import Graph, bit_indices, bitmask, blocks_boundary, closure, vertices_of_mask
 from .pre_tree import (
     Change,
     PreTreeDecomposition,
     _path_sums,
     is_exact,
     is_exact_edge,
+    local_blocks,
     local_boundary,
     ptd_depth,
     ptd_width,
@@ -117,44 +121,54 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     lexicographically least assignment vector (staying before moving, then
     children ascending).
 
-    The node's blocks (its cones toward its neighbors) partition the edges;
-    a free edge ends in its own block or a child's it is free for, the
-    others are fixed.  A vertex with fixed edges in two blocks is always
-    boundary, one without a free edge never changes.  For each set B of
-    the other, open, vertices, smallest first, the open vertices outside B
-    that free edges join must share one block that all their edges allow.
-    The first size with a feasible B is the minimum boundary; free edges
-    between boundary vertices stay, the others go to their component's
-    block.  The work is bounded by the number of subsets of open vertices,
-    not by the free-edge count.
+    The node's blocks (its cones toward its neighbors, `local_blocks`)
+    partition the edges (PT3, which every state iterate_steps passes
+    keeps); a free edge ends in its own block or a child's it is free for,
+    the others are fixed.  A vertex with fixed edges in two blocks is
+    always boundary, one without a free edge never changes: those are read
+    off one pass of `graphs.blocks_boundary`, and only the endpoints of
+    free edges are looked at further.  For each set B of the other, open,
+    vertices, smallest first, the open vertices outside B that free edges
+    join must share one block that all their edges allow.  The first size
+    with a feasible B is the minimum boundary; free edges between boundary
+    vertices stay, the others go to their component's block.  The work is
+    bounded by the number of subsets of open vertices, not by the
+    free-edge count.  A node without free edges costs that one pass: its
+    choice is empty and its boundary the blocks'.
     """
-    g = state.ptd.host
-    tree = state.ptd.tree
-    cones = state.ptd.cones
+    ptd = state.ptd
+    g = ptd.host
+    tree = ptd.tree
+    cones = ptd.cones
     children = tree.children[node]
-    neighbors = tree.neighbors(node)
     m_free = [g.full_mask & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
     free = 0
     for m in m_free:
         free |= m
+    blocks = local_blocks(ptd, node)
+    boundary = blocks_boundary(g, blocks)
+    if not free:
+        # Nothing to reassign: the blocks stay and so does their boundary.
+        empty = (0,) * len(children)
+        return ExtensionChoice(tuple(children), empty, 0, empty, boundary.bit_count())
     free_edges = g.edge_ids(free)
-    # A block is labelled by its index among the neighbors, so child j has
-    # label j + offset; a set of labels is a bitmask.
-    offset = len(neighbors) - len(children)
-    blocks = [cones[(node, u)] for u in neighbors]
+    # A block is labelled by its index in `blocks`, so child j has label
+    # j + offset; a set of labels is a bitmask.
+    offset = len(blocks) - len(children)
     own = {e: i for i, b in enumerate(blocks) for e in g.edge_ids(b & free)}
     targets = [m if tree.children[c] else 0 for c, m in zip(children, m_free)]
     allowed = {e: 1 << own[e] | bitmask(j + offset for j, m in enumerate(targets) if m >> e & 1)
                for e in free_edges}
-    always = 0
+    touched = vertices_of_mask(g, free)
+    always = (boundary & ~touched).bit_count()
     open_labels: dict[int, int] = {}  # open vertex -> labels all its edges allow
     joined: dict[int, int] = {}  # open vertex -> vertices its free edges reach
-    for v in g.vertices:
+    for v in bit_indices(touched):
         inc = g.incident_mask(v)
         fixed = bitmask(i for i, b in enumerate(blocks) if inc & b & ~free)
         if fixed & (fixed - 1):
             always += 1
-        elif inc & free:
+        else:
             open_labels[v], joined[v] = fixed or -1, 0
             for e in g.edge_ids(inc & free):
                 open_labels[v] &= allowed[e]
@@ -241,7 +255,8 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
-    toward = set(tree.path_from_root(node))
+    # The root path is read only when edges move through the scope.
+    toward = set(tree.path_from_root(node)) if f else ()
     cones = ptd.cones
     writes = {}
     for p in scope if f else (node, *children):

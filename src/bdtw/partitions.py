@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotApplicableError
-from .graphs import Graph, boundary
+from .graphs import Graph, blocks_boundary
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,9 @@ def f_extension(p: EdgePartition, block_index: int, f: int) -> EdgePartition:
 
 
 def partition_boundary(p: EdgePartition) -> int:
-    """Union of the edge-set boundaries of all blocks, as a vertex mask."""
-    out = 0
-    for b in p.blocks:
-        out |= boundary(p.host, b)
-    return out
+    """Union of the edge-set boundaries of all blocks, as a vertex mask
+    (`graphs.blocks_boundary`)."""
+    return blocks_boundary(p.host, p.blocks)
 
 
 def partition_width(p: EdgePartition) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
-from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, boundary, closure,
+from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, blocks_boundary, closure,
                      connected_components, records, write_graph)
 from .partitions import EdgePartition
 from .tree_decomp import RootedTree, TreeDecomposition, tighten, validate_td
@@ -53,11 +53,14 @@ class PreTreeDecomposition:
 def local_blocks(ptd: PreTreeDecomposition, t: int) -> tuple[int, ...]:
     """Raw local blocks at t: cones toward neighbors (parent first); at a
     childless non-root node, its parent cone plus that cone's complement."""
-    tree = ptd.tree
-    if t != tree.root and not tree.children[t]:
-        up = ptd.cone(t, tree.parent[t])
+    tree, cones = ptd.tree, ptd.cones
+    children = tree.children[t]
+    if t == tree.root:
+        return tuple(cones[(t, c)] for c in children)
+    up = cones[(t, tree.parent[t])]
+    if not children:
         return (up, ptd.host.full_mask & ~up)
-    return tuple(ptd.cone(t, u) for u in tree.neighbors(t))
+    return (up, *(cones[(t, c)] for c in children))
 
 
 def local_partition(ptd: PreTreeDecomposition, t: int) -> EdgePartition:
@@ -65,10 +68,8 @@ def local_partition(ptd: PreTreeDecomposition, t: int) -> EdgePartition:
 
 
 def local_boundary(ptd: PreTreeDecomposition, t: int) -> int:
-    out = 0
-    for b in local_blocks(ptd, t):
-        out |= boundary(ptd.host, b)
-    return out
+    """The boundary of t's local blocks (`graphs.blocks_boundary`)."""
+    return blocks_boundary(ptd.host, local_blocks(ptd, t))
 
 
 # Cone keys and bag nodes in which one decomposition differs from another.
@@ -139,7 +140,7 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
             missing = g.full_mask & ~union
             report.add("PT3", f"node {t}", f"blocks miss edges {g.edge_ids(missing)}")
         if overlap == 0 and union == g.full_mask:
-            missing = local_boundary(ptd, t) & ~ptd.bags[t]
+            missing = blocks_boundary(g, blocks) & ~ptd.bags[t]
             if missing:
                 report.add(
                     "PT3",

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import time
 
@@ -18,6 +19,41 @@ def graph_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """The worker counts that multiprocessing.Pool is asked for; the pool
+    runs the work in this process."""
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return requested
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the number of CPUs this process may run on."""
+    def pin(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    return pin
 
 
 class TestDecide:
@@ -278,35 +314,37 @@ class TestEquivalenceCmd:
         assert out == ""
         assert err == f"error: corpus spec {spec!r} has a graph above the cap of {cap} vertices\n"
 
-    def test_workers_capped_at_items(self, monkeypatch, capsys):
-        import multiprocessing
-
-        requested = []
-
-        class RecordingPool:
-            """Runs the work in this process and records the worker count."""
-
-            def __init__(self, processes):
-                requested.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(item) for item in items]
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    def test_workers_capped_at_items(self, recording_pool, cpus, capsys):
+        cpus(64)
         argv = ["equivalence", "--corpus", "named:E1,K3", "--k", "2", "--q", "1-3"]
         assert main(argv + ["--jobs", "64"]) == 0
-        assert requested == [2]
+        assert recording_pool == [2]
         assert "disagreements: 0" in capsys.readouterr().out
         # One item needs no pool at all.
         assert main(["equivalence", "--corpus", "named:E1", "--k", "2", "--q", "1-3",
                      "--jobs", "64"]) == 0
-        assert requested == [2]
+        assert recording_pool == [2]
+
+    def test_workers_capped_at_usable_cpus(self, recording_pool, cpus, monkeypatch, capsys):
+        # 8 graphs x 2 values of k are 16 items; --jobs 5000 gets one
+        # worker per usable CPU, and none on a single CPU.
+        argv = ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "1-3",
+                "--jobs", "5000"]
+        cpus(3)
+        assert main(argv) == 0
+        assert recording_pool == [3]
+        cpus(1)
+        assert main(argv) == 0
+        assert recording_pool == [3]
+        # Without an affinity mask the CPU count is the cap, and an unknown
+        # count is one CPU.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert main(argv) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert main(argv) == 0
+        assert recording_pool == [3, 4]
+        assert capsys.readouterr().out.count("disagreements: 0") == 4
 
 
 @pytest.mark.parametrize("argv", [

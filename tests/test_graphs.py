@@ -3,7 +3,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from bdtw.corpus import path_graph
 from bdtw.errors import FormatError
@@ -11,6 +12,7 @@ from bdtw.game import _part_of, is_capture_mask
 from bdtw.graphs import (
     Graph,
     bitmask,
+    blocks_boundary,
     boundary,
     closure,
     connected_components,
@@ -134,6 +136,33 @@ class TestBoundary:
     def test_symmetric_in_complement(self, gm):
         g, mask = gm
         assert boundary(g, mask) == boundary(g, g.full_mask & ~mask)
+
+
+@st.composite
+def graphs_with_block_tuples(draw, max_n=5):
+    """A host with loops and a tuple of edge masks among which overlapping,
+    empty, repeated and non-covering blocks all occur."""
+    g = draw(graphs(max_n=max_n))
+    blocks = draw(st.lists(st.integers(0, g.full_mask), max_size=5))
+    extra = draw(st.lists(st.sampled_from(blocks + [0, g.full_mask]), max_size=3))
+    return g, tuple(draw(st.permutations(blocks + extra)))
+
+
+class TestBlocksBoundary:
+    @given(graphs_with_block_tuples())
+    # Vertex 1 is split only by the last block, after an empty one and one
+    # that holds both its edges.
+    @example((Graph(3, [(0, 1), (1, 2)]), (0b11, 0, 0b01)))
+    @settings(max_examples=300)
+    def test_matches_union_of_oracle_boundaries(self, gb):
+        g, blocks = gb
+        want = set()
+        for b in blocks:
+            want |= boundary_oracle(g, set(g.edge_ids(b)))
+        assert blocks_boundary(g, blocks) == bitmask(want)
+
+    def test_no_blocks(self, p3):
+        assert blocks_boundary(p3, ()) == 0
 
 
 def part_of(g, cops, e):
