@@ -22,11 +22,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+# Every run lasts this long on both sides, so that runs recorded in
+# different BENCH_*.json files compare; perfbench's own default is 40 s.
+RUN_SECONDS = 8
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """The detail and result records of one untraced benchmark run in root."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
@@ -66,7 +70,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=("sweep", "certify", "fuzz"))
     ap.add_argument("--seed", type=int, default=4)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=8)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -79,7 +82,7 @@ def main(argv=None) -> int:
         pair: dict = {"first": order[0]}
         for side in order:
             root = args.dir_a if side == "a" else args.dir_b
-            detail, result = run_once(root, args.workload, args.seed, args.seconds)
+            detail, result = run_once(root, args.workload, args.seed)
             correct &= result["correct"]
             digests[side].add(detail["digest"])
             pair[side] = {name: result["metrics"][name]["value"] for name in directions}
@@ -91,7 +94,7 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": RUN_SECONDS,
         "dir_a": str(args.dir_a),
         "dir_b": str(args.dir_b),
         "pairs": pairs,

@@ -147,10 +147,6 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
         free |= m
     blocks = local_blocks(ptd, node)
     boundary = blocks_boundary(g, blocks)
-    if not free:
-        # Nothing to reassign: the blocks stay and so does their boundary.
-        empty = (0,) * len(children)
-        return ExtensionChoice(tuple(children), empty, 0, empty, boundary.bit_count())
     free_edges = g.edge_ids(free)
     # A block is labelled by its index in `blocks`, so child j has label
     # j + offset; a set of labels is a bitmask.

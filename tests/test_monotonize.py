@@ -97,40 +97,32 @@ class TestChooseExtensions:
 
     def test_exact_node_prefers_empty(self):
         # A monotone (exact) strategy tree has no free edges anywhere, so
-        # the choice is empty at every internal node.
-        g = closure(named_graph("P3"))
-        res = solve(g, GameConfig(2, 2, monotone=True))
-        st = build(g, res.strategy, GameConfig(2, 2))
-        state = StepState(st.ptd, ())
-        for node in st.ptd.tree.bfs_nodes():
-            if st.ptd.tree.children[node]:
-                assert choose_extensions(state, node).f_union == 0
-
-    def test_no_free_edges_on_small_monotone_trees(self):
-        # Every graph with n <= 4, closure, k 1-3, the least winning
-        # monotone q: no node of a monotone strategy tree has a free edge,
-        # so each choice is the empty one, with the blocks' boundary.
-        nodes = split = 0
+        # the choice is empty at every internal node, with the blocks'
+        # boundary.  P3 at k = 2, q = 2, then every graph with n <= 4,
+        # closure, k 1-3, the least winning monotone q.
+        cases = [(closure(named_graph("P3")), 2, 2)]
         for n in range(1, 5):
             for g in all_graphs(n):
                 gc = closure(g)
                 for k in range(1, 4):
                     q = minimum_placements(gc, k, True, n)
-                    if q is None:
-                        continue
-                    st = build(gc, solve(gc, GameConfig(k, q, monotone=True)).strategy,
-                               GameConfig(k, q))
-                    for node, before, _after, choice in iterate_steps(st.ptd):
-                        if choice is None:
-                            continue
-                        empty = (0,) * len(choice.children)
-                        assert (choice.f, choice.f_union, choice.f_star) == (empty, 0, empty)
-                        assert choice == extension_oracle(before, node), (g, k, node)
-                        assert choice.boundary_size == \
-                            local_boundary(before.ptd, node).bit_count()
-                        nodes += 1
-                        split += choice.boundary_size > 0
-        assert (nodes, split) == (595, 381)
+                    if q is not None:
+                        cases.append((gc, k, q))
+        nodes = split = 0
+        for g, k, q in cases:
+            st = build(g, solve(g, GameConfig(k, q, monotone=True)).strategy, GameConfig(k, q))
+            start = StepState(st.ptd, ())
+            for node, before, _after, choice in iterate_steps(st.ptd):
+                if choice is None:
+                    continue
+                empty = (0,) * len(choice.children)
+                assert (choice.f, choice.f_union, choice.f_star) == (empty, 0, empty)
+                assert choice == choose_extensions(start, node)
+                assert choice == extension_oracle(before, node), (g, k, node)
+                assert choice.boundary_size == local_boundary(before.ptd, node).bit_count()
+                nodes += 1
+                split += choice.boundary_size > 0
+        assert (nodes, split) == (599, 384)
 
     def test_matches_oracle_on_fuzzed_trees(self):
         # Small trees against the brute force as well; 7-9-vertex closures
