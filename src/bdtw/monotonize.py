@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
-from .graphs import Graph, bit_indices, bitmask, blocks_boundary, closure, vertices_of_mask
+from .graphs import Graph, bit_indices, bitmask, blocks_boundary, closure
 from .pre_tree import (
     Change,
     PreTreeDecomposition,
@@ -151,11 +151,11 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     # A block is labelled by its index in `blocks`, so child j has label
     # j + offset; a set of labels is a bitmask.
     offset = len(blocks) - len(children)
-    own = {e: i for i, b in enumerate(blocks) for e in g.edge_ids(b & free)}
-    targets = [m if tree.children[c] else 0 for c, m in zip(children, m_free)]
-    allowed = {e: 1 << own[e] | bitmask(j + offset for j, m in enumerate(targets) if m >> e & 1)
+    own = {e: i for i, b in enumerate(blocks) if b & free for e in g.edge_ids(b & free)}
+    allowed = {e: 1 << own[e] | bitmask(j + offset for j, c in enumerate(children)
+                                        if m_free[j] >> e & 1 and tree.children[c])
                for e in free_edges}
-    touched = vertices_of_mask(g, free)
+    touched = bitmask(v for e in free_edges for v in g.endpoints(e))
     always = (boundary & ~touched).bit_count()
     open_labels: dict[int, int] = {}  # open vertex -> labels all its edges allow
     joined: dict[int, int] = {}  # open vertex -> vertices its free edges reach
