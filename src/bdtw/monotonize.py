@@ -13,7 +13,8 @@ region plus its neighbors are exact; after the last step the whole
 decomposition is exact, with width and depth no larger than the input's.
 A node whose child tree-edges have no free edge has nothing to reassign:
 its choice is empty and costs one pass of the boundary kernel
-(`graphs.blocks_boundary`), and its step moves no edge.
+(`graphs.blocks_boundary`), as the search's set-up grows only with the
+free edges, and its step moves no edge.
 
 Between steps the object need not describe a strategy, but it stays a
 pre-tree decomposition.  iterate_steps (and so run) checks the input
@@ -133,8 +134,9 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     with a feasible B is the minimum boundary; free edges between boundary
     vertices stay, the others go to their component's block.  The work is
     bounded by the number of subsets of open vertices, not by the
-    free-edge count.  A node without free edges costs that one pass: its
-    choice is empty and its boundary the blocks'.
+    free-edge count.  Set-up is per free edge, so a node without free
+    edges costs that one pass: its choice is empty and its boundary the
+    blocks'.
     """
     ptd = state.ptd
     g = ptd.host
