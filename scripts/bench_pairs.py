@@ -11,8 +11,9 @@ DIR_A is normally the parent commit and DIR_B the change.
 One JSON record goes to stdout, ready for a ``BENCH_*.json`` file: every
 run's end-to-end metrics, per metric each side's quartiles and median, the
 median change in percent and the number of pairs in which B did better and
-worse (in the direction ``BENCHMARK.json`` gives), and each side's output
-digests.  The exit code is 1 when a run fails or gives a wrong output.
+worse (in the direction ``BENCHMARK.json`` gives), each side's output
+digests and whether the two sides gave the same ones (``same_outputs``).
+The exit code is 1 when a run fails or gives a wrong output.
 """
 
 import argparse
@@ -100,6 +101,7 @@ def main(argv=None) -> int:
         "pairs": pairs,
         "summary": compare(pairs, directions),
         "digests": {side: sorted(d) for side, d in digests.items()},
+        "same_outputs": digests["a"] == digests["b"],
         "correct": correct,
     }
     print(json.dumps(record, indent=1))

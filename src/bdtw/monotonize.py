@@ -1,11 +1,13 @@
 """Breadth-first exactification of a pre-tree decomposition, normally a
 strategy tree's.
 
-Nodes are processed in BFS order.  At each internal node the free edges of
-its child tree-edges (edges missing from both cones) are reassigned so that
-the node's local partition has minimum boundary.  The boundary counts
-vertices, so the search runs over which vertices may be split, not over
-the free edges, and its cost does not grow with the number of free edges.
+A step processes one internal node, in BFS order: the free edges of its
+child tree-edges (edges missing from both cones) are reassigned so that
+the node's local partition has minimum boundary.  A leaf has no child
+tree-edge and is no step; its bag is set at its parent's step, when it
+enters the processed region's neighbors.  The boundary counts vertices, so
+the search runs over which vertices may be split, not over the free edges,
+and its cost does not grow with the number of free edges.
 Then the change is pushed through the already-processed subtree: cones
 pointing toward the node gain the moved edges, cones pointing away lose
 them.  After step i all tree edges with both endpoints in the processed
@@ -69,8 +71,8 @@ from .validation import Report
 @dataclass
 class StepState:
     """The decomposition after a prefix of the construction's steps, the
-    nodes processed so far (in order), and the cone keys and bag nodes the
-    last step changed (none for the input and after a leaf step)."""
+    internal nodes processed so far (in order), and the cone keys and bag
+    nodes the last step changed (none for the input)."""
 
     ptd: PreTreeDecomposition
     processed: tuple[int, ...]
@@ -219,9 +221,9 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, always + size)
 
 
-def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> StepState:
-    """Process one node: reassign free edges below it and push the change
-    through the processed region.  Leaf nodes are identity steps.
+def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepState:
+    """Process one internal node: reassign free edges below it and push the
+    change through the processed region.
 
     `state` must satisfy the axioms, and its bags in scope must be their
     local boundaries, as in every state iterate_steps yields.  The new
@@ -242,14 +244,7 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice | None) -> S
     processed = state.processed + (node,)
     children = tree.children[node]
     new = [t for t in (node, *children) if t not in state.scope]
-    scope = state.scope.union(new) if new else state.scope
-    if not children:
-        after = StepState(ptd, processed)
-        after.scope = scope
-        return after
-    if choice is None:
-        raise ValueError("internal nodes need an extension choice")
-
+    scope = state.scope.union(new)
     f = choice.f_union
     f_by_child = dict(zip(choice.children, choice.f))
     f_star_by_child = dict(zip(choice.children, choice.f_star))
@@ -326,14 +321,14 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     The root-path sums and unions are carried from state to state (the
     states' `_paths`): the next state's are a copy of the previous state's,
     updated below the changed bags within the scope and at the nodes new to
-    it, or the previous state's own lists when there are none.  A state
-    that carries none has them computed from its bags.  Nothing that
-    apply_step stored is read besides the decomposition, the scope and the
-    record.
+    it.  A state that carries none has them computed from its bags.
+    Nothing that apply_step stored is read besides the decomposition, the
+    scope and the record.
 
     Premise: `prev` is `original` or a state whose own step passed this
-    check, and `next_state` extends its processed nodes by one in BFS
-    order; run(verify=True) keeps it, since a failing report raises.  So
+    check, and `next_state` extends its processed nodes by the next
+    internal node in BFS order, whose children the step brings into the
+    scope; run(verify=True) keeps it, since a failing report raises.  So
     edges of the previous scope are exact, unprocessed nodes' child cones
     are within the original's, every bag is within `width0` and every path
     sum in the previous scope within `sums0`, and an unchanged cone or bag
@@ -342,7 +337,7 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     and node gives (`tests/oracles.verify_step_oracle`).
 
     The axioms are not re-checked here: apply_step validates every state it
-    changes, with or without verification, and leaf steps change nothing.
+    changes, with or without verification.
     """
     report = Report()
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
@@ -407,12 +402,11 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
 
     # Path sums and unions differ from prev's only in the scope below a
     # changed bag and at new scope nodes; the scope is closed upward, so
-    # each is recomputed from its parent's, parents first.  With no such
-    # node the next state shares prev's lists, which no step mutates.
+    # each is recomputed from its parent's, parents first.
     was = prev._paths[1]
     starts = sorted(changed_bags.intersection(scope_next).union(new),
                     key=tree.depth.__getitem__)
-    sums, unions = (list(v) for v in prev._paths) if starts else prev._paths
+    sums, unions = (list(v) for v in prev._paths)
     below: set[int] = set()
     for start in starts:
         if start in below:
@@ -479,8 +473,9 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
 
 
 def iterate_steps(ptd: PreTreeDecomposition,
-                  ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice | None]]:
-    """Yield (node, state before, state after, choice) for every step.
+                  ) -> Iterator[tuple[int, StepState, StepState, ExtensionChoice]]:
+    """Yield (node, state before, state after, choice) for every step: one
+    per internal node, in BFS order.
 
     The input is checked against the axioms in full once, before the first
     step; apply_step checks every later state where its step changed it.
@@ -490,9 +485,9 @@ def iterate_steps(ptd: PreTreeDecomposition,
         raise ConsistencyError(f"input decomposition violates the axioms:\n{report}")
     state = StepState(ptd, ())
     for node in ptd.tree.bfs_nodes():
-        choice = None
-        if ptd.tree.children[node]:
-            choice = choose_extensions(state, node)
+        if not ptd.tree.children[node]:
+            continue
+        choice = choose_extensions(state, node)
         after = apply_step(state, node, choice)
         yield node, state, after, choice
         state = after
@@ -515,7 +510,7 @@ def run(ptd: PreTreeDecomposition, verify: bool = False,
             if not report.ok:
                 raise ConsistencyError(f"step {len(after.processed)} at node {node}:\n{report}")
         if trace is not None:
-            fs = "{" + ";".join(str(list(g.edge_ids(m))) for m in choice.f) + "}" if choice else "{}"
+            fs = "{" + ";".join(str(list(g.edge_ids(m))) for m in choice.f) + "}"
             trace(
                 f"step {len(after.processed)} node {node} F={fs} "
                 f"width={ptd_width(after.ptd)} depth={ptd_depth(after.ptd)}"

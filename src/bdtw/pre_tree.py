@@ -397,10 +397,21 @@ def dumps_ptd(ptd: PreTreeDecomposition) -> str:
     return buf.getvalue()
 
 
-def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
-    """The validated decomposition a `.ptd` file describes.  Errors name
-    the line of the file, in the graph section too; a record with a tag
-    other than `n`, `g` or the graph section's is an error."""
+def read_ptd(inp: Iterable[str]) -> PreTreeDecomposition:
+    """The validated decomposition a `.ptd` file describes (`parse_ptd`);
+    one that breaks the axioms is a format error."""
+    ptd = parse_ptd(inp)
+    report = validate_ptd(ptd)
+    if not report.ok:
+        raise FormatError(f"file parses but violates the axioms:\n{report}")
+    return ptd
+
+
+def parse_ptd(inp: Iterable[str]) -> PreTreeDecomposition:
+    """The decomposition a `.ptd` file describes, not checked against the
+    axioms.  Errors name the line of the file, in the graph section too; a
+    record with a tag other than `n`, `g` or the graph section's is an
+    error."""
     graph_recs: list[tuple[int, list[str]]] = []
     tree_recs: list[tuple[int, list[str]]] = []
     for lineno, parts in records(inp):
@@ -441,14 +452,9 @@ def read_ptd(inp: IO[str]) -> PreTreeDecomposition:
     parent = [nodes[t][0] for t in range(len(nodes))]
     bags = tuple(nodes[t][1] for t in range(len(nodes)))
     try:
-        tree = RootedTree(parent)
-        ptd = PreTreeDecomposition(tree, host, bags, cones)
+        return PreTreeDecomposition(RootedTree(parent), host, bags, cones)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    report = validate_ptd(ptd)
-    if not report.ok:
-        raise FormatError(f"file parses but violates the axioms:\n{report}")
-    return ptd
 
 
 def loads_ptd(text: str) -> PreTreeDecomposition:

@@ -263,7 +263,7 @@ def dumps_td(td: TreeDecomposition) -> str:
     return buf.getvalue()
 
 
-def read_td(inp: IO[str], host: Graph) -> TreeDecomposition:
+def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
     n_bags = width_plus_one = root_id = None
     bags: dict[int, int] = {}
     links: list[tuple[int, int]] = []

@@ -207,6 +207,30 @@ class TestVerifyCmd:
         rc = main(["verify", str(cert), "--graph", g])
         assert rc == 1
 
+    def test_ptd_breaking_the_axioms_reports(self, graph_file, tmp_path, capsys):
+        # Drop a boundary vertex from one bag of an exact certificate: the
+        # file still parses but breaks PT3.  verify reports it; monotonize,
+        # which takes only a valid decomposition, refuses it.
+        cert = tmp_path / "out.ptd"
+        main(["decide", graph_file("P3"), "--k", "2", "--q", "2",
+              "--certificate", str(cert), "--format", "ptd"])
+        lines = cert.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith("n ") and not line.endswith(":"))
+        lines[i] = lines[i].rsplit(" ", 1)[0]
+        cert.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 1
+        out, err = capsys.readouterr()
+        assert "[PT3]" in out
+        assert err == ""
+        assert main(["monotonize", str(cert)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: file parses but violates the axioms:"]
+        assert "[PT3]" in err and "Traceback" not in err
+
     def test_td_needs_graph(self, graph_file, tmp_path):
         cert = str(tmp_path / "out.td")
         main(["decide", graph_file("P3"), "--k", "2", "--q", "2", "--certificate", cert])
