@@ -13,6 +13,12 @@ run's end-to-end metrics, per metric each side's quartiles and median, the
 median change in percent and the number of pairs in which B did better and
 worse (in the direction ``BENCHMARK.json`` gives), each side's output
 digests and whether the two sides gave the same ones (``same_outputs``).
+Per metric it also judges B against the metric's relative ``bound`` from
+``BENCHMARK.json``: ``within_bound`` when B's median is no worse than A's
+by more than the bound, and ``unresolved`` when A's quartile spread,
+relative to its median, exceeds the bound and not every run of B beats
+every run of A, so that the runs cannot tell a change within the bound
+from one outside it.
 The exit code is 1 when a run fails or gives a wrong output.
 """
 
@@ -46,20 +52,27 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(v, 4) for v in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def compare(pairs: list[dict], directions: dict[str, str]) -> dict:
+def compare(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of ``BENCHMARK.json`` (name, better, bound),
+    the summary of A's and B's runs in ``pairs``."""
     summary = {}
-    for name, better in directions.items():
+    for metric in metrics:
+        name, bound = metric["name"], metric["bound"]
         a = [p["a"][name] for p in pairs]
         b = [p["b"][name] for p in pairs]
-        sign = 1 if better == "higher" else -1
-        med_a = statistics.median(a)
+        sign = 1 if metric["better"] == "higher" else -1
+        quart_a = quartiles(a)
+        med_a, med_b = statistics.median(a), statistics.median(b)
+        b_beats_every_a = min(b) > max(a) if sign > 0 else max(b) < min(a)
         summary[name] = {
-            "a_q1_median_q3": quartiles(a),
+            "a_q1_median_q3": quart_a,
             "b_q1_median_q3": quartiles(b),
-            "median_change_pct": round(100 * (statistics.median(b) - med_a) / med_a, 1)
-            if med_a else None,
+            "median_change_pct": round(100 * (med_b - med_a) / med_a, 1) if med_a else None,
             "b_better_pairs": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
             "b_worse_pairs": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+            "bound": bound,
+            "within_bound": sign * (med_a - med_b) <= bound * abs(med_a),
+            "unresolved": quart_a[2] - quart_a[0] > bound * abs(med_a) and not b_beats_every_a,
         }
     return summary
 
@@ -75,7 +88,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.dir_a / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = spec["end_to_end"]
 
     pairs, digests, correct = [], {"a": set(), "b": set()}, True
     for i in range(args.pairs):
@@ -86,7 +99,7 @@ def main(argv=None) -> int:
             detail, result = run_once(root, args.workload, args.seed)
             correct &= result["correct"]
             digests[side].add(detail["digest"])
-            pair[side] = {name: result["metrics"][name]["value"] for name in directions}
+            pair[side] = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs}: "
               + "  ".join(f"{s} {pair[s]['ops_per_s']:.1f}" for s in "ab") + " ops/s",
@@ -99,7 +112,7 @@ def main(argv=None) -> int:
         "dir_a": str(args.dir_a),
         "dir_b": str(args.dir_b),
         "pairs": pairs,
-        "summary": compare(pairs, directions),
+        "summary": compare(pairs, metrics),
         "digests": {side: sorted(d) for side, d in digests.items()},
         "same_outputs": digests["a"] == digests["b"],
         "correct": correct,

@@ -36,7 +36,7 @@ from .game import (
 )
 from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph, records
 from .monotonize import monotonize_pipeline, run
-from .pre_tree import parse_ptd, read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
+from .pre_tree import parse_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
 
 BUDGET_ENV = "BDTW_BUDGET"
@@ -138,7 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_monotonize(args) -> int:
     with open(args.tree) as f:
-        ptd = read_ptd(f)
+        ptd = parse_ptd(f)  # run checks it against the axioms
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     exact = run(ptd, verify=args.verify, trace=trace)
     out = open(args.output, "w") if args.output else sys.stdout

@@ -117,11 +117,8 @@ class Strategy:
 def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
     """Edge mask of the part under x_mask containing the nonempty part p_mask:
     the component part holding p's lowest edge, else that edge (a capture)."""
-    table = g._part_cache.get(x_mask)
-    if table is None:
-        table = part_table(g, x_mask)
     low = p_mask & -p_mask
-    for part in table:
+    for part in part_table(g, x_mask):
         if part & low:
             return part
     return low

@@ -7,11 +7,13 @@ an int bitmask: bit v (or bit e) is set iff vertex v (edge e) belongs to the
 set.  Vertex ids become lists only in the text formats and in messages.
 
 A Graph's vertices and edges are fixed at construction.  It also keeps
-three caches that the game solver fills as it runs: the part tables per cop
-set (`_part_cache`), the robber's responses per (cop set, part)
-(`_resp_cache`) and, per k, the bounds of the latest non-monotone solver
-(`_lost`).  Each holds facts about the graph itself (the bounds per k), so
-no cache changes an answer, and a Graph is safe to share.
+three caches that the game solver fills as it runs, each read and written
+by one owner: the part tables per cop set (`_part_cache`, `part_table`),
+the robber's responses per (cop set, part) (`_resp_cache`,
+`game._live_responses`; `game._Solver._successors` probes it first, a
+measured saving) and, per k, the bounds of the latest non-monotone solver
+(`_lost`, `game._Solver`).  Each holds facts about the graph itself (the
+bounds per k), so no cache changes an answer, and a Graph is safe to share.
 """
 
 from __future__ import annotations

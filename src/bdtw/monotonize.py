@@ -478,11 +478,12 @@ def iterate_steps(ptd: PreTreeDecomposition,
     per internal node, in BFS order.
 
     The input is checked against the axioms in full once, before the first
-    step; apply_step checks every later state where its step changed it.
+    step (ValueError if it breaks them); apply_step checks every later
+    state where its step changed it.
     """
     report = validate_ptd(ptd)
     if not report.ok:
-        raise ConsistencyError(f"input decomposition violates the axioms:\n{report}")
+        raise ValueError(f"input decomposition violates the axioms:\n{report}")
     state = StepState(ptd, ())
     for node in ptd.tree.bfs_nodes():
         if not ptd.tree.children[node]:
@@ -498,8 +499,9 @@ def run(ptd: PreTreeDecomposition, verify: bool = False,
     """Exactify a pre-tree decomposition.
 
     The result is an exact pre-tree decomposition whose width and depth do
-    not exceed the input's.  With verify=True every step is re-checked and
-    a non-empty report raises ConsistencyError.
+    not exceed the input's.  An input that breaks the axioms raises
+    ValueError (iterate_steps).  With verify=True every step is re-checked
+    and a non-empty report raises ConsistencyError.
     """
     result = ptd
     g = ptd.host

@@ -22,7 +22,7 @@ from .errors import FormatError, NotApplicableError
 from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, blocks_boundary, closure,
                      connected_components, records, write_graph)
 from .partitions import EdgePartition
-from .tree_decomp import RootedTree, TreeDecomposition, tighten, validate_td
+from .tree_decomp import RootedTree, TreeDecomposition, td_width, tighten, validate_td
 from .validation import Report
 
 
@@ -166,10 +166,7 @@ def is_exact(ptd: PreTreeDecomposition) -> bool:
     return all(ptd.bags[t] == local_boundary(ptd, t) for t in ptd.tree.nodes)
 
 
-def ptd_width(ptd: PreTreeDecomposition) -> int:
-    if not ptd.bags:
-        return -1
-    return max(b.bit_count() for b in ptd.bags) - 1
+ptd_width = td_width
 
 
 def _path_sums(ptd: PreTreeDecomposition) -> list[int]:

@@ -14,8 +14,9 @@ escape that replay_cop_strategy finds.
 
 The decomposition is the whole record: the move into t is bag(s) ->
 bag(t), its kept cops are bag(s) & bag(t), as in the robber's replies, and
-the branching nodes are read off the cones (structural_branching).  Trees
-are written and read as `.ptd` files.
+the branching nodes are read off the cones (structural_branching).  build
+judges each move by its config's variant, as replay does.  Trees are
+written and read as `.ptd` files.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ class StrategyTree:
 def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     """Play sigma from every initial robber component into a tree.
 
-    The host must be a closure graph.  Raises if sigma is undefined on a
-    recorded position, plays an illegal move there, or leaves a recorded
-    branch uncaptured after cfg.q placements; the error carries that play.
-    A strategy build accepts can still lose through a reply that its
-    in-cone filter drops (see the module docstring).
+    The host must be a closure graph.  Raises StrategyError if sigma is
+    undefined on a recorded position, plays a move there that _is_move
+    refuses under cfg (its k and variant, as in replay), or leaves a
+    recorded branch uncaptured after cfg.q placements; the error carries
+    that play.  A strategy build accepts can still lose through a reply
+    that its in-cone filter drops (see the module docstring).
     """
     if not is_closure(g):
         raise ValueError("strategy trees are built over closure graphs")
@@ -97,7 +99,7 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"escaping play: {play_to(t)}"
             )
         new_mask = sigma.next_cops(x_mask, in_cone)
-        if not _is_move(g, cfg.k, False, x_mask, in_cone, new_mask):
+        if not _is_move(g, cfg.k, cfg.monotone, x_mask, in_cone, new_mask):
             raise StrategyError(
                 f"strategy plays illegal move {list(bit_indices(new_mask))} at cops="
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"

@@ -183,9 +183,8 @@ def validate_td(td: TreeDecomposition) -> Report:
 
 
 def td_width(td: TreeDecomposition) -> int:
-    if not td.bags:
-        return -1
-    return max(b.bit_count() for b in td.bags) - 1
+    """Largest bag size minus one (-1 without bags); also pre_tree.ptd_width."""
+    return max((b.bit_count() for b in td.bags), default=0) - 1
 
 
 def td_depth(td: TreeDecomposition) -> int:
@@ -245,9 +244,8 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
 # vertices are 1-based in files.  The writer adds a `c depth <d>` comment.
 
 def write_td(td: TreeDecomposition, out: IO[str]) -> None:
-    width_plus_one = max((b.bit_count() for b in td.bags), default=0)
     out.write(f"c depth {td_depth(td)}\n")
-    out.write(f"s td {td.tree.size} {width_plus_one} {td.host.n}\n")
+    out.write(f"s td {td.tree.size} {td_width(td) + 1} {td.host.n}\n")
     for t in td.tree.nodes:
         verts = " ".join(str(v + 1) for v in bit_indices(td.bags[t]))
         out.write(f"b {t + 1}{' ' + verts if verts else ''}\n")

@@ -168,6 +168,32 @@ class TestMonotonizeCmd:
         assert main(["monotonize", str(tree_path), "--verify", "-o", out_path]) == 0
         assert main(["verify", out_path]) == 0
 
+    def test_input_is_checked_in_full_once(self, tmp_path, monkeypatch, capsys):
+        # run checks its input against the axioms; the reader does not
+        # check the same object again.
+        from bdtw import cli, monotonize, pre_tree
+        from bdtw.pre_tree import dumps_ptd
+        from bdtw.strategy_tree import build, fuzz_nonmonotone
+
+        g = closure(named_graph("C4"))
+        res = solve(g, GameConfig(3, 3))
+        fz = fuzz_nonmonotone(g, res.strategy, GameConfig(3, 3), 2, seed=0)
+        st = build(g, fz.strategy, GameConfig(3, fz.placements_bound))
+        path = tmp_path / "tree.ptd"
+        path.write_text(dumps_ptd(st.ptd))
+        full = []
+        validate_ptd = pre_tree.validate_ptd
+
+        def counting(ptd, changed=None):
+            if changed is None:
+                full.append(ptd)
+            return validate_ptd(ptd, changed)
+
+        for module in (cli, monotonize, pre_tree):
+            monkeypatch.setattr(module, "validate_ptd", counting)
+        assert main(["monotonize", str(path)]) == 0
+        assert len(full) == 1
+
     @pytest.mark.parametrize("record", ["B 1", "m 1 : place 0"], ids=["branching-mark", "move"])
     def test_old_st_record_exits_two(self, tmp_path, capsys, record):
         from bdtw.pre_tree import dumps_ptd
@@ -210,7 +236,8 @@ class TestVerifyCmd:
     def test_ptd_breaking_the_axioms_reports(self, graph_file, tmp_path, capsys):
         # Drop a boundary vertex from one bag of an exact certificate: the
         # file still parses but breaks PT3.  verify reports it; monotonize,
-        # which takes only a valid decomposition, refuses it.
+        # which takes only a valid decomposition, refuses it as a bad
+        # argument, with the report of its one full check.
         cert = tmp_path / "out.ptd"
         main(["decide", graph_file("P3"), "--k", "2", "--q", "2",
               "--certificate", str(cert), "--format", "ptd"])
@@ -228,7 +255,7 @@ class TestVerifyCmd:
         out, err = capsys.readouterr()
         assert out == ""
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: file parses but violates the axioms:"]
+            "error: input decomposition violates the axioms:"]
         assert "[PT3]" in err and "Traceback" not in err
 
     def test_td_needs_graph(self, graph_file, tmp_path):

@@ -276,7 +276,8 @@ class TestApplySteps:
         # What lets a leaf be no step: a node's bag is set when it enters
         # the scope, at its parent's step, and stays its local boundary.
         # Strategy trees' bags already are; padded with every vertex, each
-        # non-root bag must be set by a step.
+        # non-root bag must be set by a step.  Either way run's result is
+        # exact and no wider or deeper than its input.
         for (name, k, q, seed), slack in itertools.product(FUZZED_CORPUS, range(5)):
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=slack, seed=seed)
             ptd = st.ptd
@@ -288,6 +289,10 @@ class TestApplySteps:
                 for _node, _before, after, _choice in iterate_steps(start):
                     assert all(after.ptd.bags[t] == local_boundary(after.ptd, t)
                                for t in after.scope), (name, slack)
+                exact = run(start)
+                assert is_exact(exact), (name, slack)
+                assert ptd_width(exact) <= ptd_width(start), (name, slack)
+                assert ptd_depth(exact) <= ptd_depth(start), (name, slack)
 
     def test_root_step_normalizes_only(self):
         st, _, _ = solved_tree(named_graph("P3"), 2, 2)
@@ -509,7 +514,7 @@ class TestRun:
         bags[t] &= bags[t] - 1  # drop the lowest vertex
         bad = PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), ptd.cones)
         assert [v.rule for v in validate_ptd(bad).violations] == ["PT3"]
-        with pytest.raises(ConsistencyError, match=r"\[PT3\] at node " + str(t)):
+        with pytest.raises(ValueError, match=r"\[PT3\] at node " + str(t)):
             run(bad)
 
     def test_trace_lines(self):

@@ -125,6 +125,18 @@ class TestBuild:
         with pytest.raises(StrategyError, match="placements"):
             build(e1c, res.strategy, GameConfig(2, 1))
 
+    def test_monotone_config_refuses_a_detour(self):
+        # A fuzzed detour keeps fewer cops than the robber's part needs, so
+        # under a monotone config build refuses it, as replay does.
+        gc = closure(named_graph("C4"))
+        sigma = solve(gc, GameConfig(3, 3)).strategy
+        fz = fuzz_nonmonotone(gc, sigma, GameConfig(3, 3), 2, seed=0)
+        assert fz.placements_bound == 5
+        build(gc, fz.strategy, GameConfig(3, 5))
+        for judge in (replay_cop_strategy, build):
+            with pytest.raises(StrategyError, match="illegal move"):
+                judge(gc, fz.strategy, GameConfig(3, 5, monotone=True))
+
     def test_requires_closure_host(self, e1):
         with pytest.raises(ValueError):
             build(e1, Strategy(), GameConfig(1, 1))
@@ -380,9 +392,10 @@ class TestChildrenAreFilteredReplies:
 class TestMonotoneReplay:
     def test_monotone_strategies_replay_and_detours_do_not(self):
         # Over the named corpus, closure, k 1-4, q the monotone cost: each
-        # monotone solver strategy replays as a monotone win within q, and
-        # each fuzzed copy with a detour has a non-exact tree edge, whose
-        # move monotone replay must refuse.
+        # monotone solver strategy replays as a monotone win within q and
+        # builds under the monotone config, and each fuzzed copy with a
+        # detour has a non-exact tree edge, whose move monotone replay and
+        # build must both refuse.
         strategies = detoured = 0
         for name in NAMED:
             gc = closure(named_graph(name))
@@ -393,6 +406,7 @@ class TestMonotoneReplay:
                 sigma = solve(gc, GameConfig(k, q, monotone=True)).strategy
                 outcome = replay_cop_strategy(gc, sigma, GameConfig(k, q, monotone=True))
                 assert outcome.wins and outcome.max_placements <= q, (name, k)
+                build(gc, sigma, GameConfig(k, q, monotone=True))
                 strategies += 1
                 for seed in range(3):
                     fz = fuzz_nonmonotone(gc, sigma, GameConfig(k, q), 2, seed)
@@ -400,9 +414,10 @@ class TestMonotoneReplay:
                         continue
                     ptd = build(gc, fz.strategy, GameConfig(k, fz.placements_bound)).ptd
                     assert not all(is_exact_edge(ptd, s, t) for s, t in ptd.tree.edges())
-                    with pytest.raises(StrategyError, match="illegal move"):
-                        replay_cop_strategy(gc, fz.strategy,
-                                            GameConfig(k, fz.placements_bound, monotone=True))
+                    for judge in (replay_cop_strategy, build):
+                        with pytest.raises(StrategyError, match="illegal move"):
+                            judge(gc, fz.strategy,
+                                  GameConfig(k, fz.placements_bound, monotone=True))
                     detoured += 1
         assert (strategies, detoured) == (33, 99)
 
