@@ -178,8 +178,10 @@ def cmd_verify(args) -> int:
 
 
 def _equivalence_worker(item):
-    name, n, edges, k, q_max, budget = item
-    return name, k, variant_costs(Graph(n, edges), k, q_max, budget)
+    """(name, k, costs) for each k of one instance, on one host."""
+    name, n, edges, ks, q_max, budget = item
+    return [(name, k, costs)
+            for k, costs in zip(ks, variant_costs(Graph(n, edges), ks, q_max, budget))]
 
 
 def _usable_cpus() -> int:
@@ -202,20 +204,17 @@ def cmd_equivalence(args) -> int:
     _check_cap("--q", qs[-1])
     q_max = qs[-1]
     budget = _default_budget(args)
-    items = [
-        (name, g.n, g.edges, k, q_max, budget)
-        for name, g in instances
-        for k in ks
-    ]
+    items = [(name, g.n, g.edges, ks, q_max, budget) for name, g in instances]
     start = time.monotonic()
     workers = min(args.jobs, len(items), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_equivalence_worker, items)
+            per_instance = pool.map(_equivalence_worker, items)
     else:
-        results = [_equivalence_worker(item) for item in items]
+        per_instance = [_equivalence_worker(item) for item in items]
+    results = [row for rows in per_instance for row in rows]
     elapsed = time.monotonic() - start
     # The variants agree at q when all or none of them win within q.
     disagreements = [(name, k, q) for name, k, costs in results for q in qs

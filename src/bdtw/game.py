@@ -58,7 +58,7 @@ Lookups are paid once.  The host graph caches its part table per cop set
 per (new cop set, removal-stage part); the solvers of every variant on one
 host share both.  Each solver caches, per position, its successor list:
 the pairs (new cop set, those responses) in search order, built at the
-position's first expansion with at least two placements left from one
+position's first expansion with at least three placements left from one
 removal-stage part per kept-cop set, and replayed at every later one.
 
 With one placement left a position needs no list.  The cops capture
@@ -71,6 +71,26 @@ when |X & adj(v)| < k: in the non-monotone variant |X| < k keeps X and
 X & adj(v) holds boundary(p), so it is a kept set the search walks.  The
 bound is not |boundary(p)| < k: a neighbour with all its edges in p is no
 boundary vertex, so dropping it keeps p whole, yet it joins v's component.
+
+With two placements left a position needs no list either.  Each kept set
+mid the search walks leaves a stage set S, the free vertices of the stage
+part under mid: span(p) - mid in the monotone variant, where mid keeps p
+whole, and in the non-monotone variant the component under mid that
+holds p's free vertices and any dropped cop with an edge in p.  The
+robber's replies to placing v in S are the components of S - v; a
+placement off S leaves S whole.  So, by the rule above, two placements
+capture exactly when for some such mid
+- some v in S - x leaves S - v independent, each of its vertices with
+  fewer than k neighbours, or
+- S is a single vertex w with fewer than k neighbours and some vertex lies
+  outside x.  If w is free, placing w wins at once; if w is a dropped cop,
+  as when p is a captured edge, the cops place off S and then re-place w.
+Every S holds the free vertices of p, and a dropped cop in S must be a
+leaf there with fewer than k neighbours, which rules out most kept sets
+at once.  Both kinds of position still count as expansions, for the
+budget as for the position count; as their children are no longer
+visited, both counts fall, while the costs, the moves cop_move picks and
+the certificates stay as they were.
 """
 
 from __future__ import annotations
@@ -79,7 +99,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, bit_indices, boundary, closure, part_table
+from .graphs import Graph, _flood, bit_indices, bitmask, boundary, closure, part_table
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -171,14 +191,15 @@ class _Solver:
     """Exhaustive solver for one (graph, k, variant) combination.
 
     Each position pays for its moves and the robber's answers once: its
-    first expansion with at least two placements left builds its successor
+    first expansion with at least three placements left builds its successor
     list, the pairs (new cop set, capture-free responses) for every
     searched move in search order, and later expansions replay it.  The
     searched moves are the fresh ones, and in the non-monotone variant only
     those that keep min(|x|, k - 1) cops (see the module docstring).  The
     responses come from the host graph's response table, which every
-    solver on that host shares.  An expansion with one placement left reads
-    no list (_wins_in_one) but counts as an expansion all the same.
+    solver on that host shares.  An expansion with one or two placements
+    left reads no list (_wins_in_one, _wins_in_two) and visits none of the
+    position's children, but counts as an expansion all the same.
 
     bounds holds one entry per position the solver has a bound for: those
     it searched and, in the monotone variant, the losses it inherited from
@@ -204,6 +225,9 @@ class _Solver:
             self.bounds = g._lost[k] = {}
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
+        self._everyone = (1 << g.n) - 1
+        # The vertices a lone-vertex capture can take: fewer than k neighbours.
+        self._few = bitmask(v for v in g.vertices if g._adj_mask[v].bit_count() < k)
 
     def _kept_sets(self, x_mask: int, p_mask: int) -> Sequence[int]:
         """The kept-cop sets the search walks from (x, part), descending as
@@ -278,6 +302,78 @@ class _Solver:
                 return (x_mask & adj[v]).bit_count() < self.k
         return False
 
+    def _wins_in_two(self, x_mask: int, p_mask: int) -> bool:
+        """Whether two placements capture from (x, part): whether some kept
+        set the search walks leaves a stage set, the free vertices of the
+        stage part, that _stage_wins_in_two accepts (see the module
+        docstring)."""
+        span = 0
+        for bit, inc in self._vertices:
+            if inc & p_mask:
+                span |= bit
+        free = span & ~x_mask
+        few = self._few
+        bad = free & ~few
+        if bad & (bad - 1):
+            # Every stage set holds the free vertices of p.
+            return False
+        if self.monotone:
+            # The kept set leaves p whole, so its stage set is span(p) - mid.
+            return any(self._stage_wins_in_two(span & ~mid, x_mask)
+                       for mid in self._kept_sets(x_mask, p_mask))
+        # Keeping x, or dropping a cop with no edge in p, leaves S = free.
+        if x_mask.bit_count() < self.k:
+            return self._stage_wins_in_two(free, x_mask)
+        if x_mask & ~span and self._stage_wins_in_two(free, x_mask):
+            return True
+        adj = self.g._adj_mask
+        # A dropped cop u with an edge in p joins the stage set; it must be
+        # a leaf there, so it has fewer than k neighbours and at most one
+        # of them free.
+        drop = x_mask & span & few
+        while drop:
+            bit = drop & -drop
+            drop ^= bit
+            out = adj[bit.bit_length() - 1] & ~x_mask
+            if out & (out - 1):
+                continue
+            # u's one free neighbour is a free vertex of p, unless p is a
+            # captured edge and has none.
+            stage = free | bit if free else _flood(self.g, bit, self._everyone & ~(x_mask ^ bit))
+            if self._stage_wins_in_two(stage, x_mask):
+                return True
+        return False
+
+    def _stage_wins_in_two(self, s: int, x_mask: int) -> bool:
+        """Whether two fresh placements capture a robber whose stage part
+        has the connected free vertex set s: placing some v in s - x leaves
+        s - v independent, each of its vertices with fewer than k
+        neighbours, or s is one vertex with fewer than k neighbours and a
+        placement off s is left."""
+        if not s & (s - 1):
+            return bool(s & ~x_mask) or (bool(s & self._few) and x_mask != self._everyone)
+        bad = s & ~self._few
+        if bad & (bad - 1):
+            return False
+        adj = self.g._adj_mask
+        # A vertex with k or more neighbours can only be the placed one.
+        centres = s & ~x_mask & (bad or s)
+        while centres:
+            bit = centres & -centres
+            centres ^= bit
+            leaves = s ^ bit
+            if leaves & ~adj[bit.bit_length() - 1]:
+                continue
+            rest = leaves
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if adj[w.bit_length() - 1] & leaves:
+                    break
+            else:
+                return True
+        return False
+
     def _expand(self, x_mask: int, p_mask: int, entry: list, b: int) -> bool:
         """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
@@ -287,6 +383,8 @@ class _Solver:
             )
         if b == 1:
             result = self._wins_in_one(x_mask, p_mask)
+        elif b == 2:
+            result = self._wins_in_two(x_mask, p_mask)
         else:
             bounds = self.bounds
             c = b - 1
@@ -439,20 +537,21 @@ def minimum_placements(g: Graph, k: int, monotone: bool, cap: int,
     return _Solver(g, k, monotone, budget).game_cost(cap)
 
 
-def variant_costs(g: Graph, k: int, cap: int,
-                  budget: int | None = None) -> tuple[int | None, ...]:
-    """minimum_placements for the four game variants, in the order plain
-    non-monotone, plain monotone, closure non-monotone, closure monotone.
+def variant_costs(g: Graph, ks: Sequence[int], cap: int,
+                  budget: int | None = None) -> list[tuple[int | None, ...]]:
+    """Per k in ks, minimum_placements for the four game variants, in the
+    order plain non-monotone, plain monotone, closure non-monotone,
+    closure monotone.
 
     The variants agree on the winner of the q-game for every q <= cap
     exactly when these four costs are equal.  Each monotone solve starts
     from the losses of the non-monotone solve before it on the same host
-    and proves its wins itself."""
-    return tuple(
-        minimum_placements(host, k, monotone, cap, budget)
-        for host in (g, closure(g))
-        for monotone in (False, True)
-    )
+    and proves its wins itself.  One plain host and one closure serve
+    every k, so each part table and response table is built once."""
+    hosts = (g, closure(g))
+    return [tuple(minimum_placements(host, k, monotone, cap, budget)
+                  for host in hosts for monotone in (False, True))
+            for k in ks]
 
 
 @dataclass

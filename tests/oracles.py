@@ -313,21 +313,42 @@ def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, .
     return tuple(q for q in all_parts(g, new_mask) if q & ~stage == 0)
 
 
-def one_placement_cases(g: Graph, parts=all_parts):
-    """(k, monotone, x_mask, p_mask, wins) for every k in 1..n+1, both
+def _search_cases(g: Graph, parts):
+    """(k, monotone, solver, x_mask, p_mask) for every k in 1..n+1, both
     variants, every cop set x of at most k vertices and every part p under
-    x that parts(g, x) lists (by default all, captures included): wins
-    tells whether some searched move leaves the robber no live reply, read
-    off the successor list of a solver on a copy of g."""
+    x that parts(g, x) lists, with solver a _Solver for (k, monotone) on a
+    copy of g."""
     copy = Graph(g.n, g.edges)
+    positions = [(x_mask, p_mask) for x_mask in range(1 << g.n)
+                 for p_mask in parts(copy, x_mask)]
     for k in range(1, g.n + 2):
         for monotone in (False, True):
             solver = _Solver(copy, k, monotone)
-            for x_mask in range(1 << g.n):
+            for x_mask, p_mask in positions:
                 if x_mask.bit_count() <= k:
-                    for p_mask in parts(copy, x_mask):
-                        yield k, monotone, x_mask, p_mask, any(
-                            not live for _, live in solver._successors(x_mask, p_mask))
+                    yield k, monotone, solver, x_mask, p_mask
+
+
+def one_placement_cases(g: Graph, parts=all_parts):
+    """(k, monotone, x_mask, p_mask, wins) for every position of
+    _search_cases (by default every part, captures included): wins tells
+    whether some searched move leaves the robber no live reply, read off
+    the successor list of a solver on a copy of g."""
+    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
+        yield k, monotone, x_mask, p_mask, any(
+            not live for _, live in solver._successors(x_mask, p_mask))
+
+
+def two_placement_cases(g: Graph, parts=all_parts):
+    """(k, monotone, x_mask, p_mask, wins) for every position of
+    _search_cases (by default every part, captures included): wins tells
+    whether some searched move leaves only replies that one more placement
+    captures, read off the successor list of a solver on a copy of g and
+    its _wins_in_one per reply."""
+    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
+        yield k, monotone, x_mask, p_mask, any(
+            all(solver._wins_in_one(new_mask, q_mask) for q_mask in live)
+            for new_mask, live in solver._successors(x_mask, p_mask))
 
 
 def full_move_win(g: Graph, k: int, monotone: bool):

@@ -377,8 +377,8 @@ class TestEquivalenceCmd:
         assert recording_pool == [2]
 
     def test_workers_capped_at_usable_cpus(self, recording_pool, cpus, monkeypatch, capsys):
-        # 8 graphs x 2 values of k are 16 items; --jobs 5000 gets one
-        # worker per usable CPU, and none on a single CPU.
+        # 8 graphs are 8 items, one per instance with all its k; --jobs
+        # 5000 gets one worker per usable CPU, and none on a single CPU.
         argv = ["equivalence", "--corpus", "all-graphs:3", "--k", "1-2", "--q", "1-3",
                 "--jobs", "5000"]
         cpus(3)

@@ -28,9 +28,8 @@ def test_textbook_values():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_every_variant_agrees_with_the_decider(n):
     for g in all_graphs(n):
-        for k in range(1, 6):
+        for k, costs in zip(range(1, 6), variant_costs(g, range(1, 6), CAP)):
             depth = elimination_depth(g, k)
-            costs = variant_costs(g, k, CAP)
             for q in range(1, CAP + 1):
                 member = depth is not None and depth <= q
                 verdicts = [cost is not None and cost <= q for cost in costs]

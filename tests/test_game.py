@@ -32,6 +32,7 @@ from oracles import (
     one_placement_cases,
     responses,
     submasks,
+    two_placement_cases,
 )
 from strats import graphs
 
@@ -198,7 +199,7 @@ class TestStrategies:
 
 def variants_agree(g, k, q):
     """Whether the four game variants name the same winner of the q-game."""
-    return len({c is None for c in variant_costs(g, k, q)}) == 1
+    return len({c is None for c in variant_costs(g, (k,), q)[0]}) == 1
 
 
 class TestWinnersAgree:
@@ -214,6 +215,17 @@ class TestWinnersAgree:
         sample = all_graphs(4)[::7]
         for g in sample:
             assert variants_agree(g, 2, 3)
+
+    def test_one_host_for_every_k_matches_fresh_hosts(self):
+        # variant_costs keeps one plain host and one closure for all of its
+        # k, so the part, response and loss tables of one k are there for
+        # the next.  On every graph with at most 5 vertices, each k's costs
+        # equal those of that k alone on fresh hosts.
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                shared = variant_costs(Graph(g.n, g.edges), range(1, 6), 7)
+                fresh = [variant_costs(Graph(g.n, g.edges), (k,), 7)[0] for k in range(1, 6)]
+                assert shared == fresh, g
 
 
 class TestMonotonicityProperties:
@@ -370,6 +382,29 @@ class TestWinsInOne:
         assert checked == 358_096
 
 
+class TestWinsInTwo:
+    def test_two_placements_are_decided_without_successors(self):
+        # Every position of every host on at most 4 vertices with every set
+        # of loops, k 1..n+1, both variants, captures included: win with
+        # two placements left says whether some searched move leaves only
+        # replies that one more placement captures, and builds no
+        # successor list.
+        checked = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            solvers = {}
+            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host):
+                solver = solvers.get((k, monotone))
+                if solver is None:
+                    solver = solvers[(k, monotone)] = _Solver(
+                        Graph(host.n, host.edges), k, monotone)
+                assert solver.win(x_mask, p_mask, 2) == wins, (host, k, monotone, x_mask, p_mask)
+                checked += 1
+            for solver in solvers.values():
+                assert solver.expansions == len(solver.bounds)
+                assert not solver._succ_cache
+        assert checked == 358_096
+
+
 class TestInheritedLosses:
     # A monotone solver starts from the losses of the latest non-monotone
     # solver with the same k on its host.  Its costs must be those of a
@@ -390,7 +425,7 @@ class TestInheritedLosses:
     def test_after_a_full_solve(self):
         rng = random.Random(13)
         positions = 0
-        for _ in range(12):
+        for _ in range(16):
             host = random_host(rng, 4, 6)
             for k in (1, 2, 3, 4):
                 _Solver(host, k, False).game_cost(6)
@@ -420,7 +455,7 @@ class TestInheritedLosses:
         # monotone costs: only its losses are read.
         rng = random.Random(15)
         positions = 0
-        for _ in range(12):
+        for _ in range(24):
             host = random_host(rng, 4, 6)
             for k in (2, 3, 4):
                 _Solver(host, k, False).game_cost(6)
@@ -448,7 +483,7 @@ class TestSolverWork:
         # on one host, so the response table entries built by one solver
         # are read by the others.  The lists are asked for at every
         # position the solver has a bound for, since a position expanded
-        # only with one placement left builds none.
+        # only with one or two placements left builds none.
         rng = random.Random(5)
         checked = 0
         for _ in range(10):
@@ -495,49 +530,48 @@ class TestSolverWork:
 
     # (expansions, positions) of _Solver.game_cost(7) per graph, for the
     # plain graph then its closure, k = 2, 3, 4, non-monotone then
-    # monotone on the same host.  The non-monotone counts were recorded
-    # when the search dropped the re-placement moves; the monotone ones
-    # when the monotone solver started inheriting the non-monotone losses,
-    # which it counts as positions.  Equal counts mean the search order did
-    # not move.
+    # monotone on the same host; the monotone solver counts the losses it
+    # inherits from the non-monotone one as positions.  Recorded when
+    # positions with two placements left were first decided from masks,
+    # which visits none of their children.  Equal counts mean the search
+    # order did not move.
     GOLDEN_WORK = {
-        "P5": [(23, 18), (6, 18), (19, 15), (5, 14), (19, 15), (5, 14),
-               (23, 18), (6, 18), (19, 15), (5, 14), (19, 15), (5, 14)],
-        "C5": [(87, 16), (0, 16), (31, 21), (5, 19), (31, 21), (5, 19),
-               (87, 16), (0, 16), (31, 21), (5, 19), (31, 21), (5, 19)],
-        "K4": [(61, 11), (0, 11), (77, 15), (0, 15), (21, 12), (4, 12),
-               (61, 11), (0, 11), (77, 15), (0, 15), (21, 12), (4, 12)],
-        "K2,3": [(87, 16), (0, 16), (12, 9), (5, 9), (12, 9), (5, 9),
-                 (87, 16), (0, 16), (12, 9), (5, 9), (12, 9), (5, 9)],
-        "GRID2x3": [(118, 22), (0, 22), (62, 43), (7, 41), (44, 32), (6, 30),
-                    (118, 22), (0, 22), (62, 43), (7, 41), (44, 32), (6, 30)],
-        "G6a": [(118, 22), (0, 22), (198, 42), (0, 42), (53, 36), (6, 36),
-                (118, 22), (0, 22), (198, 42), (0, 42), (53, 36), (6, 36)],
-        "G6b": [(118, 22), (0, 22), (76, 49), (6, 46), (57, 40), (7, 38),
-                (118, 22), (0, 22), (76, 49), (6, 46), (57, 40), (7, 38)],
-        "G6c": [(118, 22), (0, 22), (198, 42), (0, 42), (65, 42), (5, 42),
-                (118, 22), (0, 22), (198, 42), (0, 42), (66, 43), (6, 43)],
-        "G7a": [(160, 35), (0, 29), (31, 26), (5, 24), (31, 26), (5, 24),
-                (160, 35), (0, 29), (33, 28), (7, 26), (33, 28), (7, 26)],
-        "G7b": [(160, 35), (0, 29), (120, 86), (8, 68), (120, 86), (8, 68),
-                (160, 35), (0, 29), (120, 86), (8, 68), (120, 86), (8, 68)],
+        "P5": [(8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4),
+               (8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4)],
+        "C5": [(72, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7),
+               (72, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7)],
+        "K4": [(51, 11), (0, 11), (63, 15), (0, 15), (10, 6), (3, 6),
+               (51, 11), (0, 11), (63, 15), (0, 15), (10, 6), (3, 6)],
+        "K2,3": [(72, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2),
+                 (72, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2)],
+        "GRID2x3": [(97, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9),
+                    (97, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9)],
+        "G6a": [(97, 22), (0, 22), (157, 42), (0, 42), (18, 13), (3, 13),
+                (97, 22), (0, 22), (157, 42), (0, 42), (18, 13), (3, 13)],
+        "G6b": [(97, 22), (0, 22), (30, 23), (4, 22), (19, 14), (4, 14),
+                (97, 22), (0, 22), (30, 23), (4, 22), (19, 14), (4, 14)],
+        "G6c": [(97, 22), (0, 22), (157, 42), (0, 42), (24, 18), (3, 18),
+                (97, 22), (0, 22), (157, 42), (0, 42), (25, 19), (4, 19)],
+        "G7a": [(132, 35), (0, 29), (6, 4), (2, 4), (6, 4), (2, 4),
+                (132, 35), (0, 29), (8, 6), (4, 6), (8, 6), (4, 6)],
+        "G7b": [(132, 35), (0, 29), (41, 33), (5, 29), (41, 33), (5, 29),
+                (132, 35), (0, 29), (41, 33), (5, 29), (41, 33), (5, 29)],
     }
 
     # (expansions, positions) of the monotone _Solver.game_cost(7) on a
     # host no other solver has used, in the GOLDEN_WORK order: the
-    # monotone search on its own, as recorded when the search dropped the
-    # re-placement moves.
+    # monotone search on its own, recorded with GOLDEN_WORK.
     GOLDEN_FRESH_MONOTONE_WORK = {
-        "P5": [(23, 18), (19, 15), (19, 15), (23, 18), (19, 15), (19, 15)],
-        "C5": [(87, 16), (31, 21), (31, 21), (87, 16), (31, 21), (31, 21)],
-        "K4": [(61, 11), (77, 15), (21, 12), (61, 11), (77, 15), (21, 12)],
-        "K2,3": [(87, 16), (12, 9), (12, 9), (87, 16), (12, 9), (12, 9)],
-        "GRID2x3": [(118, 22), (62, 43), (44, 32), (118, 22), (62, 43), (44, 32)],
-        "G6a": [(118, 22), (198, 42), (53, 36), (118, 22), (198, 42), (53, 36)],
-        "G6b": [(118, 22), (76, 49), (57, 40), (118, 22), (76, 49), (57, 40)],
-        "G6c": [(118, 22), (198, 42), (65, 42), (118, 22), (198, 42), (66, 43)],
-        "G7a": [(160, 35), (31, 26), (31, 26), (160, 35), (33, 28), (33, 28)],
-        "G7b": [(160, 35), (120, 86), (120, 86), (160, 35), (120, 86), (120, 86)],
+        "P5": [(8, 6), (6, 4), (6, 4), (8, 6), (6, 4), (6, 4)],
+        "C5": [(72, 16), (11, 7), (11, 7), (72, 16), (11, 7), (11, 7)],
+        "K4": [(51, 11), (63, 15), (10, 6), (51, 11), (63, 15), (10, 6)],
+        "K2,3": [(72, 16), (4, 2), (4, 2), (72, 16), (4, 2), (4, 2)],
+        "GRID2x3": [(97, 22), (22, 17), (13, 9), (97, 22), (22, 17), (13, 9)],
+        "G6a": [(97, 22), (157, 42), (18, 13), (97, 22), (157, 42), (18, 13)],
+        "G6b": [(97, 22), (30, 23), (19, 14), (97, 22), (30, 23), (19, 14)],
+        "G6c": [(97, 22), (157, 42), (24, 18), (97, 22), (157, 42), (25, 19)],
+        "G7a": [(132, 35), (6, 4), (6, 4), (132, 35), (8, 6), (8, 6)],
+        "G7b": [(132, 35), (41, 33), (41, 33), (132, 35), (41, 33), (41, 33)],
     }
 
     @staticmethod

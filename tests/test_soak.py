@@ -47,6 +47,7 @@ from oracles import (
     macro_moves,
     monotone_kept_set_cases,
     one_placement_cases,
+    two_placement_cases,
 )
 
 
@@ -211,6 +212,25 @@ def test_wins_in_one_soak():
                     solver = solvers[(k, monotone)] = _Solver(
                         Graph(host.n, host.edges), k, monotone)
                 assert solver.win(x_mask, p_mask, 1) == wins, (host, k, monotone, x_mask, p_mask)
+                checked += 1
+            assert not any(solver._succ_cache for solver in solvers.values())
+    assert checked == 811_152
+
+
+def test_wins_in_two_soak():
+    # The Tier-1 two-placement check one size up: every graph on 5
+    # vertices and its closure, every component position, k 1-6, both
+    # variants.
+    checked = 0
+    for g in all_graphs(5):
+        for host in (g, closure(g)):
+            solvers = {}
+            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host, part_table):
+                solver = solvers.get((k, monotone))
+                if solver is None:
+                    solver = solvers[(k, monotone)] = _Solver(
+                        Graph(host.n, host.edges), k, monotone)
+                assert solver.win(x_mask, p_mask, 2) == wins, (host, k, monotone, x_mask, p_mask)
                 checked += 1
             assert not any(solver._succ_cache for solver in solvers.values())
     assert checked == 811_152
