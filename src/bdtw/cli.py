@@ -83,33 +83,26 @@ def _format_round(g: Graph, i: int, x_mask: int, p_mask: int) -> str:
 
 
 def cmd_decide(args) -> int:
-    if args.verify and not (args.certificate or args.via_nonmonotone):
-        raise ValueError("--verify needs --certificate or --via-nonmonotone, "
-                         "which build the decomposition it checks")
-    if args.format and not args.certificate:
-        raise ValueError("--format needs --certificate")
+    for flag, value in (("--verify", args.verify), ("--format", args.format)):
+        if value and not args.certificate:
+            raise ValueError(f"{flag} needs --certificate")
     _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     budget = _default_budget(args)
-    if args.certificate or args.via_nonmonotone:
-        result = monotonize_pipeline(
-            g, args.k, args.q,
-            monotone_solver=not args.via_nonmonotone,
-            verify=args.verify, budget=budget,
-        )
+    if args.certificate:
+        result = monotonize_pipeline(g, args.k, args.q, verify=args.verify, budget=budget)
         member = result.member
-        if member and args.certificate:
+        if member:
             with open(args.certificate, "w") as f:
                 if args.format == "ptd":
                     write_ptd(result.exact_ptd, f)
                 else:
                     write_td(result.td, f)
-        elif args.certificate:
+        else:
             print(f"no certificate written to {args.certificate}: the graph is not a member",
                   file=sys.stderr)
     else:
-        cost = minimum_placements(closure(g), args.k, False, args.q, budget)
-        member = cost is not None
+        member = minimum_placements(closure(g), args.k, False, args.q, budget) is not None
     print(f"{'IN' if member else 'NOT IN'} T^{args.k}_{args.q}")
     return 0 if member else 1
 
@@ -362,9 +355,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", parents=[game, budget],
                        help="decide membership, optionally with a certificate")
     p.add_argument("--certificate", metavar="FILE")
-    p.add_argument("--via-nonmonotone", action="store_true",
-                   help="certify through the non-monotone solver plus exactification")
-    p.add_argument("--verify", action="store_true", help="re-check every construction step")
+    p.add_argument("--verify", action="store_true",
+                   help="re-check every exactification step (needs --certificate)")
     p.add_argument("--format", choices=["td", "ptd"], help="certificate format (default td)")
 
     p = sub.add_parser("solve", parents=[game, budget], help="solve one game instance")

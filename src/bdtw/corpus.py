@@ -79,10 +79,13 @@ def named_graph(name: str) -> Graph:
 
 
 def parse_range(text: str, low: int, message: str) -> range:
-    """The integers of a value 'a' or a range 'a-b'.  Raises
-    ValueError(message) when the range is empty or starts below `low`."""
+    """The integers of a value 'a' or a range 'a-b'; other text, or a range
+    that is empty or starts below `low`, raises ValueError(message)."""
     lo, dash, hi = text.partition("-")
-    values = range(int(lo), int(hi if dash else lo) + 1)
+    try:
+        values = range(int(lo), int(hi if dash else lo) + 1)
+    except ValueError:
+        raise ValueError(message) from None
     if not values or values.start < low:
         raise ValueError(message)
     return values
@@ -96,7 +99,7 @@ def _capped(spec: str, n: int, cap: int = MAX_VERTICES) -> int:
 
 def _sized(family: str, maker: Callable[[int], Graph]) -> Callable[[str], list[tuple[str, Graph]]]:
     def instances(arg: str) -> list[tuple[str, Graph]]:
-        sizes = parse_range(arg, 0, f"corpus range {arg!r} is empty")
+        sizes = parse_range(arg, 0, f"corpus range {arg!r} is not a nonempty range")
         _capped(f"{family}:{arg}", sizes[-1])
         return [(f"{family}-{n}", maker(n)) for n in sizes]
     return instances
@@ -115,6 +118,8 @@ def _named(arg: str) -> list[tuple[str, Graph]]:
 
 
 def _all_graphs(arg: str) -> list[tuple[str, Graph]]:
+    if not arg.isdecimal():
+        raise ValueError(f"corpus spec 'all-graphs:{arg}' needs a vertex count")
     n = _capped(f"all-graphs:{arg}", int(arg), MAX_ALL_GRAPHS_VERTICES)
     return [(f"all-graphs-{n}#{i}", g) for i, g in enumerate(all_graphs(n))]
 
@@ -123,7 +128,10 @@ def _grids(arg: str) -> list[tuple[str, Graph]]:
     shapes = []
     for chunk in arg.split(","):
         r, _, c = chunk.partition("x")
-        r, c = int(r), int(c)
+        try:
+            r, c = int(r), int(c)
+        except ValueError:
+            raise ValueError(f"grid shape {chunk!r} is not ROWSxCOLS") from None
         _capped(f"grids:{arg}", r * c)
         shapes.append((r, c))
     return [(f"grid-{r}x{c}", grid_graph(r, c)) for r, c in shapes]

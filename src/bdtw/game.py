@@ -42,6 +42,11 @@ all cops: a removed cop joins the robber's component exactly when it has
 an edge in p, and it brings an edge from outside p exactly when it is a
 boundary vertex.
 
+_successors, _wins_in_one and _wins_in_two answer for the positions the
+search reaches, those with a component part under the cop set.  At a
+capture a list may reply with the captured edge; dropping that reply would
+make the list, the tests' oracle, disagree with _wins_in_one.
+
 The solver computes, per (cop set, part), the interval of placement budgets
 for which the position is known lost/won, so one run answers every q up to
 a cap.  All iteration orders are canonical; results are deterministic.
@@ -87,10 +92,7 @@ capture exactly when for some such mid
   as when p is a captured edge, the cops place off S and then re-place w.
 Every S holds the free vertices of p, and a dropped cop in S must be a
 leaf there with fewer than k neighbours, which rules out most kept sets
-at once.  Both kinds of position still count as expansions, for the
-budget as for the position count; as their children are no longer
-visited, both counts fall, while the costs, the moves cop_move picks and
-the certificates stay as they were.
+at once.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ class _Solver:
 
     def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
         """(new cop set, _replies) for every searched move: the kept-cop
-        sets of _kept_sets, each with its fresh placed vertices ascending."""
+        sets of _kept_sets, each with its fresh placed vertices ascending.
+        Only for a component part, the solver's domain (module docstring)."""
         key = (x_mask, p_mask)
         cached = self._succ_cache.get(key)
         if cached is None:
@@ -518,15 +521,9 @@ class SolveResult:
 def solve(g: Graph, cfg: GameConfig, budget: int | None = None) -> SolveResult:
     """Decide the game exactly and extract a strategy for the winner."""
     solver = _Solver(g, cfg.k, cfg.monotone, budget)
-    starts = initial_parts(g)
-    if not starts:
-        return SolveResult("cop", Strategy(), 0)
-    cop_wins = solver.game_cost(cfg.q) is not None
-    if cop_wins:
-        strategy: Strategy | RobberStrategy = solver.extract_cop_strategy(cfg.q)
-    else:
-        strategy = RobberStrategy(solver, cfg.q)
-    return SolveResult("cop" if cop_wins else "robber", strategy, len(solver.bounds))
+    if solver.game_cost(cfg.q) is None:
+        return SolveResult("robber", RobberStrategy(solver, cfg.q), len(solver.bounds))
+    return SolveResult("cop", solver.extract_cop_strategy(cfg.q), len(solver.bounds))
 
 
 def minimum_placements(g: Graph, k: int, monotone: bool, cap: int,

@@ -546,12 +546,12 @@ class PipelineResult:
 
 
 def monotonize_pipeline(g: Graph, k: int, q: int, *,
-                        monotone_solver: bool = False,
                         fuzz_slack: int = 0, seed: int = 0,
                         verify: bool = False,
                         budget: int | None = None) -> PipelineResult:
-    """Solve the game on the closure, turn a winning strategy into a tree,
-    exactify it, and convert to a tree decomposition of g.
+    """Solve the non-monotone game on the closure, turn the winning
+    strategy, which may be non-monotone, into a tree, exactify it, and
+    convert to a tree decomposition of g.
 
     On a robber win the result carries the robber's certificate instead.
     With fuzz_slack > 0 the strategy is perturbed with redundant detours
@@ -561,7 +561,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
     if fuzz_slack < 0:
         raise ValueError(f"fuzz slack must be at least 0, got {fuzz_slack}")
     gc = closure(g)
-    cfg = GameConfig(k, q, monotone=monotone_solver)
+    cfg = GameConfig(k, q)
     res = solve(gc, cfg, budget)
     if res.winner == "robber":
         assert isinstance(res.strategy, RobberStrategy)
@@ -571,7 +571,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
     bound = q
     injected = 0
     if fuzz_slack:
-        fz = fuzz_nonmonotone(gc, sigma, GameConfig(k, q), fuzz_slack, seed)
+        fz = fuzz_nonmonotone(gc, sigma, cfg, fuzz_slack, seed)
         sigma = fz.strategy
         bound = fz.placements_bound
         injected = fz.injected

@@ -76,20 +76,12 @@ class TestDecide:
         assert main(["decide", g, "--k", "2", "--q", "2", "--certificate", cert]) == 0
         assert main(["verify", cert, "--graph", g]) == 0
 
-    def test_via_nonmonotone_certificate(self, graph_file, tmp_path):
+    def test_verified_certificate(self, graph_file, tmp_path):
         cert = str(tmp_path / "out.td")
         g = graph_file("K3")
-        rc = main(["decide", g, "--k", "3", "--q", "3", "--certificate", cert,
-                   "--via-nonmonotone", "--verify"])
+        rc = main(["decide", g, "--k", "3", "--q", "3", "--certificate", cert, "--verify"])
         assert rc == 0
         assert main(["verify", cert, "--graph", g]) == 0
-
-    def test_verify_without_certificate_via_nonmonotone(self, graph_file, capsys):
-        # The non-monotone route builds a decomposition even without a
-        # certificate file, so --verify has something to check there.
-        assert main(["decide", graph_file("K3"), "--k", "3", "--q", "3",
-                     "--via-nonmonotone", "--verify"]) == 0
-        assert capsys.readouterr().out == "IN T^3_3\n"
 
     def test_ptd_certificate_format(self, graph_file, tmp_path):
         cert = str(tmp_path / "out.ptd")
@@ -412,7 +404,7 @@ class TestEquivalenceCmd:
     ["decide", "K3", "--k", "3", "--q", "3", "--budget", "0"],
     ["decide", "K3", "--k", "2", "--q", "3", "--verify"],
     ["decide", "K3", "--k", "3", "--q", "3", "--format", "ptd"],
-    ["decide", "K3", "--k", "3", "--q", "3", "--format", "td", "--via-nonmonotone"],
+    ["decide", "K3", "--k", "3", "--q", "3", "--format", "td"],
     ["solve", "E0", "--k", "1", "--q", "1", "--budget", "-1"],
     ["play", "K3", "--k", "3", "--q", "3", "--as", "cop", "--budget", "0"],
 ], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
@@ -428,6 +420,20 @@ def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--corpus", "named:E1", "--k", "3-", "--q", "1"], "'3-'"),
+    (["--corpus", "named:E1", "--k", "1", "--q", "-2"], "'-2'"),
+    (["--corpus", "grids:2x", "--k", "1", "--q", "1"], "'2x'"),
+    (["--corpus", "all-graphs:x", "--k", "1", "--q", "1"], "'all-graphs:x'"),
+], ids=["k-open-range", "q-negative", "grid-without-columns", "all-graphs-not-a-number"])
+def test_malformed_equivalence_text_is_named(argv, text, capsys):
+    assert main(["equivalence", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and text in err, err
+    assert "int()" not in err
 
 
 @pytest.mark.parametrize("value, message", [

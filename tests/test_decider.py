@@ -38,14 +38,13 @@ def test_every_variant_agrees_with_the_decider(n):
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_certificates_are_no_shallower_than_the_decider(name):
-    # At q = the decider's depth both solvers certify membership; a
+    # At q = the decider's depth the pipeline certifies membership; a
     # certificate shallower than that depth would refute the decider.
     g = named_graph(name)
     for k in range(1, 6):
         depth = elimination_depth(g, k)
         if depth is None or depth > CAP:
             continue
-        for monotone_solver in (False, True):
-            r = monotonize_pipeline(g, k, depth, monotone_solver=monotone_solver)
-            assert r.member, (name, k, depth, monotone_solver)
-            assert td_depth(r.td) >= depth, (name, k, depth, monotone_solver)
+        r = monotonize_pipeline(g, k, depth)
+        assert r.member, (name, k, depth)
+        assert td_depth(r.td) >= depth, (name, k, depth)

@@ -483,7 +483,9 @@ class TestSolverWork:
         # on one host, so the response table entries built by one solver
         # are read by the others.  The lists are asked for at every
         # position the solver has a bound for, since a position expanded
-        # only with one or two placements left builds none.
+        # only with one or two placements left builds none.  Every such
+        # position has a component part under its cop set, the solver's
+        # domain: none is a capture.
         rng = random.Random(5)
         checked = 0
         for _ in range(10):
@@ -496,6 +498,7 @@ class TestSolverWork:
                         solver = _Solver(host, k, monotone)
                         solver.game_cost(4)
                         for x_mask, p_mask in list(solver.bounds):
+                            assert p_mask in part_table(host, x_mask)
                             succ = solver._successors(x_mask, p_mask)
                             kept = min(x_mask.bit_count(), k - 1)
                             fresh = [m for m in macro_moves(host, k, monotone, x_mask, p_mask)

@@ -67,23 +67,21 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     # Member cases whose strategy trees, exact PTDs and TDs are hashed below:
-    # (graph, k, q, monotone_solver, fuzz_slack, seed).
+    # (graph, k, q, fuzz_slack, seed).
     GOLDEN_CASES = [
-        (name, k, q, monotone, 0, 0)
+        (name, k, q, 0, 0)
         for name, k, q in [("E1", 2, 2), ("P4", 2, 3), ("C4", 3, 3), ("K3", 3, 3),
                            ("GRID2x3", 3, 4), ("K2,3", 3, 3)]
-        for monotone in (True, False)
-    ] + [("C4", 3, 3, False, 2, 13)]
-    GOLDEN_DIGEST = "bcb49b3640ca873b9f74d32ebb9535997c674143bd4898ddbc4b4066ec5ff329"
+    ] + [("C4", 3, 3, 2, 13)]
+    GOLDEN_DIGEST = "a66814cec146c14c316800e4e628921cb4aa9a657e8c12051e1612c6b0dc58bc"
 
     def test_certificates_match_recorded_digest(self):
         # Certificates are part of the interface: a refactor of the solver,
         # the tree builder or exactification must leave them byte-identical.
         digest = hashlib.sha256()
-        for name, k, q, monotone, slack, seed in self.GOLDEN_CASES:
-            r = monotonize_pipeline(named_graph(name), k, q, monotone_solver=monotone,
-                                    fuzz_slack=slack, seed=seed)
-            assert r.member, (name, k, q, monotone)
+        for name, k, q, slack, seed in self.GOLDEN_CASES:
+            r = monotonize_pipeline(named_graph(name), k, q, fuzz_slack=slack, seed=seed)
+            assert r.member, (name, k, q)
             for text in (dumps_ptd(r.strategy_tree.ptd), dumps_ptd(r.exact_ptd),
                          dumps_td(r.td)):
                 digest.update(text.encode())
