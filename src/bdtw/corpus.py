@@ -132,6 +132,8 @@ def _grids(arg: str) -> list[tuple[str, Graph]]:
             r, c = int(r), int(c)
         except ValueError:
             raise ValueError(f"grid shape {chunk!r} is not ROWSxCOLS") from None
+        if r < 0 or c < 0:
+            raise ValueError(f"grid shape {chunk!r} has a negative row or column count")
         _capped(f"grids:{arg}", r * c)
         shapes.append((r, c))
     return [(f"grid-{r}x{c}", grid_graph(r, c)) for r, c in shapes]

@@ -84,15 +84,31 @@ whole, and in the non-monotone variant the component under mid that
 holds p's free vertices and any dropped cop with an edge in p.  The
 robber's replies to placing v in S are the components of S - v; a
 placement off S leaves S whole.  So, by the rule above, two placements
-capture exactly when for some such mid
-- some v in S - x leaves S - v independent, each of its vertices with
-  fewer than k neighbours, or
-- S is a single vertex w with fewer than k neighbours and some vertex lies
-  outside x.  If w is free, placing w wins at once; if w is a dropped cop,
-  as when p is a captured edge, the cops place off S and then re-place w.
-Every S holds the free vertices of p, and a dropped cop in S must be a
+capture exactly when for some such mid some v in S - x leaves S - v
+independent, each of its vertices with fewer than k neighbours.  Every
+S holds the free vertices of p, and a dropped cop in S must be a
 leaf there with fewer than k neighbours, which rules out most kept sets
 at once.
+
+With three placements left most losses need no list either.  Call a free
+vertex of p heavy when it has k or more neighbours (it lies outside
+_few), and let H be the graph the heavy vertices induce.  When H is
+nonempty, cost(x, p) >= td(H) + 1, with td the treedepth, so three
+placements lose whenever H is not a star forest (td(H) >= 3):
+- the robber keeps its part holding every edge at a connected set C of
+  free heavy vertices, first a component of H with the largest td.  Every
+  kept set lies inside the cop set, so C is free under it and the stage
+  part holds C's edges, whatever cops are lifted;
+- placing v leaves a component C' of C - v with td(C') >= td(C) - 1, or
+  none when C = {v}.  The robber replies with the part of C''s edges,
+  which is no capture, since C' is free;
+- when C = {v}, at most k - 1 of v's k or more neighbours hold cops once
+  v does, so the robber replies with the part of an edge from v to a
+  free neighbour, and one more placement is needed.
+The argument holds on both hosts and in both variants, since a monotone
+strategy is a non-monotone one.  td(H) <= 2 exactly when every component
+of H is a star, that is, when no two vertices with two or more
+neighbours in H are adjacent.  A refuted position builds no list.
 """
 
 from __future__ import annotations
@@ -101,7 +117,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, _flood, bit_indices, bitmask, boundary, closure, part_table
+from .graphs import Graph, bit_indices, bitmask, boundary, closure, part_table
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -200,8 +216,9 @@ class _Solver:
     those that keep min(|x|, k - 1) cops (see the module docstring).  The
     responses come from the host graph's response table, which every
     solver on that host shares.  An expansion with one or two placements
-    left reads no list (_wins_in_one, _wins_in_two) and visits none of the
-    position's children, but counts as an expansion all the same.
+    left reads no list (_wins_in_one, _wins_in_two), nor does one with
+    three that _loses_in_three refutes; such an expansion visits none of
+    the position's children, but counts as an expansion all the same.
 
     bounds holds one entry per position the solver has a bound for: those
     it searched and, in the monotone variant, the losses it inherited from
@@ -227,7 +244,6 @@ class _Solver:
             self.bounds = g._lost[k] = {}
         self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
-        self._everyone = (1 << g.n) - 1
         # The vertices a lone-vertex capture can take: fewer than k neighbours.
         self._few = bitmask(v for v in g.vertices if g._adj_mask[v].bit_count() < k)
 
@@ -310,10 +326,7 @@ class _Solver:
         set the search walks leaves a stage set, the free vertices of the
         stage part, that _stage_wins_in_two accepts (see the module
         docstring)."""
-        span = 0
-        for bit, inc in self._vertices:
-            if inc & p_mask:
-                span |= bit
+        span = self._span(p_mask)
         free = span & ~x_mask
         few = self._few
         bad = free & ~few
@@ -340,21 +353,17 @@ class _Solver:
             out = adj[bit.bit_length() - 1] & ~x_mask
             if out & (out - 1):
                 continue
-            # u's one free neighbour is a free vertex of p, unless p is a
-            # captured edge and has none.
-            stage = free | bit if free else _flood(self.g, bit, self._everyone & ~(x_mask ^ bit))
-            if self._stage_wins_in_two(stage, x_mask):
+            # u's edge in p ends at a free vertex of p, its one free
+            # neighbour, so the stage set is p's free vertices and u.
+            if self._stage_wins_in_two(free | bit, x_mask):
                 return True
         return False
 
     def _stage_wins_in_two(self, s: int, x_mask: int) -> bool:
         """Whether two fresh placements capture a robber whose stage part
-        has the connected free vertex set s: placing some v in s - x leaves
-        s - v independent, each of its vertices with fewer than k
-        neighbours, or s is one vertex with fewer than k neighbours and a
-        placement off s is left."""
-        if not s & (s - 1):
-            return bool(s & ~x_mask) or (bool(s & self._few) and x_mask != self._everyone)
+        has the connected free vertex set s, which holds a vertex outside x:
+        whether placing some v in s - x leaves s - v independent, each of
+        its vertices with fewer than k neighbours."""
         bad = s & ~self._few
         if bad & (bad - 1):
             return False
@@ -377,6 +386,39 @@ class _Solver:
                 return True
         return False
 
+    def _loses_in_three(self, x_mask: int, p_mask: int) -> bool:
+        """Whether three placements cannot capture from (x, part) because
+        the part's heavy free vertices, those with k or more neighbours, do
+        not form a star forest: whether two of them that each have two or
+        more heavy neighbours are adjacent (see the module docstring)."""
+        heavy = self._span(p_mask) & ~(x_mask | self._few)
+        if heavy.bit_count() < 3:
+            return False
+        adj = self.g._adj_mask
+        hubs = 0
+        rest = heavy
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            near = adj[bit.bit_length() - 1] & heavy
+            if near & (near - 1):
+                hubs |= bit
+        rest = hubs
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if adj[bit.bit_length() - 1] & hubs:
+                return True
+        return False
+
+    def _span(self, p_mask: int) -> int:
+        """The vertex mask of the endpoints of the part's edges."""
+        span = 0
+        for bit, inc in self._vertices:
+            if inc & p_mask:
+                span |= bit
+        return span
+
     def _expand(self, x_mask: int, p_mask: int, entry: list, b: int) -> bool:
         """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
@@ -388,6 +430,8 @@ class _Solver:
             result = self._wins_in_one(x_mask, p_mask)
         elif b == 2:
             result = self._wins_in_two(x_mask, p_mask)
+        elif b == 3 and self._loses_in_three(x_mask, p_mask):
+            result = False
         else:
             bounds = self.bounds
             c = b - 1

@@ -314,7 +314,12 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     - depth: the scope nodes whose root path holds a changed bag, and
       the nodes new to the scope;
     - the three vertex-tracking claims: the node's children and the
-      changed bags, and for a bag that lost a vertex the previous scope;
+      changed bags, and for a bag that lost a vertex the previous scope.
+      The child claim reads the original's local boundaries at the node
+      and its children, not their bags: a step sets each bag it brings
+      into scope to its local boundary, so a bag padded beyond it in the
+      original would hide a child's vertices.  A strategy tree's bags are
+      their local boundaries, so for it the two readings agree;
     - exchange: the nodes of the previous scope whose root path holds a
       changed bag, the only ones whose root-path bag union can grow.
 
@@ -346,7 +351,7 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     node = next_state.processed[-1]
     scope_prev = prev.scope
     scope_next = next_state.scope
-    beta_prev, beta_next, beta0 = ptd_prev.bags, ptd_next.bags, original.bags
+    beta_prev, beta_next = ptd_prev.bags, ptd_next.bags
     gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.cones
     width0 = ptd_width(original) if width0 is None else width0
     sums0 = _path_sums(original) if sums0 is None else sums0
@@ -425,9 +430,10 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
         if sums[t] > sums0[t]:
             report.add("depth", f"node {t}", f"path sum {sums[t]} exceeds original {sums0[t]}")
 
+    node0 = local_boundary(original, node)
     for c in tree.children[node]:
         new_here = beta_next[c] & ~beta_next[node]
-        orig_here = beta0[c] & ~beta0[node]
+        orig_here = local_boundary(original, c) & ~node0
         if new_here & ~orig_here:
             report.add("claim-child-new", f"node {c}",
                        f"{list(bit_indices(new_here & ~orig_here))} "

@@ -351,6 +351,21 @@ def two_placement_cases(g: Graph, parts=all_parts):
             for new_mask, live in solver._successors(x_mask, p_mask))
 
 
+def three_placement_refutations(g: Graph, parts=part_table):
+    """(k, monotone, x_mask, p_mask, wins) for every position of
+    _search_cases (by default every component part, the solver's domain)
+    that _loses_in_three refutes on a solver on a copy of g: wins tells
+    whether the list search with three placements left wins there, that
+    is, whether some searched move leaves only replies that two more
+    placements capture, read off the successor list and _wins_in_two per
+    reply.  The search never calls the rule it checks."""
+    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
+        if solver._loses_in_three(x_mask, p_mask):
+            yield k, monotone, x_mask, p_mask, any(
+                all(solver._wins_in_two(new_mask, q_mask) for q_mask in live)
+                for new_mask, live in solver._successors(x_mask, p_mask))
+
+
 def full_move_win(g: Graph, k: int, monotone: bool):
     """win(x_mask, p_mask, b): whether k cops capture from (x, part) with at
     most b placements, by a memoised minimax over every move of macro_moves
@@ -501,7 +516,7 @@ def verify_step_oracle(prev: StepState, next_state: StepState,
     node = next_state.processed[-1]
     scope_prev = prev.scope
     scope_next = next_state.scope
-    beta_prev, beta_next, beta0 = (_vertex_sets(p.bags) for p in (ptd_prev, ptd_next, original))
+    beta_prev, beta_next = (_vertex_sets(p.bags) for p in (ptd_prev, ptd_next))
     gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.cones
 
     for p, c in tree.edges():
@@ -555,7 +570,8 @@ def verify_step_oracle(prev: StepState, next_state: StepState,
     children = tree.children[node]
     for c in children:
         new_here = beta_next[c] - beta_next[node]
-        orig_here = beta0[c] - beta0[node]
+        orig_here = (set(bit_indices(local_boundary(original, c)))
+                     - set(bit_indices(local_boundary(original, node))))
         if not new_here <= orig_here:
             report.add("claim-child-new", f"node {c}",
                        f"{sorted(new_here - orig_here)} newly placed here but not originally")

@@ -203,6 +203,24 @@ class TestMonotonizeCmd:
         assert captured.err.splitlines() == [
             f"error: line {line}: unknown record '{record.split()[0]}'"]
 
+    def test_verify_accepts_a_padded_bag(self, tmp_path, capsys):
+        # Node 1's bag padded beyond its local boundary {0} hides node 3's
+        # vertex 1 in the input; the step's child claim reads the local
+        # boundaries, so the padded tree verifies.
+        from bdtw.pre_tree import PreTreeDecomposition, dumps_ptd, local_boundary
+        from bdtw.strategy_tree import build
+
+        g = closure(Graph(3, [(0, 1)]))
+        ptd = build(g, solve(g, GameConfig(2, 2)).strategy, GameConfig(2, 2)).ptd
+        assert ptd.tree.size == 8 and ptd.bags[1] == local_boundary(ptd, 1) == 0b01
+        bags = list(ptd.bags)
+        bags[1] = 0b11
+        path = tmp_path / "padded.ptd"
+        path.write_text(dumps_ptd(PreTreeDecomposition(ptd.tree, g, tuple(bags), ptd.cones)))
+        assert main(["monotonize", str(path), "--verify"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("p ") and err == "exact: width=1 depth=2\n"
+
 
 class TestVerifyCmd:
     def test_corrupted_td_reports(self, graph_file, tmp_path, capsys):
@@ -427,7 +445,10 @@ def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
     (["--corpus", "named:E1", "--k", "1", "--q", "-2"], "'-2'"),
     (["--corpus", "grids:2x", "--k", "1", "--q", "1"], "'2x'"),
     (["--corpus", "all-graphs:x", "--k", "1", "--q", "1"], "'all-graphs:x'"),
-], ids=["k-open-range", "q-negative", "grid-without-columns", "all-graphs-not-a-number"])
+    (["--corpus", "grids:-1x2", "--k", "1", "--q", "1"], "'-1x2'"),
+    (["--corpus", "grids:-2x-3", "--k", "1", "--q", "1"], "'-2x-3'"),
+], ids=["k-open-range", "q-negative", "grid-without-columns", "all-graphs-not-a-number",
+        "grid-negative-rows", "grid-negative-rows-and-columns"])
 def test_malformed_equivalence_text_is_named(argv, text, capsys):
     assert main(["equivalence", *argv]) == 2
     out, err = capsys.readouterr()

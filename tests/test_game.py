@@ -32,6 +32,7 @@ from oracles import (
     one_placement_cases,
     responses,
     submasks,
+    three_placement_refutations,
     two_placement_cases,
 )
 from strats import graphs
@@ -321,7 +322,7 @@ class TestDominanceCut:
         # non-monotone cop_move picks from its shorter list.
         rng = random.Random(12)
         checked = 0
-        for _ in range(8):
+        for _ in range(14):
             host = random_host(rng, 4, 6)
             for k in (2, 3, 4):
                 solver = _Solver(host, k, False)
@@ -384,15 +385,15 @@ class TestWinsInOne:
 
 class TestWinsInTwo:
     def test_two_placements_are_decided_without_successors(self):
-        # Every position of every host on at most 4 vertices with every set
-        # of loops, k 1..n+1, both variants, captures included: win with
-        # two placements left says whether some searched move leaves only
+        # Every component position of every host on at most 4 vertices
+        # with every set of loops, k 1..n+1, both variants: win with two
+        # placements left says whether some searched move leaves only
         # replies that one more placement captures, and builds no
-        # successor list.
+        # successor list.  Captures are outside the solver's domain.
         checked = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {}
-            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host):
+            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host, part_table):
                 solver = solvers.get((k, monotone))
                 if solver is None:
                     solver = solvers[(k, monotone)] = _Solver(
@@ -402,7 +403,42 @@ class TestWinsInTwo:
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
                 assert not solver._succ_cache
-        assert checked == 358_096
+        assert checked == 166_316
+
+
+def assert_refutes_only_losses(host) -> int:
+    """Check that every position of host that _loses_in_three refutes is
+    lost to the list search with three placements left, and that win
+    refutes it with no successor list; return how many there are."""
+    refuted = 0
+    solvers = {}
+    for k, monotone, x_mask, p_mask, wins in three_placement_refutations(host):
+        assert not wins, (host, k, monotone, x_mask, p_mask)
+        solver = solvers.get((k, monotone))
+        if solver is None:
+            solver = solvers[(k, monotone)] = _Solver(Graph(host.n, host.edges), k, monotone)
+        assert not solver.win(x_mask, p_mask, 3)
+        refuted += 1
+    for solver in solvers.values():
+        assert solver.expansions == len(solver.bounds)
+        assert not solver._succ_cache
+    return refuted
+
+
+class TestLosesInThree:
+    def test_refutes_only_losses_on_small_hosts(self):
+        # Every component position of every host on at most 4 vertices
+        # with every set of loops, k 1..n+1, both variants.
+        refuted = sum(assert_refutes_only_losses(host)
+                      for host in with_loop_sets(small_graph_corpus(4)))
+        assert refuted == 4_288
+
+    def test_refutes_only_losses_on_random_hosts(self):
+        # Hosts on 5 to 7 vertices, plain or closure, where the heavy
+        # vertices can form longer paths and larger stars.
+        rng = random.Random(26)
+        refuted = sum(assert_refutes_only_losses(random_host(rng, 5, 7)) for _ in range(40))
+        assert refuted == 3_160
 
 
 class TestInheritedLosses:
@@ -488,7 +524,7 @@ class TestSolverWork:
         # domain: none is a capture.
         rng = random.Random(5)
         checked = 0
-        for _ in range(10):
+        for _ in range(12):
             n = rng.randint(2, 5)
             g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                           if rng.random() < 0.5])
@@ -535,30 +571,30 @@ class TestSolverWork:
     # plain graph then its closure, k = 2, 3, 4, non-monotone then
     # monotone on the same host; the monotone solver counts the losses it
     # inherits from the non-monotone one as positions.  Recorded when
-    # positions with two placements left were first decided from masks,
-    # which visits none of their children.  Equal counts mean the search
-    # order did not move.
+    # positions with three placements left were first refuted from masks
+    # (_loses_in_three), which visits none of their children.  Equal
+    # counts mean the search order did not move.
     GOLDEN_WORK = {
         "P5": [(8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4),
                (8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4)],
-        "C5": [(72, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7),
-               (72, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7)],
-        "K4": [(51, 11), (0, 11), (63, 15), (0, 15), (10, 6), (3, 6),
-               (51, 11), (0, 11), (63, 15), (0, 15), (10, 6), (3, 6)],
-        "K2,3": [(72, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2),
-                 (72, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2)],
-        "GRID2x3": [(97, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9),
-                    (97, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9)],
-        "G6a": [(97, 22), (0, 22), (157, 42), (0, 42), (18, 13), (3, 13),
-                (97, 22), (0, 22), (157, 42), (0, 42), (18, 13), (3, 13)],
-        "G6b": [(97, 22), (0, 22), (30, 23), (4, 22), (19, 14), (4, 14),
-                (97, 22), (0, 22), (30, 23), (4, 22), (19, 14), (4, 14)],
-        "G6c": [(97, 22), (0, 22), (157, 42), (0, 42), (24, 18), (3, 18),
-                (97, 22), (0, 22), (157, 42), (0, 42), (25, 19), (4, 19)],
-        "G7a": [(132, 35), (0, 29), (6, 4), (2, 4), (6, 4), (2, 4),
-                (132, 35), (0, 29), (8, 6), (4, 6), (8, 6), (4, 6)],
-        "G7b": [(132, 35), (0, 29), (41, 33), (5, 29), (41, 33), (5, 29),
-                (132, 35), (0, 29), (41, 33), (5, 29), (41, 33), (5, 29)],
+        "C5": [(66, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7),
+               (66, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7)],
+        "K4": [(46, 11), (0, 11), (53, 15), (0, 15), (10, 6), (3, 6),
+               (46, 11), (0, 11), (53, 15), (0, 15), (10, 6), (3, 6)],
+        "K2,3": [(67, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2),
+                 (67, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2)],
+        "GRID2x3": [(88, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9),
+                    (88, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9)],
+        "G6a": [(84, 22), (0, 22), (136, 42), (0, 42), (18, 13), (3, 13),
+                (84, 22), (0, 22), (136, 42), (0, 42), (18, 13), (3, 13)],
+        "G6b": [(87, 22), (0, 22), (14, 11), (4, 11), (19, 14), (4, 14),
+                (87, 22), (0, 22), (14, 11), (4, 11), (19, 14), (4, 14)],
+        "G6c": [(80, 22), (0, 22), (135, 42), (0, 42), (11, 8), (3, 8),
+                (80, 22), (0, 22), (135, 42), (0, 42), (12, 9), (4, 9)],
+        "G7a": [(125, 35), (0, 29), (6, 4), (2, 4), (6, 4), (2, 4),
+                (125, 35), (0, 29), (8, 6), (4, 6), (8, 6), (4, 6)],
+        "G7b": [(107, 35), (0, 29), (16, 13), (5, 13), (16, 13), (5, 13),
+                (107, 35), (0, 29), (16, 13), (5, 13), (16, 13), (5, 13)],
     }
 
     # (expansions, positions) of the monotone _Solver.game_cost(7) on a
@@ -566,15 +602,15 @@ class TestSolverWork:
     # monotone search on its own, recorded with GOLDEN_WORK.
     GOLDEN_FRESH_MONOTONE_WORK = {
         "P5": [(8, 6), (6, 4), (6, 4), (8, 6), (6, 4), (6, 4)],
-        "C5": [(72, 16), (11, 7), (11, 7), (72, 16), (11, 7), (11, 7)],
-        "K4": [(51, 11), (63, 15), (10, 6), (51, 11), (63, 15), (10, 6)],
-        "K2,3": [(72, 16), (4, 2), (4, 2), (72, 16), (4, 2), (4, 2)],
-        "GRID2x3": [(97, 22), (22, 17), (13, 9), (97, 22), (22, 17), (13, 9)],
-        "G6a": [(97, 22), (157, 42), (18, 13), (97, 22), (157, 42), (18, 13)],
-        "G6b": [(97, 22), (30, 23), (19, 14), (97, 22), (30, 23), (19, 14)],
-        "G6c": [(97, 22), (157, 42), (24, 18), (97, 22), (157, 42), (25, 19)],
-        "G7a": [(132, 35), (6, 4), (6, 4), (132, 35), (8, 6), (8, 6)],
-        "G7b": [(132, 35), (41, 33), (41, 33), (132, 35), (41, 33), (41, 33)],
+        "C5": [(57, 16), (11, 7), (11, 7), (57, 16), (11, 7), (11, 7)],
+        "K4": [(41, 11), (53, 15), (10, 6), (41, 11), (53, 15), (10, 6)],
+        "K2,3": [(70, 16), (4, 2), (4, 2), (64, 16), (4, 2), (4, 2)],
+        "GRID2x3": [(84, 22), (22, 17), (13, 9), (76, 22), (22, 17), (13, 9)],
+        "G6a": [(80, 22), (134, 42), (18, 13), (76, 22), (126, 42), (18, 13)],
+        "G6b": [(84, 22), (14, 11), (19, 14), (76, 22), (14, 11), (19, 14)],
+        "G6c": [(76, 22), (126, 42), (11, 8), (76, 22), (126, 42), (12, 9)],
+        "G7a": [(130, 35), (6, 4), (6, 4), (122, 35), (8, 6), (8, 6)],
+        "G7b": [(104, 35), (16, 13), (16, 13), (104, 35), (16, 13), (16, 13)],
     }
 
     @staticmethod

@@ -277,7 +277,8 @@ class TestApplySteps:
         # the scope, at its parent's step, and stays its local boundary.
         # Strategy trees' bags already are; padded with every vertex, each
         # non-root bag must be set by a step.  Either way run's result is
-        # exact and no wider or deeper than its input.
+        # exact and no wider or deeper than its input, and every step
+        # passes verify_step.
         for (name, k, q, seed), slack in itertools.product(FUZZED_CORPUS, range(5)):
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=slack, seed=seed)
             ptd = st.ptd
@@ -289,7 +290,7 @@ class TestApplySteps:
                 for _node, _before, after, _choice in iterate_steps(start):
                     assert all(after.ptd.bags[t] == local_boundary(after.ptd, t)
                                for t in after.scope), (name, slack)
-                exact = run(start)
+                exact = run(start, verify=True)
                 assert is_exact(exact), (name, slack)
                 assert ptd_width(exact) <= ptd_width(start), (name, slack)
                 assert ptd_depth(exact) <= ptd_depth(start), (name, slack)
@@ -479,7 +480,7 @@ class TestChangeLocalChecks:
 
     @pytest.mark.parametrize("rule", [
         "exactness", "only-remove", "locality", "balance", "width", "depth",
-        "PT1", "PT2", "PT3", "PT4",
+        "claim-child-new", "PT1", "PT2", "PT3", "PT4",
     ])
     def test_tampered_next_state_reports_rule(self, rule):
         st, _, _ = solved_tree(named_graph("C4"), 3, 3, fuzz=2, seed=2)

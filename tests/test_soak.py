@@ -47,6 +47,7 @@ from oracles import (
     macro_moves,
     monotone_kept_set_cases,
     one_placement_cases,
+    three_placement_refutations,
     two_placement_cases,
 )
 
@@ -234,3 +235,18 @@ def test_wins_in_two_soak():
                 checked += 1
             assert not any(solver._succ_cache for solver in solvers.values())
     assert checked == 811_152
+
+
+def test_loses_in_three_soak():
+    # The Tier-1 three-placement check over a wider seed range: random
+    # hosts on 5 to 7 vertices with loops, every component position, k
+    # 1..n+1, both variants.  The list search loses wherever the rule
+    # refutes.
+    rng = random.Random(2626)
+    refuted = 0
+    for _ in range(400):
+        host = random_host(rng, max_n=7, max_m=16, min_n=5)
+        for k, monotone, x_mask, p_mask, wins in three_placement_refutations(host):
+            assert not wins, (host, k, monotone, x_mask, p_mask)
+            refuted += 1
+    assert refuted == 18_794
