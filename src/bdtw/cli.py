@@ -39,24 +39,11 @@ from .monotonize import monotonize_pipeline, run
 from .pre_tree import parse_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
 
-BUDGET_ENV = "BDTW_BUDGET"
-
-
-def _default_budget(args) -> int | None:
-    """--budget, else BDTW_BUDGET, else None (the solver's default)."""
-    if args.budget is not None:
-        budget, source = args.budget, "--budget"
-    else:
-        env = os.environ.get(BUDGET_ENV)
-        if not env:
-            return None
-        try:
-            budget, source = int(env), BUDGET_ENV
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    if budget < 1:
-        raise ValueError(f"{source} must be at least 1, got {budget}")
-    return budget
+def _budget(args) -> int | None:
+    """--budget, else None (the solver's default)."""
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+    return args.budget
 
 
 def _check_cap(flag: str, value: int) -> None:
@@ -88,7 +75,7 @@ def cmd_decide(args) -> int:
             raise ValueError(f"{flag} needs --certificate")
     _check_cap("--q", args.q)
     g = _load_graph(args.graph)
-    budget = _default_budget(args)
+    budget = _budget(args)
     if args.certificate:
         result = monotonize_pipeline(g, args.k, args.q, verify=args.verify, budget=budget)
         member = result.member
@@ -113,7 +100,7 @@ def cmd_solve(args) -> int:
     if args.closure:
         g = closure(g)
     cfg = GameConfig(args.k, args.q, monotone=args.monotone)
-    result = solve(g, cfg, _default_budget(args))
+    result = solve(g, cfg, _budget(args))
     print(f"winner: {result.winner}")
     print(f"positions: {result.position_count}")
     if args.strategy_out and isinstance(result.strategy, Strategy):
@@ -196,7 +183,7 @@ def cmd_equivalence(args) -> int:
     _check_cap("--k", ks[-1])
     _check_cap("--q", qs[-1])
     q_max = qs[-1]
-    budget = _default_budget(args)
+    budget = _budget(args)
     items = [(name, g.n, g.edges, ks, q_max, budget) for name, g in instances]
     start = time.monotonic()
     workers = min(args.jobs, len(items), _usable_cpus())
@@ -225,7 +212,7 @@ def cmd_play(args) -> int:
     if args.closure:
         g = closure(g)
     cfg = GameConfig(args.k, args.q)
-    solver = _Solver(g, cfg.k, cfg.monotone, _default_budget(args))
+    solver = _Solver(g, cfg.k, cfg.monotone, _budget(args))
     stdin = sys.stdin
     log_lines: list[str] = []
 

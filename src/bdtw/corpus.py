@@ -99,9 +99,13 @@ def _capped(spec: str, n: int, cap: int = MAX_VERTICES) -> int:
 
 def _sized(family: str, maker: Callable[[int], Graph]) -> Callable[[str], list[tuple[str, Graph]]]:
     def instances(arg: str) -> list[tuple[str, Graph]]:
+        spec = f"{family}:{arg}"
         sizes = parse_range(arg, 0, f"corpus range {arg!r} is not a nonempty range")
-        _capped(f"{family}:{arg}", sizes[-1])
-        return [(f"{family}-{n}", maker(n)) for n in sizes]
+        _capped(spec, sizes[-1])
+        try:
+            return [(f"{family}-{n}", maker(n)) for n in sizes]
+        except ValueError as exc:
+            raise ValueError(f"corpus spec {spec!r}: {exc}") from None
     return instances
 
 

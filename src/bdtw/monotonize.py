@@ -33,8 +33,11 @@ claims, and the exchange inequality at the greatest common ancestor.
 Every one of them reads the recorded change: the changed keys and bags,
 the edges new to the scope, and the scope nodes below a changed bag, whose
 root-path sums and bag unions it updates from the previous state's,
-carried between steps.  An unchanged cone or bag cannot break a rule the
-previous state kept, so given that the previous step passed its checks
+carried between steps.  What it compares against, the input's cones,
+width, path sums and local boundaries, it reads from the run's first
+state, which every later state keeps as its `start` and which computes
+each of them once per run.  An unchanged cone or bag cannot break a rule
+the previous state kept, so given that the previous step passed its checks
 (run(verify=True) stops at the first that fails) and any superset of the
 true change, each check reports what a full scan would.
 """
@@ -44,8 +47,8 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from .errors import ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
@@ -71,12 +74,14 @@ from .validation import Report
 @dataclass
 class StepState:
     """The decomposition after a prefix of the construction's steps, the
-    internal nodes processed so far (in order), and the cone keys and bag
-    nodes the last step changed (none for the input)."""
+    internal nodes processed so far (in order), the cone keys and bag nodes
+    the last step changed (none for the input), and the run's first state,
+    whose decomposition is the input (None on that state itself)."""
 
     ptd: PreTreeDecomposition
     processed: tuple[int, ...]
     changed: Change = (frozenset(), frozenset())
+    start: StepState | None = field(default=None, repr=False)
 
     @functools.cached_property
     def scope(self) -> frozenset[int]:
@@ -98,6 +103,14 @@ class StepState:
         and the recorded change; otherwise they are computed once from the
         bags."""
         return _path_sums(self.ptd), self.ptd.tree.path_unions(self.ptd.bags)
+
+    @functools.cached_property
+    def _facts(self) -> tuple[int, tuple[int, ...]]:
+        """The width and the per-node local boundaries of the
+        decomposition, which verify_step reads on a run's first state, so
+        once per run; the input's path sums are that state's `_paths[0]`."""
+        ptd = self.ptd
+        return ptd_width(ptd), tuple(local_boundary(ptd, t) for t in ptd.tree.nodes)
 
 
 @dataclass
@@ -292,25 +305,27 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepStat
     report = validate_ptd(new_ptd, changed)
     if not report.ok:
         raise ConsistencyError(f"axiom violated after processing node {node}:\n{report}")
-    after = StepState(new_ptd, processed, changed)
+    after = StepState(new_ptd, processed, changed, state.start or state)
     after.scope = scope
     return after
 
 
-def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecomposition, *,
-                width0: int | None = None, sums0: Sequence[int] | None = None) -> Report:
+def verify_step(prev: StepState, next_state: StepState) -> Report:
     """Re-check every per-step property the width/depth argument relies on,
     reading only the step's recorded change.
 
-    `width0` and `sums0` are the original's width and per-node path sums
-    (`pre_tree._path_sums`); run passes them once computed, otherwise they
-    are computed here.  The checks and what each reads:
+    The original is the input decomposition, the one of the run's first
+    state, `prev.start or prev`.  Its cones, width, per-node path sums
+    (`pre_tree._path_sums`) and local boundaries are read off that state,
+    which computes each once per run (`_facts`, `_paths`).  A later state
+    without a `start` raises ValueError rather than stand in for the
+    original.  The checks and what each reads:
 
     - exactness: tree edges in scope with a key in `next_state.changed`,
       and the edges that newly enter the scope;
     - only-remove: changed keys from an unprocessed node to its child;
     - locality and balance: tree edges with a changed key;
-    - per-node and global width: the changed bags, against `width0`;
+    - per-node and global width: the changed bags, against the original's;
     - depth: the scope nodes whose root path holds a changed bag, and
       the nodes new to the scope;
     - the three vertex-tracking claims: the node's children and the
@@ -330,20 +345,26 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     Nothing that apply_step stored is read besides the decomposition, the
     scope and the record.
 
-    Premise: `prev` is `original` or a state whose own step passed this
-    check, and `next_state` extends its processed nodes by the next
-    internal node in BFS order, whose children the step brings into the
-    scope; run(verify=True) keeps it, since a failing report raises.  So
-    edges of the previous scope are exact, unprocessed nodes' child cones
-    are within the original's, every bag is within `width0` and every path
-    sum in the previous scope within `sums0`, and an unchanged cone or bag
-    cannot break a rule the previous state kept.  Given that, for any
-    superset of the true change the report is the one a scan of every edge
-    and node gives (`tests/oracles.verify_step_oracle`).
+    Premise: `prev` is the run's first state or a state whose own step
+    passed this check, and `next_state` extends its processed nodes by the
+    next internal node in BFS order, whose children the step brings into
+    the scope; run(verify=True) keeps it, since a failing report raises.
+    So edges of the previous scope are exact, unprocessed nodes' child
+    cones are within the original's, every bag is within the original's
+    width and every path sum in the previous scope within the original's,
+    and an unchanged cone or bag cannot break a rule the previous state
+    kept.  Given that, for any superset of the true change the report is
+    the one a scan of every edge and node gives
+    (`tests/oracles.verify_step_oracle`).
 
     The axioms are not re-checked here: apply_step validates every state it
     changes, with or without verification.
     """
+    if prev.start is None and prev.processed:
+        raise ValueError("a state after the first needs the run's first state as its start")
+    start = prev.start or prev
+    width0, boundary0 = start._facts
+    sums0 = start._paths[0]
     report = Report()
     ptd_prev, ptd_next = prev.ptd, next_state.ptd
     tree = ptd_next.tree
@@ -352,9 +373,7 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
     scope_prev = prev.scope
     scope_next = next_state.scope
     beta_prev, beta_next = ptd_prev.bags, ptd_next.bags
-    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, original.cones
-    width0 = ptd_width(original) if width0 is None else width0
-    sums0 = _path_sums(original) if sums0 is None else sums0
+    gamma_prev, gamma_next, gamma0 = ptd_prev.cones, ptd_next.cones, start.ptd.cones
     changed_keys, changed_bags = next_state.changed
     new = [t for t in (node, *tree.children[node]) if t not in scope_prev]
     # Tree edges with a changed cone, by their child end.
@@ -430,10 +449,9 @@ def verify_step(prev: StepState, next_state: StepState, original: PreTreeDecompo
         if sums[t] > sums0[t]:
             report.add("depth", f"node {t}", f"path sum {sums[t]} exceeds original {sums0[t]}")
 
-    node0 = local_boundary(original, node)
     for c in tree.children[node]:
         new_here = beta_next[c] & ~beta_next[node]
-        orig_here = local_boundary(original, c) & ~node0
+        orig_here = boundary0[c] & ~boundary0[node]
         if new_here & ~orig_here:
             report.add("claim-child-new", f"node {c}",
                        f"{list(bit_indices(new_here & ~orig_here))} "
@@ -511,10 +529,9 @@ def run(ptd: PreTreeDecomposition, verify: bool = False,
     """
     result = ptd
     g = ptd.host
-    width0, sums0 = ptd_width(ptd), _path_sums(ptd)
     for node, before, after, choice in iterate_steps(ptd):
         if verify:
-            report = verify_step(before, after, ptd, width0=width0, sums0=sums0)
+            report = verify_step(before, after)
             if not report.ok:
                 raise ConsistencyError(f"step {len(after.processed)} at node {node}:\n{report}")
         if trace is not None:
@@ -526,7 +543,7 @@ def run(ptd: PreTreeDecomposition, verify: bool = False,
         result = after.ptd
     if not is_exact(result):
         raise ConsistencyError("construction finished but the result is not exact")
-    if ptd_width(result) > width0 or ptd_depth(result) > max(sums0, default=0):
+    if ptd_width(result) > ptd_width(ptd) or ptd_depth(result) > ptd_depth(ptd):
         raise ConsistencyError("construction enlarged width or depth")
     return result
 

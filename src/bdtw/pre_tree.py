@@ -90,11 +90,6 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
     """
     report = Report()
     tree, g = ptd.tree, ptd.host
-    if tree.size == 0:
-        if g.n:
-            report.add("PT1", "tree", "empty tree for a non-empty host")
-        return report
-
     root = tree.root
     if changed is None:
         nodes: Iterable[int] = tree.nodes
@@ -180,7 +175,7 @@ def _path_sums(ptd: PreTreeDecomposition) -> list[int]:
 
 def ptd_depth(ptd: PreTreeDecomposition) -> int:
     """Max over all nodes of the telescoping bag-difference sum on its root path."""
-    return max(_path_sums(ptd), default=0)
+    return max(_path_sums(ptd))
 
 
 def _require_exact_prefix(ptd: PreTreeDecomposition, subtree: Iterable[int]) -> set[int]:
@@ -444,8 +439,8 @@ def parse_ptd(inp: Iterable[str]) -> PreTreeDecomposition:
         if any(not 0 <= v < host.n for v in ids):
             raise FormatError(f"line {lineno}: bag vertex outside 0..{host.n - 1}")
         nodes[a] = (b, bitmask(ids))
-    if set(nodes) != set(range(len(nodes))):
-        raise FormatError("node ids must be dense 0..N-1")
+    if not nodes or set(nodes) != set(range(len(nodes))):
+        raise FormatError("node ids must be dense 0..N-1, with at least one node")
     parent = [nodes[t][0] for t in range(len(nodes))]
     bags = tuple(nodes[t][1] for t in range(len(nodes)))
     try:

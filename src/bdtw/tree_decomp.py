@@ -25,13 +25,6 @@ class RootedTree:
         parent = tuple(parent)
         n = len(parent)
         roots = [t for t in range(n) if parent[t] == t]
-        if n == 0:
-            self.parent = parent
-            self.root = -1
-            self.children = ()
-            self.depth = ()
-            self._level_order = ()
-            return
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
         children: list[list[int]] = [[] for _ in range(n)]
@@ -183,13 +176,13 @@ def validate_td(td: TreeDecomposition) -> Report:
 
 
 def td_width(td: TreeDecomposition) -> int:
-    """Largest bag size minus one (-1 without bags); also pre_tree.ptd_width."""
-    return max((b.bit_count() for b in td.bags), default=0) - 1
+    """Largest bag size minus one; also pre_tree.ptd_width."""
+    return max(b.bit_count() for b in td.bags) - 1
 
 
 def td_depth(td: TreeDecomposition) -> int:
     """Max over root paths of the number of distinct vertices on them."""
-    return max((u.bit_count() for u in td.tree.path_unions(td.bags)), default=0)
+    return max(u.bit_count() for u in td.tree.path_unions(td.bags))
 
 
 def check_connected_trace(td: TreeDecomposition, u: int) -> bool:
@@ -251,8 +244,7 @@ def write_td(td: TreeDecomposition, out: IO[str]) -> None:
         out.write(f"b {t + 1}{' ' + verts if verts else ''}\n")
     for p, c in td.tree.edges():
         out.write(f"{p + 1} {c + 1}\n")
-    if td.tree.size:
-        out.write(f"r {td.tree.root + 1}\n")
+    out.write(f"r {td.tree.root + 1}\n")
 
 
 def dumps_td(td: TreeDecomposition) -> str:

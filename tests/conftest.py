@@ -4,17 +4,6 @@ from bdtw.corpus import named_graph
 from bdtw.graphs import Graph, closure
 
 
-@pytest.fixture(autouse=True)
-def _no_caller_budget(monkeypatch):
-    """Keep a BDTW_BUDGET exported by the caller's shell out of every test.
-
-    The CLI reads the variable as the default for --budget, so an inherited
-    value would turn answers into budget errors.  Child processes started
-    with os.environ inherit the cleaned environment too.
-    """
-    monkeypatch.delenv("BDTW_BUDGET", raising=False)
-
-
 @pytest.fixture
 def p3():
     """Path a-b-c with a=0, b=1, c=2; edges ab=0, bc=1."""

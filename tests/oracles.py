@@ -439,11 +439,6 @@ def validate_ptd_oracle(ptd: PreTreeDecomposition) -> Report:
     """Every axiom at every node and edge."""
     report = Report()
     tree, g = ptd.tree, ptd.host
-    if tree.size == 0:
-        if g.n:
-            report.add("PT1", "tree", "empty tree for a non-empty host")
-        return report
-
     root = tree.root
     bags = _vertex_sets(ptd.bags)
     if bags[root]:

@@ -268,6 +268,16 @@ class TestVerifyCmd:
             "error: input decomposition violates the axioms:"]
         assert "[PT3]" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "monotonize"])
+    def test_ptd_without_nodes_is_a_format_error(self, tmp_path, capsys, command):
+        # A decomposition has a root, as a .td file has a bag.
+        path = tmp_path / "empty.ptd"
+        path.write_text("p tw 0 0\n")
+        assert main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: node ids must be dense 0..N-1, with at least one node\n"
+
     def test_td_needs_graph(self, graph_file, tmp_path):
         cert = str(tmp_path / "out.td")
         main(["decide", graph_file("P3"), "--k", "2", "--q", "2", "--certificate", cert])
@@ -447,27 +457,15 @@ def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
     (["--corpus", "all-graphs:x", "--k", "1", "--q", "1"], "'all-graphs:x'"),
     (["--corpus", "grids:-1x2", "--k", "1", "--q", "1"], "'-1x2'"),
     (["--corpus", "grids:-2x-3", "--k", "1", "--q", "1"], "'-2x-3'"),
+    (["--corpus", "cycles:1-4", "--k", "1", "--q", "1"], "'cycles:1-4'"),
 ], ids=["k-open-range", "q-negative", "grid-without-columns", "all-graphs-not-a-number",
-        "grid-negative-rows", "grid-negative-rows-and-columns"])
+        "grid-negative-rows", "grid-negative-rows-and-columns", "cycles-below-three"])
 def test_malformed_equivalence_text_is_named(argv, text, capsys):
     assert main(["equivalence", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and text in err, err
     assert "int()" not in err
-
-
-@pytest.mark.parametrize("value, message", [
-    ("0", "BDTW_BUDGET must be at least 1, got 0"),
-    ("-3", "BDTW_BUDGET must be at least 1, got -3"),
-    ("many", "BDTW_BUDGET must be an integer, got 'many'"),
-])
-def test_bad_budget_variable_exits_two(value, message, graph_file, monkeypatch, capsys):
-    monkeypatch.setenv("BDTW_BUDGET", value)
-    assert main(["decide", graph_file("K3"), "--k", "3", "--q", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {message}\n"
 
 
 def test_repeated_calls_give_identical_outputs(graph_file, tmp_path, capsys):

@@ -1,8 +1,7 @@
-"""Cross-cutting checks: degenerate hosts, determinism, process-level entry
-points, and environment configuration."""
+"""Cross-cutting checks: degenerate hosts, determinism and process-level
+entry points."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -105,29 +104,23 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "IN T^2_2" in proc.stdout
 
-    def test_budget_env_variable(self, tmp_path):
+    def test_exhausted_budget_exits_two(self, tmp_path):
         path = tmp_path / "g.gr"
         path.write_text(dumps_graph(named_graph("K3")))
         cmd = [sys.executable, "-m", "bdtw.cli", "decide", str(path), "--k", "3", "--q", "3"]
 
-        def run(extra_args=(), **env):
-            return subprocess.run(
-                cmd + list(extra_args), capture_output=True, text=True,
-                env={**os.environ, **env},
-            )
+        def run(*extra_args):
+            return subprocess.run(cmd + list(extra_args), capture_output=True, text=True)
 
-        # Control: without the variable the same command answers.
+        # Control: without a budget the same command answers.
         proc = run()
         assert proc.returncode == 0
         assert "IN T^3_3" in proc.stdout
 
-        proc = run(BDTW_BUDGET="3")
+        proc = run("--budget", "3")
         assert proc.returncode == 2
-        assert "budget" in proc.stderr
-
-        # The --budget flag overrides the variable's default.
-        proc = run(["--budget", "100000"], BDTW_BUDGET="3")
-        assert proc.returncode == 0
+        assert proc.stdout == ""
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_fuzz_campaign_script(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_fuzz.py"

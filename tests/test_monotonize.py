@@ -7,6 +7,7 @@ from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, ConsistencyError
 from bdtw.game import GameConfig, minimum_placements, solve
 from bdtw.graphs import Graph, boundary, closure
+from bdtw import monotonize
 from bdtw.monotonize import (
     ExtensionChoice,
     StepState,
@@ -20,7 +21,6 @@ from bdtw.monotonize import (
 )
 from bdtw.pre_tree import (
     PreTreeDecomposition,
-    _path_sums,
     is_exact,
     is_exact_edge,
     local_boundary,
@@ -332,13 +332,13 @@ class TestVerifyStep:
         for name, k, q, seed in [("E1", 2, 2, 3), ("K3", 3, 3, 1), ("C4", 3, 3, 2)]:
             st, _, _ = solved_tree(named_graph(name), k, q, fuzz=2, seed=seed)
             for node, before, after, _choice in iterate_steps(st.ptd):
-                report = verify_step(before, after, st.ptd)
+                report = verify_step(before, after)
                 assert report.ok, f"{name}, node {node}: {report}"
 
     def test_reports_grown_bag_and_change_outside_scope(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2)
         _node, before, after, _choice = next(iter(iterate_steps(st.ptd)))
-        assert verify_step(before, after, st.ptd).ok
+        assert verify_step(before, after).ok
         ptd = after.ptd
         scope = after.scope
         p, c = next((p, c) for p, c in ptd.tree.edges() if p not in scope and c not in scope)
@@ -350,8 +350,21 @@ class TestVerifyStep:
         keys, changed_bags = after.changed
         tampered = StepState(PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones),
                              after.processed, (keys | {(p, c)}, changed_bags | {t}))
-        rules = {v.rule for v in verify_step(before, tampered, st.ptd).violations}
+        rules = {v.rule for v in verify_step(before, tampered).violations}
         assert {"width", "locality"} <= rules
+
+    def test_later_state_without_start_raises(self):
+        # The first state is the run's baseline; a later one built by hand
+        # without it must not silently become its own.
+        st, _, _ = solved_tree(named_graph("P3"), 2, 2, fuzz=1, seed=5)
+        steps = iter(iterate_steps(st.ptd))
+        _node, first, second, _choice = next(steps)
+        assert first.start is None and second.start is first
+        _node, before, after, _choice = next(steps)
+        assert before is second and after.start is first
+        orphan = StepState(before.ptd, before.processed, before.changed)
+        with pytest.raises(ValueError, match="first state"):
+            verify_step(orphan, after)
 
 
 def tampered(state, bags=(), cones=()):
@@ -390,9 +403,9 @@ def change_local_and_full(before, after, original):
     record of every key and node instead, they must report the same."""
     everything = (frozenset(after.ptd.cones), frozenset(after.ptd.tree.nodes))
     whole = StepState(after.ptd, after.processed, everything)
-    got = (verify_step(before, after, original).violations,
+    got = (verify_step(before, after).violations,
            validate_ptd(after.ptd, after.changed).violations)
-    assert got == (verify_step(before, whole, original).violations,
+    assert got == (verify_step(before, whole).violations,
                    validate_ptd(after.ptd, everything).violations)
     return got, (verify_step_oracle(before, after, original).violations,
                  validate_ptd_oracle(after.ptd).violations)
@@ -462,19 +475,19 @@ class TestChangeLocalChecks:
     def test_carried_values_match_a_fresh_start(self, name, k, q, seed):
         # verify_step carries each state's root-path sums and unions to the
         # next; a copy of the previous state carries none and has them
-        # computed from its bags, as do width0 and sums0 when not passed.
+        # computed from its bags.  A copy of the first state is its own
+        # start, whose width, path sums and boundaries it computes afresh.
         st, _, _ = solved_tree(named_graph(name), k, q, fuzz=4, seed=seed)
         rng = random.Random(name)
         host, tree = st.ptd.host, st.ptd.tree
         keys = sorted(st.ptd.cones)
-        width0, sums0 = ptd_width(st.ptd), _path_sums(st.ptd)
         for _node, before, after, _choice in iterate_steps(st.ptd):
-            fresh = StepState(before.ptd, before.processed, before.changed)
+            fresh = StepState(before.ptd, before.processed, before.changed, before.start)
             bags = [(rng.choice(tree.nodes), rng.choice(host.vertices)) for _ in range(2)]
             for next_state in (tampered(after, bags, [(rng.choice(keys), rng.randrange(host.m))]),
                                after):
-                carried = verify_step(before, next_state, st.ptd, width0=width0, sums0=sums0)
-                assert carried.violations == verify_step(fresh, next_state, st.ptd).violations
+                carried = verify_step(before, next_state)
+                assert carried.violations == verify_step(fresh, next_state).violations
                 assert carried.violations == verify_step_oracle(before, next_state,
                                                                 st.ptd).violations
 
@@ -502,6 +515,23 @@ class TestRun:
             assert is_exact(exact)
             assert ptd_width(exact) <= ptd_width(st.ptd)
             assert ptd_depth(exact) <= ptd_depth(st.ptd)
+
+    @pytest.mark.parametrize("name, k, q, seed", FUZZED_CORPUS[::2])
+    def test_verified_run_computes_each_input_boundary_once(self, name, k, q, seed,
+                                                            monkeypatch):
+        # verify_step reads the input's local boundaries off the run's first
+        # state, which computes each node's once, for the node and as a child.
+        st, _, _ = solved_tree(named_graph(name), k, q, fuzz=3, seed=seed)
+        calls = []
+
+        def counted(ptd, t):
+            if ptd is st.ptd:
+                calls.append(t)
+            return local_boundary(ptd, t)
+
+        monkeypatch.setattr(monotonize, "local_boundary", counted)
+        run(st.ptd, verify=True)
+        assert sorted(calls) == list(st.ptd.tree.nodes)
 
     def test_rejects_invalid_input_tree(self):
         # A bag deep in the tree misses a boundary vertex.  The steps
