@@ -36,7 +36,7 @@ from .game import (
 )
 from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph, records
 from .monotonize import monotonize_pipeline, run
-from .pre_tree import parse_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
+from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
 
 def _budget(args) -> int | None:
@@ -118,7 +118,7 @@ def cmd_solve(args) -> int:
 
 def cmd_monotonize(args) -> int:
     with open(args.tree) as f:
-        ptd = parse_ptd(f)  # run checks it against the axioms
+        ptd = read_ptd(f)  # run checks it against the axioms
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     exact = run(ptd, verify=args.verify, trace=trace)
     out = open(args.output, "w") if args.output else sys.stdout
@@ -145,9 +145,7 @@ def cmd_verify(args) -> int:
         report = validate_td(td)
         extra = f"width={td_width(td)} depth={td_depth(td)}"
     else:
-        # Not read_ptd, which refuses a file that parses but breaks the
-        # axioms: verify answers such a file with the report (exit 1).
-        ptd = parse_ptd(lines)
+        ptd = read_ptd(lines)
         report = validate_ptd(ptd)
         extra = f"width={ptd_width(ptd)} depth={ptd_depth(ptd)}"
     if report.ok:

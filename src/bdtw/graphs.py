@@ -188,19 +188,15 @@ def connected_components(g: Graph) -> list[int]:
 
 def boundary(g: Graph, x: int) -> int:
     """Vertices incident to at least one edge inside x and one outside x."""
-    rest = g.full_mask & ~x
-    out = 0
-    for v, inc in enumerate(g._inc):
-        if inc & x and inc & rest:
-            out |= 1 << v
-    return out
+    return blocks_boundary(g, (x,))
 
 
 def blocks_boundary(g: Graph, blocks: Sequence[int]) -> int:
-    """The union of `boundary(g, b)` over the blocks: the vertices with an
-    edge inside and an edge outside some block.  One pass over the
-    vertices, trying the blocks in order until one splits the vertex; the
-    blocks need not be disjoint, non-empty or cover the edges."""
+    """The vertices with an edge inside and an edge outside some block, so
+    the union of `boundary(g, b)` over the blocks; the one boundary kernel.
+    One pass over the vertices, trying the blocks in order until one
+    splits the vertex; the blocks need not be disjoint, non-empty or cover
+    the edges."""
     out = 0
     for v, inc in enumerate(g._inc):
         for b in blocks:
@@ -297,10 +293,11 @@ def read_graph(inp: Iterable[str]) -> Graph:
 
 def _graph_from_records(recs: Iterable[tuple[int, list[str]]]) -> Graph:
     """The graph of `.gr` records as `records` gives them; errors name
-    their line numbers."""
+    their line numbers and the file's 1-based vertex ids, and every one
+    the Graph would refuse is caught here first."""
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
+    edges: dict[tuple[int, int], None] = {}  # ordered, for the edge ids
     for lineno, parts in recs:
         try:
             if parts[0] == "p":
@@ -309,6 +306,8 @@ def _graph_from_records(recs: Iterable[tuple[int, list[str]]]) -> Graph:
                 if len(parts) != 4 or parts[1] != "tw":
                     raise FormatError(f"line {lineno}: expected 'p tw <n> <m>'")
                 n, m = int(parts[2]), int(parts[3])
+                if n < 0:
+                    raise FormatError(f"line {lineno}: vertex count {n} is negative")
                 if n > MAX_VERTICES:
                     raise FormatError(
                         f"line {lineno}: vertex count {n} is above {MAX_VERTICES}")
@@ -322,15 +321,16 @@ def _graph_from_records(recs: Iterable[tuple[int, list[str]]]) -> Graph:
             raise FormatError(f"line {lineno}: {exc}") from exc
         if not (1 <= u <= n and 1 <= v <= n):
             raise FormatError(f"line {lineno}: vertex out of range")
-        edges.append((u - 1, v - 1))
+        key = (min(u, v) - 1, max(u, v) - 1)
+        if key in edges:
+            raise FormatError(f"line {lineno}: duplicate edge {u} {v}; "
+                              "parallel edges are not supported")
+        edges[key] = None
     if n is None:
         raise FormatError("missing 'p tw' header")
     if m is not None and m != len(edges):
         raise FormatError(f"header declares {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return Graph(n, edges)
 
 
 def loads_graph(text: str) -> Graph:

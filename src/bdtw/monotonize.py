@@ -14,9 +14,10 @@ them.  After step i all tree edges with both endpoints in the processed
 region plus its neighbors are exact; after the last step the whole
 decomposition is exact, with width and depth no larger than the input's.
 A node whose child tree-edges have no free edge has nothing to reassign:
-its choice is empty and costs one pass of the boundary kernel
-(`graphs.blocks_boundary`), as the search's set-up grows only with the
-free edges, and its step moves no edge.
+its choice is empty and costs no pass of the boundary kernel, as the
+search's set-up grows only with the free edges, and its step moves no
+edge.  The search reports only its moves: the minimum boundary it reaches
+is the node's bag after the step.
 
 Between steps the object need not describe a strategy, but it stays a
 pre-tree decomposition.  iterate_steps (and so run) checks the input
@@ -52,7 +53,7 @@ from typing import Callable, Iterator
 
 from .errors import ConsistencyError
 from .game import GameConfig, RobberStrategy, Strategy, solve
-from .graphs import Graph, bit_indices, bitmask, blocks_boundary, closure
+from .graphs import Graph, bit_indices, bitmask, closure
 from .pre_tree import (
     Change,
     PreTreeDecomposition,
@@ -102,7 +103,8 @@ class StepState:
         verify_step sets them on the state it checks from its predecessor's
         and the recorded change; otherwise they are computed once from the
         bags."""
-        return _path_sums(self.ptd), self.ptd.tree.path_unions(self.ptd.bags)
+        tree, bags = self.ptd.tree, self.ptd.bags
+        return _path_sums(tree, bags), tree.path_unions(bags)
 
     @functools.cached_property
     def _facts(self) -> tuple[int, tuple[int, ...]]:
@@ -115,14 +117,13 @@ class StepState:
 
 @dataclass
 class ExtensionChoice:
-    """Chosen free-edge reassignment at one node: per-child masks, their
-    union, and the per-child leftover complements."""
+    """Chosen free-edge reassignment at one node: per-child masks (in the
+    order of the node's children), their union, and the per-child leftover
+    complements."""
 
-    children: tuple[int, ...]
     f: tuple[int, ...]
     f_union: int
     f_star: tuple[int, ...]
-    boundary_size: int
 
 
 def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
@@ -140,18 +141,18 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     The node's blocks (its cones toward its neighbors, `local_blocks`)
     partition the edges (PT3, which every state iterate_steps passes
     keeps); a free edge ends in its own block or a child's it is free for,
-    the others are fixed.  A vertex with fixed edges in two blocks is
-    always boundary, one without a free edge never changes: those are read
-    off one pass of `graphs.blocks_boundary`, and only the endpoints of
-    free edges are looked at further.  For each set B of the other, open,
-    vertices, smallest first, the open vertices outside B that free edges
-    join must share one block that all their edges allow.  The first size
-    with a feasible B is the minimum boundary; free edges between boundary
-    vertices stay, the others go to their component's block.  The work is
-    bounded by the number of subsets of open vertices, not by the
-    free-edge count.  Set-up is per free edge, so a node without free
-    edges costs that one pass: its choice is empty and its boundary the
-    blocks'.
+    the others are fixed.  Only the endpoints of free edges can change
+    whether they are boundary, and one with fixed edges in two blocks is
+    boundary whatever moves, so only the other, open, endpoints are
+    searched.  For each set B of open vertices, smallest first, the open
+    vertices outside B that free edges join must share one block that all
+    their edges allow.  The first size with a feasible B gives the minimum
+    boundary; free edges between boundary vertices stay, the others go to
+    their component's block.  The work is bounded by the number of subsets
+    of open vertices, not by the free-edge count.  Set-up is per free edge,
+    so a node without free edges costs no pass over the vertices: its
+    choice is empty.  The boundary reached is not returned; apply_step sets
+    the node's bag to it.
     """
     ptd = state.ptd
     g = ptd.host
@@ -163,7 +164,6 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
     for m in m_free:
         free |= m
     blocks = local_blocks(ptd, node)
-    boundary = blocks_boundary(g, blocks)
     free_edges = g.edge_ids(free)
     # A block is labelled by its index in `blocks`, so child j has label
     # j + offset; a set of labels is a bitmask.
@@ -173,15 +173,12 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
                                         if m_free[j] >> e & 1 and tree.children[c])
                for e in free_edges}
     touched = bitmask(v for e in free_edges for v in g.endpoints(e))
-    always = (boundary & ~touched).bit_count()
     open_labels: dict[int, int] = {}  # open vertex -> labels all its edges allow
     joined: dict[int, int] = {}  # open vertex -> vertices its free edges reach
     for v in bit_indices(touched):
         inc = g.incident_mask(v)
         fixed = bitmask(i for i, b in enumerate(blocks) if inc & b & ~free)
-        if fixed & (fixed - 1):
-            always += 1
-        else:
+        if not fixed & (fixed - 1):
             open_labels[v], joined[v] = fixed or -1, 0
             for e in g.edge_ids(inc & free):
                 open_labels[v] &= allowed[e]
@@ -231,7 +228,7 @@ def choose_extensions(state: StepState, node: int) -> ExtensionChoice:
             f_masks[j] |= 1 << e
             f_union |= 1 << e
     f_star = tuple((m | f_union) & ~fj for m, fj in zip(m_free, f_masks))
-    return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, always + size)
+    return ExtensionChoice(tuple(f_masks), f_union, f_star)
 
 
 def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepState:
@@ -259,8 +256,8 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepStat
     new = [t for t in (node, *children) if t not in state.scope]
     scope = state.scope.union(new)
     f = choice.f_union
-    f_by_child = dict(zip(choice.children, choice.f))
-    f_star_by_child = dict(zip(choice.children, choice.f_star))
+    f_by_child = dict(zip(children, choice.f))
+    f_star_by_child = dict(zip(children, choice.f_star))
     # The root path is read only when edges move through the scope.
     toward = set(tree.path_from_root(node)) if f else ()
     cones = ptd.cones

@@ -164,9 +164,8 @@ def is_exact(ptd: PreTreeDecomposition) -> bool:
 ptd_width = td_width
 
 
-def _path_sums(ptd: PreTreeDecomposition) -> list[int]:
+def _path_sums(tree: RootedTree, bags: Sequence[int]) -> list[int]:
     """Per node, the telescoping bag-difference sum on its root path."""
-    tree, bags = ptd.tree, ptd.bags
     return tree.path_totals(
         [0 if t == tree.root else (bags[t] & ~bags[tree.parent[t]]).bit_count()
          for t in tree.nodes]
@@ -175,7 +174,7 @@ def _path_sums(ptd: PreTreeDecomposition) -> list[int]:
 
 def ptd_depth(ptd: PreTreeDecomposition) -> int:
     """Max over all nodes of the telescoping bag-difference sum on its root path."""
-    return max(_path_sums(ptd))
+    return max(_path_sums(ptd.tree, ptd.bags))
 
 
 def _require_exact_prefix(ptd: PreTreeDecomposition, subtree: Iterable[int]) -> set[int]:
@@ -225,22 +224,15 @@ def check_exact_subtree_depth(ptd: PreTreeDecomposition, subtree: Iterable[int])
     sum along every root path equals the union of boundaries on it."""
     nodes = _require_exact_prefix(ptd, subtree)
     tree = ptd.tree
-    delta = {t: local_boundary(ptd, t) for t in nodes}
+    # The subtree is upward-closed, so the root path of each of its nodes
+    # stays inside it and never reads the zeros outside.
+    delta = [local_boundary(ptd, t) if t in nodes else 0 for t in tree.nodes]
     for v in ptd.host.vertices:
         trace = [t for t in nodes if delta[t] >> v & 1]
         if trace and not tree.induced_connected(trace):
             return False
-    for t in nodes:
-        path = tree.path_from_root(t)
-        total = 0
-        union = 0
-        for s in path:
-            union |= delta[s]
-            if s != tree.root:
-                total += (delta[s] & ~delta[tree.parent[s]]).bit_count()
-        if total != union.bit_count():
-            return False
-    return True
+    totals, unions = _path_sums(tree, delta), tree.path_unions(delta)
+    return all(totals[t] == unions[t].bit_count() for t in nodes)
 
 
 def check_exact_path_nesting(ptd: PreTreeDecomposition, path: Sequence[int]) -> bool:
@@ -390,20 +382,10 @@ def dumps_ptd(ptd: PreTreeDecomposition) -> str:
 
 
 def read_ptd(inp: Iterable[str]) -> PreTreeDecomposition:
-    """The validated decomposition a `.ptd` file describes (`parse_ptd`);
-    one that breaks the axioms is a format error."""
-    ptd = parse_ptd(inp)
-    report = validate_ptd(ptd)
-    if not report.ok:
-        raise FormatError(f"file parses but violates the axioms:\n{report}")
-    return ptd
-
-
-def parse_ptd(inp: Iterable[str]) -> PreTreeDecomposition:
     """The decomposition a `.ptd` file describes, not checked against the
-    axioms.  Errors name the line of the file, in the graph section too; a
-    record with a tag other than `n`, `g` or the graph section's is an
-    error."""
+    axioms (`validate_ptd`), as `read_td` does not validate.  Errors name
+    the line of the file, in the graph section too; a record with a tag
+    other than `n`, `g` or the graph section's is an error."""
     graph_recs: list[tuple[int, list[str]]] = []
     tree_recs: list[tuple[int, list[str]]] = []
     for lineno, parts in records(inp):

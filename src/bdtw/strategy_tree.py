@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import StrategyError
 from .game import (
@@ -211,7 +211,6 @@ class FuzzResult:
     strategy: Strategy
     placements_bound: int  # the fuzzed strategy wins with this many placements
     injected: int
-    detour_keys: list[tuple[int, int]] = field(default_factory=list)
 
 
 def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
@@ -232,7 +231,7 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
     rng = random.Random(seed)
     moves = dict(sigma.moves)
     injected = 0
-    detour_keys: list[tuple[int, int]] = []
+    detour_keys: set[tuple[int, int]] = set()
 
     for _ in range(slack):
         candidates = []
@@ -266,11 +265,11 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
         for q in responses:
             moves[(detour, q)] = target
         injected += 1
-        detour_keys.append(key)
+        detour_keys.add(key)
 
     fuzzed = Strategy(moves)
     bound = cfg.q + injected
     outcome = replay_cop_strategy(g, fuzzed, GameConfig(cfg.k, bound))
     if not outcome.wins:
         raise StrategyError("fuzzed strategy unexpectedly fails; this is a bug")
-    return FuzzResult(fuzzed, bound, injected, detour_keys)
+    return FuzzResult(fuzzed, bound, injected)

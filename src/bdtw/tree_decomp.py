@@ -270,6 +270,8 @@ def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
                         f"line {lineno}: decomposition is for {parts[4]} vertices, host has {host.n}"
                     )
             elif parts[0] == "b":
+                if len(parts) < 2:
+                    raise FormatError(f"line {lineno}: expected 'b <id> <vertices...>'")
                 bid = int(parts[1]) - 1
                 if bid in bags:
                     raise FormatError(f"line {lineno}: duplicate bag {bid + 1}")
@@ -280,12 +282,14 @@ def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
             elif parts[0] == "r":
                 if root_id is not None:
                     raise FormatError(f"line {lineno}: repeated root line")
+                if len(parts) != 2:
+                    raise FormatError(f"line {lineno}: expected 'r <id>'")
                 root_id = int(parts[1]) - 1
             else:
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: expected a tree edge '<id> <id>'")
                 links.append((int(parts[0]) - 1, int(parts[1]) - 1))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if n_bags is None:
         raise FormatError("missing 's td' header")

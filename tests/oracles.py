@@ -614,8 +614,10 @@ def verify_step_oracle(prev: StepState, next_state: StepState,
 # be split; this is the edge-by-edge search it replaced, and the reference
 # its choice must equal.
 
-def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
-    """choose_extensions by branch and bound over the free edges.
+def extension_oracle(state: StepState, node: int) -> tuple[ExtensionChoice, int]:
+    """choose_extensions by branch and bound over the free edges, with the
+    boundary size the choice reaches, which apply_step makes the node's
+    bag.
 
     Each free edge in turn stays or moves into one child for which it is
     free and which is not a leaf (stay first, then children ascending); a branch is cut when the
@@ -705,7 +707,7 @@ def extension_oracle(state: StepState, node: int) -> ExtensionChoice:
     for m in f_masks:
         f_union |= m
     f_star = tuple((m | f_union) & ~fj for m, fj in zip(m_free, f_masks))
-    return ExtensionChoice(tuple(children), tuple(f_masks), f_union, f_star, best[0])
+    return ExtensionChoice(tuple(f_masks), f_union, f_star), best[0]
 
 
 # ---------------------------------------------------------------------------

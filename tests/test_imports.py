@@ -1,4 +1,5 @@
-"""No module under src/bdtw or scripts/ imports a name it never uses.
+"""No module under src/bdtw, scripts/ or tests/ imports a name it never
+uses.
 
 The package's `__init__` imports names to re-export them, so it is exempt.
 A name counts as used when the module reads it anywhere, annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for folder in (ROOT / "src" / "bdtw", ROOT / "scripts")
+MODULES = sorted(p for folder in (ROOT / "src" / "bdtw", ROOT / "scripts", ROOT / "tests")
                  for p in folder.glob("*.py") if p.name != "__init__.py")
 
 
@@ -38,7 +39,7 @@ def test_finds_an_unused_import():
 
 def test_modules_are_found():
     names = {p.name for p in MODULES}
-    assert {"monotonize.py", "cli.py", "bench_pairs.py"} <= names
+    assert {"monotonize.py", "cli.py", "bench_pairs.py", "oracles.py", "test_imports.py"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

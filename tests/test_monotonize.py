@@ -106,9 +106,9 @@ class TestChooseExtensions:
 
     def test_exact_node_prefers_empty(self):
         # A monotone (exact) strategy tree has no free edges anywhere, so
-        # the choice is empty at every internal node, with the blocks'
-        # boundary.  P3 at k = 2, q = 2, then every graph with n <= 4,
-        # closure, k 1-3, the least winning monotone q.
+        # the choice is empty at every internal node, and the step sets its
+        # bag to the blocks' boundary.  P3 at k = 2, q = 2, then every
+        # graph with n <= 4, closure, k 1-3, the least winning monotone q.
         cases = [(closure(named_graph("P3")), 2, 2)]
         for n in range(1, 5):
             for g in all_graphs(n):
@@ -121,14 +121,15 @@ class TestChooseExtensions:
         for g, k, q in cases:
             st = build(g, solve(g, GameConfig(k, q, monotone=True)).strategy, GameConfig(k, q))
             start = StepState(st.ptd, ())
-            for node, before, _after, choice in iterate_steps(st.ptd):
-                empty = (0,) * len(choice.children)
+            for node, before, after, choice in iterate_steps(st.ptd):
+                empty = (0,) * len(st.ptd.tree.children[node])
                 assert (choice.f, choice.f_union, choice.f_star) == (empty, 0, empty)
                 assert choice == choose_extensions(start, node)
-                assert choice == extension_oracle(before, node), (g, k, node)
-                assert choice.boundary_size == local_boundary(before.ptd, node).bit_count()
+                size = after.ptd.bags[node].bit_count()
+                assert (choice, size) == extension_oracle(before, node), (g, k, node)
+                assert size == local_boundary(before.ptd, node).bit_count()
                 nodes += 1
-                split += choice.boundary_size > 0
+                split += size > 0
         assert (nodes, split) == (599, 384)
 
     def test_matches_oracle_on_fuzzed_trees(self):
@@ -144,11 +145,12 @@ class TestChooseExtensions:
             cases.append((g, k, q, slack, slack, False))
         for g, k, q, slack, seed, brute in cases:
             st, _, _ = solved_tree(g, k, q, fuzz=slack, seed=seed)
-            for node, before, _after, choice in iterate_steps(st.ptd):
-                assert choice == extension_oracle(before, node), (g, k, slack, node)
+            for node, before, after, choice in iterate_steps(st.ptd):
+                size = after.ptd.bags[node].bit_count()
+                assert (choice, size) == extension_oracle(before, node), (g, k, slack, node)
                 if brute:
                     got_moved = bin(choice.f_union).count("1")
-                    assert (choice.boundary_size, got_moved) == assignment_oracle(before, node)
+                    assert (size, got_moved) == assignment_oracle(before, node)
 
     def test_stay_beats_moving_on_ties(self, e1c):
         # One unit of freedom where moving the free edge does not improve
@@ -175,7 +177,7 @@ class TestChooseExtensions:
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
         assert choice.f_union == 0
-        assert choice.boundary_size == 2
+        assert apply_step(state, 1, choice).ptd.bags[1].bit_count() == 2
         exact = run(ptd)
         assert is_exact(exact)
         assert exact.cone(4, 1) == full & ~0b100
@@ -199,8 +201,9 @@ class TestChooseExtensions:
         state = StepState(ptd, ())
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
-        assert (choice.f, choice.boundary_size) == ((0b10, 0), 0)
-        assert choice == extension_oracle(state, 1)
+        size = apply_step(state, 1, choice).ptd.bags[1].bit_count()
+        assert (choice.f, size) == ((0b10, 0), 0)
+        assert (choice, size) == extension_oracle(state, 1)
 
     def test_leaf_child_is_never_a_target(self, tmp_path):
         # The same node 1 with leaf children: moving vw into leaf 2, which
@@ -220,8 +223,9 @@ class TestChooseExtensions:
         state = StepState(ptd, ())
         state = apply_step(state, 0, choose_extensions(state, 0))
         choice = choose_extensions(state, 1)
-        assert (choice.f, choice.f_star, choice.boundary_size) == ((0, 0), (0b10, 0b01), 1)
-        assert choice == extension_oracle(state, 1)
+        size = apply_step(state, 1, choice).ptd.bags[1].bit_count()
+        assert (choice.f, choice.f_star, size) == ((0, 0), (0b10, 0b01), 1)
+        assert (choice, size) == extension_oracle(state, 1)
         exact = run(ptd, verify=True)
         assert is_exact(exact)
         assert ptd_width(exact) <= ptd_width(ptd)
@@ -232,8 +236,8 @@ class TestChooseExtensions:
 
     def test_nonexact_node_boundary_within_bag(self):
         st, _, _ = solved_tree(named_graph("E1"), 2, 2, fuzz=1, seed=3)
-        for node, before, _after, choice in iterate_steps(st.ptd):
-            assert choice.boundary_size <= before.ptd.bags[node].bit_count()
+        for node, before, after, _choice in iterate_steps(st.ptd):
+            assert after.ptd.bags[node].bit_count() <= before.ptd.bags[node].bit_count()
 
     def test_more_than_twenty_free_edges(self):
         # Node 7 and four others have 21 free edges.  The pipeline must
@@ -246,13 +250,14 @@ class TestChooseExtensions:
         assert td_depth(r.td) <= r.placements_bound
         st = r.strategy_tree
         crowded = []
-        for node, before, _after, choice in iterate_steps(st.ptd):
+        for node, before, after, choice in iterate_steps(st.ptd):
             cones = before.ptd.cones
             free = sum_masks(st.ptd.host.full_mask & ~(cones[(node, c)] | cones[(c, node)])
                              for c in st.ptd.tree.children[node])
             if bin(free).count("1") > 20:
                 crowded.append(node)
-                assert choice == extension_oracle(before, node)
+                size = after.ptd.bags[node].bit_count()
+                assert (choice, size) == extension_oracle(before, node)
         assert 7 in crowded
 
 
@@ -321,8 +326,7 @@ class TestApplySteps:
         children = tuple(tree.children[node])
         down = state.ptd.cones[(node, children[0])]
         assert down
-        bad = ExtensionChoice(children, (0,) * len(children), 0,
-                              (down,) + (0,) * (len(children) - 1), 0)
+        bad = ExtensionChoice((0,) * len(children), 0, (down,) + (0,) * (len(children) - 1))
         with pytest.raises(ConsistencyError, match=r"\[PT4\]"):
             apply_step(state, node, bad)
 

@@ -244,7 +244,6 @@ class TestFuzzer:
         a = fuzz_nonmonotone(g, sigma, GameConfig(3, 3), 2, seed=9)
         b = fuzz_nonmonotone(g, sigma, GameConfig(3, 3), 2, seed=9)
         assert a.strategy.moves == b.strategy.moves
-        assert a.detour_keys == b.detour_keys
 
     def test_negative_slack_rejected(self):
         g = closure(named_graph("C4"))
