@@ -29,8 +29,8 @@ from .game import (
     _is_move,
     _part_of,
     _replies,
+    cops_win,
     initial_parts,
-    minimum_placements,
     solve,
     variant_costs,
 )
@@ -89,7 +89,7 @@ def cmd_decide(args) -> int:
             print(f"no certificate written to {args.certificate}: the graph is not a member",
                   file=sys.stderr)
     else:
-        member = minimum_placements(closure(g), args.k, False, args.q, budget) is not None
+        member = cops_win(closure(g), args.k, args.q, budget)
     print(f"{'IN' if member else 'NOT IN'} T^{args.k}_{args.q}")
     return 0 if member else 1
 

@@ -8,7 +8,7 @@ with at most one vertex outside X, and increments the placement counter.
 The kept cops are X & Y: the robber's removal-stage part is its part under
 X & Y, and it answers with any part under Y inside that one.  In the
 monotone variant a move is legal only if the robber's part stays whole
-under X & Y.  Cop sets are vertex masks and parts edge masks throughout;
+under X & Y.  In the rules cop sets are vertex masks and parts edge masks;
 _is_move, _replies and is_capture_mask are the one statement of these
 rules, which replay, play, strategy_tree.build and the tests call directly
 (build keeps only the replies that meet the robber's part, its in-cone; see
@@ -42,67 +42,78 @@ all cops: a removed cop joins the robber's component exactly when it has
 an edge in p, and it brings an edge from outside p exactly when it is a
 boundary vertex.
 
-_successors, _wins_in_one and _wins_in_two answer for the positions the
-search reaches, those with a component part under the cop set.  At a
-capture a list may reply with the captured edge; dropping that reply would
-make the list, the tests' oracle, disagree with _wins_in_one.
+The solver keys a position by (cop set X, robber component C), both
+vertex masks: C is the component of G - X that holds the robber, the free
+endpoints of its component part p, and p is the edges with an endpoint in
+C.  The kept cops mid leave the stage set S, the component of G - mid
+that holds C; the robber's replies to placing v in S are the components
+of S - v, and a placement off S leaves S whole.  A capture is the empty
+component: the public solver methods take edge parts, convert them on
+entry, and map every capture to it.
 
-The solver computes, per (cop set, part), the interval of placement budgets
-for which the position is known lost/won, so one run answers every q up to
-a cap.  All iteration orders are canonical; results are deterministic.
+The solver computes, per (cop set, component), the interval of placement
+budgets for which the position is known lost/won, so one run answers
+every q up to a cap.  All iteration orders are canonical (components sort
+by their lowest incident edge, as parts by their lowest edge); results are
+deterministic.
 
 A host keeps, per k, the bounds table of its latest non-monotone solver,
 and a monotone solver with that k starts from its losses.  This is sound:
 monotone strategies are non-monotone ones, against the same replies, so a
 non-monotone loss is a monotone loss.  Wins are not inherited, so each
 monotone win is still proved by the monotone search, and a sweep that
-compares the variants still tests their equivalence.
+compares the variants still tests their equivalence.  For the same reason
+the bounds stay per host: the kept sets of the monotone variant depend on
+the loops, and a closure that read the plain host's non-monotone bounds
+would copy its answer instead of proving it.
 
-Lookups are paid once.  The host graph caches its part table per cop set
-(graphs.part_table) and, next to it, the robber's capture-free responses
-per (new cop set, removal-stage part); the solvers of every variant on one
-host share both.  Each solver caches, per position, its successor list:
-the pairs (new cop set, those responses) in search order, built at the
-position's first expansion with at least three placements left from one
-removal-stage part per kept-cop set, and replayed at every later one.
+Lookups are paid once.  The host graph caches the components of G - X per
+cop set (graphs.components) and the robber's replies per (new cop set,
+stage set).  Both depend on the non-loop adjacency alone, so the solvers
+of every variant on a graph and on its closure fill and read one copy
+(graphs.closure hands them over).  The rules read the host's own edge view
+(graphs.part_table).  Each position's successor list, the pairs (new cop
+set, replies) in search order, is built at the position's first expansion
+with at least three placements left from one stage set per kept-cop set,
+and replayed at every later one.  The non-monotone variant's kept sets,
+stage sets and replies ignore the loops, so its lists are kept per k on
+the graph and shared with the closure too; a monotone solver keeps its
+own, since its kept sets hold the part's boundary, which loops change.
 
 With one placement left a position needs no list.  The cops capture
-exactly when the robber's component has a single free vertex v, which they
+exactly when the robber's component is a single vertex v, which they
 place while keeping every cop on v's neighbours (a removed neighbour
-joins v's component).  v is then an endpoint of p's lowest edge that is
-free with no free neighbour, and a searched move keeps X & adj(v) exactly
-when |X & adj(v)| < k: in the non-monotone variant |X| < k keeps X and
-|X| = k drops a cop off v's neighbours; in the monotone variant
-X & adj(v) holds boundary(p), so it is a kept set the search walks.  The
-bound is not |boundary(p)| < k: a neighbour with all its edges in p is no
-boundary vertex, so dropping it keeps p whole, yet it joins v's component.
+joins v's component).  All of v's neighbours are cops, and a searched
+move keeps X & adj(v) exactly when |adj(v)| < k: in the non-monotone
+variant |X| < k keeps X and |X| = k drops a cop off v's neighbours; in
+the monotone variant X & adj(v) holds boundary(p), so it is a kept set
+the search walks.  The bound is not |boundary(p)| < k: a neighbour with
+all its edges in p is no boundary vertex, so dropping it keeps p whole,
+yet it joins v's component.
 
 With two placements left a position needs no list either.  Each kept set
-mid the search walks leaves a stage set S, the free vertices of the stage
-part under mid: span(p) - mid in the monotone variant, where mid keeps p
-whole, and in the non-monotone variant the component under mid that
-holds p's free vertices and any dropped cop with an edge in p.  The
-robber's replies to placing v in S are the components of S - v; a
-placement off S leaves S whole.  So, by the rule above, two placements
+mid the search walks leaves a stage set S: C and the dropped cops next to
+C in the monotone variant, where mid keeps p whole, and in the
+non-monotone variant the component under mid that holds C and any
+dropped cop with an edge in p.  So, by the rule above, two placements
 capture exactly when for some such mid some v in S - x leaves S - v
 independent, each of its vertices with fewer than k neighbours.  Every
-S holds the free vertices of p, and a dropped cop in S must be a
-leaf there with fewer than k neighbours, which rules out most kept sets
-at once.
+S holds C, and a dropped cop in S must be a leaf there with fewer than k
+neighbours, which rules out most kept sets at once.
 
-With three placements left most losses need no list either.  Call a free
-vertex of p heavy when it has k or more neighbours (it lies outside
+With three placements left most losses need no list either.  Call a
+vertex of C heavy when it has k or more neighbours (it lies outside
 _few), and let H be the graph the heavy vertices induce.  When H is
 nonempty, cost(x, p) >= td(H) + 1, with td the treedepth, so three
 placements lose whenever H is not a star forest (td(H) >= 3):
-- the robber keeps its part holding every edge at a connected set C of
+- the robber keeps its part holding every edge at a connected set D of
   free heavy vertices, first a component of H with the largest td.  Every
-  kept set lies inside the cop set, so C is free under it and the stage
-  part holds C's edges, whatever cops are lifted;
-- placing v leaves a component C' of C - v with td(C') >= td(C) - 1, or
-  none when C = {v}.  The robber replies with the part of C''s edges,
-  which is no capture, since C' is free;
-- when C = {v}, at most k - 1 of v's k or more neighbours hold cops once
+  kept set lies inside the cop set, so D is free under it and the stage
+  part holds D's edges, whatever cops are lifted;
+- placing v leaves a component D' of D - v with td(D') >= td(D) - 1, or
+  none when D = {v}.  The robber replies with the part of D''s edges,
+  which is no capture, since D' is free;
+- when D = {v}, at most k - 1 of v's k or more neighbours hold cops once
   v does, so the robber replies with the part of an edge from v to a
   free neighbour, and one more placement is needed.
 The argument holds on both hosts and in both variants, since a monotone
@@ -117,7 +128,17 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
-from .graphs import Graph, bit_indices, bitmask, boundary, closure, part_table
+from .graphs import (
+    Graph,
+    bit_indices,
+    bitmask,
+    boundary,
+    closure,
+    components,
+    incident_edges,
+    part_table,
+    vertices_of_mask,
+)
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -180,24 +201,12 @@ def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
     return bool(cops_mask >> u & 1) and bool(cops_mask >> v & 1)
 
 
-def _live_responses(g: Graph, new_mask: int, stage_part: int) -> tuple[int, ...]:
-    """The parts under new_mask inside stage_part that are not captures,
-    from the host's response table: its component parts, since the other
-    parts are the single edges under cops."""
-    key = (new_mask, stage_part)
-    cached = g._resp_cache.get(key)
-    if cached is None:
-        cached = g._resp_cache[key] = tuple(
-            q for q in part_table(g, new_mask) if q & ~stage_part == 0
-        )
-    return cached
-
-
 def _replies(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
     """The robber's replies to the cop move from (x, part) to new that are
-    not captures: the parts under new inside the part under the kept cops
-    x & new."""
-    return _live_responses(g, new_mask, _part_of(g, x_mask & new_mask, p_mask))
+    not captures: the component parts under new inside the part under the
+    kept cops x & new."""
+    stage = _part_of(g, x_mask & new_mask, p_mask)
+    return tuple(q for q in part_table(g, new_mask) if q & ~stage == 0)
 
 
 def initial_parts(g: Graph) -> tuple[int, ...]:
@@ -208,14 +217,19 @@ def initial_parts(g: Graph) -> tuple[int, ...]:
 class _Solver:
     """Exhaustive solver for one (graph, k, variant) combination.
 
+    Its positions are (cop set x, robber component c), both vertex masks
+    (module docstring); win, cost, cop_move and robber_move take edge-mask
+    parts and convert them on entry.
+
     Each position pays for its moves and the robber's answers once: its
     first expansion with at least three placements left builds its successor
-    list, the pairs (new cop set, capture-free responses) for every
-    searched move in search order, and later expansions replay it.  The
-    searched moves are the fresh ones, and in the non-monotone variant only
-    those that keep min(|x|, k - 1) cops (see the module docstring).  The
-    responses come from the host graph's response table, which every
-    solver on that host shares.  An expansion with one or two placements
+    list, the pairs (new cop set, the robber's replies) for every searched
+    move in search order, and later expansions replay it.  The searched
+    moves are the fresh ones, and in the non-monotone variant only those
+    that keep min(|x|, k - 1) cops (see the module docstring).  The replies
+    come from the host graph's response table, which every solver on that
+    host and its closure shares, as the non-monotone solvers with the same
+    k share their lists.  An expansion with one or two placements
     left reads no list (_wins_in_one, _wins_in_two), nor does one with
     three that _loses_in_three refutes; such an expansion visits none of
     the position's children, but counts as an expansion all the same.
@@ -232,7 +246,8 @@ class _Solver:
         self.monotone = monotone
         self.budget = DEFAULT_BUDGET if budget is None else budget
         self.expansions = 0
-        # (cops, part) -> [largest budget known lost, smallest budget known won]
+        # (cops, component) -> [largest budget known lost, smallest budget
+        # known won]
         self.bounds: dict[tuple[int, int], list]
         if monotone:
             # Every monotone strategy is a non-monotone one against the same
@@ -242,13 +257,31 @@ class _Solver:
             self.bounds = {key: [e[0], None] for key, e in lost.items() if e[0] > 0}
         else:
             self.bounds = g._lost[k] = {}
-        self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-        self._vertices = tuple((1 << v, g.incident_mask(v)) for v in g.vertices)
+        # The non-monotone lists ignore loops, so the host and its closure
+        # share them (graphs module docstring).
+        self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = (
+            {} if monotone else g._succ_cache.setdefault(k, {}))
+        self._vertices = tuple(1 << v for v in g.vertices)
         # The vertices a lone-vertex capture can take: fewer than k neighbours.
         self._few = bitmask(v for v in g.vertices if g._adj_mask[v].bit_count() < k)
 
-    def _kept_sets(self, x_mask: int, p_mask: int) -> Sequence[int]:
-        """The kept-cop sets the search walks from (x, part), descending as
+    def _component(self, x_mask: int, p_mask: int) -> int:
+        """The robber's component for the part p under x: the part's free
+        endpoints, empty for a capture."""
+        return vertices_of_mask(self.g, p_mask) & ~x_mask
+
+    def _near(self, c_mask: int) -> int:
+        """The neighbours of c's vertices: those in c and the cops next to c."""
+        adj = self.g._adj_mask
+        out = 0
+        while c_mask:
+            low = c_mask & -c_mask
+            c_mask ^= low
+            out |= adj[low.bit_length() - 1]
+        return out
+
+    def _kept_sets(self, x_mask: int, c_mask: int) -> Sequence[int]:
+        """The kept-cop sets the search walks from (x, c), descending as
         bitmasks: in the monotone variant the mid inside x with |mid| < k
         that hold the part's boundary, so keep it whole; in the non-monotone
         variant those with |mid| = min(|x|, k - 1), since keeping fewer cops
@@ -257,8 +290,8 @@ class _Solver:
             if x_mask.bit_count() < self.k:
                 return (x_mask,)
             # Dropping the lowest cop first gives the largest set first.
-            return [x_mask ^ bit for bit, _ in self._vertices if bit & x_mask]
-        keep = boundary(self.g, p_mask)
+            return [x_mask ^ bit for bit in self._vertices if bit & x_mask]
+        keep = boundary(self.g, incident_edges(self.g, c_mask))
         s = rest = x_mask & ~keep
         out = []
         while True:
@@ -269,37 +302,61 @@ class _Solver:
                 return out
             s = (s - 1) & rest
 
-    def _successors(self, x_mask: int, p_mask: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(new cop set, _replies) for every searched move: the kept-cop
-        sets of _kept_sets, each with its fresh placed vertices ascending.
-        Only for a component part, the solver's domain (module docstring)."""
-        key = (x_mask, p_mask)
+    def _stage(self, mid: int, c_mask: int) -> int:
+        """The component of G - mid that holds the nonempty component c of
+        G - x, for mid inside x; c itself when c is empty."""
+        low = c_mask & -c_mask
+        for comp in components(self.g, mid):
+            if comp & low:
+                return comp
+        return c_mask
+
+    def _successors(self, x_mask: int, c_mask: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(new cop set, the robber's replies) for every searched move: the
+        kept-cop sets of _kept_sets, each with its fresh placed vertices
+        ascending.  The replies to placing v in the stage set S, the
+        component under the kept cops that holds c, are the components of
+        S - v; a placement off S leaves S whole."""
+        key = (x_mask, c_mask)
         cached = self._succ_cache.get(key)
         if cached is None:
             g = self.g
             table = g._resp_cache
-            fresh = [(bit, inc) for bit, inc in self._vertices if not bit & x_mask]
-            cached = self._succ_cache[key] = []
-            for mid in self._kept_sets(x_mask, p_mask):
-                pm = (p_mask if self.monotone or mid == x_mask
-                      else _part_of(g, mid, p_mask))
-                for bit, inc in fresh:
+            fresh = [bit for bit in self._vertices if not bit & x_mask]
+            cached = []
+            # A monotone kept set drops only cops whose edges all lie in
+            # c's part; each joins c in the stage set.
+            near = c_mask | self._near(c_mask) if self.monotone else 0
+            for mid in self._kept_sets(x_mask, c_mask):
+                if self.monotone:
+                    s = near & ~mid
+                elif mid == x_mask:
+                    s = c_mask
+                else:
+                    s = self._stage(mid, c_mask)
+                whole = (s,)
+                for bit in fresh:
                     m = mid | bit
-                    if inc & pm:
-                        live = table.get((m, pm))
+                    if bit & s:
+                        live = table.get((m, s))
                         if live is None:
-                            live = _live_responses(g, m, pm)
+                            live = table[(m, s)] = tuple(
+                                q for q in components(g, m) if not q & ~s)
                         cached.append((m, live))
                     else:
-                        # Placing off the stage part leaves it whole.
-                        cached.append((m, (pm,)))
+                        cached.append((m, whole))
+            # Stored whole, as other solvers may read it.
+            self._succ_cache[key] = cached
         return cached
 
     def win(self, x_mask: int, p_mask: int, b: int) -> bool:
         """Whether the cops capture from (x, part) using at most b placements."""
+        return self._win(x_mask, self._component(x_mask, p_mask), b)
+
+    def _win(self, x_mask: int, c_mask: int, b: int) -> bool:
         if b <= 0:
             return False
-        key = (x_mask, p_mask)
+        key = (x_mask, c_mask)
         entry = self.bounds.get(key)
         if entry is None:
             entry = self.bounds[key] = [0, None]
@@ -307,61 +364,56 @@ class _Solver:
             return False
         elif entry[1] is not None and b >= entry[1]:
             return True
-        return self._expand(x_mask, p_mask, entry, b)
+        return self._expand(x_mask, c_mask, entry, b)
 
-    def _wins_in_one(self, x_mask: int, p_mask: int) -> bool:
-        """Whether one placement captures from (x, part), that is, whether
-        some searched move leaves the robber no live reply, read off three
-        masks: the part's lowest edge, x and the neighbours of the part's
-        lone free vertex (see the module docstring)."""
-        g = self.g
-        adj = g._adj_mask
-        for v in g.edges[(p_mask & -p_mask).bit_length() - 1]:
-            if not x_mask >> v & 1 and not adj[v] & ~x_mask:
-                return (x_mask & adj[v]).bit_count() < self.k
-        return False
+    def _wins_in_one(self, x_mask: int, c_mask: int) -> bool:
+        """Whether one placement captures from (x, c), that is, whether
+        some searched move leaves the robber no live reply: whether c is a
+        single vertex with fewer than k neighbours, all of them cops (see
+        the module docstring)."""
+        return c_mask & (c_mask - 1) == 0 and bool(c_mask & self._few)
 
-    def _wins_in_two(self, x_mask: int, p_mask: int) -> bool:
-        """Whether two placements capture from (x, part): whether some kept
-        set the search walks leaves a stage set, the free vertices of the
-        stage part, that _stage_wins_in_two accepts (see the module
-        docstring)."""
-        span = self._span(p_mask)
-        free = span & ~x_mask
+    def _wins_in_two(self, x_mask: int, c_mask: int) -> bool:
+        """Whether two placements capture from (x, c): whether some kept
+        set the search walks leaves a stage set that _stage_wins_in_two
+        accepts (see the module docstring)."""
         few = self._few
-        bad = free & ~few
+        bad = c_mask & ~few
         if bad & (bad - 1):
-            # Every stage set holds the free vertices of p.
+            # Every stage set holds c.
             return False
         if self.monotone:
-            # The kept set leaves p whole, so its stage set is span(p) - mid.
-            return any(self._stage_wins_in_two(span & ~mid, x_mask)
-                       for mid in self._kept_sets(x_mask, p_mask))
-        # Keeping x, or dropping a cop with no edge in p, leaves S = free.
+            # The kept set leaves p whole; its stage set is c and the
+            # dropped cops next to c.
+            near = c_mask | self._near(c_mask)
+            return any(self._stage_wins_in_two(near & ~mid, x_mask)
+                       for mid in self._kept_sets(x_mask, c_mask))
+        # Keeping x, or dropping a cop with no edge in p, leaves S = c.
         if x_mask.bit_count() < self.k:
-            return self._stage_wins_in_two(free, x_mask)
-        if x_mask & ~span and self._stage_wins_in_two(free, x_mask):
+            return self._stage_wins_in_two(c_mask, x_mask)
+        near = self._near(c_mask)
+        if x_mask & ~near and self._stage_wins_in_two(c_mask, x_mask):
             return True
         adj = self.g._adj_mask
         # A dropped cop u with an edge in p joins the stage set; it must be
         # a leaf there, so it has fewer than k neighbours and at most one
         # of them free.
-        drop = x_mask & span & few
+        drop = x_mask & near & few
         while drop:
             bit = drop & -drop
             drop ^= bit
             out = adj[bit.bit_length() - 1] & ~x_mask
             if out & (out - 1):
                 continue
-            # u's edge in p ends at a free vertex of p, its one free
-            # neighbour, so the stage set is p's free vertices and u.
-            if self._stage_wins_in_two(free | bit, x_mask):
+            # u's edge in p ends at a vertex of c, its one free neighbour,
+            # so the stage set is c and u.
+            if self._stage_wins_in_two(c_mask | bit, x_mask):
                 return True
         return False
 
     def _stage_wins_in_two(self, s: int, x_mask: int) -> bool:
-        """Whether two fresh placements capture a robber whose stage part
-        has the connected free vertex set s, which holds a vertex outside x:
+        """Whether two fresh placements capture a robber whose stage set is
+        the connected vertex set s, which holds a vertex outside x:
         whether placing some v in s - x leaves s - v independent, each of
         its vertices with fewer than k neighbours."""
         bad = s & ~self._few
@@ -386,12 +438,12 @@ class _Solver:
                 return True
         return False
 
-    def _loses_in_three(self, x_mask: int, p_mask: int) -> bool:
-        """Whether three placements cannot capture from (x, part) because
-        the part's heavy free vertices, those with k or more neighbours, do
-        not form a star forest: whether two of them that each have two or
-        more heavy neighbours are adjacent (see the module docstring)."""
-        heavy = self._span(p_mask) & ~(x_mask | self._few)
+    def _loses_in_three(self, x_mask: int, c_mask: int) -> bool:
+        """Whether three placements cannot capture from (x, c) because c's
+        heavy vertices, those with k or more neighbours, do not form a star
+        forest: whether two of them that each have two or more heavy
+        neighbours are adjacent (see the module docstring)."""
+        heavy = c_mask & ~self._few
         if heavy.bit_count() < 3:
             return False
         adj = self.g._adj_mask
@@ -411,33 +463,25 @@ class _Solver:
                 return True
         return False
 
-    def _span(self, p_mask: int) -> int:
-        """The vertex mask of the endpoints of the part's edges."""
-        span = 0
-        for bit, inc in self._vertices:
-            if inc & p_mask:
-                span |= bit
-        return span
-
-    def _expand(self, x_mask: int, p_mask: int, entry: list, b: int) -> bool:
-        """win for a position whose bounds entry leaves b undecided."""
+    def _expand(self, x_mask: int, c_mask: int, entry: list, b: int) -> bool:
+        """_win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
         if self.expansions > self.budget:
             raise BudgetExceededError(
                 f"solver expanded {self.expansions} positions (budget {self.budget})"
             )
         if b == 1:
-            result = self._wins_in_one(x_mask, p_mask)
+            result = self._wins_in_one(x_mask, c_mask)
         elif b == 2:
-            result = self._wins_in_two(x_mask, p_mask)
-        elif b == 3 and self._loses_in_three(x_mask, p_mask):
+            result = self._wins_in_two(x_mask, c_mask)
+        elif b == 3 and self._loses_in_three(x_mask, c_mask):
             result = False
         else:
             bounds = self.bounds
             c = b - 1
             result = False
-            for new_mask, live in self._successors(x_mask, p_mask):
-                # The memo test of win, inlined: a child decided by its
+            for new_mask, live in self._successors(x_mask, c_mask):
+                # The memo test of _win, inlined: a child decided by its
                 # bounds costs no call.
                 for q_mask in live:
                     child = bounds.get((new_mask, q_mask))
@@ -462,10 +506,13 @@ class _Solver:
 
     def cost(self, x_mask: int, p_mask: int, cap: int) -> int | None:
         """Minimum placements to guarantee capture, or None if above cap."""
-        entry = self.bounds.setdefault((x_mask, p_mask), [0, None])
+        return self._cost(x_mask, self._component(x_mask, p_mask), cap)
+
+    def _cost(self, x_mask: int, c_mask: int, cap: int) -> int | None:
+        entry = self.bounds.setdefault((x_mask, c_mask), [0, None])
         b = entry[0] + 1
         while b <= cap:
-            if self.win(x_mask, p_mask, b):
+            if self._win(x_mask, c_mask, b):
                 return b
             b = entry[0] + 1
         return None
@@ -494,13 +541,14 @@ class _Solver:
         so does removing the prefix of R that keeps min(|x|, k - 1) cops,
         and that prefix sorts first.
         """
-        succ = sorted(self._successors(x_mask, p_mask),
+        c_mask = self._component(x_mask, p_mask)
+        succ = sorted(self._successors(x_mask, c_mask),
                       key=lambda e: (bit_indices(x_mask & ~e[0]), e[0] & ~x_mask))
-        c = self.cost(x_mask, p_mask, left)
+        c = self._cost(x_mask, c_mask, left)
         if c is None:
             return succ[0][0]
         for new_mask, live in succ:
-            if all(self.cost(new_mask, qm, c - 1) is not None for qm in live):
+            if all(self._cost(new_mask, q_mask, c - 1) is not None for q_mask in live):
                 return new_mask
         raise StrategyError("no move realizes the computed cost")
 
@@ -576,6 +624,16 @@ def minimum_placements(g: Graph, k: int, monotone: bool, cap: int,
     if k < 1 or cap < 1:
         raise ValueError("k and the placement cap must be at least 1")
     return _Solver(g, k, monotone, budget).game_cost(cap)
+
+
+def cops_win(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
+    """Whether k cops win the non-monotone q-game on g, by one search at
+    q placements; minimum_placements deepens from 1 to find the least q,
+    which only a certificate needs."""
+    if k < 1 or q < 1:
+        raise ValueError("k and q must be at least 1")
+    solver = _Solver(g, k, False, budget)
+    return all(solver.win(0, p_mask, q) for p_mask in initial_parts(g))
 
 
 def variant_costs(g: Graph, ks: Sequence[int], cap: int,

@@ -7,13 +7,27 @@ an int bitmask: bit v (or bit e) is set iff vertex v (edge e) belongs to the
 set.  Vertex ids become lists only in the text formats and in messages.
 
 A Graph's vertices and edges are fixed at construction.  It also keeps
-three caches that the game solver fills as it runs, each read and written
-by one owner: the part tables per cop set (`_part_cache`, `part_table`),
-the robber's responses per (cop set, part) (`_resp_cache`,
-`game._live_responses`; `game._Solver._successors` probes it first, a
-measured saving) and, per k, the bounds of the latest non-monotone solver
-(`_lost`, `game._Solver`).  Each holds facts about the graph itself (the
-bounds per k), so no cache changes an answer, and a Graph is safe to share.
+five caches that the game solver fills as it runs, each read and written
+by one owner:
+- the components of G - X per cop set X, as vertex masks (`_comp_cache`,
+  `components`);
+- the robber's replies per (new cop set, stage set), the components of
+  the stage set minus the placed vertex (`_resp_cache`,
+  `game._Solver._successors`);
+- per k, the successor lists of the non-monotone solvers
+  (`_succ_cache`, `game._Solver._successors`);
+- the part tables per cop set, the edge view of the components that the
+  game's rules read (`_part_cache`, `part_table`);
+- per k, the bounds of the latest non-monotone solver (`_lost`,
+  `game._Solver`).
+Each holds facts about the graph itself, so no cache changes an answer,
+and a Graph is safe to share.  The first three depend only on the
+non-loop adjacency, which a graph and its closure have in common, so
+`closure` hands them to the graph it builds and the solvers on both hosts
+fill and read one copy.  (The monotone variant's lists depend on the
+loops, through the part's boundary, and stay with each solver.)  The part
+tables hold the host's own edges, and the bounds its own costs, so each
+host keeps its own; see `game` for why the bounds are not shared.
 """
 
 from __future__ import annotations
@@ -28,7 +42,8 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_part_cache", "_resp_cache", "_lost")
+                 "_comp_cache", "_resp_cache", "_succ_cache", "_part_cache",
+                 "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -57,11 +72,15 @@ class Graph:
                 adj[v] |= 1 << u
         self._inc = tuple(inc)
         self._adj_mask = tuple(adj)
-        self._part_cache: dict[int, tuple[int, ...]] = {}
-        # (new cop set, removal-stage part) -> the robber's capture-free
-        # responses; filled by the game solver, shared by every solver on
-        # this host.
+        self._comp_cache: dict[int, tuple[int, ...]] = {}
+        # (new cop set, stage set) -> the robber's replies, the components
+        # of the stage set minus the placed vertex; filled by the game
+        # solver, shared by every solver on this host and its closure.
         self._resp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
+        # k -> (cops, component) -> the successor list of the non-monotone
+        # game solvers with k cops on this host and its closure.
+        self._succ_cache: dict[int, dict[tuple[int, int], list]] = {}
+        self._part_cache: dict[int, tuple[int, ...]] = {}
         # k -> the bounds table of the latest non-monotone game solver with
         # k cops on this host; a monotone solver starts from its losses.
         self._lost: dict[int, dict[tuple[int, int], list]] = {}
@@ -149,12 +168,19 @@ def closure(g: Graph) -> Graph:
     """The graph with a self-loop added at every vertex that lacks one.
 
     Original edge ids are preserved; new loops are appended in vertex order.
+    The closure shares g's component and response tables and its
+    non-monotone successor lists, which depend on the non-loop adjacency
+    alone (module docstring).
     """
     edges = list(g.edges)
     for v in g.vertices:
         if not g.has_edge(v, v):
             edges.append((v, v))
-    return Graph(g.n, edges)
+    out = Graph(g.n, edges)
+    out._comp_cache = g._comp_cache
+    out._resp_cache = g._resp_cache
+    out._succ_cache = g._succ_cache
+    return out
 
 
 def is_closure(g: Graph) -> bool:
@@ -220,20 +246,18 @@ def is_connected_set(g: Graph, u: int) -> bool:
     return _flood(g, u & -u, u) == u
 
 
-def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
-    """The component parts of g under the cop set given as a vertex
-    bitmask, as edge masks ordered by lowest edge: one per cop-free
-    component C, holding the edges with an endpoint in C.  Every other
-    edge is a part of its own, a single edge under cops (a capture).
-
-    Results are cached on the graph.
+def components(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """The vertex masks of the components of G - x, ordered by their lowest
+    incident edge, a vertex without edges sorting as edge g.m + v.  The
+    order is the same on g and its closure, whose new loops come after
+    g's edges in vertex order, so the two share the cache.
     """
-    cached = g._part_cache.get(x_mask)
+    cached = g._comp_cache.get(x_mask)
     if cached is not None:
         return cached
     inc, adj = g._inc, g._adj_mask
     free = ((1 << g.n) - 1) & ~x_mask
-    components: list[int] = []
+    keyed: list[tuple[int, int]] = []
     rest = free
     while rest:
         comp = frontier = rest & -rest
@@ -247,11 +271,38 @@ def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
             comp |= grow
             frontier |= grow
         rest &= ~comp
-        if edges:
-            components.append(edges)
-    components.sort(key=lambda mask: mask & -mask)
-    table = g._part_cache[x_mask] = tuple(components)
+        keyed.append(((edges & -edges).bit_length() - 1 if edges
+                      else g.m + comp.bit_length() - 1, comp))
+    keyed.sort()
+    table = g._comp_cache[x_mask] = tuple(comp for _, comp in keyed)
     return table
+
+
+def incident_edges(g: Graph, vertex_mask: int) -> int:
+    """The edge mask of the edges with an endpoint in the vertex set."""
+    inc = g._inc
+    out = 0
+    while vertex_mask:
+        low = vertex_mask & -vertex_mask
+        vertex_mask ^= low
+        out |= inc[low.bit_length() - 1]
+    return out
+
+
+def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """The component parts of g under the cop set given as a vertex
+    bitmask, as edge masks ordered by lowest edge: one per cop-free
+    component C with an edge, holding the edges with an endpoint in C; the
+    host's edge view of `components`.  Every other edge is a part of its
+    own, a single edge under cops (a capture).
+
+    Results are cached on the graph.
+    """
+    cached = g._part_cache.get(x_mask)
+    if cached is None:
+        parts = (incident_edges(g, comp) for comp in components(g, x_mask))
+        cached = g._part_cache[x_mask] = tuple(p for p in parts if p)
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def dumps_td(td: TreeDecomposition) -> str:
 def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
     n_bags = width_plus_one = root_id = None
     bags: dict[int, int] = {}
-    links: list[tuple[int, int]] = []
+    links: list[tuple[int, int, int]] = []  # (line, bag, bag)
     for lineno, parts in records(inp):
         try:
             if parts[0] == "s":
@@ -288,7 +288,7 @@ def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
             else:
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: expected a tree edge '<id> <id>'")
-                links.append((int(parts[0]) - 1, int(parts[1]) - 1))
+                links.append((lineno, int(parts[0]) - 1, int(parts[1]) - 1))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     if n_bags is None:
@@ -307,9 +307,10 @@ def read_td(inp: Iterable[str], host: Graph) -> TreeDecomposition:
     if not 0 <= root_id < n_bags:
         raise FormatError(f"root bag {root_id + 1} is not in 1..{n_bags}")
     adj: dict[int, list[int]] = {t: [] for t in range(n_bags)}
-    for a, b in links:
+    for lineno, a, b in links:
         if not (0 <= a < n_bags and 0 <= b < n_bags):
-            raise FormatError(f"tree edge ({a + 1},{b + 1}) references unknown bag")
+            raise FormatError(
+                f"line {lineno}: tree edge ({a + 1},{b + 1}) references unknown bag")
         adj[a].append(b)
         adj[b].append(a)
     parent = [-1] * n_bags

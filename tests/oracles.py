@@ -21,8 +21,10 @@ children only.  The branching oracle reads a strategy tree's moves off
 its bags: a node branches when the fresh vertex of parent bag -> node bag
 touches the robber's part, where the library looks for a lone self-loop
 child cone.  The one-placement cases read the solver's own successor
-lists, which the solver tests pin to macro_moves, to check the three-mask
-rule by which the solver decides a position with one placement left.  The
+lists, which the solver tests pin to macro_moves, to check the rule by
+which the solver decides a position with one placement left; the solver
+keys a position by its robber component, and every test that reads its
+internals converts a part with `component`.  The
 elimination-forest decider at the end decides the class without the game
 at all.
 """
@@ -200,6 +202,33 @@ def part_table_oracle(g: Graph, x_mask: int) -> tuple:
     return masks, singles, tuple(of_edge), vertex_sets, kinds
 
 
+def part_table_flood(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """The component parts under the cop set x_mask, as edge masks ordered
+    by lowest edge, by the edge-mask flood that part_table ran before the
+    solver worked on vertex components, kept as written then (its cache
+    left out)."""
+    inc, adj = g._inc, g._adj_mask
+    free = ((1 << g.n) - 1) & ~x_mask
+    components: list[int] = []
+    rest = free
+    while rest:
+        comp = frontier = rest & -rest
+        edges = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            v = low.bit_length() - 1
+            edges |= inc[v]
+            grow = adj[v] & free & ~comp
+            comp |= grow
+            frontier |= grow
+        rest &= ~comp
+        if edges:
+            components.append(edges)
+    components.sort(key=lambda mask: mask & -mask)
+    return tuple(components)
+
+
 def part_containing_oracle(g: Graph, cops: frozenset[int], edges: frozenset[int]) -> frozenset[int]:
     for p in parts_oracle(g, cops):
         if edges & p:
@@ -313,6 +342,18 @@ def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, .
     return tuple(q for q in all_parts(g, new_mask) if q & ~stage == 0)
 
 
+def component(g: Graph, x_mask: int, p_mask: int) -> int:
+    """The solver's key for the part p under the cop set x: the vertex
+    mask of p's free endpoints, the robber's component, empty for a
+    capture."""
+    out = 0
+    for e in bit_indices(p_mask):
+        for v in g.endpoints(e):
+            if not x_mask >> v & 1:
+                out |= 1 << v
+    return out
+
+
 def _search_cases(g: Graph, parts):
     """(k, monotone, solver, x_mask, p_mask) for every k in 1..n+1, both
     variants, every cop set x of at most k vertices and every part p under
@@ -336,7 +377,7 @@ def one_placement_cases(g: Graph, parts=all_parts):
     the successor list of a solver on a copy of g."""
     for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
         yield k, monotone, x_mask, p_mask, any(
-            not live for _, live in solver._successors(x_mask, p_mask))
+            not live for _, live in solver._successors(x_mask, component(g, x_mask, p_mask)))
 
 
 def two_placement_cases(g: Graph, parts=all_parts):
@@ -348,7 +389,7 @@ def two_placement_cases(g: Graph, parts=all_parts):
     for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
         yield k, monotone, x_mask, p_mask, any(
             all(solver._wins_in_one(new_mask, q_mask) for q_mask in live)
-            for new_mask, live in solver._successors(x_mask, p_mask))
+            for new_mask, live in solver._successors(x_mask, component(g, x_mask, p_mask)))
 
 
 def three_placement_refutations(g: Graph, parts=part_table):
@@ -360,10 +401,11 @@ def three_placement_refutations(g: Graph, parts=part_table):
     placements capture, read off the successor list and _wins_in_two per
     reply.  The search never calls the rule it checks."""
     for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
-        if solver._loses_in_three(x_mask, p_mask):
+        c_mask = component(g, x_mask, p_mask)
+        if solver._loses_in_three(x_mask, c_mask):
             yield k, monotone, x_mask, p_mask, any(
                 all(solver._wins_in_two(new_mask, q_mask) for q_mask in live)
-                for new_mask, live in solver._successors(x_mask, p_mask))
+                for new_mask, live in solver._successors(x_mask, c_mask))
 
 
 def full_move_win(g: Graph, k: int, monotone: bool):

@@ -8,8 +8,8 @@ variants and the certificate pipeline must agree with it.
 import pytest
 
 from bdtw.corpus import NAMED, all_graphs, complete_graph, named_graph, path_graph
-from bdtw.game import variant_costs
-from bdtw.graphs import Graph
+from bdtw.game import cops_win, minimum_placements, variant_costs
+from bdtw.graphs import Graph, closure
 from bdtw.monotonize import monotonize_pipeline
 from bdtw.tree_decomp import td_depth
 from oracles import elimination_depth
@@ -34,6 +34,19 @@ def test_every_variant_agrees_with_the_decider(n):
                 member = depth is not None and depth <= q
                 verdicts = [cost is not None and cost <= q for cost in costs]
                 assert verdicts == [member] * 4, (g, k, q, depth, costs)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_search_at_q_gives_the_verdict(n):
+    # A certificate-free decide searches once at b = q; its verdict is
+    # that of the deepening search, minimum_placements(..., q) is not None,
+    # which holds exactly when the least cost up to CAP is at most q.
+    for g in all_graphs(n):
+        gc = closure(g)
+        for k in range(1, 6):
+            cost = minimum_placements(Graph(gc.n, gc.edges), k, False, CAP)
+            for q in range(1, CAP + 1):
+                assert cops_win(gc, k, q) == (cost is not None and cost <= q), (g, k, q)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))

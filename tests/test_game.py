@@ -23,6 +23,7 @@ from bdtw.graphs import Graph, bit_indices, closure, part_table
 from conftest import small_graph_corpus, with_loop_sets
 from oracles import (
     all_parts,
+    component,
     full_move_cost,
     full_move_min_placements,
     full_move_win,
@@ -327,7 +328,11 @@ class TestDominanceCut:
             for k in (2, 3, 4):
                 solver = _Solver(host, k, False)
                 solver.game_cost(5)
-                for x_mask, p_mask in list(solver._succ_cache):
+                listed = [(x_mask, p_mask) for x_mask in range(1 << host.n)
+                          for p_mask in part_table(host, x_mask)
+                          if (x_mask, component(host, x_mask, p_mask)) in solver._succ_cache]
+                assert len(listed) == len(solver._succ_cache)
+                for x_mask, p_mask in listed:
                     full = sorted(
                         (m for m in macro_moves(host, k, False, x_mask, p_mask)
                          if m & ~x_mask),
@@ -355,7 +360,8 @@ class TestMonotoneKeptSets:
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
             for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
-                assert solvers[k]._kept_sets(x_mask, p_mask) == kept, (host, k, x_mask, p_mask)
+                c_mask = component(host, x_mask, p_mask)
+                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, p_mask)
                 checked += 1
         assert checked == 83_158
 
@@ -365,11 +371,15 @@ class TestWinsInOne:
         # Every position of every host on at most 4 vertices with every set
         # of loops, k 1..n+1, both variants, captures included: win with
         # one placement left says whether some searched move leaves the
-        # robber no live reply, and builds no successor list.
-        checked = 0
+        # robber no live reply, and builds no successor list.  A capture
+        # converts to the empty component, which is never won.
+        checked = captures = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {}
             for k, monotone, x_mask, p_mask, wins in one_placement_cases(host):
+                if is_capture_mask(host, x_mask, p_mask):
+                    assert not wins
+                    captures += 1
                 solver = solvers.get((k, monotone))
                 if solver is None:
                     # Each on its own host, so no monotone solver inherits.
@@ -380,7 +390,7 @@ class TestWinsInOne:
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
                 assert not solver._succ_cache
-        assert checked == 358_096
+        assert (checked, captures) == (358_096, 191_780)
 
 
 class TestWinsInTwo:
@@ -441,6 +451,27 @@ class TestLosesInThree:
         assert refuted == 3_160
 
 
+class TestSharedTables:
+    def test_costs_match_unshared_hosts(self):
+        # A graph and its closure fill and read one component table, one
+        # response table and, per k, one set of non-monotone successor
+        # lists.  Every host on at most 4 vertices with every set
+        # of loops, k 1..n+1, both variants: the costs on the pair equal
+        # those on fresh copies that share nothing.
+        checked = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            pair = (host, closure(host))
+            for k in range(1, host.n + 2):
+                for monotone in (False, True):
+                    for h in pair:
+                        cap = h.n + 1
+                        fresh = Graph(h.n, h.edges)
+                        assert (minimum_placements(h, k, monotone, cap)
+                                == minimum_placements(fresh, k, monotone, cap)), (h, k, monotone)
+                        checked += 1
+        assert checked == 21_616
+
+
 class TestInheritedLosses:
     # A monotone solver starts from the losses of the latest non-monotone
     # solver with the same k on its host.  Its costs must be those of a
@@ -453,9 +484,9 @@ class TestInheritedLosses:
         inherited = _Solver(host, k, True)
         fresh = _Solver(Graph(host.n, host.edges), k, True)
         assert inherited.game_cost(cap) == fresh.game_cost(cap)
-        for x_mask, p_mask in lost:
-            assert (inherited.cost(x_mask, p_mask, cap)
-                    == fresh.cost(x_mask, p_mask, cap)), (host, k, x_mask, p_mask)
+        for x_mask, c_mask in lost:
+            assert (inherited._cost(x_mask, c_mask, cap)
+                    == fresh._cost(x_mask, c_mask, cap)), (host, k, x_mask, c_mask)
         return len(lost)
 
     def test_after_a_full_solve(self):
@@ -533,16 +564,19 @@ class TestSolverWork:
                     for monotone in (False, True):
                         solver = _Solver(host, k, monotone)
                         solver.game_cost(4)
-                        for x_mask, p_mask in list(solver.bounds):
-                            assert p_mask in part_table(host, x_mask)
-                            succ = solver._successors(x_mask, p_mask)
+                        for x_mask, c_mask in list(solver.bounds):
+                            parts = {component(host, x_mask, p): p
+                                     for p in part_table(host, x_mask)}
+                            p_mask = parts[c_mask]
+                            succ = solver._successors(x_mask, c_mask)
                             kept = min(x_mask.bit_count(), k - 1)
                             fresh = [m for m in macro_moves(host, k, monotone, x_mask, p_mask)
                                      if m & ~x_mask and (
                                          monotone or (m & x_mask).bit_count() == kept)]
                             fresh.sort(key=lambda m: (-(m & x_mask), m & ~x_mask))
                             expected = [
-                                (m, tuple(q for q in responses(host, x_mask, p_mask, m)
+                                (m, tuple(component(host, m, q)
+                                          for q in responses(host, x_mask, p_mask, m)
                                           if not is_capture_mask(host, m, q)))
                                 for m in fresh]
                             assert succ == expected

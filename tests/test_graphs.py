@@ -11,10 +11,12 @@ from bdtw.errors import FormatError
 from bdtw.game import _part_of, is_capture_mask
 from bdtw.graphs import (
     Graph,
+    bit_indices,
     bitmask,
     blocks_boundary,
     boundary,
     closure,
+    components,
     connected_components,
     dumps_graph,
     is_connected_set,
@@ -31,6 +33,7 @@ from oracles import (
     all_parts,
     boundary_oracle,
     connected_vertex_subsets,
+    part_table_flood,
     part_table_oracle,
 )
 from strats import graphs, graphs_with_cop_sets, graphs_with_edge_sets
@@ -301,6 +304,63 @@ class TestPartTable:
 
     def test_cached_per_cop_set(self, p3c):
         assert part_table(p3c, 0b010) is part_table(p3c, 0b010)
+
+    def test_matches_the_edge_flood(self):
+        # part_table is the edge view of components; it must give what the
+        # edge-mask flood gave, on plain hosts and closures, for every cop
+        # set.
+        for g in _random_graphs(200, seed=12):
+            for host in (g, closure(g)):
+                for x_mask in range(1 << g.n):
+                    assert part_table(host, x_mask) == part_table_flood(host, x_mask), (
+                        host, x_mask)
+
+
+class TestComponents:
+    def test_components_of_g_minus_x(self):
+        for g in _random_graphs(200, seed=13):
+            everyone = (1 << g.n) - 1
+            for x_mask in range(1 << g.n):
+                comps = components(g, x_mask)
+                union = 0
+                for comp in comps:
+                    assert union & comp == 0
+                    union |= comp
+                    assert is_connected_set(g, comp)
+                    # No free vertex outside comp is next to it.
+                    outside = everyone & ~x_mask & ~comp
+                    assert all(not outside & bitmask(g.neighbors(v)) for v in bit_indices(comp))
+                assert union == everyone & ~x_mask
+
+    def test_ordered_by_lowest_incident_edge(self, p3):
+        # P3 plus an edgeless vertex 3 and a vertex 4 with only a loop:
+        # edges ab=0, bc=1, ee=2.  With the cop on b, {a} sorts by ab, {c}
+        # by bc, {e} by its loop and {d} as edge m + 3 = 6.
+        g = Graph(5, list(p3.edges) + [(4, 4)])
+        assert components(g, 0b00010) == (0b00001, 0b00100, 0b10000, 0b01000)
+
+    def test_same_order_on_the_closure(self):
+        # The closure's new loops come after g's edges in vertex order, so
+        # each cop set's components sort alike on both hosts; an unshared
+        # closure shows it.
+        for g in _random_graphs(200, seed=14):
+            c = closure(g)
+            unshared = Graph(c.n, c.edges)
+            for x_mask in range(1 << g.n):
+                assert components(g, x_mask) == components(unshared, x_mask), (g, x_mask)
+
+    def test_closure_shares_the_vertex_tables_only(self, p3):
+        # The component and response tables and the non-monotone successor
+        # lists depend on the non-loop adjacency alone; the part tables and
+        # the solver bounds hold the host's own edges and costs.
+        c = closure(p3)
+        assert c._comp_cache is p3._comp_cache
+        assert c._resp_cache is p3._resp_cache
+        assert c._succ_cache is p3._succ_cache
+        assert c._part_cache is not p3._part_cache
+        assert c._lost is not p3._lost
+        assert components(c, 0b010) is components(p3, 0b010)
+        assert part_table(c, 0b010) != part_table(p3, 0b010)
 
 
 class TestPaceFormat:

@@ -117,7 +117,8 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "IN T^3_3" in proc.stdout
 
-        proc = run("--budget", "3")
+        # The one search at q = 3 expands 2 positions.
+        proc = run("--budget", "1")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "budget" in proc.stderr and "Traceback" not in proc.stderr

@@ -35,7 +35,7 @@ CASES = {
     # Without an `s` line, verify reads the file as a .ptd.
     "td-no-header": ("td", "b 1 1 2\n", "missing 's td' header", "line 1: unknown record 'b'"),
     "td-unknown-bag": ("td", "s td 2 2 2\nb 1 1 2\nb 2 1\n1 3\n",
-                       "tree edge (1,3) references unknown bag", None),
+                       "line 4: tree edge (1,3) references unknown bag", None),
     "td-not-a-tree": ("td", "s td 3 2 2\nb 1 1 2\nb 2 1\nb 3 2\n1 2\n2 1\n",
                       "tree edges do not form a tree on the bags", None),
     "td-bag-without-id": ("td", TD + "b\n", "line 3: expected 'b <id> <vertices...>'", None),

@@ -44,6 +44,7 @@ from bdtw.tree_decomp import (
 )
 from oracles import (
     branching_oracle,
+    component,
     macro_moves,
     monotone_kept_set_cases,
     one_placement_cases,
@@ -194,7 +195,8 @@ def test_monotone_kept_sets_soak():
         for host in (g, closure(g)):
             solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
             for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
-                assert solvers[k]._kept_sets(x_mask, p_mask) == kept, (host, k, x_mask, p_mask)
+                c_mask = component(host, x_mask, p_mask)
+                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, p_mask)
                 checked += 1
     assert checked == 405_576
 
