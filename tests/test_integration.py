@@ -86,6 +86,46 @@ class TestDeterminism:
                 digest.update(text.encode())
         assert digest.hexdigest() == self.GOLDEN_DIGEST
 
+    # The strategy dumps of `solve --strategy-out` (both variants, closure)
+    # and the transcripts of scripted `play` sessions (each side, plain and
+    # closure) over the distinct (graph, k, q) of GOLDEN_CASES.
+    GOLDEN_TEXT_DIGEST = "42b8b48a16c1f8906c85618e0787a60b8bb48ec13cf192dc3b3a681e9eeba4ad"
+
+    @staticmethod
+    def _scripts(g: Graph, k: int) -> dict[str, str]:
+        """The stdin of each scripted side: the cop places 0, 1, ... and,
+        once k cops stand, lifts the oldest; the robber asks for reply 1,
+        then 0, alternately (an index out of range reprompts)."""
+        cop = "".join(f"place {v}" + (f" remove {v - k}" if v >= k else "") + "\n"
+                      for v in range(g.n)) + "quit\n"
+        return {"cop": cop, "robber": "1\n0\n" * 20}
+
+    def test_strategy_dumps_and_play_transcripts_match_recorded_digest(
+            self, tmp_path, monkeypatch, capsys):
+        import io
+
+        from bdtw.cli import main
+
+        digest = hashlib.sha256()
+        cases = dict.fromkeys((name, k, q) for name, k, q, _, _ in self.GOLDEN_CASES)
+        for name, k, q in cases:
+            g = named_graph(name)
+            path = tmp_path / f"{name}.gr"
+            path.write_text(dumps_graph(g))
+            game = [str(path), "--k", str(k), "--q", str(q)]
+            for variant in ([], ["--monotone"]):
+                dump = tmp_path / "sigma.txt"
+                assert main(["solve", *game, "--closure", "--strategy-out", str(dump),
+                             *variant]) == 0
+                digest.update(dump.read_text().encode())
+            capsys.readouterr()  # solve's own lines name the temporary file
+            for side, script in self._scripts(g, k).items():
+                for host in ([], ["--closure"]):
+                    monkeypatch.setattr("sys.stdin", io.StringIO(script))
+                    assert main(["play", *game, "--as", side, *host]) == 0
+                    digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == self.GOLDEN_TEXT_DIGEST
+
     def test_solver_strategy_is_reproducible(self):
         gc = closure(named_graph("GRID2x3"))
         a = solve(gc, GameConfig(3, 4)).strategy
