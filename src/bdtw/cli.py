@@ -27,14 +27,15 @@ from .game import (
     Strategy,
     _Solver,
     _is_move,
-    _part_of,
     _replies,
+    _stage,
     cops_win,
-    initial_parts,
+    initial_components,
     solve,
     variant_costs,
 )
-from .graphs import MAX_VERTICES, Graph, bit_indices, bitmask, closure, read_graph, records
+from .graphs import (MAX_VERTICES, Graph, bit_indices, bitmask, closure, incident_edges,
+                     read_graph, records)
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
@@ -64,9 +65,12 @@ def _fmt_set(x_mask: int) -> str:
     return "{" + ",".join(str(v) for v in bit_indices(x_mask)) + "}"
 
 
-def _format_round(g: Graph, i: int, x_mask: int, p_mask: int) -> str:
-    part_str = "{" + ",".join(str(e) for e in g.edge_ids(p_mask)) + "}"
-    return f"round {i}: cops {_fmt_set(x_mask)} j={i} robber-part {part_str}"
+def _fmt_edge_ids(g: Graph, part: int) -> str:
+    return "{" + ",".join(str(e) for e in g.edge_ids(part)) + "}"
+
+
+def _format_round(g: Graph, i: int, x_mask: int, part: int) -> str:
+    return f"round {i}: cops {_fmt_set(x_mask)} j={i} robber-part {_fmt_edge_ids(g, part)}"
 
 
 def cmd_decide(args) -> int:
@@ -105,11 +109,12 @@ def cmd_solve(args) -> int:
     print(f"positions: {result.position_count}")
     if args.strategy_out and isinstance(result.strategy, Strategy):
         with open(args.strategy_out, "w") as f:
-            for (x_mask, part), nxt in sorted(
-                result.strategy.moves.items(), key=lambda kv: (bit_indices(kv[0][0]), kv[0][1])
-            ):
-                part_ids = ",".join(str(e) for e in g.edge_ids(part))
-                f.write(f"({_fmt_set(x_mask)} | {{{part_ids}}}) -> {_fmt_set(nxt)}\n")
+            moves = sorted(result.strategy.moves.items(),
+                           key=lambda kv: (bit_indices(kv[0][0]), incident_edges(g, kv[0][1])))
+            for (x_mask, c_mask), nxt in moves:
+                # The robber's position is written as its part's edge ids.
+                part_ids = _fmt_edge_ids(g, incident_edges(g, c_mask))
+                f.write(f"({_fmt_set(x_mask)} | {part_ids}) -> {_fmt_set(nxt)}\n")
         print(f"strategy dump written to {args.strategy_out}")
     elif args.strategy_out:
         print(f"no strategy written to {args.strategy_out}: the robber wins", file=sys.stderr)
@@ -218,24 +223,25 @@ def cmd_play(args) -> int:
         print(line)
         log_lines.append(line)
 
-    starts = initial_parts(g)
+    starts = initial_components(g)
     if not starts:
         emit("the graph has no edges; cops win immediately")
         return _write_log(args, log_lines)
 
+    # The robber's position is shown as its part, incident_edges(g, c).
     if args.side == "robber":
         emit("choose a starting component:")
-        for i, p in enumerate(starts):
-            emit(f"  [{i}] {g.format_edges(p)}")
-        part = starts[_read_index(stdin, emit, len(starts))]
+        for i, c in enumerate(starts):
+            emit(f"  [{i}] {g.format_edges(incident_edges(g, c))}")
+        c_mask = starts[_read_index(stdin, emit, len(starts))]
     else:
-        part = solver.robber_move(0, starts, cfg.q)
-        emit(f"robber starts in {g.format_edges(part)}")
+        c_mask = solver.robber_move(0, starts, cfg.q)
+        emit(f"robber starts in {g.format_edges(incident_edges(g, c_mask))}")
 
     x_mask = 0
     used = 0
     while True:
-        emit(_format_round(g, used, x_mask, part))
+        emit(_format_round(g, used, x_mask, incident_edges(g, c_mask)))
         if used >= cfg.q:
             emit("placements exhausted: robber wins")
             break
@@ -243,29 +249,29 @@ def cmd_play(args) -> int:
             emit("your move: 'place <v> [remove <v...>]' or 'quit'")
             new_mask = _read_cop_move(
                 stdin, emit, g.n, x_mask,
-                functools.partial(_is_move, g, cfg.k, cfg.monotone, x_mask, part))
+                functools.partial(_is_move, g, cfg.k, cfg.monotone, x_mask, c_mask))
             if new_mask is None:
                 emit("session ended")
                 break
         else:
-            new_mask = solver.cop_move(x_mask, part, cfg.q - used)
+            new_mask = solver.cop_move(x_mask, c_mask, cfg.q - used)
             emit(f"cops move to {_fmt_set(new_mask)}")
-        live = _replies(g, x_mask, part, new_mask)
+        live = _replies(g, x_mask, c_mask, new_mask)
         if not live:
-            # Every reply is a captured edge; show the lowest one.
-            stage = _part_of(g, x_mask & new_mask, part)
-            part = stage & -stage
-            emit(_format_round(g, used + 1, new_mask, part))
+            # Every edge of the stage set's part is under cops; show the
+            # lowest one.
+            stage = incident_edges(g, _stage(g, x_mask & new_mask, c_mask))
+            emit(_format_round(g, used + 1, new_mask, stage & -stage))
             emit("captured: cops win")
             break
         if args.side == "robber":
             emit("choose your part:")
-            for i, p in enumerate(live):
-                emit(f"  [{i}] {g.format_edges(p)}")
-            part = live[_read_index(stdin, emit, len(live))]
+            for i, c in enumerate(live):
+                emit(f"  [{i}] {g.format_edges(incident_edges(g, c))}")
+            c_mask = live[_read_index(stdin, emit, len(live))]
         else:
-            part = solver.robber_move(new_mask, live, cfg.q - used - 1)
-            emit(f"robber moves to {g.format_edges(part)}")
+            c_mask = solver.robber_move(new_mask, live, cfg.q - used - 1)
+            emit(f"robber moves to {g.format_edges(incident_edges(g, c_mask))}")
         x_mask = new_mask
         used += 1
     return _write_log(args, log_lines)

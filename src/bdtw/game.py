@@ -1,28 +1,34 @@
 """The placement-limited cops-and-robber game and an exhaustive solver.
 
-A position is (cop set X, robber part, placements used).  The robber part is
-the edge mask of the part of the edge component graph under X that holds the
-robber's edge; two robber edges in the same part are the same position.  A
-cop turn moves the cops from X to a nonempty set Y of at most k vertices
-with at most one vertex outside X, and increments the placement counter.
-The kept cops are X & Y: the robber's removal-stage part is its part under
-X & Y, and it answers with any part under Y inside that one.  In the
-monotone variant a move is legal only if the robber's part stays whole
-under X & Y.  In the rules cop sets are vertex masks and parts edge masks;
-_is_move, _replies and is_capture_mask are the one statement of these
-rules, which replay, play, strategy_tree.build and the tests call directly
-(build keeps only the replies that meet the robber's part, its in-cone; see
-strategy_tree).
+A position is (cop set X, robber component C, placements used), both sets
+vertex masks: C is the component of G - X that holds the robber.  Its
+edge view, the robber's part, is the edges with an endpoint in C; only the
+monotone test, strategy trees and text lines read it.  A cop turn moves
+the cops from X to a nonempty set Y of at most k vertices with at most one
+vertex outside X, and increments the placement counter.  The kept cops
+are X & Y: the robber's stage set S is the component of G - (X & Y) that
+holds C, and it answers with any component of G - Y inside S.  A capture
+is the empty component, the position after a move that leaves no such
+component.  In the monotone variant a move is legal only if the robber's
+part stays whole under X & Y, that is, if X & Y holds graphs.boundary of
+the part: a removed cop joins C's component exactly when it has an edge in
+the part, and it brings an edge from outside the part exactly when it is
+a boundary vertex (on a plain host a removed cop whose edges all lie in
+the part joins the component and leaves the part whole).  _stage,
+_keeps_part, _is_move and _replies are the one statement of these rules,
+which the solver, replay, play, strategy_tree and the tests call directly
+(build keeps only the replies that meet the robber's part, its in-cone;
+see strategy_tree).
 
 The solver searches only the fresh moves, those that place v outside X.  A
-re-placement, a move from (X, p) to some m inside X (the pass m = X
+re-placement, a move from (X, C) to some m inside X (the pass m = X
 included), is never needed for the minimum:
-- its single reply is s, the part under m that contains p;
-- from (X, p) the cops can copy any strategy from (m, s), because more kept
-  cops only shrink each removal-stage part; monotone legality carries over,
-  since in the monotone variant s = p;
-- so cost(X, p) <= cost(m, s), while the re-placement spends a placement to
-  reach (m, s).
+- its single reply is S, the component of G - m that holds C;
+- from (X, C) the cops can copy any strategy from (m, S), because more kept
+  cops only shrink each stage set; monotone legality carries over, since in
+  the monotone variant S keeps C's part;
+- so cost(X, C) <= cost(m, S), while the re-placement spends a placement to
+  reach (m, S).
 
 In the non-monotone variant the solver also leaves out the fresh moves that
 keep fewer cops than there is room for: it walks only the kept-cop sets
@@ -30,32 +36,23 @@ mid of X with |mid| = min(|X|, k - 1).  A larger kept set is never worse
 (the copy argument of graph searching):
 - for mid inside mid' inside X, each live reply to mid' + v lies inside a
   live reply to mid + v, and a capture stays a capture under more cops;
-- the cops at (Y, p') with Y containing X and p' inside p can copy any
-  strategy from (X, p): their first move goes to exactly the shadow's next
-  cop set N, and their stage part, under the kept cops Y & N, lies inside
-  the shadow's, since p' and p lie in one part under every mid2 inside X.
-The monotone variant walks every kept-cop set with |mid| < k that keeps the
-robber's part p whole, since a removal that leaves the shadow's p whole may
-grow the copier's smaller p'.  For a component part p under X, mid inside X
-keeps p whole exactly when it holds graphs.boundary(p), whose vertices are
-all cops: a removed cop joins the robber's component exactly when it has
-an edge in p, and it brings an edge from outside p exactly when it is a
-boundary vertex.
+- the cops at (Y, C') with Y containing X and C' inside C can copy any
+  strategy from (X, C): their first move goes to exactly the shadow's next
+  cop set N, and their stage set, under the kept cops Y & N, lies inside
+  the shadow's, since C' and C lie in one component of G - mid2 for every
+  mid2 inside X.
+The monotone variant walks every kept-cop set with |mid| < k that holds
+the boundary of C's part, so keeps the part whole, since a removal that
+leaves the shadow's part whole may grow the copier's smaller one.
 
-The solver keys a position by (cop set X, robber component C), both
-vertex masks: C is the component of G - X that holds the robber, the free
-endpoints of its component part p, and p is the edges with an endpoint in
-C.  The kept cops mid leave the stage set S, the component of G - mid
-that holds C; the robber's replies to placing v in S are the components
-of S - v, and a placement off S leaves S whole.  A capture is the empty
-component: the public solver methods take edge parts, convert them on
-entry, and map every capture to it.
+The robber's replies to placing v in the stage set S are the components of
+S - v, and a placement off S leaves S whole.
 
 The solver computes, per (cop set, component), the interval of placement
 budgets for which the position is known lost/won, so one run answers
 every q up to a cap.  All iteration orders are canonical (components sort
-by their lowest incident edge, as parts by their lowest edge); results are
-deterministic.
+by their lowest incident edge, and where positions are sorted, by their
+parts); results are deterministic.
 
 A host keeps, per k, the bounds table of its latest non-monotone solver,
 and a monotone solver with that k starts from its losses.  This is sound:
@@ -71,8 +68,8 @@ Lookups are paid once.  The host graph caches the components of G - X per
 cop set (graphs.components) and the robber's replies per (new cop set,
 stage set).  Both depend on the non-loop adjacency alone, so the solvers
 of every variant on a graph and on its closure fill and read one copy
-(graphs.closure hands them over).  The rules read the host's own edge view
-(graphs.part_table).  Each position's successor list, the pairs (new cop
+(graphs.closure hands them over); the rules read the same component
+table.  Each position's successor list, the pairs (new cop
 set, replies) in search order, is built at the position's first expansion
 with at least three placements left from one stage set per kept-cop set,
 and replayed at every later one.  The non-monotone variant's kept sets,
@@ -86,10 +83,10 @@ place while keeping every cop on v's neighbours (a removed neighbour
 joins v's component).  All of v's neighbours are cops, and a searched
 move keeps X & adj(v) exactly when |adj(v)| < k: in the non-monotone
 variant |X| < k keeps X and |X| = k drops a cop off v's neighbours; in
-the monotone variant X & adj(v) holds boundary(p), so it is a kept set
-the search walks.  The bound is not |boundary(p)| < k: a neighbour with
-all its edges in p is no boundary vertex, so dropping it keeps p whole,
-yet it joins v's component.
+the monotone variant X & adj(v) holds the boundary of v's part p, so it is
+a kept set the search walks.  The bound is not |boundary(p)| < k: a
+neighbour with all its edges in p is no boundary vertex, so dropping it
+keeps p whole, yet it joins v's component.
 
 With two placements left a position needs no list either.  Each kept set
 mid the search walks leaves a stage set S: C and the dropped cops next to
@@ -104,18 +101,18 @@ neighbours, which rules out most kept sets at once.
 With three placements left most losses need no list either.  Call a
 vertex of C heavy when it has k or more neighbours (it lies outside
 _few), and let H be the graph the heavy vertices induce.  When H is
-nonempty, cost(x, p) >= td(H) + 1, with td the treedepth, so three
+nonempty, cost(x, C) >= td(H) + 1, with td the treedepth, so three
 placements lose whenever H is not a star forest (td(H) >= 3):
-- the robber keeps its part holding every edge at a connected set D of
-  free heavy vertices, first a component of H with the largest td.  Every
-  kept set lies inside the cop set, so D is free under it and the stage
-  part holds D's edges, whatever cops are lifted;
+- the robber keeps its component holding a connected set D of free heavy
+  vertices, first a component of H with the largest td.  Every kept set
+  lies inside the cop set, so D is free under it and the stage set holds
+  D, whatever cops are lifted;
 - placing v leaves a component D' of D - v with td(D') >= td(D) - 1, or
-  none when D = {v}.  The robber replies with the part of D''s edges,
+  none when D = {v}.  The robber replies with the component holding D',
   which is no capture, since D' is free;
 - when D = {v}, at most k - 1 of v's k or more neighbours hold cops once
-  v does, so the robber replies with the part of an edge from v to a
-  free neighbour, and one more placement is needed.
+  v does, so the robber replies with the component of a free neighbour
+  of v, and one more placement is needed.
 The argument holds on both hosts and in both variants, since a monotone
 strategy is a non-monotone one.  td(H) <= 2 exactly when every component
 of H is a star, that is, when no two vertices with two or more
@@ -136,8 +133,6 @@ from .graphs import (
     closure,
     components,
     incident_edges,
-    part_table,
-    vertices_of_mask,
 )
 
 DEFAULT_BUDGET = 50_000_000
@@ -156,70 +151,68 @@ class GameConfig:
 
 @dataclass
 class Strategy:
-    """A positional cop strategy: (cop set, robber part) -> next cop set,
-    each a mask (vertices for cop sets, edges for parts)."""
+    """A positional cop strategy: (cop set, robber component) -> next cop
+    set, all three vertex masks."""
 
     moves: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def next_cops(self, x_mask: int, p_mask: int) -> int:
+    def next_cops(self, x_mask: int, c_mask: int) -> int:
         try:
-            return self.moves[(x_mask, p_mask)]
+            return self.moves[(x_mask, c_mask)]
         except KeyError:
             raise StrategyError(
-                f"strategy undefined at cops={list(bit_indices(x_mask))} part={p_mask:#x}"
+                f"strategy undefined at cops={list(bit_indices(x_mask))} "
+                f"robber={list(bit_indices(c_mask))}"
             ) from None
 
     def __len__(self) -> int:
         return len(self.moves)
 
 
-def _part_of(g: Graph, x_mask: int, p_mask: int) -> int:
-    """Edge mask of the part under x_mask containing the nonempty part p_mask:
-    the component part holding p's lowest edge, else that edge (a capture)."""
-    low = p_mask & -p_mask
-    for part in part_table(g, x_mask):
-        if part & low:
-            return part
-    return low
+def _stage(g: Graph, mid: int, c_mask: int) -> int:
+    """The robber's stage set: the component of G - mid that holds the
+    component c of G - x, for kept cops mid inside x; empty for a capture."""
+    low = c_mask & -c_mask
+    for comp in components(g, mid):
+        if comp & low:
+            return comp
+    return c_mask
 
 
-def _is_move(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int,
+def _keeps_part(g: Graph, mid: int, part: int) -> bool:
+    """Whether the kept cops mid leave the robber's part, an edge mask,
+    whole: whether they hold its boundary (module docstring)."""
+    return not boundary(g, part) & ~mid
+
+
+def _is_move(g: Graph, k: int, monotone: bool, x_mask: int, c_mask: int,
              new_mask: int) -> bool:
-    """Whether the cops may move from (x, part) to the cop set new: a
+    """Whether the cops may move from (x, c) to the cop set new: a
     nonempty set of at most k host vertices, at most one outside x, whose
-    kept cops x & new, in the monotone variant, leave the part whole."""
+    kept cops x & new, in the monotone variant, leave c's part whole."""
     return (0 < new_mask < 1 << g.n and new_mask.bit_count() <= k
             and (new_mask & ~x_mask).bit_count() <= 1
-            and (not monotone or _part_of(g, x_mask & new_mask, p_mask) == p_mask))
+            and (not monotone or _keeps_part(g, x_mask & new_mask, incident_edges(g, c_mask))))
 
 
-def is_capture_mask(g: Graph, cops_mask: int, robber: int) -> bool:
-    """Whether the robber part is a single edge with all endpoints under cops."""
-    if robber == 0 or robber & (robber - 1):
-        return False
-    u, v = g.endpoints(robber.bit_length() - 1)
-    return bool(cops_mask >> u & 1) and bool(cops_mask >> v & 1)
-
-
-def _replies(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
-    """The robber's replies to the cop move from (x, part) to new that are
-    not captures: the component parts under new inside the part under the
+def _replies(g: Graph, x_mask: int, c_mask: int, new_mask: int) -> tuple[int, ...]:
+    """The robber's replies to the cop move from (x, c) to new that are
+    not captures: the components of G - new inside the stage set under the
     kept cops x & new."""
-    stage = _part_of(g, x_mask & new_mask, p_mask)
-    return tuple(q for q in part_table(g, new_mask) if q & ~stage == 0)
+    stage = _stage(g, x_mask & new_mask, c_mask)
+    return tuple(r for r in components(g, new_mask) if not r & ~stage)
 
 
-def initial_parts(g: Graph) -> tuple[int, ...]:
-    """Edge masks of the components the robber may start in (nonempty only)."""
-    return part_table(g, 0)
+def initial_components(g: Graph) -> tuple[int, ...]:
+    """The components the robber may start in: those of G with an edge."""
+    return tuple(c for c in components(g, 0) if incident_edges(g, c))
 
 
 class _Solver:
     """Exhaustive solver for one (graph, k, variant) combination.
 
     Its positions are (cop set x, robber component c), both vertex masks
-    (module docstring); win, cost, cop_move and robber_move take edge-mask
-    parts and convert them on entry.
+    (module docstring).
 
     Each position pays for its moves and the robber's answers once: its
     first expansion with at least three placements left builds its successor
@@ -265,11 +258,6 @@ class _Solver:
         # The vertices a lone-vertex capture can take: fewer than k neighbours.
         self._few = bitmask(v for v in g.vertices if g._adj_mask[v].bit_count() < k)
 
-    def _component(self, x_mask: int, p_mask: int) -> int:
-        """The robber's component for the part p under x: the part's free
-        endpoints, empty for a capture."""
-        return vertices_of_mask(self.g, p_mask) & ~x_mask
-
     def _near(self, c_mask: int) -> int:
         """The neighbours of c's vertices: those in c and the cops next to c."""
         adj = self.g._adj_mask
@@ -302,15 +290,6 @@ class _Solver:
                 return out
             s = (s - 1) & rest
 
-    def _stage(self, mid: int, c_mask: int) -> int:
-        """The component of G - mid that holds the nonempty component c of
-        G - x, for mid inside x; c itself when c is empty."""
-        low = c_mask & -c_mask
-        for comp in components(self.g, mid):
-            if comp & low:
-                return comp
-        return c_mask
-
     def _successors(self, x_mask: int, c_mask: int) -> list[tuple[int, tuple[int, ...]]]:
         """(new cop set, the robber's replies) for every searched move: the
         kept-cop sets of _kept_sets, each with its fresh placed vertices
@@ -333,15 +312,15 @@ class _Solver:
                 elif mid == x_mask:
                     s = c_mask
                 else:
-                    s = self._stage(mid, c_mask)
+                    s = _stage(g, mid, c_mask)
                 whole = (s,)
                 for bit in fresh:
                     m = mid | bit
                     if bit & s:
                         live = table.get((m, s))
                         if live is None:
-                            live = table[(m, s)] = tuple(
-                                q for q in components(g, m) if not q & ~s)
+                            # s, a component of G - mid, is its own stage set.
+                            live = table[(m, s)] = _replies(g, mid, s, m)
                         cached.append((m, live))
                     else:
                         cached.append((m, whole))
@@ -349,11 +328,8 @@ class _Solver:
             self._succ_cache[key] = cached
         return cached
 
-    def win(self, x_mask: int, p_mask: int, b: int) -> bool:
-        """Whether the cops capture from (x, part) using at most b placements."""
-        return self._win(x_mask, self._component(x_mask, p_mask), b)
-
-    def _win(self, x_mask: int, c_mask: int, b: int) -> bool:
+    def win(self, x_mask: int, c_mask: int, b: int) -> bool:
+        """Whether the cops capture from (x, c) using at most b placements."""
         if b <= 0:
             return False
         key = (x_mask, c_mask)
@@ -464,7 +440,7 @@ class _Solver:
         return False
 
     def _expand(self, x_mask: int, c_mask: int, entry: list, b: int) -> bool:
-        """_win for a position whose bounds entry leaves b undecided."""
+        """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
         if self.expansions > self.budget:
             raise BudgetExceededError(
@@ -481,7 +457,7 @@ class _Solver:
             c = b - 1
             result = False
             for new_mask, live in self._successors(x_mask, c_mask):
-                # The memo test of _win, inlined: a child decided by its
+                # The memo test of win, inlined: a child decided by its
                 # bounds costs no call.
                 for q_mask in live:
                     child = bounds.get((new_mask, q_mask))
@@ -504,15 +480,12 @@ class _Solver:
                 entry[0] = b
         return result
 
-    def cost(self, x_mask: int, p_mask: int, cap: int) -> int | None:
+    def cost(self, x_mask: int, c_mask: int, cap: int) -> int | None:
         """Minimum placements to guarantee capture, or None if above cap."""
-        return self._cost(x_mask, self._component(x_mask, p_mask), cap)
-
-    def _cost(self, x_mask: int, c_mask: int, cap: int) -> int | None:
         entry = self.bounds.setdefault((x_mask, c_mask), [0, None])
         b = entry[0] + 1
         while b <= cap:
-            if self._win(x_mask, c_mask, b):
+            if self.win(x_mask, c_mask, b):
                 return b
             b = entry[0] + 1
         return None
@@ -520,14 +493,14 @@ class _Solver:
     def game_cost(self, cap: int) -> int | None:
         """Placements needed against the robber's best initial component."""
         worst = 0
-        for p_mask in initial_parts(self.g):
-            c = self.cost(0, p_mask, cap)
+        for c_mask in initial_components(self.g):
+            c = self.cost(0, c_mask, cap)
             if c is None:
                 return None
             worst = max(worst, c)
         return worst
 
-    def cop_move(self, x_mask: int, p_mask: int, left: int) -> int:
+    def cop_move(self, x_mask: int, c_mask: int, left: int) -> int:
         """The canonical cop move with `left` placements to go.
 
         Candidates are the moves the solver searches, the fresh placements
@@ -541,41 +514,46 @@ class _Solver:
         so does removing the prefix of R that keeps min(|x|, k - 1) cops,
         and that prefix sorts first.
         """
-        c_mask = self._component(x_mask, p_mask)
         succ = sorted(self._successors(x_mask, c_mask),
                       key=lambda e: (bit_indices(x_mask & ~e[0]), e[0] & ~x_mask))
-        c = self._cost(x_mask, c_mask, left)
+        c = self.cost(x_mask, c_mask, left)
         if c is None:
             return succ[0][0]
         for new_mask, live in succ:
-            if all(self._cost(new_mask, q_mask, c - 1) is not None for q_mask in live):
+            if all(self.cost(new_mask, r_mask, c - 1) is not None for r_mask in live):
                 return new_mask
         raise StrategyError("no move realizes the computed cost")
 
-    def robber_move(self, x_mask: int, parts: Sequence[int], left: int) -> int | None:
-        """The canonical robber choice among the uncaptured parts under cop
-        set x_mask: the first that survives `left` placements, else the first
+    def robber_move(self, x_mask: int, comps: Sequence[int], left: int) -> int | None:
+        """The canonical robber choice among the components of G - x_mask
+        in comps: the first that survives `left` placements, else the first
         that postpones capture longest; None if there is none."""
-        for p_mask in parts:
-            if not self.win(x_mask, p_mask, left):
-                return p_mask
-        return max(parts, key=lambda p: self.cost(x_mask, p, left), default=None)
+        for c_mask in comps:
+            if not self.win(x_mask, c_mask, left):
+                return c_mask
+        return max(comps, key=lambda c: self.cost(x_mask, c, left), default=None)
 
     def extract_cop_strategy(self, q: int) -> Strategy:
         """Canonical positional strategy from all robber-reachable positions:
-        cop_move at every position, with the whole budget q to go."""
+        cop_move at every position, with the whole budget q to go.  Positions
+        are visited depth first, the lowest part (as an edge mask) first."""
+        g = self.g
         sigma = Strategy()
-        stack = [(0, p) for p in sorted(initial_parts(self.g), reverse=True)]
+
+        def pushed(x_mask, comps):
+            return sorted(((x_mask, c) for c in comps),
+                          key=lambda pos: incident_edges(g, pos[1]), reverse=True)
+
+        stack = pushed(0, initial_components(g))
         while stack:
-            x_mask, p_mask = stack.pop()
-            if (x_mask, p_mask) in sigma.moves:
+            x_mask, c_mask = stack.pop()
+            if (x_mask, c_mask) in sigma.moves:
                 continue
-            if self.cost(x_mask, p_mask, q) is None:
+            if self.cost(x_mask, c_mask, q) is None:
                 raise StrategyError("position is not winnable within the placement bound")
-            new_mask = self.cop_move(x_mask, p_mask, q)
-            sigma.moves[(x_mask, p_mask)] = new_mask
-            for qm in sorted(_replies(self.g, x_mask, p_mask, new_mask), reverse=True):
-                stack.append((new_mask, qm))
+            new_mask = self.cop_move(x_mask, c_mask, q)
+            sigma.moves[(x_mask, c_mask)] = new_mask
+            stack += pushed(new_mask, _replies(g, x_mask, c_mask, new_mask))
         return sigma
 
 
@@ -588,19 +566,20 @@ class RobberStrategy:
 
     def initial_choice(self) -> int:
         s = self._solver
-        p_mask = s.robber_move(0, initial_parts(s.g), self.q)
-        if p_mask is None or s.win(0, p_mask, self.q):
+        c_mask = s.robber_move(0, initial_components(s.g), self.q)
+        if c_mask is None or s.win(0, c_mask, self.q):
             raise StrategyError("cop player wins; there is no robber certificate")
-        return p_mask
+        return c_mask
 
-    def respond(self, x_mask: int, p_mask: int, placements_used: int, new_mask: int) -> int:
-        """A surviving part after the cop move from (x_mask, p_mask) to new_mask."""
+    def respond(self, x_mask: int, c_mask: int, placements_used: int, new_mask: int) -> int:
+        """A surviving component after the cop move from (x_mask, c_mask)
+        to new_mask."""
         s = self._solver
         left = self.q - placements_used - 1
-        q_mask = s.robber_move(new_mask, _replies(s.g, x_mask, p_mask, new_mask), left)
-        if q_mask is None or s.win(new_mask, q_mask, left):
+        r_mask = s.robber_move(new_mask, _replies(s.g, x_mask, c_mask, new_mask), left)
+        if r_mask is None or s.win(new_mask, r_mask, left):
             raise StrategyError("no surviving response; position was already lost")
-        return q_mask
+        return r_mask
 
 
 @dataclass
@@ -633,7 +612,7 @@ def cops_win(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
     if k < 1 or q < 1:
         raise ValueError("k and q must be at least 1")
     solver = _Solver(g, k, False, budget)
-    return all(solver.win(0, p_mask, q) for p_mask in initial_parts(g))
+    return all(solver.win(0, c_mask, q) for c_mask in initial_components(g))
 
 
 def variant_costs(g: Graph, ks: Sequence[int], cap: int,
@@ -646,7 +625,7 @@ def variant_costs(g: Graph, ks: Sequence[int], cap: int,
     exactly when these four costs are equal.  Each monotone solve starts
     from the losses of the non-monotone solve before it on the same host
     and proves its wins itself.  One plain host and one closure serve
-    every k, so each part table and response table is built once."""
+    every k, so each component table and response table is built once."""
     hosts = (g, closure(g))
     return [tuple(minimum_placements(host, k, monotone, cap, budget)
                   for host in hosts for monotone in (False, True))
@@ -665,32 +644,33 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig) -> ReplayRes
 
     Returns whether every play ends in capture within q placements, the
     maximum placements any play needed, and an escaping play otherwise:
-    the steps ("start", 0, p), ("move", x, p, new, q) and a last
-    ("survived", x, p) or ("undefined", x, p), with cop sets as masks.
-    Raises StrategyError if sigma plays an illegal move.
+    the steps ("start", 0, c), ("move", x, c, new, r) and a last
+    ("survived", x, c) or ("undefined", x, c), with cop sets and robber
+    components as vertex masks.  Raises StrategyError if sigma plays an
+    illegal move.
     """
     memo: dict[tuple[int, int, int], int | None] = {}
 
-    def walk(x_mask: int, p_mask: int, used: int, trail: list) -> tuple[int | None, tuple | None]:
+    def walk(x_mask: int, c_mask: int, used: int, trail: list) -> tuple[int | None, tuple | None]:
         """Max placements to finish all branches from here, or None + witness."""
-        key = (x_mask, p_mask, used)
+        key = (x_mask, c_mask, used)
         if key in memo:
             return memo[key], None
         if used >= cfg.q:
-            return None, tuple(trail + [("survived", x_mask, p_mask)])
+            return None, tuple(trail + [("survived", x_mask, c_mask)])
         try:
-            new_mask = sigma.next_cops(x_mask, p_mask)
+            new_mask = sigma.next_cops(x_mask, c_mask)
         except StrategyError:
-            return None, tuple(trail + [("undefined", x_mask, p_mask)])
-        if not _is_move(g, cfg.k, cfg.monotone, x_mask, p_mask, new_mask):
+            return None, tuple(trail + [("undefined", x_mask, c_mask)])
+        if not _is_move(g, cfg.k, cfg.monotone, x_mask, c_mask, new_mask):
             raise StrategyError(
                 f"illegal move {list(bit_indices(new_mask))} from "
-                f"cops={list(bit_indices(x_mask))} part={p_mask:#x}"
+                f"cops={list(bit_indices(x_mask))} robber={list(bit_indices(c_mask))}"
             )
         worst = used + 1
-        for q_mask in _replies(g, x_mask, p_mask, new_mask):
-            step = ("move", x_mask, p_mask, new_mask, q_mask)
-            sub, witness = walk(new_mask, q_mask, used + 1, trail + [step])
+        for r_mask in _replies(g, x_mask, c_mask, new_mask):
+            step = ("move", x_mask, c_mask, new_mask, r_mask)
+            sub, witness = walk(new_mask, r_mask, used + 1, trail + [step])
             if sub is None:
                 return None, witness
             worst = max(worst, sub)
@@ -698,8 +678,8 @@ def replay_cop_strategy(g: Graph, sigma: Strategy, cfg: GameConfig) -> ReplayRes
         return worst, None
 
     overall = 0
-    for p_mask in initial_parts(g):
-        result, witness = walk(0, p_mask, 0, [("start", 0, p_mask)])
+    for c_mask in initial_components(g):
+        result, witness = walk(0, c_mask, 0, [("start", 0, c_mask)])
         if result is None:
             return ReplayResult(False, cfg.q, witness)
         overall = max(overall, result)

@@ -7,17 +7,15 @@ an int bitmask: bit v (or bit e) is set iff vertex v (edge e) belongs to the
 set.  Vertex ids become lists only in the text formats and in messages.
 
 A Graph's vertices and edges are fixed at construction.  It also keeps
-five caches that the game solver fills as it runs, each read and written
-by one owner:
+four caches that the game fills as it runs, each read and written by one
+owner:
 - the components of G - X per cop set X, as vertex masks (`_comp_cache`,
-  `components`);
+  `components`), which the game's rules and the solver read alike;
 - the robber's replies per (new cop set, stage set), the components of
   the stage set minus the placed vertex (`_resp_cache`,
   `game._Solver._successors`);
 - per k, the successor lists of the non-monotone solvers
   (`_succ_cache`, `game._Solver._successors`);
-- the part tables per cop set, the edge view of the components that the
-  game's rules read (`_part_cache`, `part_table`);
 - per k, the bounds of the latest non-monotone solver (`_lost`,
   `game._Solver`).
 Each holds facts about the graph itself, so no cache changes an answer,
@@ -25,9 +23,9 @@ and a Graph is safe to share.  The first three depend only on the
 non-loop adjacency, which a graph and its closure have in common, so
 `closure` hands them to the graph it builds and the solvers on both hosts
 fill and read one copy.  (The monotone variant's lists depend on the
-loops, through the part's boundary, and stay with each solver.)  The part
-tables hold the host's own edges, and the bounds its own costs, so each
-host keeps its own; see `game` for why the bounds are not shared.
+loops, through the part's boundary, and stay with each solver.)  The
+bounds hold the host's own costs, so each host keeps its own; see `game`
+for why they are not shared.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_comp_cache", "_resp_cache", "_succ_cache", "_part_cache",
-                 "_lost")
+                 "_comp_cache", "_resp_cache", "_succ_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -80,7 +77,6 @@ class Graph:
         # k -> (cops, component) -> the successor list of the non-monotone
         # game solvers with k cops on this host and its closure.
         self._succ_cache: dict[int, dict[tuple[int, int], list]] = {}
-        self._part_cache: dict[int, tuple[int, ...]] = {}
         # k -> the bounds table of the latest non-monotone game solver with
         # k cops on this host; a monotone solver starts from its losses.
         self._lost: dict[int, dict[tuple[int, int], list]] = {}
@@ -187,29 +183,9 @@ def is_closure(g: Graph) -> bool:
     return all(g.has_edge(v, v) for v in g.vertices)
 
 
-def _flood(g: Graph, start: int, within: int) -> int:
-    """The vertices of `within` that non-loop edges inside `within` connect
-    to the vertex set `start`."""
-    adj = g._adj_mask
-    reached = frontier = start
-    while frontier:
-        grow = 0
-        for v in bit_indices(frontier):
-            grow |= adj[v]
-        frontier = grow & within & ~reached
-        reached |= frontier
-    return reached
-
-
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, ordered by lowest vertex."""
-    out = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp = _flood(g, rest & -rest, rest)
-        out.append(comp)
-        rest &= ~comp
-    return out
+    return sorted(components(g, 0), key=lambda comp: comp & -comp)
 
 
 def boundary(g: Graph, x: int) -> int:
@@ -232,18 +208,10 @@ def blocks_boundary(g: Graph, blocks: Sequence[int]) -> int:
     return out
 
 
-def vertices_of_mask(g: Graph, mask: int) -> int:
-    """All endpoints of the edges in mask."""
-    out = 0
-    for v, inc in enumerate(g._inc):
-        if inc & mask:
-            out |= 1 << v
-    return out
-
-
 def is_connected_set(g: Graph, u: int) -> bool:
-    """Whether the vertex set u induces a connected subgraph (loops ignored)."""
-    return _flood(g, u & -u, u) == u
+    """Whether the vertex set u induces a connected subgraph (loops ignored):
+    whether u is empty or the one component of G minus the other vertices."""
+    return not u or components(g, ((1 << g.n) - 1) & ~u) == (u,)
 
 
 def components(g: Graph, x_mask: int) -> tuple[int, ...]:
@@ -287,22 +255,6 @@ def incident_edges(g: Graph, vertex_mask: int) -> int:
         vertex_mask ^= low
         out |= inc[low.bit_length() - 1]
     return out
-
-
-def part_table(g: Graph, x_mask: int) -> tuple[int, ...]:
-    """The component parts of g under the cop set given as a vertex
-    bitmask, as edge masks ordered by lowest edge: one per cop-free
-    component C with an edge, holding the edges with an endpoint in C; the
-    host's edge view of `components`.  Every other edge is a part of its
-    own, a single edge under cops (a capture).
-
-    Results are cached on the graph.
-    """
-    cached = g._part_cache.get(x_mask)
-    if cached is None:
-        parts = (incident_edges(g, comp) for comp in components(g, x_mask))
-        cached = g._part_cache[x_mask] = tuple(p for p in parts if p)
-    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
 from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, blocks_boundary, closure,
-                     connected_components, records, write_graph)
+                     connected_components, incident_edges, records, write_graph)
 from .partitions import EdgePartition
 from .tree_decomp import RootedTree, TreeDecomposition, td_width, tighten, validate_td
 from .validation import Report
@@ -106,10 +106,7 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
                        f"root bag {list(bit_indices(ptd.bags[root]))} is non-empty")
         child_cones = [ptd.cone(root, c) for c in tree.children[root]]
         for comp in connected_components(g):
-            mask = 0
-            for v in bit_indices(comp):
-                mask |= g.incident_mask(v)
-            if mask not in child_cones:
+            if incident_edges(g, comp) not in child_cones:
                 report.add(
                     "PT1",
                     f"component {list(bit_indices(comp))}",

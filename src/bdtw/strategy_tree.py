@@ -1,16 +1,18 @@
 """Strategy trees: a cop strategy played out from every initial robber
 component, recorded as a pre-tree decomposition.
 
-Each non-root node t with parent s stands for: the robber sits in the part
-cone(s, t) under the cop set bag(s), and the cops answer with bag(t).  A
-node is a leaf when its incoming part is a single edge already covered by
-the parent's cops.  Children of t are the replies (game._replies) to the
-move bag(s) -> bag(t) that meet the incoming part and, alone, each incoming
-edge under cops; the cone back to the parent is the complement of the child
-cones, so non-monotone moves show up as non-exact tree edges.  This in-cone
-filter is the one place a tree differs from the game: after a non-monotone
-move a reply may meet none of the incoming part, so a tree can miss an
-escape that replay_cop_strategy finds.
+Each non-root node t with parent s stands for: the robber sits in a
+component C of G - bag(s), cone(s, t) is its part (the edges with an
+endpoint in C), and the cops answer with bag(t).  A node is a leaf when
+the robber is captured there: its incoming part is a single edge already
+covered by the parent's cops, and its component is empty.  Children of t
+are the replies (game._replies) to the move bag(s) -> bag(t) whose parts
+meet the incoming part and, alone, each incoming edge that no reply's part
+holds, one under cops; the cone back to the parent is the complement of
+the child cones, so non-monotone moves show up as non-exact tree edges.
+This in-cone filter is the one place a tree differs from the game: after
+a non-monotone move a reply may meet none of the incoming part, so a tree
+can miss an escape that replay_cop_strategy finds.
 
 The decomposition is the whole record: the move into t is bag(s) ->
 bag(t), its kept cops are bag(s) & bag(t), as in the robber's replies, and
@@ -30,13 +32,12 @@ from .game import (
     GameConfig,
     Strategy,
     _is_move,
-    _part_of,
+    _keeps_part,
     _replies,
-    initial_parts,
-    is_capture_mask,
+    initial_components,
     replay_cop_strategy,
 )
-from .graphs import Graph, bit_indices, is_closure, vertices_of_mask
+from .graphs import Graph, bit_indices, incident_edges, is_closure
 from .pre_tree import PreTreeDecomposition, is_exact_edge, ptd_depth
 from .tree_decomp import RootedTree
 
@@ -69,13 +70,14 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
     bags: list[int] = [0]  # cop-set masks, one bag per node
     cones: dict[tuple[int, int], int] = {}
 
-    queue: deque[tuple[int, int, int, int]] = deque()  # node, parent, in-cone, used
-    for mask in initial_parts(g):
+    # node, parent, in-cone, the robber's component (empty at a capture), used
+    queue: deque[tuple[int, int, int, int, int]] = deque()
+    for c_mask in initial_components(g):
         child = len(parent)
         parent.append(0)
         bags.append(0)
-        cones[(0, child)] = mask
-        queue.append((child, 0, mask, 0))
+        cone = cones[(0, child)] = incident_edges(g, c_mask)
+        queue.append((child, 0, cone, c_mask, 0))
 
     def play_to(t: int) -> list[tuple[list[int], int]]:
         steps = []
@@ -86,9 +88,9 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
         return list(reversed(steps))
 
     while queue:
-        t, s, in_cone, used = queue.popleft()
+        t, s, in_cone, c_mask, used = queue.popleft()
         x_mask = bags[s]
-        if is_capture_mask(g, x_mask, in_cone):
+        if not c_mask:
             u, v = g.endpoints(in_cone.bit_length() - 1)
             bags[t] = 1 << u | 1 << v
             cones[(t, s)] = full & ~in_cone
@@ -98,25 +100,28 @@ def build(g: Graph, sigma: Strategy, cfg: GameConfig) -> StrategyTree:
                 f"strategy does not capture within {cfg.q} placements; "
                 f"escaping play: {play_to(t)}"
             )
-        new_mask = sigma.next_cops(x_mask, in_cone)
-        if not _is_move(g, cfg.k, cfg.monotone, x_mask, in_cone, new_mask):
+        new_mask = sigma.next_cops(x_mask, c_mask)
+        if not _is_move(g, cfg.k, cfg.monotone, x_mask, c_mask, new_mask):
             raise StrategyError(
                 f"strategy plays illegal move {list(bit_indices(new_mask))} at cops="
                 f"{list(bit_indices(x_mask))} part={g.format_edges(in_cone)}"
             )
         bags[t] = new_mask
-        # The replies that meet the in-cone and, alone, each in-cone edge
-        # under cops (disjoint: sum is union).
-        parts = [r for r in _replies(g, x_mask, in_cone, new_mask) if r & in_cone]
-        parts += [1 << e for e in bit_indices(in_cone & ~sum(parts))]
+        # The replies whose parts meet the in-cone and, alone, each in-cone
+        # edge under cops, which no reply's part holds (the replies are
+        # disjoint: sum is union).
+        replies = _replies(g, x_mask, c_mask, new_mask)
+        children = [(cone, r) for r in replies if (cone := incident_edges(g, r)) & in_cone]
+        captured = in_cone & ~incident_edges(g, sum(replies))
+        children += [(1 << e, 0) for e in bit_indices(captured)]
         union = 0
-        for mask in sorted(parts, key=lambda mask: mask & -mask):
+        for cone, r in sorted(children, key=lambda child: child[0] & -child[0]):
             child = len(parent)
             parent.append(t)
             bags.append(0)
-            cones[(t, child)] = mask
-            union |= mask
-            queue.append((child, t, mask, used + 1))
+            cones[(t, child)] = cone
+            union |= cone
+            queue.append((child, t, cone, r, used + 1))
         cones[(t, s)] = full & ~union
 
     tree = RootedTree(parent)
@@ -154,8 +159,7 @@ def move_is_monotone(st: StrategyTree, t: int) -> bool:
     """Whether the move creating t kept the robber part from growing at its
     removal stage, under the kept cops bag(parent) & bag(t)."""
     s = st.ptd.tree.parent[t]
-    in_cone = st.ptd.cone(s, t)
-    return _part_of(st.host, st.ptd.bags[s] & st.ptd.bags[t], in_cone) == in_cone
+    return _keeps_part(st.host, st.ptd.bags[s] & st.ptd.bags[t], st.ptd.cone(s, t))
 
 
 def check_monotone_exact(st: StrategyTree) -> bool:
@@ -220,7 +224,7 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
 
     Each detour places a fresh cop w at one strategy key and removes it with
     the next move, costing one extra placement on plays through that key.
-    Detour placements prefer a vertex inside the robber part with a free
+    Detour placements prefer a vertex of the robber's component with a
     neighbor there, which makes the follow-up removal grow the part and
     yields a genuinely non-monotone (non-exact) tree edge.  The perturbed
     strategy is replay-verified to win with q + injected placements.
@@ -235,35 +239,33 @@ def fuzz_nonmonotone(g: Graph, sigma: Strategy, cfg: GameConfig, slack: int,
 
     for _ in range(slack):
         candidates = []
-        for (x_mask, part), target in moves.items():
+        for (x_mask, c_mask), target in moves.items():
             if x_mask.bit_count() >= cfg.k:
                 continue
-            if (x_mask, part) in detour_keys:
+            if (x_mask, c_mask) in detour_keys:
                 continue
             if (target & ~x_mask).bit_count() != 1:
                 continue  # detours assume a fresh-placement move to resume
-            if is_capture_mask(g, x_mask, part):
-                continue
-            taken = x_mask | target
-            free = bit_indices(vertices_of_mask(g, part) & ~taken)
-            incident = [w for w in free
-                        if vertices_of_mask(g, part & g.incident_mask(w)) & ~x_mask & ~(1 << w)]
+            free = bit_indices(c_mask & ~target)
+            incident = [w for w in free if g._adj_mask[w] & c_mask]
             for w in incident or free:
-                candidates.append(((x_mask, part), target, w, w in incident))
+                candidates.append(((x_mask, c_mask), target, w, w in incident))
         if not candidates:
             break
-        # Prefer detours that will force a non-monotone edge.
-        candidates.sort(key=lambda c: (not c[3], bit_indices(c[0][0]), c[0][1], c[2]))
+        # Prefer detours that will force a non-monotone edge; positions sort
+        # by their parts.
+        candidates.sort(key=lambda c: (not c[3], bit_indices(c[0][0]),
+                                       incident_edges(g, c[0][1]), c[2]))
         preferred = [c for c in candidates if c[3]] or candidates
         key, target, w, _inc = preferred[rng.randrange(len(preferred))]
-        x_mask, part = key
+        x_mask, c_mask = key
         detour = x_mask | 1 << w
-        responses = _replies(g, x_mask, part, detour)
-        if any((detour, q) in moves for q in responses):
+        responses = _replies(g, x_mask, c_mask, detour)
+        if any((detour, r) in moves for r in responses):
             continue
         moves[key] = detour
-        for q in responses:
-            moves[(detour, q)] = target
+        for r in responses:
+            moves[(detour, r)] = target
         injected += 1
         detour_keys.add(key)
 

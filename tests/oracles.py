@@ -3,14 +3,18 @@
 Everything here works from first principles on tiny inputs and stays
 deliberately separate from the library's implementations: definitions are
 evaluated literally, partitions are enumerated, and the game oracle is a
-plain recursive minimax without memoization.  Three kinds of oracle are
+plain recursive minimax without memoization.  The game oracles work on the
+robber's part, an edge mask, where the library's rules work on the
+robber's component, a vertex mask: their one reference for the parts
+under a cop set is part_table_flood, and all_parts, part_of and responses
+read it; the tests compare the two positions through `component`, the
+part's free endpoints.  Three kinds of oracle are
 the exception.  The full-move game oracle enumerates every legal move
 (macro_moves: remove any cops, place one vertex, and in the monotone
 variant keep the robber's part whole under the kept cops X & Y), where the
 library only tests one move (_is_move) and the solver leaves out the
 re-placements and, in the non-monotone variant, the moves that keep fewer
-cops than there is room for; it reads parts and captures off the library's
-part tables and is_capture_mask.  The exactification
+cops than there is room for.  The exactification
 checks reuse the library's blocks and boundaries but scan every node and
 edge, where the library looks only at the change a step records (the
 change oracle finds it by comparing every key and bag), and evaluate
@@ -22,9 +26,7 @@ its bags: a node branches when the fresh vertex of parent bag -> node bag
 touches the robber's part, where the library looks for a lone self-loop
 child cone.  The one-placement cases read the solver's own successor
 lists, which the solver tests pin to macro_moves, to check the rule by
-which the solver decides a position with one placement left; the solver
-keys a position by its robber component, and every test that reads its
-internals converts a part with `component`.  The
+which the solver decides a position with one placement left.  The
 elimination-forest decider at the end decides the class without the game
 at all.
 """
@@ -34,8 +36,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from bdtw.game import _part_of, _Solver, initial_parts, is_capture_mask
-from bdtw.graphs import Graph, bit_indices, part_table
+from bdtw.game import _Solver
+from bdtw.graphs import Graph, bit_indices, bitmask
 from bdtw.monotonize import ExtensionChoice, StepState
 from bdtw.pre_tree import (
     PreTreeDecomposition,
@@ -103,9 +105,10 @@ def connected_vertex_subsets(g: Graph, max_size: int) -> list[set[int]]:
 
 
 # ---------------------------------------------------------------------------
-# A from-scratch game oracle.  States are (cop tuple, robber edge set,
-# placements used); parts are recomputed with fresh searches every time and
-# nothing is cached, so it is slow but independent.
+# A from-scratch game oracle on edge parts.  States are (cop set, robber
+# part, placements used); the parts come from the edge-mask flood
+# (part_table_flood) and the minimax is not memoised, so it is slow but
+# independent.
 
 def _components_without(g: Graph, cops: frozenset[int]) -> list[set[int]]:
     left = [v for v in g.vertices if v not in cops]
@@ -128,27 +131,10 @@ def _components_without(g: Graph, cops: frozenset[int]) -> list[set[int]]:
     return comps
 
 
-def parts_oracle(g: Graph, cops: frozenset[int]) -> list[frozenset[int]]:
-    """Edge sets of the parts relative to the cop set, captures included."""
-    parts = []
-    for e in range(g.m):
-        u, v = g.endpoints(e)
-        if u in cops and v in cops:
-            parts.append(frozenset([e]))
-    for comp in _components_without(g, cops):
-        edges = frozenset(
-            e for e in range(g.m)
-            if any(w in comp for w in g.endpoints(e))
-        )
-        if edges:
-            parts.append(edges)
-    return parts
-
-
 def part_table_oracle(g: Graph, x_mask: int) -> tuple:
     """The part table of the cop set x_mask as (masks, singles, of_edge,
-    vertex_sets, kinds), built by the vertex-list search that part_table
-    used before it worked on bitmasks, kept as written then."""
+    vertex_sets, kinds), built by the vertex-list search that the library's
+    part table used before it worked on bitmasks, kept as written then."""
     records: list[tuple[str, frozenset[int], int]] = []
     # Single-edge parts: edges with both endpoints under cops.
     for eid, (u, v) in enumerate(g.edges):
@@ -204,9 +190,9 @@ def part_table_oracle(g: Graph, x_mask: int) -> tuple:
 
 def part_table_flood(g: Graph, x_mask: int) -> tuple[int, ...]:
     """The component parts under the cop set x_mask, as edge masks ordered
-    by lowest edge, by the edge-mask flood that part_table ran before the
-    solver worked on vertex components, kept as written then (its cache
-    left out)."""
+    by lowest edge, by the edge-mask flood that the library's part table ran
+    before the solver worked on vertex components, kept as written then (its
+    cache left out): the game oracles' one reference for parts."""
     inc, adj = g._inc, g._adj_mask
     free = ((1 << g.n) - 1) & ~x_mask
     components: list[int] = []
@@ -229,11 +215,46 @@ def part_table_flood(g: Graph, x_mask: int) -> tuple[int, ...]:
     return tuple(components)
 
 
-def part_containing_oracle(g: Graph, cops: frozenset[int], edges: frozenset[int]) -> frozenset[int]:
-    for p in parts_oracle(g, cops):
-        if edges & p:
-            return p
-    raise AssertionError("edge belongs to no part")
+@functools.lru_cache(maxsize=4096)
+def live_parts(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """part_table_flood, cached: the parts under x_mask that are no
+    capture.  The cases below look a part up once per kept set."""
+    return part_table_flood(g, x_mask)
+
+
+@functools.lru_cache(maxsize=4096)
+def all_parts(g: Graph, x_mask: int) -> tuple[int, ...]:
+    """Every part under the cop set x_mask, captures included, by lowest
+    edge id: the live parts and, on its own, each edge that none of them
+    holds, whose ends are both under cops."""
+    components = live_parts(g, x_mask)
+    singles = tuple(1 << e for e in bit_indices(g.full_mask & ~sum(components)))
+    return tuple(sorted(components + singles, key=lambda m: m & -m))
+
+
+def part_of(g: Graph, x_mask: int, p_mask: int) -> int:
+    """The part under x_mask that holds the lowest edge of p_mask."""
+    low = p_mask & -p_mask
+    return next(q for q in all_parts(g, x_mask) if q & low)
+
+
+def is_capture(g: Graph, x_mask: int, p_mask: int) -> bool:
+    """Whether the part p under x is a single edge with both ends under cops."""
+    if p_mask & (p_mask - 1):
+        return False
+    u, v = g.endpoints(p_mask.bit_length() - 1)
+    return bool(x_mask >> u & 1) and bool(x_mask >> v & 1)
+
+
+def component(g: Graph, x_mask: int, p_mask: int) -> int:
+    """The library's key for the part p under the cop set x: the vertex
+    mask of p's free endpoints, the robber's component, empty for a
+    capture."""
+    out = 0
+    for v, inc in enumerate(g._inc):
+        if inc & p_mask:
+            out |= 1 << v
+    return out & ~x_mask
 
 
 def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
@@ -245,7 +266,7 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
     """
     counter = [0]
 
-    def cop_to_move(cops: frozenset[int], robber: frozenset[int], used: int) -> bool:
+    def cop_to_move(cops: frozenset[int], robber: int, used: int) -> bool:
         counter[0] += 1
         if counter[0] > node_limit:
             raise RuntimeError("oracle node limit exceeded")
@@ -262,17 +283,15 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
                     if v not in mid:
                         moves.add(frozenset(mid | {v}))
         for new_cops in sorted(moves, key=sorted):
-            mid_part = part_containing_oracle(g, cops & new_cops, robber)
+            mid_part = part_of(g, bitmask(cops & new_cops), robber)
             if monotone and mid_part != robber:
                 continue
             ok = True
-            for part in parts_oracle(g, new_cops):
-                if not part <= mid_part:
+            for part in all_parts(g, bitmask(new_cops)):
+                if part & ~mid_part:
                     continue
-                e = min(part)
-                u, v = g.endpoints(e)
-                if len(part) == 1 and u in new_cops and v in new_cops:
-                    continue  # capture
+                if is_capture(g, bitmask(new_cops), part):
+                    continue
                 if not cop_to_move(new_cops, part, used + 1):
                     ok = False
                     break
@@ -280,10 +299,7 @@ def naive_cop_wins(g: Graph, k: int, q: int, monotone: bool,
                 return True
         return False
 
-    starts = parts_oracle(g, frozenset())
-    if not starts:
-        return True
-    return all(cop_to_move(frozenset(), p, 0) for p in sorted(starts, key=sorted))
+    return all(cop_to_move(frozenset(), p, 0) for p in all_parts(g, 0))
 
 
 def submasks(mask: int):
@@ -297,15 +313,16 @@ def submasks(mask: int):
 
 
 def monotone_kept_set_cases(g: Graph):
-    """(k, x_mask, p_mask, kept) for every k in 1..n+1, every cop set x of
-    at most k vertices and every component part p under x: kept lists,
-    descending, each mid inside x with |mid| < k under which p stays whole,
-    found by looking the part up."""
+    """(k, x_mask, c_mask, kept) for every k in 1..n+1, every cop set x of
+    at most k vertices and every live part p under x, with c its
+    component: kept lists, descending, each mid inside x with |mid| < k
+    under which p stays whole, found by looking the part up."""
     for x_mask in range(1 << g.n):
-        for p_mask in part_table(g, x_mask):
-            whole = [mid for mid in submasks(x_mask) if _part_of(g, mid, p_mask) == p_mask]
+        for p_mask in live_parts(g, x_mask):
+            c_mask = component(g, x_mask, p_mask)
+            whole = [mid for mid in submasks(x_mask) if part_of(g, mid, p_mask) == p_mask]
             for k in range(max(1, x_mask.bit_count()), g.n + 2):
-                yield k, x_mask, p_mask, [mid for mid in whole if mid.bit_count() < k]
+                yield k, x_mask, c_mask, [mid for mid in whole if mid.bit_count() < k]
 
 
 def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> list[int]:
@@ -319,92 +336,67 @@ def macro_moves(g: Graph, k: int, monotone: bool, x_mask: int, p_mask: int) -> l
         if mid.bit_count() < k:
             out.update(mid | 1 << v for v in g.vertices if not mid >> v & 1)
     return sorted(m for m in out
-                  if not monotone or _part_of(g, x_mask & m, p_mask) == p_mask)
-
-
-def all_parts(g: Graph, x_mask: int) -> tuple[int, ...]:
-    """Every part under the cop set x_mask, captures included, by lowest
-    edge id: the library's component parts and, on its own, each edge that
-    none of them holds."""
-    components = part_table(g, x_mask)
-    covered = 0
-    for mask in components:
-        covered |= mask
-    singles = tuple(1 << e for e in bit_indices(g.full_mask & ~covered))
-    return tuple(sorted(components + singles, key=lambda m: m & -m))
+                  if not monotone or part_of(g, x_mask & m, p_mask) == p_mask)
 
 
 def responses(g: Graph, x_mask: int, p_mask: int, new_mask: int) -> tuple[int, ...]:
     """The robber's parts after the cop move from (x, part) to new, captures
     included: the parts under new inside the part under the kept cops
     x & new, by lowest edge id."""
-    stage = _part_of(g, x_mask & new_mask, p_mask)
+    stage = part_of(g, x_mask & new_mask, p_mask)
     return tuple(q for q in all_parts(g, new_mask) if q & ~stage == 0)
 
 
-def component(g: Graph, x_mask: int, p_mask: int) -> int:
-    """The solver's key for the part p under the cop set x: the vertex
-    mask of p's free endpoints, the robber's component, empty for a
-    capture."""
-    out = 0
-    for e in bit_indices(p_mask):
-        for v in g.endpoints(e):
-            if not x_mask >> v & 1:
-                out |= 1 << v
-    return out
-
-
 def _search_cases(g: Graph, parts):
-    """(k, monotone, solver, x_mask, p_mask) for every k in 1..n+1, both
+    """(k, monotone, solver, x_mask, c_mask) for every k in 1..n+1, both
     variants, every cop set x of at most k vertices and every part p under
-    x that parts(g, x) lists, with solver a _Solver for (k, monotone) on a
-    copy of g."""
+    x that parts(g, x) lists, with c its component (empty for a capture)
+    and solver a _Solver for (k, monotone) on a copy of g."""
     copy = Graph(g.n, g.edges)
-    positions = [(x_mask, p_mask) for x_mask in range(1 << g.n)
+    positions = [(x_mask, component(copy, x_mask, p_mask)) for x_mask in range(1 << g.n)
                  for p_mask in parts(copy, x_mask)]
     for k in range(1, g.n + 2):
         for monotone in (False, True):
             solver = _Solver(copy, k, monotone)
-            for x_mask, p_mask in positions:
+            for x_mask, c_mask in positions:
                 if x_mask.bit_count() <= k:
-                    yield k, monotone, solver, x_mask, p_mask
+                    yield k, monotone, solver, x_mask, c_mask
 
 
 def one_placement_cases(g: Graph, parts=all_parts):
-    """(k, monotone, x_mask, p_mask, wins) for every position of
+    """(k, monotone, x_mask, c_mask, wins) for every position of
     _search_cases (by default every part, captures included): wins tells
     whether some searched move leaves the robber no live reply, read off
     the successor list of a solver on a copy of g."""
-    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
-        yield k, monotone, x_mask, p_mask, any(
-            not live for _, live in solver._successors(x_mask, component(g, x_mask, p_mask)))
+    for k, monotone, solver, x_mask, c_mask in _search_cases(g, parts):
+        yield k, monotone, x_mask, c_mask, any(
+            not live for _, live in solver._successors(x_mask, c_mask))
 
 
 def two_placement_cases(g: Graph, parts=all_parts):
-    """(k, monotone, x_mask, p_mask, wins) for every position of
+    """(k, monotone, x_mask, c_mask, wins) for every position of
     _search_cases (by default every part, captures included): wins tells
     whether some searched move leaves only replies that one more placement
     captures, read off the successor list of a solver on a copy of g and
     its _wins_in_one per reply."""
-    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
-        yield k, monotone, x_mask, p_mask, any(
-            all(solver._wins_in_one(new_mask, q_mask) for q_mask in live)
-            for new_mask, live in solver._successors(x_mask, component(g, x_mask, p_mask)))
+    for k, monotone, solver, x_mask, c_mask in _search_cases(g, parts):
+        yield k, monotone, x_mask, c_mask, any(
+            all(solver._wins_in_one(new_mask, r_mask) for r_mask in live)
+            for new_mask, live in solver._successors(x_mask, c_mask))
 
 
-def three_placement_refutations(g: Graph, parts=part_table):
-    """(k, monotone, x_mask, p_mask, wins) for every position of
-    _search_cases (by default every component part, the solver's domain)
-    that _loses_in_three refutes on a solver on a copy of g: wins tells
+def three_placement_refutations(g: Graph, parts=live_parts):
+    """(k, monotone, x_mask, c_mask, wins) for every position of
+    _search_cases (by default every live part, the solver's domain) that
+    _loses_in_three refutes on a solver on a copy of g: wins tells
     whether the list search with three placements left wins there, that
     is, whether some searched move leaves only replies that two more
     placements capture, read off the successor list and _wins_in_two per
     reply.  The search never calls the rule it checks."""
-    for k, monotone, solver, x_mask, p_mask in _search_cases(g, parts):
-        c_mask = component(g, x_mask, p_mask)
+    for k, monotone, solver, x_mask, c_mask in _search_cases(g, parts):
         if solver._loses_in_three(x_mask, c_mask):
-            yield k, monotone, x_mask, p_mask, any(
-                all(solver._wins_in_two(new_mask, q_mask) for q_mask in live)
+            yield k, monotone, x_mask, c_mask, any(
+                all(solver._wins_in_two(new_mask, r_mask) for r_mask in live)
                 for new_mask, live in solver._successors(x_mask, c_mask))
 
 
@@ -423,7 +415,7 @@ def full_move_win(g: Graph, k: int, monotone: bool):
             memo[key] = any(
                 all(win(m, q, b - 1)
                     for q in responses(g, x_mask, p_mask, m)
-                    if not is_capture_mask(g, m, q))
+                    if not is_capture(g, m, q))
                 for m in macro_moves(g, k, monotone, x_mask, p_mask)
             )
         return memo[key]
@@ -441,7 +433,7 @@ def full_move_min_placements(g: Graph, k: int, monotone: bool, cap: int) -> int 
     """Fewest placements with which k cops win the game, or None if more
     than cap, by full_move_win."""
     win = full_move_win(g, k, monotone)
-    starts = initial_parts(g)
+    starts = live_parts(g, 0)
     for b in range(cap + 1):
         if all(win(0, p, b) for p in starts):
             return b

@@ -9,6 +9,7 @@ from bdtw.cli import main
 from bdtw.game import GameConfig, solve
 from bdtw.graphs import MAX_VERTICES, Graph, bit_indices, closure, dumps_graph
 from bdtw.corpus import corpus_instances, named_graph
+from oracles import component
 
 
 @pytest.fixture
@@ -584,9 +585,10 @@ class TestPlayCmd:
             if nxt.startswith("cops move to "):
                 cops, part = re.fullmatch(
                     r"round \d+: cops \{(.*)\} j=\d+ robber-part \{(.*)\}", here).groups()
-                position = (sum(1 << int(v) for v in cops.split(",") if v),
-                            sum(1 << int(e) for e in part.split(",")))
-                chosen = ",".join(str(v) for v in bit_indices(sigma.moves[position]))
+                x_mask = sum(1 << int(v) for v in cops.split(",") if v)
+                part = sum(1 << int(e) for e in part.split(","))
+                chosen = ",".join(
+                    str(v) for v in bit_indices(sigma.moves[(x_mask, component(g, x_mask, part))]))
                 assert nxt == f"cops move to {{{chosen}}}"
                 moves += 1
         assert moves >= 2

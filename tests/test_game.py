@@ -11,15 +11,16 @@ from bdtw.game import (
     Strategy,
     _Solver,
     _is_move,
+    _keeps_part,
     _replies,
-    initial_parts,
-    is_capture_mask,
+    _stage,
+    initial_components,
     minimum_placements,
     replay_cop_strategy,
     solve,
     variant_costs,
 )
-from bdtw.graphs import Graph, bit_indices, closure, part_table
+from bdtw.graphs import Graph, bit_indices, boundary, closure, components, incident_edges
 from conftest import small_graph_corpus, with_loop_sets
 from oracles import (
     all_parts,
@@ -27,10 +28,13 @@ from oracles import (
     full_move_cost,
     full_move_min_placements,
     full_move_win,
+    is_capture,
+    live_parts,
     macro_moves,
     monotone_kept_set_cases,
     naive_cop_wins,
     one_placement_cases,
+    part_of,
     responses,
     submasks,
     three_placement_refutations,
@@ -39,19 +43,19 @@ from oracles import (
 from strats import graphs
 
 
-def legal_moves(g, k, monotone, x_mask, p_mask):
-    """The cop sets _is_move accepts from (x, part), ascending."""
-    return [m for m in range(1 << g.n) if _is_move(g, k, monotone, x_mask, p_mask, m)]
+def legal_moves(g, k, monotone, x_mask, c_mask):
+    """The cop sets _is_move accepts from (x, c), ascending."""
+    return [m for m in range(1 << g.n) if _is_move(g, k, monotone, x_mask, c_mask, m)]
 
 
 class TestLegalCopMoves:
     def test_opening_moves(self, e1c):
-        assert legal_moves(e1c, 2, False, 0, e1c.full_mask) == [0b01, 0b10]
+        assert legal_moves(e1c, 2, False, 0, 0b11) == [0b01, 0b10]
 
     def test_monotone_forbids_releasing_removal(self, p3c):
-        part = p3c.mask_of([(0, 1), (0, 0)])
-        free = legal_moves(p3c, 2, False, 0b010, part)
-        mono = legal_moves(p3c, 2, True, 0b010, part)
+        # The robber is at a, its part {ab, aa}.
+        free = legal_moves(p3c, 2, False, 0b010, 0b001)
+        mono = legal_moves(p3c, 2, True, 0b010, 0b001)
         assert set(mono) <= set(free)
         # Removing the cop on b regrows the part, so any move dropping b is
         # out in monotone mode (except re-placing b itself).
@@ -62,16 +66,17 @@ class TestLegalCopMoves:
     @given(graphs(max_n=4))
     @settings(max_examples=40)
     def test_monotone_subset_of_free(self, g):
-        for part in initial_parts(g):
-            free = legal_moves(g, 2, False, 0, part)
-            mono = legal_moves(g, 2, True, 0, part)
+        for c_mask in initial_components(g):
+            free = legal_moves(g, 2, False, 0, c_mask)
+            mono = legal_moves(g, 2, True, 0, c_mask)
             assert set(mono) <= set(free)
 
     def test_matches_the_enumerated_moves(self):
         # Every graph on at most 4 vertices, plain and closure, k 1-4, every
-        # cop set of at most k vertices, each component part and every mask
-        # with at most one bit beyond the host: _is_move accepts exactly
-        # the moves the reference enumerator lists, in both variants.
+        # cop set of at most k vertices, each live part (by the edge
+        # reference) and every mask with at most one bit beyond the host:
+        # _is_move, at the part's component, accepts exactly the moves the
+        # reference enumerator lists, in both variants.
         checked = 0
         for n in range(1, 5):
             for g in all_graphs(n):
@@ -80,40 +85,63 @@ class TestLegalCopMoves:
                         for x_mask in range(1 << n):
                             if x_mask.bit_count() > k:
                                 continue
-                            for p_mask in part_table(host, x_mask):
+                            for p_mask in live_parts(host, x_mask):
+                                c_mask = component(host, x_mask, p_mask)
                                 for monotone in (False, True):
                                     listed = set(macro_moves(host, k, monotone, x_mask, p_mask))
                                     for m in range(1 << (n + 1)):
-                                        assert _is_move(host, k, monotone, x_mask, p_mask, m) \
-                                            == (m in listed), (host, k, monotone, x_mask, p_mask, m)
+                                        assert _is_move(host, k, monotone, x_mask, c_mask, m) \
+                                            == (m in listed), (host, k, monotone, x_mask, c_mask, m)
                                     checked += 1 << (n + 1)
         assert checked == 509_536
 
 
+def live_replies(g, x_mask, p_mask, new_mask):
+    """The replies of the edge reference that are no capture."""
+    return tuple(q for q in responses(g, x_mask, p_mask, new_mask)
+                 if not is_capture(g, new_mask, q))
+
+
 class TestLegalRobberResponses:
+    # The rules' replies are components; their parts are the edge
+    # reference's replies minus the captures.
     def test_split_after_placement(self, e1c):
         assert sorted(responses(e1c, 0, e1c.full_mask, 0b01)) == sorted(
             [e1c.mask_of([(0, 1), (1, 1)]), e1c.mask_of([(0, 0)])]
         )
+        replies = _replies(e1c, 0, 0b11, 0b01)
+        assert replies == (0b10,)
+        assert tuple(incident_edges(e1c, r) for r in replies) == live_replies(
+            e1c, 0, e1c.full_mask, 0b01)
 
     def test_unchanged_cops_keep_part(self, p3c):
         part = p3c.mask_of([(0, 1), (0, 0)])
         assert responses(p3c, 0b010, part, 0b010) == (part,)
+        assert _replies(p3c, 0b010, 0b001, 0b010) == (0b001,)
 
     def test_capture_only_responses(self, e1c):
         part = e1c.mask_of([(0, 1), (1, 1)])
-        assert all(is_capture_mask(e1c, 0b11, p) for p in responses(e1c, 0b01, part, 0b11))
+        assert all(is_capture(e1c, 0b11, p) for p in responses(e1c, 0b01, part, 0b11))
+        assert _replies(e1c, 0b01, 0b10, 0b11) == ()
 
 
 class TestIsCapture:
+    # A capture is an edge whose ends are both under cops: a part of its
+    # own by the edge reference, the part of no component of G - x.
+    @staticmethod
+    def captured(g, x_mask, part):
+        return (part in all_parts(g, x_mask)
+                and not any(incident_edges(g, c) & part for c in components(g, x_mask)))
+
     def test_edge_under_both_cops(self, e1c):
-        assert is_capture_mask(e1c, 0b11, e1c.mask_of([(0, 1)]))
+        assert self.captured(e1c, 0b11, e1c.mask_of([(0, 1)]))
 
     def test_loop_under_cop(self, e1c):
-        assert is_capture_mask(e1c, 0b01, e1c.mask_of([(0, 0)]))
+        assert self.captured(e1c, 0b01, e1c.mask_of([(0, 0)]))
 
     def test_component_part_is_not(self, e1c):
-        assert not is_capture_mask(e1c, 0b10, e1c.mask_of([(0, 1), (0, 0)]))
+        assert not self.captured(e1c, 0b10, e1c.mask_of([(0, 1), (0, 0)]))
+        assert incident_edges(e1c, 0b01) == e1c.mask_of([(0, 1), (0, 0)])
 
 
 class TestSolve:
@@ -170,13 +198,13 @@ class TestStrategies:
         robber = res.strategy
         assert isinstance(robber, RobberStrategy)
 
-        def walk(x_mask, part, used):
+        def walk(x_mask, c_mask, used):
             """Robber plays the certificate against every cop behavior."""
             if used >= q:
                 return
-            for new_mask in macro_moves(gc, 2, False, x_mask, part):
-                choice = robber.respond(x_mask, part, used, new_mask)
-                assert not is_capture_mask(gc, new_mask, choice)
+            for new_mask in macro_moves(gc, 2, False, x_mask, incident_edges(gc, c_mask)):
+                choice = robber.respond(x_mask, c_mask, used, new_mask)
+                assert incident_edges(gc, choice) in live_parts(gc, new_mask)
                 walk(new_mask, choice, used + 1)
 
         start = robber.initial_choice()
@@ -192,11 +220,11 @@ class TestStrategies:
         # more placement (on 1), so no reply survives.
         robber = RobberStrategy(_Solver(e1c, 2, False), 2)
         with pytest.raises(StrategyError):
-            robber.respond(0, e1c.full_mask, 0, 0b01)
+            robber.respond(0, 0b11, 0, 0b01)
 
     def test_strategy_undefined_raises(self, e1c):
         with pytest.raises(StrategyError):
-            Strategy().next_cops(0, e1c.full_mask)
+            Strategy().next_cops(0, 0b11)
 
 
 def variants_agree(g, k, q):
@@ -294,14 +322,10 @@ class TestDominanceCut:
             for k in (2, 3, 4):
                 win = full_move_win(host, k, False)
 
-                def live_parts(x_mask):
-                    return [p for p in all_parts(host, x_mask)
-                            if not is_capture_mask(host, x_mask, p)]
-
                 for x_mask in submasks(everyone):
                     if x_mask.bit_count() > k:
                         continue
-                    for p_mask in live_parts(x_mask):
+                    for p_mask in live_parts(host, x_mask):
                         cost = full_move_cost(win, x_mask, p_mask, 6)
                         if cost is None:
                             continue
@@ -309,7 +333,7 @@ class TestDominanceCut:
                             y_mask = x_mask | extra
                             if y_mask.bit_count() > k:
                                 continue
-                            for q_mask in live_parts(y_mask):
+                            for q_mask in live_parts(host, y_mask):
                                 if q_mask & ~p_mask == 0:
                                     smaller = full_move_cost(win, y_mask, q_mask, cost)
                                     assert smaller is not None, (host, k, x_mask, y_mask)
@@ -328,24 +352,25 @@ class TestDominanceCut:
             for k in (2, 3, 4):
                 solver = _Solver(host, k, False)
                 solver.game_cost(5)
-                listed = [(x_mask, p_mask) for x_mask in range(1 << host.n)
-                          for p_mask in part_table(host, x_mask)
-                          if (x_mask, component(host, x_mask, p_mask)) in solver._succ_cache]
+                listed = [(x_mask, p_mask, component(host, x_mask, p_mask))
+                          for x_mask in range(1 << host.n)
+                          for p_mask in live_parts(host, x_mask)]
+                listed = [pos for pos in listed if pos[::2] in solver._succ_cache]
                 assert len(listed) == len(solver._succ_cache)
-                for x_mask, p_mask in listed:
+                for x_mask, p_mask, c_mask in listed:
                     full = sorted(
                         (m for m in macro_moves(host, k, False, x_mask, p_mask)
                          if m & ~x_mask),
                         key=lambda m: (bit_indices(x_mask & ~m), m & ~x_mask))
                     for left in range(1, 6):
-                        c = solver.cost(x_mask, p_mask, left)
+                        c = solver.cost(x_mask, c_mask, left)
                         want = full[0]
                         if c is not None:
                             want = next(
                                 m for m in full
-                                if all(solver.cost(m, q, c - 1) is not None
-                                       for q in _replies(host, x_mask, p_mask, m)))
-                        assert solver.cop_move(x_mask, p_mask, left) == want
+                                if all(solver.cost(m, r, c - 1) is not None
+                                       for r in _replies(host, x_mask, c_mask, m)))
+                        assert solver.cop_move(x_mask, c_mask, left) == want
                         checked += 1
         assert checked > 1000
 
@@ -359,11 +384,50 @@ class TestMonotoneKeptSets:
         checked = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
-            for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
-                c_mask = component(host, x_mask, p_mask)
-                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, p_mask)
+            for k, x_mask, c_mask, kept in monotone_kept_set_cases(host):
+                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, c_mask)
                 checked += 1
         assert checked == 83_158
+
+    def test_kept_part_is_the_held_boundary(self):
+        # The monotone lemma: every host on at most 4 vertices with every
+        # set of loops, every cop set x, every component c of G - x with an
+        # edge and every mid inside x.  mid keeps c's part whole, by the
+        # edge reference, exactly when it holds the boundary of the part,
+        # which _keeps_part tests.  On a plain host a dropped cop whose
+        # edges all lie in the part joins c's component and keeps it whole.
+        checked = joined = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            for x_mask in range(1 << host.n):
+                for c_mask in components(host, x_mask):
+                    part = incident_edges(host, c_mask)
+                    if not part:
+                        continue
+                    assert part in live_parts(host, x_mask), (host, x_mask, c_mask)
+                    for mid in submasks(x_mask):
+                        whole = part_of(host, mid, part) == part
+                        assert whole == (boundary(host, part) & ~mid == 0), (host, x_mask, mid)
+                        assert whole == _keeps_part(host, mid, part)
+                        checked += 1
+                        if whole and component(host, mid, part) != c_mask:
+                            joined += 1
+        assert (checked, joined) == (78_865, 6_254)
+
+    def test_dropped_cop_joins_the_component_on_a_plain_host(self, e1, e1c):
+        # The robber at a, the cop on b.  On the plain edge ab the part is
+        # {ab}, all of b's edges: lifting b joins b to the robber's
+        # component and keeps the part whole, so a monotone move may lift
+        # it.  On the closure the loop bb lies outside the part {ab, aa}, so
+        # b is a boundary vertex, and lifting it grows the part.
+        part = incident_edges(e1, 0b01)
+        assert _stage(e1, 0, 0b01) == 0b11
+        assert part_of(e1, 0, part) == part
+        assert _keeps_part(e1, 0, part)
+        assert legal_moves(e1, 1, True, 0b10, 0b01) == [0b01, 0b10]
+        part = incident_edges(e1c, 0b01)
+        assert part_of(e1c, 0, part) != part
+        assert not _keeps_part(e1c, 0, part)
+        assert legal_moves(e1c, 1, True, 0b10, 0b01) == [0b10]
 
 
 class TestWinsInOne:
@@ -372,12 +436,12 @@ class TestWinsInOne:
         # of loops, k 1..n+1, both variants, captures included: win with
         # one placement left says whether some searched move leaves the
         # robber no live reply, and builds no successor list.  A capture
-        # converts to the empty component, which is never won.
+        # is the empty component, which is never won.
         checked = captures = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {}
-            for k, monotone, x_mask, p_mask, wins in one_placement_cases(host):
-                if is_capture_mask(host, x_mask, p_mask):
+            for k, monotone, x_mask, c_mask, wins in one_placement_cases(host):
+                if not c_mask:
                     assert not wins
                     captures += 1
                 solver = solvers.get((k, monotone))
@@ -385,7 +449,7 @@ class TestWinsInOne:
                     # Each on its own host, so no monotone solver inherits.
                     solver = solvers[(k, monotone)] = _Solver(
                         Graph(host.n, host.edges), k, monotone)
-                assert solver.win(x_mask, p_mask, 1) == wins, (host, k, monotone, x_mask, p_mask)
+                assert solver.win(x_mask, c_mask, 1) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
@@ -403,12 +467,12 @@ class TestWinsInTwo:
         checked = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {}
-            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host, part_table):
+            for k, monotone, x_mask, c_mask, wins in two_placement_cases(host, live_parts):
                 solver = solvers.get((k, monotone))
                 if solver is None:
                     solver = solvers[(k, monotone)] = _Solver(
                         Graph(host.n, host.edges), k, monotone)
-                assert solver.win(x_mask, p_mask, 2) == wins, (host, k, monotone, x_mask, p_mask)
+                assert solver.win(x_mask, c_mask, 2) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
@@ -422,12 +486,12 @@ def assert_refutes_only_losses(host) -> int:
     refutes it with no successor list; return how many there are."""
     refuted = 0
     solvers = {}
-    for k, monotone, x_mask, p_mask, wins in three_placement_refutations(host):
-        assert not wins, (host, k, monotone, x_mask, p_mask)
+    for k, monotone, x_mask, c_mask, wins in three_placement_refutations(host):
+        assert not wins, (host, k, monotone, x_mask, c_mask)
         solver = solvers.get((k, monotone))
         if solver is None:
             solver = solvers[(k, monotone)] = _Solver(Graph(host.n, host.edges), k, monotone)
-        assert not solver.win(x_mask, p_mask, 3)
+        assert not solver.win(x_mask, c_mask, 3)
         refuted += 1
     for solver in solvers.values():
         assert solver.expansions == len(solver.bounds)
@@ -485,8 +549,8 @@ class TestInheritedLosses:
         fresh = _Solver(Graph(host.n, host.edges), k, True)
         assert inherited.game_cost(cap) == fresh.game_cost(cap)
         for x_mask, c_mask in lost:
-            assert (inherited._cost(x_mask, c_mask, cap)
-                    == fresh._cost(x_mask, c_mask, cap)), (host, k, x_mask, c_mask)
+            assert (inherited.cost(x_mask, c_mask, cap)
+                    == fresh.cost(x_mask, c_mask, cap)), (host, k, x_mask, c_mask)
         return len(lost)
 
     def test_after_a_full_solve(self):
@@ -566,7 +630,7 @@ class TestSolverWork:
                         solver.game_cost(4)
                         for x_mask, c_mask in list(solver.bounds):
                             parts = {component(host, x_mask, p): p
-                                     for p in part_table(host, x_mask)}
+                                     for p in live_parts(host, x_mask)}
                             p_mask = parts[c_mask]
                             succ = solver._successors(x_mask, c_mask)
                             kept = min(x_mask.bit_count(), k - 1)
@@ -576,8 +640,7 @@ class TestSolverWork:
                             fresh.sort(key=lambda m: (-(m & x_mask), m & ~x_mask))
                             expected = [
                                 (m, tuple(component(host, m, q)
-                                          for q in responses(host, x_mask, p_mask, m)
-                                          if not is_capture_mask(host, m, q)))
+                                          for q in live_replies(host, x_mask, p_mask, m)))
                                 for m in fresh]
                             assert succ == expected
                             checked += 1

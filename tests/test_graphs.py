@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from bdtw.corpus import path_graph
 from bdtw.errors import FormatError
-from bdtw.game import _part_of, is_capture_mask
+from bdtw.game import _stage
 from bdtw.graphs import (
     Graph,
     bit_indices,
@@ -19,11 +19,10 @@ from bdtw.graphs import (
     components,
     connected_components,
     dumps_graph,
+    incident_edges,
     is_connected_set,
     loads_graph,
-    part_table,
     read_graph,
-    vertices_of_mask,
 )
 from bdtw.pre_tree import dumps_ptd, from_tree_decomposition, loads_ptd
 from bdtw.tree_decomp import dumps_td, loads_td
@@ -168,14 +167,25 @@ class TestBlocksBoundary:
         assert blocks_boundary(p3, ()) == 0
 
 
+def part_table(g, x_mask):
+    """The parts under x_mask that are no capture, by lowest edge: the
+    edge view of the library's components of G - x, each component's
+    incident edges, for the components with an edge."""
+    return tuple(p for p in (incident_edges(g, c) for c in components(g, x_mask)) if p)
+
+
 def part_of(g, cops, e):
-    """Edge mask of the part holding edge e relative to the cop set."""
-    return _part_of(g, bitmask(cops), 1 << e)
+    """Edge mask of the part holding edge e relative to the cop set: the
+    edge view of the robber's stage set from an endpoint of e, or e alone
+    when both ends are under cops (a capture)."""
+    x_mask = bitmask(cops)
+    ends = bitmask(g.endpoints(e)) & ~x_mask
+    return incident_edges(g, _stage(g, x_mask, ends)) if ends else 1 << e
 
 
 def edge_parts(g, x_mask):
     """Each edge's part under the cop set x_mask, by edge id."""
-    return tuple(_part_of(g, x_mask, 1 << e) for e in range(g.m))
+    return tuple(part_of(g, bit_indices(x_mask), e) for e in range(g.m))
 
 
 class TestEdgeComponentGraph:
@@ -202,7 +212,7 @@ class TestEdgeComponentGraph:
         table = part_table(k3, bitmask({0, 1}))
         assert edge_parts(k3, bitmask({0, 1})) == (0b001, 0b110, 0b110)
         assert table == (0b110,)
-        assert vertices_of_mask(k3, table[0]) == 0b111
+        assert components(k3, bitmask({0, 1})) == (0b100,)
 
     def test_parts_partition_edges_exhaustive(self):
         for g in small_graph_corpus(3) + [closure(x) for x in small_graph_corpus(3)]:
@@ -288,6 +298,9 @@ def _random_graphs(count: int, seed: int) -> list[Graph]:
 
 
 class TestPartTable:
+    # The parts under a cop set are the edge view of the library's
+    # components (part_table above); they must be what the two reference
+    # searches give, and the components their free endpoints.
     def test_matches_bfs_oracle(self):
         for g in _random_graphs(200, seed=11):
             for x_mask in range(1 << g.n):
@@ -297,18 +310,22 @@ class TestPartTable:
                 assert edge_parts(g, x_mask) == tuple(masks[i] for i in of_edge), (g, x_mask)
                 assert table == tuple(
                     mask for mask, kind in zip(masks, kinds) if kind == "component" and mask)
-                for mask, single, verts, kind in zip(masks, singles, vertex_sets, kinds):
+                assert set(components(g, x_mask)) == {
+                    bitmask(verts) & ~x_mask
+                    for verts, kind in zip(vertex_sets, kinds) if kind == "component"
+                }, (g, x_mask)
+                for mask, single in zip(masks, singles):
                     if mask:
-                        assert vertices_of_mask(g, mask) == bitmask(verts), (g, x_mask, mask)
-                        assert is_capture_mask(g, x_mask, mask) == single == (kind == "edge")
+                        # A capture is a single edge whose ends are both cops.
+                        ends = bitmask(v for e in g.edge_ids(mask) for v in g.endpoints(e))
+                        assert single == (not ends & ~x_mask), (g, x_mask, mask)
 
     def test_cached_per_cop_set(self, p3c):
-        assert part_table(p3c, 0b010) is part_table(p3c, 0b010)
+        assert components(p3c, 0b010) is components(p3c, 0b010)
 
     def test_matches_the_edge_flood(self):
-        # part_table is the edge view of components; it must give what the
-        # edge-mask flood gave, on plain hosts and closures, for every cop
-        # set.
+        # The edge view of components must give what the edge-mask flood
+        # gave, on plain hosts and closures, for every cop set.
         for g in _random_graphs(200, seed=12):
             for host in (g, closure(g)):
                 for x_mask in range(1 << g.n):
@@ -351,13 +368,12 @@ class TestComponents:
 
     def test_closure_shares_the_vertex_tables_only(self, p3):
         # The component and response tables and the non-monotone successor
-        # lists depend on the non-loop adjacency alone; the part tables and
-        # the solver bounds hold the host's own edges and costs.
+        # lists depend on the non-loop adjacency alone; the solver bounds
+        # hold the host's own costs, and the parts its own edges.
         c = closure(p3)
         assert c._comp_cache is p3._comp_cache
         assert c._resp_cache is p3._resp_cache
         assert c._succ_cache is p3._succ_cache
-        assert c._part_cache is not p3._part_cache
         assert c._lost is not p3._lost
         assert components(c, 0b010) is components(p3, 0b010)
         assert part_table(c, 0b010) != part_table(p3, 0b010)

@@ -15,11 +15,10 @@ from bdtw.game import (
     GameConfig,
     RobberStrategy,
     _Solver,
-    is_capture_mask,
     minimum_placements,
     solve,
 )
-from bdtw.graphs import Graph, bitmask, closure, is_connected_set, part_table
+from bdtw.graphs import Graph, bitmask, closure, incident_edges, is_connected_set
 from bdtw.monotonize import check_branching_depth_bound, monotonize_pipeline
 from bdtw.pre_tree import (
     from_tree_decomposition,
@@ -44,7 +43,7 @@ from bdtw.tree_decomp import (
 )
 from oracles import (
     branching_oracle,
-    component,
+    live_parts,
     macro_moves,
     monotone_kept_set_cases,
     one_placement_cases,
@@ -131,14 +130,14 @@ def test_robber_certificate_soak():
         assert isinstance(robber, RobberStrategy)
         seen = set()
 
-        def walk(x_mask, part, used):
-            key = (x_mask, part, used)
+        def walk(x_mask, c_mask, used):
+            key = (x_mask, c_mask, used)
             if key in seen or used >= q:
                 return
             seen.add(key)
-            for new_mask in macro_moves(g, k, False, x_mask, part):
-                choice = robber.respond(x_mask, part, used, new_mask)
-                assert not is_capture_mask(g, new_mask, choice)
+            for new_mask in macro_moves(g, k, False, x_mask, incident_edges(g, c_mask)):
+                choice = robber.respond(x_mask, c_mask, used, new_mask)
+                assert incident_edges(g, choice) in live_parts(g, new_mask)
                 walk(new_mask, choice, used + 1)
 
         walk(0, robber.initial_choice(), 0)
@@ -194,9 +193,8 @@ def test_monotone_kept_sets_soak():
     for g in all_graphs(5):
         for host in (g, closure(g)):
             solvers = {k: _Solver(host, k, True) for k in range(1, host.n + 2)}
-            for k, x_mask, p_mask, kept in monotone_kept_set_cases(host):
-                c_mask = component(host, x_mask, p_mask)
-                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, p_mask)
+            for k, x_mask, c_mask, kept in monotone_kept_set_cases(host):
+                assert solvers[k]._kept_sets(x_mask, c_mask) == kept, (host, k, x_mask, c_mask)
                 checked += 1
     assert checked == 405_576
 
@@ -209,12 +207,12 @@ def test_wins_in_one_soak():
     for g in all_graphs(5):
         for host in (g, closure(g)):
             solvers = {}
-            for k, monotone, x_mask, p_mask, wins in one_placement_cases(host, part_table):
+            for k, monotone, x_mask, c_mask, wins in one_placement_cases(host, live_parts):
                 solver = solvers.get((k, monotone))
                 if solver is None:
                     solver = solvers[(k, monotone)] = _Solver(
                         Graph(host.n, host.edges), k, monotone)
-                assert solver.win(x_mask, p_mask, 1) == wins, (host, k, monotone, x_mask, p_mask)
+                assert solver.win(x_mask, c_mask, 1) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
             assert not any(solver._succ_cache for solver in solvers.values())
     assert checked == 811_152
@@ -228,12 +226,12 @@ def test_wins_in_two_soak():
     for g in all_graphs(5):
         for host in (g, closure(g)):
             solvers = {}
-            for k, monotone, x_mask, p_mask, wins in two_placement_cases(host, part_table):
+            for k, monotone, x_mask, c_mask, wins in two_placement_cases(host, live_parts):
                 solver = solvers.get((k, monotone))
                 if solver is None:
                     solver = solvers[(k, monotone)] = _Solver(
                         Graph(host.n, host.edges), k, monotone)
-                assert solver.win(x_mask, p_mask, 2) == wins, (host, k, monotone, x_mask, p_mask)
+                assert solver.win(x_mask, c_mask, 2) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
             assert not any(solver._succ_cache for solver in solvers.values())
     assert checked == 811_152
@@ -248,7 +246,7 @@ def test_loses_in_three_soak():
     refuted = 0
     for _ in range(400):
         host = random_host(rng, max_n=7, max_m=16, min_n=5)
-        for k, monotone, x_mask, p_mask, wins in three_placement_refutations(host):
-            assert not wins, (host, k, monotone, x_mask, p_mask)
+        for k, monotone, x_mask, c_mask, wins in three_placement_refutations(host):
+            assert not wins, (host, k, monotone, x_mask, c_mask)
             refuted += 1
     assert refuted == 18_794

@@ -5,13 +5,12 @@ from bdtw.errors import FormatError, StrategyError
 from bdtw.game import (
     GameConfig,
     Strategy,
-    _part_of,
     _replies,
     minimum_placements,
     replay_cop_strategy,
     solve,
 )
-from bdtw.graphs import Graph, closure
+from bdtw.graphs import Graph, closure, components, incident_edges
 from bdtw.monotonize import check_branching_depth_bound, run
 from bdtw.pre_tree import (
     dumps_ptd,
@@ -35,7 +34,7 @@ from bdtw.strategy_tree import (
     structural_branching,
 )
 from bdtw.tree_decomp import td_depth, td_width, validate_td
-from oracles import all_parts, branching_oracle
+from oracles import all_parts, branching_oracle, component
 
 
 def fresh_vertex(st, t):
@@ -286,15 +285,16 @@ class TestReplacement:
         # branching node.
         g = closure(named_graph("P4"))
 
-        def part(x_mask, v):
-            return _part_of(g, x_mask, 1 << g.edge_id(v, v))
+        def comp(x_mask, v):
+            """The component of G - x that holds v."""
+            return next(c for c in components(g, x_mask) if c >> v & 1)
 
         sigma = Strategy({
-            (0, g.full_mask): 0b0010,
-            (0b0010, part(0b0010, 0)): 0b0011,
-            (0b0010, part(0b0010, 3)): 0b0110,
-            (0b0110, part(0b0110, 3)): 0b0100,
-            (0b0100, part(0b0100, 3)): 0b1100,
+            (0, 0b1111): 0b0010,
+            (0b0010, comp(0b0010, 0)): 0b0011,
+            (0b0010, comp(0b0010, 3)): 0b0110,
+            (0b0110, comp(0b0110, 3)): 0b0100,
+            (0b0100, comp(0b0100, 3)): 0b1100,
         })
         cfg = GameConfig(3, 4)
         assert replay_cop_strategy(g, sigma, cfg).wins
@@ -325,26 +325,25 @@ class TestUnreplayedReplies:
         # finds; the decomposition it records still exactifies to a valid
         # one, which proves itself.
         g = closure(Graph(4, [(0, 2), (0, 3), (1, 2)]))
-
-        def parts(*pairs):
-            return g.mask_of(pairs)
-
+        # Positions are (cops, the robber's component); the comments give
+        # the component's part.
         sigma = Strategy({
-            (0b0000, g.full_mask): 0b0100,
-            (0b0100, parts((1, 2), (1, 1))): 0b0001,
-            (0b0100, parts((0, 2), (0, 3), (0, 0), (3, 3))): 0b0101,
-            (0b0001, parts((0, 2), (1, 2), (1, 1), (2, 2))): 0b0101,
-            (0b0001, parts((0, 3), (3, 3))): 0b0001,
-            (0b0101, parts((1, 2), (1, 1))): 0b0110,
-            (0b0101, parts((0, 3), (3, 3))): 0b1001,
+            (0b0000, 0b1111): 0b0100,
+            (0b0100, 0b0010): 0b0001,  # {12, 11}
+            (0b0100, 0b1001): 0b0101,  # {02, 03, 00, 33}
+            (0b0001, 0b0110): 0b0101,  # {02, 12, 11, 22}
+            (0b0001, 0b1000): 0b0001,  # {03, 33}
+            (0b0101, 0b0010): 0b0110,  # {12, 11}
+            (0b0101, 0b1000): 0b1001,  # {03, 33}
         })
+        assert incident_edges(g, 0b1001) == g.mask_of([(0, 2), (0, 3), (0, 0), (3, 3)])
         cfg = GameConfig(2, 4)
         outcome = replay_cop_strategy(g, sigma, cfg)
         assert not outcome.wins
         assert outcome.escape[:3] == (
-            ("start", 0, g.full_mask),
-            ("move", 0b0000, g.full_mask, 0b0100, parts((1, 2), (1, 1))),
-            ("move", 0b0100, parts((1, 2), (1, 1)), 0b0001, parts((0, 3), (3, 3))),
+            ("start", 0, 0b1111),
+            ("move", 0b0000, 0b1111, 0b0100, 0b0010),
+            ("move", 0b0100, 0b0010, 0b0001, 0b1000),
         )
         assert outcome.escape[-1][0] == "survived"
         st = build(g, sigma, cfg)
@@ -383,8 +382,9 @@ class TestChildrenAreFilteredReplies:
                             nodes += 1
                             if move_is_monotone(st, t):
                                 monotone += 1
-                                replies = _replies(gc, bags[s], in_cone, bags[t])
-                                assert all(r & in_cone for r in replies)
+                                c_mask = component(gc, bags[s], in_cone)
+                                replies = _replies(gc, bags[s], c_mask, bags[t])
+                                assert all(incident_edges(gc, r) & in_cone for r in replies)
         assert (nodes, monotone) == (1170, 1016)
 
 
