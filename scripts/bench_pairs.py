@@ -8,8 +8,13 @@ DIR_B, strictly one after the other; even pairs run A first, odd pairs B
 first, so that a drift in the machine's speed falls on both sides alike.
 DIR_A is normally the parent commit and DIR_B the change.
 
+Every run lasts ``--seconds`` (default 8, so that runs recorded in
+different ``BENCH_*.json`` files compare; ``BENCHMARK.json``'s
+``run_seconds`` is 40, and ``peak_rss_mb`` grows with the number of ops a
+run fits in).
+
 One JSON record goes to stdout, ready for a ``BENCH_*.json`` file: every
-run's end-to-end metrics, per metric each side's quartiles and median, the
+run's end-to-end metrics and its op count (``attempted``), per metric each side's quartiles and median, the
 median change in percent and the number of pairs in which B did better and
 worse (in the direction ``BENCHMARK.json`` gives), each side's output
 digests and whether the two sides gave the same ones (``same_outputs``).
@@ -29,15 +34,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Every run lasts this long on both sides, so that runs recorded in
-# different BENCH_*.json files compare; perfbench's own default is 40 s.
+# The default length of every run, on both sides.
 RUN_SECONDS = 8
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict]:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The detail and result records of one untraced benchmark run in root."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(RUN_SECONDS), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or len(lines) < 2:
@@ -84,9 +88,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=("sweep", "certify", "fuzz"))
     ap.add_argument("--seed", type=int, default=4)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=RUN_SECONDS)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.seconds <= 0:
+        ap.error("--seconds must be positive")
     spec = json.loads((args.dir_a / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
 
@@ -96,10 +103,11 @@ def main(argv=None) -> int:
         pair: dict = {"first": order[0]}
         for side in order:
             root = args.dir_a if side == "a" else args.dir_b
-            detail, result = run_once(root, args.workload, args.seed)
+            detail, result = run_once(root, args.workload, args.seed, args.seconds)
             correct &= result["correct"]
             digests[side].add(detail["digest"])
             pair[side] = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+            pair[side]["attempted"] = result["attempted"]
         pairs.append(pair)
         print(f"pair {i + 1}/{args.pairs}: "
               + "  ".join(f"{s} {pair[s]['ops_per_s']:.1f}" for s in "ab") + " ops/s",
@@ -108,7 +116,7 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": RUN_SECONDS,
+        "seconds": args.seconds,
         "dir_a": str(args.dir_a),
         "dir_b": str(args.dir_b),
         "pairs": pairs,

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,7 @@ from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, ConsistencyError
 from bdtw.game import GameConfig, minimum_placements, solve
 from bdtw.graphs import Graph, boundary, closure
-from bdtw import monotonize
+from bdtw import monotonize, pre_tree
 from bdtw.monotonize import (
     ExtensionChoice,
     StepState,
@@ -23,6 +25,7 @@ from bdtw.pre_tree import (
     PreTreeDecomposition,
     is_exact,
     is_exact_edge,
+    local_blocks,
     local_boundary,
     ptd_depth,
     ptd_width,
@@ -31,6 +34,7 @@ from bdtw.pre_tree import (
 from bdtw.strategy_tree import build
 from bdtw.tree_decomp import td_depth, td_width, validate_td
 from oracles import change_oracle, extension_oracle, validate_ptd_oracle, verify_step_oracle
+import test_integration
 from test_strategy_tree import solved_tree
 
 
@@ -509,6 +513,109 @@ class TestChangeLocalChecks:
                     assert any(v.rule == rule for v in got[0] + got[1])
                     return
         pytest.fail(f"no single tamper violates {rule}")
+
+
+def free_edges(ptd, node):
+    """The edges free at some child tree-edge of the node."""
+    free = 0
+    for c in ptd.tree.children[node]:
+        free |= ptd.host.full_mask & ~(ptd.cones[(node, c)] | ptd.cones[(c, node)])
+    return free
+
+
+@functools.cache
+def golden_trees():
+    """The strategy trees of the pipelines whose certificates are pinned,
+    then each with every bag but the root's padded by vertex 0: a step
+    brings such a bag back to its local boundary."""
+    trees = [solved_tree(named_graph(name), k, q, fuzz=slack, seed=seed)[0].ptd
+             for name, k, q, slack, seed in test_integration.TestDeterminism.GOLDEN_CASES]
+    return trees + [
+        PreTreeDecomposition(ptd.tree, ptd.host,
+                             tuple(b | (t != ptd.tree.root) for t, b in enumerate(ptd.bags)),
+                             ptd.cones)
+        for ptd in trees]
+
+
+class TestStepsWithoutFreeEdges:
+    """A node whose child tree-edges have no free edge moves no edge: its
+    step only refreshes the bags that enter the scope."""
+
+    def test_step_work_is_the_bag_refresh(self, monkeypatch):
+        calls = {"blocks": [], "validate": [], "choose": 0, "apply": 0}
+        kinds = []
+
+        def choose(state, node):
+            calls["blocks"].clear()
+            calls["validate"].clear()
+            calls["choose"] += 1
+            return choose_extensions(state, node)
+
+        def apply(state, node, choice):
+            calls["apply"] += 1
+            after = apply_step(state, node, choice)
+            new = [t for t in (node, *state.ptd.tree.children[node]) if t not in state.scope]
+            keys, bags = after.changed
+            if not free_edges(state.ptd, node):
+                # Only the bags entering the scope are computed, and on the
+                # new decomposition, never on the one the state shares.
+                assert sorted(t for _ptd, t in calls["blocks"]) == sorted(new)
+                assert all(ptd is not state.ptd for ptd, _t in calls["blocks"])
+                assert not keys and bags <= set(new)
+                kinds.append("bags" if bags else "unchanged")
+            else:
+                kinds.append("free")
+            # The axioms are checked wherever the step changed something.
+            assert calls["validate"] == ([after.changed] if keys or bags else [])
+            assert (after.ptd is state.ptd) == (not keys and not bags)
+            return after
+
+        def blocks(ptd, t):
+            calls["blocks"].append((ptd, t))
+            return local_blocks(ptd, t)
+
+        def validate(ptd, changed=None):
+            # Its own reads of the blocks are the check's, not the step's.
+            calls["validate"].append(changed)
+            before = len(calls["blocks"])
+            report = validate_ptd(ptd, changed)
+            del calls["blocks"][before:]
+            return report
+
+        monkeypatch.setattr(monotonize, "choose_extensions", choose)
+        monkeypatch.setattr(monotonize, "apply_step", apply)
+        monkeypatch.setattr(monotonize, "local_blocks", blocks)
+        monkeypatch.setattr(pre_tree, "local_blocks", blocks)
+        monkeypatch.setattr(monotonize, "validate_ptd", validate)
+        for ptd in golden_trees():
+            internal = sum(1 for t in ptd.tree.nodes if ptd.tree.children[t])
+            calls["choose"] = calls["apply"] = 0
+            run(ptd, verify=True)
+            assert calls["choose"] == calls["apply"] == internal
+        assert Counter(kinds) == {"unchanged": 47, "bags": 25, "free": 10}
+
+    def test_no_free_edge_means_a_bag_refresh(self):
+        # The golden trees without a free edge, padded or not, and the
+        # solver's trees on the closure of every graph with n <= 5, k 1-3,
+        # at the least winning q, none of which has a free edge.
+        trees = [ptd for ptd in golden_trees()
+                 if not any(free_edges(ptd, t) for t in ptd.tree.nodes)]
+        assert len(trees) == len(golden_trees()) - 2
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                gc = closure(g)
+                for k in range(1, 4):
+                    q = minimum_placements(gc, k, False, n)
+                    if q is not None:
+                        st = build(gc, solve(gc, GameConfig(k, q)).strategy, GameConfig(k, q))
+                        assert not any(free_edges(st.ptd, t) for t in st.ptd.tree.nodes)
+                        trees.append(st.ptd)
+        assert len(trees) == 12 + 1331
+        for ptd in trees:
+            exact = run(ptd)
+            assert exact.cones == ptd.cones
+            assert exact.bags == tuple(local_boundary(ptd, t) for t in ptd.tree.nodes)
+            assert run(ptd, verify=True).bags == exact.bags
 
 
 class TestRun:
