@@ -7,7 +7,7 @@ against the solver.
 
 Exit codes follow a 0/1/2 contract where a yes/no answer exists: 0 for the
 positive answer (member, valid, all-agree), 1 for the negative one, 2 for
-errors such as unreadable files or exhausted search budgets.
+errors such as unreadable files or an exhausted solver (game.EXPANSION_BUDGET).
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ from .graphs import (MAX_VERTICES, Graph, bit_indices, bitmask, closure, inciden
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
-
-def _budget(args) -> int | None:
-    """--budget, else None (the solver's default)."""
-    if args.budget is not None and args.budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {args.budget}")
-    return args.budget
-
 
 def _check_cap(flag: str, value: int) -> None:
     """Reject a --k or --q above MAX_VERTICES, the most vertices a graph
@@ -79,9 +72,8 @@ def cmd_decide(args) -> int:
             raise ValueError(f"{flag} needs --certificate")
     _check_cap("--q", args.q)
     g = _load_graph(args.graph)
-    budget = _budget(args)
     if args.certificate:
-        result = monotonize_pipeline(g, args.k, args.q, verify=args.verify, budget=budget)
+        result = monotonize_pipeline(g, args.k, args.q, verify=args.verify)
         member = result.member
         if member:
             with open(args.certificate, "w") as f:
@@ -93,7 +85,7 @@ def cmd_decide(args) -> int:
             print(f"no certificate written to {args.certificate}: the graph is not a member",
                   file=sys.stderr)
     else:
-        member = cops_win(closure(g), args.k, args.q, budget)
+        member = cops_win(closure(g), args.k, args.q)
     print(f"{'IN' if member else 'NOT IN'} T^{args.k}_{args.q}")
     return 0 if member else 1
 
@@ -104,7 +96,7 @@ def cmd_solve(args) -> int:
     if args.closure:
         g = closure(g)
     cfg = GameConfig(args.k, args.q, monotone=args.monotone)
-    result = solve(g, cfg, _budget(args))
+    result = solve(g, cfg)
     print(f"winner: {result.winner}")
     print(f"positions: {result.position_count}")
     if args.strategy_out and isinstance(result.strategy, Strategy):
@@ -162,9 +154,8 @@ def cmd_verify(args) -> int:
 
 def _equivalence_worker(item):
     """(name, k, costs) for each k of one instance, on one host."""
-    name, n, edges, ks, q_max, budget = item
-    return [(name, k, costs)
-            for k, costs in zip(ks, variant_costs(Graph(n, edges), ks, q_max, budget))]
+    name, n, edges, ks, q_max = item
+    return [(name, k, costs) for k, costs in zip(ks, variant_costs(Graph(n, edges), ks, q_max))]
 
 
 def _usable_cpus() -> int:
@@ -186,8 +177,7 @@ def cmd_equivalence(args) -> int:
     _check_cap("--k", ks[-1])
     _check_cap("--q", qs[-1])
     q_max = qs[-1]
-    budget = _budget(args)
-    items = [(name, g.n, g.edges, ks, q_max, budget) for name, g in instances]
+    items = [(name, g.n, g.edges, ks, q_max) for name, g in instances]
     start = time.monotonic()
     workers = min(args.jobs, len(items), _usable_cpus())
     if workers > 1:
@@ -215,7 +205,7 @@ def cmd_play(args) -> int:
     if args.closure:
         g = closure(g)
     cfg = GameConfig(args.k, args.q)
-    solver = _Solver(g, cfg.k, cfg.monotone, _budget(args))
+    solver = _Solver(g, cfg.k, cfg.monotone)
     stdin = sys.stdin
     log_lines: list[str] = []
 
@@ -340,17 +330,15 @@ def _parser() -> argparse.ArgumentParser:
     game.add_argument("graph")
     game.add_argument("--k", type=int, required=True)
     game.add_argument("--q", type=int, required=True)
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int)
 
-    p = sub.add_parser("decide", parents=[game, budget],
+    p = sub.add_parser("decide", parents=[game],
                        help="decide membership, optionally with a certificate")
     p.add_argument("--certificate", metavar="FILE")
     p.add_argument("--verify", action="store_true",
                    help="re-check every exactification step (needs --certificate)")
     p.add_argument("--format", choices=["td", "ptd"], help="certificate format (default td)")
 
-    p = sub.add_parser("solve", parents=[game, budget], help="solve one game instance")
+    p = sub.add_parser("solve", parents=[game], help="solve one game instance")
     p.add_argument("--monotone", action="store_true")
     p.add_argument("--closure", action="store_true", help="play on the closure graph")
     p.add_argument("--strategy-out", metavar="FILE")
@@ -367,15 +355,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("artifact")
     p.add_argument("--graph", metavar="FILE", help="host graph for .td artifacts")
 
-    p = sub.add_parser("equivalence", parents=[budget],
-                       help="check the game variants agree over a corpus")
+    p = sub.add_parser("equivalence", help="check the game variants agree over a corpus")
     p.add_argument("--corpus", action="append", required=True,
                    help="e.g. all-graphs:3, paths:2-5, named:K4,C5 (repeatable)")
     p.add_argument("--k", required=True, help="value or range, e.g. 1-3")
     p.add_argument("--q", required=True, help="value or range, e.g. 1-5")
     p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("play", parents=[game, budget], help="play one side against the solver")
+    p = sub.add_parser("play", parents=[game], help="play one side against the solver")
     p.add_argument("--as", dest="side", choices=["robber", "cop"], required=True)
     p.add_argument("--closure", action="store_true")
     p.add_argument("--log", metavar="FILE")

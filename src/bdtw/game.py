@@ -135,7 +135,8 @@ from .graphs import (
     incident_edges,
 )
 
-DEFAULT_BUDGET = 50_000_000
+# No input at the stated scale comes near this many expansions (_Solver).
+EXPANSION_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,7 @@ class _Solver:
     left reads no list (_wins_in_one, _wins_in_two), nor does one with
     three that _loses_in_three refutes; such an expansion visits none of
     the position's children, but counts as an expansion all the same.
+    The expansion past EXPANSION_BUDGET raises BudgetExceededError.
 
     bounds holds one entry per position the solver has a bound for: those
     it searched and, in the monotone variant, the losses it inherited from
@@ -233,11 +235,10 @@ class _Solver:
     the position count that solve reports.
     """
 
-    def __init__(self, g: Graph, k: int, monotone: bool, budget: int | None = None):
+    def __init__(self, g: Graph, k: int, monotone: bool):
         self.g = g
         self.k = k
         self.monotone = monotone
-        self.budget = DEFAULT_BUDGET if budget is None else budget
         self.expansions = 0
         # (cops, component) -> [largest budget known lost, smallest budget
         # known won]
@@ -442,9 +443,9 @@ class _Solver:
     def _expand(self, x_mask: int, c_mask: int, entry: list, b: int) -> bool:
         """win for a position whose bounds entry leaves b undecided."""
         self.expansions += 1
-        if self.expansions > self.budget:
+        if self.expansions > EXPANSION_BUDGET:
             raise BudgetExceededError(
-                f"solver expanded {self.expansions} positions (budget {self.budget})"
+                f"solver expanded {self.expansions} positions (budget {EXPANSION_BUDGET})"
             )
         if b == 1:
             result = self._wins_in_one(x_mask, c_mask)
@@ -589,34 +590,30 @@ class SolveResult:
     position_count: int
 
 
-def solve(g: Graph, cfg: GameConfig, budget: int | None = None) -> SolveResult:
+def solve(g: Graph, cfg: GameConfig) -> SolveResult:
     """Decide the game exactly and extract a strategy for the winner."""
-    solver = _Solver(g, cfg.k, cfg.monotone, budget)
+    solver = _Solver(g, cfg.k, cfg.monotone)
     if solver.game_cost(cfg.q) is None:
         return SolveResult("robber", RobberStrategy(solver, cfg.q), len(solver.bounds))
     return SolveResult("cop", solver.extract_cop_strategy(cfg.q), len(solver.bounds))
 
 
-def minimum_placements(g: Graph, k: int, monotone: bool, cap: int,
-                       budget: int | None = None) -> int | None:
+def minimum_placements(g: Graph, k: int, monotone: bool, cap: int) -> int | None:
     """Fewest placements with which k cops win, or None if more than cap."""
-    if k < 1 or cap < 1:
-        raise ValueError("k and the placement cap must be at least 1")
-    return _Solver(g, k, monotone, budget).game_cost(cap)
+    cfg = GameConfig(k, cap, monotone)
+    return _Solver(g, cfg.k, cfg.monotone).game_cost(cfg.q)
 
 
-def cops_win(g: Graph, k: int, q: int, budget: int | None = None) -> bool:
+def cops_win(g: Graph, k: int, q: int) -> bool:
     """Whether k cops win the non-monotone q-game on g, by one search at
     q placements; minimum_placements deepens from 1 to find the least q,
     which only a certificate needs."""
-    if k < 1 or q < 1:
-        raise ValueError("k and q must be at least 1")
-    solver = _Solver(g, k, False, budget)
-    return all(solver.win(0, c_mask, q) for c_mask in initial_components(g))
+    cfg = GameConfig(k, q)
+    solver = _Solver(g, cfg.k, cfg.monotone)
+    return all(solver.win(0, c_mask, cfg.q) for c_mask in initial_components(g))
 
 
-def variant_costs(g: Graph, ks: Sequence[int], cap: int,
-                  budget: int | None = None) -> list[tuple[int | None, ...]]:
+def variant_costs(g: Graph, ks: Sequence[int], cap: int) -> list[tuple[int | None, ...]]:
     """Per k in ks, minimum_placements for the four game variants, in the
     order plain non-monotone, plain monotone, closure non-monotone,
     closure monotone.
@@ -627,7 +624,7 @@ def variant_costs(g: Graph, ks: Sequence[int], cap: int,
     and proves its wins itself.  One plain host and one closure serve
     every k, so each component table and response table is built once."""
     hosts = (g, closure(g))
-    return [tuple(minimum_placements(host, k, monotone, cap, budget)
+    return [tuple(minimum_placements(host, k, monotone, cap)
                   for host in hosts for monotone in (False, True))
             for k in ks]
 

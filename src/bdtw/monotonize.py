@@ -342,7 +342,12 @@ def verify_step(prev: StepState, next_state: StepState) -> Report:
       and the edges that newly enter the scope;
     - only-remove: changed keys from an unprocessed node to its child;
     - locality and balance: tree edges with a changed key;
-    - per-node and global width: the changed bags, against the original's;
+    - per-node and global width: the changed bags.  An internal node's bag
+      may not grow, and a changed leaf bag must lie within its parent's:
+      PT2 keeps a leaf's cone from its parent one edge e, so a step makes
+      the leaf's bag the endpoints of e with other edges, which may
+      outnumber its old bag but are boundary at the parent.  That is all
+      width and depth need of a leaf;
     - depth: the scope nodes whose root path holds a changed bag, and
       the nodes new to the scope;
     - the three vertex-tracking claims: the node's children and the
@@ -438,10 +443,14 @@ def verify_step(prev: StepState, next_state: StepState) -> Report:
 
     bags_sorted = sorted(changed_bags)
     for t in bags_sorted:
-        if beta_next[t].bit_count() > beta_prev[t].bit_count():
-            report.add("width", f"node {t}",
-                       f"bag grew from {list(bit_indices(beta_prev[t]))} "
-                       f"to {list(bit_indices(beta_next[t]))}")
+        was, now = beta_prev[t], beta_next[t]
+        if tree.children[t]:
+            if now.bit_count() > was.bit_count():
+                report.add("width", f"node {t}", f"bag grew from {list(bit_indices(was))} "
+                           f"to {list(bit_indices(now))}")
+        elif now != was and now & ~beta_next[parent[t]]:
+            report.add("width", f"node {t}", f"leaf bag {list(bit_indices(now))} is not "
+                       f"within its parent's {list(bit_indices(beta_next[parent[t]]))}")
     # Unchanged bags are within width0, so a changed bag above it is the
     # widest.
     if bags_sorted:
@@ -599,8 +608,7 @@ class PipelineResult:
 
 def monotonize_pipeline(g: Graph, k: int, q: int, *,
                         fuzz_slack: int = 0, seed: int = 0,
-                        verify: bool = False,
-                        budget: int | None = None) -> PipelineResult:
+                        verify: bool = False) -> PipelineResult:
     """Solve the non-monotone game on the closure, turn the winning
     strategy, which may be non-monotone, into a tree, exactify it, and
     convert to a tree decomposition of g.
@@ -614,7 +622,7 @@ def monotonize_pipeline(g: Graph, k: int, q: int, *,
         raise ValueError(f"fuzz slack must be at least 0, got {fuzz_slack}")
     gc = closure(g)
     cfg = GameConfig(k, q)
-    res = solve(gc, cfg, budget)
+    res = solve(gc, cfg)
     if res.winner == "robber":
         assert isinstance(res.strategy, RobberStrategy)
         return PipelineResult(False, None, res.strategy)

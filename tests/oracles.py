@@ -584,9 +584,16 @@ def verify_step_oracle(prev: StepState, next_state: StepState,
                            "cone transfer between directions is unbalanced")
 
     for t in tree.nodes:
-        if len(beta_next[t]) > len(beta_prev[t]):
-            report.add("width", f"node {t}",
-                       f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
+        parent_bag = beta_next[tree.parent[t]]
+        if tree.children[t]:
+            if len(beta_next[t]) > len(beta_prev[t]):
+                report.add("width", f"node {t}",
+                           f"bag grew from {sorted(beta_prev[t])} to {sorted(beta_next[t])}")
+        elif beta_next[t] != beta_prev[t] and not beta_next[t] <= parent_bag:
+            # A changed leaf bag need only lie within its parent's
+            # (monotonize.verify_step).
+            report.add("width", f"node {t}", f"leaf bag {sorted(beta_next[t])} is not "
+                       f"within its parent's {sorted(parent_bag)}")
     wid0 = ptd_width(original)
     if ptd_width(ptd_next) > wid0:
         report.add("width", "global", f"width {ptd_width(ptd_next)} exceeds original {wid0}")

@@ -429,18 +429,12 @@ class TestEquivalenceCmd:
     ["equivalence", "--corpus", "trees:3", "--k", "1", "--q", "1"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "0"],
     ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--jobs", "-2"],
-    ["equivalence", "--corpus", "named:E1", "--k", "1", "--q", "1", "--budget", "0"],
-    ["decide", "K3", "--k", "3", "--q", "3", "--budget", "0"],
     ["decide", "K3", "--k", "2", "--q", "3", "--verify"],
     ["decide", "K3", "--k", "3", "--q", "3", "--format", "ptd"],
     ["decide", "K3", "--k", "3", "--q", "3", "--format", "td"],
-    ["solve", "E0", "--k", "1", "--q", "1", "--budget", "-1"],
-    ["play", "K3", "--k", "3", "--q", "3", "--as", "cop", "--budget", "0"],
 ], ids=["decide-k0", "decide-k-1", "equivalence-k0", "equivalence-k3-1", "equivalence-q0",
         "equivalence-corpus4-3", "equivalence-unknown-family", "equivalence-jobs0", "equivalence-jobs-2",
-        "equivalence-budget0", "decide-budget0", "decide-verify-alone",
-        "decide-format-alone", "decide-format-without-certificate",
-        "solve-edgeless-budget-1", "play-budget0"])
+        "decide-verify-alone", "decide-format-alone", "decide-format-without-certificate"])
 def test_invalid_game_parameters_exit_two(argv, graph_file, tmp_path, capsys):
     edgeless = tmp_path / "E0.gr"
     edgeless.write_text(dumps_graph(Graph(1, [])))
@@ -505,6 +499,28 @@ def test_internal_error_exits_two(graph_file, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "K3", "--k", "3", "--q", "3"],
+    ["decide", "K3", "--k", "3", "--q", "3", "--certificate", "CERT"],
+    ["solve", "K3", "--k", "3", "--q", "3"],
+    ["equivalence", "--corpus", "named:K3", "--k", "1-3", "--q", "1-3", "--jobs", "1"],
+    ["play", "K3", "--k", "3", "--q", "3", "--as", "cop"],
+], ids=["decide", "decide-certificate", "solve", "equivalence", "play"])
+def test_exhausted_budget_exits_two(argv, graph_file, tmp_path, monkeypatch, capsys):
+    # The limit, not argparse, ends the run: the same command answers at
+    # the real limit and names the solver's expansions at a limit of 1.
+    argv = [graph_file(a) if a == "K3" else str(tmp_path / "c.td") if a == "CERT" else a
+            for a in argv]
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("bdtw.game.EXPANSION_BUDGET", 1)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: solver expanded 2 positions (budget 1)\n"
+    assert out == ""
 
 
 class TestPlayCmd:

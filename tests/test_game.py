@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from bdtw import game
 from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, StrategyError
 from bdtw.game import (
@@ -14,6 +15,7 @@ from bdtw.game import (
     _keeps_part,
     _replies,
     _stage,
+    cops_win,
     initial_components,
     minimum_placements,
     replay_cop_strategy,
@@ -171,9 +173,21 @@ class TestSolve:
                             want = "cop" if naive_cop_wins(host, k, q, mono) else "robber"
                             assert got == want, (host, k, q, mono)
 
-    def test_budget_error(self, k3):
-        with pytest.raises(BudgetExceededError):
-            solve(closure(k3), GameConfig(3, 3), budget=5)
+    def test_budget_error(self, k3, monkeypatch):
+        monkeypatch.setattr(game, "EXPANSION_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="expanded 6 positions"):
+            solve(closure(k3), GameConfig(3, 3))
+
+    @pytest.mark.parametrize("call", [
+        lambda g: GameConfig(0, 1),
+        lambda g: minimum_placements(g, 0, False, 3),
+        lambda g: minimum_placements(g, 1, True, 0),
+        lambda g: cops_win(g, 1, 0),
+        lambda g: variant_costs(g, [0], 3),
+    ], ids=["config", "placements-k0", "placements-cap0", "cops-win-q0", "variant-costs-k0"])
+    def test_k_and_q_below_one_are_refused(self, k3, call):
+        with pytest.raises(ValueError, match="k and q must be at least 1"):
+            call(k3)
 
 
 class TestStrategies:
@@ -563,7 +577,7 @@ class TestInheritedLosses:
                 positions += self.assert_costs_match(host, k, 6)
         assert positions > 500
 
-    def test_after_a_budget_error_or_a_smaller_cap(self):
+    def test_after_a_budget_error_or_a_smaller_cap(self, monkeypatch):
         rng = random.Random(14)
         cut_short = 0
         for _ in range(8):
@@ -572,8 +586,10 @@ class TestInheritedLosses:
                 full = _Solver(Graph(host.n, host.edges), k, False)
                 full.game_cost(6)
                 if full.expansions >= 2:
-                    with pytest.raises(BudgetExceededError):
-                        _Solver(host, k, False, budget=full.expansions // 2).game_cost(6)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(game, "EXPANSION_BUDGET", full.expansions // 2)
+                        with pytest.raises(BudgetExceededError):
+                            _Solver(host, k, False).game_cost(6)
                     self.assert_costs_match(host, k, 6)
                     cut_short += 1
                 _Solver(host, k, False).game_cost(2)

@@ -147,21 +147,24 @@ class TestProcessLevel:
     def test_exhausted_budget_exits_two(self, tmp_path):
         path = tmp_path / "g.gr"
         path.write_text(dumps_graph(named_graph("K3")))
-        cmd = [sys.executable, "-m", "bdtw.cli", "decide", str(path), "--k", "3", "--q", "3"]
+        # The command line with the solver's limit set to `limit` first.
+        code = ("import sys, bdtw.game, bdtw.cli; bdtw.game.EXPANSION_BUDGET = int(sys.argv[1]); "
+                "sys.exit(bdtw.cli.main(sys.argv[2:]))")
 
-        def run(*extra_args):
-            return subprocess.run(cmd + list(extra_args), capture_output=True, text=True)
+        def run(limit):
+            return subprocess.run(
+                [sys.executable, "-c", code, limit, "decide", str(path), "--k", "3", "--q", "3"],
+                capture_output=True, text=True)
 
-        # Control: without a budget the same command answers.
-        proc = run()
+        # Control: at the search's 2 expansions the command answers.
+        proc = run("2")
         assert proc.returncode == 0
         assert "IN T^3_3" in proc.stdout
 
-        # The one search at q = 3 expands 2 positions.
-        proc = run("--budget", "1")
+        proc = run("1")
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stderr == "error: solver expanded 2 positions (budget 1)\n"
 
     def test_fuzz_campaign_script(self, tmp_path):
         script = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline_fuzz.py"

@@ -8,7 +8,7 @@ import pytest
 from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, ConsistencyError
 from bdtw.game import GameConfig, minimum_placements, solve
-from bdtw.graphs import Graph, boundary, closure
+from bdtw.graphs import Graph, boundary, closure, dumps_graph
 from bdtw import monotonize, pre_tree
 from bdtw.monotonize import (
     ExtensionChoice,
@@ -23,8 +23,10 @@ from bdtw.monotonize import (
 )
 from bdtw.pre_tree import (
     PreTreeDecomposition,
+    dumps_ptd,
     is_exact,
     is_exact_edge,
+    loads_ptd,
     local_blocks,
     local_boundary,
     ptd_depth,
@@ -36,6 +38,50 @@ from bdtw.tree_decomp import td_depth, td_width, validate_td
 from oracles import change_oracle, extension_oracle, validate_ptd_oracle, verify_step_oracle
 import test_integration
 from test_strategy_tree import solved_tree
+
+
+def valid_mutants(seed: int, draws: int):
+    """The mutants validate_ptd accepts among `draws` per strategy tree of
+    FUZZED_CORPUS, unfuzzed and fuzzed with slack 2.  Each toggles 1-4 bag
+    vertices or cone edges, so it is a valid pre-decomposition that is in
+    general no strategy tree."""
+    rng = random.Random(seed)
+    for name, k, q, fuzz_seed in FUZZED_CORPUS:
+        for slack in (0, 2):
+            ptd = solved_tree(named_graph(name), k, q, fuzz=slack, seed=fuzz_seed)[0].ptd
+            n, m = ptd.host.n, len(ptd.host.edges)
+            keys = sorted(ptd.cones)
+            for _ in range(draws):
+                bags, cones = list(ptd.bags), dict(ptd.cones)
+                for _ in range(rng.randint(1, 4)):
+                    if rng.randrange(2):
+                        bags[rng.randrange(len(bags))] ^= 1 << rng.randrange(n)
+                    else:
+                        cones[rng.choice(keys)] ^= 1 << rng.randrange(m)
+                mutant = PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones)
+                if validate_ptd(mutant).ok:
+                    yield mutant
+
+
+def check_valid_mutants(seeds, draws: int) -> int:
+    """Exactify every valid mutant of the seeds, checked; returns how many
+    of them have a non-exact tree edge."""
+    kept = nonexact = 0
+    for seed in seeds:
+        for mutant in valid_mutants(seed, draws):
+            try:
+                exact = run(mutant, verify=True)
+            except ConsistencyError as exc:
+                pytest.fail(f"seed {seed}, mutant\n{dumps_ptd(mutant)}{exc}")
+            assert is_exact(exact)
+            assert ptd_width(exact) <= ptd_width(mutant)
+            assert ptd_depth(exact) <= ptd_depth(mutant)
+            plain = run(mutant)
+            assert (exact.bags, exact.cones) == (plain.bags, plain.cones)
+            kept += 1
+            nonexact += not is_exact(mutant)
+    assert kept
+    return nonexact
 
 
 def assignment_oracle(state, node):
@@ -659,6 +705,29 @@ class TestRun:
         with pytest.raises(ValueError, match=r"\[PT3\] at node " + str(t)):
             run(bad)
 
+    def test_free_edge_at_a_leaf_verifies(self, e1c):
+        # Leaf 4 hangs off node 2 with the cone {0-1}, and the loop at 1 is
+        # in neither cone of that tree edge.  The step puts it in 4's cone
+        # toward 2, so 4's bag grows from [0] to [0, 1], which is 2's bag.
+        text = dumps_graph(e1c) + "".join(line + "\n" for line in [
+            "n 0 0 :", "n 1 0 : 0", "n 2 1 : 0 1", "n 3 1 : 0", "n 4 2 : 0", "n 5 2 : 1",
+            "g 0 1 : 0 1 2", "g 1 0 :", "g 1 2 : 0 2", "g 1 3 : 1", "g 2 1 : 1",
+            "g 2 4 : 0", "g 2 5 : 2", "g 3 1 : 0 2", "g 4 2 : 1", "g 5 2 : 0 1"])
+        ptd = loads_ptd(text)
+        assert validate_ptd(ptd).ok
+        exact = run(ptd, verify=True)
+        assert exact.bags[4] == exact.bags[2] == 0b11
+        assert dumps_ptd(exact) == dumps_ptd(run(ptd))
+        assert is_exact(exact)
+        assert (ptd_width(exact), ptd_depth(exact)) == (1, 2)
+        for _node, before, after, _choice in iterate_steps(ptd):
+            assert verify_step_oracle(before, after, ptd).ok
+
+    def test_valid_mutants_exactify(self):
+        # Seeds 10 and 13 each hold a mutant with a free edge at a leaf
+        # (test_free_edge_at_a_leaf_verifies).
+        assert check_valid_mutants(range(10, 14), 100) >= 600
+
     def test_trace_lines(self):
         from bdtw.tree_decomp import RootedTree
 
@@ -793,6 +862,7 @@ class TestPipeline:
             covered |= b
         assert covered == (1 << g.n) - 1
 
-    def test_budget_propagates(self, k3):
-        with pytest.raises(BudgetExceededError):
-            monotonize_pipeline(k3, 3, 3, budget=5)
+    def test_budget_propagates(self, k3, monkeypatch):
+        monkeypatch.setattr("bdtw.game.EXPANSION_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="expanded 6 positions"):
+            monotonize_pipeline(k3, 3, 3)

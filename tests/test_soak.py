@@ -41,6 +41,7 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
+from test_monotonize import check_valid_mutants
 from oracles import (
     branching_oracle,
     live_parts,
@@ -184,6 +185,12 @@ def test_padded_round_trip_soak():
         assert td_width(tight) <= td_width(padded)
         rounds += 1
     assert rounds >= 40
+
+
+def test_valid_mutant_soak():
+    # Valid pre-decompositions that are no strategy trees, as
+    # TestRun.test_valid_mutants_exactify over more seeds.
+    assert check_valid_mutants(range(14, 26), 100) >= 1800
 
 
 def test_monotone_kept_sets_soak():
