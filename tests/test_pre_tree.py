@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from bdtw.errors import FormatError, NotApplicableError
@@ -18,8 +21,17 @@ from bdtw.pre_tree import (
     to_tree_decomposition,
     validate_ptd,
 )
-from bdtw.tree_decomp import RootedTree, TreeDecomposition, td_depth, td_width, validate_td
+from bdtw.tree_decomp import (
+    RootedTree,
+    TreeDecomposition,
+    dumps_td,
+    td_depth,
+    td_width,
+    tighten,
+    validate_td,
+)
 from conftest import small_graph_corpus
+from test_tree_decomp import elimination_td
 
 
 def e1_reference(e1c):
@@ -250,6 +262,20 @@ class TestFromTreeDecomposition:
         assert is_exact(ptd)
         back = to_tree_decomposition(ptd, g)
         assert validate_td(back).ok
+
+    # sha256 over 200 seeded padded decompositions (elimination_td) of
+    # each input, its tighten and its from_tree_decomposition, as text.
+    PADDED_DIGEST = "518d5d90ed93acbe33bfc33dbd31d271c09f247e81836b998c114a3a745cd4d8"
+
+    def test_padded_decompositions_digest(self):
+        rng = random.Random(34)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            td = elimination_td(rng)
+            for text in (dumps_td(td), dumps_td(tighten(td)),
+                         dumps_ptd(from_tree_decomposition(td))):
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.PADDED_DIGEST
 
 
 class TestSerialization:

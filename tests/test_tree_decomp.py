@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bdtw.errors import FormatError, NotApplicableError
@@ -18,6 +20,36 @@ from oracles import connected_vertex_subsets
 
 def td_of(g, parent, bags):
     return TreeDecomposition(RootedTree(parent), g, tuple(bitmask(b) for b in bags))
+
+
+def elimination_td(rng: random.Random) -> TreeDecomposition:
+    """A tree decomposition of a G(n, 1/2) with n in 3..6 from a random
+    elimination order, padded with 0-3 bag vertices that keep it valid.
+
+    Node 1 + v holds v and its later neighbours in the filled graph; its
+    parent is the node of the earliest later vertex of that bag, or the
+    empty root bag, node 0, when there is none."""
+    n = rng.randint(3, 6)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+    order = rng.sample(range(n), n)
+    adj = [bitmask(g.neighbors(v)) for v in g.vertices]
+    parent, bags = [0] * (n + 1), [0] * (n + 1)
+    alive = (1 << n) - 1
+    for v in order:
+        alive &= ~(1 << v)
+        later = adj[v] & alive
+        for u in bit_indices(later):
+            adj[u] |= later & ~(1 << u)
+        bags[1 + v] = later | 1 << v
+        if later:
+            parent[1 + v] = 1 + next(u for u in order if later >> u & 1)
+    tree = RootedTree(parent)
+    for _ in range(rng.randint(0, 3)):
+        padded = list(bags)
+        padded[rng.randrange(n + 1)] |= 1 << rng.randrange(n)
+        if validate_td(TreeDecomposition(tree, g, tuple(padded))).ok:
+            bags = padded
+    return TreeDecomposition(tree, g, tuple(bags))
 
 
 @pytest.fixture
