@@ -7,7 +7,8 @@ against the solver.
 
 Exit codes follow a 0/1/2 contract where a yes/no answer exists: 0 for the
 positive answer (member, valid, all-agree), 1 for the negative one, 2 for
-errors such as unreadable files or an exhausted solver (game.EXPANSION_BUDGET).
+errors such as unreadable files, an exhausted solver (game.EXPANSION_BUDGET)
+or a k or q that game.GameConfig refuses, below 1 or above the vertex cap.
 """
 
 from __future__ import annotations
@@ -34,19 +35,10 @@ from .game import (
     solve,
     variant_costs,
 )
-from .graphs import (MAX_VERTICES, Graph, bit_indices, bitmask, closure, incident_edges,
-                     read_graph, records)
+from .graphs import Graph, bit_indices, bitmask, closure, incident_edges, read_graph, records
 from .monotonize import monotonize_pipeline, run
 from .pre_tree import read_ptd, validate_ptd, write_ptd, ptd_depth, ptd_width
 from .tree_decomp import read_td, td_depth, td_width, validate_td, write_td
-
-def _check_cap(flag: str, value: int) -> None:
-    """Reject a --k or --q above MAX_VERTICES, the most vertices a graph
-    may have: width + 1 and depth never exceed the vertex count, so a
-    larger value gives no other answer, while the solver's work grows
-    with q."""
-    if value > MAX_VERTICES:
-        raise ValueError(f"{flag} {value} is above the cap of {MAX_VERTICES}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -70,7 +62,6 @@ def cmd_decide(args) -> int:
     for flag, value in (("--verify", args.verify), ("--format", args.format)):
         if value and not args.certificate:
             raise ValueError(f"{flag} needs --certificate")
-    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     if args.certificate:
         result = monotonize_pipeline(g, args.k, args.q, verify=args.verify)
@@ -91,7 +82,6 @@ def cmd_decide(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     if args.closure:
         g = closure(g)
@@ -174,8 +164,7 @@ def cmd_equivalence(args) -> int:
         instances.extend(corpus_instances(spec_text))
     ks, qs = (parse_range(text, 1, f"{text!r} is not a nonempty range of positive integers")
               for text in (args.k, args.q))
-    _check_cap("--k", ks[-1])
-    _check_cap("--q", qs[-1])
+    GameConfig(ks[-1], qs[-1])  # refuses a k or q above the cap before any solve
     q_max = qs[-1]
     items = [(name, g.n, g.edges, ks, q_max) for name, g in instances]
     start = time.monotonic()
@@ -200,7 +189,6 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_play(args) -> int:
-    _check_cap("--q", args.q)
     g = _load_graph(args.graph)
     if args.closure:
         g = closure(g)

@@ -126,6 +126,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, StrategyError
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     bit_indices,
     bitmask,
@@ -141,6 +142,11 @@ EXPANSION_BUDGET = 50_000_000
 
 @dataclass(frozen=True)
 class GameConfig:
+    """k cops, q placements and the variant of one game.  Raises ValueError
+    unless k and q lie in 1..MAX_VERTICES, the most vertices a graph may
+    have: width + 1 and depth never exceed the vertex count, so a larger
+    value gives no other answer, while the solver's work grows with q."""
+
     k: int
     q: int
     monotone: bool = False
@@ -148,6 +154,9 @@ class GameConfig:
     def __post_init__(self):
         if self.k < 1 or self.q < 1:
             raise ValueError("k and q must be at least 1")
+        for name, value in (("k", self.k), ("q", self.q)):
+            if value > MAX_VERTICES:
+                raise ValueError(f"{name} {value} is above the cap of {MAX_VERTICES}")
 
 
 @dataclass
@@ -165,9 +174,6 @@ class Strategy:
                 f"strategy undefined at cops={list(bit_indices(x_mask))} "
                 f"robber={list(bit_indices(c_mask))}"
             ) from None
-
-    def __len__(self) -> int:
-        return len(self.moves)
 
 
 def _stage(g: Graph, mid: int, c_mask: int) -> int:

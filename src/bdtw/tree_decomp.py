@@ -198,22 +198,9 @@ def check_connected_trace(td: TreeDecomposition, u: int) -> bool:
     return td.tree.induced_connected(trace)
 
 
-def _removal_keeps_valid(td: TreeDecomposition, t: int, v: int) -> bool:
-    """Whether dropping v from bag t preserves T1 and T2."""
-    g = td.host
-    others = [s for s in td.tree.nodes if s != t and td.bags[s] >> v & 1]
-    if not others:
-        return False
-    for e in g.edge_ids(g.incident_mask(v)):
-        ab = bitmask(g.endpoints(e))
-        # Coverage must survive without relying on bag t still containing v.
-        if not any(td.bags[s] & ab == ab and s != t for s in td.tree.nodes):
-            return False
-    return td.tree.induced_connected(others)
-
-
 def tighten(td: TreeDecomposition) -> TreeDecomposition:
-    """Greedily remove vertices from bags while validity is preserved.
+    """Greedily remove vertices from bags while validate_td accepts the
+    result.
 
     Scans (node, vertex) pairs in increasing order and repeats to a fixpoint,
     so the result is deterministic.  Width and depth never increase.
@@ -224,10 +211,11 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
         changed = False
         for t in td.tree.nodes:
             for v in bit_indices(current.bags[t]):
-                if _removal_keeps_valid(current, t, v):
-                    bags = list(current.bags)
-                    bags[t] &= ~(1 << v)
-                    current = TreeDecomposition(td.tree, td.host, tuple(bags))
+                bags = list(current.bags)
+                bags[t] &= ~(1 << v)
+                smaller = TreeDecomposition(td.tree, td.host, tuple(bags))
+                if validate_td(smaller).ok:
+                    current = smaller
                     changed = True
     return current
 

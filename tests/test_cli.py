@@ -321,10 +321,14 @@ class TestParameterCaps:
         ["play", "K3", "--k", "1", "--q", "99999999999", "--as", "cop"],
         ["equivalence", "--corpus", "named:K3", "--k", "1", "--q", "1-99999999999"],
         ["equivalence", "--corpus", "named:K3", "--k", "1-99999999", "--q", "1"],
-    ], ids=["decide", "solve", "play", "equivalence-q", "equivalence-k"])
+        ["decide", "K3", "--k", "65", "--q", "1"],
+        ["solve", "K3", "--k", "65", "--q", "1"],
+        ["play", "K3", "--k", "65", "--q", "1", "--as", "cop"],
+    ], ids=["decide", "solve", "play", "equivalence-q", "equivalence-k",
+            "decide-k", "solve-k", "play-k"])
     def test_above_the_cap_exits_2_at_once(self, graph_file, capsys, argv):
-        # The solver tries every budget up to q, so q is capped where no
-        # accepted graph can need more: at its vertex cap.
+        # GameConfig caps k and q where no accepted graph can need more, at
+        # its vertex cap, and every command builds one before any solve.
         argv = [graph_file(a) if a == "K3" else a for a in argv]
         start = time.perf_counter()
         rc = main(argv)
@@ -332,7 +336,7 @@ class TestParameterCaps:
         out, err = capsys.readouterr()
         assert rc == 2
         assert out == ""
-        assert re.fullmatch(r"error: --[kq] \d+ is above the cap of 64\n", err)
+        assert re.fullmatch(r"error: [kq] \d+ is above the cap of 64\n", err)
         assert elapsed < 0.5
 
     def test_cap_itself_is_accepted(self, graph_file, capsys):

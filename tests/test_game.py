@@ -189,6 +189,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="k and q must be at least 1"):
             call(k3)
 
+    @pytest.mark.parametrize("call", [
+        lambda g: GameConfig(65, 1),
+        lambda g: GameConfig(1, 65),
+        lambda g: cops_win(closure(named_graph("C5")), 3, 1100),
+        lambda g: minimum_placements(g, 1, False, 65),
+        lambda g: variant_costs(g, [65], 3),
+    ], ids=["config-k", "config-q", "cops-win-q1100", "placements-cap65", "variant-costs-k65"])
+    def test_k_and_q_above_the_cap_are_refused(self, k3, call):
+        # No k or q above the vertex cap changes an answer; a q of 1,100
+        # once ran the search into a RecursionError.
+        with pytest.raises(ValueError, match=r"^[kq] \d+ is above the cap of 64$"):
+            call(k3)
+
 
 class TestStrategies:
     def test_cop_strategy_replays_to_capture(self, e1c, k3):

@@ -1,5 +1,5 @@
 """No module under src/bdtw, scripts/ or tests/ imports a name it never
-uses, and no private function of src/bdtw outlives its last caller.
+uses, and no function or class of src/bdtw outlives its last caller.
 
 The package's `__init__` imports names to re-export them, so it is exempt.
 A name counts as used when the module reads it anywhere, annotations
@@ -8,7 +8,8 @@ included; a mention in a string or comment does not count.
 A function or method of src/bdtw whose name starts with one underscore
 must be named on some line other than its `def` in src/, scripts/, tests/
 or perfbench/, so a helper that a refactor leaves without callers fails
-here.
+here.  So must each public function, method or class of src/bdtw, but for
+the cli.cmd_* commands, which cli.main looks up in globals().
 """
 
 import ast
@@ -63,15 +64,23 @@ def private_defs(source: str) -> list[tuple[int, str]]:
             and node.name.startswith("_") and not node.name.endswith("__")]
 
 
-def orphaned_defs(defs: dict[str, str], texts: dict[str, str]) -> list[str]:
-    """'path:line: name' for each private def in the sources `defs` (path
-    -> text) that no line of `texts` (path -> text) other than the def's
-    own names as a whole word."""
+def public_defs(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each function, method or class whose name starts
+    with neither an underscore nor cmd_."""
+    return [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith(("_", "cmd_"))]
+
+
+def orphaned_defs(defs: dict[str, str], texts: dict[str, str], find=private_defs) -> list[str]:
+    """'path:line: name' for each def that `find` lists in the sources
+    `defs` (path -> text) and that no line of `texts` (path -> text) other
+    than the def's own names as a whole word."""
     lines = [(path, i, line) for path, text in texts.items()
              for i, line in enumerate(text.splitlines(), 1)]
     out = []
     for path, source in defs.items():
-        for lineno, name in private_defs(source):
+        for lineno, name in find(source):
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(line) and (other, i) != (path, lineno)
                        for other, i, line in lines):
@@ -86,7 +95,24 @@ def test_finds_an_orphaned_private_def():
     assert orphaned_defs({"lib.py": lib}, texts) == ["lib.py:5: _orphan"]
 
 
-def test_every_private_def_is_named_elsewhere():
+def library_orphans(find) -> list[str]:
+    """orphaned_defs over src/bdtw against every mentioning module."""
     texts = {str(p.relative_to(ROOT)): p.read_text() for p in MENTIONING}
     defs = {path: text for path, text in texts.items() if path.startswith("src/bdtw/")}
-    assert orphaned_defs(defs, texts) == []
+    return orphaned_defs(defs, texts, find)
+
+
+def test_every_private_def_is_named_elsewhere():
+    assert library_orphans(private_defs) == []
+
+
+def test_finds_an_unreferenced_public_name():
+    lib = ("class Used:\n    def method(self):\n        pass\n\n\n"
+           "def orphan():\n    pass\n\n\ndef cmd_run(args):\n    pass\n")
+    caller = "from lib import Used\nUsed().method()\n"
+    texts = {"lib.py": lib, "caller.py": caller}
+    assert orphaned_defs({"lib.py": lib}, texts, public_defs) == ["lib.py:6: orphan"]
+
+
+def test_every_public_name_is_named_elsewhere():
+    assert library_orphans(public_defs) == []

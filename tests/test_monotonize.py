@@ -24,6 +24,7 @@ from bdtw.monotonize import (
 from bdtw.pre_tree import (
     PreTreeDecomposition,
     dumps_ptd,
+    from_tree_decomposition,
     is_exact,
     is_exact_edge,
     loads_ptd,
@@ -38,37 +39,50 @@ from bdtw.tree_decomp import td_depth, td_width, validate_td
 from oracles import change_oracle, extension_oracle, validate_ptd_oracle, verify_step_oracle
 import test_integration
 from test_strategy_tree import solved_tree
+from test_tree_decomp import elimination_td
 
 
-def valid_mutants(seed: int, draws: int):
-    """The mutants validate_ptd accepts among `draws` per strategy tree of
-    FUZZED_CORPUS, unfuzzed and fuzzed with slack 2.  Each toggles 1-4 bag
-    vertices or cone edges, so it is a valid pre-decomposition that is in
-    general no strategy tree."""
-    rng = random.Random(seed)
+def strategy_trees(_rng: random.Random):
+    """The strategy trees of FUZZED_CORPUS, unfuzzed and fuzzed with slack 2."""
     for name, k, q, fuzz_seed in FUZZED_CORPUS:
         for slack in (0, 2):
-            ptd = solved_tree(named_graph(name), k, q, fuzz=slack, seed=fuzz_seed)[0].ptd
-            n, m = ptd.host.n, len(ptd.host.edges)
-            keys = sorted(ptd.cones)
-            for _ in range(draws):
-                bags, cones = list(ptd.bags), dict(ptd.cones)
-                for _ in range(rng.randint(1, 4)):
-                    if rng.randrange(2):
-                        bags[rng.randrange(len(bags))] ^= 1 << rng.randrange(n)
-                    else:
-                        cones[rng.choice(keys)] ^= 1 << rng.randrange(m)
-                mutant = PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones)
-                if validate_ptd(mutant).ok:
-                    yield mutant
+            yield solved_tree(named_graph(name), k, q, fuzz=slack, seed=fuzz_seed)[0].ptd
 
 
-def check_valid_mutants(seeds, draws: int) -> int:
+def elimination_ptds(rng: random.Random):
+    """from_tree_decomposition of 60 random padded decompositions
+    (test_tree_decomp.elimination_td)."""
+    for _ in range(60):
+        yield from_tree_decomposition(elimination_td(rng))
+
+
+def valid_mutants(seed: int, draws: int, source=strategy_trees):
+    """The mutants validate_ptd accepts among `draws` per pre-decomposition
+    of the source, which draws from the same seeded generator.  Each
+    toggles 1-4 bag vertices or cone edges, so it is a valid
+    pre-decomposition that is in general no strategy tree."""
+    rng = random.Random(seed)
+    for ptd in source(rng):
+        n, m = ptd.host.n, len(ptd.host.edges)
+        keys = sorted(ptd.cones)
+        for _ in range(draws):
+            bags, cones = list(ptd.bags), dict(ptd.cones)
+            for _ in range(rng.randint(1, 4)):
+                if rng.randrange(2):
+                    bags[rng.randrange(len(bags))] ^= 1 << rng.randrange(n)
+                else:
+                    cones[rng.choice(keys)] ^= 1 << rng.randrange(m)
+            mutant = PreTreeDecomposition(ptd.tree, ptd.host, tuple(bags), cones)
+            if validate_ptd(mutant).ok:
+                yield mutant
+
+
+def check_valid_mutants(seeds, draws: int, source=strategy_trees) -> int:
     """Exactify every valid mutant of the seeds, checked; returns how many
     of them have a non-exact tree edge."""
     kept = nonexact = 0
     for seed in seeds:
-        for mutant in valid_mutants(seed, draws):
+        for mutant in valid_mutants(seed, draws, source):
             try:
                 exact = run(mutant, verify=True)
             except ConsistencyError as exc:
@@ -728,6 +742,11 @@ class TestRun:
         # (test_free_edge_at_a_leaf_verifies).
         assert check_valid_mutants(range(10, 14), 100) >= 600
 
+    def test_decomposition_mutants_exactify(self):
+        # Mutants of pre-decompositions built from random tree
+        # decompositions, which need not look like strategy trees.
+        assert check_valid_mutants([3], 100, elimination_ptds) >= 700
+
     def test_trace_lines(self):
         from bdtw.tree_decomp import RootedTree
 
@@ -843,6 +862,12 @@ class TestPipeline:
     def test_negative_slack_rejected(self, p3):
         with pytest.raises(ValueError, match="fuzz slack"):
             monotonize_pipeline(p3, 2, 2, fuzz_slack=-1)
+
+    def test_fuzzed_bound_above_the_cap_is_refused(self, p3):
+        # Two detours at seed 5 (q 62 gives bound 64) push q 63 to 65.
+        assert monotonize_pipeline(p3, 2, 62, fuzz_slack=2, seed=5).placements_bound == 64
+        with pytest.raises(ValueError, match="q 65 is above the cap of 64"):
+            monotonize_pipeline(p3, 2, 63, fuzz_slack=2, seed=5)
 
     def test_fuzzed_bounds_use_slack(self, p3):
         r = monotonize_pipeline(p3, 2, 2, fuzz_slack=2, seed=5, verify=True)

@@ -41,7 +41,7 @@ from bdtw.tree_decomp import (
     tighten,
     validate_td,
 )
-from test_monotonize import check_valid_mutants
+from test_monotonize import check_valid_mutants, elimination_ptds
 from oracles import (
     branching_oracle,
     live_parts,
@@ -191,6 +191,11 @@ def test_valid_mutant_soak():
     # Valid pre-decompositions that are no strategy trees, as
     # TestRun.test_valid_mutants_exactify over more seeds.
     assert check_valid_mutants(range(14, 26), 100) >= 1800
+
+
+def test_decomposition_mutant_soak():
+    # TestRun.test_decomposition_mutants_exactify over more seeds.
+    assert check_valid_mutants(range(4, 31), 20, elimination_ptds) >= 3600
 
 
 def test_monotone_kept_sets_soak():
