@@ -82,6 +82,64 @@ class TestRootedTree:
         assert t.bfs_nodes() == [0, 1, 2, 3, 4]
 
 
+def all_parent_lists(n: int):
+    """Every parent list on n nodes rooted at 0 with parent[t] < t; each
+    rooted tree has such a labelling, and there are (n - 1)! of them."""
+    if n == 1:
+        yield [0]
+        return
+    for parent in all_parent_lists(n - 1):
+        for p in range(n - 1):
+            yield parent + [p]
+
+
+def bfs_reach(adj: list[list[int]], start: int, allowed) -> dict[int, int]:
+    """Each node reachable from start within `allowed`, mapped to the node
+    it was reached from (start to itself)."""
+    came_from = {start: start}
+    queue = [start]
+    for t in queue:
+        for w in adj[t]:
+            if w in allowed and w not in came_from:
+                came_from[w] = t
+                queue.append(w)
+    return came_from
+
+
+class TestTreeHelpersAgainstBfs:
+    """`induced_connected`, `path_between` and `gca` on every rooted tree of
+    up to 6 nodes, against a breadth-first search over the undirected tree."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_tree(self, n):
+        trees = 0
+        for parent in all_parent_lists(n):
+            trees += 1
+            tree = RootedTree(parent)
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for p, c in tree.edges():
+                adj[p].append(c)
+                adj[c].append(p)
+            # The search meets each node after the node it came from.
+            level = {}
+            for t, s in bfs_reach(adj, 0, range(n)).items():
+                level[t] = level[s] + 1 if t else 0
+            for subset in range(1 << n):
+                nodes = [t for t in range(n) if subset >> t & 1]
+                expected = not nodes or len(bfs_reach(adj, nodes[0], set(nodes))) == len(nodes)
+                assert tree.induced_connected(nodes) == expected, (parent, nodes)
+            for a in range(n):
+                came_from = bfs_reach(adj, a, range(n))
+                for b in range(n):
+                    path = [b]
+                    while path[-1] != a:
+                        path.append(came_from[path[-1]])
+                    path.reverse()
+                    assert tree.path_between(a, b) == tuple(path), (parent, a, b)
+                    assert tree.gca(a, b) == min(path, key=level.__getitem__), (parent, a, b)
+        assert trees == [1, 1, 2, 6, 24, 120][n - 1]
+
+
 class TestValidate:
     def test_path_decomposition_valid(self, p3):
         td = td_of(p3, [0, 0], [{0, 1}, {1, 2}])
