@@ -8,6 +8,7 @@ always taken relative to the host's full edge set, self-loops included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import NotApplicableError
 from .graphs import Graph, blocks_boundary
@@ -21,12 +22,10 @@ class EdgePartition:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        union = 0
-        for b in self.blocks:
-            if b & union:
-                raise ValueError("blocks overlap")
-            union |= b
-        if union != self.host.full_mask:
+        overlap, missing = partition_defects(self.host, self.blocks)
+        if overlap:
+            raise ValueError("blocks overlap")
+        if missing:
             raise ValueError("blocks do not cover the edge set")
 
     def block(self, i: int) -> int:
@@ -34,6 +33,17 @@ class EdgePartition:
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+
+def partition_defects(g: Graph, blocks: Iterable[int]) -> tuple[int, int]:
+    """(overlap, missing): the edges in two or more blocks, and
+    `union ^ g.full_mask`, the edges in no block along with any bit of a
+    block outside E(g).  The blocks partition E(g) exactly when both are 0."""
+    union = overlap = 0
+    for b in blocks:
+        overlap |= union & b
+        union |= b
+    return overlap, union ^ g.full_mask
 
 
 def f_extension(p: EdgePartition, block_index: int, f: int) -> EdgePartition:

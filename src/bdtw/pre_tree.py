@@ -21,7 +21,7 @@ from typing import IO, Iterable, Sequence
 from .errors import FormatError, NotApplicableError
 from .graphs import (Graph, _graph_from_records, bit_indices, bitmask, blocks_boundary, closure,
                      connected_components, incident_edges, records, write_graph)
-from .partitions import EdgePartition
+from .partitions import EdgePartition, partition_defects
 from .tree_decomp import RootedTree, TreeDecomposition, td_width, tighten, validate_td
 from .validation import Report
 
@@ -77,30 +77,28 @@ Change = tuple[frozenset[tuple[int, int]], frozenset[int]]
 
 
 def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Report:
-    """Check the axioms PT1-PT4.
+    """Check the axioms PT1-PT4 at a change.
 
-    Without `changed` every node and edge is checked.  Given `changed`, a
-    superset of the change from a decomposition on the same tree and host
-    that satisfies the axioms, only the checks it names inputs of are made:
-    the touched nodes are the ends of its cone keys and its bag nodes; PT1
-    is checked when the root is touched, PT2 and PT3 at touched nodes, PT4
-    on tree edges with a key in it.  An unchanged input cannot violate what
-    the earlier decomposition satisfies, so the report is the one the full
-    check gives.  Neither premise is checked here; the caller keeps them.
+    `changed` is a superset of the change from a decomposition on the same
+    tree and host that satisfies the axioms.  Only the checks it names
+    inputs of are made: the touched nodes are the ends of its cone keys and
+    its bag nodes; PT1 is checked when the root is touched, PT2 and PT3 at
+    touched nodes, PT4 on tree edges with a key in it.  An unchanged input
+    cannot violate what the earlier decomposition satisfies, so the report
+    is the one the full check gives.  Neither premise is checked here; the
+    caller keeps them.  Without `changed` the record holds every cone key
+    and every node, which is the full check.  Nodes are reported in
+    ascending order, tree edges by their child.
     """
     report = Report()
     tree, g = ptd.tree, ptd.host
     root = tree.root
-    if changed is None:
-        nodes: Iterable[int] = tree.nodes
-        edges = tree.edges()
-    else:
-        keys, bags = changed
-        nodes = sorted({t for key in keys for t in key}.union(bags))
-        edges = [(tree.parent[c], c) for c in nodes if c != root
-                 and ((tree.parent[c], c) in keys or (c, tree.parent[c]) in keys)]
+    keys, bags = changed or (ptd.cones.keys(), tree.nodes)
+    nodes = sorted({t for key in keys for t in key}.union(bags))
+    edges = [(tree.parent[c], c) for c in nodes if c != root
+             and ((tree.parent[c], c) in keys or (c, tree.parent[c]) in keys)]
 
-    if changed is None or root in nodes:
+    if root in nodes:
         if ptd.bags[root]:
             report.add("PT1", f"node {root}",
                        f"root bag {list(bit_indices(ptd.bags[root]))} is non-empty")
@@ -121,17 +119,13 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
 
     for t in nodes:
         blocks = local_blocks(ptd, t)
-        union = 0
-        overlap = 0
-        for b in blocks:
-            overlap |= union & b
-            union |= b
+        overlap, missing = partition_defects(g, blocks)
         if overlap:
             report.add("PT3", f"node {t}", f"blocks overlap on edges {g.edge_ids(overlap)}")
-        if union != g.full_mask:
-            missing = g.full_mask & ~union
-            report.add("PT3", f"node {t}", f"blocks miss edges {g.edge_ids(missing)}")
-        if overlap == 0 and union == g.full_mask:
+        if missing:
+            ids = g.edge_ids(missing & g.full_mask)
+            report.add("PT3", f"node {t}", f"blocks miss edges {ids}")
+        if not overlap | missing:
             missing = blocks_boundary(g, blocks) & ~ptd.bags[t]
             if missing:
                 report.add(
@@ -202,18 +196,8 @@ def check_exact_subtree_partition(ptd: PreTreeDecomposition, subtree: Iterable[i
     """The cones into the subtree's leaves must partition the host's edges."""
     nodes = _require_exact_prefix(ptd, subtree)
     tree = ptd.tree
-    blocks = []
-    for t in sorted(nodes):
-        if t == tree.root:
-            continue
-        if not any(c in nodes for c in tree.children[t]):
-            blocks.append(ptd.cone(tree.parent[t], t))
-    union = 0
-    for b in blocks:
-        if b & union:
-            return False
-        union |= b
-    return union == ptd.host.full_mask
+    leaves = [t for t in nodes if t != tree.root and not any(c in nodes for c in tree.children[t])]
+    return partition_defects(ptd.host, (ptd.cone(tree.parent[t], t) for t in leaves)) == (0, 0)
 
 
 def check_exact_subtree_depth(ptd: PreTreeDecomposition, subtree: Iterable[int]) -> bool:

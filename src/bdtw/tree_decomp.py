@@ -71,13 +71,13 @@ class RootedTree:
         return [(self.parent[t], t) for t in self.nodes if t != self.root]
 
     def path_from_root(self, t: int) -> tuple[int, ...]:
-        path = []
-        while True:
+        parent, root = self.parent, self.root
+        path = [t]
+        while t != root:
+            t = parent[t]
             path.append(t)
-            if t == self.root:
-                break
-            t = self.parent[t]
-        return tuple(reversed(path))
+        path.reverse()
+        return tuple(path)
 
     def path_totals(self, weights: Sequence[int]) -> list[int]:
         """Per node, the sum of the weights on its root path (one top-down
@@ -106,39 +106,23 @@ class RootedTree:
         return a
 
     def path_between(self, a: int, b: int) -> tuple[int, ...]:
-        """Nodes on the unique a-b path, in order."""
-        g = self.gca(a, b)
-        up = []
-        t = a
-        while t != g:
-            up.append(t)
-            t = self.parent[t]
-        down = []
-        t = b
-        while t != g:
-            down.append(t)
-            t = self.parent[t]
-        return tuple(up + [g] + list(reversed(down)))
+        """Nodes on the unique a-b path, in order: a's root path reversed
+        and cut just below the greatest common ancestor (gca), then b's
+        root path from the gca on."""
+        i = self.depth[self.gca(a, b)]
+        return self.path_from_root(a)[:i:-1] + self.path_from_root(b)[i:]
 
     def bfs_nodes(self) -> list[int]:
         """Level order from the root; ties within a level by node id."""
         return list(self._level_order)
 
     def induced_connected(self, nodes: Iterable[int]) -> bool:
-        """Whether the node set induces a connected subtree."""
+        """Whether the node set induces a connected subtree.  A node of the
+        set is a top when it is the root or its parent lies outside the
+        set; each component of the set has exactly one top, so the set is
+        connected exactly when it has at most one."""
         ns = set(nodes)
-        if not ns:
-            return True
-        start = min(ns)
-        seen = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for w in self.neighbors(t):
-                if w in ns and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == ns
+        return sum(t == self.root or self.parent[t] not in ns for t in ns) <= 1
 
 
 @dataclass(frozen=True)

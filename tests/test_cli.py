@@ -390,6 +390,12 @@ class TestEquivalenceCmd:
         assert out == ""
         assert err == f"error: corpus spec {spec!r} has a graph above the cap of {cap} vertices\n"
 
+    def test_spec_without_family_exits_two(self, capsys):
+        assert main(["equivalence", "--corpus", "nonsense", "--k", "1", "--q", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: corpus spec 'nonsense' needs 'family:params' or a graph name\n"
+
     def test_workers_capped_at_items(self, recording_pool, cpus, capsys):
         cpus(64)
         argv = ["equivalence", "--corpus", "named:E1,K3", "--k", "2", "--q", "1-3"]
@@ -534,6 +540,15 @@ class TestPlayCmd:
         rc = main(["play", graph_file("P3"), "--k", "2", "--q", "2", "--as", side])
         assert rc == 2
         assert capsys.readouterr().err == "error: input ended mid-session\n"
+
+    def test_edgeless_graph_is_won_at_once(self, tmp_path, capsys):
+        path, log = tmp_path / "E0.gr", tmp_path / "session.log"
+        path.write_text(dumps_graph(Graph(2, [])))
+        rc = main(["play", str(path), "--k", "1", "--q", "1", "--as", "cop", "--log", str(log)])
+        assert rc == 0
+        message = "the graph has no edges; cops win immediately\n"
+        assert capsys.readouterr().out == message
+        assert log.read_text() == message
 
     def test_scripted_capture_as_cop(self, graph_file, tmp_path, monkeypatch, capsys):
         log = str(tmp_path / "session.log")

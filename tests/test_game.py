@@ -253,6 +253,19 @@ class TestStrategies:
         with pytest.raises(StrategyError):
             Strategy().next_cops(0, 0b11)
 
+    def test_partial_strategy_escapes_where_it_is_undefined(self, k3):
+        # The winning strategy without its move at the first reply to its
+        # first move: the replay escapes there.
+        gc = closure(k3)
+        moves = dict(solve(gc, GameConfig(3, 3)).strategy.moves)
+        c = initial_components(gc)[0]
+        x = moves[(0, c)]
+        r = _replies(gc, 0, c, x)[0]
+        del moves[(x, r)]
+        outcome = replay_cop_strategy(gc, Strategy(moves), GameConfig(3, 3))
+        assert not outcome.wins
+        assert outcome.escape == (("start", 0, c), ("move", 0, c, x, r), ("undefined", x, r))
+
 
 def variants_agree(g, k, q):
     """Whether the four game variants name the same winner of the q-game."""

@@ -18,6 +18,8 @@ from bdtw.tree_decomp import loads_td
 
 GR = "p tw 2 1\n1 2\n"
 TD = "s td 1 2 2\nb 1 1 2\n"  # a decomposition of GR
+# A root with two leaves over an edgeless host.
+PTD = "p tw 1 0\nn 0 0 :\nn 1 0 :\nn 2 0 :\ng 0 1 :\ng 1 0 :\ng 0 2 :\ng 2 0 :\n"
 
 # (format, text, the reader's message, verify's message if it differs)
 CASES = {
@@ -43,6 +45,11 @@ CASES = {
     "td-root-with-junk": ("td", TD + "r 1 junk\n", "line 3: expected 'r <id>'", None),
     "ptd-no-colon": ("ptd", "p tw 1 1\n1 1\nn 0 0\n",
                      "line 3: expected 'n <id> <id> : <ids...>'", None),
+    # The constructor wants one cone per directed tree edge and no other.
+    "ptd-missing-cone": ("ptd", PTD.replace("g 2 0 :\n", ""),
+                         "cones must cover every directed tree edge exactly", None),
+    "ptd-cone-off-the-tree": ("ptd", PTD + "g 1 2 :\n",
+                              "cones must cover every directed tree edge exactly", None),
 }
 
 READERS = {

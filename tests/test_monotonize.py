@@ -719,6 +719,54 @@ class TestRun:
         with pytest.raises(ValueError, match=r"\[PT3\] at node " + str(t)):
             run(bad)
 
+    def test_verified_run_stops_at_the_first_failing_step(self, tmp_path, monkeypatch, capsys):
+        # The second step grows its node's bag to every host vertex and
+        # records it as changed; verify_step must say so, and no later step
+        # may run.
+        from bdtw.cli import main
+
+        st, _, _ = solved_tree(named_graph("P4"), 2, 3, fuzz=1, seed=1)
+        real, nodes = apply_step, []
+
+        def growing(state, node, choice):
+            nodes.append(node)
+            after = real(state, node, choice)
+            if len(nodes) != 2:
+                return after
+            missing = [v for v in st.ptd.host.vertices if not after.ptd.bags[node] >> v & 1]
+            return tampered(after, bags=[(node, v) for v in missing])
+
+        monkeypatch.setattr(monotonize, "apply_step", growing)
+        with pytest.raises(ConsistencyError) as info:
+            run(st.ptd, verify=True)
+        node = nodes[1]
+        assert len(nodes) == 2 and st.ptd.tree.children[node]
+        assert str(info.value).startswith(f"step 2 at node {node}:\n[width] at node {node}: ")
+
+        nodes.clear()
+        path = tmp_path / "tree.ptd"
+        path.write_text(dumps_ptd(st.ptd))
+        assert main(["monotonize", str(path), "--verify"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: step 2 at node {node}:"]
+        assert nodes[1:] == [node]
+
+    @pytest.mark.parametrize("patched, message", [
+        ("is_exact", "construction finished but the result is not exact"),
+        ("ptd_depth", "construction enlarged width or depth"),
+    ])
+    def test_end_of_run_guards(self, patched, message, monkeypatch):
+        # Each guard raises when its reading of the result says no: the
+        # result read as inexact, or the input read as shallower than any.
+        st, _, _ = solved_tree(named_graph("P4"), 2, 3, fuzz=1, seed=1)
+        fakes = {"is_exact": lambda ptd: False,
+                 "ptd_depth": lambda ptd: -1 if ptd is st.ptd else ptd_depth(ptd)}
+        monkeypatch.setattr(monotonize, patched, fakes[patched])
+        with pytest.raises(ConsistencyError, match=f"^{message}$"):
+            run(st.ptd)
+
     def test_free_edge_at_a_leaf_verifies(self, e1c):
         # Leaf 4 hangs off node 2 with the cone {0-1}, and the loop at 1 is
         # in neither cone of that tree edge.  The step puts it in 4's cone

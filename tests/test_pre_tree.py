@@ -15,6 +15,7 @@ from bdtw.pre_tree import (
     is_exact,
     is_exact_edge,
     loads_ptd,
+    local_boundary,
     local_partition,
     ptd_depth,
     ptd_width,
@@ -183,6 +184,60 @@ class TestExactSubtreeChecks:
     def test_path_nesting_needs_tree_edges(self, e1_ptd):
         with pytest.raises(NotApplicableError):
             check_exact_path_nesting(e1_ptd, [0, 3])
+
+
+def with_cones(ptd, cones):
+    """ptd with the cones at the given keys replaced."""
+    return PreTreeDecomposition(ptd.tree, ptd.host, ptd.bags, {**ptd.cones, **cones})
+
+
+class TestCheckersSayNo:
+    """Each exact-subtree observation fails on an input that breaks it; the
+    inputs break the axioms, which the checkers do not read."""
+
+    def test_subtree_leaf_cones_overlap(self, e1_ptd):
+        # (1, 3) takes every edge, aa too, which the leaf cone (1, 2) holds;
+        # both edges stay exact.
+        bad = with_cones(e1_ptd, {(1, 3): 0b111})
+        assert not check_exact_subtree_partition(bad, {0, 1, 2, 3})
+
+    def test_subtree_leaf_cones_miss_an_edge(self, e1_ptd):
+        # (1, 3) keeps only ab and (3, 1) the rest: bb is in no leaf cone.
+        bad = with_cones(e1_ptd, {(1, 3): 0b001, (3, 1): 0b110})
+        assert not check_exact_subtree_partition(bad, {0, 1, 2, 3})
+
+    def test_subtree_trace_splits_across_siblings(self, e1c):
+        # b is a boundary vertex at the siblings 2 and 3, through the cones
+        # toward their children outside the subtree, but not at their
+        # parent 1, whose blocks keep both of b's edges ab and bb together.
+        # Each root path meets b once, so the path sums agree with the
+        # unions and only the connectivity of b's trace says no.
+        full = e1c.full_mask
+        cones = {(0, 1): full, (1, 0): 0, (1, 2): 0b010, (2, 1): 0b101,
+                 (1, 3): 0b101, (3, 1): 0b010, (2, 4): 0b001, (4, 2): 0b110,
+                 (3, 5): 0b100, (5, 3): 0b011}
+        ptd = PreTreeDecomposition(RootedTree([0, 0, 1, 1, 2, 3]), e1c, (0,) * 6, cones)
+        assert [local_boundary(ptd, t) for t in range(4)] == [0, 0b01, 0b11, 0b11]
+        assert not check_exact_subtree_depth(ptd, {0, 1, 2, 3})
+
+    def test_subtree_needs_exact_edges(self, e1_ptd):
+        bad = with_cones(e1_ptd, {(1, 3): 0b001})
+        with pytest.raises(NotApplicableError, match="^edge 1-3 inside the subtree is not exact$"):
+            check_exact_subtree_partition(bad, {0, 1, 2, 3})
+
+    def test_path_cones_not_nested(self, e1_ptd):
+        # The exact edge 3-4 now carries aa forward, which (1, 3) lacks.
+        bad = with_cones(e1_ptd, {(3, 4): 0b010, (4, 3): 0b101})
+        assert not check_exact_path_nesting(bad, [0, 1, 3, 4])
+
+    def test_path_needs_exact_edges(self, e1_ptd):
+        bad = with_cones(e1_ptd, {(1, 3): 0b001})
+        with pytest.raises(NotApplicableError, match="^path edge 1-3 is not exact$"):
+            check_exact_path_nesting(bad, [0, 1, 3])
+
+    def test_tree_decomposition_needs_the_host_closure(self, e1_ptd):
+        with pytest.raises(ValueError, match="^decomposition host must be the closure of g$"):
+            to_tree_decomposition(e1_ptd, Graph(2, []))
 
 
 class TestToTreeDecomposition:

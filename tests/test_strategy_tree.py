@@ -13,6 +13,7 @@ from bdtw.game import (
 from bdtw.graphs import Graph, closure, components, incident_edges
 from bdtw.monotonize import check_branching_depth_bound, run
 from bdtw.pre_tree import (
+    PreTreeDecomposition,
     dumps_ptd,
     is_exact,
     is_exact_edge,
@@ -234,6 +235,47 @@ class TestObservations:
         assert ptd_depth(st.ptd) == 3
         assert not replay_cop_strategy(g, fz.strategy, GameConfig(2, 2)).wins
         assert depth_iff_winning(st, GameConfig(2, 2))
+
+
+class TestObservationsSayNo:
+    """The monotone strategy tree of P3 (edges ab=0, bc=1, aa=2, bb=3,
+    cc=4) with one cone replaced breaks one observation.  Node 1 places b,
+    and its child 2 adds a; 2's children are the leaves 5 (cone {ab}) and
+    6 (cone {aa})."""
+
+    @pytest.fixture
+    def p3_tree(self):
+        g = closure(named_graph("P3"))
+        st = build(g, solve(g, GameConfig(2, 2, monotone=True)).strategy, GameConfig(2, 2))
+        tree, bags = st.ptd.tree, st.ptd.bags
+        assert tree.children[2] == (5, 6) and (bags[1], bags[2]) == (0b010, 0b011)
+        assert (st.ptd.cone(2, 5), st.ptd.cone(2, 6)) == (0b00001, 0b00100)
+        return st
+
+    @staticmethod
+    def with_cones(st, cones):
+        ptd = st.ptd
+        return StrategyTree(
+            PreTreeDecomposition(ptd.tree, ptd.host, ptd.bags, {**ptd.cones, **cones}),
+            st.strategy)
+
+    def test_monotone_move_over_a_nonexact_edge(self, p3_tree):
+        bad = self.with_cones(p3_tree, {(2, 1): 0})
+        assert move_is_monotone(bad, 2) and not is_exact_edge(bad.ptd, 1, 2)
+        assert check_monotone_exact(p3_tree) and not check_monotone_exact(bad)
+
+    def test_nonexact_edge_without_a_removal(self, p3_tree):
+        # The part {aa} has the boundary {a}, which the kept cops {b} do
+        # not hold, so the move is not monotone; the cops remove nobody.
+        bad = self.with_cones(p3_tree, {(1, 2): 0b00100})
+        assert not move_is_monotone(bad, 2) and not is_exact_edge(bad.ptd, 1, 2)
+        assert not check_monotone_exact(bad)
+
+    def test_bag_loop_in_no_cone_of_its_own(self, p3_tree):
+        # Node 2's bag holds a, whose loop aa is not toward the parent; its
+        # singleton child cone gains ab.
+        bad = self.with_cones(p3_tree, {(2, 6): 0b00101})
+        assert check_self_loop_cones(p3_tree) and not check_self_loop_cones(bad)
 
 
 class TestFuzzer:

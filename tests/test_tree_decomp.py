@@ -117,9 +117,9 @@ class TestTreeHelpersAgainstBfs:
             trees += 1
             tree = RootedTree(parent)
             adj: list[list[int]] = [[] for _ in range(n)]
-            for p, c in tree.edges():
-                adj[p].append(c)
-                adj[c].append(p)
+            for c in range(1, n):
+                adj[parent[c]].append(c)
+                adj[c].append(parent[c])
             # The search meets each node after the node it came from.
             level = {}
             for t, s in bfs_reach(adj, 0, range(n)).items():
