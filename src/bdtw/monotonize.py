@@ -18,22 +18,30 @@ node's bag after the step.
 
 A node whose child tree-edges have no free edge has nothing to reassign,
 and its step costs only the refresh of the bags that enter the scope: the
-choice is empty as soon as the free mask is, no cone is computed, and when
-no refreshed bag differs the new state shares the previous decomposition
-and checks nothing.  On the solver's own strategy trees of the test and
-benchmark corpora every step is of this kind; on the first 600 seed-4 ops
-of the `fuzz` benchmark 2,857 of 3,897 steps are.  There, timed per step
-on a 2-core x86-64 host with Python 3.11, such a step costs about 4 us in
-choose_extensions, 20 us in apply_step and 8 us in verify_step.
+choice is empty as soon as the free mask is, no cone is computed, the new
+bags are read off the memoized boundaries (`pre_tree.local_boundary`),
+and when no refreshed bag differs the new state shares the previous
+decomposition and checks nothing.  On the solver's own strategy trees of
+the test and benchmark corpora every step is of this kind; on the first
+600 seed-4 ops of the `fuzz` benchmark 2,857 of 3,897 steps are.  There,
+timed per step (best of 5 passes over fresh copies, on a noisy 2-core
+x86-64 host with Python 3.11), such a step costs 4-6 us in
+choose_extensions, 12-19 us in apply_step and 15-25 us in verify_step,
+whose figure includes each run's one-time reads of the input's width and
+path sums.
 
 Between steps the object need not describe a strategy, but it stays a
 pre-tree decomposition.  iterate_steps (and so run) checks the input
-against the axioms in full once, before the first step.  apply_step writes
-only the cones that differ, into a copy of the cone map made on the first
-write, takes its scope as the previous one plus the node and its children,
-records on the new state the cone keys and bags it changed, and checks the
-axioms only there, so not at all after a step that changed nothing; it
-visits every scope node only when edges move.
+against the axioms in full once, before the first step, which fills the
+input's memo of local boundaries.  apply_step writes only the cones that
+differ, into a copy of the cone map made on the first write, whose memo
+keeps every entry but those of the written cones' tails, so each local
+boundary is computed once per decomposition: the first state's `_facts`
+and both `is_exact` checks of a pipeline read the memo.  It takes its
+scope as the previous one plus the node and its children, records on the
+new state the cone keys and bags it changed, and checks the axioms only
+there, so not at all after a step that changed nothing; it visits every
+scope node only when edges move.
 verify_step re-checks, per step, the rest of what the correctness argument
 relies on: exactness of the processed region, that unprocessed nodes'
 child cones only shrink, locality and balance of the cone changes,
@@ -117,7 +125,8 @@ class StepState:
     def _facts(self) -> tuple[int, tuple[int, ...]]:
         """The width and the per-node local boundaries of the
         decomposition, which verify_step reads on a run's first state, so
-        once per run; the input's path sums are that state's `_paths[0]`."""
+        once per run; the boundaries come from the memo the input's full
+        check filled.  The input's path sums are that state's `_paths[0]`."""
         ptd = self.ptd
         return ptd_width(ptd), tuple(local_boundary(ptd, t) for t in ptd.tree.nodes)
 
@@ -253,7 +262,10 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepStat
     and of its children can differ, so only those are computed, and with
     no leftover either (a node without free edges) none is.  The new
     decomposition is a shallow copy that skips its own check of every cone
-    key: the keys are the input's by construction.  The new state records
+    key: the keys are the input's by construction.  It shares `state`'s memo
+    of local boundaries when no cone is written, and otherwise keeps a copy
+    without the entries of the written keys' tails, the only nodes whose
+    local blocks changed.  The new state records
     the cone keys and bags that differ from `state`; only bags that newly
     enter the scope or sit at a node with a changed cone are recomputed,
     on the copy.  The axioms are checked at that change (validate_ptd with
@@ -299,17 +311,23 @@ def apply_step(state: StepState, node: int, choice: ExtensionChoice) -> StepStat
                 writes[(c, p)] = up_now
 
     keys = frozenset(writes)
+    tails = {s for s, _t in keys}
     # A bag already in scope is its local boundary; it changes only when a
     # cone out of its node does, and every cone the loop writes has its
     # tail in scope.  The bags are computed once the cones are in place, on
     # a copy that skips the constructor's check of every cone key: the keys
-    # are the input's.
+    # are the input's.  A node's local blocks are its cones with it as
+    # tail, so the copy keeps every boundary of the memo but the tails'; a
+    # copy without a cone write shares the memo.
     new_ptd = PreTreeDecomposition.__new__(PreTreeDecomposition)
     vars(new_ptd).update(vars(ptd))
     if writes:
         new_ptd.cones = dict(cones)
         new_ptd.cones.update(writes)
-    refreshed = {t: local_boundary(new_ptd, t) for t in {s for s, _t in keys}.union(new)}
+        new_ptd._boundaries = dict(ptd._boundaries)
+        for t in tails:
+            new_ptd._boundaries.pop(t, None)
+    refreshed = {t: local_boundary(new_ptd, t) for t in tails.union(new)}
     bags = frozenset(t for t, b in refreshed.items() if b != ptd.bags[t])
     if not keys and not bags:
         after = StepState(ptd, processed, start=state.start or state)
@@ -351,7 +369,8 @@ def verify_step(prev: StepState, next_state: StepState) -> Report:
     - depth: the scope nodes whose root path holds a changed bag, and
       the nodes new to the scope;
     - the three vertex-tracking claims: the node's children and the
-      changed bags, and for a bag that lost a vertex the previous scope.
+      changed bags, and for a bag that lost a vertex the nodes of the
+      previous scope whose path to the node passes it, found in one walk.
       The child claim reads the original's local boundaries at the node
       and its children, not their bags: a step sets each bag it brings
       into scope to its local boundary, so a bag padded beyond it in the
@@ -490,6 +509,25 @@ def verify_step(prev: StepState, next_state: StepState) -> Report:
                        f"{list(bit_indices(new_here & ~orig_here))} "
                        "newly placed here but not originally")
 
+    def behind(t: int) -> set[int] | frozenset[int]:
+        """The nodes of the previous scope whose path to the node passes t.
+        With t on the node's root path that is all of the scope but the
+        subtree of t's child toward the node, otherwise t's subtree.  The
+        scope holds the root and is closed upward, so the scope nodes of a
+        subtree are those its top reaches through children in scope."""
+        u = node
+        while tree.depth[u] > tree.depth[t] + 1:
+            u = parent[u]
+        if u == t:
+            return scope_prev
+        toward = parent[u] == t
+        sub, stack = set(), [u if toward else t]
+        while stack:
+            x = stack.pop()
+            sub.add(x)
+            stack.extend(c for c in tree.children[x] if c in scope_prev)
+        return scope_prev - sub if toward else sub
+
     for t in bags_sorted:
         if t not in scope_prev:
             continue
@@ -504,14 +542,13 @@ def verify_step(prev: StepState, next_state: StepState) -> Report:
                     )
         lost = beta_prev[t] & ~beta_next[t]
         if lost:
-            for t_star in sorted(scope_prev):
-                if t in tree.path_between(t_star, node):
-                    still = lost & beta_next[t_star]
-                    if still:
-                        report.add(
-                            "claim-lost-behind", f"node {t}",
-                            f"vertices {list(bit_indices(still))} lost at {t} but present at {t_star}",
-                        )
+            for t_star in sorted(behind(t)):
+                still = lost & beta_next[t_star]
+                if still:
+                    report.add(
+                        "claim-lost-behind", f"node {t}",
+                        f"vertices {list(bit_indices(still))} lost at {t} but present at {t_star}",
+                    )
 
     for t in below_sorted:
         if t not in scope_prev:
@@ -562,8 +599,8 @@ def run(ptd: PreTreeDecomposition, verify: bool = False,
     edges, as the solver's strategy trees on the test and benchmark
     corpora are, comes back with its cones and with every bag set to its
     local boundary, one refresh per node; over the 260 member trees of the
-    first 640 seed-4 `certify` ops, run takes about 0.10 s (2-core x86-64
-    host, Python 3.11).  An input that no step changes is returned itself.
+    first 640 seed-4 `certify` ops, run takes 0.08-0.14 s (best of 7 on
+    fresh copies, noisy 2-core x86-64 host, Python 3.11).  An input that no step changes is returned itself.
     """
     result = ptd
     g = ptd.host

@@ -10,12 +10,21 @@ additionally every bag equals the boundary of its local blocks.
 
 Hosts are normally closure graphs (a self-loop at every vertex), which makes
 vertices hideable positions; the validators themselves are host-agnostic.
+
+Each decomposition memoizes the boundary of every node's local blocks
+(`local_boundary`) in its `_boundaries`, which equality, `repr` and the
+text format ignore.  The memo holds only while the tree, host and cones stay
+as they were built: no cone map is mutated after construction, and
+`monotonize.apply_step`, which makes each step's decomposition, writes
+changed cones into a copy of the map and gives the copy a memo without the
+entries of the nodes whose cones it wrote.  Bags may be replaced, since no
+boundary reads them.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .errors import FormatError, NotApplicableError
@@ -32,6 +41,9 @@ class PreTreeDecomposition:
     host: Graph
     bags: tuple[int, ...]
     cones: dict[tuple[int, int], int]
+    # Node -> local_boundary; see the module docstring.
+    _boundaries: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if len(self.bags) != self.tree.size:
@@ -68,8 +80,12 @@ def local_partition(ptd: PreTreeDecomposition, t: int) -> EdgePartition:
 
 
 def local_boundary(ptd: PreTreeDecomposition, t: int) -> int:
-    """The boundary of t's local blocks (`graphs.blocks_boundary`)."""
-    return blocks_boundary(ptd.host, local_blocks(ptd, t))
+    """The boundary of t's local blocks (`graphs.blocks_boundary`),
+    computed once per decomposition."""
+    b = ptd._boundaries.get(t)
+    if b is None:
+        b = ptd._boundaries[t] = blocks_boundary(ptd.host, local_blocks(ptd, t))
+    return b
 
 
 # Cone keys and bag nodes in which one decomposition differs from another.
@@ -118,15 +134,14 @@ def validate_ptd(ptd: PreTreeDecomposition, changed: Change | None = None) -> Re
                 report.add("PT2", f"leaf {t}", f"cone from parent has {up.bit_count()} edges")
 
     for t in nodes:
-        blocks = local_blocks(ptd, t)
-        overlap, missing = partition_defects(g, blocks)
+        overlap, missing = partition_defects(g, local_blocks(ptd, t))
         if overlap:
             report.add("PT3", f"node {t}", f"blocks overlap on edges {g.edge_ids(overlap)}")
         if missing:
             ids = g.edge_ids(missing & g.full_mask)
             report.add("PT3", f"node {t}", f"blocks miss edges {ids}")
         if not overlap | missing:
-            missing = blocks_boundary(g, blocks) & ~ptd.bags[t]
+            missing = local_boundary(ptd, t) & ~ptd.bags[t]
             if missing:
                 report.add(
                     "PT3",
@@ -333,8 +348,8 @@ def from_tree_decomposition(td: TreeDecomposition) -> PreTreeDecomposition:
         cones[(c, p)] = full & ~down[c]
 
     ptd = PreTreeDecomposition(tree, gc, (0,) * tree.size, cones)
-    bags = tuple(local_boundary(ptd, t) for t in tree.nodes)
-    return PreTreeDecomposition(tree, gc, bags, cones)
+    ptd.bags = tuple(local_boundary(ptd, t) for t in tree.nodes)
+    return ptd
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,6 @@ class RootedTree:
     def leaves(self) -> list[int]:
         return [t for t in self.nodes if not self.children[t]]
 
-    def neighbors(self, t: int) -> list[int]:
-        """Parent first (if any), then children ascending."""
-        out = [] if t == self.root else [self.parent[t]]
-        out.extend(self.children[t])
-        return out
-
     def edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs, ordered by child id."""
         return [(self.parent[t], t) for t in self.nodes if t != self.root]
@@ -136,25 +130,41 @@ class TreeDecomposition:
             raise ValueError("one bag per tree node required")
 
 
-def validate_td(td: TreeDecomposition) -> Report:
-    """Check vertex/edge coverage and connectivity of every vertex trace."""
+def validate_td(td: TreeDecomposition,
+                changed: tuple[Iterable[int], int] | None = None) -> Report:
+    """Check vertex/edge coverage (T1) and connectivity of every vertex
+    trace (T2) at a change.
+
+    `changed` is (bag nodes, vertex mask), a superset of the bags and
+    vertices in which td differs from a decomposition on the same tree and
+    host that passes the check.  Only the checks it names inputs of are
+    made: the T1 vertex range of the named bags, and the coverage, the
+    incident edges and the trace of the named vertices.  An unchanged input
+    cannot fail what the earlier decomposition passed, so the report is the
+    one the full check gives; the premise is not checked here.  Without
+    `changed` every bag and vertex is named, which is the full check, as in
+    `pre_tree.validate_ptd`.
+    """
     report = Report()
-    g = td.host
-    covered = 0
-    for b in td.bags:
-        covered |= b
-        for v in bit_indices(b & ~((1 << g.n) - 1)):
+    g, tree, bags = td.host, td.tree, td.bags
+    full = (1 << g.n) - 1
+    nodes, verts = changed or (tree.nodes, full)
+    traces = {v: [t for t in tree.nodes if bags[t] >> v & 1] for v in bit_indices(verts & full)}
+    for t in sorted(nodes):
+        for v in bit_indices(bags[t] & ~full):
             report.add("T1", "bags", f"bag vertex {v} not in host")
-    for v in g.vertices:
-        if not covered >> v & 1:
+    for v, trace in traces.items():
+        if not trace:
             report.add("T1", f"vertex {v}", "vertex appears in no bag")
-    for u, v in g.edges:
+    incident = 0
+    for v in traces:
+        incident |= g.incident_mask(v)
+    for u, v in g.edge_pairs(incident):
         uv = 1 << u | 1 << v
-        if not any(b & uv == uv for b in td.bags):
+        if not any(b & uv == uv for b in bags):
             report.add("T1", f"edge {u}-{v}", "no bag contains both endpoints")
-    for v in g.vertices:
-        trace = [t for t in td.tree.nodes if td.bags[t] >> v & 1]
-        if trace and not td.tree.induced_connected(trace):
+    for v, trace in traces.items():
+        if trace and not tree.induced_connected(trace):
             report.add("T2", f"vertex {v}", f"trace {trace} is disconnected")
     return report
 
@@ -187,7 +197,9 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
     result.
 
     Scans (node, vertex) pairs in increasing order and repeats to a fixpoint,
-    so the result is deterministic.  Width and depth never increase.
+    so the result is deterministic.  Width and depth never increase.  Each
+    candidate differs from the current, valid, decomposition only in v at
+    bag t, so validate_td checks only that change.
     """
     current = td
     changed = True
@@ -198,7 +210,7 @@ def tighten(td: TreeDecomposition) -> TreeDecomposition:
                 bags = list(current.bags)
                 bags[t] &= ~(1 << v)
                 smaller = TreeDecomposition(td.tree, td.host, tuple(bags))
-                if validate_td(smaller).ok:
+                if validate_td(smaller, ((t,), 1 << v)).ok:
                     current = smaller
                     changed = True
     return current

@@ -678,7 +678,8 @@ def extension_oracle(state: StepState, node: int) -> tuple[ExtensionChoice, int]
         free_union |= m
     free_edges = list(g.edge_ids(free_union))
 
-    neighbors = tree.neighbors(node)
+    # Parent first (if any), then children ascending.
+    neighbors = ([] if node == tree.root else [tree.parent[node]]) + list(children)
     child_block_index = {c: neighbors.index(c) for c in children}
     blocks0 = [cones[(node, u)] for u in neighbors]
     block_of_edge: dict[int, int] = {}

@@ -8,7 +8,7 @@ import pytest
 from bdtw.corpus import all_graphs, named_graph
 from bdtw.errors import BudgetExceededError, ConsistencyError
 from bdtw.game import GameConfig, minimum_placements, solve
-from bdtw.graphs import Graph, boundary, closure, dumps_graph
+from bdtw.graphs import Graph, blocks_boundary, boundary, closure, dumps_graph
 from bdtw import monotonize, pre_tree
 from bdtw.monotonize import (
     ExtensionChoice,
@@ -32,6 +32,7 @@ from bdtw.pre_tree import (
     local_boundary,
     ptd_depth,
     ptd_width,
+    to_tree_decomposition,
     validate_ptd,
 )
 from bdtw.strategy_tree import build
@@ -108,7 +109,7 @@ def assignment_oracle(state, node):
     full = g.full_mask
     m_free = [full & ~(cones[(node, c)] | cones[(c, node)]) for c in children]
     free = sorted(g.edge_ids(sum_masks(m_free)))
-    neighbors = tree.neighbors(node)
+    neighbors = ([] if node == tree.root else [tree.parent[node]]) + list(children)
     blocks0 = [cones[(node, u)] for u in neighbors]
     child_pos = {c: neighbors.index(c) for c in children}
     best = None
@@ -602,11 +603,10 @@ class TestStepsWithoutFreeEdges:
     step only refreshes the bags that enter the scope."""
 
     def test_step_work_is_the_bag_refresh(self, monkeypatch):
-        calls = {"blocks": [], "validate": [], "choose": 0, "apply": 0}
+        calls = {"validate": [], "choose": 0, "apply": 0}
         kinds = []
 
         def choose(state, node):
-            calls["blocks"].clear()
             calls["validate"].clear()
             calls["choose"] += 1
             return choose_extensions(state, node)
@@ -616,36 +616,36 @@ class TestStepsWithoutFreeEdges:
             after = apply_step(state, node, choice)
             new = [t for t in (node, *state.ptd.tree.children[node]) if t not in state.scope]
             keys, bags = after.changed
+            was, memo = state.ptd._boundaries, after.ptd._boundaries
+            # The input's full check fills the memo, and each step refills
+            # the entries it drops, so every state holds every node's.
+            assert set(memo) == set(after.ptd.tree.nodes)
             if not free_edges(state.ptd, node):
-                # Only the bags entering the scope are computed, and on the
-                # new decomposition, never on the one the state shares.
-                assert sorted(t for _ptd, t in calls["blocks"]) == sorted(new)
-                assert all(ptd is not state.ptd for ptd, _t in calls["blocks"])
+                # No cone is written: the new decomposition shares the
+                # state's memo, and the bags entering the scope are read
+                # off it.
                 assert not keys and bags <= set(new)
+                assert memo is was
+                assert all(after.ptd.bags[t] == memo[t] for t in new)
                 kinds.append("bags" if bags else "unchanged")
             else:
+                # A cone write gives the copy its own memo, which keeps the
+                # state's entries at every node that is no changed key's tail.
+                tails = {s for s, _t in keys}
+                assert (memo is was) == (not keys)
+                assert all(memo[t] == b for t, b in was.items() if t not in tails)
                 kinds.append("free")
             # The axioms are checked wherever the step changed something.
             assert calls["validate"] == ([after.changed] if keys or bags else [])
             assert (after.ptd is state.ptd) == (not keys and not bags)
             return after
 
-        def blocks(ptd, t):
-            calls["blocks"].append((ptd, t))
-            return local_blocks(ptd, t)
-
         def validate(ptd, changed=None):
-            # Its own reads of the blocks are the check's, not the step's.
             calls["validate"].append(changed)
-            before = len(calls["blocks"])
-            report = validate_ptd(ptd, changed)
-            del calls["blocks"][before:]
-            return report
+            return validate_ptd(ptd, changed)
 
         monkeypatch.setattr(monotonize, "choose_extensions", choose)
         monkeypatch.setattr(monotonize, "apply_step", apply)
-        monkeypatch.setattr(monotonize, "local_blocks", blocks)
-        monkeypatch.setattr(pre_tree, "local_blocks", blocks)
         monkeypatch.setattr(monotonize, "validate_ptd", validate)
         for ptd in golden_trees():
             internal = sum(1 for t in ptd.tree.nodes if ptd.tree.children[t])
@@ -676,6 +676,48 @@ class TestStepsWithoutFreeEdges:
             assert exact.cones == ptd.cones
             assert exact.bags == tuple(local_boundary(ptd, t) for t in ptd.tree.nodes)
             assert run(ptd, verify=True).bags == exact.bags
+
+
+class TestBoundaryMemo:
+    """Each decomposition memoizes its local boundaries, and a step's copy
+    keeps the entries of the nodes whose cones it did not write (the
+    `pre_tree` module docstring)."""
+
+    def test_every_entry_is_a_fresh_boundary(self):
+        # The sources of the valid mutants and some of the mutants: after
+        # every step, every entry of the state's memo.
+        rng = random.Random(36)
+        inputs = itertools.chain(strategy_trees(rng), elimination_ptds(rng),
+                                 valid_mutants(36, 100), valid_mutants(36, 20, elimination_ptds))
+        states = moved = 0
+        for ptd in inputs:
+            for _node, before, after, choice in iterate_steps(ptd):
+                for state in (before, after) if not before.processed else (after,):
+                    states += 1
+                    p = state.ptd
+                    assert set(p._boundaries) == set(p.tree.nodes)
+                    for t, b in p._boundaries.items():
+                        assert b == blocks_boundary(p.host, local_blocks(p, t)), (dumps_ptd(ptd), t)
+                moved += bool(choice.f_union)
+        assert states > 2000 and moved > 100
+
+    @pytest.mark.parametrize("name, k, q, seed", FUZZED_CORPUS)
+    def test_conversion_after_a_run_computes_no_boundary(self, name, k, q, seed, monkeypatch):
+        # run's end check and the conversion's own both read the memo that
+        # the input's full check filled and the steps kept.
+        g = named_graph(name)
+        st, _, _ = solved_tree(g, k, q, fuzz=2, seed=seed)
+        exact = run(st.ptd, verify=True)
+        calls = []
+
+        def counted(host, blocks):
+            calls.append(blocks)
+            return blocks_boundary(host, blocks)
+
+        monkeypatch.setattr(pre_tree, "blocks_boundary", counted)
+        td = to_tree_decomposition(exact, g)
+        assert calls == []
+        assert validate_td(td).ok
 
 
 class TestRun:

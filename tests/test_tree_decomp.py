@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from bdtw import tree_decomp
 from bdtw.errors import FormatError, NotApplicableError
 from bdtw.graphs import Graph, bit_indices, bitmask
 from bdtw.tree_decomp import (
@@ -240,6 +242,32 @@ class TestTighten:
                     bags[t] &= ~(1 << v)
                     worse = TreeDecomposition(tight.tree, tight.host, tuple(bags))
                     assert not validate_td(worse).ok
+
+    def test_change_local_checks_match_full_ones(self, monkeypatch):
+        # Every candidate tighten tries on the seeded padded decompositions
+        # of test_pre_tree's digest, and one vertex toggled in one bag of
+        # each input, possibly outside the host: the change-local report is
+        # the full one.
+        rules = Counter()
+
+        def both(td, changed=None):
+            local = validate_td(td, changed)
+            assert changed is not None
+            assert local.violations == validate_td(td).violations
+            rules.update(v.rule for v in local.violations)
+            rules["ok"] += local.ok
+            return local
+
+        monkeypatch.setattr(tree_decomp, "validate_td", both)
+        rng = random.Random(34)
+        for _ in range(200):
+            td = elimination_td(rng)
+            tighten(td)
+            t, v = rng.choice(td.tree.nodes), rng.randrange(td.host.n + 1)
+            bags = list(td.bags)
+            bags[t] ^= 1 << v
+            both(TreeDecomposition(td.tree, td.host, tuple(bags)), ((t,), 1 << v))
+        assert rules["ok"] and rules["T1"] and rules["T2"]
 
 
 class TestTdFormat:
