@@ -48,8 +48,34 @@ leaves the shadow's part whole may grow the copier's smaller one.
 The robber's replies to placing v in the stage set S are the components of
 S - v, and a placement off S leaves S whole.
 
-The solver computes, per (cop set, component), the interval of placement
-budgets for which the position is known lost/won, so one run answers
+The search decides each stage once.  After a cop move keeps mid, the
+robber runs anywhere in its stage set S and the cops place one vertex, so
+what follows depends on the stage (mid, S) alone, not on the position that
+lifted to it.  The stage's segment lists every continuation: (mid | v, the
+components of S - v, or S when v lies off S) for every v outside mid,
+ascending.  The stage wins with b placements when some entry of its
+segment leaves only replies won with b - 1.  Beside the searched moves of
+a position (X, C) that lifts to it, with v outside X, the segment holds the
+re-placements mid | v with v in X - mid, the lifted cops.
+
+Lemma.  Let the search walk the kept sets mid_1, ..., mid_j from (X, C),
+with stage sets S_1, ..., S_j.  Then the cops win from (X, C) with b
+placements exactly when some stage (mid_i, S_i) wins with b.
+Proof.  The entries with v outside X are the searched moves, which reach
+the minimum (above), so a position won with b has a stage that wins with
+b.  Conversely, let the entry of v win with b in the stage (mid, S).  If v
+lies outside X, its move wins with b from (X, C).  Otherwise v lies in
+X - mid, and the move X -> m = mid | v is the re-placement to m inside X,
+legal in both variants (in the monotone one m holds mid, which holds the
+part's boundary).  C lies in G - m and in S, so its component c1 under m
+lies in S and is a reply of the entry: (m, c1) is won with b - 1.  By the
+re-placement argument, cost(X, C) <= cost(m, c1) <= b - 1.
+So a stage's value at each budget is the same for every position that
+lifts to it, and a position's value is that of its best stage: the
+search may decide a stage once and read it at every other position.
+
+The solver computes, per (cop set, component) and per stage, the interval
+of placement budgets for which it is known lost/won, so one run answers
 every q up to a cap.  All iteration orders are canonical (components sort
 by their lowest incident edge, and where positions are sorted, by their
 parts); results are deterministic.
@@ -65,17 +91,18 @@ the loops, and a closure that read the plain host's non-monotone bounds
 would copy its answer instead of proving it.
 
 Lookups are paid once.  The host graph caches the components of G - X per
-cop set (graphs.components) and the robber's replies per (new cop set,
-stage set).  Both depend on the non-loop adjacency alone, so the solvers
-of every variant on a graph and on its closure fill and read one copy
-(graphs.closure hands them over); the rules read the same component
-table.  Each position's successor list, the pairs (new cop
-set, replies) in search order, is built at the position's first expansion
-with at least three placements left from one stage set per kept-cop set,
-and replayed at every later one.  The non-monotone variant's kept sets,
-stage sets and replies ignore the loops, so its lists are kept per k on
-the graph and shared with the closure too; a monotone solver keeps its
-own, since its kept sets hold the part's boundary, which loops change.
+cop set (graphs.components) and the segment of each stage (mid, S).  Both
+depend on the non-loop adjacency alone, so the solvers of every variant
+on a graph and on its closure fill and read one copy (graphs.closure hands
+them over); the rules read the same component table.  Each position's
+stage list, the keys (mid, S) of its kept-cop sets in search order, is
+built at the position's first expansion with at least three placements
+left and replayed at every later one.  The non-monotone variant's kept
+sets and stage sets ignore the loops, so its lists are kept per k on the
+graph and shared with the closure too; a monotone solver keeps its own,
+since its kept sets hold the part's boundary, which loops change.  The
+stage bounds hold a solver's own costs and are never shared, for the
+reason the position bounds stay per host.
 
 With one placement left a position needs no list.  The cops capture
 exactly when the robber's component is a single vertex v, which they
@@ -221,24 +248,28 @@ class _Solver:
     Its positions are (cop set x, robber component c), both vertex masks
     (module docstring).
 
-    Each position pays for its moves and the robber's answers once: its
-    first expansion with at least three placements left builds its successor
-    list, the pairs (new cop set, the robber's replies) for every searched
-    move in search order, and later expansions replay it.  The searched
-    moves are the fresh ones, and in the non-monotone variant only those
-    that keep min(|x|, k - 1) cops (see the module docstring).  The replies
-    come from the host graph's response table, which every solver on that
-    host and its closure shares, as the non-monotone solvers with the same
-    k share their lists.  An expansion with one or two placements
-    left reads no list (_wins_in_one, _wins_in_two), nor does one with
-    three that _loses_in_three refutes; such an expansion visits none of
-    the position's children, but counts as an expansion all the same.
+    Each position pays for its stages once: its first expansion with at
+    least three placements left builds its stage list, a key (kept set,
+    stage set) per kept-cop set the search walks, in search order, and
+    later expansions replay it.  The kept sets are those of the fresh
+    moves, and in the non-monotone variant only those that keep
+    min(|x|, k - 1) cops (see the module docstring).  Each stage's segment,
+    its moves with the robber's replies, comes from the host graph's
+    segment table, which every solver on that host and its closure shares,
+    as the non-monotone solvers with the same k share their stage lists.
+    An expansion skips a stage its stage bounds decide lost and accepts one
+    they decide won; otherwise it walks the segment and bounds the stage.
+    An expansion with one or two placements left reads no list
+    (_wins_in_one, _wins_in_two), nor does one with three that
+    _loses_in_three refutes; such an expansion visits none of the
+    position's children, but counts as an expansion all the same.
     The expansion past EXPANSION_BUDGET raises BudgetExceededError.
 
     bounds holds one entry per position the solver has a bound for: those
     it searched and, in the monotone variant, the losses it inherited from
     the host's latest non-monotone solver with the same k.  Its length is
-    the position count that solve reports.
+    the position count that solve reports.  _stage_bounds holds one
+    entry per stage the solver walked, its own like bounds.
     """
 
     def __init__(self, g: Graph, k: int, monotone: bool):
@@ -257,10 +288,14 @@ class _Solver:
             self.bounds = {key: [e[0], None] for key, e in lost.items() if e[0] > 0}
         else:
             self.bounds = g._lost[k] = {}
+        # (cops, component) -> the position's stage keys, in search order.
         # The non-monotone lists ignore loops, so the host and its closure
         # share them (graphs module docstring).
-        self._succ_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = (
+        self._succ_cache: dict[tuple[int, int], list[tuple[int, int]]] = (
             {} if monotone else g._succ_cache.setdefault(k, {}))
+        # (kept set, stage set) -> [largest budget known lost, smallest
+        # budget known won]: this solver's own, like bounds.
+        self._stage_bounds: dict[tuple[int, int], list] = {}
         self._vertices = tuple(1 << v for v in g.vertices)
         # The vertices a lone-vertex capture can take: fewer than k neighbours.
         self._few = bitmask(v for v in g.vertices if g._adj_mask[v].bit_count() < k)
@@ -297,19 +332,17 @@ class _Solver:
                 return out
             s = (s - 1) & rest
 
-    def _successors(self, x_mask: int, c_mask: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(new cop set, the robber's replies) for every searched move: the
-        kept-cop sets of _kept_sets, each with its fresh placed vertices
-        ascending.  The replies to placing v in the stage set S, the
-        component under the kept cops that holds c, are the components of
-        S - v; a placement off S leaves S whole."""
+    def _stages(self, x_mask: int, c_mask: int) -> list[tuple[int, int]]:
+        """The stages the search walks from (x, c): a key (mid, S) per
+        kept-cop set mid of _kept_sets, in its order, with S the stage set,
+        the component under mid that holds c.  Builds the segment of each
+        stage the host's segment table lacks."""
         key = (x_mask, c_mask)
-        cached = self._succ_cache.get(key)
-        if cached is None:
+        stages = self._succ_cache.get(key)
+        if stages is None:
             g = self.g
-            table = g._resp_cache
-            fresh = [bit for bit in self._vertices if not bit & x_mask]
-            cached = []
+            segments = g._seg_cache
+            stages = []
             # A monotone kept set drops only cops whose edges all lie in
             # c's part; each joins c in the stage set.
             near = c_mask | self._near(c_mask) if self.monotone else 0
@@ -320,20 +353,35 @@ class _Solver:
                     s = c_mask
                 else:
                     s = _stage(g, mid, c_mask)
-                whole = (s,)
-                for bit in fresh:
-                    m = mid | bit
-                    if bit & s:
-                        live = table.get((m, s))
-                        if live is None:
-                            # s, a component of G - mid, is its own stage set.
-                            live = table[(m, s)] = _replies(g, mid, s, m)
-                        cached.append((m, live))
-                    else:
-                        cached.append((m, whole))
+                stage = (mid, s)
+                if stage not in segments:
+                    segments[stage] = self._segment(mid, s)
+                stages.append(stage)
             # Stored whole, as other solvers may read it.
-            self._succ_cache[key] = cached
-        return cached
+            self._succ_cache[key] = stages
+        return stages
+
+    def _segment(self, mid: int, s: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(mid | v, the robber's replies) for every vertex v outside the
+        kept set mid, ascending: the components of S - v when v lies in the
+        stage set S, else S whole (module docstring)."""
+        out = []
+        whole = (s,)
+        for bit in self._vertices:
+            if not bit & mid:
+                m = mid | bit
+                # S, a component of G - mid, is its own stage set.
+                out.append((m, _replies(self.g, mid, s, m) if bit & s else whole))
+        return out
+
+    def _successors(self, x_mask: int, c_mask: int) -> list[tuple[int, tuple[int, ...]]]:
+        """(new cop set, the robber's replies) for every searched move: the
+        entries of the stages' segments that place a vertex outside x, so
+        the kept-cop sets of _kept_sets, each with its fresh placed
+        vertices ascending."""
+        segments = self.g._seg_cache
+        return [(m, live) for stage in self._stages(x_mask, c_mask)
+                for m, live in segments[stage] if m & ~x_mask]
 
     def win(self, x_mask: int, c_mask: int, b: int) -> bool:
         """Whether the cops capture from (x, c) using at most b placements."""
@@ -461,24 +509,42 @@ class _Solver:
             result = False
         else:
             bounds = self.bounds
+            stage_bounds = self._stage_bounds
+            segments = self.g._seg_cache
             c = b - 1
             result = False
-            for new_mask, live in self._successors(x_mask, c_mask):
-                # The memo test of win, inlined: a child decided by its
-                # bounds costs no call.
-                for q_mask in live:
-                    child = bounds.get((new_mask, q_mask))
-                    if child is None:
-                        child = bounds[(new_mask, q_mask)] = [0, None]
-                    elif c <= child[0]:
-                        break
-                    elif child[1] is not None and c >= child[1]:
-                        continue
-                    if not self._expand(new_mask, q_mask, child, c):
-                        break
-                else:
+            for stage in self._stages(x_mask, c_mask):
+                sentry = stage_bounds.get(stage)
+                if sentry is None:
+                    sentry = stage_bounds[stage] = [0, None]
+                elif b <= sentry[0]:
+                    continue
+                elif sentry[1] is not None and b >= sentry[1]:
                     result = True
                     break
+                for new_mask, live in segments[stage]:
+                    # The memo test of win, inlined: a child decided by its
+                    # bounds costs no call.
+                    for q_mask in live:
+                        child = bounds.get((new_mask, q_mask))
+                        if child is None:
+                            child = bounds[(new_mask, q_mask)] = [0, None]
+                        elif c <= child[0]:
+                            break
+                        elif child[1] is not None and c >= child[1]:
+                            continue
+                        if not self._expand(new_mask, q_mask, child, c):
+                            break
+                    else:
+                        result = True
+                        break
+                # The search may have bounded the stage at b - 1 meanwhile.
+                if result:
+                    if sentry[1] is None or b < sentry[1]:
+                        sentry[1] = b
+                    break
+                if b > sentry[0]:
+                    sentry[0] = b
         if result:
             if entry[1] is None or b < entry[1]:
                 entry[1] = b
@@ -628,7 +694,9 @@ def variant_costs(g: Graph, ks: Sequence[int], cap: int) -> list[tuple[int | Non
     exactly when these four costs are equal.  Each monotone solve starts
     from the losses of the non-monotone solve before it on the same host
     and proves its wins itself.  One plain host and one closure serve
-    every k, so each component table and response table is built once."""
+    every k, so the component table and the segment table are built once,
+    and the two non-monotone solves with each k share their stage lists;
+    each solve bounds the stages itself."""
     hosts = (g, closure(g))
     return [tuple(minimum_placements(host, k, monotone, cap)
                   for host in hosts for monotone in (False, True))

@@ -11,21 +11,23 @@ four caches that the game fills as it runs, each read and written by one
 owner:
 - the components of G - X per cop set X, as vertex masks (`_comp_cache`,
   `components`), which the game's rules and the solver read alike;
-- the robber's replies per (new cop set, stage set), the components of
-  the stage set minus the placed vertex (`_resp_cache`,
-  `game._Solver._successors`);
-- per k, the successor lists of the non-monotone solvers
-  (`_succ_cache`, `game._Solver._successors`);
+- per stage (a kept-cop set and the robber's stage set under it), its
+  segment: each vertex v outside the kept set with the robber's replies
+  to placing v, the components of the stage set minus v (`_seg_cache`,
+  `game._Solver._segment`);
+- per k, the stage lists of the non-monotone solvers, each position's
+  stage keys in search order (`_succ_cache`, `game._Solver._stages`);
 - per k, the bounds of the latest non-monotone solver (`_lost`,
   `game._Solver`).
 Each holds facts about the graph itself, so no cache changes an answer,
 and a Graph is safe to share.  The first three depend only on the
 non-loop adjacency, which a graph and its closure have in common, so
 `closure` hands them to the graph it builds and the solvers on both hosts
-fill and read one copy.  (The monotone variant's lists depend on the
-loops, through the part's boundary, and stay with each solver.)  The
-bounds hold the host's own costs, so each host keeps its own; see `game`
-for why they are not shared.
+fill and read one copy.  (The monotone variant's stage lists depend on
+the loops, through the part's boundary, and stay with each solver.)  The
+bounds hold the host's own costs, so each host keeps its own, and each
+solver keeps its own stage bounds; see `game` for why they are not
+shared.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_comp_cache", "_resp_cache", "_succ_cache", "_lost")
+                 "_comp_cache", "_seg_cache", "_succ_cache", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -70,12 +72,12 @@ class Graph:
         self._inc = tuple(inc)
         self._adj_mask = tuple(adj)
         self._comp_cache: dict[int, tuple[int, ...]] = {}
-        # (new cop set, stage set) -> the robber's replies, the components
-        # of the stage set minus the placed vertex; filled by the game
-        # solver, shared by every solver on this host and its closure.
-        self._resp_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        # k -> (cops, component) -> the successor list of the non-monotone
-        # game solvers with k cops on this host and its closure.
+        # (kept set, stage set) -> the segment, (kept set + v, the robber's
+        # replies) for every vertex v outside the kept set; filled by the
+        # game solver, shared by every solver on this host and its closure.
+        self._seg_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+        # k -> (cops, component) -> the stage keys of the non-monotone game
+        # solvers with k cops on this host and its closure.
         self._succ_cache: dict[int, dict[tuple[int, int], list]] = {}
         # k -> the bounds table of the latest non-monotone game solver with
         # k cops on this host; a monotone solver starts from its losses.
@@ -164,8 +166,8 @@ def closure(g: Graph) -> Graph:
     """The graph with a self-loop added at every vertex that lacks one.
 
     Original edge ids are preserved; new loops are appended in vertex order.
-    The closure shares g's component and response tables and its
-    non-monotone successor lists, which depend on the non-loop adjacency
+    The closure shares g's component and segment tables and its
+    non-monotone stage lists, which depend on the non-loop adjacency
     alone (module docstring).
     """
     edges = list(g.edges)
@@ -174,7 +176,7 @@ def closure(g: Graph) -> Graph:
             edges.append((v, v))
     out = Graph(g.n, edges)
     out._comp_cache = g._comp_cache
-    out._resp_cache = g._resp_cache
+    out._seg_cache = g._seg_cache
     out._succ_cache = g._succ_cache
     return out
 

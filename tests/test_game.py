@@ -558,8 +558,8 @@ class TestLosesInThree:
 class TestSharedTables:
     def test_costs_match_unshared_hosts(self):
         # A graph and its closure fill and read one component table, one
-        # response table and, per k, one set of non-monotone successor
-        # lists.  Every host on at most 4 vertices with every set
+        # segment table and, per k, one set of non-monotone stage lists.
+        # Every host on at most 4 vertices with every set
         # of loops, k 1..n+1, both variants: the costs on the pair equal
         # those on fresh copies that share nothing.
         checked = 0
@@ -646,6 +646,74 @@ class TestInheritedLosses:
         assert _Solver(host, 2, True).bounds == {}
 
 
+class TestStageMemo:
+    # A stage, the kept cops mid and the stage set S of a cop move, has
+    # one value per budget whatever position lifted to it: the OR over
+    # the vertices v outside mid of the AND, over the components r of
+    # S - v (S itself when v lies outside S), of winning from (mid | v, r)
+    # with one placement fewer.  Each solver's stage bounds must agree
+    # with that value over the full-move oracle, and so must the costs of
+    # the positions that read them.
+
+    @staticmethod
+    def assert_stages_match_the_oracle(host, k, monotone) -> tuple[int, int]:
+        """Check the stage bounds and initial costs of a solver for (k,
+        monotone) on host; return how many loss and win bounds held."""
+        solver = _Solver(host, k, monotone)
+        solver.game_cost(6)
+        win = full_move_win(host, k, monotone)
+
+        def stage_wins(mid, s, b):
+            part = incident_edges(host, s)
+            return any(all(win(mid | 1 << v, q, b - 1)
+                           for q in live_parts(host, mid | 1 << v) if not q & ~part)
+                       for v in host.vertices if not mid >> v & 1)
+
+        losses = wins = 0
+        for (mid, s), (lost, won) in solver._stage_bounds.items():
+            if lost:
+                assert not stage_wins(mid, s, lost), (host, k, monotone, mid, s)
+                losses += 1
+            if won is not None:
+                assert stage_wins(mid, s, won), (host, k, monotone, mid, s)
+                wins += 1
+        costs = [full_move_cost(win, 0, incident_edges(host, c), 6)
+                 for c in initial_components(host)]
+        for c_mask, cost in zip(initial_components(host), costs):
+            assert solver.cost(0, c_mask, 6) == cost, (host, k, monotone, c_mask)
+        assert solver.game_cost(6) == (None if None in costs else max(costs, default=0))
+        return losses, wins
+
+    def test_stage_bounds_match_the_oracle(self):
+        # Every host on at most 4 vertices with every set of loops and the
+        # closures of all graphs on 5 vertices, k 1..4, both variants; each
+        # monotone solver inherits the losses of the non-monotone one.
+        hosts = with_loop_sets(small_graph_corpus(4)) + [closure(g) for g in all_graphs(5)]
+        checked = [self.assert_stages_match_the_oracle(host, k, monotone)
+                   for host in hosts for k in range(1, 5) for monotone in (False, True)]
+        losses, wins = map(sum, zip(*checked))
+        assert losses > 5_000 and wins > 5_000
+
+    def test_positions_lifting_different_cops_share_a_stage(self):
+        # The robber on the path 3-4-5-6, two cops off it: from {0, 2} and
+        # from {1, 2} the first kept set, dropping the lower cop, is {2}
+        # with the stage set the path itself.  Once the first position
+        # has decided that stage, the second reads it and searches nothing.
+        host = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+        c_mask = 0b1111000
+        solver = _Solver(host, 2, False)
+        first, second = 0b101, 0b110
+        stage = (0b100, c_mask)
+        assert solver._stages(first, c_mask)[0] == solver._stages(second, c_mask)[0] == stage
+        win = full_move_win(host, 2, False)
+        part = incident_edges(host, c_mask)
+        assert solver.cost(first, c_mask, 6) == full_move_cost(win, first, part, 6) == 3
+        assert solver._stage_bounds[stage] == [0, 3]
+        known, expansions = len(solver._stage_bounds), solver.expansions
+        assert solver.cost(second, c_mask, 6) == full_move_cost(win, second, part, 6) == 3
+        assert (len(solver._stage_bounds), solver.expansions) == (known, expansions + 1)
+
+
 class TestSolverWork:
     def test_cached_successors_follow_the_rules(self):
         # The successors are the fresh legal moves (those that place a
@@ -706,50 +774,52 @@ class TestSolverWork:
                         costs.add(cost)
         assert None in costs and len(costs) > 2
 
-    # (expansions, positions) of _Solver.game_cost(7) per graph, for the
-    # plain graph then its closure, k = 2, 3, 4, non-monotone then
+    # (expansions, positions, stages) of _Solver.game_cost(7) per graph,
+    # for the plain graph then its closure, k = 2, 3, 4, non-monotone then
     # monotone on the same host; the monotone solver counts the losses it
-    # inherits from the non-monotone one as positions.  Recorded when
-    # positions with three placements left were first refuted from masks
-    # (_loses_in_three), which visits none of their children.  Equal
-    # counts mean the search order did not move.
+    # inherits from the non-monotone one as positions, and stages counts
+    # the (kept set, stage set) pairs the solver bounded.  Recorded when
+    # each stage was first decided once for every position that lifts to
+    # it, its segment walking the lifted cops' re-placements too.  Equal
+    # counts mean neither the search order nor the memo moved.
     GOLDEN_WORK = {
-        "P5": [(8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4),
-               (8, 6), (4, 6), (6, 4), (3, 4), (6, 4), (3, 4)],
-        "C5": [(66, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7),
-               (66, 16), (0, 16), (11, 7), (3, 7), (11, 7), (3, 7)],
-        "K4": [(46, 11), (0, 11), (53, 15), (0, 15), (10, 6), (3, 6),
-               (46, 11), (0, 11), (53, 15), (0, 15), (10, 6), (3, 6)],
-        "K2,3": [(67, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2),
-                 (67, 16), (0, 16), (4, 2), (2, 2), (4, 2), (2, 2)],
-        "GRID2x3": [(88, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9),
-                    (88, 22), (0, 22), (22, 17), (5, 17), (13, 9), (3, 9)],
-        "G6a": [(84, 22), (0, 22), (136, 42), (0, 42), (18, 13), (3, 13),
-                (84, 22), (0, 22), (136, 42), (0, 42), (18, 13), (3, 13)],
-        "G6b": [(87, 22), (0, 22), (14, 11), (4, 11), (19, 14), (4, 14),
-                (87, 22), (0, 22), (14, 11), (4, 11), (19, 14), (4, 14)],
-        "G6c": [(80, 22), (0, 22), (135, 42), (0, 42), (11, 8), (3, 8),
-                (80, 22), (0, 22), (135, 42), (0, 42), (12, 9), (4, 9)],
-        "G7a": [(125, 35), (0, 29), (6, 4), (2, 4), (6, 4), (2, 4),
-                (125, 35), (0, 29), (8, 6), (4, 6), (8, 6), (4, 6)],
-        "G7b": [(107, 35), (0, 29), (16, 13), (5, 13), (16, 13), (5, 13),
-                (107, 35), (0, 29), (16, 13), (5, 13), (16, 13), (5, 13)],
+        "P5": [(8, 6, 1), (4, 6, 1), (6, 4, 1), (3, 4, 1), (6, 4, 1), (3, 4, 1),
+               (8, 6, 1), (4, 6, 1), (6, 4, 1), (3, 4, 1), (6, 4, 1), (3, 4, 1)],
+        "C5": [(67, 16, 6), (0, 16, 0), (11, 7, 2), (3, 7, 2), (11, 7, 2), (3, 7, 2),
+               (67, 16, 6), (0, 16, 0), (11, 7, 2), (3, 7, 2), (11, 7, 2), (3, 7, 2)],
+        "K4": [(47, 11, 5), (0, 11, 0), (53, 15, 11), (0, 15, 0), (10, 6, 2), (3, 6, 2),
+               (47, 11, 5), (0, 11, 0), (53, 15, 11), (0, 15, 0), (10, 6, 2), (3, 6, 2)],
+        "K2,3": [(67, 16, 6), (0, 16, 0), (4, 2, 1), (2, 2, 1), (4, 2, 1), (2, 2, 1),
+                 (67, 16, 6), (0, 16, 0), (4, 2, 1), (2, 2, 1), (4, 2, 1), (2, 2, 1)],
+        "GRID2x3": [(90, 22, 7), (0, 22, 0), (22, 17, 3), (5, 17, 2), (13, 9, 2), (3, 9, 2),
+                    (90, 22, 7), (0, 22, 0), (22, 17, 3), (5, 17, 2), (13, 9, 2), (3, 9, 2)],
+        "G6a": [(85, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (18, 13, 3), (3, 13, 2),
+                (85, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (18, 13, 3), (3, 13, 2)],
+        "G6b": [(89, 22, 7), (0, 22, 0), (14, 11, 2), (4, 11, 2), (19, 14, 3), (4, 14, 2),
+                (89, 22, 7), (0, 22, 0), (14, 11, 2), (4, 11, 2), (19, 14, 3), (4, 14, 2)],
+        "G6c": [(81, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (11, 8, 2), (3, 8, 2),
+                (81, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (12, 9, 2), (4, 9, 2)],
+        "G7a": [(125, 35, 9), (0, 29, 0), (6, 4, 1), (2, 4, 1), (6, 4, 1), (2, 4, 1),
+                (125, 35, 9), (0, 29, 0), (8, 6, 1), (4, 6, 1), (8, 6, 1), (4, 6, 1)],
+        "G7b": [(108, 35, 9), (0, 29, 0), (16, 13, 2), (5, 13, 2), (16, 13, 2), (5, 13, 2),
+                (108, 35, 9), (0, 29, 0), (16, 13, 2), (5, 13, 2), (16, 13, 2), (5, 13, 2)],
     }
 
-    # (expansions, positions) of the monotone _Solver.game_cost(7) on a
-    # host no other solver has used, in the GOLDEN_WORK order: the
-    # monotone search on its own, recorded with GOLDEN_WORK.
+    # (expansions, positions, stages) of the monotone
+    # _Solver.game_cost(7) on a host no other solver has used, in the
+    # GOLDEN_WORK order: the monotone search on its own, recorded with
+    # GOLDEN_WORK.
     GOLDEN_FRESH_MONOTONE_WORK = {
-        "P5": [(8, 6), (6, 4), (6, 4), (8, 6), (6, 4), (6, 4)],
-        "C5": [(57, 16), (11, 7), (11, 7), (57, 16), (11, 7), (11, 7)],
-        "K4": [(41, 11), (53, 15), (10, 6), (41, 11), (53, 15), (10, 6)],
-        "K2,3": [(70, 16), (4, 2), (4, 2), (64, 16), (4, 2), (4, 2)],
-        "GRID2x3": [(84, 22), (22, 17), (13, 9), (76, 22), (22, 17), (13, 9)],
-        "G6a": [(80, 22), (134, 42), (18, 13), (76, 22), (126, 42), (18, 13)],
-        "G6b": [(84, 22), (14, 11), (19, 14), (76, 22), (14, 11), (19, 14)],
-        "G6c": [(76, 22), (126, 42), (11, 8), (76, 22), (126, 42), (12, 9)],
-        "G7a": [(130, 35), (6, 4), (6, 4), (122, 35), (8, 6), (8, 6)],
-        "G7b": [(104, 35), (16, 13), (16, 13), (104, 35), (16, 13), (16, 13)],
+        "P5": [(8, 6, 1), (6, 4, 1), (6, 4, 1), (8, 6, 1), (6, 4, 1), (6, 4, 1)],
+        "C5": [(57, 16, 6), (11, 7, 2), (11, 7, 2), (57, 16, 6), (11, 7, 2), (11, 7, 2)],
+        "K4": [(41, 11, 5), (53, 15, 11), (10, 6, 2), (41, 11, 5), (53, 15, 11), (10, 6, 2)],
+        "K2,3": [(72, 16, 6), (4, 2, 1), (4, 2, 1), (64, 16, 6), (4, 2, 1), (4, 2, 1)],
+        "GRID2x3": [(86, 22, 7), (22, 17, 3), (13, 9, 2), (76, 22, 7), (22, 17, 3), (13, 9, 2)],
+        "G6a": [(81, 22, 7), (136, 42, 22), (18, 13, 3), (76, 22, 7), (126, 42, 22), (18, 13, 3)],
+        "G6b": [(86, 22, 7), (14, 11, 2), (19, 14, 3), (76, 22, 7), (14, 11, 2), (19, 14, 3)],
+        "G6c": [(76, 22, 7), (126, 42, 22), (11, 8, 2), (76, 22, 7), (126, 42, 22), (12, 9, 2)],
+        "G7a": [(131, 35, 8), (6, 4, 1), (6, 4, 1), (122, 35, 9), (8, 6, 1), (8, 6, 1)],
+        "G7b": [(104, 35, 9), (16, 13, 2), (16, 13, 2), (104, 35, 9), (16, 13, 2), (16, 13, 2)],
     }
 
     @staticmethod
@@ -770,7 +840,8 @@ class TestSolverWork:
                     for monotone in (False, True):
                         solver = _Solver(host, k, monotone)
                         solver.game_cost(7)
-                        work.append((solver.expansions, len(solver.bounds)))
+                        work.append((solver.expansions, len(solver.bounds),
+                                     len(solver._stage_bounds)))
             assert work == self.GOLDEN_WORK[name], name
 
     def test_fresh_monotone_search_work_is_pinned(self):
@@ -780,5 +851,6 @@ class TestSolverWork:
                 for k in (2, 3, 4):
                     solver = _Solver(Graph(host.n, host.edges), k, True)
                     solver.game_cost(7)
-                    work.append((solver.expansions, len(solver.bounds)))
+                    work.append((solver.expansions, len(solver.bounds),
+                                 len(solver._stage_bounds)))
             assert work == self.GOLDEN_FRESH_MONOTONE_WORK[name], name

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from bdtw.corpus import path_graph
 from bdtw.errors import FormatError
-from bdtw.game import _stage
+from bdtw.game import _Solver, _stage
 from bdtw.graphs import (
     Graph,
     bit_indices,
@@ -367,16 +367,33 @@ class TestComponents:
                 assert components(g, x_mask) == components(unshared, x_mask), (g, x_mask)
 
     def test_closure_shares_the_vertex_tables_only(self, p3):
-        # The component and response tables and the non-monotone successor
+        # The component and segment tables and the non-monotone stage
         # lists depend on the non-loop adjacency alone; the solver bounds
         # hold the host's own costs, and the parts its own edges.
         c = closure(p3)
         assert c._comp_cache is p3._comp_cache
-        assert c._resp_cache is p3._resp_cache
+        assert c._seg_cache is p3._seg_cache
         assert c._succ_cache is p3._succ_cache
         assert c._lost is not p3._lost
         assert components(c, 0b010) is components(p3, 0b010)
         assert part_table(c, 0b010) != part_table(p3, 0b010)
+
+    def test_closure_solvers_share_stages_but_not_stage_bounds(self):
+        # The non-monotone solvers on C5 and its closure read one segment
+        # table and one stage list per position; each bounds the stages
+        # itself, since the two hosts' costs differ.
+        g = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
+        c = closure(g)
+        plain, shut = _Solver(g, 2, False), _Solver(c, 2, False)
+        plain.game_cost(7)
+        shut.game_cost(7)
+        assert c._seg_cache is g._seg_cache
+        assert shut._succ_cache is plain._succ_cache
+        assert plain._succ_cache and set(plain._stage_bounds) <= set(g._seg_cache)
+        for stages in plain._succ_cache.values():
+            assert all(stage in g._seg_cache for stage in stages)
+        assert shut._stage_bounds is not plain._stage_bounds
+        assert shut._stage_bounds and plain._stage_bounds
 
 
 class TestPaceFormat:
