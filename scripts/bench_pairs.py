@@ -2,6 +2,8 @@
 """Run the benchmark in two checkouts in alternating pairs and compare them.
 
     python3 scripts/bench_pairs.py DIR_A DIR_B --workload fuzz --seed 4 --pairs 10
+    python3 scripts/bench_pairs.py DIR_A DIR_B --workload sweep --workload certify \
+        --workload fuzz
 
 Each pair runs ``perfbench/run.py --trace 0`` once in DIR_A and once in
 DIR_B, strictly one after the other; even pairs run A first, odd pairs B
@@ -24,6 +26,11 @@ by more than the bound, and ``unresolved`` when A's quartile spread,
 relative to its median, exceeds the bound and not every run of B beats
 every run of A, so that the runs cannot tell a change within the bound
 from one outside it.
+
+Given ``--workload`` more than once, it measures the workloads one after
+another and prints ``{"runs": {key: record}}``, keyed as the ``BENCH_*.json``
+files are: ``sweep_s4`` for ``--workload sweep --seed 4``, with ``_40s``
+appended for ``--seconds 40`` (any length but the default).
 The exit code is 1 when a run fails or gives a wrong output.
 """
 
@@ -81,11 +88,50 @@ def compare(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def run_key(workload: str, seed: int, seconds: float) -> str:
+    """The key of a workload's record in a BENCH file: sweep_s4, sweep_s4_40s."""
+    key = f"{workload}_s{seed}"
+    return key if seconds == RUN_SECONDS else f"{key}_{seconds:g}s"
+
+
+def measure(dir_a: Path, dir_b: Path, workload: str, seed: int, n_pairs: int,
+            seconds: float, metrics: list[dict]) -> dict:
+    """The record of n_pairs alternating pairs of runs of one workload."""
+    pairs, digests, correct = [], {"a": set(), "b": set()}, True
+    for i in range(n_pairs):
+        order = ("a", "b") if i % 2 == 0 else ("b", "a")
+        pair: dict = {"first": order[0]}
+        for side in order:
+            root = dir_a if side == "a" else dir_b
+            detail, result = run_once(root, workload, seed, seconds)
+            correct &= result["correct"]
+            digests[side].add(detail["digest"])
+            pair[side] = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+            pair[side]["attempted"] = result["attempted"]
+        pairs.append(pair)
+        print(f"{workload} pair {i + 1}/{n_pairs}: "
+              + "  ".join(f"{s} {pair[s]['ops_per_s']:.1f}" for s in "ab") + " ops/s",
+              file=sys.stderr)
+    return {
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "dir_a": str(dir_a),
+        "dir_b": str(dir_b),
+        "pairs": pairs,
+        "summary": compare(pairs, metrics),
+        "digests": {side: sorted(d) for side, d in digests.items()},
+        "same_outputs": digests["a"] == digests["b"],
+        "correct": correct,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dir_a", type=Path)
     ap.add_argument("dir_b", type=Path)
-    ap.add_argument("--workload", required=True, choices=("sweep", "certify", "fuzz"))
+    ap.add_argument("--workload", required=True, action="append",
+                    choices=("sweep", "certify", "fuzz"))
     ap.add_argument("--seed", type=int, default=4)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=RUN_SECONDS)
@@ -94,39 +140,20 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     if args.seconds <= 0:
         ap.error("--seconds must be positive")
+    if len(set(args.workload)) < len(args.workload):
+        ap.error("each --workload may be given once")
     spec = json.loads((args.dir_a / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
 
-    pairs, digests, correct = [], {"a": set(), "b": set()}, True
-    for i in range(args.pairs):
-        order = ("a", "b") if i % 2 == 0 else ("b", "a")
-        pair: dict = {"first": order[0]}
-        for side in order:
-            root = args.dir_a if side == "a" else args.dir_b
-            detail, result = run_once(root, args.workload, args.seed, args.seconds)
-            correct &= result["correct"]
-            digests[side].add(detail["digest"])
-            pair[side] = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
-            pair[side]["attempted"] = result["attempted"]
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs}: "
-              + "  ".join(f"{s} {pair[s]['ops_per_s']:.1f}" for s in "ab") + " ops/s",
-              file=sys.stderr)
-
-    record = {
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "dir_a": str(args.dir_a),
-        "dir_b": str(args.dir_b),
-        "pairs": pairs,
-        "summary": compare(pairs, metrics),
-        "digests": {side: sorted(d) for side, d in digests.items()},
-        "same_outputs": digests["a"] == digests["b"],
-        "correct": correct,
-    }
-    print(json.dumps(record, indent=1))
-    return 0 if correct else 1
+    records = {run_key(w, args.seed, args.seconds):
+               measure(args.dir_a, args.dir_b, w, args.seed, args.pairs, args.seconds, metrics)
+               for w in args.workload}
+    if len(records) == 1:
+        [out] = records.values()
+    else:
+        out = {"runs": records}
+    print(json.dumps(out, indent=1))
+    return 0 if all(r["correct"] for r in records.values()) else 1
 
 
 if __name__ == "__main__":

@@ -80,15 +80,40 @@ every q up to a cap.  All iteration orders are canonical (components sort
 by their lowest incident edge, and where positions are sorted, by their
 parts); results are deterministic.
 
-A host keeps, per k, the bounds table of its latest non-monotone solver,
-and a monotone solver with that k starts from its losses.  This is sound:
+A host keeps, per k, the bounds table of its non-monotone solvers, and a
+monotone solver with that k starts from its losses.  This is sound:
 monotone strategies are non-monotone ones, against the same replies, so a
 non-monotone loss is a monotone loss.  Wins are not inherited, so each
 monotone win is still proved by the monotone search, and a sweep that
-compares the variants still tests their equivalence.  For the same reason
-the bounds stay per host: the kept sets of the monotone variant depend on
-the loops, and a closure that read the plain host's non-monotone bounds
-would copy its answer instead of proving it.
+compares the variants still tests their equivalence.  A graph and its
+closure share that table, by this lemma.
+
+Lemma.  In the non-monotone variant every position (x, C) has the same
+cost on G and on its closure G', and the solver records the same bounds
+at it on both hosts.
+Proof.  The rules read the loops only in the monotone test.  A
+non-monotone move is a set of at most k vertices with at most one outside
+x, and the replies are components of G - Y, vertex sets that loops do
+not change, in the same order on both hosts (graphs.components).  So the
+two games have the same positions, moves and replies, and each position
+is won or lost at each budget alike.  A bound is such a fact, so one
+recorded on either host holds on the other.  The solver reads no more of
+its host than this game, so it records the same bounds on both: the kept
+sets depend on x and k alone; the stage sets, the segments and their
+replies come from the shared component table; _few, _wins_in_one,
+_wins_in_two and _loses_in_three read the non-loop adjacency.
+The hosts differ only in initial_components: the closure's adds each
+edgeless vertex v of G, a start (0, {v}) of cost 1, since v has no
+neighbours for a cop to guard.
+So the closure's non-monotone solve extends the plain host's table, and
+either solve reads what the other bounded instead of searching it again;
+plain against closure in the non-monotone variant is this lemma, not a
+search.  A monotone solver on either host inherits the table's losses,
+which by the lemma are losses on its host.  Monotone bounds are never
+shared: the monotone kept sets hold the part's boundary, which the loops
+change.  The searches left to compare are monotone against non-monotone,
+where each monotone win is proved afresh, and plain monotone against
+closure monotone.
 
 Lookups are paid once.  The host graph caches the components of G - X per
 cop set (graphs.components) and the segment of each stage (mid, S).  Both
@@ -101,8 +126,11 @@ left and replayed at every later one.  The non-monotone variant's kept
 sets and stage sets ignore the loops, so its lists are kept per k on the
 graph and shared with the closure too; a monotone solver keeps its own,
 since its kept sets hold the part's boundary, which loops change.  The
-stage bounds hold a solver's own costs and are never shared, for the
-reason the position bounds stay per host.
+stage bounds stay with each solver.  A monotone solver's hold its host's
+own costs.  A non-monotone solver that follows another on the pair reads
+the shared position bounds first: after the plain solve with the same
+cap, the closure's expands only the starts (0, {v}) on edgeless vertices,
+which reach no stage, so a shared stage table would save nothing.
 
 With one placement left a position needs no list.  The cops capture
 exactly when the robber's component is a single vertex v, which they
@@ -256,7 +284,8 @@ class _Solver:
     min(|x|, k - 1) cops (see the module docstring).  Each stage's segment,
     its moves with the robber's replies, comes from the host graph's
     segment table, which every solver on that host and its closure shares,
-    as the non-monotone solvers with the same k share their stage lists.
+    as the non-monotone solvers with the same k share their stage lists
+    and their bounds.
     An expansion skips a stage its stage bounds decide lost and accepts one
     they decide won; otherwise it walks the segment and bounds the stage.
     An expansion with one or two placements left reads no list
@@ -265,11 +294,14 @@ class _Solver:
     position's children, but counts as an expansion all the same.
     The expansion past EXPANSION_BUDGET raises BudgetExceededError.
 
-    bounds holds one entry per position the solver has a bound for: those
-    it searched and, in the monotone variant, the losses it inherited from
-    the host's latest non-monotone solver with the same k.  Its length is
-    the position count that solve reports.  _stage_bounds holds one
-    entry per stage the solver walked, its own like bounds.
+    bounds holds one entry per position the solver has a bound for.  In
+    the non-monotone variant it is the table the host holds for k, which
+    the solver extends, so it may hold positions that an earlier solver on
+    the host or its closure pair bounded (module docstring).  In the
+    monotone variant it holds the positions the solver searched and the
+    losses it inherited from that table.  Its length is the position count
+    that solve reports.  _stage_bounds holds one entry per stage the
+    solver walked, its own.
     """
 
     def __init__(self, g: Graph, k: int, monotone: bool):
@@ -287,12 +319,14 @@ class _Solver:
             lost = g._lost.get(k, {})
             self.bounds = {key: [e[0], None] for key, e in lost.items() if e[0] > 0}
         else:
-            self.bounds = g._lost[k] = {}
+            # The non-monotone costs ignore loops, so the host and its
+            # closure extend one table (module docstring).
+            self.bounds = g._lost.setdefault(k, {})
         # (cops, component) -> the position's stage keys, in search order.
         # The non-monotone lists ignore loops, so the host and its closure
         # share them (graphs module docstring).
-        self._succ_cache: dict[tuple[int, int], list[tuple[int, int]]] = (
-            {} if monotone else g._succ_cache.setdefault(k, {}))
+        self._stage_lists: dict[tuple[int, int], list[tuple[int, int]]] = (
+            {} if monotone else g._stage_lists.setdefault(k, {}))
         # (kept set, stage set) -> [largest budget known lost, smallest
         # budget known won]: this solver's own, like bounds.
         self._stage_bounds: dict[tuple[int, int], list] = {}
@@ -338,7 +372,7 @@ class _Solver:
         the component under mid that holds c.  Builds the segment of each
         stage the host's segment table lacks."""
         key = (x_mask, c_mask)
-        stages = self._succ_cache.get(key)
+        stages = self._stage_lists.get(key)
         if stages is None:
             g = self.g
             segments = g._seg_cache
@@ -358,7 +392,7 @@ class _Solver:
                     segments[stage] = self._segment(mid, s)
                 stages.append(stage)
             # Stored whole, as other solvers may read it.
-            self._succ_cache[key] = stages
+            self._stage_lists[key] = stages
         return stages
 
     def _segment(self, mid: int, s: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -691,12 +725,13 @@ def variant_costs(g: Graph, ks: Sequence[int], cap: int) -> list[tuple[int | Non
     closure monotone.
 
     The variants agree on the winner of the q-game for every q <= cap
-    exactly when these four costs are equal.  Each monotone solve starts
-    from the losses of the non-monotone solve before it on the same host
-    and proves its wins itself.  One plain host and one closure serve
-    every k, so the component table and the segment table are built once,
-    and the two non-monotone solves with each k share their stage lists;
-    each solve bounds the stages itself."""
+    exactly when these four costs are equal.  One plain host and one
+    closure serve every k, so the component table and the segment table
+    are built once.  The two non-monotone solves with each k share their
+    stage lists and their bounds, so the closure's reads the plain host's
+    costs, which are its own (module docstring), and searches only the
+    closure's edgeless vertices.  Each monotone solve starts from the
+    losses of that table and proves its wins itself."""
     hosts = (g, closure(g))
     return [tuple(minimum_placements(host, k, monotone, cap)
                   for host in hosts for monotone in (False, True))

@@ -16,18 +16,15 @@ owner:
   to placing v, the components of the stage set minus v (`_seg_cache`,
   `game._Solver._segment`);
 - per k, the stage lists of the non-monotone solvers, each position's
-  stage keys in search order (`_succ_cache`, `game._Solver._stages`);
-- per k, the bounds of the latest non-monotone solver (`_lost`,
-  `game._Solver`).
+  stage keys in search order (`_stage_lists`, `game._Solver._stages`);
+- per k, the bounds of the non-monotone solvers (`_lost`, `game._Solver`).
 Each holds facts about the graph itself, so no cache changes an answer,
-and a Graph is safe to share.  The first three depend only on the
-non-loop adjacency, which a graph and its closure have in common, so
-`closure` hands them to the graph it builds and the solvers on both hosts
-fill and read one copy.  (The monotone variant's stage lists depend on
-the loops, through the part's boundary, and stay with each solver.)  The
-bounds hold the host's own costs, so each host keeps its own, and each
-solver keeps its own stage bounds; see `game` for why they are not
-shared.
+and a Graph is safe to share.  All four depend only on the non-loop
+adjacency, which a graph and its closure have in common, so `closure`
+hands them to the graph it builds and the solvers on both hosts fill and
+read one copy; `game` proves this for the bounds.  The monotone variant
+reads the loops, through the part's boundary, so its stage lists and
+bounds stay with each solver, as does each solver's stage bounds table.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ class Graph:
     """An undirected graph, simple apart from self-loops."""
 
     __slots__ = ("n", "edges", "full_mask", "_index", "_inc", "_adj_mask",
-                 "_comp_cache", "_seg_cache", "_succ_cache", "_lost")
+                 "_comp_cache", "_seg_cache", "_stage_lists", "_lost")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -78,9 +75,10 @@ class Graph:
         self._seg_cache: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
         # k -> (cops, component) -> the stage keys of the non-monotone game
         # solvers with k cops on this host and its closure.
-        self._succ_cache: dict[int, dict[tuple[int, int], list]] = {}
-        # k -> the bounds table of the latest non-monotone game solver with
-        # k cops on this host; a monotone solver starts from its losses.
+        self._stage_lists: dict[int, dict[tuple[int, int], list]] = {}
+        # k -> the bounds table that the non-monotone game solvers with k
+        # cops on this host and its closure extend; a monotone solver starts
+        # from its losses.
         self._lost: dict[int, dict[tuple[int, int], list]] = {}
 
     @property
@@ -167,8 +165,8 @@ def closure(g: Graph) -> Graph:
 
     Original edge ids are preserved; new loops are appended in vertex order.
     The closure shares g's component and segment tables and its
-    non-monotone stage lists, which depend on the non-loop adjacency
-    alone (module docstring).
+    non-monotone stage lists and bounds, which depend on the non-loop
+    adjacency alone (module docstring).
     """
     edges = list(g.edges)
     for v in g.vertices:
@@ -177,7 +175,8 @@ def closure(g: Graph) -> Graph:
     out = Graph(g.n, edges)
     out._comp_cache = g._comp_cache
     out._seg_cache = g._seg_cache
-    out._succ_cache = g._succ_cache
+    out._stage_lists = g._stage_lists
+    out._lost = g._lost
     return out
 
 

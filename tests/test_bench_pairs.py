@@ -68,9 +68,8 @@ def test_counts_pairs_in_the_metric_direction(compare):
     assert summary["median_change_pct"] == 0.0
 
 
-@pytest.mark.parametrize("seconds, expected", [([], 8), (["--seconds", "40"], 40)])
-def test_records_op_counts_of_runs_of_the_given_length(bench_pairs, tmp_path, capsys,
-                                                       seconds, expected):
+def fake_checkouts(tmp_path) -> list[str]:
+    """Two checkouts whose perfbench/run.py is FAKE_RUN."""
     sides = []
     for side in "ab":
         root = tmp_path / side
@@ -78,6 +77,13 @@ def test_records_op_counts_of_runs_of_the_given_length(bench_pairs, tmp_path, ca
         (root / "perfbench" / "run.py").write_text(FAKE_RUN)
         (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
         sides.append(str(root))
+    return sides
+
+
+@pytest.mark.parametrize("seconds, expected", [([], 8), (["--seconds", "40"], 40)])
+def test_records_op_counts_of_runs_of_the_given_length(bench_pairs, tmp_path, capsys,
+                                                       seconds, expected):
+    sides = fake_checkouts(tmp_path)
     assert bench_pairs.main([*sides, "--workload", "fuzz", "--pairs", "2", *seconds]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["seconds"] == expected
@@ -85,6 +91,27 @@ def test_records_op_counts_of_runs_of_the_given_length(bench_pairs, tmp_path, ca
     assert all(p[side]["attempted"] == 10 * expected
                for p in record["pairs"] for side in "ab")
     assert record["same_outputs"] and record["digests"]["a"] == ["fuzz4"]
+
+
+@pytest.mark.parametrize("seconds, suffix", [([], ""), (["--seconds", "40"], "_40s")])
+def test_records_each_workload_under_its_bench_key(bench_pairs, tmp_path, capsys,
+                                                   seconds, suffix):
+    sides = fake_checkouts(tmp_path)
+    argv = [*sides, "--workload", "sweep", "--workload", "fuzz", "--seed", "7",
+            "--pairs", "3", *seconds]
+    assert bench_pairs.main(argv) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert list(runs) == ["sweep_s7" + suffix, "fuzz_s7" + suffix]
+    for workload, record in zip(("sweep", "fuzz"), runs.values()):
+        assert (record["workload"], record["seed"]) == (workload, 7)
+        assert [p["first"] for p in record["pairs"]] == ["a", "b", "a"]
+        assert record["digests"]["b"] == [workload + "7"] and record["correct"]
+
+
+def test_rejects_a_repeated_workload(bench_pairs, capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["a", "b", "--workload", "fuzz", "--workload", "fuzz"])
+    assert "each --workload may be given once" in capsys.readouterr().err
 
 
 def test_rejects_a_run_length_that_is_not_positive(bench_pairs, capsys):

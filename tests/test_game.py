@@ -395,8 +395,8 @@ class TestDominanceCut:
                 listed = [(x_mask, p_mask, component(host, x_mask, p_mask))
                           for x_mask in range(1 << host.n)
                           for p_mask in live_parts(host, x_mask)]
-                listed = [pos for pos in listed if pos[::2] in solver._succ_cache]
-                assert len(listed) == len(solver._succ_cache)
+                listed = [pos for pos in listed if pos[::2] in solver._stage_lists]
+                assert len(listed) == len(solver._stage_lists)
                 for x_mask, p_mask, c_mask in listed:
                     full = sorted(
                         (m for m in macro_moves(host, k, False, x_mask, p_mask)
@@ -475,7 +475,7 @@ class TestWinsInOne:
         # Every position of every host on at most 4 vertices with every set
         # of loops, k 1..n+1, both variants, captures included: win with
         # one placement left says whether some searched move leaves the
-        # robber no live reply, and builds no successor list.  A capture
+        # robber no live reply, and builds no stage list.  A capture
         # is the empty component, which is never won.
         checked = captures = 0
         for host in with_loop_sets(small_graph_corpus(4)):
@@ -493,7 +493,7 @@ class TestWinsInOne:
                 checked += 1
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
-                assert not solver._succ_cache
+                assert not solver._stage_lists
         assert (checked, captures) == (358_096, 191_780)
 
 
@@ -502,8 +502,8 @@ class TestWinsInTwo:
         # Every component position of every host on at most 4 vertices
         # with every set of loops, k 1..n+1, both variants: win with two
         # placements left says whether some searched move leaves only
-        # replies that one more placement captures, and builds no
-        # successor list.  Captures are outside the solver's domain.
+        # replies that one more placement captures, and builds no stage
+        # list.  Captures are outside the solver's domain.
         checked = 0
         for host in with_loop_sets(small_graph_corpus(4)):
             solvers = {}
@@ -516,14 +516,14 @@ class TestWinsInTwo:
                 checked += 1
             for solver in solvers.values():
                 assert solver.expansions == len(solver.bounds)
-                assert not solver._succ_cache
+                assert not solver._stage_lists
         assert checked == 166_316
 
 
 def assert_refutes_only_losses(host) -> int:
     """Check that every position of host that _loses_in_three refutes is
     lost to the list search with three placements left, and that win
-    refutes it with no successor list; return how many there are."""
+    refutes it with no stage list; return how many there are."""
     refuted = 0
     solvers = {}
     for k, monotone, x_mask, c_mask, wins in three_placement_refutations(host):
@@ -535,7 +535,7 @@ def assert_refutes_only_losses(host) -> int:
         refuted += 1
     for solver in solvers.values():
         assert solver.expansions == len(solver.bounds)
-        assert not solver._succ_cache
+        assert not solver._stage_lists
     return refuted
 
 
@@ -576,11 +576,76 @@ class TestSharedTables:
         assert checked == 21_616
 
 
+class TestSharedBounds:
+    # The non-monotone solvers on a graph and its closure extend one bounds
+    # table, by the game docstring's lemma; each monotone solver keeps its
+    # own.  Every host on at most 4 vertices with every set of loops, k
+    # 1..n+1, the pair solved in both orders, each host non-monotone then
+    # monotone: at every position of the shared table, and at every
+    # position a monotone solver bounded, each host's cost equals that on a
+    # fresh copy that shares nothing.
+
+    def test_pair_costs_match_unshared_hosts_at_every_position(self):
+        # One fresh solver per edge set, variant and k, whose costs are
+        # kept: the closures of a graph's loop sets have one edge set, in
+        # different orders, and both orders ask for the same positions.
+        fresh, fresh_costs = {}, {}
+        checked = 0
+        for host in with_loop_sets(small_graph_corpus(4)):
+            cap = host.n + 1
+            for closure_first in (False, True):
+                plain = Graph(host.n, host.edges)
+                pair = (closure(plain), plain) if closure_first else (plain, closure(plain))
+                for k in range(1, host.n + 2):
+                    solved = []
+                    for h in pair:
+                        for monotone in (False, True):
+                            solved.append(_Solver(h, k, monotone))
+                            solved[-1].game_cost(cap)
+                    shared = list(plain._lost[k])
+                    for solver in solved:
+                        h = solver.g
+                        positions = list(solver.bounds) if solver.monotone else shared
+                        key = (h.n, frozenset(h.edges), k, solver.monotone)
+                        if key not in fresh:
+                            fresh[key] = _Solver(Graph(h.n, h.edges), k, solver.monotone)
+                        for pos in positions:
+                            if (key, pos) not in fresh_costs:
+                                fresh_costs[key, pos] = fresh[key].cost(*pos, cap)
+                            assert solver.cost(*pos, cap) == fresh_costs[key, pos], (
+                                h, k, solver.monotone, pos)
+                            checked += 1
+        assert checked == 156_028
+
+    @pytest.mark.parametrize("n, edges", [(4, [(0, 1), (1, 2)]), (3, [])])
+    def test_edgeless_vertices_are_the_closures_own_starts(self, n, edges):
+        # P3 plus an edgeless vertex, and the edgeless graph on 3 vertices.
+        # The plain host's robber never starts on an edgeless vertex, and
+        # the closure's may, where one cop placed on it captures: in either
+        # order, the plain cost is that of a fresh plain host, the
+        # closure's is max(plain, 1) unless the plain game is lost first,
+        # and the closure adds to the table only those starts.
+        edgeless = {(0, 1 << v) for v in range(n) if not any(v in e for e in edges)}
+        for k in range(1, n + 2):
+            alone = Graph(n, edges)
+            want = _Solver(alone, k, False).game_cost(n + 1)
+            keys = set(alone._lost[k])
+            for closure_first in (False, True):
+                plain = Graph(n, edges)
+                shut = closure(plain)
+                order = (shut, plain) if closure_first else (plain, shut)
+                got = {h: _Solver(h, k, False).game_cost(n + 1) for h in order}
+                assert got[plain] == want
+                assert got[shut] == (None if want is None else max(want, 1))
+                added = set(plain._lost[k]) - keys
+                assert added == (set() if want is None else edgeless), (k, closure_first)
+
+
 class TestInheritedLosses:
-    # A monotone solver starts from the losses of the latest non-monotone
-    # solver with the same k on its host.  Its costs must be those of a
-    # monotone solver on a fresh host, at every position the non-monotone
-    # solver visited, not only at the start.
+    # A monotone solver starts from the losses of the table that the
+    # non-monotone solvers with the same k on its host extend.  Its costs
+    # must be those of a monotone solver on a fresh host, at every position
+    # the non-monotone solvers visited, not only at the start.
 
     @staticmethod
     def assert_costs_match(host, k, cap):
@@ -721,7 +786,7 @@ class TestSolverWork:
         # vertices ascending, each with its capture-free responses.  In the
         # non-monotone variant only the undominated ones are kept: those
         # that keep min(|x|, k - 1) cops.  Both variants and every k solve
-        # on one host, so the response table entries built by one solver
+        # on one host, so the segment table entries built by one solver
         # are read by the others.  The lists are asked for at every
         # position the solver has a bound for, since a position expanded
         # only with one or two placements left builds none.  Every such
@@ -777,32 +842,35 @@ class TestSolverWork:
     # (expansions, positions, stages) of _Solver.game_cost(7) per graph,
     # for the plain graph then its closure, k = 2, 3, 4, non-monotone then
     # monotone on the same host; the monotone solver counts the losses it
-    # inherits from the non-monotone one as positions, and stages counts
+    # inherits from the non-monotone table as positions, and stages counts
     # the (kept set, stage set) pairs the solver bounded.  Recorded when
     # each stage was first decided once for every position that lifts to
-    # it, its segment walking the lifted cops' re-placements too.  Equal
-    # counts mean neither the search order nor the memo moved.
+    # it, its segment walking the lifted cops' re-placements too, and when
+    # the closure's non-monotone solver first extended the plain host's
+    # table: it counts the plain positions, and expands only the starts of
+    # the graph's edgeless vertices (G6c has one, G7a two).  Equal counts
+    # mean neither the search order nor the memo moved.
     GOLDEN_WORK = {
         "P5": [(8, 6, 1), (4, 6, 1), (6, 4, 1), (3, 4, 1), (6, 4, 1), (3, 4, 1),
-               (8, 6, 1), (4, 6, 1), (6, 4, 1), (3, 4, 1), (6, 4, 1), (3, 4, 1)],
+               (0, 6, 0), (4, 6, 1), (0, 4, 0), (3, 4, 1), (0, 4, 0), (3, 4, 1)],
         "C5": [(67, 16, 6), (0, 16, 0), (11, 7, 2), (3, 7, 2), (11, 7, 2), (3, 7, 2),
-               (67, 16, 6), (0, 16, 0), (11, 7, 2), (3, 7, 2), (11, 7, 2), (3, 7, 2)],
+               (0, 16, 0), (0, 16, 0), (0, 7, 0), (3, 7, 2), (0, 7, 0), (3, 7, 2)],
         "K4": [(47, 11, 5), (0, 11, 0), (53, 15, 11), (0, 15, 0), (10, 6, 2), (3, 6, 2),
-               (47, 11, 5), (0, 11, 0), (53, 15, 11), (0, 15, 0), (10, 6, 2), (3, 6, 2)],
+               (0, 11, 0), (0, 11, 0), (0, 15, 0), (0, 15, 0), (0, 6, 0), (3, 6, 2)],
         "K2,3": [(67, 16, 6), (0, 16, 0), (4, 2, 1), (2, 2, 1), (4, 2, 1), (2, 2, 1),
-                 (67, 16, 6), (0, 16, 0), (4, 2, 1), (2, 2, 1), (4, 2, 1), (2, 2, 1)],
+                 (0, 16, 0), (0, 16, 0), (0, 2, 0), (2, 2, 1), (0, 2, 0), (2, 2, 1)],
         "GRID2x3": [(90, 22, 7), (0, 22, 0), (22, 17, 3), (5, 17, 2), (13, 9, 2), (3, 9, 2),
-                    (90, 22, 7), (0, 22, 0), (22, 17, 3), (5, 17, 2), (13, 9, 2), (3, 9, 2)],
+                    (0, 22, 0), (0, 22, 0), (0, 17, 0), (5, 17, 2), (0, 9, 0), (3, 9, 2)],
         "G6a": [(85, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (18, 13, 3), (3, 13, 2),
-                (85, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (18, 13, 3), (3, 13, 2)],
+                (0, 22, 0), (0, 22, 0), (0, 42, 0), (0, 42, 0), (0, 13, 0), (3, 13, 2)],
         "G6b": [(89, 22, 7), (0, 22, 0), (14, 11, 2), (4, 11, 2), (19, 14, 3), (4, 14, 2),
-                (89, 22, 7), (0, 22, 0), (14, 11, 2), (4, 11, 2), (19, 14, 3), (4, 14, 2)],
+                (0, 22, 0), (0, 22, 0), (0, 11, 0), (4, 11, 2), (0, 14, 0), (4, 14, 2)],
         "G6c": [(81, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (11, 8, 2), (3, 8, 2),
-                (81, 22, 7), (0, 22, 0), (136, 42, 22), (0, 42, 0), (12, 9, 2), (4, 9, 2)],
+                (0, 22, 0), (0, 22, 0), (0, 42, 0), (0, 42, 0), (1, 9, 0), (4, 9, 2)],
         "G7a": [(125, 35, 9), (0, 29, 0), (6, 4, 1), (2, 4, 1), (6, 4, 1), (2, 4, 1),
-                (125, 35, 9), (0, 29, 0), (8, 6, 1), (4, 6, 1), (8, 6, 1), (4, 6, 1)],
+                (0, 35, 0), (0, 29, 0), (2, 6, 0), (4, 6, 1), (2, 6, 0), (4, 6, 1)],
         "G7b": [(108, 35, 9), (0, 29, 0), (16, 13, 2), (5, 13, 2), (16, 13, 2), (5, 13, 2),
-                (108, 35, 9), (0, 29, 0), (16, 13, 2), (5, 13, 2), (16, 13, 2), (5, 13, 2)],
+                (0, 35, 0), (0, 29, 0), (0, 13, 0), (5, 13, 2), (0, 13, 0), (5, 13, 2)],
     }
 
     # (expansions, positions, stages) of the monotone

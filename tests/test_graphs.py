@@ -368,32 +368,40 @@ class TestComponents:
 
     def test_closure_shares_the_vertex_tables_only(self, p3):
         # The component and segment tables and the non-monotone stage
-        # lists depend on the non-loop adjacency alone; the solver bounds
-        # hold the host's own costs, and the parts its own edges.
+        # lists and bounds depend on the non-loop adjacency alone; the
+        # parts depend on the host's own edges.
         c = closure(p3)
         assert c._comp_cache is p3._comp_cache
         assert c._seg_cache is p3._seg_cache
-        assert c._succ_cache is p3._succ_cache
-        assert c._lost is not p3._lost
+        assert c._stage_lists is p3._stage_lists
+        assert c._lost is p3._lost
         assert components(c, 0b010) is components(p3, 0b010)
         assert part_table(c, 0b010) != part_table(p3, 0b010)
 
     def test_closure_solvers_share_stages_but_not_stage_bounds(self):
-        # The non-monotone solvers on C5 and its closure read one segment
-        # table and one stage list per position; each bounds the stages
-        # itself, since the two hosts' costs differ.
-        g = Graph(5, [(v, (v + 1) % 5) for v in range(5)])
-        c = closure(g)
-        plain, shut = _Solver(g, 2, False), _Solver(c, 2, False)
-        plain.game_cost(7)
-        shut.game_cost(7)
-        assert c._seg_cache is g._seg_cache
-        assert shut._succ_cache is plain._succ_cache
-        assert plain._succ_cache and set(plain._stage_bounds) <= set(g._seg_cache)
-        for stages in plain._succ_cache.values():
-            assert all(stage in g._seg_cache for stage in stages)
-        assert shut._stage_bounds is not plain._stage_bounds
-        assert shut._stage_bounds and plain._stage_bounds
+        # The non-monotone solvers on C5 and its closure, alone and with an
+        # edgeless vertex, read one segment table, one stage list per
+        # position and one bounds table.  The closure's solve after the
+        # plain one reads the plain costs, which are its own (game
+        # docstring), so it expands at most the start of each edgeless
+        # vertex, which reaches no stage: none when two cops lose at the
+        # cycle, and one for three cops.  Each keeps its own stage bounds.
+        cycle = [(v, (v + 1) % 5) for v in range(5)]
+        for n, k in ((5, 2), (6, 2), (6, 3)):
+            g = Graph(n, cycle)
+            c = closure(g)
+            plain, shut = _Solver(g, k, False), _Solver(c, k, False)
+            won = plain.game_cost(7) is not None
+            assert shut.game_cost(7) == (max(plain.game_cost(7), 1) if won else None)
+            assert c._seg_cache is g._seg_cache
+            assert shut._stage_lists is plain._stage_lists
+            assert shut.bounds is plain.bounds
+            assert plain._stage_lists and set(plain._stage_bounds) <= set(g._seg_cache)
+            for stages in plain._stage_lists.values():
+                assert all(stage in g._seg_cache for stage in stages)
+            assert shut.expansions == (n - 5 if won else 0)
+            assert shut._stage_bounds is not plain._stage_bounds
+            assert plain._stage_bounds and not shut._stage_bounds
 
 
 class TestPaceFormat:

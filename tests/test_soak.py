@@ -226,7 +226,7 @@ def test_wins_in_one_soak():
                         Graph(host.n, host.edges), k, monotone)
                 assert solver.win(x_mask, c_mask, 1) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
-            assert not any(solver._succ_cache for solver in solvers.values())
+            assert not any(solver._stage_lists for solver in solvers.values())
     assert checked == 811_152
 
 
@@ -245,7 +245,7 @@ def test_wins_in_two_soak():
                         Graph(host.n, host.edges), k, monotone)
                 assert solver.win(x_mask, c_mask, 2) == wins, (host, k, monotone, x_mask, c_mask)
                 checked += 1
-            assert not any(solver._succ_cache for solver in solvers.values())
+            assert not any(solver._stage_lists for solver in solvers.values())
     assert checked == 811_152
 
 
